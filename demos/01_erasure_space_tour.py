@@ -2,7 +2,7 @@
 
 Works through the ((4,4,2)) example code: which single operators it absorbs
 as erasures, what the full erasure space looks like as a subspace of the
-256-dimensional operator space, and how to symmetrize its basis.
+256-dimensional operator space, and how to pick a Hermitian basis of it.
 """
 
 import numpy as np
@@ -59,9 +59,10 @@ for row in classify_paulis(code):
     print(f"  weight {row.weight}: {row.members} members, "
           f"{row.non_members} violators")
 
-# Any adjoint-closed subspace admits a basis of Hermitian and anti-Hermitian
-# elements; coordinates become all-real or all-imaginary.
+# Any adjoint-closed subspace has an orthonormal basis of Hermitian
+# operators: their Pauli coordinates are all real.
 sym = hermitian_basis(es)
 real = sum(np.max(np.abs(v.imag)) < 1e-9 for v in sym)
-print(f"\nsymmetrized basis: {len(sym)} elements, {real} Hermitian, "
-      f"{len(sym) - real} anti-Hermitian")
+gram = np.column_stack(sym).conj().T @ np.column_stack(sym)
+print(f"\nHermitian basis: {len(sym)} elements, {real} with all-real coordinates, "
+      f"orthonormal to {np.max(np.abs(gram - np.eye(len(sym)))):.0e}")

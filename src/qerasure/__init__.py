@@ -81,7 +81,6 @@ from .states import (
     cyclic_shift,
     inner_product,
     ket_from_terms,
-    transform_to_unitary_action,
 )
 from .unions import (
     OrthogonalityError,

@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .codes import CodeValidationError, QuantumCode, ingest_code, transform_code
+from .codes import CodeValidationError, QuantumCode, _cyclic_orbit, ingest_code, transform_code
 from .erasure import (
     classify_paulis,
     erasure_space,
@@ -127,15 +127,9 @@ def _mode_analyze(args) -> dict:
 def _mode_classify(args) -> dict:
     code = _resolve_code(args)
     max_weight = code.n if args.max_weight is None else args.max_weight
-    space = pure_erasure_space(code) if args.pure else erasure_space(code)
-    dist = pure_distance(code) if args.pure else minimum_distance(code)
-    return {
-        "code": code.label,
-        "pure": bool(args.pure),
-        "per_weight": _classification_rows(code, max_weight, args.pure),
-        "dim": space.dim,
-        "distance": dist,
-    }
+    section = _space_section(code, max_weight, args.pure)
+    return {"code": code.label, "pure": bool(args.pure),
+            **{key: section[key] for key in ("per_weight", "dim", "distance")}}
 
 
 def _mode_distance(args) -> dict:
@@ -219,12 +213,9 @@ _MODES = {
 
 def _cyclic_groups(labels: list[str]) -> list[list[str]]:
     """Group operator labels into cyclic-rotation orbits, deterministically."""
-    def rotations(s: str) -> list[str]:
-        return [s[-k:] + s[:-k] if k else s for k in range(len(s))]
-
     groups: dict[str, list[str]] = {}
     for label in labels:
-        groups.setdefault(min(rotations(label)), []).append(label)
+        groups.setdefault(min(_cyclic_orbit(label)), []).append(label)
     return [groups[key] for key in sorted(groups)]
 
 

@@ -57,22 +57,24 @@ def ingest_code(spec: dict) -> QuantumCode:
     """Build a code from {"n": int, "label": str, "basis": [[term, ...], ...]}.
 
     Each term is (amplitude, bitstring) or {"re": .., "im": .., "bits": ..}.
-    Vectors are normalized; zero vectors, wrong bitstring lengths and
-    non-orthogonal pairs are rejected.
+    Vectors are normalized; non-integer n, non-numeric amplitudes, zero
+    vectors, malformed bitstrings and non-orthogonal pairs are rejected.
     """
     try:
-        n = int(spec["n"])
+        n = spec["n"]
         raw_basis = spec["basis"]
     except (KeyError, TypeError) as exc:
         raise CodeValidationError(f"code description is missing a field: {exc}") from exc
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise CodeValidationError(f"n must be a positive integer, got {n!r}")
     label = str(spec.get("label", ""))
-    if not raw_basis:
-        raise CodeValidationError("code description has an empty basis")
+    if not isinstance(raw_basis, list) or not raw_basis:
+        raise CodeValidationError("code description needs a non-empty basis list")
     kets = []
     for idx, terms in enumerate(raw_basis):
         try:
             ket = ket_from_terms(n, terms)
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:  # TypeError: a term of the wrong shape
             raise CodeValidationError(f"basis vector {idx}: {exc}") from exc
         if ket.norm() == 0:
             raise CodeValidationError(f"basis vector {idx} is the zero vector")

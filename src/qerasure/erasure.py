@@ -15,8 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import QuantumCode, basis_matrix
-from .operator_space import OperatorSubspace, coords_to_matrix, pauli_order
-from .pauli import PauliOperator, apply_to_amplitudes, pauli_to_string, weight
+from .operator_space import (
+    RANK_RTOL,
+    OperatorSubspace,
+    _pauli_grams,
+    _pauli_table,
+    coords_to_matrix,
+    pauli_order,
+)
+from .pauli import PauliOperator, apply_to_amplitudes, pauli_to_string
 
 MATRIX_ELEMENT_TOL = 1e-9
 
@@ -66,41 +73,49 @@ def _trace_over_dim(code: QuantumCode, op) -> complex:
     return complex(np.trace(arr)) / (1 << code.n)
 
 
+def _first_violations(grams: np.ndarray, alpha: np.ndarray | None,
+                      tol: float = MATRIX_ELEMENT_TOL):
+    """First violated condition, in row-major order, of each gram in a stack.
+
+    grams has shape (m, K, K).  With alpha None the erasure conditions are
+    tested (diagonals against the first one), otherwise the pure conditions
+    (diagonals against alpha).  Returns the violation mask and, for every
+    gram, the (i, j) of its first violation and the deviation there.
+    """
+    m, k, _ = grams.shape
+    dev = grams.copy()
+    diag = np.arange(k)
+    dev[:, diag, diag] -= grams[:, :1, 0] if alpha is None else alpha[:, None]
+    dev = dev.reshape(m, k * k)
+    bad = np.abs(dev) >= tol
+    first = bad.argmax(axis=1)
+    return bad.any(axis=1), first // k, first % k, dev[np.arange(m), first]
+
+
+def _check(code: QuantumCode, op, tol: float, pure: bool) -> MembershipReport:
+    gram = _gram_matrix(code, op)
+    alpha = _trace_over_dim(code, op) if pure else np.mean(np.diag(gram))
+    bad, i, j, dev = _first_violations(gram[None], np.array([alpha]) if pure else None, tol)
+    if bad[0]:
+        return MembershipReport(False, witness=(int(i[0]), int(j[0]), complex(dev[0])))
+    return MembershipReport(True, alpha=complex(alpha))
+
+
 def check_erasure(code: QuantumCode, op,
                   tol: float = MATRIX_ELEMENT_TOL) -> MembershipReport:
     """Test the matching-diagonal conditions for a single operator."""
-    gram = _gram_matrix(code, op)
-    for i in range(code.k):
-        for j in range(code.k):
-            if i == j:
-                if i > 0 and abs(gram[i, i] - gram[0, 0]) >= tol:
-                    return MembershipReport(False, witness=(i, i, complex(gram[i, i] - gram[0, 0])))
-            elif abs(gram[i, j]) >= tol:
-                return MembershipReport(False, witness=(i, j, complex(gram[i, j])))
-    return MembershipReport(True, alpha=complex(np.mean(np.diag(gram))))
+    return _check(code, op, tol, pure=False)
 
 
 def check_pure(code: QuantumCode, op,
                tol: float = MATRIX_ELEMENT_TOL) -> MembershipReport:
     """Test the stronger scaled-identity condition for a single operator."""
-    gram = _gram_matrix(code, op)
-    alpha = _trace_over_dim(code, op)
-    for i in range(code.k):
-        for j in range(code.k):
-            required = alpha if i == j else 0.0
-            if abs(gram[i, j] - required) >= tol:
-                return MembershipReport(False, witness=(i, j, complex(gram[i, j] - required)))
-    return MembershipReport(True, alpha=complex(alpha))
+    return _check(code, op, tol, pure=True)
 
 
-def _pauli_gram_tensor(code: QuantumCode) -> np.ndarray:
+def _code_grams(code: QuantumCode) -> np.ndarray:
     """<c_i|sigma|c_j> for every Pauli in coordinate order: shape (4^n, K, K)."""
-    mat = basis_matrix(code)
-    order = pauli_order(code.n)
-    out = np.empty((len(order), code.k, code.k), dtype=complex)
-    for idx, op in enumerate(order):
-        out[idx] = mat.conj().T @ apply_to_amplitudes(op, mat)
-    return out
+    return _pauli_grams(basis_matrix(code), code.n)
 
 
 def erasure_space(code: QuantumCode) -> OperatorSubspace:
@@ -109,17 +124,11 @@ def erasure_space(code: QuantumCode) -> OperatorSubspace:
     One constraint row per ordered off-diagonal pair (lexicographic), then
     one row per diagonal difference against the first basis ket.
     """
-    grams = _pauli_gram_tensor(code)
-    rows = []
-    for i in range(code.k):
-        for j in range(code.k):
-            if i != j:
-                rows.append(grams[:, i, j])
-    for i in range(1, code.k):
-        rows.append(grams[:, i, i] - grams[:, 0, 0])
-    if not rows:
-        return OperatorSubspace.full(code.n)
-    return OperatorSubspace.from_constraints(code.n, np.array(rows))
+    grams = _code_grams(code)
+    off = ~np.eye(code.k, dtype=bool)
+    diag = np.einsum("pii->ip", grams)
+    rows = np.vstack([grams[:, off].T, diag[1:] - diag[0]])
+    return OperatorSubspace.from_constraints(code.n, rows)
 
 
 def pure_erasure_space(code: QuantumCode) -> OperatorSubspace:
@@ -128,16 +137,8 @@ def pure_erasure_space(code: QuantumCode) -> OperatorSubspace:
     Rows cover all K^2 pairs; the diagonal rows subtract the identity
     coordinate so that, for example, the identity operator always passes.
     """
-    grams = _pauli_gram_tensor(code)
-    rows = np.empty((code.k**2, grams.shape[0]), dtype=complex)
-    pos = 0
-    for i in range(code.k):
-        for j in range(code.k):
-            row = grams[:, i, j].copy()
-            if i == j:
-                row[0] -= 1.0  # tr(sigma)/2^n is 1 at the identity, 0 elsewhere
-            rows[pos] = row
-            pos += 1
+    rows = _code_grams(code).reshape(-1, code.k**2).T.copy()
+    rows[:: code.k + 1, 0] -= 1.0  # tr(sigma)/2^n is 1 at the identity, 0 elsewhere
     return OperatorSubspace.from_constraints(code.n, rows)
 
 
@@ -151,8 +152,7 @@ def annihilating_space(code: QuantumCode) -> OperatorSubspace:
     union force every matrix element of E*U (and of U-adjoint*E) to zero,
     diagonals included.
     """
-    grams = _pauli_gram_tensor(code)
-    rows = grams.reshape(grams.shape[0], code.k**2).T
+    rows = _code_grams(code).reshape(-1, code.k**2).T
     return OperatorSubspace.from_constraints(code.n, rows)
 
 
@@ -167,6 +167,16 @@ class WeightClassification:
     witnesses: tuple[tuple[int, int, complex], ...]
 
 
+def _pauli_violations(code: QuantumCode, pure: bool):
+    """Pauli weights in coordinate order, and _first_violations of every Pauli."""
+    t = _pauli_table(code.n)
+    alpha = None
+    if pure:
+        alpha = np.zeros(4**code.n, dtype=complex)
+        alpha[0] = 1.0  # tr(sigma)/2^n: 1 at the identity, 0 elsewhere
+    return np.bitwise_count(t.x | t.z), _first_violations(_code_grams(code), alpha)
+
+
 def classify_paulis(code: QuantumCode, max_weight: int | None = None,
                     pure: bool = False) -> list[WeightClassification]:
     """Tally membership of every phase-0 Pauli up to max_weight, by weight."""
@@ -174,35 +184,25 @@ def classify_paulis(code: QuantumCode, max_weight: int | None = None,
         max_weight = code.n
     if not 0 <= max_weight <= code.n:
         raise ValueError(f"max_weight must be in [0, {code.n}], got {max_weight}")
-    checker = check_pure if pure else check_erasure
-    buckets: dict[int, list] = {w: [] for w in range(max_weight + 1)}
-    counts = {w: 0 for w in range(max_weight + 1)}
-    for op in pauli_order(code.n):
-        w = weight(op)
-        if w > max_weight:
-            continue
-        counts[w] += 1
-        report = checker(code, op)
-        if not report.member:
-            buckets[w].append((pauli_to_string(op), report.witness))
+    weights, (bad, i, j, dev) = _pauli_violations(code, pure)
+    order = pauli_order(code.n)
     out = []
     for w in range(max_weight + 1):
-        viols = buckets[w]
+        viols = np.flatnonzero(bad & (weights == w))
         out.append(WeightClassification(
             weight=w,
-            members=counts[w] - len(viols),
+            members=int(np.sum(weights == w)) - len(viols),
             non_members=len(viols),
-            violators=tuple(label for label, _ in viols),
-            witnesses=tuple(wit for _, wit in viols),
+            violators=tuple(pauli_to_string(order[p]) for p in viols),
+            witnesses=tuple((int(i[p]), int(j[p]), complex(dev[p])) for p in viols),
         ))
     return out
 
 
-def _distance_scan(code: QuantumCode, checker) -> int:
-    for op in pauli_order(code.n):  # ascending weight
-        if not checker(code, op).member:
-            return weight(op)
-    return code.n + 1
+def _distance_scan(code: QuantumCode, pure: bool) -> int:
+    weights, (bad, *_) = _pauli_violations(code, pure)
+    failing = weights[bad]  # coordinate order is ascending weight
+    return int(failing[0]) if failing.size else code.n + 1
 
 
 def minimum_distance(code: QuantumCode) -> int:
@@ -212,12 +212,12 @@ def minimum_distance(code: QuantumCode) -> int:
     Paulis of weight at most t, and membership is linear.  A value of n+1
     means every operator passes (the degenerate case, e.g. any K=1 code).
     """
-    return _distance_scan(code, check_erasure)
+    return _distance_scan(code, pure=False)
 
 
 def pure_distance(code: QuantumCode) -> int:
     """Smallest weight of a Pauli failing check_pure; n+1 when none does."""
-    return _distance_scan(code, check_pure)
+    return _distance_scan(code, pure=True)
 
 
 def is_degenerate_distance(code: QuantumCode, distance: int) -> bool:
@@ -226,35 +226,21 @@ def is_degenerate_distance(code: QuantumCode, distance: int) -> bool:
 
 
 def hermitian_basis(s: OperatorSubspace, tol: float = 1e-9) -> list[np.ndarray]:
-    """A spanning set of s made of Hermitian and anti-Hermitian operators.
+    """An orthonormal basis of s made of Hermitian operators.
 
     Conjugating coordinates realizes the adjoint (the basis Paulis are
-    Hermitian), so s must be closed under conjugation; each returned vector
-    is v + conj(v) or v - conj(v) for a basis vector v, i.e. has all-real or
-    all-imaginary coordinates.  The set has exactly dim(s) elements.
+    Hermitian), so s must be closed under conjugation.  Then the real and
+    imaginary parts of its basis vectors span a real space of dimension
+    exactly dim(s), and the first dim(s) left singular vectors of [Re B | Im B]
+    are orthonormal real coordinate vectors, i.e. Hermitian operators, that
+    span s.  The list has exactly dim(s) elements.
     """
     b = s.basis
     for col in range(b.shape[1]):
         if s.member_residual(np.conj(b[:, col])) > tol:
             raise ValueError("subspace is not closed under the adjoint")
-    selected: list[np.ndarray] = []
-    ortho = np.zeros((s.total_dim, s.dim), dtype=complex)
-    taken = 0
-    for col in range(b.shape[1]):
-        v = b[:, col]
-        for cand in (v + np.conj(v), v - np.conj(v)):
-            nrm = np.linalg.norm(cand)
-            if nrm < 1e-12:
-                continue
-            q = ortho[:, :taken]
-            resid = cand - q @ (q.conj().T @ cand)
-            rnrm = np.linalg.norm(resid)
-            if rnrm > 1e-8 * nrm:
-                selected.append(cand)
-                ortho[:, taken] = resid / rnrm
-                taken += 1
-    if len(selected) != s.dim:
-        raise RuntimeError(
-            f"symmetrization selected {len(selected)} elements for a dim-{s.dim} space"
-        )
-    return selected
+    u, sv, _ = np.linalg.svd(np.hstack([b.real, b.imag]), full_matrices=False)
+    rank = int(np.sum(sv > RANK_RTOL * sv[0])) if sv.size else 0
+    if rank != s.dim:
+        raise RuntimeError(f"real and imaginary parts have rank {rank} for a dim-{s.dim} space")
+    return [u[:, col].astype(complex) for col in range(rank)]

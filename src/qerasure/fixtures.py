@@ -17,7 +17,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codes import QuantumCode, fixture_gbp_code, fixture_rains_subcode, transform_code
+from .codes import (
+    QuantumCode,
+    _cyclic_orbit,
+    fixture_gbp_code,
+    fixture_rains_subcode,
+    transform_code,
+)
 from .operator_space import matrices_to_coords, operator_weight, pauli_order
 from .pauli import pauli_from_string, pauli_to_string, to_matrix
 from .states import CodeTransform, UnitaryAction, cyclic_shift
@@ -96,12 +102,7 @@ def rains_product_weight_survey() -> dict:
     matrix element couples the subcode to one of its five images.  The other
     40 of the union's 60 weight-two violators couple two images.
     """
-    listed = set()
-    for pattern in ("XZIII", "ZXIII", "ZIYII", "YIZII"):
-        s = pattern
-        for _ in range(5):
-            listed.add(s)
-            s = s[-1] + s[:-1]
+    listed = {s for pattern in ("XZIII", "ZXIII", "ZIYII", "YIZII") for s in _cyclic_orbit(pattern)}
     out = {"listed_patterns": tuple(sorted(listed)), "cases": {}}
     for name, label in (("E1", "IIYZY"), ("E2", "IZIXX")):
         emat = to_matrix(pauli_from_string(label))

@@ -12,7 +12,8 @@ A subspace keeps an orthonormal basis of coordinate vectors, and caches an
 orthonormal basis of its orthogonal complement.  Constraint systems in this
 module have few rows and huge nullspaces, so the complement (the conjugated
 row space) is the cheap representation; the spanning basis is completed from
-it on first use.  Unitary maps of operator space preserve both parts.
+it on first use.  Unitary maps of operator space carry complements to
+complements, so they act on the complement alone.
 
 Numerical conventions: ranks are read from singular values with a relative
 threshold of RANK_RTOL times the largest one, and membership or containment
@@ -23,10 +24,9 @@ dyadic amplitudes, which leaves several orders of magnitude of margin.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse
 
 from .pauli import PauliOperator, enumerate_paulis, _index_aligned_masks
 
@@ -41,14 +41,61 @@ def pauli_order(n: int) -> tuple[PauliOperator, ...]:
     return tuple(enumerate_paulis(n, n))
 
 
+class _PauliTable(NamedTuple):
+    """How each coordinate's Pauli acts: sigma |b> = phase (-1)^(b.z) |b ^ x>.
+
+    x and z are index-aligned masks (see pauli.apply_to_amplitudes), phase is
+    i to the number of Y factors, and hadamard[a, b] = (-1)^(a.b) is the
+    2^n x 2^n Walsh-Hadamard matrix that sums over b against every z at once.
+    """
+
+    x: np.ndarray
+    z: np.ndarray
+    phase: np.ndarray
+    hadamard: np.ndarray
+
+
 @lru_cache(maxsize=None)
-def _mask_index(n: int) -> dict[tuple[int, int], int]:
-    return {(p.x_mask, p.z_mask): i for i, p in enumerate(pauli_order(n))}
+def _pauli_table(n: int) -> _PauliTable:
+    masks = np.array([_index_aligned_masks(p) for p in pauli_order(n)], dtype=np.int64)
+    x, z = masks[:, 0], masks[:, 1]
+    phase = np.array([1, 1j, -1, -1j])[np.bitwise_count(x & z) % 4]
+    b = np.arange(1 << n)
+    hadamard = 1.0 - 2 * (np.bitwise_count(b[:, None] & b[None, :]) & 1)
+    return _PauliTable(x, z, phase, hadamard)
+
+
+def _hadamard(t: _PauliTable, a: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform along the first axis, as one real matmul."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    flat = a.reshape(a.shape[0], -1).view(np.float64)
+    return (t.hadamard @ flat).view(complex).reshape(a.shape)
+
+
+def _slots(t: _PauliTable, n: int) -> np.ndarray:
+    """Each coordinate's row in a transform output flattened over (z, x)."""
+    return (t.z << n) | t.x
+
+
+def _pauli_grams(vecs: np.ndarray, n: int) -> np.ndarray:
+    """<v_i|sigma|v_j> for every Pauli sigma in coordinate order, shape (4^n, K, K).
+
+    For a fixed x, the elements over all z are one Walsh-Hadamard transform
+    over b of conj(v_i[b ^ x]) v_j[b] (Georges, Berntson, Sunderhauf and
+    Ivanov, "Pauli decomposition via the fast Walsh-Hadamard transform").
+    """
+    t = _pauli_table(n)
+    b = np.arange(1 << n)
+    prod = vecs.conj()[b[:, None] ^ b[None, :], :, None] * vecs[:, None, None, :]
+    grams = _hadamard(t, prod).reshape(4**n, vecs.shape[1], vecs.shape[1])
+    return t.phase[:, None, None] * grams[_slots(t, n)]
 
 
 def pauli_index(p: PauliOperator) -> int:
     """Position of p's mask pair in the coordinate ordering."""
-    return _mask_index(p.n)[(p.x_mask, p.z_mask)]
+    t = _pauli_table(p.n)
+    rx, rz = _index_aligned_masks(p)
+    return int(np.flatnonzero((t.x == rx) & (t.z == rz))[0])
 
 
 def pauli_coords(p: PauliOperator) -> np.ndarray:
@@ -58,52 +105,39 @@ def pauli_coords(p: PauliOperator) -> np.ndarray:
     return v
 
 
-@lru_cache(maxsize=None)
-def _support_masks(n: int) -> np.ndarray:
-    return np.array([p.x_mask | p.z_mask for p in pauli_order(n)], dtype=np.int64)
-
-
 def operator_weight(coords: np.ndarray, n: int, tol: float = 1e-9) -> int:
     """Size of the union of supports of the nonzero Pauli components."""
+    t = _pauli_table(n)
     live = np.abs(coords) > tol
-    joined = np.bitwise_or.reduce(_support_masks(n)[live]) if live.any() else 0
+    joined = np.bitwise_or.reduce((t.x | t.z)[live]) if live.any() else 0
     return int(joined).bit_count()
 
 
-@lru_cache(maxsize=None)
-def _flattened_pauli_basis(n: int) -> scipy.sparse.csr_matrix:
-    """Sparse (4^n, 4^n) matrix whose column p is the row-major flattening
-    of the p-th Pauli.  Each column has exactly 2^n nonzero entries."""
-    dim = 1 << n
-    idx = np.arange(dim)
-    cols, rows, data = [], [], []
-    for p, op in enumerate(pauli_order(n)):
-        rx, rz = _index_aligned_masks(op)
-        lam = (op.x_mask & op.z_mask).bit_count() % 4
-        phases = (1j**lam) * (1 - 2 * (np.bitwise_count(idx & rz) & 1).astype(np.int64))
-        rows.append((idx ^ rx) * dim + idx)
-        cols.append(np.full(dim, p))
-        data.append(phases.astype(complex))
-    return scipy.sparse.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(4**n, 4**n),
-    )
-
-
 def coords_to_matrices(coords: np.ndarray, n: int) -> np.ndarray:
-    """Coordinate vectors (columns) to dense operators, shape (2^n, 2^n, k)."""
+    """Coordinate vectors (columns) to dense operators, shape (2^n, 2^n, k).
+
+    Entry (r, c) collects the Paulis with x = r ^ c, summed over z against
+    (-1)^(c.z): a scatter into (z, x), one transform, and a gather.
+    """
+    t = _pauli_table(n)
     v = np.atleast_2d(coords.T).T  # promote a single vector to one column
-    flat = _flattened_pauli_basis(n) @ v
-    return flat.reshape(1 << n, 1 << n, v.shape[1])
+    spec = np.zeros((4**n, v.shape[1]), dtype=complex)
+    spec[_slots(t, n)] = t.phase[:, None] * v
+    by_x = _hadamard(t, spec.reshape(1 << n, 1 << n, -1))  # [c, x] = E[c ^ x, c]
+    b = np.arange(1 << n)
+    return by_x[b[None, :], b[:, None] ^ b[None, :]]
 
 
 def matrices_to_coords(mats: np.ndarray, n: int) -> np.ndarray:
     """Inverse of coords_to_matrices; accepts (2^n, 2^n) or (2^n, 2^n, k)."""
+    mats = np.asarray(mats)
     single = mats.ndim == 2
     if single:
         mats = mats[:, :, None]
-    flat = mats.reshape(4**n, mats.shape[2])
-    out = (_flattened_pauli_basis(n).conj().T @ flat) / (1 << n)
+    t = _pauli_table(n)
+    b = np.arange(1 << n)
+    spec = _hadamard(t, mats[b[:, None] ^ b[None, :], b[:, None]])
+    out = t.phase.conj()[:, None] * spec.reshape(4**n, -1)[_slots(t, n)] / (1 << n)
     return out[:, 0] if single else out
 
 
@@ -233,12 +267,10 @@ def map_subspace(s: OperatorSubspace,
                  f: Callable[[np.ndarray], np.ndarray]) -> OperatorSubspace:
     """Image of s under a coordinate map that is unitary on operator space.
 
-    Such a map sends orthonormal bases to orthonormal bases and preserves
-    complements, so whichever parts are already materialized map directly.
+    Such a map sends the orthogonal complement of s to that of the image, so
+    only the complement is mapped: it is the small part of every space here.
     """
-    basis = f(s._basis) if s._basis is not None else None
-    comp = f(s._complement) if s._complement is not None else None
-    return OperatorSubspace(s.n, basis=basis, complement=comp)
+    return OperatorSubspace(s.n, complement=f(s.complement))
 
 
 def intersect(subspaces: Sequence[OperatorSubspace]) -> OperatorSubspace:

@@ -51,15 +51,10 @@ class PauliLetter(enum.Enum):
 
     @property
     def matrix(self) -> np.ndarray:
-        return _LETTER_MATRICES[self.name]
-
-
-_LETTER_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+        """W(x, z) = i**(x z) X**x Z**z, which gives Y for (1, 1)."""
+        x, z = self.value
+        x_then_z = np.array([[1 - x, x], [x, 1 - x]]) * np.array([1, (-1) ** z])
+        return x_then_z * 1j ** (x * z)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ phase.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable
@@ -20,10 +21,7 @@ from .pauli import PauliLetter, PauliOperator, apply_to_amplitudes
 UNITARY_TOL = 1e-9
 
 LOCAL_GATES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    **{letter.name: letter.matrix for letter in PauliLetter},
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
     "S": np.array([[1, 0], [0, 1j]], dtype=complex),
 }
@@ -61,18 +59,20 @@ def ket_from_terms(n: int, terms: Iterable) -> Ket:
     """Build a ket from (amplitude, bitstring) terms, e.g. [(1, "0000"), (1, "1111")].
 
     Terms are summed as given; normalize explicitly when needed.  Each term may
-    also be a mapping with keys "re", "im", "bits".
+    also be a mapping with keys "re", "im", "bits".  Amplitude parts must be
+    numbers (not bools or strings) and bits a string of n binary digits.
     """
     amps = np.zeros(1 << n, dtype=complex)
     for term in terms:
         if isinstance(term, dict):
-            amp = complex(term.get("re", 0.0), term.get("im", 0.0))
-            bits = term["bits"]
+            re, im, bits = term.get("re", 0.0), term.get("im", 0.0), term.get("bits")
         else:
-            amp, bits = term
-        if len(bits) != n or any(ch not in "01" for ch in bits):
+            (re, bits), im = term, 0.0
+        if any(isinstance(x, bool) or not isinstance(x, numbers.Number) for x in (re, im)):
+            raise ValueError(f"amplitude {re!r}, {im!r} is not a number")
+        if not isinstance(bits, str) or len(bits) != n or any(ch not in "01" for ch in bits):
             raise ValueError(f"bitstring {bits!r} is not {n} bits")
-        amps[int(bits, 2)] += amp
+        amps[int(bits, 2)] += re + 1j * im
     return Ket(n, amps)
 
 
@@ -287,7 +287,7 @@ class UnitaryAction:
         so conjugation only flips signs and permutes tensor positions; local
         phases cancel between U and U^dagger.
         """
-        if not self.is_pauli_type:
+        if self._pauli_letters is None:
             raise ValueError("conjugate_pauli needs a transform with Pauli-type locals")
         if p.n != self.n:
             raise ValueError(f"qubit count mismatch: {self.n} != {p.n}")
@@ -303,8 +303,3 @@ class UnitaryAction:
             x_new |= xb << perm[j]
             z_new |= zb << perm[j]
         return PauliOperator(p.n, x_new, z_new, (p.phase + 2 * flips) % 4)
-
-
-def transform_to_unitary_action(t: CodeTransform) -> UnitaryAction:
-    """Promote a permutation-plus-locals transform to a general unitary action."""
-    return UnitaryAction.from_transform(t)

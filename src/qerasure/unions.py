@@ -25,16 +25,14 @@ from .erasure import annihilating_space, erasure_space, pure_erasure_space
 from .operator_space import (
     OperatorSubspace,
     SUBSPACE_TOL,
+    _pauli_grams,
     coords_to_matrices,
     equality_residual,
     intersect,
     map_subspace,
     matrices_to_coords,
-    pauli_index,
-    pauli_order,
 )
-from .pauli import apply_to_amplitudes
-from .states import CodeTransform, Ket, UnitaryAction
+from .states import CodeTransform, UnitaryAction
 
 CROSS_ORTHOGONALITY_TOL = 1e-9
 
@@ -98,72 +96,34 @@ def _as_action(n: int, u) -> UnitaryAction:
     return UnitaryAction.from_matrix(n, np.asarray(u, dtype=complex))
 
 
-def _conjugation_permutation(u: UnitaryAction) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate permutation and signs realizing E -> U E U-adjoint.
-
-    Only valid for Pauli-type transforms, where conjugation maps each basis
-    Pauli to plus or minus another one of the same weight.
-    """
-    order = pauli_order(u.n)
-    dest = np.empty(len(order), dtype=np.int64)
-    coeff = np.empty(len(order), dtype=complex)
-    for idx, op in enumerate(order):
-        image = u.conjugate_pauli(op)
-        dest[idx] = pauli_index(image)
-        coeff[idx] = 1j**image.phase
-    return dest, coeff
-
-
-def _dense_map(n: int, left_mat: np.ndarray | None = None,
-               right_mat: np.ndarray | None = None):
+def _product_map(n: int, left: np.ndarray | None = None,
+                 right: np.ndarray | None = None):
+    """Coordinate map of E -> left E right (None stands for the identity)."""
     def apply(cols: np.ndarray) -> np.ndarray:
-        stack = coords_to_matrices(cols, n)
-        if left_mat is not None:
-            stack = np.einsum("ab,bck->ack", left_mat, stack)
-        if right_mat is not None:
-            stack = np.einsum("abk,bc->ack", stack, right_mat)
-        return matrices_to_coords(stack, n)
+        stack = np.moveaxis(coords_to_matrices(cols, n), 2, 0)
+        if left is not None:
+            stack = left @ stack
+        if right is not None:
+            stack = stack @ right
+        return matrices_to_coords(np.moveaxis(stack, 0, 2), n)
 
     return apply
 
 
 def conjugate_subspace(s: OperatorSubspace, u) -> OperatorSubspace:
-    """Image of s under E -> U E U-adjoint; dimension is preserved.
-
-    Pauli-type transforms act symbolically as a signed permutation of the
-    coordinates; anything else goes through dense matrices.
-    """
-    action = _as_action(s.n, u)
-    if action.is_pauli_type:
-        dest, coeff = _conjugation_permutation(action)
-
-        def apply(cols: np.ndarray) -> np.ndarray:
-            out = np.empty_like(cols)
-            out[dest] = coeff[:, None] * cols
-            return out
-
-        return map_subspace(s, apply)
-    mat = action.matrix
-    return map_subspace(s, _dense_map(s.n, left_mat=mat, right_mat=mat.conj().T))
+    """Image of s under E -> U E U-adjoint; dimension is preserved."""
+    mat = _as_action(s.n, u).matrix
+    return map_subspace(s, _product_map(s.n, left=mat, right=mat.conj().T))
 
 
 def left_multiply_subspace(s: OperatorSubspace, u) -> OperatorSubspace:
     """Image of s under E -> U E."""
-    return map_subspace(s, _dense_map(s.n, left_mat=_as_action(s.n, u).matrix))
+    return map_subspace(s, _product_map(s.n, left=_as_action(s.n, u).matrix))
 
 
 def right_multiply_subspace(s: OperatorSubspace, u) -> OperatorSubspace:
     """Image of s under E -> E U (pass the adjoint action for E -> E U-adjoint)."""
-    return map_subspace(s, _dense_map(s.n, right_mat=_as_action(s.n, u).matrix))
-
-
-def _diagonal_expectations(ket: Ket) -> np.ndarray:
-    """<ket|sigma|ket> for every Pauli in coordinate order."""
-    order = pauli_order(ket.n)
-    out = np.empty(len(order), dtype=complex)
-    for idx, op in enumerate(order):
-        out[idx] = np.vdot(ket.amplitudes, apply_to_amplitudes(op, ket.amplitudes))
-    return out
+    return map_subspace(s, _product_map(s.n, right=_as_action(s.n, u).matrix))
 
 
 def equal_expectation_space(code: QuantumCode, u,
@@ -177,8 +137,9 @@ def equal_expectation_space(code: QuantumCode, u,
         raise ValueError("code has no basis kets")
     action = _as_action(code.n, u)
     ket = code.basis[anchor]
-    row = _diagonal_expectations(ket) - _diagonal_expectations(action.apply(ket))
-    return OperatorSubspace.from_constraints(code.n, row)
+    pair = np.column_stack([ket.amplitudes, action.apply(ket).amplitudes])
+    grams = _pauli_grams(pair, code.n)
+    return OperatorSubspace.from_constraints(code.n, grams[:, 0, 0] - grams[:, 1, 1])
 
 
 def _require_orthogonal_image(code: QuantumCode, action: UnitaryAction) -> QuantumCode:

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from qerasure import code_to_json, fixture_gbp_code
 from qerasure.cli import main
 
@@ -175,6 +177,23 @@ def test_invalid_code_error(tmp_path, capsys):
     assert err.startswith("qerasure: error[invalid-code]")
 
 
+@pytest.mark.parametrize("spec", [
+    {"n": 4.7, "basis": [[{"re": 1.0, "bits": "0000"}]]},
+    {"n": True, "basis": [[{"re": 1.0, "bits": "0"}]]},
+    {"n": 2, "basis": [[{"re": "abc", "im": 0.0, "bits": "00"}]]},
+    {"n": 2, "basis": [[{"re": 1.0, "im": False, "bits": "00"}]]},
+    {"n": 2, "basis": [[["1", "00"]]]},
+    {"n": 2, "basis": [[{"re": 1.0, "bits": 5}]]},
+], ids=["float-n", "bool-n", "str-re", "bool-im", "str-amplitude", "int-bits"])
+def test_ingest_rejects_wrong_types(tmp_path, capsys, spec):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(spec))
+    status, out, err = run_cli(capsys, "analyze", "--code", str(f))
+    assert status == 1 and out == ""
+    assert err.startswith("qerasure: error[invalid-code]")
+    assert err.count("\n") == 1
+
+
 def test_mismatch_exit_code(monkeypatch, capsys):
     import qerasure.cli as cli_module
 
@@ -201,3 +220,12 @@ def test_subprocess_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["distance"] == 2
+
+
+def test_import_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qerasure; print([m for m in sys.modules if m.startswith('scipy')])"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "[]"

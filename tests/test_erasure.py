@@ -18,6 +18,7 @@ from qerasure import (
     minimum_distance,
     pauli_coords,
     pauli_from_string,
+    pauli_to_string,
     pure_distance,
     pure_erasure_space,
 )
@@ -229,6 +230,22 @@ def test_classify_pure_rains_subcode():
     assert all(w is not None for w in table[3].witnesses)
 
 
+def test_classify_witnesses_match_single_checks():
+    for name in ("rains-subcode", "rains-union", "gbp", "gbp-union"):
+        code = get_fixture(name)
+        for pure, check in ((False, check_erasure), (True, check_pure)):
+            table = classify_paulis(code, pure=pure)
+            found = {label: wit for row in table
+                     for label, wit in zip(row.violators, row.witnesses)}
+            for p in enumerate_paulis(code.n, code.n):
+                report = check(code, p)
+                assert report.member == (pauli_to_string(p) not in found)
+                if not report.member:
+                    i, j, value = found[pauli_to_string(p)]
+                    assert (i, j) == report.witness[:2]
+                    assert abs(value - report.witness[2]) < 1e-12
+
+
 def test_classify_rejects_excess_weight():
     with pytest.raises(ValueError):
         classify_paulis(fixture_gbp_code(), 5)
@@ -302,3 +319,22 @@ def test_hermitian_basis_rejects_non_adjoint_closed():
     s = OperatorSubspace.from_span(2, v)
     with pytest.raises(ValueError):
         hermitian_basis(s)
+
+
+def test_hermitian_basis_on_roundoff_prone_frame():
+    # a four-qubit K=4 frame, drawn like the random frames of
+    # perfbench/inputs.py, on which a residual-threshold Gram-Schmidt kept
+    # one candidate too many and overran its buffer
+    rng = np.random.default_rng(42)
+    m = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
+    frame = np.zeros((16, 4), dtype=complex)
+    frame[:8] = np.linalg.qr(m)[0]
+    code = ingest_code({"n": 4, "basis": [
+        [(complex(a), format(i, "04b")) for i, a in enumerate(col) if abs(a) > 1e-14]
+        for col in frame.T]})
+    space = erasure_space(code)
+    out = np.column_stack(hermitian_basis(space))
+    assert out.shape == (256, space.dim)
+    assert np.max(np.abs(out.imag)) < 1e-12
+    assert np.max(np.abs(out.conj().T @ out - np.eye(space.dim))) < 1e-10
+    assert np.linalg.norm(space.complement.conj().T @ out) < 1e-8

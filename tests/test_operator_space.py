@@ -21,7 +21,8 @@ from qerasure import (
 )
 from qerasure.operator_space import map_subspace
 
-from _oracle import dense_pauli, sorted_paulis
+from _oracle import dense_pauli, gram, sorted_paulis
+from conftest import random_code
 
 
 def span_of(labels, n):
@@ -50,6 +51,16 @@ def test_coords_dense_round_trip_random(rng):
     # oracle route: expand the vector as an explicit Pauli sum
     dense = sum(c * dense_pauli(s) for c, s in zip(v, sorted_paulis(n)))
     assert np.allclose(coords_to_matrix(v, n), dense, atol=1e-10)
+
+
+def test_pauli_gram_kernel_matches_oracle(rng):
+    from qerasure.codes import basis_matrix
+    from qerasure.operator_space import _pauli_grams
+
+    for n, k in ((1, 1), (2, 3), (3, 2), (4, 4)):
+        mat = basis_matrix(random_code(rng, n, k))
+        dense = np.array([gram(mat, dense_pauli(s)) for s in sorted_paulis(n)])
+        assert np.max(np.abs(_pauli_grams(mat, n) - dense)) < 1e-12
 
 
 def test_coords_batch_shape(rng):

@@ -16,7 +16,6 @@ from qerasure import (
     pauli_from_string,
     pauli_to_string,
     to_matrix,
-    transform_to_unitary_action,
     weight,
 )
 
@@ -129,7 +128,7 @@ def test_transform_from_json_matrix_entries():
 
 def test_unitary_action_round_trip(rng):
     t = CodeTransform(3, perm=(2, 0, 1), locals=["H", "S", "X"])
-    u = transform_to_unitary_action(t)
+    u = UnitaryAction.from_transform(t)
     for _ in range(10):
         k = random_ket(rng, 3)
         back = u.apply_adjoint(u.apply(k))

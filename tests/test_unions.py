@@ -124,17 +124,21 @@ def test_conjugate_preserves_dim_random(rng):
 
 
 def test_conjugation_permutes_within_weight_classes():
-    # member-Pauli weight histograms are invariant under Pauli-type conjugation
-    from qerasure.unions import _conjugation_permutation
+    # the dense conjugation map sends each Pauli to +-(its symbolic image),
+    # a Pauli of the same weight, for every Pauli-type component transform
     from qerasure.operator_space import pauli_order
+    from qerasure.unions import _product_map
 
     order = pauli_order(5)
     for i in (0, 1, 4):
         act = _as_action(5, rains_component_transform(i))
-        dest, coeff = _conjugation_permutation(act)
-        assert np.all(np.abs(coeff) == 1)
-        for idx, p in enumerate(order):
-            assert weight(order[dest[idx]]) == weight(p)
+        conj = _product_map(5, left=act.matrix, right=act.matrix.conj().T)
+        images = conj(np.eye(4**5, dtype=complex))
+        expected = np.column_stack([pauli_coords(act.conjugate_pauli(p)) for p in order])
+        assert np.max(np.abs(images - expected)) < 1e-12
+        assert np.all(np.isin(expected[expected != 0], (1, -1)))
+        for p in order:
+            assert weight(act.conjugate_pauli(p)) == weight(p)
 
 
 def test_one_sided_multiplication_round_trip():
