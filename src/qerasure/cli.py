@@ -69,7 +69,7 @@ def _resolve_code(args) -> QuantumCode:
     try:
         return ingest_code(spec)
     except CodeValidationError as exc:
-        raise CliError("invalid-code", f"{args.code}: {exc}") from exc
+        raise CliError(exc.code, f"{args.code}: {exc}") from exc
 
 
 def _resolve_transform(args, n: int) -> CodeTransform:
@@ -163,7 +163,7 @@ def _union_inputs(args) -> tuple[list[QuantumCode], QuantumCode | None, CodeTran
         try:
             second = ingest_code(spec)
         except CodeValidationError as exc:
-            raise CliError("invalid-code", f"{args.code2}: {exc}") from exc
+            raise CliError(exc.code, f"{args.code2}: {exc}") from exc
         return [base, second], None, None
     t = _resolve_transform(args, base.n)
     image = transform_code(base, t, label=f"U({base.label})")

@@ -15,10 +15,23 @@ import numpy as np
 from .states import CodeTransform, Ket, UnitaryAction, apply_transform, ket_from_terms
 
 ORTHONORMALITY_TOL = 1e-9
+# Size limit of ingest: at most MAX_QUBITS qubits (the 4^n-coordinate Pauli
+# table) and a gram tensor <c_i|sigma|c_j> of 16 * 4^n * K^2 bytes at most
+# MAX_GRAM_BYTES, about an eighth of the peak memory of an analysis.
+MAX_QUBITS = 8
+MAX_GRAM_BYTES = 64 << 20
 
 
 class CodeValidationError(ValueError):
     """A code description failed validation (zero vector, bad bits, overlap)."""
+
+    code = "invalid-code"
+
+
+class CodeTooLargeError(CodeValidationError):
+    """A code description beyond the size limit of ingest."""
+
+    code = "too-large"
 
 
 @dataclass(frozen=True)
@@ -58,7 +71,8 @@ def ingest_code(spec: dict) -> QuantumCode:
 
     Each term is (amplitude, bitstring) or {"re": .., "im": .., "bits": ..}.
     Vectors are normalized; non-integer n, non-numeric amplitudes, zero
-    vectors, malformed bitstrings and non-orthogonal pairs are rejected.
+    vectors, malformed bitstrings and non-orthogonal pairs are rejected, and
+    codes beyond the size limit are refused before any amplitude is read.
     """
     try:
         n = spec["n"]
@@ -70,6 +84,14 @@ def ingest_code(spec: dict) -> QuantumCode:
     label = str(spec.get("label", ""))
     if not isinstance(raw_basis, list) or not raw_basis:
         raise CodeValidationError("code description needs a non-empty basis list")
+    if n > MAX_QUBITS:
+        raise CodeTooLargeError(f"n={n} exceeds the limit of {MAX_QUBITS} qubits")
+    gram_bytes = 16 * 4**n * len(raw_basis) ** 2
+    if gram_bytes > MAX_GRAM_BYTES:
+        raise CodeTooLargeError(
+            f"n={n}, K={len(raw_basis)} needs a {gram_bytes >> 20} MiB gram tensor; "
+            f"the limit is {MAX_GRAM_BYTES >> 20} MiB"
+        )
     kets = []
     for idx, terms in enumerate(raw_basis):
         try:

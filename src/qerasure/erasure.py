@@ -236,9 +236,10 @@ def hermitian_basis(s: OperatorSubspace, tol: float = 1e-9) -> list[np.ndarray]:
     span s.  The list has exactly dim(s) elements.
     """
     b = s.basis
-    for col in range(b.shape[1]):
-        if s.member_residual(np.conj(b[:, col])) > tol:
-            raise ValueError("subspace is not closed under the adjoint")
+    # complement^H conj(B) is the conjugate of complement^T B: same column norms
+    outside = np.linalg.norm(s.complement.T @ b, axis=0) / np.linalg.norm(b, axis=0)
+    if np.any(outside > tol):
+        raise ValueError("subspace is not closed under the adjoint")
     u, sv, _ = np.linalg.svd(np.hstack([b.real, b.imag]), full_matrices=False)
     rank = int(np.sum(sv > RANK_RTOL * sv[0])) if sv.size else 0
     if rank != s.dim:

@@ -15,6 +15,13 @@ row space) is the cheap representation; the spanning basis is completed from
 it on first use.  Unitary maps of operator space carry complements to
 complements, so they act on the complement alone.
 
+Completion, in either direction, takes the Householder QR of the k known
+columns in compact-WY form Q = I - V T V^H (Schreiber and Van Loan, "A
+storage-efficient WY representation for products of Householder
+transformations", SIAM J. Sci. Stat. Comput. 10, 1989) and writes the last
+4^n - k columns of Q as one rank-k product.  At n = 6 that spanning basis is
+a 4096 x ~4093 complex array (268 MB), the only O(16^n) object here.
+
 Numerical conventions: ranks are read from singular values with a relative
 threshold of RANK_RTOL times the largest one, and membership or containment
 residuals are compared against 1e-8.  All bundled constructions involve exact
@@ -154,13 +161,43 @@ def _as_columns(arr: np.ndarray, dim: int) -> np.ndarray:
     return a
 
 
+def _wy_triangle(vv: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Upper-triangular T with H_1 ... H_k = I - V T V^H, from vv = V^H V.
+
+    The recursive form of LAPACK's zlarft: splitting the reflectors into two
+    runs with factors T1 and T2, the off-diagonal block is -T1 V1^H V2 T2.
+    """
+    k = tau.shape[0]
+    if k <= 1:
+        return tau.reshape(k, k).copy()
+    h = k // 2
+    t = np.zeros((k, k), dtype=vv.dtype)
+    t[:h, :h] = _wy_triangle(vv[:h, :h], tau[:h])
+    t[h:, h:] = _wy_triangle(vv[h:, h:], tau[h:])
+    t[:h, h:] = -(t[:h, :h] @ vv[:h, h:]) @ t[h:, h:]
+    return t
+
+
 def _complete_orthonormal(part: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the given columns."""
+    """Orthonormal basis of the orthogonal complement of the given columns.
+
+    The Householder QR of part is Q = H_1 ... H_k = I - V T V^H in compact-WY
+    form (Schreiber and Van Loan, "A storage-efficient WY representation for
+    products of Householder transformations", SIAM J. Sci. Stat. Comput. 10,
+    1989): V is the unit lower-trapezoidal (dim, k) array of reflectors from
+    the raw QR, and T the k x k upper triangle of _wy_triangle.  The last
+    dim - k columns of Q, the ones a complete QR returns, are
+    I[:, k:] + V @ (-T V[k:]^H): one rank-k product into the output, with the
+    sign folded into the k x k factor T and the ones added along the shifted
+    diagonal, so Q itself is never formed.
+    """
     dim, k = part.shape
-    if k == 0:
-        return np.eye(dim, dtype=complex)
-    q = np.linalg.qr(part, mode="complete")[0]
-    return q[:, k:]
+    h, tau = np.linalg.qr(part, mode="raw")  # h is the (k, dim) transpose
+    v = np.tril(h.T, -1)
+    np.fill_diagonal(v, 1)
+    out = v @ (-_wy_triangle(v.conj().T @ v, tau) @ v[k:].conj().T)
+    out.reshape(-1)[k * (dim - k)::dim - k + 1] += 1
+    return out
 
 
 class OperatorSubspace:

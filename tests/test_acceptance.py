@@ -115,12 +115,15 @@ def test_c02_weight3_violator_count():
     table = classify_paulis(code, 3, pure=True)
     count = table[3].non_members
     found = set(table[3].violators)
-    print(f"ACCEPTANCE C02: weight-3 pure violators computed = {count} "
-          f"(nominal reference 20, explicitly listed 10); "
-          f"discrepancy documented, not forced")
-    assert count >= 10
-    assert LISTED_W3 <= found
-    print("ACCEPTANCE C02 PASS: count recorded and >= 10, listed orbits all violate")
+    print(f"ACCEPTANCE C02: weight-3 pure violators computed = {count}, "
+          f"listed orbits hold {len(LISTED_W3)}")
+    # second route: the dense oracle on the subcode's ket
+    mat = code_matrix([code.basis[0].amplitudes])
+    assert found == set(violators_dense(mat, 5, 3, member=pure_member_dense))
+    assert found == LISTED_W3
+    assert count == len(LISTED_W3) == 10
+    print("ACCEPTANCE C02 PASS: exactly the 10 operators of the two listed "
+          "orbits violate, as the dense oracle confirms")
 
 
 def test_c03_rains_union_construction():

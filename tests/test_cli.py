@@ -194,6 +194,25 @@ def test_ingest_rejects_wrong_types(tmp_path, capsys, spec):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("spec", [
+    {"n": 40, "basis": [[[1.0, "0" * 40]]]},
+    {"n": 8, "basis": [[[1.0, format(b, "08b")]] for b in range(256)]},
+], ids=["n40-k1", "n8-k256"])
+def test_ingest_refuses_oversized_codes(tmp_path, capsys, monkeypatch, spec):
+    import qerasure.codes as codes_module
+
+    def no_amplitudes(*args):
+        raise AssertionError("an amplitude array was built")
+
+    monkeypatch.setattr(codes_module, "ket_from_terms", no_amplitudes)
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps(spec))
+    status, out, err = run_cli(capsys, "analyze", "--code", str(f))
+    assert status == 1 and out == ""
+    assert err.startswith("qerasure: error[too-large]")
+    assert err.count("\n") == 1
+
+
 def test_mismatch_exit_code(monkeypatch, capsys):
     import qerasure.cli as cli_module
 

@@ -1,0 +1,27 @@
+"""Each demo script runs to completion in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = [
+    "01_erasure_space_tour",
+    "02_rains_union_story",
+    "03_phase_amplitude_erasures",
+    "04_intersection_formulas",
+]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")],
+                          env=env, cwd=ROOT, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    if demo.startswith("01_"):
+        assert ("Hermitian basis: 241 elements, 241 with all-real coordinates"
+                in proc.stdout)

@@ -132,6 +132,15 @@ def test_gbp_space_dims_frozen():
     assert annihilating_space(code).dim == 240
 
 
+def test_six_qubit_erasure_space_basis(rng):
+    es = erasure_space(random_code(rng, 6, 2))
+    basis = es.basis
+    assert basis.shape == (4096, 4093)
+    cols = basis[:, rng.choice(4093, size=64, replace=False)]
+    assert np.max(np.abs(np.linalg.norm(cols, axis=0) - 1)) < 1e-12
+    assert np.max(np.abs(es.complement.conj().T @ cols)) < 1e-12
+
+
 def test_rains_subcode_pure_dim():
     code = fixture_rains_subcode()
     space = pure_erasure_space(code)

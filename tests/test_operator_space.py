@@ -19,7 +19,7 @@ from qerasure import (
     pauli_to_string,
     to_matrix,
 )
-from qerasure.operator_space import map_subspace
+from qerasure.operator_space import _complete_orthonormal, map_subspace
 
 from _oracle import dense_pauli, gram, sorted_paulis
 from conftest import random_code
@@ -162,15 +162,40 @@ def test_containment_complement_route_agrees(rng):
     assert abs(fast - via_basis) < 1e-9
 
 
+def assert_completes(part, rest, tol=1e-13):
+    """rest is the complete QR's completion of part: orthonormal, orthogonal to part."""
+    dim, k = part.shape
+    assert rest.shape == (dim, dim - k)
+    assert np.max(np.abs(rest - np.linalg.qr(part, mode="complete")[0][:, k:]), initial=0) < tol
+    assert np.max(np.abs(rest.conj().T @ rest - np.eye(dim - k)), initial=0) < tol
+    assert np.max(np.abs(part.conj().T @ rest), initial=0) < tol
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_complete_orthonormal_matches_complete_qr(rng, n, dtype):
+    dim = 4**n
+    for k in (0, 1, dim - 1, dim):
+        raw = rng.standard_normal((dim, k)).astype(dtype)
+        if dtype is complex:
+            raw += 1j * rng.standard_normal((dim, k))
+        part = np.linalg.qr(raw)[0]
+        assert_completes(part, _complete_orthonormal(part))
+
+
 def test_member_residual_routes_agree(rng):
-    n = 2
-    rows = rng.standard_normal((6, 16)) + 1j * rng.standard_normal((6, 16))
-    s = OperatorSubspace.from_constraints(n, rows)
-    by_complement = OperatorSubspace(n, complement=s.complement)
-    by_basis = OperatorSubspace(n, basis=s.basis)
-    for _ in range(10):
-        v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        assert abs(by_complement.member_residual(v) - by_basis.member_residual(v)) < 1e-10
+    for n in (2, 4):
+        dim = 4**n
+        rows = rng.standard_normal((6, dim)) + 1j * rng.standard_normal((6, dim))
+        s = OperatorSubspace.from_constraints(n, rows)
+        by_complement = OperatorSubspace(n, complement=s.complement)
+        by_basis = OperatorSubspace.from_span(n, s.basis)
+        for _ in range(10):
+            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            assert abs(by_complement.member_residual(v) - by_basis.member_residual(v)) < 1e-10
+        # both completion directions: complement -> basis and basis -> complement
+        assert_completes(by_complement.complement, by_complement.basis)
+        assert_completes(by_basis.basis, by_basis.complement)
 
 
 def test_map_subspace_preserves_structure(rng):
