@@ -202,15 +202,6 @@ def _mode_theorem_check(args) -> dict:
     }
 
 
-_MODES = {
-    "analyze": _mode_analyze,
-    "classify": _mode_classify,
-    "distance": _mode_distance,
-    "union": _mode_union,
-    "theorem-check": _mode_theorem_check,
-}
-
-
 def _cyclic_groups(labels: list[str]) -> list[list[str]]:
     """Group operator labels into cyclic-rotation orbits, deterministically."""
     groups: dict[str, list[str]] = {}
@@ -219,65 +210,77 @@ def _cyclic_groups(labels: list[str]) -> list[list[str]]:
     return [groups[key] for key in sorted(groups)]
 
 
-def _render_table(report: dict) -> str:
-    lines: list[str] = []
-
-    def emit_per_weight(rows: list[dict], indent: str = "  "):
-        lines.append(f"{indent}{'w':>2}  {'members':>8}  {'non-members':>11}")
-        for row in rows:
-            lines.append(f"{indent}{row['w']:>2}  {row['members']:>8}  {row['non_members']:>11}")
-            for group in _cyclic_groups(row["violators"]):
-                lines.append(f"{indent}      {' '.join(group)}")
-
-    def emit_section(name: str, section: dict):
-        flag = " (degenerate)" if section.get("degenerate") else ""
-        lines.append(f"{name}: dim {section['dim']}, distance {section['distance']}{flag}")
-        emit_per_weight(section["per_weight"])
-
-    if "erasure" in report:  # analyze
-        lines.append(f"code: {report['code']} (n={report['n']}, K={report['K']})")
-        emit_section("erasure space", report["erasure"])
-        emit_section("pure erasure space", report["pure"])
-    elif "per_weight" in report:  # classify
-        kind = "pure erasure" if report["pure"] else "erasure"
-        lines.append(f"code: {report['code']}")
-        lines.append(f"{kind} space: dim {report['dim']}, distance {report['distance']}")
-        emit_per_weight(report["per_weight"])
-    elif "components" in report:  # union
-        lines.append("union of: " + ", ".join(report["components"]))
-        lines.append(f"n={report['n']}, K={report['K']}, distance {report['distance']}")
-        lines.append(f"max cross inner product: {report['max_cross_inner']:.3e}")
-        for key in ("theorem4", "theorem5"):
-            section = report[key]
-            if section is None:
-                lines.append(f"{key}: not applicable")
-            else:
-                lines.append(
-                    f"{key}: dim {section['dim']} vs direct {section['direct_dim']}, "
-                    f"residual {section['residual']:.3e}, "
-                    f"matches={section['matches_direct']}"
-                )
-    elif "theorem4" in report:  # theorem-check
-        lines.append(f"code: {report['code']} (n={report['n']}, K={report['K']})")
-        for key in ("theorem4", "theorem5"):
-            section = report[key]
-            lines.append(
-                f"{key}: dim {section['dim']} vs direct {section['direct_dim']}, "
-                f"residual {section['residual']:.3e}, matches={section['matches_direct']}"
-            )
-    else:  # distance
-        lines.append(f"code: {report['code']} (n={report['n']}, K={report['K']})")
-        flag = " (degenerate)" if report["degenerate"] else ""
-        pflag = " (degenerate)" if report["pure_degenerate"] else ""
-        lines.append(f"distance: {report['distance']}{flag}")
-        lines.append(f"pure distance: {report['pure_distance']}{pflag}")
-    return "\n".join(lines) + "\n"
+def _code_line(report: dict) -> str:
+    return f"code: {report['code']} (n={report['n']}, K={report['K']})"
 
 
-def emit_report(report: dict, fmt: str) -> str:
+def _per_weight_lines(rows: list[dict]) -> list[str]:
+    lines = [f"  {'w':>2}  {'members':>8}  {'non-members':>11}"]
+    for row in rows:
+        lines.append(f"  {row['w']:>2}  {row['members']:>8}  {row['non_members']:>11}")
+        lines += [f"        {' '.join(group)}" for group in _cyclic_groups(row["violators"])]
+    return lines
+
+
+def _space_lines(name: str, section: dict) -> list[str]:
+    flag = " (degenerate)" if section["degenerate"] else ""
+    return [f"{name}: dim {section['dim']}, distance {section['distance']}{flag}",
+            *_per_weight_lines(section["per_weight"])]
+
+
+def _theorem_line(key: str, section: dict | None) -> str:
+    """One intersection formula's line; union and theorem-check share it."""
+    if section is None:
+        return f"{key}: not applicable"
+    return (f"{key}: dim {section['dim']} vs direct {section['direct_dim']}, "
+            f"residual {section['residual']:.3e}, matches={section['matches_direct']}")
+
+
+def _table_analyze(report: dict) -> list[str]:
+    return [_code_line(report), *_space_lines("erasure space", report["erasure"]),
+            *_space_lines("pure erasure space", report["pure"])]
+
+
+def _table_classify(report: dict) -> list[str]:
+    kind = "pure erasure" if report["pure"] else "erasure"
+    return [f"code: {report['code']}",
+            f"{kind} space: dim {report['dim']}, distance {report['distance']}",
+            *_per_weight_lines(report["per_weight"])]
+
+
+def _table_distance(report: dict) -> list[str]:
+    flag = " (degenerate)" if report["degenerate"] else ""
+    pflag = " (degenerate)" if report["pure_degenerate"] else ""
+    return [_code_line(report), f"distance: {report['distance']}{flag}",
+            f"pure distance: {report['pure_distance']}{pflag}"]
+
+
+def _table_union(report: dict) -> list[str]:
+    return ["union of: " + ", ".join(report["components"]),
+            f"n={report['n']}, K={report['K']}, distance {report['distance']}",
+            f"max cross inner product: {report['max_cross_inner']:.3e}",
+            *(_theorem_line(key, report[key]) for key in ("theorem4", "theorem5"))]
+
+
+def _table_theorem_check(report: dict) -> list[str]:
+    return [_code_line(report),
+            *(_theorem_line(key, report[key]) for key in ("theorem4", "theorem5"))]
+
+
+# mode -> (report builder, table renderer)
+_MODES = {
+    "analyze": (_mode_analyze, _table_analyze),
+    "classify": (_mode_classify, _table_classify),
+    "distance": (_mode_distance, _table_distance),
+    "union": (_mode_union, _table_union),
+    "theorem-check": (_mode_theorem_check, _table_theorem_check),
+}
+
+
+def emit_report(report: dict, fmt: str, mode: str) -> str:
     if fmt == "json":
         return json.dumps(report, indent=2) + "\n"
-    return _render_table(report)
+    return "\n".join(_MODES[mode][1](report)) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        report = _MODES[args.mode](args)
+        report = _MODES[args.mode][0](args)
     except CliError as exc:
         print(f"qerasure: error[{exc.code}] {exc}", file=sys.stderr)
         return 1
@@ -314,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CodeValidationError, ValueError) as exc:
         print(f"qerasure: error[invalid-input] {exc}", file=sys.stderr)
         return 1
-    text = emit_report(report, args.format)
+    text = emit_report(report, args.format, args.mode)
     if args.out:
         Path(args.out).write_text(text)
     else:

@@ -9,9 +9,11 @@ enforces pairwise orthogonality to 1e-9.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .operator_space import _pauli_grams
 from .states import CodeTransform, Ket, UnitaryAction, apply_transform, ket_from_terms
 
 ORTHONORMALITY_TOL = 1e-9
@@ -59,6 +61,13 @@ class QuantumCode:
             raise CodeValidationError(
                 f"basis is not orthonormal: |<c_{i}|c_{j}> - delta| = {err[i, j]:.3e}"
             )
+
+    @cached_property
+    def grams(self) -> np.ndarray:
+        """<c_i|sigma|c_j> for all Paulis in coordinate order, (4^n, K, K); kept once built."""
+        grams = _pauli_grams(basis_matrix(self), self.n)
+        grams.flags.writeable = False
+        return grams
 
 
 def basis_matrix(code: QuantumCode) -> np.ndarray:

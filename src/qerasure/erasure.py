@@ -15,15 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import QuantumCode, basis_matrix
-from .operator_space import (
-    RANK_RTOL,
-    OperatorSubspace,
-    _pauli_grams,
-    _pauli_table,
-    coords_to_matrix,
-    pauli_order,
-)
-from .pauli import PauliOperator, apply_to_amplitudes, pauli_to_string
+from .operator_space import RANK_RTOL, OperatorSubspace, _pauli_table, coords_to_matrix
+from .pauli import PauliOperator, apply_to_amplitudes
 
 MATRIX_ELEMENT_TOL = 1e-9
 
@@ -73,32 +66,39 @@ def _trace_over_dim(code: QuantumCode, op) -> complex:
     return complex(np.trace(arr)) / (1 << code.n)
 
 
-def _first_violations(grams: np.ndarray, alpha: np.ndarray | None,
-                      tol: float = MATRIX_ELEMENT_TOL):
-    """First violated condition, in row-major order, of each gram in a stack.
+def _deviations(grams: np.ndarray, alpha) -> np.ndarray:
+    """Each gram minus its required value alpha * identity, row-major: (m, K*K).
 
-    grams has shape (m, K, K).  With alpha None the erasure conditions are
-    tested (diagonals against the first one), otherwise the pure conditions
-    (diagonals against alpha).  Returns the violation mask and, for every
-    gram, the (i, j) of its first violation and the deviation there.
+    Column i*K + j of row p holds <c_i|sigma_p|c_j> - alpha_p delta_ij.  A
+    Pauli meets the conditions exactly when its row vanishes, an operator
+    with coordinates e when dev.T @ e does.  alpha is the first diagonal
+    element for the erasure conditions, tr(sigma)/2^n for the pure ones and
+    0 for the annihilating ones.
     """
     m, k, _ = grams.shape
-    dev = grams.copy()
-    diag = np.arange(k)
-    dev[:, diag, diag] -= grams[:, :1, 0] if alpha is None else alpha[:, None]
-    dev = dev.reshape(m, k * k)
+    dev = grams.reshape(m, k * k).copy()
+    dev[:, :: k + 1] -= np.reshape(alpha, (-1, 1))
+    return dev
+
+
+def _first_violations(dev: np.ndarray, k: int, tol: float = MATRIX_ELEMENT_TOL):
+    """First violated condition, in row-major order, of each row of _deviations.
+
+    Returns the violation mask and, for every row, the (i, j) of its first
+    violation and the deviation there.
+    """
     bad = np.abs(dev) >= tol
     first = bad.argmax(axis=1)
-    return bad.any(axis=1), first // k, first % k, dev[np.arange(m), first]
+    return bad.any(axis=1), first // k, first % k, dev[np.arange(dev.shape[0]), first]
 
 
 def _check(code: QuantumCode, op, tol: float, pure: bool) -> MembershipReport:
     gram = _gram_matrix(code, op)
-    alpha = _trace_over_dim(code, op) if pure else np.mean(np.diag(gram))
-    bad, i, j, dev = _first_violations(gram[None], np.array([alpha]) if pure else None, tol)
+    alpha = _trace_over_dim(code, op) if pure else gram[0, 0]
+    bad, i, j, dev = _first_violations(_deviations(gram[None], alpha), code.k, tol)
     if bad[0]:
         return MembershipReport(False, witness=(int(i[0]), int(j[0]), complex(dev[0])))
-    return MembershipReport(True, alpha=complex(alpha))
+    return MembershipReport(True, alpha=complex(alpha if pure else np.mean(np.diag(gram))))
 
 
 def check_erasure(code: QuantumCode, op,
@@ -113,22 +113,23 @@ def check_pure(code: QuantumCode, op,
     return _check(code, op, tol, pure=True)
 
 
-def _code_grams(code: QuantumCode) -> np.ndarray:
-    """<c_i|sigma|c_j> for every Pauli in coordinate order: shape (4^n, K, K)."""
-    return _pauli_grams(basis_matrix(code), code.n)
+def _pauli_deviations(code: QuantumCode, pure: bool) -> np.ndarray:
+    """_deviations of every Pauli under the erasure, or else the pure, conditions."""
+    grams = code.grams
+    if not pure:
+        return _deviations(grams, grams[:, 0, 0])
+    trace = np.zeros(4**code.n)
+    trace[0] = 1.0  # tr(sigma)/2^n: 1 at the identity, 0 elsewhere
+    return _deviations(grams, trace)
 
 
 def erasure_space(code: QuantumCode) -> OperatorSubspace:
     """The space of all operators passing check_erasure, as a subspace.
 
-    One constraint row per ordered off-diagonal pair (lexicographic), then
-    one row per diagonal difference against the first basis ket.
+    One constraint row per code matrix element, row-major over (i, j); the
+    diagonal rows subtract the first diagonal element, so row (0, 0) is zero.
     """
-    grams = _code_grams(code)
-    off = ~np.eye(code.k, dtype=bool)
-    diag = np.einsum("pii->ip", grams)
-    rows = np.vstack([grams[:, off].T, diag[1:] - diag[0]])
-    return OperatorSubspace.from_constraints(code.n, rows)
+    return OperatorSubspace.from_constraints(code.n, _pauli_deviations(code, pure=False).T)
 
 
 def pure_erasure_space(code: QuantumCode) -> OperatorSubspace:
@@ -137,9 +138,7 @@ def pure_erasure_space(code: QuantumCode) -> OperatorSubspace:
     Rows cover all K^2 pairs; the diagonal rows subtract the identity
     coordinate so that, for example, the identity operator always passes.
     """
-    rows = _code_grams(code).reshape(-1, code.k**2).T.copy()
-    rows[:: code.k + 1, 0] -= 1.0  # tr(sigma)/2^n is 1 at the identity, 0 elsewhere
-    return OperatorSubspace.from_constraints(code.n, rows)
+    return OperatorSubspace.from_constraints(code.n, _pauli_deviations(code, pure=True).T)
 
 
 def annihilating_space(code: QuantumCode) -> OperatorSubspace:
@@ -152,8 +151,7 @@ def annihilating_space(code: QuantumCode) -> OperatorSubspace:
     union force every matrix element of E*U (and of U-adjoint*E) to zero,
     diagonals included.
     """
-    rows = _code_grams(code).reshape(-1, code.k**2).T
-    return OperatorSubspace.from_constraints(code.n, rows)
+    return OperatorSubspace.from_constraints(code.n, _deviations(code.grams, 0).T)
 
 
 @dataclass(frozen=True)
@@ -170,11 +168,7 @@ class WeightClassification:
 def _pauli_violations(code: QuantumCode, pure: bool):
     """Pauli weights in coordinate order, and _first_violations of every Pauli."""
     t = _pauli_table(code.n)
-    alpha = None
-    if pure:
-        alpha = np.zeros(4**code.n, dtype=complex)
-        alpha[0] = 1.0  # tr(sigma)/2^n: 1 at the identity, 0 elsewhere
-    return np.bitwise_count(t.x | t.z), _first_violations(_code_grams(code), alpha)
+    return np.bitwise_count(t.x | t.z), _first_violations(_pauli_deviations(code, pure), code.k)
 
 
 def classify_paulis(code: QuantumCode, max_weight: int | None = None,
@@ -185,7 +179,7 @@ def classify_paulis(code: QuantumCode, max_weight: int | None = None,
     if not 0 <= max_weight <= code.n:
         raise ValueError(f"max_weight must be in [0, {code.n}], got {max_weight}")
     weights, (bad, i, j, dev) = _pauli_violations(code, pure)
-    order = pauli_order(code.n)
+    labels = _pauli_table(code.n).labels
     out = []
     for w in range(max_weight + 1):
         viols = np.flatnonzero(bad & (weights == w))
@@ -193,7 +187,7 @@ def classify_paulis(code: QuantumCode, max_weight: int | None = None,
             weight=w,
             members=int(np.sum(weights == w)) - len(viols),
             non_members=len(viols),
-            violators=tuple(pauli_to_string(order[p]) for p in viols),
+            violators=tuple(labels[viols].tolist()),
             witnesses=tuple((int(i[p]), int(j[p]), complex(dev[p])) for p in viols),
         ))
     return out

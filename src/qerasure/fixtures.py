@@ -24,8 +24,8 @@ from .codes import (
     fixture_rains_subcode,
     transform_code,
 )
-from .operator_space import matrices_to_coords, operator_weight, pauli_order
-from .pauli import pauli_from_string, pauli_to_string, to_matrix
+from .operator_space import _pauli_table, matrices_to_coords, operator_weight
+from .pauli import pauli_from_string, to_matrix
 from .states import CodeTransform, UnitaryAction, cyclic_shift
 from .unions import union_code
 
@@ -85,8 +85,7 @@ def _identify_pauli_letters(coords: np.ndarray, n: int) -> str | None:
     live = np.nonzero(np.abs(coords) > 1e-9)[0]
     if live.size != 1 or abs(abs(coords[live[0]]) - 1.0) > 1e-9:
         return None
-    bare = pauli_order(n)[live[0]]  # phase-0 representative at that coordinate
-    return pauli_to_string(bare)
+    return str(_pauli_table(n).labels[live[0]])
 
 
 def rains_product_weight_survey() -> dict:

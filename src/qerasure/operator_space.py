@@ -52,13 +52,15 @@ class _PauliTable(NamedTuple):
     """How each coordinate's Pauli acts: sigma |b> = phase (-1)^(b.z) |b ^ x>.
 
     x and z are index-aligned masks (see pauli.apply_to_amplitudes), phase is
-    i to the number of Y factors, and hadamard[a, b] = (-1)^(a.b) is the
-    2^n x 2^n Walsh-Hadamard matrix that sums over b against every z at once.
+    i to the number of Y factors, labels are the letter strings (qubit 0
+    first), and hadamard[a, b] = (-1)^(a.b) is the 2^n x 2^n Walsh-Hadamard
+    matrix that sums over b against every z at once.
     """
 
     x: np.ndarray
     z: np.ndarray
     phase: np.ndarray
+    labels: np.ndarray
     hadamard: np.ndarray
 
 
@@ -67,9 +69,12 @@ def _pauli_table(n: int) -> _PauliTable:
     masks = np.array([_index_aligned_masks(p) for p in pauli_order(n)], dtype=np.int64)
     x, z = masks[:, 0], masks[:, 1]
     phase = np.array([1, 1j, -1, -1j])[np.bitwise_count(x & z) % 4]
+    bit = np.arange(n - 1, -1, -1)  # qubit j sits at index bit n - 1 - j
+    letter = ((x[:, None] >> bit) & 1) | (((z[:, None] >> bit) & 1) << 1)
+    labels = np.array(list("IXZY"))[letter].view(f"<U{n}")[:, 0]  # join each row
     b = np.arange(1 << n)
     hadamard = 1.0 - 2 * (np.bitwise_count(b[:, None] & b[None, :]) & 1)
-    return _PauliTable(x, z, phase, hadamard)
+    return _PauliTable(x, z, phase, labels, hadamard)
 
 
 def _hadamard(t: _PauliTable, a: np.ndarray) -> np.ndarray:

@@ -244,19 +244,10 @@ class UnitaryAction:
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
             t = self._transform
-            m = reduce(np.kron, t.locals)
-            if t.perm != tuple(range(t.n)):
-                dim = 1 << t.n
-                dest = np.empty(dim, dtype=np.int64)
-                for b in range(dim):
-                    bp = 0
-                    for j in range(t.n):
-                        bp |= ((b >> (t.n - 1 - j)) & 1) << (t.n - 1 - t.perm[j])
-                    dest[b] = bp
-                src = np.empty(dim, dtype=np.int64)
-                src[dest] = np.arange(dim)
-                m = m[src]
-            self._matrix = m
+            dim = 1 << t.n
+            # the rows carry the output qubits: permute them as apply_transform does
+            rows = reduce(np.kron, t.locals).reshape((2,) * t.n + (dim,))
+            self._matrix = np.moveaxis(rows, range(t.n), t.perm).reshape(dim, dim)
         return self._matrix
 
     def apply(self, k: Ket) -> Ket:

@@ -1,7 +1,16 @@
+import os
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qerasure import Ket, QuantumCode
+
+
+def src_env() -> dict:
+    """Environment for a child interpreter that imports qerasure from src/."""
+    return dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 
 
 def random_unitary(rng, dim):
@@ -30,3 +39,21 @@ def random_orthogonal_pair(rng, n, k1, k2):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def gram_builds(monkeypatch):
+    """Record every _pauli_grams call made through any qerasure module."""
+    from qerasure import operator_space
+
+    calls = []
+    real = operator_space._pauli_grams
+
+    def counted(vecs, n):
+        calls.append((n, vecs.shape[1]))
+        return real(vecs, n)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("qerasure") and getattr(mod, "_pauli_grams", None) is real:
+            monkeypatch.setattr(mod, "_pauli_grams", counted)
+    return calls

@@ -57,7 +57,7 @@ from _oracle import (
     svd_rank,
     violators_dense,
 )
-from conftest import random_code, random_orthogonal_pair
+from conftest import random_code, random_orthogonal_pair, src_env
 
 
 def cyclic_orbit(label):
@@ -316,8 +316,8 @@ def test_c11_k1_degeneracy():
 def test_c12_cli_determinism():
     cmd = [sys.executable, "-m", "qerasure", "analyze", "--fixture", "rains-union",
            "--format", "json"]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    first = subprocess.run(cmd, capture_output=True, env=src_env())
+    second = subprocess.run(cmd, capture_output=True, env=src_env())
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert len(first.stdout) > 0

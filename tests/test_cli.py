@@ -1,11 +1,15 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from qerasure import code_to_json, fixture_gbp_code
 from qerasure.cli import main
+
+from conftest import src_env
 
 
 def run_cli(capsys, *argv):
@@ -128,6 +132,42 @@ def test_table_format(capsys):
     assert any("YIII IYII IIYI IIIY" in line for line in out.splitlines())
 
 
+GBP_PAIR = json.dumps({"locals": ["I", "I", "I", "Y"]})
+RAINS_PAIR = json.dumps({"perm": [1, 2, 3, 4, 0], "locals": ["I", "I", "X", "X", "X"]})
+FIXTURES = ("rains-subcode", "rains-union", "gbp", "gbp-union")
+# Expected table text lives in tests/cli_tables/<name>.txt, with residuals masked.
+TABLE_CASES = {
+    **{f"analyze-{f}": ["analyze", "--fixture", f] for f in FIXTURES},
+    **{f"distance-{f}": ["distance", "--fixture", f] for f in FIXTURES},
+    "analyze-gbp-union-w2": ["analyze", "--fixture", "gbp-union", "--max-weight", "2"],
+    "classify-gbp": ["classify", "--fixture", "gbp"],
+    "classify-pure-rains-union": ["classify", "--fixture", "rains-union", "--pure"],
+    "union-rains-union": ["union", "--fixture", "rains-union"],
+    "union-gbp-union": ["union", "--fixture", "gbp-union"],
+    "union-gbp-transform": ["union", "--fixture", "gbp", "--transform", GBP_PAIR],
+    "theorem-check-gbp": ["theorem-check", "--fixture", "gbp", "--transform", GBP_PAIR],
+    "theorem-check-rains-subcode": ["theorem-check", "--fixture", "rains-subcode",
+                                    "--transform", RAINS_PAIR],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CASES))
+def test_table_output_exact(capsys, name):
+    status, out, _ = run_cli(capsys, *TABLE_CASES[name], "--format", "table")
+    assert status == 0
+    expected = (Path(__file__).parent / "cli_tables" / f"{name}.txt").read_text()
+    assert re.sub(r"residual [^,]+,", "residual <masked>,", out) == expected
+
+
+@pytest.mark.parametrize("mode", ["analyze", "classify", "distance"])
+def test_code_file_builds_one_gram_tensor(tmp_path, capsys, gram_builds, mode):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(code_to_json(fixture_gbp_code())))
+    status, _, _ = run_cli(capsys, mode, "--code", str(path))
+    assert status == 0
+    assert gram_builds == [(4, 4)]
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     status, out, _ = run_cli(capsys, "distance", "--fixture", "gbp",
@@ -236,7 +276,7 @@ def test_mismatch_exit_code(monkeypatch, capsys):
 def test_subprocess_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "qerasure", "distance", "--fixture", "gbp"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["distance"] == 2
 
@@ -245,6 +285,6 @@ def test_import_loads_no_scipy():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, qerasure; print([m for m in sys.modules if m.startswith('scipy')])"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0
     assert proc.stdout.strip() == "[]"

@@ -1,11 +1,12 @@
 """Each demo script runs to completion in a fresh interpreter."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import src_env
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = [
@@ -18,9 +19,8 @@ DEMOS = [
 
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")],
-                          env=env, cwd=ROOT, capture_output=True, text=True)
+                          env=src_env(), cwd=ROOT, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     if demo.startswith("01_"):
         assert ("Hermitian basis: 241 elements, 241 with all-real coordinates"

@@ -19,7 +19,7 @@ from qerasure import (
     pauli_to_string,
     to_matrix,
 )
-from qerasure.operator_space import _complete_orthonormal, map_subspace
+from qerasure.operator_space import _complete_orthonormal, _pauli_table, map_subspace
 
 from _oracle import dense_pauli, gram, sorted_paulis
 from conftest import random_code
@@ -34,6 +34,8 @@ def test_pauli_order_matches_oracle():
     for n in (1, 2, 3):
         assert [pauli_to_string(p) for p in pauli_order(n)] == sorted_paulis(n)
         assert all(pauli_index(p) == i for i, p in enumerate(pauli_order(n)))
+    for n in range(1, 7):
+        assert _pauli_table(n).labels.tolist() == [pauli_to_string(p) for p in pauli_order(n)]
 
 
 def test_coords_dense_round_trip_all_paulis():

@@ -102,11 +102,17 @@ def test_transform_preserves_inner_products(rng):
 
 
 def test_transform_matches_dense_matrix(rng):
-    t = CodeTransform(3, perm=(1, 2, 0), locals=["H", "Y", "S"])
-    u = UnitaryAction.from_transform(t)
-    for _ in range(10):
-        k = random_ket(rng, 3)
-        assert np.max(np.abs(apply_transform(t, k).amplitudes - u.matrix @ k.amplitudes)) < 1e-12
+    transforms = [CodeTransform(3, perm=(1, 2, 0), locals=["H", "Y", "S"])]
+    for n in range(1, 6):
+        for _ in range(3):
+            gates = rng.choice(["I", "X", "Y", "Z", "H", "S"], size=n).tolist()
+            transforms.append(CodeTransform(n, perm=rng.permutation(n).tolist(), locals=gates))
+    for t in transforms:
+        u = UnitaryAction.from_transform(t)
+        for _ in range(10):
+            k = random_ket(rng, t.n)
+            dense = u.matrix @ k.amplitudes
+            assert np.max(np.abs(apply_transform(t, k).amplitudes - dense)) < 1e-12
 
 
 def test_transform_validation():

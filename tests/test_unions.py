@@ -6,6 +6,7 @@ from qerasure import (
     OperatorSubspace,
     OrthogonalityError,
     UnitaryAction,
+    code_to_json,
     conjugate_subspace,
     containment_residual,
     cross_check_intersection_formulas,
@@ -332,3 +333,10 @@ def test_union_containment_in_component_intersection(rng):
         eu = erasure_space(union)
         meet = intersect([erasure_space(c) for c in comps])
         assert containment_residual(eu, meet) < 1e-8
+
+
+def test_cross_check_builds_three_gram_tensors(gram_builds):
+    code = ingest_code(code_to_json(fixture_gbp_code()))
+    cross_check_intersection_formulas(code, gbp_pair_transform())
+    # the code's, the union's, and the anchor pair's of the expectation space
+    assert sorted(gram_builds) == [(4, 2), (4, 4), (4, 8)]
