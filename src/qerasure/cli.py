@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .codes import CodeValidationError, QuantumCode, _cyclic_orbit, ingest_code, transform_code
 from .erasure import (
-    classify_paulis,
+    _scan,
     erasure_space,
     is_degenerate_distance,
     minimum_distance,
@@ -27,6 +27,7 @@ from .fixtures import FIXTURE_NAMES, fixture_union_components, get_fixture
 from .states import CodeTransform
 from .unions import (
     OrthogonalityError,
+    _cross_check,
     cross_check_intersection_formulas,
     union_code,
 )
@@ -89,26 +90,17 @@ def _resolve_transform(args, n: int) -> CodeTransform:
         raise CliError("invalid-transform", str(exc)) from exc
 
 
-def _classification_rows(code: QuantumCode, max_weight: int, pure: bool) -> list[dict]:
-    rows = []
-    for entry in classify_paulis(code, max_weight, pure=pure):
-        rows.append({
-            "w": entry.weight,
-            "members": entry.members,
-            "non_members": entry.non_members,
-            "violators": list(entry.violators),
-        })
-    return rows
-
-
 def _space_section(code: QuantumCode, max_weight: int, pure: bool) -> dict:
+    """A space's dimension, plus its distance and per-weight rows from one Pauli scan."""
+    dist, tally = _scan(code, pure, max_weight)
     space = pure_erasure_space(code) if pure else erasure_space(code)
-    dist = pure_distance(code) if pure else minimum_distance(code)
     return {
         "dim": space.dim,
         "distance": dist,
         "degenerate": is_degenerate_distance(code, dist),
-        "per_weight": _classification_rows(code, max_weight, pure),
+        "per_weight": [{"w": entry.weight, "members": entry.members,
+                        "non_members": entry.non_members, "violators": list(entry.violators)}
+                       for entry in tally],
     }
 
 
@@ -183,7 +175,7 @@ def _mode_union(args) -> dict:
         "theorem5": None,
     }
     if base is not None and t is not None:
-        checks = cross_check_intersection_formulas(base, t)
+        checks = _cross_check(base, t, union)
         result["theorem4"] = checks["theorem4"]
         result["theorem5"] = checks["theorem5"]
     return result

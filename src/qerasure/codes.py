@@ -2,8 +2,10 @@
 
 Codes are compared as subspaces through their projectors, never as ordered
 bases, since any orthonormal basis of the same span carries the same
-correctability data.  All ingestion normalizes vectors first and then
-enforces pairwise orthogonality to 1e-9.
+correctability data.  All ingestion normalizes vectors first, enforces
+pairwise orthogonality to 1e-9, and then orthonormalizes the accepted basis
+to roundoff, so that every quantity built from it (the closed-form complements
+of the erasure spaces first of all) is as orthonormal as floating point allows.
 """
 
 from __future__ import annotations
@@ -82,6 +84,10 @@ def ingest_code(spec: dict) -> QuantumCode:
     Vectors are normalized; non-integer n, non-numeric amplitudes, zero
     vectors, malformed bitstrings and non-orthogonal pairs are rejected, and
     codes beyond the size limit are refused before any amplitude is read.
+    The accepted basis B, orthonormal to ORTHONORMALITY_TOL, is replaced by
+    its symmetric (Lowdin) orthonormalization B (B^H B)^(-1/2), the
+    orthonormal basis nearest to it, which moves no vector by more than about
+    the largest overlap.
     """
     try:
         n = spec["n"]
@@ -117,7 +123,11 @@ def ingest_code(spec: dict) -> QuantumCode:
                 raise CodeValidationError(
                     f"basis vectors {i} and {j} are not orthogonal: |<c_{i}|c_{j}>| = {overlap:.3e}"
                 )
-    return QuantumCode(n=n, k=len(kets), basis=tuple(kets), label=label)
+    mat = np.column_stack([ket.amplitudes for ket in kets])
+    w, v = np.linalg.eigh(mat.conj().T @ mat)
+    mat = mat @ ((v / np.sqrt(w)) @ v.conj().T)
+    basis = tuple(Ket(n, mat[:, i]) for i in range(len(kets)))
+    return QuantumCode(n=n, k=len(kets), basis=basis, label=label)
 
 
 def code_to_json(code: QuantumCode, amplitude_tol: float = 1e-12) -> dict:

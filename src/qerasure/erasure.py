@@ -4,8 +4,18 @@ An operator E is an erasure-space member of a code when every off-diagonal
 code matrix element <c_i|E|c_j> vanishes and all diagonal elements agree; it
 is a pure-space member when <c_i|E|c_j> equals (tr E / 2^n) * delta_ij, the
 unique linear strengthening that forces the common diagonal value to be the
-identity component of E.  Both condition families are linear in E, so each
-space is the nullspace of a small constraint system over Pauli coordinates.
+identity component of E.  These are the Knill-Laflamme conditions (Knill and
+Laflamme, PRA 55, 900, 1997) read as P E P proportional to P.
+
+Both condition families are linear in E, and their complements are already
+in the gram tensor: <c_i|E|c_j> is the dot product of E's Pauli coordinates
+with column (i, j) of code.grams, and by Pauli completeness (sum over sigma of
+sigma_ab sigma_cd = 2^n delta_ad delta_bc) the K^2 columns
+conj(<c_i|sigma|c_j>) / 2^(n/2) are orthonormal, exactly as far as the code
+basis is.  So each space is stored by a complement written down in closed
+form, with no factorisation of a 4^n-long system, and its dimension is
+structural: 4^n - K^2 + 1 (erasure), 4^n - K^2 (pure; 1 when K = 2^n) and
+4^n - K^2 (annihilating).
 """
 
 from __future__ import annotations
@@ -69,11 +79,12 @@ def _trace_over_dim(code: QuantumCode, op) -> complex:
 def _deviations(grams: np.ndarray, alpha) -> np.ndarray:
     """Each gram minus its required value alpha * identity, row-major: (m, K*K).
 
-    Column i*K + j of row p holds <c_i|sigma_p|c_j> - alpha_p delta_ij.  A
-    Pauli meets the conditions exactly when its row vanishes, an operator
-    with coordinates e when dev.T @ e does.  alpha is the first diagonal
-    element for the erasure conditions, tr(sigma)/2^n for the pure ones and
-    0 for the annihilating ones.
+    Column i*K + j of row p holds <c_i|sigma_p|c_j> - alpha_p delta_ij, so a
+    Pauli meets the conditions exactly when its row vanishes.  alpha is the
+    first diagonal element for the erasure conditions, tr(sigma)/2^n for the
+    pure ones and 0 for the annihilating ones.  The scans and single checks
+    read violations off these rows; the spaces are built from the columns of
+    the gram tensor directly (see _condition_complement).
     """
     m, k, _ = grams.shape
     dev = grams.reshape(m, k * k).copy()
@@ -123,35 +134,73 @@ def _pauli_deviations(code: QuantumCode, pure: bool) -> np.ndarray:
     return _deviations(grams, trace)
 
 
+def _scaled_columns(code: QuantumCode) -> np.ndarray:
+    """conj(<c_i|sigma|c_j>) / 2^(n/2), column i*K + j: (4^n, K^2), a new array.
+
+    Column (i, j) is the Pauli coordinate vector of |c_j><c_i| / 2^(n/2), the
+    unit complement direction of the condition on <c_i|E|c_j>.
+    """
+    k = code.k
+    cols = code.grams.reshape(-1, k * k).conj()
+    cols *= 2.0 ** (-code.n / 2)
+    return cols
+
+
+def _condition_complement(code: QuantumCode, pure: bool) -> np.ndarray:
+    """Orthonormal complement of the erasure, or else the pure, conditions.
+
+    The off-diagonal columns are kept as they are.  The differences of the K
+    diagonal ones span {sum_i w_i d_i : sum_i w_i = 0}, so the K x (K-1)
+    orthonormal complement of the all-ones vector, from one K x K QR, carries
+    them to an orthonormal basis, written over the first K-1 diagonal
+    columns.  The pure conditions add the traceless part of their sum, the
+    code projector less its identity component, in the last diagonal column,
+    which is the last column; it vanishes when K = 2^n, where the projector
+    is the identity, and is then dropped as the erasure conditions drop it.
+    """
+    n, k = code.n, code.k
+    cols = _scaled_columns(code)
+    diag = np.arange(k) * (k + 1)
+    d = cols[:, diag]
+    cols[:, diag[:-1]] = d @ np.linalg.qr(np.ones((k, 1)), mode="complete")[0][:, 1:]
+    if pure and k < 1 << n:
+        projector = d.sum(axis=1)
+        projector[0] = 0  # identity is coordinate 0
+        cols[:, -1] = projector / np.linalg.norm(projector)
+        return cols
+    return cols[:, :-1]
+
+
 def erasure_space(code: QuantumCode) -> OperatorSubspace:
     """The space of all operators passing check_erasure, as a subspace.
 
-    One constraint row per code matrix element, row-major over (i, j); the
-    diagonal rows subtract the first diagonal element, so row (0, 0) is zero.
+    Its complement has K^2 - 1 columns (see _condition_complement), so its
+    dimension is 4^n - K^2 + 1.
     """
-    return OperatorSubspace.from_constraints(code.n, _pauli_deviations(code, pure=False).T)
+    return OperatorSubspace(code.n, complement=_condition_complement(code, pure=False))
 
 
 def pure_erasure_space(code: QuantumCode) -> OperatorSubspace:
     """The space of all operators passing check_pure; contained in erasure_space.
 
-    Rows cover all K^2 pairs; the diagonal rows subtract the identity
-    coordinate so that, for example, the identity operator always passes.
+    Its complement adds the traceless part of the code projector to the
+    erasure complement, so the identity always passes.  The dimension is
+    4^n - K^2, except that K = 2^n leaves the span of the identity.
     """
-    return OperatorSubspace.from_constraints(code.n, _pauli_deviations(code, pure=True).T)
+    return OperatorSubspace(code.n, complement=_condition_complement(code, pure=True))
 
 
 def annihilating_space(code: QuantumCode) -> OperatorSubspace:
     """Operators whose code matrix elements all vanish: P E P = 0.
 
-    This is the pure erasure space with the identity direction swapped out
-    for a trace-carrying one: the pure space is the span of the identity
-    plus the traceless part of this space.  It is the exact one-sided factor
-    for union erasure spaces, because the mixed-component conditions of a
-    union force every matrix element of E*U (and of U-adjoint*E) to zero,
-    diagonals included.
+    Its complement is all K^2 scaled gram columns.  This is the pure erasure
+    space with the identity direction swapped out for a trace-carrying one:
+    the pure space is the span of the identity plus the traceless part of
+    this space.  It is the exact one-sided factor for union erasure spaces,
+    because the mixed-component conditions of a union force every matrix
+    element of E*U (and of U-adjoint*E) to zero, diagonals included.
     """
-    return OperatorSubspace.from_constraints(code.n, _deviations(code.grams, 0).T)
+    return OperatorSubspace(code.n, complement=_scaled_columns(code))
 
 
 @dataclass(frozen=True)
@@ -165,38 +214,35 @@ class WeightClassification:
     witnesses: tuple[tuple[int, int, complex], ...]
 
 
-def _pauli_violations(code: QuantumCode, pure: bool):
-    """Pauli weights in coordinate order, and _first_violations of every Pauli."""
+def _scan(code: QuantumCode, pure: bool,
+          max_weight: int | None = None) -> tuple[int, list[WeightClassification]]:
+    """Distance, and the membership tally up to max_weight, from one scan of every Pauli."""
+    if max_weight is None:
+        max_weight = code.n
+    if not 0 <= max_weight <= code.n:
+        raise ValueError(f"max_weight must be in [0, {code.n}], got {max_weight}")
     t = _pauli_table(code.n)
-    return np.bitwise_count(t.x | t.z), _first_violations(_pauli_deviations(code, pure), code.k)
+    weights = np.bitwise_count(t.x | t.z)
+    bad, i, j, dev = _first_violations(_pauli_deviations(code, pure), code.k)
+    failing = weights[bad]  # coordinate order is ascending weight
+    distance = int(failing[0]) if failing.size else code.n + 1
+    tally = []
+    for w in range(max_weight + 1):
+        viols = np.flatnonzero(bad & (weights == w))
+        tally.append(WeightClassification(
+            weight=w,
+            members=int(np.sum(weights == w)) - len(viols),
+            non_members=len(viols),
+            violators=tuple(t.labels[viols].tolist()),
+            witnesses=tuple((int(i[p]), int(j[p]), complex(dev[p])) for p in viols),
+        ))
+    return distance, tally
 
 
 def classify_paulis(code: QuantumCode, max_weight: int | None = None,
                     pure: bool = False) -> list[WeightClassification]:
     """Tally membership of every phase-0 Pauli up to max_weight, by weight."""
-    if max_weight is None:
-        max_weight = code.n
-    if not 0 <= max_weight <= code.n:
-        raise ValueError(f"max_weight must be in [0, {code.n}], got {max_weight}")
-    weights, (bad, i, j, dev) = _pauli_violations(code, pure)
-    labels = _pauli_table(code.n).labels
-    out = []
-    for w in range(max_weight + 1):
-        viols = np.flatnonzero(bad & (weights == w))
-        out.append(WeightClassification(
-            weight=w,
-            members=int(np.sum(weights == w)) - len(viols),
-            non_members=len(viols),
-            violators=tuple(labels[viols].tolist()),
-            witnesses=tuple((int(i[p]), int(j[p]), complex(dev[p])) for p in viols),
-        ))
-    return out
-
-
-def _distance_scan(code: QuantumCode, pure: bool) -> int:
-    weights, (bad, *_) = _pauli_violations(code, pure)
-    failing = weights[bad]  # coordinate order is ascending weight
-    return int(failing[0]) if failing.size else code.n + 1
+    return _scan(code, pure, max_weight)[1]
 
 
 def minimum_distance(code: QuantumCode) -> int:
@@ -206,12 +252,12 @@ def minimum_distance(code: QuantumCode) -> int:
     Paulis of weight at most t, and membership is linear.  A value of n+1
     means every operator passes (the degenerate case, e.g. any K=1 code).
     """
-    return _distance_scan(code, pure=False)
+    return _scan(code, pure=False, max_weight=0)[0]
 
 
 def pure_distance(code: QuantumCode) -> int:
     """Smallest weight of a Pauli failing check_pure; n+1 when none does."""
-    return _distance_scan(code, pure=True)
+    return _scan(code, pure=True, max_weight=0)[0]
 
 
 def is_degenerate_distance(code: QuantumCode, distance: int) -> bool:

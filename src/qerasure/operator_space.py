@@ -9,11 +9,14 @@ product up to the constant 2^n, so orthonormal coordinate bases describe
 operator subspaces faithfully.
 
 A subspace keeps an orthonormal basis of coordinate vectors, and caches an
-orthonormal basis of its orthogonal complement.  Constraint systems in this
-module have few rows and huge nullspaces, so the complement (the conjugated
-row space) is the cheap representation; the spanning basis is completed from
-it on first use.  Unitary maps of operator space carry complements to
-complements, so they act on the complement alone.
+orthonormal basis of its orthogonal complement.  Every space the package
+builds is nearly the whole space, so the complement is the cheap
+representation: the erasure, pure and annihilating spaces write theirs down
+in closed form from a code's gram tensor (see erasure), and the nullspace of
+a stacked constraint system, as in intersect, takes its complement from one
+thin SVD of the rows.  The spanning basis is completed from the complement on
+first use.  Unitary maps of operator space carry complements to complements,
+so they act on the complement alone.
 
 Completion, in either direction, takes the Householder QR of the k known
 columns in compact-WY form Q = I - V T V^H (Schreiber and Van Loan, "A
@@ -357,5 +360,11 @@ def containment_residual(inner: OperatorSubspace, outer: OperatorSubspace) -> fl
 
 
 def equality_residual(a: OperatorSubspace, b: OperatorSubspace) -> float:
-    """Max of the two containment residuals; near zero iff the spaces agree."""
+    """Max of the two containment residuals; near zero iff the spaces agree.
+
+    For projectors of equal rank, |(I - P_b) P_a| = |(I - P_a) P_b| (both are
+    the sine of the largest principal angle), so equal dimensions need one.
+    """
+    if a.dim == b.dim:
+        return containment_residual(a, b)
     return max(containment_residual(a, b), containment_residual(b, a))

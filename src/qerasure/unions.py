@@ -153,6 +153,34 @@ def _require_orthogonal_image(code: QuantumCode, action: UnitaryAction) -> Quant
     return image
 
 
+def _mixed_blocks(code: QuantumCode, action: UnitaryAction) -> list[OperatorSubspace]:
+    """The mixed-block factors of both formulas: Z U-adjoint and U Z, Z annihilating."""
+    zs = annihilating_space(code)
+    return [right_multiply_subspace(zs, action.adjoint()), left_multiply_subspace(zs, action)]
+
+
+def _theorem4(code: QuantumCode, action: UnitaryAction, mixed: list[OperatorSubspace],
+              check_anchor_independence: bool = False) -> OperatorSubspace:
+    es = erasure_space(code)
+    pieces = [es, conjugate_subspace(es, action), *mixed, equal_expectation_space(code, action)]
+    result = intersect(pieces)
+    if check_anchor_independence:
+        # The expectation constraint nominally uses the first basis ket; any
+        # other choice must give the same intersection.
+        for anchor in range(1, code.k):
+            pieces[-1] = equal_expectation_space(code, action, anchor=anchor)
+            alt = intersect(pieces)
+            if alt.dim != result.dim or equality_residual(alt, result) > SUBSPACE_TOL:
+                raise RuntimeError(f"anchor {anchor} changed the intersection")
+    return result
+
+
+def _theorem5(code: QuantumCode, action: UnitaryAction,
+              mixed: list[OperatorSubspace]) -> OperatorSubspace:
+    ps = pure_erasure_space(code)
+    return intersect([ps, conjugate_subspace(ps, action), *mixed])
+
+
 def union_erasure_space_via_intersection(
     code: QuantumCode, u, *, check_anchor_independence: bool = False
 ) -> OperatorSubspace:
@@ -168,25 +196,7 @@ def union_erasure_space_via_intersection(
     """
     action = _as_action(code.n, u)
     _require_orthogonal_image(code, action)
-    es = erasure_space(code)
-    zs = annihilating_space(code)
-    pieces = [
-        es,
-        conjugate_subspace(es, action),
-        right_multiply_subspace(zs, action.adjoint()),
-        left_multiply_subspace(zs, action),
-        equal_expectation_space(code, action),
-    ]
-    result = intersect(pieces)
-    if check_anchor_independence:
-        # The expectation constraint nominally uses the first basis ket; any
-        # other choice must give the same intersection.
-        for anchor in range(1, code.k):
-            pieces[-1] = equal_expectation_space(code, action, anchor=anchor)
-            alt = intersect(pieces)
-            if alt.dim != result.dim or equality_residual(alt, result) > SUBSPACE_TOL:
-                raise RuntimeError(f"anchor {anchor} changed the intersection")
-    return result
+    return _theorem4(code, action, _mixed_blocks(code, action), check_anchor_independence)
 
 
 def union_pure_space_via_intersection(code: QuantumCode, u) -> OperatorSubspace:
@@ -197,14 +207,7 @@ def union_pure_space_via_intersection(code: QuantumCode, u) -> OperatorSubspace:
     """
     action = _as_action(code.n, u)
     _require_orthogonal_image(code, action)
-    ps = pure_erasure_space(code)
-    zs = annihilating_space(code)
-    return intersect([
-        ps,
-        conjugate_subspace(ps, action),
-        right_multiply_subspace(zs, action.adjoint()),
-        left_multiply_subspace(zs, action),
-    ])
+    return _theorem5(code, action, _mixed_blocks(code, action))
 
 
 def cross_check_intersection_formulas(code: QuantumCode, u,
@@ -216,14 +219,23 @@ def cross_check_intersection_formulas(code: QuantumCode, u,
     and whether they match within tol.
     """
     action = _as_action(code.n, u)
-    image = _require_orthogonal_image(code, action)
-    union, _ = union_code([code, image])
+    union, _ = union_code([code, _require_orthogonal_image(code, action)])
+    return _cross_check(code, action, union, tol)
+
+
+def _cross_check(code: QuantumCode, u, union: QuantumCode,
+                 tol: float = SUBSPACE_TOL) -> dict:
+    """cross_check_intersection_formulas against an already built union C (+) UC.
+
+    Both formulas share the mixed-block factors, and the direct spaces read
+    the union's gram tensor, so a caller that has the union builds it once.
+    """
+    action = _as_action(code.n, u)
+    mixed = _mixed_blocks(code, action)
     report = {}
     for key, pipeline, direct in (
-        ("theorem4", union_erasure_space_via_intersection(code, action),
-         erasure_space(union)),
-        ("theorem5", union_pure_space_via_intersection(code, action),
-         pure_erasure_space(union)),
+        ("theorem4", _theorem4(code, action, mixed), erasure_space(union)),
+        ("theorem5", _theorem5(code, action, mixed), pure_erasure_space(union)),
     ):
         residual = equality_residual(pipeline, direct)
         report[key] = {

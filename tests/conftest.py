@@ -57,3 +57,19 @@ def gram_builds(monkeypatch):
         if name.startswith("qerasure") and getattr(mod, "_pauli_grams", None) is real:
             monkeypatch.setattr(mod, "_pauli_grams", counted)
     return calls
+
+
+@pytest.fixture
+def constraint_solves(monkeypatch):
+    """Record the shape of the rows of every OperatorSubspace.from_constraints call."""
+    from qerasure.operator_space import OperatorSubspace
+
+    calls = []
+    real = OperatorSubspace.__dict__["from_constraints"].__func__
+
+    def counted(cls, n, rows, *args, **kwargs):
+        calls.append(np.shape(rows))
+        return real(cls, n, rows, *args, **kwargs)
+
+    monkeypatch.setattr(OperatorSubspace, "from_constraints", classmethod(counted))
+    return calls

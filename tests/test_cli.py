@@ -4,12 +4,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qerasure import code_to_json, fixture_gbp_code
 from qerasure.cli import main
 
-from conftest import src_env
+from _oracle import (
+    SINGLE,
+    erasure_constraint_matrix,
+    erasure_member_dense,
+    kron_all,
+    pure_constraint_matrix,
+    pure_member_dense,
+    svd_rank,
+    violators_dense,
+)
+from conftest import random_unitary, src_env
 
 
 def run_cli(capsys, *argv):
@@ -166,6 +177,74 @@ def test_code_file_builds_one_gram_tensor(tmp_path, capsys, gram_builds, mode):
     status, _, _ = run_cli(capsys, mode, "--code", str(path))
     assert status == 0
     assert gram_builds == [(4, 4)]
+
+
+def test_analyze_scans_once_per_section(capsys, monkeypatch, constraint_solves):
+    from qerasure import erasure
+
+    scans = []
+    real = erasure._deviations
+    monkeypatch.setattr(erasure, "_deviations",
+                        lambda grams, alpha: scans.append(grams.shape) or real(grams, alpha))
+    for mode, expected in (("analyze", 2), ("classify", 1), ("distance", 2)):
+        scans.clear()
+        status, _, _ = run_cli(capsys, mode, "--fixture", "gbp")
+        assert status == 0
+        assert len(scans) == expected, mode
+    # the spaces are written down from the gram tensor: no constraint solve
+    assert constraint_solves == []
+
+
+def test_union_transform_builds_the_union_once(tmp_path, capsys, gram_builds):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(code_to_json(fixture_gbp_code())))
+    status, _, _ = run_cli(capsys, "union", "--code", str(path), "--transform", GBP_PAIR)
+    assert status == 0
+    # the code's, the union's (shared by the distance and the direct spaces),
+    # and the anchor pair's of the expectation space
+    assert sorted(gram_builds) == [(4, 2), (4, 4), (4, 8)]
+
+
+def test_basis_slack_keeps_every_verdict(tmp_path, capsys, rng):
+    # a code on the qubit-0 = |0> half, so X on qubit 0 gives an orthogonal
+    # image, whose basis overlaps are about 1e-10: inside ingest's 1e-9
+    n, k = 4, 3
+    frame = random_unitary(rng, 1 << (n - 1))[:, :k]
+    frame[:, 1] += 1e-10 * frame[:, 0]
+    kets = np.zeros((1 << n, k), dtype=complex)
+    kets[: 1 << (n - 1)] = frame / np.linalg.norm(frame, axis=0)
+    slack = np.max(np.abs(kets.conj().T @ kets - np.eye(k)))
+    assert 5e-11 < slack < 1e-9
+    spec = {"n": n, "label": "slack", "basis": [
+        [{"re": a.real, "im": a.imag, "bits": format(b, f"0{n}b")} for b, a in enumerate(col)]
+        for col in kets.T]}
+    path = tmp_path / "slack.json"
+    path.write_text(json.dumps(spec))
+
+    status, out, _ = run_cli(capsys, "analyze", "--code", str(path))
+    assert status == 0
+    report = json.loads(out)
+    for key, rows, member in (("erasure", erasure_constraint_matrix, erasure_member_dense),
+                              ("pure", pure_constraint_matrix, pure_member_dense)):
+        section = report[key]
+        assert section["dim"] == 4**n - svd_rank(rows(kets, n))
+        by_weight = {w: violators_dense(kets, n, w, member) for w in range(n + 1)}
+        assert {row["w"]: row["violators"] for row in section["per_weight"]} == by_weight
+        assert section["distance"] == min([w for w, v in by_weight.items() if v], default=n + 1)
+
+    transform = '{"locals": ["X", "H", "S", "I"]}'
+    status, out, _ = run_cli(capsys, "theorem-check", "--code", str(path),
+                             "--transform", transform)
+    assert status == 0
+    report = json.loads(out)
+    hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    u = kron_all([SINGLE["X"], hadamard, np.diag([1, 1j]), SINGLE["I"]])
+    union = np.hstack([kets, u @ kets])
+    for key, rows in (("theorem4", erasure_constraint_matrix),
+                      ("theorem5", pure_constraint_matrix)):
+        assert report[key]["matches_direct"] is True
+        assert report[key]["dim"] == report[key]["direct_dim"] == 4**n - svd_rank(rows(union, n))
+        assert report[key]["residual"] < 1e-12
 
 
 def test_out_file(tmp_path, capsys):

@@ -56,6 +56,21 @@ def test_ingest_rejects_bad_bitstrings():
         ingest_code({"n": 3, "basis": [[(1, "00")]]})
 
 
+def test_ingest_orthonormalizes_the_basis(rng):
+    frame = np.linalg.qr(rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3)))[0]
+    frame[:, 2] += 4e-10 * frame[:, 0]
+    frame /= np.linalg.norm(frame, axis=0)
+    spec = {"n": 3, "basis": [[{"re": a.real, "im": a.imag, "bits": format(b, "03b")}
+                               for b, a in enumerate(col)] for col in frame.T]}
+    code = ingest_code(spec)
+    mat = np.column_stack([ket.amplitudes for ket in code.basis])
+    assert np.max(np.abs(mat.conj().T @ mat - np.eye(3))) < 1e-14
+    # the nearest orthonormal basis: no vector moves by more than the overlap
+    assert np.max(np.linalg.norm(mat - frame, axis=0)) < 4e-10
+    exact = ingest_code(GBP_SPEC)
+    assert np.max(np.abs(exact.basis[0].amplitudes - fixture_gbp_code().basis[0].amplitudes)) < 1e-15
+
+
 def test_serialize_round_trip():
     code = fixture_gbp_code()
     again = ingest_code(code_to_json(code))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qerasure import (
     OperatorSubspace,
@@ -8,6 +9,7 @@ from qerasure import (
     classify_paulis,
     containment_residual,
     enumerate_paulis,
+    equality_residual,
     erasure_space,
     fixture_gbp_code,
     fixture_rains_subcode,
@@ -31,6 +33,7 @@ from _oracle import (
     svd_rank,
     zero_block_constraint_matrix,
 )
+from _svd_route import annihilating_space_svd, erasure_space_svd, pure_space_svd
 from conftest import random_code
 
 
@@ -152,6 +155,51 @@ def test_union_space_dims_frozen():
     union = get_fixture("rains-union")
     assert erasure_space(union).dim == 989   # 4^5 - (36 - 1)
     assert pure_erasure_space(union).dim == 988
+
+
+CLOSED_FORMS = ((erasure_space, erasure_space_svd), (pure_erasure_space, pure_space_svd),
+                (annihilating_space, annihilating_space_svd))
+
+
+@st.composite
+def random_frames(draw):
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 1 << n))
+    return random_code(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, k)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(random_frames())
+def test_closed_form_spaces_match_svd_route(code):
+    for closed, svd in CLOSED_FORMS:
+        space, oracle = closed(code), svd(code)
+        assert space.dim == oracle.dim
+        assert equality_residual(space, oracle) < 1e-12
+        space.validate(tol=1e-12)
+
+
+def test_closed_form_dims_are_structural(rng):
+    for n, k in ((2, 3), (4, 5), (5, 6)):
+        code = random_code(rng, n, k)
+        dims = tuple(build(code).dim for build, _ in CLOSED_FORMS)
+        assert dims == (4**n - k * k + 1, 4**n - k * k, 4**n - k * k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_full_code_spaces(rng, n):
+    # K = 2^n: the projector is the identity, so only scalars survive the
+    # erasure and pure conditions and nothing is annihilated
+    code = random_code(rng, n, 1 << n)
+    ident = np.zeros(4**n, dtype=complex)
+    ident[0] = 1.0
+    for closed, svd in CLOSED_FORMS:
+        space, oracle = closed(code), svd(code)
+        assert space.dim == oracle.dim
+        assert equality_residual(space, oracle) < 1e-12
+        space.validate(tol=1e-12)
+    assert (erasure_space(code).dim, pure_erasure_space(code).dim,
+            annihilating_space(code).dim) == (1, 1, 0)
+    assert pure_erasure_space(code).member_residual(ident) < 1e-12
 
 
 def test_pure_contained_in_erasure_on_fixtures():

@@ -164,6 +164,20 @@ def test_containment_complement_route_agrees(rng):
     assert abs(fast - via_basis) < 1e-9
 
 
+def test_equality_residual_of_equal_dims_is_either_containment(rng):
+    # equal-rank projectors: |(I - P_b) P_a| = |(I - P_a) P_b|, so one suffices
+    n = 2
+    for scale in (0.0, 1e-9, 1e-3, 1.0):
+        rows = rng.standard_normal((5, 16)) + 1j * rng.standard_normal((5, 16))
+        tilt = rng.standard_normal((5, 16)) + 1j * rng.standard_normal((5, 16))
+        a = OperatorSubspace.from_constraints(n, rows)
+        b = OperatorSubspace.from_constraints(n, rows + scale * tilt)
+        for x, y in ((a, b), (OperatorSubspace(n, basis=a.basis), b)):
+            assert x.dim == y.dim == 11
+            both = max(containment_residual(x, y), containment_residual(y, x))
+            assert abs(equality_residual(x, y) - both) < 1e-12
+
+
 def assert_completes(part, rest, tol=1e-13):
     """rest is the complete QR's completion of part: orthonormal, orthogonal to part."""
     dim, k = part.shape

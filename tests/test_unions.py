@@ -335,6 +335,21 @@ def test_union_containment_in_component_intersection(rng):
         assert containment_residual(eu, meet) < 1e-8
 
 
+def test_cross_check_builds_the_image_once(monkeypatch, constraint_solves):
+    from qerasure import unions
+
+    images = []
+    real = unions.transform_code
+    monkeypatch.setattr(unions, "transform_code",
+                        lambda *args, **kwargs: images.append(args) or real(*args, **kwargs))
+    report = cross_check_intersection_formulas(fixture_gbp_code(), gbp_pair_transform())
+    assert report["theorem4"]["matches_direct"] and report["theorem5"]["matches_direct"]
+    assert len(images) == 1
+    # the two intersections and the equal-expectation space; every other
+    # space is written down from a gram tensor
+    assert len(constraint_solves) == 3
+
+
 def test_cross_check_builds_three_gram_tensors(gram_builds):
     code = ingest_code(code_to_json(fixture_gbp_code()))
     cross_check_intersection_formulas(code, gbp_pair_transform())
