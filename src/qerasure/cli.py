@@ -306,7 +306,10 @@ def main(argv: list[str] | None = None) -> int:
     except OrthogonalityError as exc:
         print(f"qerasure: error[orthogonality] {exc}", file=sys.stderr)
         return 1
-    except (CodeValidationError, ValueError) as exc:
+    except CodeValidationError as exc:
+        print(f"qerasure: error[{exc.code}] {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
         print(f"qerasure: error[invalid-input] {exc}", file=sys.stderr)
         return 1
     text = emit_report(report, args.format, args.mode)

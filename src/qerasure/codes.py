@@ -21,7 +21,8 @@ from .states import CodeTransform, Ket, UnitaryAction, apply_transform, ket_from
 ORTHONORMALITY_TOL = 1e-9
 # Size limit of ingest: at most MAX_QUBITS qubits (the 4^n-coordinate Pauli
 # table) and a gram tensor <c_i|sigma|c_j> of 16 * 4^n * K^2 bytes at most
-# MAX_GRAM_BYTES, about an eighth of the peak memory of an analysis.
+# MAX_GRAM_BYTES, about an eighth of the peak memory of an analysis.  Unions
+# are held to the same gram limit with K summed over their components.
 MAX_QUBITS = 8
 MAX_GRAM_BYTES = 64 << 20
 
@@ -72,6 +73,16 @@ class QuantumCode:
         return grams
 
 
+def _check_gram_size(n: int, k: int) -> None:
+    """Refuse a code whose gram tensor would exceed MAX_GRAM_BYTES."""
+    gram_bytes = 16 * 4**n * k**2
+    if gram_bytes > MAX_GRAM_BYTES:
+        raise CodeTooLargeError(
+            f"n={n}, K={k} needs a {gram_bytes >> 20} MiB gram tensor; "
+            f"the limit is {MAX_GRAM_BYTES >> 20} MiB"
+        )
+
+
 def basis_matrix(code: QuantumCode) -> np.ndarray:
     """Basis kets stacked as columns, shape (2^n, K)."""
     return np.column_stack([ket.amplitudes for ket in code.basis])
@@ -101,12 +112,7 @@ def ingest_code(spec: dict) -> QuantumCode:
         raise CodeValidationError("code description needs a non-empty basis list")
     if n > MAX_QUBITS:
         raise CodeTooLargeError(f"n={n} exceeds the limit of {MAX_QUBITS} qubits")
-    gram_bytes = 16 * 4**n * len(raw_basis) ** 2
-    if gram_bytes > MAX_GRAM_BYTES:
-        raise CodeTooLargeError(
-            f"n={n}, K={len(raw_basis)} needs a {gram_bytes >> 20} MiB gram tensor; "
-            f"the limit is {MAX_GRAM_BYTES >> 20} MiB"
-        )
+    _check_gram_size(n, len(raw_basis))
     kets = []
     for idx, terms in enumerate(raw_basis):
         try:

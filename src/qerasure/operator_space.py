@@ -14,9 +14,9 @@ builds is nearly the whole space, so the complement is the cheap
 representation: the erasure, pure and annihilating spaces write theirs down
 in closed form from a code's gram tensor (see erasure), and the nullspace of
 a stacked constraint system, as in intersect, takes its complement from one
-thin SVD of the rows.  The spanning basis is completed from the complement on
-first use.  Unitary maps of operator space carry complements to complements,
-so they act on the complement alone.
+thin SVD of the rows in tall column form.  The spanning basis is completed
+from the complement on first use.  Unitary maps of operator space carry
+complements to complements, so they act on the complement alone.
 
 Completion, in either direction, takes the Householder QR of the k known
 columns in compact-WY form Q = I - V T V^H (Schreiber and Van Loan, "A
@@ -28,7 +28,16 @@ a 4096 x ~4093 complex array (268 MB), the only O(16^n) object here.
 Numerical conventions: ranks are read from singular values with a relative
 threshold of RANK_RTOL times the largest one, and membership or containment
 residuals are compared against 1e-8.  All bundled constructions involve exact
-dyadic amplitudes, which leaves several orders of magnitude of margin.
+dyadic amplitudes, which leaves several orders of magnitude of margin.  Every
+rank-revealing SVD factors a tall matrix: constraint rows (r, 4^n) are
+factored as their transpose, whose left singular vectors carry the nullspace
+complement, since LAPACK reduces a wide matrix through an extra LQ pass.  A
+containment residual is the sine of the largest principal angle, read as the
+spectral norm of the explicit residual (I - P_inner) Q_outer from the
+largest eigenvalue of its c x c Gram.  It is never read as 1 - cos^2 of the
+smallest principal-angle cosine, which cancels to a floor near sqrt(eps),
+about 1e-8, on equal spaces (Bjorck and Golub, "Numerical methods for
+computing angles between linear subspaces", Math. Comp. 27, 1973).
 """
 
 from __future__ import annotations
@@ -56,8 +65,9 @@ class _PauliTable(NamedTuple):
 
     x and z are index-aligned masks (see pauli.apply_to_amplitudes), phase is
     i to the number of Y factors, labels are the letter strings (qubit 0
-    first), and hadamard[a, b] = (-1)^(a.b) is the 2^n x 2^n Walsh-Hadamard
-    matrix that sums over b against every z at once.
+    first), hadamard[a, b] = (-1)^(a.b) is the 2^n x 2^n Walsh-Hadamard
+    matrix that sums over b against every z at once, and coordinate is the
+    inverse of _slots: coordinate[(z << n) | x] is that Pauli's index.
     """
 
     x: np.ndarray
@@ -65,6 +75,7 @@ class _PauliTable(NamedTuple):
     phase: np.ndarray
     labels: np.ndarray
     hadamard: np.ndarray
+    coordinate: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -77,7 +88,9 @@ def _pauli_table(n: int) -> _PauliTable:
     labels = np.array(list("IXZY"))[letter].view(f"<U{n}")[:, 0]  # join each row
     b = np.arange(1 << n)
     hadamard = 1.0 - 2 * (np.bitwise_count(b[:, None] & b[None, :]) & 1)
-    return _PauliTable(x, z, phase, labels, hadamard)
+    coordinate = np.empty(4**n, dtype=np.int64)
+    coordinate[(z << n) | x] = np.arange(4**n)
+    return _PauliTable(x, z, phase, labels, hadamard, coordinate)
 
 
 def _hadamard(t: _PauliTable, a: np.ndarray) -> np.ndarray:
@@ -108,9 +121,8 @@ def _pauli_grams(vecs: np.ndarray, n: int) -> np.ndarray:
 
 def pauli_index(p: PauliOperator) -> int:
     """Position of p's mask pair in the coordinate ordering."""
-    t = _pauli_table(p.n)
     rx, rz = _index_aligned_masks(p)
-    return int(np.flatnonzero((t.x == rx) & (t.z == rz))[0])
+    return int(_pauli_table(p.n).coordinate[(rz << p.n) | rx])
 
 
 def pauli_coords(p: PauliOperator) -> np.ndarray:
@@ -257,7 +269,11 @@ class OperatorSubspace:
         """Nullspace {v : rows @ v = 0} of a (m, 4^n) constraint system.
 
         The conjugated row space is the complement of the nullspace, so a
-        thin SVD of the rows is all that is needed up front.
+        thin SVD is all that is needed up front.  It factors the tall column
+        form rows^T = U S V^H, whose left singular vectors are the conjugated
+        right ones of the rows: the complement is the conjugate of U's first
+        rank columns.  LAPACK factors a tall matrix without the LQ pass a
+        wide one takes, and only the kept columns are conjugated.
         """
         rows = np.asarray(rows, dtype=complex)
         if rows.ndim == 1:
@@ -266,9 +282,9 @@ class OperatorSubspace:
             return cls.full(n)
         if rows.shape[1] != 4**n:
             raise ValueError(f"constraint rows must have 4^{n} columns")
-        _, s, vh = np.linalg.svd(rows, full_matrices=False)
+        u, s, _ = np.linalg.svd(rows.T, full_matrices=False)
         rank = 0 if s.size == 0 else int(np.sum(s > rtol * s[0]))
-        return cls(n, complement=vh[:rank].conj().T)
+        return cls(n, complement=u[:, :rank].conj())
 
     @classmethod
     def from_span(cls, n: int, vectors: np.ndarray,
@@ -337,9 +353,19 @@ def intersect(subspaces: Sequence[OperatorSubspace]) -> OperatorSubspace:
 
 
 def _largest_singular_value(m: np.ndarray) -> float:
+    """Spectral norm of m, from the largest eigenvalue of its small Gram.
+
+    With m made tall, shape (r, c) with c <= r, the c x c Hermitian m^H m
+    has the squared singular values of m as eigenvalues.  Formed from an
+    explicit m, its largest eigenvalue is accurate to relative roundoff, so
+    even a residual near 1e-16 keeps its digits; it costs about half a
+    singular value decomposition of m.
+    """
     if m.size == 0:
         return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    if m.shape[0] < m.shape[1]:
+        m = m.T
+    return float(np.sqrt(max(np.linalg.eigvalsh(m.conj().T @ m)[-1], 0.0)))
 
 
 def containment_residual(inner: OperatorSubspace, outer: OperatorSubspace) -> float:
@@ -347,7 +373,12 @@ def containment_residual(inner: OperatorSubspace, outer: OperatorSubspace) -> fl
 
     Zero (up to roundoff) exactly when every inner vector lies in outer.
     Computed from complements when both are cached, since inner <= outer is
-    equivalent to complement(outer) <= complement(inner).
+    equivalent to complement(outer) <= complement(inner): the residual
+    co - ci (ci^H co) of the outer complement co against the inner one ci is
+    formed explicitly, and its spectral norm is read from its small Gram
+    (_largest_singular_value).  The explicit residual keeps roundoff-level
+    answers near 1e-16 on equal spaces, where 1 - sigma_min(ci^H co)^2
+    would cancel to about 1e-8.
     """
     if inner.n != outer.n:
         raise ValueError("subspaces live on different qubit counts")

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codes import QuantumCode, basis_matrix, transform_code
+from .codes import QuantumCode, _check_gram_size, basis_matrix, transform_code
 from .erasure import annihilating_space, erasure_space, pure_erasure_space
 from .operator_space import (
     OperatorSubspace,
@@ -55,13 +55,15 @@ def union_code(codes: Sequence[QuantumCode],
 
     Implemented as an iterated binary union: each component is checked
     against everything accumulated so far, so every cross-component pair is
-    covered.  K adds up exactly.
+    covered.  K adds up exactly.  A union whose gram tensor would exceed the
+    size limit of ingest raises CodeTooLargeError before anything is built.
     """
     if len(codes) < 2:
         raise ValueError("a union needs at least two codes")
     n = codes[0].n
     if any(c.n != n for c in codes):
         raise ValueError("codes have different lengths")
+    _check_gram_size(n, sum(c.k for c in codes))
     kets = list(codes[0].basis)
     max_cross = 0.0
     for comp_idx, comp in enumerate(codes[1:], start=1):

@@ -5,12 +5,29 @@ the gram tensor.  This module keeps the older route as a second one: each
 space is the nullspace of its (K^2, 4^n) condition system, the rows of
 erasure._deviations, from one thin SVD with a relative rank cut.  Dimensions
 come out of that rank cut here, not from the structure of the conditions.
+
+It also keeps the older factorizations behind OperatorSubspace: the SVD of
+the wide constraint rows themselves, and the full singular value spectrum of
+a containment residual, where the package factors the tall column form and
+reads the largest singular value from a small Gram.
 """
 
 import numpy as np
 
 from qerasure import OperatorSubspace
 from qerasure.erasure import _deviations
+from qerasure.operator_space import RANK_RTOL
+
+
+def wide_nullspace_complement(rows, rtol=RANK_RTOL):
+    """Complement of {v : rows @ v = 0}: conjugated right singular vectors of the rows."""
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    rank = 0 if s.size == 0 else int(np.sum(s > rtol * s[0]))
+    return vh[:rank].conj().T
+
+
+def largest_singular_value_svd(m):
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def _nullspace(code, alpha):

@@ -332,6 +332,23 @@ def test_ingest_refuses_oversized_codes(tmp_path, capsys, monkeypatch, spec):
     assert err.count("\n") == 1
 
 
+def test_union_refuses_oversized_union(tmp_path, capsys, gram_builds):
+    # each n=6, K=32 file sits exactly at the ingest limit; their K=64 union
+    # would need a 256 MiB gram tensor
+    paths = []
+    for half in range(2):
+        spec = {"n": 6, "label": f"half{half}",
+                "basis": [[[1.0, format(32 * half + b, "06b")]] for b in range(32)]}
+        paths.append(tmp_path / f"half{half}.json")
+        paths[-1].write_text(json.dumps(spec))
+    status, out, err = run_cli(capsys, "union", "--code", str(paths[0]),
+                               "--code2", str(paths[1]))
+    assert status == 1 and out == ""
+    assert err.startswith("qerasure: error[too-large] n=6, K=64 needs a 256 MiB gram tensor")
+    assert err.count("\n") == 1
+    assert gram_builds == []
+
+
 def test_mismatch_exit_code(monkeypatch, capsys):
     import qerasure.cli as cli_module
 

@@ -22,7 +22,8 @@ from qerasure import (
 from qerasure.operator_space import _complete_orthonormal, _pauli_table, map_subspace
 
 from _oracle import dense_pauli, gram, sorted_paulis
-from conftest import random_code
+from _svd_route import largest_singular_value_svd, wide_nullspace_complement
+from conftest import random_code, random_unitary
 
 
 def span_of(labels, n):
@@ -33,6 +34,7 @@ def span_of(labels, n):
 def test_pauli_order_matches_oracle():
     for n in (1, 2, 3):
         assert [pauli_to_string(p) for p in pauli_order(n)] == sorted_paulis(n)
+    for n in (1, 2, 3, 4):
         assert all(pauli_index(p) == i for i, p in enumerate(pauli_order(n)))
     for n in range(1, 7):
         assert _pauli_table(n).labels.tolist() == [pauli_to_string(p) for p in pauli_order(n)]
@@ -89,6 +91,72 @@ def test_from_constraints_handles_dependent_rows(rng):
     row = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     s = OperatorSubspace.from_constraints(n, np.vstack([row, 2 * row, 1j * row]))
     assert s.dim == 15
+
+
+def projector(cols):
+    return cols @ cols.conj().T
+
+
+def assert_matches_wide_svd(n, rows, tol=1e-12):
+    """from_constraints (tall SVD of rows^T) against the SVD of the wide rows."""
+    tall = OperatorSubspace.from_constraints(n, rows).complement
+    wide = wide_nullspace_complement(rows)
+    assert tall.shape == wide.shape
+    assert np.max(np.abs(projector(tall) - projector(wide)), initial=0) < tol
+    return tall, wide
+
+
+def test_from_constraints_matches_wide_svd(rng):
+    for n, r in ((1, 2), (2, 5), (3, 40), (4, 100), (5, 256)):
+        rows = rng.standard_normal((r, 4**n)) + 1j * rng.standard_normal((r, 4**n))
+        assert_matches_wide_svd(n, rows)
+    row = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    tall, _ = assert_matches_wide_svd(2, np.vstack([row, 2 * row, 1j * row]))
+    assert tall.shape[1] == 1
+
+
+def test_from_constraints_matches_wide_svd_on_graded_rows(rng):
+    # singular values 1e-6 (kept) and 1e-10 (cut) times the largest, either
+    # side of RANK_RTOL.  A backward-stable SVD fixes the kept subspace only
+    # to about eps / 1e-6 (Wedin's theorem: backward error over the gap at
+    # the cut), so that is the bound for either route, against the exact
+    # complement and against each other.
+    tol = np.finfo(float).eps / 1e-6
+    for n, r in ((2, 6), (3, 12), (4, 40)):
+        s = rng.uniform(0.5, 2.0, r)
+        s[1], s[2] = 1e-6 * s.max(), 1e-10 * s.max()
+        right = random_unitary(rng, 4**n)[:, :r]
+        rows = (random_unitary(rng, r) * s) @ right.conj().T
+        exact = projector(np.delete(right, 2, axis=1))
+        for cols in assert_matches_wide_svd(n, rows, tol):
+            assert cols.shape[1] == r - 1
+            assert np.max(np.abs(projector(cols) - exact)) < tol
+
+
+def test_containment_residual_matches_full_svd(rng):
+    def orthonormal(dim, k):
+        return random_unitary(rng, dim)[:, :k]
+
+    for n, ci, co in ((2, 3, 5), (2, 7, 2), (3, 20, 10), (4, 50, 80), (5, 256, 256)):
+        dim = 4**n
+        a = OperatorSubspace(n, complement=orthonormal(dim, ci))
+        b = OperatorSubspace(n, complement=orthonormal(dim, co))
+        # generic principal angles between a and b, small ones between b and
+        # two copies of b tilted by 1e-9 and 1e-5
+        tilts = [np.linalg.qr(b.complement + t * orthonormal(dim, co))[0] for t in (1e-9, 1e-5)]
+        for inner, outer in [(a, b), (b, a)] + [(OperatorSubspace(n, complement=c), b)
+                                                for c in tilts]:
+            cin, cout = inner.complement, outer.complement
+            ref = largest_singular_value_svd(cout - cin @ (cin.conj().T @ cout))
+            assert abs(containment_residual(inner, outer) - ref) < 1e-12 * ref
+        # the same space under another complement basis: pure roundoff, with
+        # no sqrt(eps) floor such as 1 - cos^2 of the principal angles has
+        same = OperatorSubspace(n, complement=a.complement @ random_unitary(rng, ci))
+        ref = largest_singular_value_svd(
+            same.complement - a.complement @ (a.complement.conj().T @ same.complement))
+        got = containment_residual(a, same)
+        assert abs(got - ref) < 1e-14
+        assert got < 1e-14
 
 
 def test_full_space():
