@@ -4,24 +4,26 @@ Modes: analyze, classify, distance, union, theorem-check.  Reports are
 emitted as stable JSON or as aligned text tables; output for identical inputs
 is byte-identical across runs.  Exit status is 0 on success, 1 on any
 validation problem, and 2 when an internal cross-check (the intersection
-formulas against direct computation) fails beyond tolerance.
+formulas against direct computation) fails beyond tolerance or the program
+itself fails (error[internal]).  main may be called repeatedly in one
+process; the parser is built on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
 from .codes import CodeValidationError, QuantumCode, _cyclic_orbit, ingest_code, transform_code
 from .erasure import (
+    _complement_width,
     _scan,
-    erasure_space,
     is_degenerate_distance,
     minimum_distance,
     pure_distance,
-    pure_erasure_space,
 )
 from .fixtures import FIXTURE_NAMES, fixture_union_components, get_fixture
 from .states import CodeTransform
@@ -86,16 +88,18 @@ def _resolve_transform(args, n: int) -> CodeTransform:
         spec = _load_json_file(raw)
     try:
         return CodeTransform.from_json(spec, n)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:  # TypeError: a field of the wrong type
         raise CliError("invalid-transform", str(exc)) from exc
 
 
 def _space_section(code: QuantumCode, max_weight: int, pure: bool) -> dict:
-    """A space's dimension, plus its distance and per-weight rows from one Pauli scan."""
+    """A space's dimension, plus its distance and per-weight rows from one Pauli scan.
+
+    The dimension is structural (see erasure._complement_width), so no space is built.
+    """
     dist, tally = _scan(code, pure, max_weight)
-    space = pure_erasure_space(code) if pure else erasure_space(code)
     return {
-        "dim": space.dim,
+        "dim": 4**code.n - _complement_width(code.n, code.k, pure),
         "distance": dist,
         "degenerate": is_degenerate_distance(code, dist),
         "per_weight": [{"w": entry.weight, "members": entry.members,
@@ -275,7 +279,9 @@ def emit_report(report: dict, fmt: str, mode: str) -> str:
     return "\n".join(_MODES[mode][1](report)) + "\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qerasure argument parser, built on the first call and shared after it."""
     parser = _Parser(prog="qerasure",
                      description="Erasure-space analysis of small quantum codes")
     sub = parser.add_subparsers(dest="mode", required=True)
@@ -312,6 +318,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"qerasure: error[invalid-input] {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"qerasure: error[internal] {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     text = emit_report(report, args.format, args.mode)
     if args.out:
         Path(args.out).write_text(text)

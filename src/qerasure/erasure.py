@@ -76,37 +76,45 @@ def _trace_over_dim(code: QuantumCode, op) -> complex:
     return complex(np.trace(arr)) / (1 << code.n)
 
 
-def _deviations(grams: np.ndarray, alpha) -> np.ndarray:
-    """Each gram minus its required value alpha * identity, row-major: (m, K*K).
+def _deviations(grams: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """Each gram against its required value alpha * identity, row-major.
 
-    Column i*K + j of row p holds <c_i|sigma_p|c_j> - alpha_p delta_ij, so a
-    Pauli meets the conditions exactly when its row vanishes.  alpha is the
-    first diagonal element for the erasure conditions, tr(sigma)/2^n for the
-    pure ones and 0 for the annihilating ones.  The scans and single checks
-    read violations off these rows; the spaces are built from the columns of
-    the gram tensor directly (see _condition_complement).
+    Returns the (m, K*K) view of grams, not a copy, and the (m, K) diagonal
+    deviations <c_i|sigma_p|c_i> - alpha_p.  Column i*K + j of row p deviates
+    from its required value by the view's entry off the diagonal (i != j)
+    and by diagonal[p, i] on it, so a Pauli meets the conditions exactly when
+    every deviation of its row vanishes.  alpha is the first diagonal element
+    for the erasure conditions, tr(sigma)/2^n for the pure ones and 0 for the
+    annihilating ones.  The scans and single checks read violations off these
+    rows; the spaces are built from the columns of the gram tensor directly
+    (see _condition_complement).
     """
     m, k, _ = grams.shape
-    dev = grams.reshape(m, k * k).copy()
-    dev[:, :: k + 1] -= np.reshape(alpha, (-1, 1))
-    return dev
+    rows = grams.reshape(m, k * k)
+    return rows, rows[:, :: k + 1] - np.reshape(alpha, (-1, 1))
 
 
-def _first_violations(dev: np.ndarray, k: int, tol: float = MATRIX_ELEMENT_TOL):
+def _first_violations(rows: np.ndarray, diagonal: np.ndarray, k: int,
+                      tol: float = MATRIX_ELEMENT_TOL):
     """First violated condition, in row-major order, of each row of _deviations.
 
     Returns the violation mask and, for every row, the (i, j) of its first
-    violation and the deviation there.
+    violation and the deviation there.  Only the magnitudes are materialised;
+    the deviations themselves are read back for the first violations alone.
     """
-    bad = np.abs(dev) >= tol
+    size = np.abs(rows)
+    size[:, :: k + 1] = np.abs(diagonal)
+    bad = size >= tol
     first = bad.argmax(axis=1)
-    return bad.any(axis=1), first // k, first % k, dev[np.arange(dev.shape[0]), first]
+    i, j = np.divmod(first, k)
+    index = np.arange(rows.shape[0])
+    return bad.any(axis=1), i, j, np.where(i == j, diagonal[index, i], rows[index, first])
 
 
 def _check(code: QuantumCode, op, tol: float, pure: bool) -> MembershipReport:
     gram = _gram_matrix(code, op)
     alpha = _trace_over_dim(code, op) if pure else gram[0, 0]
-    bad, i, j, dev = _first_violations(_deviations(gram[None], alpha), code.k, tol)
+    bad, i, j, dev = _first_violations(*_deviations(gram[None], alpha), code.k, tol)
     if bad[0]:
         return MembershipReport(False, witness=(int(i[0]), int(j[0]), complex(dev[0])))
     return MembershipReport(True, alpha=complex(alpha if pure else np.mean(np.diag(gram))))
@@ -124,7 +132,7 @@ def check_pure(code: QuantumCode, op,
     return _check(code, op, tol, pure=True)
 
 
-def _pauli_deviations(code: QuantumCode, pure: bool) -> np.ndarray:
+def _pauli_deviations(code: QuantumCode, pure: bool) -> tuple[np.ndarray, np.ndarray]:
     """_deviations of every Pauli under the erasure, or else the pure, conditions."""
     grams = code.grams
     if not pure:
@@ -146,6 +154,16 @@ def _scaled_columns(code: QuantumCode) -> np.ndarray:
     return cols
 
 
+def _complement_width(n: int, k: int, pure: bool) -> int:
+    """Columns in the complement of the erasure, or else the pure, conditions.
+
+    K^2 - 1 for the erasure conditions, plus the traceless code projector for
+    the pure ones unless K = 2^n, where that projector is the identity.  The
+    space's dimension is 4^n less this width.
+    """
+    return k * k - 1 + (pure and k < 1 << n)
+
+
 def _condition_complement(code: QuantumCode, pure: bool) -> np.ndarray:
     """Orthonormal complement of the erasure, or else the pure, conditions.
 
@@ -155,20 +173,20 @@ def _condition_complement(code: QuantumCode, pure: bool) -> np.ndarray:
     them to an orthonormal basis, written over the first K-1 diagonal
     columns.  The pure conditions add the traceless part of their sum, the
     code projector less its identity component, in the last diagonal column,
-    which is the last column; it vanishes when K = 2^n, where the projector
-    is the identity, and is then dropped as the erasure conditions drop it.
+    which is the last column; _complement_width drops that column when the
+    projector is the identity, as it does for the erasure conditions.
     """
     n, k = code.n, code.k
+    width = _complement_width(n, k, pure)
     cols = _scaled_columns(code)
     diag = np.arange(k) * (k + 1)
     d = cols[:, diag]
     cols[:, diag[:-1]] = d @ np.linalg.qr(np.ones((k, 1)), mode="complete")[0][:, 1:]
-    if pure and k < 1 << n:
+    if width == k * k:
         projector = d.sum(axis=1)
         projector[0] = 0  # identity is coordinate 0
         cols[:, -1] = projector / np.linalg.norm(projector)
-        return cols
-    return cols[:, :-1]
+    return cols[:, :width]
 
 
 def erasure_space(code: QuantumCode) -> OperatorSubspace:
@@ -223,7 +241,7 @@ def _scan(code: QuantumCode, pure: bool,
         raise ValueError(f"max_weight must be in [0, {code.n}], got {max_weight}")
     t = _pauli_table(code.n)
     weights = np.bitwise_count(t.x | t.z)
-    bad, i, j, dev = _first_violations(_pauli_deviations(code, pure), code.k)
+    bad, i, j, dev = _first_violations(*_pauli_deviations(code, pure), code.k)
     failing = weights[bad]  # coordinate order is ascending weight
     distance = int(failing[0]) if failing.size else code.n + 1
     tally = []

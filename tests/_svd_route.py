@@ -2,9 +2,10 @@
 
 The package writes the complements of these spaces down in closed form from
 the gram tensor.  This module keeps the older route as a second one: each
-space is the nullspace of its (K^2, 4^n) condition system, the rows of
-erasure._deviations, from one thin SVD with a relative rank cut.  Dimensions
-come out of that rank cut here, not from the structure of the conditions.
+space is the nullspace of its (K^2, 4^n) condition system, the gram rows
+of erasure._deviations with its diagonal deviations written in, from one thin
+SVD with a relative rank cut.  Dimensions come out of that rank cut here, not
+from the structure of the conditions.
 
 It also keeps the older factorizations behind OperatorSubspace: the SVD of
 the wide constraint rows themselves, and the full singular value spectrum of
@@ -31,7 +32,10 @@ def largest_singular_value_svd(m):
 
 
 def _nullspace(code, alpha):
-    return OperatorSubspace.from_constraints(code.n, _deviations(code.grams, alpha).T)
+    rows, diagonal = _deviations(code.grams, alpha)
+    dev = rows.copy()
+    dev[:, :: code.k + 1] = diagonal
+    return OperatorSubspace.from_constraints(code.n, dev.T)
 
 
 def erasure_space_svd(code):

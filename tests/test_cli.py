@@ -369,6 +369,80 @@ def test_mismatch_exit_code(monkeypatch, capsys):
     assert json.loads(out)["theorem4"]["matches_direct"] is False
 
 
+@pytest.mark.parametrize("transform", ['{"perm": 3}', '{"locals": 5}'],
+                         ids=["int-perm", "int-locals"])
+def test_transform_of_the_wrong_type(capsys, transform):
+    status, out, err = run_cli(capsys, "theorem-check", "--fixture", "gbp",
+                               "--transform", transform)
+    assert status == 1 and out == ""
+    assert err.startswith("qerasure: error[invalid-transform]")
+    assert err.count("\n") == 1
+
+
+def test_internal_error_is_one_line(monkeypatch, capsys):
+    import qerasure.cli as cli_module
+
+    def broken(args):
+        raise RuntimeError("scan went wrong")
+
+    monkeypatch.setitem(cli_module._MODES, "analyze", (broken, cli_module._table_analyze))
+    status, out, err = run_cli(capsys, "analyze", "--fixture", "gbp")
+    assert status == 2 and out == ""
+    assert err == "qerasure: error[internal] RuntimeError: scan went wrong\n"
+    # --help still exits through argparse, with status 0
+    for argv in (["--help"], ["analyze", "--help"]):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: qerasure")
+
+
+def test_repeated_calls_in_one_process(tmp_path, capsys, monkeypatch):
+    import qerasure.cli as cli_module
+
+    target = tmp_path / "report.out"
+    calls = [
+        ["analyze", "--fixture", "gbp"],
+        ["analyze", "--fixture", "rains-subcode", "--max-weight", "2", "--format", "table"],
+        ["classify", "--fixture", "gbp", "--pure"],
+        ["classify", "--fixture", "rains-subcode", "--format", "table"],
+        ["classify", "--fixture", "gbp", "--pure", "--max-weight", "2", "--format", "table"],
+        ["distance", "--fixture", "gbp", "--format", "table"],
+        ["analyze", "--fixture", "gbp", "--max-weight", "two"],
+        ["distance", "--fixture", "rains-subcode", "--out", str(target)],
+        ["analyze", "--fixture", "gbp-union", "--max-weight", "2", "--format", "table",
+         "--out", str(target)],
+        ["classify", "--fixture", "rains-subcode"],
+    ]
+
+    def outputs(order):
+        results = {}
+        for index in order:
+            status, out, err = run_cli(capsys, *calls[index])
+            written = target.read_text() if target.exists() else None
+            target.unlink(missing_ok=True)
+            results[index] = (status, out, err, written)
+        return results
+
+    parser = cli_module.build_parser()
+    parsed = []
+    real_parse = parser.parse_args
+    monkeypatch.setattr(parser, "parse_args",
+                        lambda argv=None: parsed.append(argv) or real_parse(argv))
+    forward = outputs(range(len(calls)))
+    backward = outputs(reversed(range(len(calls))))
+    # one parser object served every call
+    assert len(parsed) == 2 * len(calls)
+    assert cli_module.build_parser() is parser
+
+    monkeypatch.setattr(cli_module, "build_parser", cli_module.build_parser.__wrapped__)
+    fresh = outputs(range(len(calls)))
+    assert forward == backward == fresh
+    assert [fresh[i][0] for i in range(len(calls))] == [0] * 6 + [1] + [0] * 3
+    assert fresh[6][2].startswith("qerasure: error[bad-arguments]")
+    assert fresh[7][1] == "" and json.loads(fresh[7][3])["distance"] == 6
+
+
 def test_subprocess_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "qerasure", "distance", "--fixture", "gbp"],

@@ -27,8 +27,11 @@ from qerasure import (
 from qerasure.erasure import annihilating_space
 
 from _oracle import (
+    all_pauli_letterings,
     code_matrix,
+    dense_pauli,
     erasure_constraint_matrix,
+    gram,
     pure_constraint_matrix,
     svd_rank,
     zero_block_constraint_matrix,
@@ -301,6 +304,32 @@ def test_classify_witnesses_match_single_checks():
                     i, j, value = found[pauli_to_string(p)]
                     assert (i, j) == report.witness[:2]
                     assert abs(value - report.witness[2]) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["gbp", "rains-union"])
+def test_witnesses_match_dense_first_violation(name):
+    code = get_fixture(name)
+    kets = code_matrix([ket.amplitudes for ket in code.basis])
+    on_diagonal = 0
+    for pure, check in ((False, check_erasure), (True, check_pure)):
+        found = {label: wit for row in classify_paulis(code, pure=pure)
+                 for label, wit in zip(row.violators, row.witnesses)}
+        for letters in all_pauli_letterings(code.n):
+            op = dense_pauli(letters)
+            g = gram(kets, op)
+            alpha = np.trace(op) / 2**code.n if pure else g[0, 0]
+            dev = (g - alpha * np.eye(code.k)).ravel()
+            bad = np.flatnonzero(np.abs(dev) >= 1e-9)
+            if bad.size == 0:
+                assert letters not in found
+                continue
+            i, j = divmod(int(bad[0]), code.k)
+            on_diagonal += i == j
+            for witness in (found[letters], check(code, pauli_from_string(letters)).witness):
+                assert witness[:2] == (i, j)
+                assert abs(witness[2] - dev[bad[0]]) < 1e-12
+    # the diagonal deviations, g_ii - alpha, are read back too
+    assert on_diagonal > 0
 
 
 def test_classify_rejects_excess_weight():
