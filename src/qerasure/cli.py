@@ -323,7 +323,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     text = emit_report(report, args.format, args.mode)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            print(f"qerasure: error[unwritable-file] cannot write {args.out}: {exc}",
+                  file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     for key in ("theorem4", "theorem5"):

@@ -16,6 +16,11 @@ basis is.  So each space is stored by a complement written down in closed
 form, with no factorisation of a 4^n-long system, and its dimension is
 structural: 4^n - K^2 + 1 (erasure), 4^n - K^2 (pure; 1 when K = 2^n) and
 4^n - K^2 (annihilating).
+
+Each of these spaces is closed under the adjoint, which swaps the conditions
+on <c_i|E|c_j> and <c_j|E|c_i> and conjugates Pauli coordinates, so each has
+a real orthonormal complement (_scaled_columns).  The complements are float64
+arrays, and everything built from them runs in real arithmetic.
 """
 
 from __future__ import annotations
@@ -143,15 +148,24 @@ def _pauli_deviations(code: QuantumCode, pure: bool) -> tuple[np.ndarray, np.nda
 
 
 def _scaled_columns(code: QuantumCode) -> np.ndarray:
-    """conj(<c_i|sigma|c_j>) / 2^(n/2), column i*K + j: (4^n, K^2), a new array.
+    """A real orthonormal basis of the K^2 condition directions: (4^n, K^2), a new array.
 
-    Column (i, j) is the Pauli coordinate vector of |c_j><c_i| / 2^(n/2), the
-    unit complement direction of the condition on <c_i|E|c_j>.
+    The complex direction of the condition on <c_i|E|c_j> is
+    x_ij = conj(<c_i|sigma|c_j>) / 2^(n/2), the Pauli coordinates of
+    |c_j><c_i| / 2^(n/2).  Paulis are Hermitian, so x_ji = conj(x_ij): the
+    diagonal columns i*K + i are real, and each pair i < j spans the same
+    space as sqrt(2) Re x_ij, in column i*K + j, and sqrt(2) Im x_ij, in
+    column j*K + i.  These are orthonormal because x_ij^T x_ij is
+    proportional to tr((|c_j><c_i|)^2) = 0 for i != j.  Read off the gram
+    tensor, the upper triangle is sqrt(2) Re <c_i|sigma|c_j> and the lower
+    one sqrt(2) Im <c_i|sigma|c_j>, since Im x_ij = Im <c_j|sigma|c_i>.
     """
     k = code.k
-    cols = code.grams.reshape(-1, k * k).conj()
-    cols *= 2.0 ** (-code.n / 2)
-    return cols
+    g = code.grams
+    scale = 2.0 ** (-code.n / 2) * np.where(np.eye(k, dtype=bool), 1.0, np.sqrt(2))
+    cols = np.where(np.tri(k, k, -1, dtype=bool), g.imag, g.real)
+    cols *= scale
+    return cols.reshape(-1, k * k)
 
 
 def _complement_width(n: int, k: int, pure: bool) -> int:

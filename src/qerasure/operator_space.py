@@ -18,12 +18,24 @@ thin SVD of the rows in tall column form.  The spanning basis is completed
 from the complement on first use.  Unitary maps of operator space carry
 complements to complements, so they act on the complement alone.
 
+A space closed under the adjoint has a real orthonormal complement: the
+phase-0 Paulis are Hermitian, so E -> E^H conjugates coordinates, and a
+Hermitian operator has real ones.  The erasure, pure and annihilating
+spaces, their conjugates and every factor of the union formulas are of that
+kind and store float64 complements; the one-sided products of the unions
+module are not, and stay complex.  Nothing selects a real or a complex path:
+the constructors keep the dtype of their input, real as float64 and complex
+as complex128, and numpy promotes to complex only where some input is
+complex.  So intersections, containment residuals and completions of real
+spaces run in real arithmetic, in half the memory.
+
 Completion, in either direction, takes the Householder QR of the k known
 columns in compact-WY form Q = I - V T V^H (Schreiber and Van Loan, "A
 storage-efficient WY representation for products of Householder
 transformations", SIAM J. Sci. Stat. Comput. 10, 1989) and writes the last
 4^n - k columns of Q as one rank-k product.  At n = 6 that spanning basis is
-a 4096 x ~4093 complex array (268 MB), the only O(16^n) object here.
+a 4096 x ~4093 array, float64 (134 MB) for a real space and complex (268 MB)
+otherwise, the only O(16^n) object here.
 
 Numerical conventions: ranks are read from singular values with a relative
 threshold of RANK_RTOL times the largest one, and membership or containment
@@ -114,9 +126,14 @@ def _pauli_grams(vecs: np.ndarray, n: int) -> np.ndarray:
     """
     t = _pauli_table(n)
     b = np.arange(1 << n)
-    prod = vecs.conj()[b[:, None] ^ b[None, :], :, None] * vecs[:, None, None, :]
-    grams = _hadamard(t, prod).reshape(4**n, vecs.shape[1], vecs.shape[1])
-    return t.phase[:, None, None] * grams[_slots(t, n)]
+    k = vecs.shape[1]
+    # The product tensor is freed as soon as its transform exists, and the
+    # phase multiplies the gathered copy in place: at most two (4^n, K, K)
+    # arrays are alive at once.
+    grams = _hadamard(t, vecs.conj()[b[:, None] ^ b[None, :], :, None] * vecs[:, None, None, :])
+    out = grams.reshape(4**n, k, k)[_slots(t, n)]
+    out *= t.phase[:, None, None]
+    return out
 
 
 def pauli_index(p: PauliOperator) -> int:
@@ -172,8 +189,14 @@ def coords_to_matrix(coords: np.ndarray, n: int) -> np.ndarray:
     return coords_to_matrices(coords, n)[:, :, 0]
 
 
+def _real_or_complex(arr) -> np.ndarray:
+    """arr as float64 when it is real and as complex128 when it is complex."""
+    a = np.asarray(arr)
+    return a.astype(np.result_type(a, np.float64), copy=False)
+
+
 def _as_columns(arr: np.ndarray, dim: int) -> np.ndarray:
-    a = np.asarray(arr, dtype=complex)
+    a = _real_or_complex(arr)
     if a.ndim == 1:
         a = a[:, None]
     if a.shape[0] != dim:
@@ -224,7 +247,8 @@ class OperatorSubspace:
     """An operator subspace, held as orthonormal coordinate-vector bases.
 
     Exactly one of basis/complement is required; the other is derived lazily.
-    Both arrays have shape (4^n, k) with orthonormal columns.
+    Both arrays have shape (4^n, k) with orthonormal columns, float64 when
+    given real and complex128 when given complex.
     """
 
     def __init__(self, n: int, basis: np.ndarray | None = None,
@@ -261,7 +285,7 @@ class OperatorSubspace:
 
     @classmethod
     def full(cls, n: int) -> "OperatorSubspace":
-        return cls(n, complement=np.zeros((4**n, 0), dtype=complex))
+        return cls(n, complement=np.zeros((4**n, 0)))
 
     @classmethod
     def from_constraints(cls, n: int, rows: np.ndarray,
@@ -275,7 +299,7 @@ class OperatorSubspace:
         rank columns.  LAPACK factors a tall matrix without the LQ pass a
         wide one takes, and only the kept columns are conjugated.
         """
-        rows = np.asarray(rows, dtype=complex)
+        rows = _real_or_complex(rows)
         if rows.ndim == 1:
             rows = rows[None, :]
         if rows.shape[0] == 0:
@@ -299,12 +323,17 @@ class OperatorSubspace:
 
     def member_residual(self, coords: np.ndarray) -> float:
         """Relative norm of the component of coords outside the subspace."""
-        v = np.asarray(coords, dtype=complex)
+        v = np.asarray(coords)
         nrm = np.linalg.norm(v)
         if nrm == 0:
             return 0.0
-        if self._complement is not None:
-            return float(np.linalg.norm(self._complement.conj().T @ v) / nrm)
+        c = self._complement
+        if c is not None:
+            # v^H c is the conjugate of c^H v.  A real c meets v's real and
+            # imaginary parts as one real product, so the tall complement is
+            # never conjugated or promoted to complex.
+            w = np.stack([v.real, v.imag]) if np.isrealobj(c) else v.conj()
+            return float(np.linalg.norm(w @ c) / nrm)
         b = self.basis
         return float(np.linalg.norm(v - b @ (b.conj().T @ v)) / nrm)
 

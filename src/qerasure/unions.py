@@ -11,6 +11,14 @@ first basis ket is unchanged by conjugation.  The union's pure space is the
 analogous four-way intersection.  Both pipelines are cross-checked here
 against the direct computation over the concatenated basis, which never
 special-cases mixed component pairs.
+
+Every factor of both intersections is closed under the adjoint, so each is
+stored by a real complement and the intersections and their comparison with
+the direct spaces run in real arithmetic.  Conjugation by U keeps a real
+complement real.  The two one-sided multiples of the zero-block space are
+adjoints of each other, so they enter as one real factor, their
+intersection, built from a single one-sided map (_mixed_blocks).  The
+one-sided maps themselves return complex complements.
 """
 
 from __future__ import annotations
@@ -113,9 +121,14 @@ def _product_map(n: int, left: np.ndarray | None = None,
 
 
 def conjugate_subspace(s: OperatorSubspace, u) -> OperatorSubspace:
-    """Image of s under E -> U E U-adjoint; dimension is preserved."""
+    """Image of s under E -> U E U-adjoint; dimension is preserved.
+
+    Conjugation keeps Hermitian operators Hermitian, so a real complement
+    maps to real coordinates and is kept real: the part dropped is roundoff.
+    """
     mat = _as_action(s.n, u).matrix
-    return map_subspace(s, _product_map(s.n, left=mat, right=mat.conj().T))
+    image = _product_map(s.n, left=mat, right=mat.conj().T)(s.complement)
+    return OperatorSubspace(s.n, complement=image.real if np.isrealobj(s.complement) else image)
 
 
 def left_multiply_subspace(s: OperatorSubspace, u) -> OperatorSubspace:
@@ -133,7 +146,8 @@ def equal_expectation_space(code: QuantumCode, u,
     """Operators whose expectation in basis ket `anchor` is conjugation-invariant.
 
     The single constraint <a|E|a> = <Ua|E|Ua> cuts the space down by at most
-    one dimension.
+    one dimension.  Its row, a difference of two expectations of Hermitian
+    Paulis, is real.
     """
     if code.k < 1:
         raise ValueError("code has no basis kets")
@@ -141,7 +155,7 @@ def equal_expectation_space(code: QuantumCode, u,
     ket = code.basis[anchor]
     pair = np.column_stack([ket.amplitudes, action.apply(ket).amplitudes])
     grams = _pauli_grams(pair, code.n)
-    return OperatorSubspace.from_constraints(code.n, grams[:, 0, 0] - grams[:, 1, 1])
+    return OperatorSubspace.from_constraints(code.n, (grams[:, 0, 0] - grams[:, 1, 1]).real)
 
 
 def _require_orthogonal_image(code: QuantumCode, action: UnitaryAction) -> QuantumCode:
@@ -155,16 +169,24 @@ def _require_orthogonal_image(code: QuantumCode, action: UnitaryAction) -> Quant
     return image
 
 
-def _mixed_blocks(code: QuantumCode, action: UnitaryAction) -> list[OperatorSubspace]:
-    """The mixed-block factors of both formulas: Z U-adjoint and U Z, Z annihilating."""
-    zs = annihilating_space(code)
-    return [right_multiply_subspace(zs, action.adjoint()), left_multiply_subspace(zs, action)]
+def _mixed_blocks(code: QuantumCode, action: UnitaryAction) -> OperatorSubspace:
+    """The mixed-block factor of both formulas: Z U-adjoint meet U Z, Z annihilating.
+
+    U Z is the adjoint of Z U-adjoint, so its complement is the conjugate of
+    the complement X of Z U-adjoint.  The two complements are orthogonal,
+    because the code is orthogonal to its image: <|c_j><Uc_i|, |Uc_l><c_m|>
+    = <c_j|Uc_l><c_m|Uc_i> = 0.  So the intersection has the orthonormal
+    complement [X, conj X], which spans the same space as the real
+    sqrt(2) [Re X, Im X], and one one-sided map builds it.
+    """
+    x = right_multiply_subspace(annihilating_space(code), action.adjoint()).complement
+    return OperatorSubspace(code.n, complement=np.sqrt(2) * np.hstack([x.real, x.imag]))
 
 
-def _theorem4(code: QuantumCode, action: UnitaryAction, mixed: list[OperatorSubspace],
+def _theorem4(code: QuantumCode, action: UnitaryAction, mixed: OperatorSubspace,
               check_anchor_independence: bool = False) -> OperatorSubspace:
     es = erasure_space(code)
-    pieces = [es, conjugate_subspace(es, action), *mixed, equal_expectation_space(code, action)]
+    pieces = [es, conjugate_subspace(es, action), mixed, equal_expectation_space(code, action)]
     result = intersect(pieces)
     if check_anchor_independence:
         # The expectation constraint nominally uses the first basis ket; any
@@ -178,9 +200,9 @@ def _theorem4(code: QuantumCode, action: UnitaryAction, mixed: list[OperatorSubs
 
 
 def _theorem5(code: QuantumCode, action: UnitaryAction,
-              mixed: list[OperatorSubspace]) -> OperatorSubspace:
+              mixed: OperatorSubspace) -> OperatorSubspace:
     ps = pure_erasure_space(code)
-    return intersect([ps, conjugate_subspace(ps, action), *mixed])
+    return intersect([ps, conjugate_subspace(ps, action), mixed])
 
 
 def union_erasure_space_via_intersection(
@@ -229,7 +251,7 @@ def _cross_check(code: QuantumCode, u, union: QuantumCode,
                  tol: float = SUBSPACE_TOL) -> dict:
     """cross_check_intersection_formulas against an already built union C (+) UC.
 
-    Both formulas share the mixed-block factors, and the direct spaces read
+    Both formulas share the mixed-block factor, and the direct spaces read
     the union's gram tensor, so a caller that has the union builds it once.
     """
     action = _as_action(code.n, u)

@@ -255,6 +255,15 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["distance"] == 2
 
 
+@pytest.mark.parametrize("where", ["missing-dir/report.json", "."])
+def test_out_path_that_cannot_be_written(tmp_path, capsys, where):
+    target = tmp_path / where  # a directory that does not exist, or a directory itself
+    status, out, err = run_cli(capsys, "distance", "--fixture", "gbp", "--out", str(target))
+    assert status == 1 and out == ""
+    assert err.startswith(f"qerasure: error[unwritable-file] cannot write {target}: ")
+    assert err.count("\n") == 1
+
+
 def test_unknown_fixture_error(capsys):
     status, out, err = run_cli(capsys, "analyze", "--fixture", "nope")
     assert status == 1 and out == ""
@@ -349,7 +358,7 @@ def test_union_refuses_oversized_union(tmp_path, capsys, gram_builds):
     assert gram_builds == []
 
 
-def test_mismatch_exit_code(monkeypatch, capsys):
+def test_mismatch_exit_code(monkeypatch, capsys, tmp_path):
     import qerasure.cli as cli_module
 
     def fake_check(code, t, tol=1e-8):
@@ -367,6 +376,14 @@ def test_mismatch_exit_code(monkeypatch, capsys):
     assert status == 2
     assert "error[formula-mismatch]" in err
     assert json.loads(out)["theorem4"]["matches_direct"] is False
+    # the report is written first; the mismatch still sets the exit status
+    target = tmp_path / "report.json"
+    status, out, err = run_cli(
+        capsys, "theorem-check", "--fixture", "gbp",
+        "--transform", '{"locals": ["I", "I", "I", "Y"]}', "--out", str(target))
+    assert status == 2 and out == ""
+    assert err.startswith("qerasure: error[formula-mismatch]")
+    assert json.loads(target.read_text())["theorem4"]["matches_direct"] is False
 
 
 @pytest.mark.parametrize("transform", ['{"perm": 3}', '{"locals": 5}'],

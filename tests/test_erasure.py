@@ -141,7 +141,7 @@ def test_gbp_space_dims_frozen():
 def test_six_qubit_erasure_space_basis(rng):
     es = erasure_space(random_code(rng, 6, 2))
     basis = es.basis
-    assert basis.shape == (4096, 4093)
+    assert basis.shape == (4096, 4093) and basis.dtype == np.float64  # 134 MB, not 268
     cols = basis[:, rng.choice(4093, size=64, replace=False)]
     assert np.max(np.abs(np.linalg.norm(cols, axis=0) - 1)) < 1e-12
     assert np.max(np.abs(es.complement.conj().T @ cols)) < 1e-12
@@ -174,8 +174,11 @@ def random_frames(draw):
 @settings(max_examples=40, deadline=None, database=None)
 @given(random_frames())
 def test_closed_form_spaces_match_svd_route(code):
+    # the closed forms are real; the SVD route factors the complex condition rows
     for closed, svd in CLOSED_FORMS:
         space, oracle = closed(code), svd(code)
+        assert space.complement.dtype == np.float64
+        assert oracle.complement.dtype == np.complex128
         assert space.dim == oracle.dim
         assert equality_residual(space, oracle) < 1e-12
         space.validate(tol=1e-12)
@@ -197,6 +200,7 @@ def test_full_code_spaces(rng, n):
     ident[0] = 1.0
     for closed, svd in CLOSED_FORMS:
         space, oracle = closed(code), svd(code)
+        assert space.complement.dtype == np.float64
         assert space.dim == oracle.dim
         assert equality_residual(space, oracle) < 1e-12
         space.validate(tol=1e-12)

@@ -67,6 +67,33 @@ def test_pauli_gram_kernel_matches_oracle(rng):
         assert np.max(np.abs(_pauli_grams(mat, n) - dense)) < 1e-12
 
 
+def test_pauli_gram_kernel_phase_in_place(rng):
+    # the phase multiplies the gathered transform in place: the same products,
+    # bit for bit, as the out-of-place form, with half the peak memory
+    import tracemalloc
+
+    from qerasure.codes import basis_matrix
+    from qerasure.operator_space import _hadamard, _pauli_grams, _slots
+
+    for n, k in ((1, 1), (3, 2), (4, 4), (5, 8)):
+        vecs = basis_matrix(random_code(rng, n, k))
+        t = _pauli_table(n)
+        b = np.arange(1 << n)
+        prod = vecs.conj()[b[:, None] ^ b[None, :], :, None] * vecs[:, None, None, :]
+        grams = _hadamard(t, prod).reshape(4**n, k, k)
+        expected = t.phase[:, None, None] * grams[_slots(t, n)]
+        del prod, grams
+        tracemalloc.start()
+        try:
+            out = _pauli_grams(vecs, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
+        if n == 5:  # two (4^n, K, K) arrays at most, not four
+            assert peak < 2.5 * out.nbytes
+
+
 def test_coords_batch_shape(rng):
     cols = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
     stack = coords_to_matrices(cols, 2)
@@ -162,6 +189,7 @@ def test_containment_residual_matches_full_svd(rng):
 def test_full_space():
     s = OperatorSubspace.full(2)
     assert s.dim == 16
+    assert s.complement.shape == (16, 0) and s.complement.dtype == np.float64
     assert s.member_residual(pauli_coords(pauli_from_string("XY"))) == 0.0
 
 
@@ -174,6 +202,32 @@ def test_from_span_drops_dependent_columns(rng):
     v = pauli_coords(pauli_from_string("XI"))
     s = OperatorSubspace.from_span(2, np.column_stack([v, 3 * v]))
     assert s.dim == 1
+
+
+def test_dtype_follows_the_data(rng):
+    # real input stays float64, complex input stays complex; intersect and
+    # the completed basis promote only when some input is complex
+    n, dim = 2, 16
+    real_rows = rng.standard_normal((3, dim))
+    a = OperatorSubspace.from_constraints(n, real_rows)
+    b = OperatorSubspace.from_constraints(n, real_rows[:2].astype(int))
+    c = OperatorSubspace.from_constraints(n, real_rows + 1j * rng.standard_normal((3, dim)))
+    assert (a.complement.dtype, b.complement.dtype, c.complement.dtype) == (
+        np.float64, np.float64, np.complex128)
+    assert OperatorSubspace.from_span(n, real_rows.T).basis.dtype == np.float64
+    assert a.basis.dtype == np.float64
+    for parts, dtype in (([a, b], np.float64), ([a, OperatorSubspace.full(n)], np.float64),
+                         ([a, c], np.complex128)):
+        meet = intersect(parts)
+        assert meet.complement.dtype == dtype
+        meet.validate(1e-12)
+    meet = intersect([a, b])
+    complex_meet = intersect([OperatorSubspace(n, complement=s.complement.astype(complex))
+                              for s in (a, b)])
+    assert complex_meet.complement.dtype == np.complex128
+    rank = np.linalg.matrix_rank(np.vstack([real_rows, real_rows[:2].astype(int)]))
+    assert meet.dim == complex_meet.dim == dim - rank
+    assert equality_residual(meet, complex_meet) < 1e-12
 
 
 def test_intersect_hand_example():

@@ -63,6 +63,33 @@ def test_intersection_is_symmetric(pair):
     assert equality_residual(ab, ba) < 1e-12
 
 
+@st.composite
+def real_and_complex_complements(draw):
+    """One space by two complements: a real orthonormal one, and the same
+    columns mixed by a random complex unitary, which spans the same space."""
+    n = draw(st.integers(1, 3))
+    dim = 4**n
+    c = draw(st.integers(0, dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    real = np.linalg.qr(rng.standard_normal((dim, c)))[0]
+    mixed = real @ random_unitary(rng, c)
+    probes = rng.standard_normal((4, dim)) + 1j * rng.standard_normal((4, dim))
+    probes[0] = real @ (rng.standard_normal(c) + 1j * rng.standard_normal(c))  # in the complement
+    return (OperatorSubspace(n, complement=real), OperatorSubspace(n, complement=mixed),
+            probes)
+
+
+@LAWS
+@given(real_and_complex_complements())
+def test_real_and_complex_complements_agree(spaces):
+    real, mixed, probes = spaces
+    assert real.complement.dtype == np.float64 and mixed.complement.dtype == np.complex128
+    for v in probes:
+        assert abs(real.member_residual(v) - mixed.member_residual(v)) < 1e-12
+        assert abs(real.member_residual(v.real) - mixed.member_residual(v.real)) < 1e-12
+    assert equality_residual(real, mixed) < 1e-12
+
+
 @LAWS
 @given(space_pairs())
 def test_equality_residual_is_symmetric(pair):

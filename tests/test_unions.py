@@ -3,8 +3,10 @@ import pytest
 
 from qerasure import (
     CodeTransform,
+    Ket,
     OperatorSubspace,
     OrthogonalityError,
+    QuantumCode,
     UnitaryAction,
     code_to_json,
     conjugate_subspace,
@@ -35,10 +37,34 @@ from qerasure import (
     union_pure_space_via_intersection,
     weight,
 )
+from qerasure.codes import basis_matrix
 from qerasure.erasure import annihilating_space
-from qerasure.unions import _as_action
+from qerasure.operator_space import _pauli_grams
+from qerasure.unions import _as_action, _mixed_blocks, _product_map
 
-from conftest import random_orthogonal_pair, random_unitary
+from conftest import random_code, random_orthogonal_pair, random_unitary
+
+ADJOINT_CLOSED = (erasure_space, pure_erasure_space, annihilating_space)
+
+
+def swap_pair(rng, n, k):
+    """A random K-frame and a dense unitary that swaps it with an orthogonal one."""
+    code, other = random_orthogonal_pair(rng, n, k, k)
+    b1, b2 = basis_matrix(code), basis_matrix(other)
+    # unitary sending code -> other, completed arbitrarily on the complement
+    rest = np.linalg.qr(np.hstack([b1, b2]), mode="complete")[0][:, 2 * k:]
+    rest2 = np.linalg.qr(np.hstack([b2, b1]), mode="complete")[0][:, 2 * k:]
+    u = np.hstack([b2, b1, rest2]) @ np.hstack([b1, b2, rest]).conj().T
+    return code, UnitaryAction.from_matrix(n, u)
+
+
+def half_frame_pair(rng, n, k):
+    """A random K-frame on the qubit-0 = |0> half and a Pauli-type transform
+    with X on qubit 0, whose image lies in the other half."""
+    frame = random_unitary(rng, 1 << (n - 1))[:, :k]
+    kets = tuple(Ket(n, np.concatenate([col, np.zeros(1 << (n - 1))])) for col in frame.T)
+    return (QuantumCode(n=n, k=k, basis=kets, label="half"),
+            CodeTransform(n, locals=["X"] + ["Y"] * (n - 1)))
 
 
 # ------------------------------------------------------------------ unions
@@ -260,17 +286,75 @@ def test_toy_two_qubit_pipeline():
 
 def test_pipeline_random_pair(rng):
     # a random unitary image, forced orthogonal by embedding into a frame
-    code, other = random_orthogonal_pair(rng, 3, 2, 2)
-    from qerasure.codes import basis_matrix
-
-    b1, b2 = basis_matrix(code), basis_matrix(other)
-    # unitary sending code -> other, completed arbitrarily on the complement
-    rest = np.linalg.qr(np.hstack([b1, b2]), mode="complete")[0][:, 4:]
-    rest2 = np.linalg.qr(np.hstack([b2, b1]), mode="complete")[0][:, 4:]
-    u = np.hstack([b2, b1, rest2]) @ np.hstack([b1, b2, rest]).conj().T
-    report = cross_check_intersection_formulas(code, UnitaryAction.from_matrix(3, u))
+    report = cross_check_intersection_formulas(*swap_pair(rng, 3, 2))
     assert report["theorem4"]["matches_direct"]
     assert report["theorem5"]["matches_direct"]
+
+
+# ------------------------------------------------- real Pauli coordinates
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_conjugated_spaces_stay_real(rng, n):
+    # K = 2^n included, under a Pauli-type and a dense transform; the complex
+    # route is the same map of the same complement, imaginary part kept
+    for k in sorted({1, 2, 1 << n}):
+        code = random_code(rng, n, k)
+        for u in (CodeTransform(n, locals=["Y"] + ["X"] * (n - 1)),
+                  UnitaryAction.from_matrix(n, random_unitary(rng, 1 << n))):
+            mat = _as_action(n, u).matrix
+            for build in ADJOINT_CLOSED:
+                space = build(code)
+                out = conjugate_subspace(space, u)
+                assert out.complement.dtype == np.float64
+                out.validate(1e-12)
+                image = _product_map(n, left=mat, right=mat.conj().T)(space.complement)
+                assert np.max(np.abs(image.imag), initial=0) <= 1e-13
+                complex_route = OperatorSubspace(n, complement=image)
+                assert out.dim == complex_route.dim == space.dim
+                assert equality_residual(out, complex_route) < 1e-12
+
+
+def fixture_and_random_pairs(rng):
+    return [(fixture_gbp_code(), gbp_pair_transform()),
+            (fixture_rains_subcode(), rains_component_transform(1)),
+            swap_pair(rng, 3, 2), swap_pair(rng, 4, 3), half_frame_pair(rng, 4, 3)]
+
+
+def test_real_mixed_piece_matches_complex_one_sided_images(rng):
+    for code, u in fixture_and_random_pairs(rng):
+        act = _as_action(code.n, u)
+        zs = annihilating_space(code)
+        one_sided = intersect([right_multiply_subspace(zs, act.adjoint()),
+                               left_multiply_subspace(zs, act)])
+        assert one_sided.complement.dtype == np.complex128
+        mixed = _mixed_blocks(code, act)
+        assert mixed.complement.dtype == np.float64
+        mixed.validate(1e-12)
+        assert mixed.dim == one_sided.dim == 4**code.n - 2 * code.k**2
+        assert equality_residual(mixed, one_sided) < 1e-12
+
+
+def test_equal_expectation_space_is_real(rng):
+    for code, u in fixture_and_random_pairs(rng):
+        act = _as_action(code.n, u)
+        s = equal_expectation_space(code, act)
+        assert s.complement.dtype == np.float64
+        s.validate(1e-12)
+        ket = code.basis[0]
+        grams = _pauli_grams(np.column_stack([ket.amplitudes, act.apply(ket).amplitudes]),
+                             code.n)
+        complex_route = OperatorSubspace.from_constraints(code.n, grams[:, 0, 0] - grams[:, 1, 1])
+        assert complex_route.complement.dtype == np.complex128
+        assert s.dim == complex_route.dim
+        assert equality_residual(s, complex_route) < 1e-12
+
+
+def test_theorem_route_runs_in_real_arithmetic(rng):
+    for code, u in fixture_and_random_pairs(rng):
+        for space in (union_erasure_space_via_intersection(code, u),
+                      union_pure_space_via_intersection(code, u)):
+            assert space.complement.dtype == np.float64
+            space.validate(1e-12)
 
 
 def test_upper_bound_chains():
