@@ -20,7 +20,6 @@ from .codes import (
     transform_code,
 )
 from .erasure import (
-    MATRIX_ELEMENT_TOL,
     MembershipReport,
     WeightClassification,
     check_erasure,
@@ -43,10 +42,7 @@ from .fixtures import (
     rains_product_weight_survey,
 )
 from .operator_space import (
-    MEMBERSHIP_TOL,
     OperatorSubspace,
-    RANK_RTOL,
-    SUBSPACE_TOL,
     containment_residual,
     coords_to_matrix,
     coords_to_matrices,
@@ -82,6 +78,7 @@ from .states import (
     inner_product,
     ket_from_terms,
 )
+from .tolerances import MATRIX_ELEMENT_TOL, MEMBERSHIP_TOL, RANK_RTOL, SUBSPACE_TOL
 from .unions import (
     OrthogonalityError,
     UnionBuildReport,

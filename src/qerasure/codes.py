@@ -17,8 +17,8 @@ import numpy as np
 
 from .operator_space import _pauli_grams
 from .states import CodeTransform, Ket, UnitaryAction, apply_transform, ket_from_terms
+from .tolerances import AMPLITUDE_TOL, ORTHONORMALITY_TOL
 
-ORTHONORMALITY_TOL = 1e-9
 # Size limit of ingest: at most MAX_QUBITS qubits (the 4^n-coordinate Pauli
 # table) and a gram tensor <c_i|sigma|c_j> of 16 * 4^n * K^2 bytes at most
 # MAX_GRAM_BYTES, about an eighth of the peak memory of an analysis.  Unions
@@ -136,7 +136,7 @@ def ingest_code(spec: dict) -> QuantumCode:
     return QuantumCode(n=n, k=len(kets), basis=basis, label=label)
 
 
-def code_to_json(code: QuantumCode, amplitude_tol: float = 1e-12) -> dict:
+def code_to_json(code: QuantumCode, amplitude_tol: float = AMPLITUDE_TOL) -> dict:
     """Serialize to the JSON form accepted by ingest_code."""
     basis = []
     for ket in code.basis:

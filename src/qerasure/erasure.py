@@ -30,10 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import QuantumCode, basis_matrix
-from .operator_space import RANK_RTOL, OperatorSubspace, _pauli_table, coords_to_matrix
+from .operator_space import OperatorSubspace, _pauli_table, coords_to_matrix
 from .pauli import PauliOperator, apply_to_amplitudes
-
-MATRIX_ELEMENT_TOL = 1e-9
+from .tolerances import ADJOINT_TOL, MATRIX_ELEMENT_TOL
 
 
 @dataclass(frozen=True)
@@ -297,23 +296,22 @@ def is_degenerate_distance(code: QuantumCode, distance: int) -> bool:
     return distance == code.n + 1
 
 
-def hermitian_basis(s: OperatorSubspace, tol: float = 1e-9) -> list[np.ndarray]:
-    """An orthonormal basis of s made of Hermitian operators.
+def hermitian_basis(s: OperatorSubspace, tol: float = ADJOINT_TOL) -> list[np.ndarray]:
+    """An orthonormal basis of s made of Hermitian operators: dim(s) vectors.
 
     Conjugating coordinates realizes the adjoint (the basis Paulis are
-    Hermitian), so s must be closed under conjugation.  Then the real and
-    imaginary parts of its basis vectors span a real space of dimension
-    exactly dim(s), and the first dim(s) left singular vectors of [Re B | Im B]
-    are orthonormal real coordinate vectors, i.e. Hermitian operators, that
-    span s.  The list has exactly dim(s) elements.
+    Hermitian), so s must be closed under conjugation, and then so is its
+    complement C.  A real C makes the completed basis real, i.e. Hermitian.
+    A complex C with c columns spans the same space as its conjugate exactly
+    when [Re C | Im C] has rank c: a singular value beyond the c-th above tol
+    means s is not closed under the adjoint.  Otherwise the first c left
+    singular vectors are a real orthonormal complement, and s's basis is
+    completed from that.
     """
-    b = s.basis
-    # complement^H conj(B) is the conjugate of complement^T B: same column norms
-    outside = np.linalg.norm(s.complement.T @ b, axis=0) / np.linalg.norm(b, axis=0)
-    if np.any(outside > tol):
-        raise ValueError("subspace is not closed under the adjoint")
-    u, sv, _ = np.linalg.svd(np.hstack([b.real, b.imag]), full_matrices=False)
-    rank = int(np.sum(sv > RANK_RTOL * sv[0])) if sv.size else 0
-    if rank != s.dim:
-        raise RuntimeError(f"real and imaginary parts have rank {rank} for a dim-{s.dim} space")
-    return [u[:, col].astype(complex) for col in range(rank)]
+    c = s.complement
+    if np.iscomplexobj(c):
+        u, sv, _ = np.linalg.svd(np.hstack([c.real, c.imag]), full_matrices=False)
+        if np.any(sv[c.shape[1]:] > tol):
+            raise ValueError("subspace is not closed under the adjoint")
+        s = OperatorSubspace(s.n, complement=u[:, :c.shape[1]])
+    return list(np.ascontiguousarray(s.basis.T, dtype=complex))

@@ -27,6 +27,7 @@ from .codes import (
 from .operator_space import _pauli_table, matrices_to_coords, operator_weight
 from .pauli import pauli_from_string, to_matrix
 from .states import CodeTransform, UnitaryAction, cyclic_shift
+from .tolerances import COEFFICIENT_TOL
 from .unions import union_code
 
 FIXTURE_NAMES = ("rains-subcode", "rains-union", "gbp", "gbp-union")
@@ -82,8 +83,8 @@ def fixture_union_components(name: str) -> tuple[QuantumCode, ...] | None:
 
 def _identify_pauli_letters(coords: np.ndarray, n: int) -> str | None:
     """Letter string of the single Pauli the operator equals up to unit phase."""
-    live = np.nonzero(np.abs(coords) > 1e-9)[0]
-    if live.size != 1 or abs(abs(coords[live[0]]) - 1.0) > 1e-9:
+    live = np.nonzero(np.abs(coords) > COEFFICIENT_TOL)[0]
+    if live.size != 1 or abs(abs(coords[live[0]]) - 1.0) > COEFFICIENT_TOL:
         return None
     return str(_pauli_table(n).labels[live[0]])
 

@@ -8,15 +8,16 @@ complex dot product on coordinates agrees with the Hilbert-Schmidt inner
 product up to the constant 2^n, so orthonormal coordinate bases describe
 operator subspaces faithfully.
 
-A subspace keeps an orthonormal basis of coordinate vectors, and caches an
-orthonormal basis of its orthogonal complement.  Every space the package
-builds is nearly the whole space, so the complement is the cheap
-representation: the erasure, pure and annihilating spaces write theirs down
-in closed form from a code's gram tensor (see erasure), and the nullspace of
-a stacked constraint system, as in intersect, takes its complement from one
-thin SVD of the rows in tall column form.  The spanning basis is completed
-from the complement on first use.  Unitary maps of operator space carry
-complements to complements, so they act on the complement alone.
+A subspace is stored by one array: an orthonormal basis of its orthogonal
+complement.  Every space the package builds is nearly the whole space, so
+the complement is the small representation: the erasure, pure and
+annihilating spaces write theirs down in closed form from a code's gram
+tensor (see erasure), the nullspace of a stacked constraint system, as in
+intersect, takes its complement from one thin SVD of the rows in tall column
+form, and a span given by its vectors has its complement completed once.
+The spanning basis is completed from the complement on first use.  Unitary
+maps of operator space carry complements to complements, so they act on the
+complement alone.
 
 A space closed under the adjoint has a real orthonormal complement: the
 phase-0 Paulis are Hermitian, so E -> E^H conjugates coordinates, and a
@@ -38,18 +39,18 @@ a 4096 x ~4093 array, float64 (134 MB) for a real space and complex (268 MB)
 otherwise, the only O(16^n) object here.
 
 Numerical conventions: ranks are read from singular values with a relative
-threshold of RANK_RTOL times the largest one, and membership or containment
-residuals are compared against 1e-8.  All bundled constructions involve exact
-dyadic amplitudes, which leaves several orders of magnitude of margin.  Every
-rank-revealing SVD factors a tall matrix: constraint rows (r, 4^n) are
-factored as their transpose, whose left singular vectors carry the nullspace
-complement, since LAPACK reduces a wide matrix through an extra LQ pass.  A
-containment residual is the sine of the largest principal angle, read as the
-spectral norm of the explicit residual (I - P_inner) Q_outer from the
-largest eigenvalue of its c x c Gram.  It is never read as 1 - cos^2 of the
-smallest principal-angle cosine, which cancels to a floor near sqrt(eps),
-about 1e-8, on equal spaces (Bjorck and Golub, "Numerical methods for
-computing angles between linear subspaces", Math. Comp. 27, 1973).
+threshold of RANK_RTOL times the largest one, and membership and containment
+residuals are compared against MEMBERSHIP_TOL and SUBSPACE_TOL (see
+tolerances).  Every rank-revealing SVD factors a tall matrix: constraint rows
+(r, 4^n) are factored as their transpose, whose left singular vectors carry
+the nullspace complement, since LAPACK reduces a wide matrix through an extra
+LQ pass.  A containment residual is the sine of the largest principal angle,
+read as the spectral norm of the explicit residual (I - P_inner) Q_outer
+from the largest eigenvalue of its c x c Gram.  It is never read as
+1 - cos^2 of the smallest principal-angle cosine, which cancels to a floor
+near sqrt(eps), about 1e-8, on equal spaces (Bjorck and Golub, "Numerical
+methods for computing angles between linear subspaces", Math. Comp. 27,
+1973).
 """
 
 from __future__ import annotations
@@ -59,16 +60,19 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .pauli import PauliOperator, enumerate_paulis, _index_aligned_masks
-
-RANK_RTOL = 1e-8
-MEMBERSHIP_TOL = 1e-8
-SUBSPACE_TOL = 1e-8
+from .pauli import (
+    PauliOperator,
+    _index_aligned_masks,
+    _pauli_masks,
+    _reverse_bits,
+    enumerate_paulis,
+)
+from .tolerances import COEFFICIENT_TOL, MEMBERSHIP_TOL, ORTHONORMALITY_TOL, RANK_RTOL
 
 
 @lru_cache(maxsize=None)
 def pauli_order(n: int) -> tuple[PauliOperator, ...]:
-    """The fixed coordinate ordering of all 4^n phase-0 Pauli operators."""
+    """The fixed coordinate ordering of all 4^n phase-0 Pauli operators, as objects."""
     return tuple(enumerate_paulis(n, n))
 
 
@@ -92,8 +96,7 @@ class _PauliTable(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _pauli_table(n: int) -> _PauliTable:
-    masks = np.array([_index_aligned_masks(p) for p in pauli_order(n)], dtype=np.int64)
-    x, z = masks[:, 0], masks[:, 1]
+    x, z = _reverse_bits(_pauli_masks(n), n).T
     phase = np.array([1, 1j, -1, -1j])[np.bitwise_count(x & z) % 4]
     bit = np.arange(n - 1, -1, -1)  # qubit j sits at index bit n - 1 - j
     letter = ((x[:, None] >> bit) & 1) | (((z[:, None] >> bit) & 1) << 1)
@@ -149,7 +152,7 @@ def pauli_coords(p: PauliOperator) -> np.ndarray:
     return v
 
 
-def operator_weight(coords: np.ndarray, n: int, tol: float = 1e-9) -> int:
+def operator_weight(coords: np.ndarray, n: int, tol: float = COEFFICIENT_TOL) -> int:
     """Size of the union of supports of the nonzero Pauli components."""
     t = _pauli_table(n)
     live = np.abs(coords) > tol
@@ -204,6 +207,11 @@ def _as_columns(arr: np.ndarray, dim: int) -> np.ndarray:
     return a
 
 
+def _rank(s: np.ndarray, rtol: float) -> int:
+    """Number of singular values above rtol times the largest one."""
+    return int(np.sum(s > rtol * s[0])) if s.size else 0
+
+
 def _wy_triangle(vv: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Upper-triangular T with H_1 ... H_k = I - V T V^H, from vv = V^H V.
 
@@ -244,44 +252,28 @@ def _complete_orthonormal(part: np.ndarray) -> np.ndarray:
 
 
 class OperatorSubspace:
-    """An operator subspace, held as orthonormal coordinate-vector bases.
+    """An operator subspace, held by an orthonormal basis of its complement.
 
-    Exactly one of basis/complement is required; the other is derived lazily.
-    Both arrays have shape (4^n, k) with orthonormal columns, float64 when
-    given real and complex128 when given complex.
+    complement has shape (4^n, c) with orthonormal columns, float64 when given
+    real and complex128 when given complex; the space has dimension 4^n - c.
+    The spanning basis is completed from it on first use.
     """
 
-    def __init__(self, n: int, basis: np.ndarray | None = None,
-                 complement: np.ndarray | None = None):
-        if basis is None and complement is None:
-            raise ValueError("provide a basis or a complement")
+    def __init__(self, n: int, complement: np.ndarray):
         self.n = n
         self.total_dim = 4**n
-        self._basis = None if basis is None else _as_columns(basis, self.total_dim)
-        self._complement = (
-            None if complement is None else _as_columns(complement, self.total_dim)
-        )
-        if self._basis is not None and self._complement is not None:
-            if self._basis.shape[1] + self._complement.shape[1] != self.total_dim:
-                raise ValueError("basis and complement dimensions do not add up")
+        self.complement = _as_columns(complement, self.total_dim)
+        self._basis = None
 
     @property
     def dim(self) -> int:
-        if self._basis is not None:
-            return self._basis.shape[1]
-        return self.total_dim - self._complement.shape[1]
+        return self.total_dim - self.complement.shape[1]
 
     @property
     def basis(self) -> np.ndarray:
         if self._basis is None:
-            self._basis = _complete_orthonormal(self._complement)
+            self._basis = _complete_orthonormal(self.complement)
         return self._basis
-
-    @property
-    def complement(self) -> np.ndarray:
-        if self._complement is None:
-            self._complement = _complete_orthonormal(self._basis)
-        return self._complement
 
     @classmethod
     def full(cls, n: int) -> "OperatorSubspace":
@@ -302,24 +294,21 @@ class OperatorSubspace:
         rows = _real_or_complex(rows)
         if rows.ndim == 1:
             rows = rows[None, :]
-        if rows.shape[0] == 0:
-            return cls.full(n)
         if rows.shape[1] != 4**n:
             raise ValueError(f"constraint rows must have 4^{n} columns")
         u, s, _ = np.linalg.svd(rows.T, full_matrices=False)
-        rank = 0 if s.size == 0 else int(np.sum(s > rtol * s[0]))
-        return cls(n, complement=u[:, :rank].conj())
+        return cls(n, complement=u[:, :_rank(s, rtol)].conj())
 
     @classmethod
     def from_span(cls, n: int, vectors: np.ndarray,
                   rtol: float = RANK_RTOL) -> "OperatorSubspace":
-        """Subspace spanned by the given (not necessarily orthonormal) columns."""
-        cols = _as_columns(vectors, 4**n)
-        if cols.shape[1] == 0:
-            return cls(n, basis=cols)
-        u, s, _ = np.linalg.svd(cols, full_matrices=False)
-        rank = 0 if s.size == 0 else int(np.sum(s > rtol * s[0]))
-        return cls(n, basis=u[:, :rank])
+        """Subspace spanned by the given (not necessarily orthonormal) columns.
+
+        The left singular vectors of the columns give an orthonormal basis of
+        the span, and its complement is completed from them once.
+        """
+        u, s, _ = np.linalg.svd(_as_columns(vectors, 4**n), full_matrices=False)
+        return cls(n, complement=_complete_orthonormal(u[:, :_rank(s, rtol)]))
 
     def member_residual(self, coords: np.ndarray) -> float:
         """Relative norm of the component of coords outside the subspace."""
@@ -327,27 +316,22 @@ class OperatorSubspace:
         nrm = np.linalg.norm(v)
         if nrm == 0:
             return 0.0
-        c = self._complement
-        if c is not None:
-            # v^H c is the conjugate of c^H v.  A real c meets v's real and
-            # imaginary parts as one real product, so the tall complement is
-            # never conjugated or promoted to complex.
-            w = np.stack([v.real, v.imag]) if np.isrealobj(c) else v.conj()
-            return float(np.linalg.norm(w @ c) / nrm)
-        b = self.basis
-        return float(np.linalg.norm(v - b @ (b.conj().T @ v)) / nrm)
+        c = self.complement
+        # v^H c is the conjugate of c^H v.  A real c meets v's real and
+        # imaginary parts as one real product, so the tall complement is
+        # never conjugated or promoted to complex.
+        w = np.stack([v.real, v.imag]) if np.isrealobj(c) else v.conj()
+        return float(np.linalg.norm(w @ c) / nrm)
 
     def contains_operator(self, coords: np.ndarray,
                           tol: float = MEMBERSHIP_TOL) -> bool:
         return self.member_residual(coords) < tol
 
-    def validate(self, tol: float = 1e-9) -> None:
-        """Check orthonormality of whatever is materialized; for tests."""
-        for part in (self._basis, self._complement):
-            if part is not None and part.shape[1] > 0:
-                gram = part.conj().T @ part
-                if np.max(np.abs(gram - np.eye(part.shape[1]))) > tol:
-                    raise ValueError("stored basis is not orthonormal")
+    def validate(self, tol: float = ORTHONORMALITY_TOL) -> None:
+        """Check that the complement is orthonormal; for tests."""
+        c = self.complement
+        if np.max(np.abs(c.conj().T @ c - np.eye(c.shape[1])), initial=0) > tol:
+            raise ValueError("stored complement is not orthonormal")
 
     def __repr__(self) -> str:
         return f"OperatorSubspace(n={self.n}, dim={self.dim})"
@@ -376,8 +360,6 @@ def intersect(subspaces: Sequence[OperatorSubspace]) -> OperatorSubspace:
     if any(s.n != n for s in subspaces):
         raise ValueError("subspaces live on different qubit counts")
     rows = np.vstack([s.complement.conj().T for s in subspaces])
-    if rows.shape[0] == 0:
-        return OperatorSubspace.full(n)
     return OperatorSubspace.from_constraints(n, rows)
 
 
@@ -401,22 +383,20 @@ def containment_residual(inner: OperatorSubspace, outer: OperatorSubspace) -> fl
     """Sine of the largest principal angle obstructing inner <= outer.
 
     Zero (up to roundoff) exactly when every inner vector lies in outer.
-    Computed from complements when both are cached, since inner <= outer is
-    equivalent to complement(outer) <= complement(inner): the residual
-    co - ci (ci^H co) of the outer complement co against the inner one ci is
-    formed explicitly, and its spectral norm is read from its small Gram
+    Computed from the complements, since inner <= outer is equivalent to
+    complement(outer) <= complement(inner): the residual co - ci (ci^H co)
+    of the outer complement co against the inner one ci is formed explicitly,
+    and its spectral norm is read from its small Gram
     (_largest_singular_value).  The explicit residual keeps roundoff-level
     answers near 1e-16 on equal spaces, where 1 - sigma_min(ci^H co)^2
     would cancel to about 1e-8.
     """
     if inner.n != outer.n:
         raise ValueError("subspaces live on different qubit counts")
-    if inner.dim == 0 or outer.dim == outer.total_dim:
+    if inner.dim == 0:
         return 0.0
-    if inner._complement is not None and outer._complement is not None:
-        ci, co = inner._complement, outer._complement
-        return _largest_singular_value(co - ci @ (ci.conj().T @ co))
-    return _largest_singular_value(outer.complement.conj().T @ inner.basis)
+    ci, co = inner.complement, outer.complement
+    return _largest_singular_value(co - ci @ (ci.conj().T @ co))
 
 
 def equality_residual(a: OperatorSubspace, b: OperatorSubspace) -> float:

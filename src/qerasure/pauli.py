@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -144,32 +144,44 @@ def dagger(p: PauliOperator) -> PauliOperator:
     return PauliOperator(p.n, p.x_mask, p.z_mask, (-p.phase) % 4)
 
 
+@lru_cache(maxsize=None)
+def _pauli_masks(n: int) -> np.ndarray:
+    """(x_mask, z_mask) of every phase-0 operator in the fixed order, shape (4^n, 2).
+
+    The order is ascending weight, then lexicographic by (x_mask, z_mask).
+    It defines the coordinate system used for operator subspaces, so it must
+    never change.  The array is read-only.
+    """
+    x, z = np.divmod(np.arange(4**n), 1 << n)
+    order = np.lexsort((z, x, np.bitwise_count(x | z)))
+    masks = np.column_stack([x[order], z[order]])
+    masks.flags.writeable = False
+    return masks
+
+
 def enumerate_paulis(n: int, max_weight: int) -> list[PauliOperator]:
     """All phase-0 operators of weight <= max_weight, each exactly once.
 
-    The order is fixed: ascending weight, then lexicographic by
-    (x_mask, z_mask).  This order defines the coordinate system used for
-    operator subspaces, so it must never change.
+    They are the leading rows of _pauli_masks(n), in its order.
     """
     if not 0 <= max_weight <= n:
         raise ValueError(f"max_weight must be in [0, {n}], got {max_weight}")
-    keys = []
-    for x in range(1 << n):
-        for z in range(1 << n):
-            w = (x | z).bit_count()
-            if w <= max_weight:
-                keys.append((w, x, z))
-    keys.sort()
-    return [PauliOperator(n, x, z) for _, x, z in keys]
+    masks = _pauli_masks(n)
+    count = np.count_nonzero(np.bitwise_count(masks[:, 0] | masks[:, 1]) <= max_weight)
+    return [PauliOperator(n, x, z) for x, z in masks[:count].tolist()]
+
+
+def _reverse_bits(mask, n: int):
+    """Mask (an int or an integer array) with its n low bits in reverse order."""
+    out = mask & 0
+    for j in range(n):
+        out |= ((mask >> j) & 1) << (n - 1 - j)
+    return out
 
 
 def _index_aligned_masks(p: PauliOperator) -> tuple[int, int]:
     """Masks with bit positions matching amplitude-index bits."""
-    rx = rz = 0
-    for j in range(p.n):
-        rx |= ((p.x_mask >> j) & 1) << (p.n - 1 - j)
-        rz |= ((p.z_mask >> j) & 1) << (p.n - 1 - j)
-    return rx, rz
+    return _reverse_bits(p.x_mask, p.n), _reverse_bits(p.z_mask, p.n)
 
 
 def apply_to_amplitudes(p: PauliOperator, amplitudes: np.ndarray) -> np.ndarray:

@@ -17,8 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .pauli import PauliLetter, PauliOperator, apply_to_amplitudes
-
-UNITARY_TOL = 1e-9
+from .tolerances import COEFFICIENT_TOL, ORTHONORMALITY_TOL, UNITARY_TOL
 
 LOCAL_GATES = {
     **{letter.name: letter.matrix for letter in PauliLetter},
@@ -45,7 +44,7 @@ class Ket:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def is_normalized(self, tol: float = 1e-9) -> bool:
+    def is_normalized(self, tol: float = ORTHONORMALITY_TOL) -> bool:
         return abs(self.norm() ** 2 - 1.0) < tol
 
     def normalized(self) -> "Ket":
@@ -188,7 +187,7 @@ def _pauli_letter_of(m: np.ndarray) -> str | None:
     for name in "IXYZ":
         w = LOCAL_GATES[name]
         c = np.trace(w.conj().T @ m) / 2
-        if abs(abs(c) - 1.0) < 1e-9 and np.allclose(m, c * w, atol=1e-9):
+        if abs(abs(c) - 1.0) < COEFFICIENT_TOL and np.allclose(m, c * w, atol=COEFFICIENT_TOL):
             return name
     return None
 

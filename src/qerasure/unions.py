@@ -32,7 +32,6 @@ from .codes import QuantumCode, _check_gram_size, basis_matrix, transform_code
 from .erasure import annihilating_space, erasure_space, pure_erasure_space
 from .operator_space import (
     OperatorSubspace,
-    SUBSPACE_TOL,
     _pauli_grams,
     coords_to_matrices,
     equality_residual,
@@ -41,8 +40,7 @@ from .operator_space import (
     matrices_to_coords,
 )
 from .states import CodeTransform, UnitaryAction
-
-CROSS_ORTHOGONALITY_TOL = 1e-9
+from .tolerances import CROSS_ORTHOGONALITY_TOL, SUBSPACE_TOL
 
 
 class OrthogonalityError(ValueError):
@@ -183,20 +181,11 @@ def _mixed_blocks(code: QuantumCode, action: UnitaryAction) -> OperatorSubspace:
     return OperatorSubspace(code.n, complement=np.sqrt(2) * np.hstack([x.real, x.imag]))
 
 
-def _theorem4(code: QuantumCode, action: UnitaryAction, mixed: OperatorSubspace,
-              check_anchor_independence: bool = False) -> OperatorSubspace:
+def _theorem4(code: QuantumCode, action: UnitaryAction,
+              mixed: OperatorSubspace) -> OperatorSubspace:
     es = erasure_space(code)
-    pieces = [es, conjugate_subspace(es, action), mixed, equal_expectation_space(code, action)]
-    result = intersect(pieces)
-    if check_anchor_independence:
-        # The expectation constraint nominally uses the first basis ket; any
-        # other choice must give the same intersection.
-        for anchor in range(1, code.k):
-            pieces[-1] = equal_expectation_space(code, action, anchor=anchor)
-            alt = intersect(pieces)
-            if alt.dim != result.dim or equality_residual(alt, result) > SUBSPACE_TOL:
-                raise RuntimeError(f"anchor {anchor} changed the intersection")
-    return result
+    return intersect([es, conjugate_subspace(es, action), mixed,
+                      equal_expectation_space(code, action)])
 
 
 def _theorem5(code: QuantumCode, action: UnitaryAction,
@@ -205,9 +194,7 @@ def _theorem5(code: QuantumCode, action: UnitaryAction,
     return intersect([ps, conjugate_subspace(ps, action), mixed])
 
 
-def union_erasure_space_via_intersection(
-    code: QuantumCode, u, *, check_anchor_independence: bool = False
-) -> OperatorSubspace:
+def union_erasure_space_via_intersection(code: QuantumCode, u) -> OperatorSubspace:
     """Erasure space of the union of a code with its orthogonal unitary image,
     computed as a five-way intersection instead of from the concatenated basis.
 
@@ -220,7 +207,7 @@ def union_erasure_space_via_intersection(
     """
     action = _as_action(code.n, u)
     _require_orthogonal_image(code, action)
-    return _theorem4(code, action, _mixed_blocks(code, action), check_anchor_independence)
+    return _theorem4(code, action, _mixed_blocks(code, action))
 
 
 def union_pure_space_via_intersection(code: QuantumCode, u) -> OperatorSubspace:

@@ -10,7 +10,10 @@ from the structure of the conditions.
 It also keeps the older factorizations behind OperatorSubspace: the SVD of
 the wide constraint rows themselves, and the full singular value spectrum of
 a containment residual, where the package factors the tall column form and
-reads the largest singular value from a small Gram.
+reads the largest singular value from a small Gram.  And it keeps the routes
+through a spanning basis B, where the package reads membership and
+containment off complements alone: the member residual |v - B B^H v| / |v|,
+and the containment residual sigma_max(C_outer^H B_inner).
 """
 
 import numpy as np
@@ -29,6 +32,17 @@ def wide_nullspace_complement(rows, rtol=RANK_RTOL):
 
 def largest_singular_value_svd(m):
     return float(np.linalg.svd(m, compute_uv=False)[0])
+
+
+def basis_member_residual(basis, v):
+    """Relative norm of v less its projection onto the span of basis."""
+    return float(np.linalg.norm(v - basis @ (basis.conj().T @ v)) / np.linalg.norm(v))
+
+
+def basis_containment_residual(inner, outer):
+    """Sine of the largest principal angle, from inner's basis and outer's complement."""
+    m = outer.complement.conj().T @ inner.basis
+    return largest_singular_value_svd(m) if m.size else 0.0
 
 
 def _nullspace(code, alpha):

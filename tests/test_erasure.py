@@ -411,6 +411,45 @@ def test_hermitian_basis_rejects_non_adjoint_closed():
         hermitian_basis(s)
 
 
+@st.composite
+def complex_constraints(draw):
+    """Complex rows R on n <= 3 qubits, at most half as many as coordinates."""
+    n = draw(st.integers(1, 3))
+    dim = 4**n
+    r = draw(st.integers(1, dim // 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return n, rng.standard_normal((r, dim)) + 1j * rng.standard_normal((r, dim))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(complex_constraints())
+def test_hermitian_basis_of_complex_adjoint_closed_spaces(case):
+    # R stacked with conj(R) cuts out an adjoint-closed space (v -> conj(v)
+    # swaps the two blocks) whose complement is complex; R alone does not
+    n, rows = case
+    space = OperatorSubspace.from_constraints(n, np.vstack([rows, rows.conj()]))
+    assert space.complement.dtype == np.complex128
+    vecs = hermitian_basis(space)
+    assert len(vecs) == space.dim
+    out = np.reshape(vecs, (space.dim, 4**n)).T
+    assert np.max(np.abs(out.imag), initial=0) < 1e-12  # Hermitian: real coordinates
+    assert np.max(np.abs(out.T @ out - np.eye(space.dim)), initial=0) < 1e-10
+    assert all(space.member_residual(v) < 1e-10 for v in out.T)
+    with pytest.raises(ValueError):
+        hermitian_basis(OperatorSubspace.from_constraints(n, rows))
+
+
+def test_hermitian_basis_edge_dimensions(rng):
+    full = OperatorSubspace(2, complement=np.zeros((16, 0), dtype=complex))
+    out = np.column_stack(hermitian_basis(full))
+    assert out.shape == (16, 16)
+    assert np.max(np.abs(out.conj().T @ out - np.eye(16))) < 1e-12
+    assert np.max(np.abs(out.imag)) < 1e-12
+    unitary = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))[0]
+    for everything in (np.eye(16), unitary):
+        assert hermitian_basis(OperatorSubspace(2, complement=everything)) == []
+
+
 def test_hermitian_basis_on_roundoff_prone_frame():
     # a four-qubit K=4 frame, drawn like the random frames of
     # perfbench/inputs.py, on which a residual-threshold Gram-Schmidt kept

@@ -20,9 +20,15 @@ from qerasure import (
     to_matrix,
 )
 from qerasure.operator_space import _complete_orthonormal, _pauli_table, map_subspace
+from qerasure.pauli import PauliOperator, _index_aligned_masks, _pauli_masks
 
 from _oracle import dense_pauli, gram, sorted_paulis
-from _svd_route import largest_singular_value_svd, wide_nullspace_complement
+from _svd_route import (
+    basis_containment_residual,
+    basis_member_residual,
+    largest_singular_value_svd,
+    wide_nullspace_complement,
+)
 from conftest import random_code, random_unitary
 
 
@@ -38,6 +44,38 @@ def test_pauli_order_matches_oracle():
         assert all(pauli_index(p) == i for i, p in enumerate(pauli_order(n)))
     for n in range(1, 7):
         assert _pauli_table(n).labels.tolist() == [pauli_to_string(p) for p in pauli_order(n)]
+
+
+def test_pauli_table_masks_match_the_operators():
+    # the table's masks against the operators' own, and both against a plain
+    # sort of every mask pair by (weight, x, z) and a bit reversal by string
+    for n in range(1, 7):
+        t = _pauli_table(n)
+        ops = enumerate_paulis(n, n)
+        assert np.column_stack([t.x, t.z]).tolist() == [
+            list(_index_aligned_masks(p)) for p in ops]
+        keys = sorted(((x | z).bit_count(), x, z) for x in range(1 << n) for z in range(1 << n))
+        assert [(p.x_mask, p.z_mask) for p in ops] == [(x, z) for _, x, z in keys]
+        flip = [int(format(m, f"0{n}b")[::-1], 2) for m in range(1 << n)]
+        assert t.x.tolist() == [flip[x] for _, x, _ in keys]
+        assert t.z.tolist() == [flip[z] for _, _, z in keys]
+
+
+def test_pauli_table_builds_no_operator_objects(monkeypatch):
+    made = []
+    init = PauliOperator.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PauliOperator, "__init__", counted)
+    _pauli_masks.cache_clear()
+    for n in range(1, 7):
+        _pauli_table.__wrapped__(n)  # a fresh build, past the cache
+    assert made == []
+    enumerate_paulis(2, 2)  # the counter sees objects where they are made
+    assert len(made) == 16
 
 
 def test_coords_dense_round_trip_all_paulis():
@@ -276,14 +314,13 @@ def test_containment_complement_route_agrees(rng):
     rows_b = rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16))
     a = OperatorSubspace.from_constraints(n, np.vstack([rows_a, rows_b]))
     b = OperatorSubspace.from_constraints(n, rows_b)
-    # both complements cached: fast route
     assert containment_residual(a, b) < 1e-9
-    # force the basis route and compare on a non-contained pair
+    assert basis_containment_residual(a, b) < 1e-9
+    # the complement route against the basis route on a non-contained pair
     c = OperatorSubspace.from_constraints(n, rows_a)
     fast = containment_residual(c, b)
-    via_basis = containment_residual(
-        OperatorSubspace(n, basis=c.basis), OperatorSubspace(n, basis=b.basis))
-    assert abs(fast - via_basis) < 1e-9
+    assert fast > 0.1
+    assert abs(fast - basis_containment_residual(c, b)) < 1e-9
 
 
 def test_equality_residual_of_equal_dims_is_either_containment(rng):
@@ -294,10 +331,12 @@ def test_equality_residual_of_equal_dims_is_either_containment(rng):
         tilt = rng.standard_normal((5, 16)) + 1j * rng.standard_normal((5, 16))
         a = OperatorSubspace.from_constraints(n, rows)
         b = OperatorSubspace.from_constraints(n, rows + scale * tilt)
-        for x, y in ((a, b), (OperatorSubspace(n, basis=a.basis), b)):
-            assert x.dim == y.dim == 11
-            both = max(containment_residual(x, y), containment_residual(y, x))
-            assert abs(equality_residual(x, y) - both) < 1e-12
+        assert a.dim == b.dim == 11
+        both = max(containment_residual(a, b), containment_residual(b, a))
+        assert abs(equality_residual(a, b) - both) < 1e-12
+        # and against the basis route, which reads each direction separately
+        oracle = max(basis_containment_residual(a, b), basis_containment_residual(b, a))
+        assert abs(equality_residual(a, b) - oracle) < 1e-12
 
 
 def assert_completes(part, rest, tol=1e-13):
@@ -326,14 +365,15 @@ def test_member_residual_routes_agree(rng):
         dim = 4**n
         rows = rng.standard_normal((6, dim)) + 1j * rng.standard_normal((6, dim))
         s = OperatorSubspace.from_constraints(n, rows)
-        by_complement = OperatorSubspace(n, complement=s.complement)
-        by_basis = OperatorSubspace.from_span(n, s.basis)
+        by_span = OperatorSubspace.from_span(n, s.basis)
         for _ in range(10):
             v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            assert abs(by_complement.member_residual(v) - by_basis.member_residual(v)) < 1e-10
-        # both completion directions: complement -> basis and basis -> complement
-        assert_completes(by_complement.complement, by_complement.basis)
-        assert_completes(by_basis.basis, by_basis.complement)
+            assert abs(s.member_residual(v) - basis_member_residual(s.basis, v)) < 1e-10
+            assert abs(by_span.member_residual(v) - s.member_residual(v)) < 1e-10
+        # both completion directions: complement -> basis, and from_span's
+        # span -> complement, from the left singular vectors of its columns
+        assert_completes(s.complement, s.basis)
+        assert_completes(np.linalg.svd(s.basis, full_matrices=False)[0], by_span.complement)
 
 
 def test_map_subspace_preserves_structure(rng):
@@ -360,5 +400,9 @@ def test_operator_weight():
 
 
 def test_subspace_requires_some_part():
-    with pytest.raises(ValueError):
+    # the complement is the one required part, with one row per coordinate
+    with pytest.raises(TypeError):
         OperatorSubspace(2)
+    for wrong in (np.zeros((15, 1)), np.zeros(17), np.zeros((64, 2), dtype=complex)):
+        with pytest.raises(ValueError):
+            OperatorSubspace(2, complement=wrong)

@@ -7,6 +7,7 @@ from qerasure import (
     OperatorSubspace,
     OrthogonalityError,
     QuantumCode,
+    SUBSPACE_TOL,
     UnitaryAction,
     code_to_json,
     conjugate_subspace,
@@ -245,9 +246,17 @@ def test_intersection_formula_rains_pair():
 
 
 def test_anchor_independence():
-    out = union_erasure_space_via_intersection(
-        fixture_gbp_code(), gbp_pair_transform(), check_anchor_independence=True)
+    # the expectation factor nominally uses the first basis ket; every other
+    # anchor must give the same five-way intersection
+    code, t = fixture_gbp_code(), gbp_pair_transform()
+    out = union_erasure_space_via_intersection(code, t)
     assert out.dim == 193
+    es = erasure_space(code)
+    others = [es, conjugate_subspace(es, t), _mixed_blocks(code, _as_action(code.n, t))]
+    for anchor in range(code.k):
+        alt = intersect(others + [equal_expectation_space(code, t, anchor=anchor)])
+        assert alt.dim == 193
+        assert equality_residual(alt, out) < SUBSPACE_TOL
 
 
 def test_pipeline_output_contains_xz_singles():
