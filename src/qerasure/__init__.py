@@ -52,7 +52,6 @@ from .operator_space import (
     operator_weight,
     pauli_coords,
     pauli_index,
-    pauli_order,
 )
 from .pauli import (
     PauliLetter,

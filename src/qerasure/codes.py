@@ -92,9 +92,9 @@ def ingest_code(spec: dict) -> QuantumCode:
     """Build a code from {"n": int, "label": str, "basis": [[term, ...], ...]}.
 
     Each term is (amplitude, bitstring) or {"re": .., "im": .., "bits": ..}.
-    Vectors are normalized; non-integer n, non-numeric amplitudes, zero
-    vectors, malformed bitstrings and non-orthogonal pairs are rejected, and
-    codes beyond the size limit are refused before any amplitude is read.
+    Vectors are normalized; non-integer n, non-numeric or non-finite amplitudes,
+    zero or overflowing norms, malformed bitstrings and non-orthogonal pairs are
+    rejected, and codes beyond the size limit are refused before any amplitude is read.
     The accepted basis B, orthonormal to ORTHONORMALITY_TOL, is replaced by
     its symmetric (Lowdin) orthonormalization B (B^H B)^(-1/2), the
     orthonormal basis nearest to it, which moves no vector by more than about
@@ -116,10 +116,14 @@ def ingest_code(spec: dict) -> QuantumCode:
     kets = []
     for idx, terms in enumerate(raw_basis):
         try:
-            ket = ket_from_terms(n, terms)
+            with np.errstate(over="ignore"):  # an overflow shows as an infinite norm
+                ket = ket_from_terms(n, terms)
+                norm = ket.norm()
         except (ValueError, TypeError) as exc:  # TypeError: a term of the wrong shape
             raise CodeValidationError(f"basis vector {idx}: {exc}") from exc
-        if ket.norm() == 0:
+        if not np.isfinite(norm):
+            raise CodeValidationError(f"basis vector {idx} has a norm beyond the float range")
+        if norm == 0:
             raise CodeValidationError(f"basis vector {idx} is the zero vector")
         kets.append(ket.normalized())
     for i in range(len(kets)):

@@ -81,7 +81,7 @@ def fixture_union_components(name: str) -> tuple[QuantumCode, ...] | None:
     raise KeyError(f"unknown fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}")
 
 
-def _identify_pauli_letters(coords: np.ndarray, n: int) -> str | None:
+def _single_pauli_label(coords: np.ndarray, n: int) -> str | None:
     """Letter string of the single Pauli the operator equals up to unit phase."""
     live = np.nonzero(np.abs(coords) > COEFFICIENT_TOL)[0]
     if live.size != 1 or abs(abs(coords[live[0]]) - 1.0) > COEFFICIENT_TOL:
@@ -123,7 +123,7 @@ def rains_product_weight_survey() -> dict:
                     w = operator_weight(coords, 5)
                     weights.append(w)
                     if w == 2:
-                        letters = _identify_pauli_letters(coords, 5)
+                        letters = _single_pauli_label(coords, 5)
                         if letters is not None:
                             weight2_paulis.add(letters)
             out["cases"][f"{name}.{side}"] = {

@@ -65,15 +65,8 @@ from .pauli import (
     _index_aligned_masks,
     _pauli_masks,
     _reverse_bits,
-    enumerate_paulis,
 )
-from .tolerances import COEFFICIENT_TOL, MEMBERSHIP_TOL, ORTHONORMALITY_TOL, RANK_RTOL
-
-
-@lru_cache(maxsize=None)
-def pauli_order(n: int) -> tuple[PauliOperator, ...]:
-    """The fixed coordinate ordering of all 4^n phase-0 Pauli operators, as objects."""
-    return tuple(enumerate_paulis(n, n))
+from .tolerances import COEFFICIENT_TOL, ORTHONORMALITY_TOL, RANK_RTOL
 
 
 class _PauliTable(NamedTuple):
@@ -322,10 +315,6 @@ class OperatorSubspace:
         # never conjugated or promoted to complex.
         w = np.stack([v.real, v.imag]) if np.isrealobj(c) else v.conj()
         return float(np.linalg.norm(w @ c) / nrm)
-
-    def contains_operator(self, coords: np.ndarray,
-                          tol: float = MEMBERSHIP_TOL) -> bool:
-        return self.member_residual(coords) < tol
 
     def validate(self, tol: float = ORTHONORMALITY_TOL) -> None:
         """Check that the complement is orthonormal; for tests."""

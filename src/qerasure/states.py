@@ -2,14 +2,15 @@
 
 A transform is a qubit permutation composed with per-qubit 2x2 unitaries; the
 locals act first, then the permutation moves qubit j to position perm[j].
-Transforms promote to a general unitary action that can also conjugate Pauli
-operators symbolically whenever every local factor is a Pauli matrix up to
-phase.
+A transform is applied to kets without building a matrix; it promotes to a
+UnitaryAction, which holds the one 2^n x 2^n matrix every operator-space map
+uses.
 """
 
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable
@@ -17,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .pauli import PauliLetter, PauliOperator, apply_to_amplitudes
-from .tolerances import COEFFICIENT_TOL, ORTHONORMALITY_TOL, UNITARY_TOL
+from .tolerances import ORTHONORMALITY_TOL, UNITARY_TOL
 
 LOCAL_GATES = {
     **{letter.name: letter.matrix for letter in PauliLetter},
@@ -59,7 +60,8 @@ def ket_from_terms(n: int, terms: Iterable) -> Ket:
 
     Terms are summed as given; normalize explicitly when needed.  Each term may
     also be a mapping with keys "re", "im", "bits".  Amplitude parts must be
-    numbers (not bools or strings) and bits a string of n binary digits.
+    numbers within the float range (not bools, strings, NaN or infinities) and
+    bits a string of n binary digits.
     """
     amps = np.zeros(1 << n, dtype=complex)
     for term in terms:
@@ -67,8 +69,9 @@ def ket_from_terms(n: int, terms: Iterable) -> Ket:
             re, im, bits = term.get("re", 0.0), term.get("im", 0.0), term.get("bits")
         else:
             (re, bits), im = term, 0.0
-        if any(isinstance(x, bool) or not isinstance(x, numbers.Number) for x in (re, im)):
-            raise ValueError(f"amplitude {re!r}, {im!r} is not a number")
+        if not all(isinstance(x, numbers.Number) and not isinstance(x, bool)
+                   and abs(x) <= sys.float_info.max for x in (re, im)):
+            raise ValueError(f"amplitude {re!r}, {im!r} is not a finite number")
         if not isinstance(bits, str) or len(bits) != n or any(ch not in "01" for ch in bits):
             raise ValueError(f"bitstring {bits!r} is not {n} bits")
         amps[int(bits, 2)] += re + 1j * im
@@ -106,6 +109,13 @@ def _as_local(entry) -> np.ndarray:
     return m
 
 
+def _is_unitary(m: np.ndarray) -> bool:
+    """Whether every entry of M M^H - I is at most UNITARY_TOL.  An entry of modulus
+    above one, which no unitary has, or a NaN fails before the product can overflow."""
+    return bool(np.all(np.abs(m) <= 1 + UNITARY_TOL)
+                and np.all(np.abs(m @ m.conj().T - np.eye(len(m))) <= UNITARY_TOL))
+
+
 def cyclic_shift(n: int, steps: int = 1) -> tuple[int, ...]:
     """Permutation sending position j to j + steps mod n."""
     return tuple((j + steps) % n for j in range(n))
@@ -113,7 +123,8 @@ def cyclic_shift(n: int, steps: int = 1) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class CodeTransform:
-    """A qubit permutation composed with per-qubit unitaries (locals first)."""
+    """A qubit permutation composed with per-qubit unitaries (locals first);
+    both default to the identity, so CodeTransform(n) is the identity."""
 
     n: int
     perm: tuple[int, ...] = None
@@ -121,6 +132,8 @@ class CodeTransform:
 
     def __post_init__(self):
         perm = tuple(range(self.n)) if self.perm is None else tuple(self.perm)
+        if any(isinstance(j, bool) or not isinstance(j, numbers.Integral) for j in perm):
+            raise ValueError(f"perm {perm} has an entry that is not an integer")
         if sorted(perm) != list(range(self.n)):
             raise ValueError(f"perm {perm} is not a permutation of 0..{self.n - 1}")
         locs = (
@@ -132,7 +145,7 @@ class CodeTransform:
             raise ValueError(f"expected {self.n} locals, got {len(locs)}")
         frozen = []
         for j, m in enumerate(locs):
-            if np.max(np.abs(m @ m.conj().T - np.eye(2))) > UNITARY_TOL:
+            if not _is_unitary(m):
                 raise ValueError(f"local at qubit {j} is not unitary")
             m = m.copy()
             m.flags.writeable = False
@@ -141,21 +154,12 @@ class CodeTransform:
         object.__setattr__(self, "locals", tuple(frozen))
 
     @classmethod
-    def identity(cls, n: int) -> "CodeTransform":
-        return cls(n)
-
-    @classmethod
     def from_json(cls, spec: dict, n: int) -> "CodeTransform":
         """Parse {"perm": [...], "locals": [...]}; both keys optional."""
         unknown = set(spec) - {"perm", "locals"}
         if unknown:
             raise ValueError(f"unknown transform keys {sorted(unknown)}")
         return cls(n, perm=spec.get("perm"), locals=spec.get("locals"))
-
-    def is_identity(self) -> bool:
-        return self.perm == tuple(range(self.n)) and all(
-            np.array_equal(m, LOCAL_GATES["I"]) for m in self.locals
-        )
 
     def adjoint(self) -> "CodeTransform":
         """Inverse transform, again in locals-then-permutation form."""
@@ -182,114 +186,39 @@ def apply_transform(t: CodeTransform, k: Ket) -> Ket:
     return Ket(k.n, state.reshape(-1))
 
 
-def _pauli_letter_of(m: np.ndarray) -> str | None:
-    """Name of the Pauli equal to m up to a unit phase, or None."""
-    for name in "IXYZ":
-        w = LOCAL_GATES[name]
-        c = np.trace(w.conj().T @ m) / 2
-        if abs(abs(c) - 1.0) < COEFFICIENT_TOL and np.allclose(m, c * w, atol=COEFFICIENT_TOL):
-            return name
-    return None
-
-
 class UnitaryAction:
-    """An applicable unitary on n qubits, with its adjoint.
+    """A unitary on n qubits, held as one validated 2^n x 2^n matrix.
 
-    Wraps either a CodeTransform (applied without building a matrix) or an
-    explicit 2^n x 2^n unitary.  When every local factor of a transform is a
-    Pauli matrix up to phase, Pauli operators can be conjugated symbolically
-    on their masks.
+    The union formulas use U only as an operator, to conjugate operator spaces
+    and to multiply them from one side, so the matrix is all an action keeps.
+    A CodeTransform is expanded to its matrix once, when the action is built.
     """
 
-    def __init__(self, n: int, transform: CodeTransform | None = None,
-                 matrix: np.ndarray | None = None):
-        if (transform is None) == (matrix is None):
-            raise ValueError("provide exactly one of transform or matrix")
+    def __init__(self, n: int, matrix: np.ndarray):
+        m = np.asarray(matrix, dtype=complex)
+        dim = 1 << n
+        if m.shape != (dim, dim):
+            raise ValueError(f"expected a {dim}x{dim} matrix, got {m.shape}")
+        if not _is_unitary(m):
+            raise ValueError("matrix is not unitary")
         self.n = n
-        self._transform = transform
-        self._adjoint_transform = None
-        self._matrix = None
-        if matrix is not None:
-            m = np.asarray(matrix, dtype=complex)
-            dim = 1 << n
-            if m.shape != (dim, dim):
-                raise ValueError(f"expected a {dim}x{dim} matrix, got {m.shape}")
-            if np.max(np.abs(m @ m.conj().T - np.eye(dim))) > UNITARY_TOL:
-                raise ValueError("matrix is not unitary")
-            self._matrix = m
-        self._pauli_letters = None
-        if transform is not None:
-            letters = [_pauli_letter_of(m) for m in transform.locals]
-            if all(name is not None for name in letters):
-                self._pauli_letters = tuple(letters)
+        self.matrix = m
 
     @classmethod
     def from_transform(cls, t: CodeTransform) -> "UnitaryAction":
-        return cls(t.n, transform=t)
-
-    @classmethod
-    def from_matrix(cls, n: int, matrix: np.ndarray) -> "UnitaryAction":
-        return cls(n, matrix=matrix)
+        dim = 1 << t.n
+        # the rows carry the output qubits: permute them as apply_transform does
+        rows = reduce(np.kron, t.locals).reshape((2,) * t.n + (dim,))
+        return cls(t.n, np.moveaxis(rows, range(t.n), t.perm).reshape(dim, dim))
 
     @classmethod
     def identity(cls, n: int) -> "UnitaryAction":
-        return cls(n, transform=CodeTransform.identity(n))
-
-    @property
-    def is_pauli_type(self) -> bool:
-        return self._pauli_letters is not None
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            t = self._transform
-            dim = 1 << t.n
-            # the rows carry the output qubits: permute them as apply_transform does
-            rows = reduce(np.kron, t.locals).reshape((2,) * t.n + (dim,))
-            self._matrix = np.moveaxis(rows, range(t.n), t.perm).reshape(dim, dim)
-        return self._matrix
+        return cls(n, np.eye(1 << n, dtype=complex))
 
     def apply(self, k: Ket) -> Ket:
         if k.n != self.n:
             raise ValueError(f"qubit count mismatch: {self.n} != {k.n}")
-        if self._transform is not None:
-            return apply_transform(self._transform, k)
-        return Ket(k.n, self._matrix @ k.amplitudes)
-
-    def apply_adjoint(self, k: Ket) -> Ket:
-        if k.n != self.n:
-            raise ValueError(f"qubit count mismatch: {self.n} != {k.n}")
-        if self._transform is not None:
-            if self._adjoint_transform is None:
-                self._adjoint_transform = self._transform.adjoint()
-            return apply_transform(self._adjoint_transform, k)
-        return Ket(k.n, self._matrix.conj().T @ k.amplitudes)
+        return Ket(k.n, self.matrix @ k.amplitudes)
 
     def adjoint(self) -> "UnitaryAction":
-        if self._transform is not None:
-            return UnitaryAction.from_transform(self._transform.adjoint())
-        return UnitaryAction.from_matrix(self.n, self._matrix.conj().T)
-
-    def conjugate_pauli(self, p: PauliOperator) -> PauliOperator:
-        """U p U^dagger as a PauliOperator.  Requires a Pauli-type transform.
-
-        Each local either commutes or anticommutes with the factor it meets,
-        so conjugation only flips signs and permutes tensor positions; local
-        phases cancel between U and U^dagger.
-        """
-        if self._pauli_letters is None:
-            raise ValueError("conjugate_pauli needs a transform with Pauli-type locals")
-        if p.n != self.n:
-            raise ValueError(f"qubit count mismatch: {self.n} != {p.n}")
-        flips = 0
-        x_new = z_new = 0
-        perm = self._transform.perm
-        for j, name in enumerate(self._pauli_letters):
-            xb = (p.x_mask >> j) & 1
-            zb = (p.z_mask >> j) & 1
-            w = PauliLetter[name]
-            if (xb & w.z_bit) ^ (zb & w.x_bit):
-                flips += 1
-            x_new |= xb << perm[j]
-            z_new |= zb << perm[j]
-        return PauliOperator(p.n, x_new, z_new, (p.phase + 2 * flips) % 4)
+        return UnitaryAction(self.n, self.matrix.conj().T)

@@ -101,7 +101,7 @@ def _as_action(n: int, u) -> UnitaryAction:
         return u
     if isinstance(u, CodeTransform):
         return UnitaryAction.from_transform(u)
-    return UnitaryAction.from_matrix(n, np.asarray(u, dtype=complex))
+    return UnitaryAction(n, u)
 
 
 def _product_map(n: int, left: np.ndarray | None = None,

@@ -32,6 +32,35 @@ def dense_pauli(letters):
     return kron_all([SINGLE[ch] for ch in letters])
 
 
+def transform_matrix(perm, local_mats):
+    """Dense matrix of the per-qubit locals, then qubit j moved to position perm[j]."""
+    n = len(perm)
+    move = np.zeros((2**n, 2**n), dtype=complex)
+    for b in range(2**n):
+        moved = ["0"] * n
+        for j, ch in enumerate(format(b, f"0{n}b")):
+            moved[perm[j]] = ch
+        move[int("".join(moved), 2), b] = 1.0
+    return move @ kron_all(local_mats)
+
+
+def conjugate_letters(letters, perm, local_letters):
+    """U P U^dagger as (sign, letter string), for P = dense_pauli(letters) and
+    U = transform_matrix(perm, [SINGLE[ch] for ch in local_letters]).
+
+    A local Pauli commutes or anticommutes with the factor it meets (two
+    non-identity letters anticommute unless equal), so each anticommuting
+    pair flips the sign, and factor j then moves to position perm[j].
+    """
+    sign = 1
+    out = ["I"] * len(letters)
+    for j, (ch, loc) in enumerate(zip(letters, local_letters)):
+        if "I" not in (ch, loc) and ch != loc:
+            sign = -sign
+        out[perm[j]] = ch
+    return sign, "".join(out)
+
+
 def all_pauli_letterings(n, weights=None):
     """All letter strings over {I,X,Y,Z}, optionally restricted by weight."""
     out = []

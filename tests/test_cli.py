@@ -323,6 +323,26 @@ def test_ingest_rejects_wrong_types(tmp_path, capsys, spec):
 
 
 @pytest.mark.parametrize("spec", [
+    {"n": 2, "basis": [[{"re": float("nan"), "bits": "00"}, {"re": 1.0, "bits": "11"}]]},
+    {"n": 2, "basis": [[{"re": 1.0, "im": float("inf"), "bits": "01"}]]},
+    {"n": 2, "basis": [[[1.0, "00"]], [[float("-inf"), "11"]]]},
+    {"n": 2, "basis": [[[10**400, "00"]]]},
+    {"n": 2, "basis": [[[1e308, "00"], [1e308, "11"]]]},
+    {"n": 2, "basis": [[[1e308, "00"], [1e308, "00"]]]},
+    {"n": 2, "basis": [[[1e160, "10"]]]},
+], ids=["nan", "inf-im", "minus-inf", "int-beyond-float", "norm-overflow", "sum-overflow",
+        "square-overflow"])
+def test_ingest_rejects_non_finite_amplitudes(tmp_path, capsys, spec):
+    # json writes NaN and Infinity, and Python's json reads them back
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(spec))
+    status, out, err = run_cli(capsys, "distance", "--code", str(f))
+    assert status == 1 and out == ""
+    assert err.startswith("qerasure: error[invalid-code]")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", [
     {"n": 40, "basis": [[[1.0, "0" * 40]]]},
     {"n": 8, "basis": [[[1.0, format(b, "08b")]] for b in range(256)]},
 ], ids=["n40-k1", "n8-k256"])
@@ -386,14 +406,26 @@ def test_mismatch_exit_code(monkeypatch, capsys, tmp_path):
     assert json.loads(target.read_text())["theorem4"]["matches_direct"] is False
 
 
-@pytest.mark.parametrize("transform", ['{"perm": 3}', '{"locals": 5}'],
-                         ids=["int-perm", "int-locals"])
+@pytest.mark.parametrize("transform", [
+    '{"perm": 3}', '{"locals": 5}', '{"perm": [0, 1, 2, 3.0]}', '{"perm": [false, true, 2, 3]}',
+], ids=["int-perm", "int-locals", "float-perm-entry", "bool-perm-entries"])
 def test_transform_of_the_wrong_type(capsys, transform):
     status, out, err = run_cli(capsys, "theorem-check", "--fixture", "gbp",
                                "--transform", transform)
     assert status == 1 and out == ""
     assert err.startswith("qerasure: error[invalid-transform]")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "1e300"])
+def test_transform_local_with_non_finite_entries(capsys, bad):
+    # NaN compares false with everything, so it must fail the unitarity check,
+    # not reach the SVDs of the theorem check
+    transform = f'{{"locals": ["I", "I", "I", [[{bad}, 0], [0, 0], [0, 0], [1, 0]]]}}'
+    status, out, err = run_cli(capsys, "theorem-check", "--fixture", "gbp",
+                               "--transform", transform)
+    assert (status, out) == (1, "")
+    assert err == "qerasure: error[invalid-transform] local at qubit 3 is not unitary\n"
 
 
 def test_internal_error_is_one_line(monkeypatch, capsys):

@@ -86,7 +86,7 @@ def test_transform_round_trip():
 
 def test_transform_identity_keeps_subspace():
     code = fixture_gbp_code()
-    out = transform_code(code, CodeTransform.identity(4))
+    out = transform_code(code, CodeTransform(4))
     assert projector_distance(code, out) < 1e-9
 
 

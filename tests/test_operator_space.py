@@ -15,7 +15,6 @@ from qerasure import (
     pauli_coords,
     pauli_from_string,
     pauli_index,
-    pauli_order,
     pauli_to_string,
     to_matrix,
 )
@@ -39,11 +38,12 @@ def span_of(labels, n):
 
 def test_pauli_order_matches_oracle():
     for n in (1, 2, 3):
-        assert [pauli_to_string(p) for p in pauli_order(n)] == sorted_paulis(n)
+        assert [pauli_to_string(p) for p in enumerate_paulis(n, n)] == sorted_paulis(n)
     for n in (1, 2, 3, 4):
-        assert all(pauli_index(p) == i for i, p in enumerate(pauli_order(n)))
+        assert all(pauli_index(p) == i for i, p in enumerate(enumerate_paulis(n, n)))
     for n in range(1, 7):
-        assert _pauli_table(n).labels.tolist() == [pauli_to_string(p) for p in pauli_order(n)]
+        assert _pauli_table(n).labels.tolist() == [
+            pauli_to_string(p) for p in enumerate_paulis(n, n)]
 
 
 def test_pauli_table_masks_match_the_operators():

@@ -15,11 +15,11 @@ from qerasure import (
     ket_from_terms,
     pauli_from_string,
     pauli_to_string,
-    to_matrix,
-    weight,
 )
 
-from _oracle import dense_pauli
+from qerasure.states import LOCAL_GATES
+
+from _oracle import all_pauli_letterings, conjugate_letters, dense_pauli, transform_matrix
 
 
 def random_ket(rng, n):
@@ -71,7 +71,7 @@ def test_apply_pauli_matches_dense(rng):
 
 def test_transform_identity():
     k = ket_from_terms(3, [(1, "010"), (1j, "111")])
-    out = apply_transform(CodeTransform.identity(3), k)
+    out = apply_transform(CodeTransform(3), k)
     assert np.array_equal(out.amplitudes, k.amplitudes)
 
 
@@ -137,7 +137,7 @@ def test_unitary_action_round_trip(rng):
     u = UnitaryAction.from_transform(t)
     for _ in range(10):
         k = random_ket(rng, 3)
-        back = u.apply_adjoint(u.apply(k))
+        back = u.adjoint().apply(u.apply(k))
         assert np.max(np.abs(back.amplitudes - k.amplitudes)) < 1e-9
     assert np.allclose(u.adjoint().matrix, u.matrix.conj().T, atol=1e-12)
 
@@ -146,61 +146,81 @@ def test_identity_action():
     u = UnitaryAction.identity(2)
     k = ket_from_terms(2, [(1, "01"), (1j, "10")])
     assert np.array_equal(u.apply(k).amplitudes, k.amplitudes)
-    assert u.is_pauli_type
 
 
-def test_pauli_type_detection():
-    assert UnitaryAction.from_transform(
-        CodeTransform(5, perm=cyclic_shift(5), locals=["I", "I", "X", "X", "X"])
-    ).is_pauli_type
-    assert not UnitaryAction.from_transform(
-        CodeTransform(2, locals=["H", "I"])
-    ).is_pauli_type
-    assert not UnitaryAction.from_matrix(2, np.eye(4)).is_pauli_type
+def test_action_matrix_matches_oracle():
+    perm, gates = (2, 0, 3, 1), ["H", "S", "Y", "X"]
+    u = UnitaryAction.from_transform(CodeTransform(4, perm=perm, locals=gates))
+    local_mats = [LOCAL_GATES[g] for g in gates]
+    assert np.max(np.abs(u.matrix - transform_matrix(perm, local_mats))) < 1e-15
 
 
 def test_conjugate_pauli_sign_example():
     # X Z X = -Z on the qubit the X-pattern touches
-    tau = UnitaryAction.from_transform(
-        CodeTransform(5, locals=["I", "I", "X", "X", "X"])
-    )
-    z2 = pauli_from_string("IIZII")
-    out = tau.conjugate_pauli(z2)
-    assert (out.x_mask, out.z_mask, out.phase) == (z2.x_mask, z2.z_mask, 2)
+    assert conjugate_letters("IIZII", range(5), "IIXXX") == (-1, "IIZII")
+    tau = UnitaryAction.from_transform(CodeTransform(5, locals=["I", "I", "X", "X", "X"]))
+    z2 = dense_pauli("IIZII")
+    assert np.array_equal(tau.matrix @ z2 @ tau.matrix.conj().T, -z2)
 
 
-def test_conjugate_pauli_matches_dense(rng):
-    t = CodeTransform(3, perm=(1, 2, 0), locals=["X", "Y", "Z"])
-    u = UnitaryAction.from_transform(t)
-    for p in enumerate_paulis(3, 3):
-        sym = to_matrix(u.conjugate_pauli(p))
-        dense = u.matrix @ to_matrix(p) @ u.matrix.conj().T
-        assert np.max(np.abs(sym - dense)) < 1e-12
+def test_conjugate_pauli_matches_dense():
+    perm, gates = (1, 2, 0), "XYZ"
+    u = UnitaryAction.from_transform(CodeTransform(3, perm=perm, locals=list(gates)))
+    for p in all_pauli_letterings(3):
+        sign, image = conjugate_letters(p, perm, gates)
+        dense = u.matrix @ dense_pauli(p) @ u.matrix.conj().T
+        assert np.max(np.abs(sign * dense_pauli(image) - dense)) < 1e-12
 
 
-def test_permutation_only_conjugation(rng):
+def test_permutation_only_conjugation():
     for perm in ((1, 2, 0), (2, 1, 0), (0, 2, 1)):
         u = UnitaryAction.from_transform(CodeTransform(3, perm=perm))
-        for p in enumerate_paulis(3, 2):
-            sym = u.conjugate_pauli(p)
-            dense = u.matrix @ to_matrix(p) @ u.matrix.conj().T
-            assert np.allclose(to_matrix(sym), dense, atol=1e-12)
+        for p in all_pauli_letterings(3, weights={0, 1, 2}):
+            sign, image = conjugate_letters(p, perm, "III")
+            assert sign == 1
+            dense = u.matrix @ dense_pauli(p) @ u.matrix.conj().T
+            assert np.allclose(dense_pauli(image), dense, atol=1e-12)
 
 
 def test_conjugation_preserves_weight():
-    u = UnitaryAction.from_transform(
-        CodeTransform(5, perm=cyclic_shift(5, 2), locals=["I", "X", "Y", "Z", "I"])
-    )
-    for p in enumerate_paulis(5, 5):
-        assert weight(u.conjugate_pauli(p)) == weight(p)
-
-
-def test_conjugate_pauli_requires_pauli_type():
-    u = UnitaryAction.from_transform(CodeTransform(2, locals=["H", "I"]))
-    with pytest.raises(ValueError):
-        u.conjugate_pauli(pauli_from_string("XX"))
+    perm, gates = cyclic_shift(5, 2), "IXYZI"
+    u = UnitaryAction.from_transform(CodeTransform(5, perm=perm, locals=list(gates)))
+    for p in all_pauli_letterings(5):
+        sign, image = conjugate_letters(p, perm, gates)
+        assert image.count("I") == p.count("I")
+        dense = u.matrix @ dense_pauli(p) @ u.matrix.conj().T
+        assert np.max(np.abs(sign * dense_pauli(image) - dense)) < 1e-12
 
 
 def test_action_rejects_non_unitary_matrix():
     with pytest.raises(ValueError):
-        UnitaryAction.from_matrix(1, np.array([[1, 1], [0, 1]], dtype=complex))
+        UnitaryAction(1, np.array([[1, 1], [0, 1]], dtype=complex))
+    with pytest.raises(ValueError, match="not unitary"):
+        UnitaryAction(1, np.array([[np.nan, 0], [0, 1]], dtype=complex))
+    with pytest.raises(ValueError, match="not unitary"):
+        UnitaryAction(1, np.array([[np.inf, 0], [0, 1]], dtype=complex))
+    with pytest.raises(ValueError):
+        UnitaryAction(2, np.eye(2))
+
+
+def test_transform_rejects_non_finite_locals():
+    # a NaN makes every comparison false, so "max > tol" would let it through
+    for bad in (np.nan, np.inf, 1e300):
+        with pytest.raises(ValueError, match="local at qubit 3 is not unitary"):
+            CodeTransform.from_json(
+                {"locals": ["I", "I", "I", [[bad, 0], [0, 0], [0, 0], [1, 0]]]}, 4)
+
+
+def test_transform_perm_entries_must_be_ints():
+    for perm in ([0, 1, 2, 3.0], [False, True, 2, 3], ["0", 1, 2, 3]):
+        with pytest.raises(ValueError, match="not an integer"):
+            CodeTransform(4, perm=perm)
+    assert CodeTransform(3, perm=np.array([2, 0, 1])).perm == (2, 0, 1)
+
+
+def test_ket_rejects_non_finite_amplitudes():
+    for re, im in ((np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.0), (10**400, 0)):
+        with pytest.raises(ValueError, match="not a finite number"):
+            ket_from_terms(2, [{"re": re, "im": im, "bits": "01"}])
+    big = ket_from_terms(1, [(1e308, "0"), (-1e308, "1")])
+    assert np.array_equal(big.amplitudes, [1e308, -1e308])

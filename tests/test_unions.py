@@ -40,9 +40,10 @@ from qerasure import (
 )
 from qerasure.codes import basis_matrix
 from qerasure.erasure import annihilating_space
-from qerasure.operator_space import _pauli_grams
+from qerasure.operator_space import _pauli_grams, _pauli_table
 from qerasure.unions import _as_action, _mixed_blocks, _product_map
 
+from _oracle import SINGLE, conjugate_letters, transform_matrix
 from conftest import random_code, random_orthogonal_pair, random_unitary
 
 ADJOINT_CLOSED = (erasure_space, pure_erasure_space, annihilating_space)
@@ -56,7 +57,7 @@ def swap_pair(rng, n, k):
     rest = np.linalg.qr(np.hstack([b1, b2]), mode="complete")[0][:, 2 * k:]
     rest2 = np.linalg.qr(np.hstack([b2, b1]), mode="complete")[0][:, 2 * k:]
     u = np.hstack([b2, b1, rest2]) @ np.hstack([b1, b2, rest]).conj().T
-    return code, UnitaryAction.from_matrix(n, u)
+    return code, UnitaryAction(n, u)
 
 
 def half_frame_pair(rng, n, k):
@@ -134,39 +135,39 @@ def test_conjugate_matches_transformed_code():
 
 
 def test_conjugate_symbolic_and_dense_agree():
+    # the transform's own matrix against one the oracle builds from the letters
     code = fixture_rains_subcode()
     space = pure_erasure_space(code)
     t = rains_component_transform(2)
-    symbolic = conjugate_subspace(space, t)
-    dense_action = UnitaryAction.from_matrix(5, UnitaryAction.from_transform(t).matrix)
-    assert not dense_action.is_pauli_type
-    dense = conjugate_subspace(space, dense_action)
-    assert equality_residual(symbolic, dense) < 1e-9
+    from_transform = conjugate_subspace(space, t)
+    oracle = transform_matrix(t.perm, [SINGLE[ch] for ch in "IIXXX"])
+    dense = conjugate_subspace(space, UnitaryAction(5, oracle))
+    assert equality_residual(from_transform, dense) < 1e-9
 
 
 def test_conjugate_preserves_dim_random(rng):
     s = OperatorSubspace.from_span(
         3, rng.standard_normal((64, 10)) + 1j * rng.standard_normal((64, 10)))
-    u = UnitaryAction.from_matrix(3, random_unitary(rng, 8))
+    u = UnitaryAction(3, random_unitary(rng, 8))
     assert conjugate_subspace(s, u).dim == s.dim
 
 
 def test_conjugation_permutes_within_weight_classes():
-    # the dense conjugation map sends each Pauli to +-(its symbolic image),
+    # the dense conjugation map sends each Pauli to +-(its letter-string image),
     # a Pauli of the same weight, for every Pauli-type component transform
-    from qerasure.operator_space import pauli_order
-    from qerasure.unions import _product_map
-
-    order = pauli_order(5)
+    labels = _pauli_table(5).labels.tolist()
+    column = {label: i for i, label in enumerate(labels)}
     for i in (0, 1, 4):
-        act = _as_action(5, rains_component_transform(i))
+        t = rains_component_transform(i)
+        act = _as_action(5, t)
         conj = _product_map(5, left=act.matrix, right=act.matrix.conj().T)
         images = conj(np.eye(4**5, dtype=complex))
-        expected = np.column_stack([pauli_coords(act.conjugate_pauli(p)) for p in order])
+        expected = np.zeros((4**5, 4**5))
+        for j, label in enumerate(labels):
+            sign, image = conjugate_letters(label, t.perm, "IIXXX")
+            assert image.count("I") == label.count("I")
+            expected[column[image], j] = sign
         assert np.max(np.abs(images - expected)) < 1e-12
-        assert np.all(np.isin(expected[expected != 0], (1, -1)))
-        for p in order:
-            assert weight(act.conjugate_pauli(p)) == weight(p)
 
 
 def test_one_sided_multiplication_round_trip():
@@ -278,10 +279,10 @@ def test_pure_pipeline_inside_erasure_pipeline():
 def test_pipeline_rejects_non_orthogonal_image():
     with pytest.raises(OrthogonalityError):
         union_erasure_space_via_intersection(
-            fixture_gbp_code(), CodeTransform.identity(4))
+            fixture_gbp_code(), CodeTransform(4))
     with pytest.raises(OrthogonalityError):
         union_pure_space_via_intersection(
-            fixture_gbp_code(), CodeTransform.identity(4))
+            fixture_gbp_code(), CodeTransform(4))
 
 
 def test_toy_two_qubit_pipeline():
@@ -309,7 +310,7 @@ def test_conjugated_spaces_stay_real(rng, n):
     for k in sorted({1, 2, 1 << n}):
         code = random_code(rng, n, k)
         for u in (CodeTransform(n, locals=["Y"] + ["X"] * (n - 1)),
-                  UnitaryAction.from_matrix(n, random_unitary(rng, 1 << n))):
+                  UnitaryAction(n, random_unitary(rng, 1 << n))):
             mat = _as_action(n, u).matrix
             for build in ADJOINT_CLOSED:
                 space = build(code)
