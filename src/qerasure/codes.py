@@ -93,8 +93,9 @@ def ingest_code(spec: dict) -> QuantumCode:
 
     Each term is (amplitude, bitstring) or {"re": .., "im": .., "bits": ..}.
     Vectors are normalized; non-integer n, non-numeric or non-finite amplitudes,
-    zero or overflowing norms, malformed bitstrings and non-orthogonal pairs are
-    rejected, and codes beyond the size limit are refused before any amplitude is read.
+    zero norms, norms that overflow or underflow, malformed bitstrings and
+    non-orthogonal pairs are rejected, and codes beyond the size limit are
+    refused before any amplitude is read.
     The accepted basis B, orthonormal to ORTHONORMALITY_TOL, is replaced by
     its symmetric (Lowdin) orthonormalization B (B^H B)^(-1/2), the
     orthonormal basis nearest to it, which moves no vector by more than about
@@ -123,6 +124,8 @@ def ingest_code(spec: dict) -> QuantumCode:
             raise CodeValidationError(f"basis vector {idx}: {exc}") from exc
         if not np.isfinite(norm):
             raise CodeValidationError(f"basis vector {idx} has a norm beyond the float range")
+        if norm == 0 and ket.amplitudes.any():  # every square underflowed to zero
+            raise CodeValidationError(f"basis vector {idx} has a norm below the float range")
         if norm == 0:
             raise CodeValidationError(f"basis vector {idx} is the zero vector")
         kets.append(ket.normalized())

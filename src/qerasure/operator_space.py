@@ -10,11 +10,13 @@ operator subspaces faithfully.
 
 A subspace is stored by one array: an orthonormal basis of its orthogonal
 complement.  Every space the package builds is nearly the whole space, so
-the complement is the small representation: the erasure, pure and
+the complement is the small representation.  The erasure, pure and
 annihilating spaces write theirs down in closed form from a code's gram
-tensor (see erasure), the nullspace of a stacked constraint system, as in
-intersect, takes its complement from one thin SVD of the rows in tall column
-form, and a span given by its vectors has its complement completed once.
+tensor (see erasure).  The nullspace of a constraint system takes its
+complement from one thin SVD of the rows in tall column form.  An
+intersection keeps the widest input complement as it stands and adds the
+directions that one thin SVD of the other complements, projected off it,
+finds new.  A span given by its vectors has its complement completed once.
 The spanning basis is completed from the complement on first use.  Unitary
 maps of operator space carry complements to complements, so they act on the
 complement alone.
@@ -39,12 +41,14 @@ a 4096 x ~4093 array, float64 (134 MB) for a real space and complex (268 MB)
 otherwise, the only O(16^n) object here.
 
 Numerical conventions: ranks are read from singular values with a relative
-threshold of RANK_RTOL times the largest one, and membership and containment
-residuals are compared against MEMBERSHIP_TOL and SUBSPACE_TOL (see
-tolerances).  Every rank-revealing SVD factors a tall matrix: constraint rows
-(r, 4^n) are factored as their transpose, whose left singular vectors carry
-the nullspace complement, since LAPACK reduces a wide matrix through an extra
-LQ pass.  A containment residual is the sine of the largest principal angle,
+threshold of RANK_RTOL times the largest one, except in intersect, where the
+inputs have unit-norm columns and the cut is RANK_RTOL itself.  Membership
+and containment residuals are compared against MEMBERSHIP_TOL and
+SUBSPACE_TOL (see tolerances).  Every rank-revealing SVD factors columns:
+constraint rows (r, 4^n) are factored as their transpose, whose left singular
+vectors carry the nullspace complement, since LAPACK reduces a wide matrix
+through an extra LQ pass, and intersect factors complement columns.
+A containment residual is the sine of the largest principal angle,
 read as the spectral norm of the explicit residual (I - P_inner) Q_outer
 from the largest eigenvalue of its c x c Gram.  It is never read as
 1 - cos^2 of the smallest principal-angle cosine, which cancels to a floor
@@ -340,16 +344,34 @@ def intersect(subspaces: Sequence[OperatorSubspace]) -> OperatorSubspace:
     """Common subspace of all inputs.
 
     A vector lies in every subspace exactly when it is orthogonal to every
-    complement, so the intersection is the nullspace of the stacked
-    complement constraints.
+    complement, so the complement of the intersection is the span of them
+    all.  Complements are orthonormal, so the widest one, Q (the first of
+    equal width), is kept as it stands and only the others are factored:
+    stacked and projected off Q, their residual has 4^n rows and the
+    columns of all complements but Q, and its left singular vectors with
+    singular values above RANK_RTOL are the new directions (Barlow and
+    Smoktunowicz, "Reorthogonalized block classical Gram-Schmidt", Numer.
+    Math. 123, 2013).  The cut is absolute, since every input column has
+    unit norm.  The kept directions are projected off Q once more: a
+    singular value near the cut leaves its vector about eps / RANK_RTOL off
+    the orthogonal complement of Q.
     """
     if len(subspaces) == 0:
         raise ValueError("need at least one subspace")
     n = subspaces[0].n
     if any(s.n != n for s in subspaces):
         raise ValueError("subspaces live on different qubit counts")
-    rows = np.vstack([s.complement.conj().T for s in subspaces])
-    return OperatorSubspace.from_constraints(n, rows)
+    widest = max(range(len(subspaces)), key=lambda i: subspaces[i].complement.shape[1])
+    q = subspaces[widest].complement
+    rest = [s.complement for i, s in enumerate(subspaces) if i != widest]
+    if sum(c.shape[1] for c in rest) == 0:
+        return OperatorSubspace(n, complement=q)
+    residual = np.hstack(rest)
+    residual = residual - q @ (q.conj().T @ residual)
+    u, s, _ = np.linalg.svd(residual, full_matrices=False)
+    fresh = u[:, s > RANK_RTOL]
+    fresh -= q @ (q.conj().T @ fresh)
+    return OperatorSubspace(n, complement=np.hstack([q, fresh]))
 
 
 def _largest_singular_value(m: np.ndarray) -> float:

@@ -10,8 +10,10 @@ from the structure of the conditions.
 It also keeps the older factorizations behind OperatorSubspace: the SVD of
 the wide constraint rows themselves, and the full singular value spectrum of
 a containment residual, where the package factors the tall column form and
-reads the largest singular value from a small Gram.  And it keeps the routes
-through a spanning basis B, where the package reads membership and
+reads the largest singular value from a small Gram.  The wide SVD of all
+complements stacked as rows is the second route to intersect, which factors
+only what its widest input complement does not span.  And it keeps the
+routes through a spanning basis B, where the package reads membership and
 containment off complements alone: the member residual |v - B B^H v| / |v|,
 and the containment residual sigma_max(C_outer^H B_inner).
 """

@@ -342,6 +342,20 @@ def test_ingest_rejects_non_finite_amplitudes(tmp_path, capsys, spec):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("spec, reason", [
+    ({"n": 1, "basis": [[[1e-170, "0"]]]}, "has a norm below the float range"),
+    ({"n": 1, "basis": [[[1e-162, "0"], [1e-162, "1"]]]}, "has a norm below the float range"),
+    ({"n": 1, "basis": [[[1e-170, "0"], [-1e-170, "0"]]]}, "is the zero vector"),
+], ids=["square-underflow", "sum-underflow", "cancelled"])
+def test_ingest_tells_an_underflowing_norm_from_a_zero_vector(tmp_path, capsys, spec, reason):
+    f = tmp_path / "tiny.json"
+    f.write_text(json.dumps(spec))
+    status, out, err = run_cli(capsys, "distance", "--code", str(f))
+    assert status == 1 and out == ""
+    assert err.startswith("qerasure: error[invalid-code]") and reason in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("spec", [
     {"n": 40, "basis": [[[1.0, "0" * 40]]]},
     {"n": 8, "basis": [[[1.0, format(b, "08b")]] for b in range(256)]},

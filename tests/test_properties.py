@@ -1,7 +1,8 @@
 """Property tests (hypothesis, derandomized) on up to four qubits.
 
-The transform adjoint, the Pauli group laws of the mask arithmetic, and the
-ingest boundary of the command line against arbitrary JSON.
+The transform adjoint, the Pauli group laws of the mask arithmetic, the
+subspace maps of the union formulas, and the ingest boundary of the command
+line against arbitrary JSON.
 """
 
 import contextlib
@@ -19,17 +20,23 @@ from hypothesis import strategies as st
 from qerasure import (
     CodeTransform,
     Ket,
+    OperatorSubspace,
     PauliOperator,
     UnitaryAction,
     apply_transform,
+    conjugate_subspace,
     dagger,
+    equality_residual,
+    left_multiply_subspace,
     multiply,
     pauli_to_string,
+    right_multiply_subspace,
     to_matrix,
 )
 from qerasure.cli import main
 
 from _oracle import dense_pauli
+from conftest import random_unitary
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -88,6 +95,43 @@ def test_pauli_group_laws(triple):
     assert np.allclose(to_matrix(dagger(p)), to_matrix(p).conj().T, atol=1e-12)
     ident = multiply(p, dagger(p))
     assert (ident.x_mask, ident.z_mask, ident.phase) == (0, 0, 0)
+
+
+@st.composite
+def spaces_and_actions(draw):
+    """A space on n <= 3 qubits by a random real or complex complement, and a
+    unitary: a dense random one, or a permutation-plus-locals transform."""
+    n = draw(st.integers(1, 3))
+    dim = 4**n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = draw(st.integers(0, dim))
+    cols = rng.standard_normal((dim, c))
+    if draw(st.booleans()):
+        cols = cols + 1j * rng.standard_normal((dim, c))
+    space = OperatorSubspace(n, complement=np.linalg.qr(cols)[0])
+    if draw(st.booleans()):
+        action = UnitaryAction(n, random_unitary(rng, 1 << n))
+    else:
+        perm = draw(st.permutations(range(n)))
+        action = UnitaryAction.from_transform(
+            CodeTransform(n, perm=perm, locals=[draw(local_gates()) for _ in range(n)]))
+    return space, action
+
+
+@PROPERTY
+@given(spaces_and_actions())
+def test_subspace_maps_are_unitary_and_invertible(case):
+    # every map is one _product_map, E -> L E R, which is unitary on operator
+    # space: it keeps the complement orthonormal, and U-adjoint undoes it
+    space, u = case
+    for image_of in (conjugate_subspace, left_multiply_subspace, right_multiply_subspace):
+        image = image_of(space, u)
+        image.validate(1e-12)
+        assert image.dim == space.dim
+        back = image_of(image, u.adjoint())
+        back.validate(1e-12)
+        assert back.dim == space.dim
+        assert equality_residual(back, space) < 1e-12
 
 
 # Leaves of the fuzzed JSON: every JSON type, plus the non-finite floats, the

@@ -1,8 +1,10 @@
 """Property tests for the laws of the subspace algebra on random complements.
 
-Each example draws two spaces on n <= 3 qubits from orthonormal complements
-that share a random number of directions, so intersections range from the
-zero space to nearly the whole space and include rank-deficient stacks.
+Each example draws two or more spaces on n <= 3 qubits from orthonormal
+complements that share a random number of directions, so intersections range
+from the zero space to nearly the whole space and include rank-deficient
+stacks.  Intersections are also checked against the stacked wide SVD of
+_svd_route.
 """
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from qerasure import OperatorSubspace, containment_residual, equality_residual, intersect
 
+from _svd_route import wide_nullspace_complement
 from conftest import random_unitary
 
 
@@ -96,3 +99,69 @@ def test_equality_residual_is_symmetric(pair):
     a, b = pair
     if a.dim == b.dim:
         assert abs(equality_residual(a, b) - equality_residual(b, a)) < 1e-14
+
+
+@st.composite
+def intersection_inputs(draw):
+    """Two to four spaces on n <= 3 qubits, each complement real or complex.
+
+    Every complement mixes a random number of directions from one shared
+    real orthonormal pool with fresh random ones, so the inputs overlap and
+    their intersection ranges from the zero space to nearly the whole space.
+    One input may have an empty complement (the whole space).
+    """
+    n = draw(st.integers(1, 3))
+    dim = 4**n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.linalg.qr(rng.standard_normal((dim, dim)))[0][:, :draw(st.integers(0, dim))]
+    m = draw(st.integers(2, 4))
+    full = draw(st.one_of(st.none(), st.integers(0, m - 1)))
+    spaces = []
+    for i in range(m):
+        c = 0 if i == full else draw(st.integers(0, dim))
+        shared = draw(st.integers(0, min(c, pool.shape[1])))
+        real = draw(st.booleans())
+        fresh = rng.standard_normal((dim, c - shared))
+        if real:
+            mixed = pool[:, :shared] @ np.linalg.qr(rng.standard_normal((shared, shared)))[0]
+        else:
+            mixed = pool[:, :shared] @ random_unitary(rng, shared)
+            fresh = fresh + 1j * rng.standard_normal((dim, c - shared))
+        spaces.append(OperatorSubspace(n, complement=np.linalg.qr(np.hstack([mixed, fresh]))[0]))
+    return spaces, draw(st.permutations(range(m)))
+
+
+@LAWS
+@given(intersection_inputs())
+def test_intersection_matches_the_stacked_svd(case):
+    spaces, order = case
+    meet = intersect(spaces)
+    meet.validate(1e-12)
+    rows = np.vstack([s.complement.conj().T for s in spaces])
+    oracle = OperatorSubspace(spaces[0].n, complement=wide_nullspace_complement(rows))
+    assert meet.dim == oracle.dim
+    assert equality_residual(meet, oracle) < 1e-12
+    if all(np.isrealobj(s.complement) for s in spaces):
+        assert meet.complement.dtype == np.float64
+    permuted = intersect([spaces[i] for i in order])
+    permuted.validate(1e-12)
+    assert permuted.dim == meet.dim
+    assert equality_residual(permuted, meet) < 1e-12
+
+
+def test_rank_cut_of_the_intersection_is_absolute():
+    # b's one complement direction sits eps off a's three-column complement:
+    # its residual off a has singular value eps, kept above RANK_RTOL = 1e-8
+    rng = np.random.default_rng(12)
+    w = np.linalg.qr(rng.standard_normal((16, 16)))[0]
+    a = OperatorSubspace(2, complement=w[:, :3])
+    for eps, kept in ((1e-6, True), (1e-10, False)):
+        v = w[:, 0] + eps * w[:, 5]
+        meet = intersect([a, OperatorSubspace(2, complement=v / np.linalg.norm(v))])
+        meet.validate(1e-12)
+        if kept:
+            assert meet.dim == a.dim - 1
+            assert meet.member_residual(w[:, 5]) > 1 - 1e-12
+        else:
+            assert meet.dim == a.dim
+            assert equality_residual(meet, a) < 1e-12

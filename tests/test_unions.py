@@ -439,9 +439,9 @@ def test_cross_check_builds_the_image_once(monkeypatch, constraint_solves):
     report = cross_check_intersection_formulas(fixture_gbp_code(), gbp_pair_transform())
     assert report["theorem4"]["matches_direct"] and report["theorem5"]["matches_direct"]
     assert len(images) == 1
-    # the two intersections and the equal-expectation space; every other
-    # space is written down from a gram tensor
-    assert len(constraint_solves) == 3
+    # only the single-row equal-expectation space: every other space is
+    # written down from a gram tensor, and intersect solves no constraints
+    assert len(constraint_solves) == 1
 
 
 def test_cross_check_builds_three_gram_tensors(gram_builds):
