@@ -70,7 +70,7 @@ from .pauli import (
     _pauli_masks,
     _reverse_bits,
 )
-from .tolerances import COEFFICIENT_TOL, ORTHONORMALITY_TOL, RANK_RTOL
+from .tolerances import COEFFICIENT_TOL, ORTHONORMALITY_TOL, RANK_RTOL, REPROJECT_BELOW
 
 
 class _PauliTable(NamedTuple):
@@ -352,9 +352,8 @@ def intersect(subspaces: Sequence[OperatorSubspace]) -> OperatorSubspace:
     singular values above RANK_RTOL are the new directions (Barlow and
     Smoktunowicz, "Reorthogonalized block classical Gram-Schmidt", Numer.
     Math. 123, 2013).  The cut is absolute, since every input column has
-    unit norm.  The kept directions are projected off Q once more: a
-    singular value near the cut leaves its vector about eps / RANK_RTOL off
-    the orthogonal complement of Q.
+    unit norm.  Those below REPROJECT_BELOW are projected off Q again, in
+    place: one near the cut is about eps / RANK_RTOL off the complement of Q.
     """
     if len(subspaces) == 0:
         raise ValueError("need at least one subspace")
@@ -366,12 +365,13 @@ def intersect(subspaces: Sequence[OperatorSubspace]) -> OperatorSubspace:
     rest = [s.complement for i, s in enumerate(subspaces) if i != widest]
     if sum(c.shape[1] for c in rest) == 0:
         return OperatorSubspace(n, complement=q)
-    residual = np.hstack(rest)
-    residual = residual - q @ (q.conj().T @ residual)
-    u, s, _ = np.linalg.svd(residual, full_matrices=False)
-    fresh = u[:, s > RANK_RTOL]
-    fresh -= q @ (q.conj().T @ fresh)
-    return OperatorSubspace(n, complement=np.hstack([q, fresh]))
+    stacked = np.hstack(rest)
+    u, s, _ = np.linalg.svd(stacked - q @ (q.conj().T @ stacked), full_matrices=False)
+    keep = np.count_nonzero(s > RANK_RTOL)
+    out = np.hstack([q, u[:, :keep]])
+    weak = out[:, q.shape[1] + np.count_nonzero(s >= REPROJECT_BELOW):]
+    weak -= q @ (q.conj().T @ weak)
+    return OperatorSubspace(n, complement=out)
 
 
 def _largest_singular_value(m: np.ndarray) -> float:

@@ -7,6 +7,7 @@ re-exports RANK_RTOL, MEMBERSHIP_TOL, SUBSPACE_TOL and MATRIX_ELEMENT_TOL.
 """
 
 RANK_RTOL = 1e-8  # singular values up to this times the largest one (in intersect, up to this) count as zero
+REPROJECT_BELOW = 0.5  # intersect reprojects kept directions weaker than this: twice is enough (Giraud, Langou, Rozloznik 2005)
 MEMBERSHIP_TOL = 1e-8  # a member_residual below this is membership
 SUBSPACE_TOL = 1e-8  # an equality residual below this means the spaces agree
 MATRIX_ELEMENT_TOL = 1e-9  # a code matrix element this far from its required value fails

@@ -3,22 +3,21 @@
 The union of mutually orthogonal codes of equal length is the code spanned by
 the concatenated bases.  For a two-component union C (+) UC built from a
 unitary image, the membership conditions split by component block, so the
-erasure space equals an intersection of five spaces derived from C alone: its
+erasure space equals an intersection of spaces derived from C alone: its
 erasure space, the conjugate of that under U, right and left one-sided
 multiples of the zero-block space (operators annihilated by the code
 projector on both sides), and the space of operators whose expectation in the
-first basis ket is unchanged by conjugation.  The union's pure space is the
-analogous four-way intersection.  Both pipelines are cross-checked here
-against the direct computation over the concatenated basis, which never
-special-cases mixed component pairs.
+first basis ket is unchanged by conjugation.  The union's pure space takes the
+pure space and its conjugate for the first two and drops the last.  Sharing
+all but one or two complement columns, both are factored at once
+(_union_spaces) and cross-checked against the direct computation over the
+concatenated basis, which never special-cases mixed component pairs.
 
-Every factor of both intersections is closed under the adjoint, so each is
-stored by a real complement and the intersections and their comparison with
-the direct spaces run in real arithmetic.  Conjugation by U keeps a real
-complement real.  The two one-sided multiples of the zero-block space are
-adjoints of each other, so they enter as one real factor, their
-intersection, built from a single one-sided map (_mixed_blocks).  The
-one-sided maps themselves return complex complements.
+Every factor is closed under the adjoint, so each is stored by a real
+complement, and the intersections and the comparison run in real arithmetic;
+conjugation by U keeps a real complement real.  The two one-sided multiples of
+the zero-block space are adjoints of each other, so they enter as one real
+factor built from one one-sided map (_mixed_blocks), which is complex itself.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .codes import QuantumCode, _check_gram_size, basis_matrix, transform_code
-from .erasure import annihilating_space, erasure_space, pure_erasure_space
+from .erasure import _complement_width, annihilating_space, erasure_space, pure_erasure_space
 from .operator_space import (
     OperatorSubspace,
     _pauli_grams,
@@ -181,22 +180,26 @@ def _mixed_blocks(code: QuantumCode, action: UnitaryAction) -> OperatorSubspace:
     return OperatorSubspace(code.n, complement=np.sqrt(2) * np.hstack([x.real, x.imag]))
 
 
-def _theorem4(code: QuantumCode, action: UnitaryAction,
-              mixed: OperatorSubspace) -> OperatorSubspace:
-    es = erasure_space(code)
-    return intersect([es, conjugate_subspace(es, action), mixed,
-                      equal_expectation_space(code, action)])
+def _union_spaces(code: QuantumCode,
+                  action: UnitaryAction) -> tuple[OperatorSubspace, OperatorSubspace]:
+    """The (Theorem 4, Theorem 5) spaces of C (+) UC, factored once.
 
-
-def _theorem5(code: QuantumCode, action: UnitaryAction,
-              mixed: OperatorSubspace) -> OperatorSubspace:
-    ps = pure_erasure_space(code)
-    return intersect([ps, conjugate_subspace(ps, action), mixed])
+    PS(C) has the complement [ES(C)-perp | p], p the traceless code projector,
+    so one conjugation serves both.  Each meets S = ES(C) meet U ES(C) U-adjoint
+    meet the mixed blocks, made once, with the equal-expectation space, or with
+    p and U p U-adjoint as one-column complements.
+    """
+    ps, width = pure_erasure_space(code), _complement_width(code.n, code.k, False)
+    es, p, es_conj, p_conj = (OperatorSubspace(code.n, c) for s in (ps, conjugate_subspace(ps, action))
+                              for c in np.hsplit(s.complement, [width]))
+    shared = intersect([es, es_conj, _mixed_blocks(code, action)])
+    return (intersect([shared, equal_expectation_space(code, action)]),
+            intersect([shared, p, p_conj]))
 
 
 def union_erasure_space_via_intersection(code: QuantumCode, u) -> OperatorSubspace:
     """Erasure space of the union of a code with its orthogonal unitary image,
-    computed as a five-way intersection instead of from the concatenated basis.
+    intersected from one component's data instead of from the concatenated basis.
 
     The two within-component condition blocks contribute the erasure space of
     the code and its conjugate; the mixed blocks demand that every matrix
@@ -207,7 +210,7 @@ def union_erasure_space_via_intersection(code: QuantumCode, u) -> OperatorSubspa
     """
     action = _as_action(code.n, u)
     _require_orthogonal_image(code, action)
-    return _theorem4(code, action, _mixed_blocks(code, action))
+    return _union_spaces(code, action)[0]
 
 
 def union_pure_space_via_intersection(code: QuantumCode, u) -> OperatorSubspace:
@@ -218,7 +221,7 @@ def union_pure_space_via_intersection(code: QuantumCode, u) -> OperatorSubspace:
     """
     action = _as_action(code.n, u)
     _require_orthogonal_image(code, action)
-    return _theorem5(code, action, _mixed_blocks(code, action))
+    return _union_spaces(code, action)[1]
 
 
 def cross_check_intersection_formulas(code: QuantumCode, u,
@@ -238,16 +241,13 @@ def _cross_check(code: QuantumCode, u, union: QuantumCode,
                  tol: float = SUBSPACE_TOL) -> dict:
     """cross_check_intersection_formulas against an already built union C (+) UC.
 
-    Both formulas share the mixed-block factor, and the direct spaces read
+    Both formulas come from one _union_spaces call and the direct spaces from
     the union's gram tensor, so a caller that has the union builds it once.
     """
-    action = _as_action(code.n, u)
-    mixed = _mixed_blocks(code, action)
     report = {}
-    for key, pipeline, direct in (
-        ("theorem4", _theorem4(code, action, mixed), erasure_space(union)),
-        ("theorem5", _theorem5(code, action, mixed), pure_erasure_space(union)),
-    ):
+    for key, pipeline, direct in zip(("theorem4", "theorem5"),
+                                     _union_spaces(code, _as_action(code.n, u)),
+                                     (erasure_space(union), pure_erasure_space(union))):
         residual = equality_residual(pipeline, direct)
         report[key] = {
             "dim": pipeline.dim,

@@ -41,7 +41,7 @@ from qerasure import (
 from qerasure.codes import basis_matrix
 from qerasure.erasure import annihilating_space
 from qerasure.operator_space import _pauli_grams, _pauli_table
-from qerasure.unions import _as_action, _mixed_blocks, _product_map
+from qerasure.unions import _as_action, _mixed_blocks, _product_map, _union_spaces
 
 from _oracle import SINGLE, conjugate_letters, transform_matrix
 from conftest import random_code, random_orthogonal_pair, random_unitary
@@ -301,6 +301,45 @@ def test_pipeline_random_pair(rng):
     assert report["theorem5"]["matches_direct"]
 
 
+def test_shared_route_matches_the_one_shot_formulas(rng):
+    # S = ES meet U ES U^H meet mixed is factored once and met with the last
+    # one or two factors; associativity makes that the one-shot intersections
+    # beside the usual pairs: the fixtures under H/S transforms, and n = 2
+    dense = [(fixture_gbp_code(), CodeTransform(4, locals=["I", "X", "H", "X"])),
+             (fixture_rains_subcode(), CodeTransform(5, locals=["I", "I", "I", "H", "S"])),
+             swap_pair(rng, 2, 1)]
+    for code, u in fixture_and_random_pairs(rng) + dense:
+        act = _as_action(code.n, u)
+        mixed = _mixed_blocks(code, act)
+        es, ps = erasure_space(code), pure_erasure_space(code)
+        one_shot = (
+            intersect([es, conjugate_subspace(es, act), mixed, equal_expectation_space(code, act)]),
+            intersect([ps, conjugate_subspace(ps, act), mixed]),
+        )
+        for shared, direct in zip(_union_spaces(code, act), one_shot):
+            assert shared.dim == direct.dim
+            assert equality_residual(shared, direct) < 1e-12
+
+
+@pytest.mark.parametrize("n, kets, locals_", [
+    (1, ["0"], ["X"]),
+    (2, ["00", "01"], ["X", "I"]),
+    (3, ["000", "011", "101", "110"], ["X", "I", "I"]),
+])
+def test_union_filling_the_whole_space(n, kets, locals_):
+    # K = 2^(n-1) and an image on the other half: the union is the whole
+    # space, so both of its spaces are the identity line, and its pure
+    # complement has no projector column
+    code = ingest_code({"n": n, "label": "half", "basis": [[(1, ket)] for ket in kets]})
+    t = CodeTransform(n, locals=locals_)
+    report = cross_check_intersection_formulas(code, t)
+    for key in ("theorem4", "theorem5"):
+        assert report[key]["dim"] == report[key]["direct_dim"] == 1
+        assert report[key]["matches_direct"]
+    assert union_erasure_space_via_intersection(code, t).dim == 1
+    assert union_pure_space_via_intersection(code, t).dim == 1
+
+
 # ------------------------------------------------- real Pauli coordinates
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -449,3 +488,25 @@ def test_cross_check_builds_three_gram_tensors(gram_builds):
     cross_check_intersection_formulas(code, gbp_pair_transform())
     # the code's, the union's, and the anchor pair's of the expectation space
     assert sorted(gram_builds) == [(4, 2), (4, 4), (4, 8)]
+
+
+def test_cross_check_shares_one_conjugation_and_one_wide_intersection(monkeypatch):
+    from qerasure import unions
+
+    code, t = fixture_gbp_code(), gbp_pair_transform()
+    calls = {name: [] for name in ("conjugate_subspace", "_mixed_blocks", "intersect",
+                                   "erasure_space", "pure_erasure_space")}
+    for name, seen in calls.items():
+        real = getattr(unions, name)
+        monkeypatch.setattr(unions, name, lambda *args, real=real, seen=seen, **kwargs:
+                            seen.append(args[0]) or real(*args, **kwargs))
+    report = cross_check_intersection_formulas(code, t)
+    assert report["theorem4"]["matches_direct"] and report["theorem5"]["matches_direct"]
+    assert len(calls["conjugate_subspace"]) == 1
+    assert len(calls["_mixed_blocks"]) == 1
+    # the component's pure space serves both formulas; the union's two spaces
+    # are the direct side
+    assert [c is code for c in calls["pure_erasure_space"]].count(True) == 1
+    assert not any(c is code for c in calls["erasure_space"])
+    # S, then S with the expectation row and S with p and U p U^H
+    assert len(calls["intersect"]) == 3
