@@ -8,10 +8,21 @@ erasure space, the conjugate of that under U, right and left one-sided
 multiples of the zero-block space (operators annihilated by the code
 projector on both sides), and the space of operators whose expectation in the
 first basis ket is unchanged by conjugation.  The union's pure space takes the
-pure space and its conjugate for the first two and drops the last.  Sharing
-all but one or two complement columns, both are factored at once
-(_union_spaces) and cross-checked against the direct computation over the
-concatenated basis, which never special-cases mixed component pairs.
+pure space and its conjugate for the first two and drops the last.  Both are
+cross-checked against the direct computation over the concatenated basis,
+which never special-cases mixed component pairs.
+
+The first three factors meet in a space S whose complement needs no
+factorization.  Their complements lie in the CC, UU and CU/UC blocks of
+operator space, spanned by |a><b| with a, b in C, in UC, or one in each, and
+these blocks are Hilbert-Schmidt orthogonal: <|a><b|, |c><d|> = <a|c><d|b>
+vanishes across blocks because C is orthogonal to UC.  So the orthonormal
+complements concatenate to an orthonormal complement of S (_block_sum).  The
+last factors are not block-orthogonal.  The expectation row, |a><a| -
+|Ua><Ua|, overlaps the diagonal directions of the first two.  The traceless
+projectors p = P_C - K / 2^n and U p U-adjoint each spread a multiple of the
+identity over every block and overlap each other (cosine -K / (2^n - K)).  So
+each formula meets S with them in one narrow intersection.
 
 Every factor is closed under the adjoint, so each is stored by a real
 complement, and the intersections and the comparison run in real arithmetic;
@@ -28,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .codes import QuantumCode, _check_gram_size, basis_matrix, transform_code
-from .erasure import _complement_width, annihilating_space, erasure_space, pure_erasure_space
+from .erasure import _complement_width, annihilating_space, pure_erasure_space
 from .operator_space import (
     OperatorSubspace,
     _pauli_grams,
@@ -96,6 +107,8 @@ def union_code(codes: Sequence[QuantumCode],
 
 
 def _as_action(n: int, u) -> UnitaryAction:
+    if isinstance(u, (UnitaryAction, CodeTransform)) and u.n != n:
+        raise ValueError(f"qubit count mismatch: {u.n} != {n}")
     if isinstance(u, UnitaryAction):
         return u
     if isinstance(u, CodeTransform):
@@ -146,8 +159,8 @@ def equal_expectation_space(code: QuantumCode, u,
     one dimension.  Its row, a difference of two expectations of Hermitian
     Paulis, is real.
     """
-    if code.k < 1:
-        raise ValueError("code has no basis kets")
+    if not 0 <= anchor < code.k:
+        raise ValueError(f"anchor must be in [0, {code.k}), got {anchor}")
     action = _as_action(code.n, u)
     ket = code.basis[anchor]
     pair = np.column_stack([ket.amplitudes, action.apply(ket).amplitudes])
@@ -170,29 +183,47 @@ def _mixed_blocks(code: QuantumCode, action: UnitaryAction) -> OperatorSubspace:
     """The mixed-block factor of both formulas: Z U-adjoint meet U Z, Z annihilating.
 
     U Z is the adjoint of Z U-adjoint, so its complement is the conjugate of
-    the complement X of Z U-adjoint.  The two complements are orthogonal,
-    because the code is orthogonal to its image: <|c_j><Uc_i|, |Uc_l><c_m|>
-    = <c_j|Uc_l><c_m|Uc_i> = 0.  So the intersection has the orthonormal
-    complement [X, conj X], which spans the same space as the real
-    sqrt(2) [Re X, Im X], and one one-sided map builds it.
+    the complement X of Z U-adjoint.  X lies in the CU block, spanned by
+    |c_j><Uc_i|, and its conjugate in the UC block, and the two blocks are
+    orthogonal because the code is orthogonal to its image:
+    <|c_j><Uc_i|, |Uc_l><c_m|> = <c_j|Uc_l><c_m|Uc_i> = 0.  So the
+    intersection has the orthonormal complement [X, conj X], which spans the
+    same space as the real sqrt(2) [Re X, Im X], and one one-sided map builds
+    it.
     """
     x = right_multiply_subspace(annihilating_space(code), action.adjoint()).complement
     return OperatorSubspace(code.n, complement=np.sqrt(2) * np.hstack([x.real, x.imag]))
 
 
-def _union_spaces(code: QuantumCode,
-                  action: UnitaryAction) -> tuple[OperatorSubspace, OperatorSubspace]:
-    """The (Theorem 4, Theorem 5) spaces of C (+) UC, factored once.
+def _block_sum(code: QuantumCode, action: UnitaryAction) -> tuple[OperatorSubspace, ...]:
+    """S = ES(C) meet U ES(C) U-adjoint meet the mixed blocks, p, and U p U-adjoint.
 
     PS(C) has the complement [ES(C)-perp | p], p the traceless code projector,
-    so one conjugation serves both.  Each meets S = ES(C) meet U ES(C) U-adjoint
-    meet the mixed blocks, made once, with the equal-expectation space, or with
-    p and U p U-adjoint as one-column complements.
+    so one conjugation gives both conjugated pieces.  S's complement is the
+    block sum [ES(C)-perp | U ES(C)-perp U-adjoint | mixed] (_union_spaces).
     """
     ps, width = pure_erasure_space(code), _complement_width(code.n, code.k, False)
-    es, p, es_conj, p_conj = (OperatorSubspace(code.n, c) for s in (ps, conjugate_subspace(ps, action))
-                              for c in np.hsplit(s.complement, [width]))
-    shared = intersect([es, es_conj, _mixed_blocks(code, action)])
+    (es, p), (es_conj, p_conj) = (np.hsplit(s.complement, [width])
+                                  for s in (ps, conjugate_subspace(ps, action)))
+    mixed = _mixed_blocks(code, action).complement
+    return tuple(OperatorSubspace(code.n, c)
+                 for c in (np.hstack([es, es_conj, mixed]), p, p_conj))
+
+
+def _union_spaces(code: QuantumCode,
+                  action: UnitaryAction) -> tuple[OperatorSubspace, OperatorSubspace]:
+    """The (Theorem 4, Theorem 5) spaces of C (+) UC from one _block_sum.
+
+    ES(C)-perp, its conjugate and the mixed complement lie in the CC, UU and
+    CU/UC blocks, which are orthogonal: <|a><b|, |c><d|> = <a|c><d|b> = 0
+    across blocks, as C is orthogonal to UC.  So their orthonormal columns
+    concatenate to an orthonormal complement of S, and no SVD confirms it.
+    The expectation row overlaps ES(C)-perp and its conjugate, and p and
+    U p U-adjoint, which span every block, overlap each other, so S meets
+    them in a narrow intersect, of which it is the widest input: each
+    factors a 4^n x 1 or x 2 residual.
+    """
+    shared, p, p_conj = _block_sum(code, action)
     return (intersect([shared, equal_expectation_space(code, action)]),
             intersect([shared, p, p_conj]))
 
@@ -210,7 +241,7 @@ def union_erasure_space_via_intersection(code: QuantumCode, u) -> OperatorSubspa
     """
     action = _as_action(code.n, u)
     _require_orthogonal_image(code, action)
-    return _union_spaces(code, action)[0]
+    return intersect([_block_sum(code, action)[0], equal_expectation_space(code, action)])
 
 
 def union_pure_space_via_intersection(code: QuantumCode, u) -> OperatorSubspace:
@@ -221,7 +252,7 @@ def union_pure_space_via_intersection(code: QuantumCode, u) -> OperatorSubspace:
     """
     action = _as_action(code.n, u)
     _require_orthogonal_image(code, action)
-    return _union_spaces(code, action)[1]
+    return intersect(_block_sum(code, action))
 
 
 def cross_check_intersection_formulas(code: QuantumCode, u,
@@ -243,11 +274,16 @@ def _cross_check(code: QuantumCode, u, union: QuantumCode,
 
     Both formulas come from one _union_spaces call and the direct spaces from
     the union's gram tensor, so a caller that has the union builds it once.
+    PS(union) has the complement [ES(union)-perp | p], so one closed form
+    gives both direct spaces.
     """
+    pure = pure_erasure_space(union)
+    width = _complement_width(union.n, union.k, False)
+    erasure = OperatorSubspace(union.n, pure.complement[:, :width])
     report = {}
     for key, pipeline, direct in zip(("theorem4", "theorem5"),
                                      _union_spaces(code, _as_action(code.n, u)),
-                                     (erasure_space(union), pure_erasure_space(union))):
+                                     (erasure, pure)):
         residual = equality_residual(pipeline, direct)
         report[key] = {
             "dim": pipeline.dim,

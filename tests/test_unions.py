@@ -41,7 +41,14 @@ from qerasure import (
 from qerasure.codes import basis_matrix
 from qerasure.erasure import annihilating_space
 from qerasure.operator_space import _pauli_grams, _pauli_table
-from qerasure.unions import _as_action, _mixed_blocks, _product_map, _union_spaces
+from qerasure.unions import (
+    _as_action,
+    _block_sum,
+    _cross_check,
+    _mixed_blocks,
+    _product_map,
+    _union_spaces,
+)
 
 from _oracle import SINGLE, conjugate_letters, transform_matrix
 from conftest import random_code, random_orthogonal_pair, random_unitary
@@ -145,6 +152,15 @@ def test_conjugate_symbolic_and_dense_agree():
     assert equality_residual(from_transform, dense) < 1e-9
 
 
+@pytest.mark.parametrize("space_map", [conjugate_subspace, left_multiply_subspace,
+                                       right_multiply_subspace])
+@pytest.mark.parametrize("u", [CodeTransform(5), UnitaryAction.identity(5)],
+                         ids=["transform", "action"])
+def test_subspace_maps_refuse_a_qubit_count_mismatch(space_map, u):
+    with pytest.raises(ValueError, match="qubit count mismatch: 5 != 4"):
+        space_map(erasure_space(fixture_gbp_code()), u)
+
+
 def test_conjugate_preserves_dim_random(rng):
     s = OperatorSubspace.from_span(
         3, rng.standard_normal((64, 10)) + 1j * rng.standard_normal((64, 10)))
@@ -214,6 +230,14 @@ def test_equal_expectation_identity_action():
     code = fixture_gbp_code()
     s = equal_expectation_space(code, UnitaryAction.identity(4))
     assert s.dim == 256
+
+
+@pytest.mark.parametrize("past_end", [False, True], ids=["minus-one", "k"])
+def test_equal_expectation_refuses_an_anchor_outside_the_basis(past_end):
+    # -1 would silently pick the last ket, and K would leak an IndexError
+    code = fixture_gbp_code()
+    with pytest.raises(ValueError, match=rf"anchor must be in \[0, {code.k}\)"):
+        equal_expectation_space(code, gbp_pair_transform(), anchor=code.k if past_end else -1)
 
 
 def test_equal_expectation_gbp_dim():
@@ -321,11 +345,14 @@ def test_shared_route_matches_the_one_shot_formulas(rng):
             assert equality_residual(shared, direct) < 1e-12
 
 
-@pytest.mark.parametrize("n, kets, locals_", [
+WHOLE_SPACE = [
     (1, ["0"], ["X"]),
     (2, ["00", "01"], ["X", "I"]),
     (3, ["000", "011", "101", "110"], ["X", "I", "I"]),
-])
+]
+
+
+@pytest.mark.parametrize("n, kets, locals_", WHOLE_SPACE)
 def test_union_filling_the_whole_space(n, kets, locals_):
     # K = 2^(n-1) and an image on the other half: the union is the whole
     # space, so both of its spaces are the identity line, and its pure
@@ -490,23 +517,95 @@ def test_cross_check_builds_three_gram_tensors(gram_builds):
     assert sorted(gram_builds) == [(4, 2), (4, 4), (4, 8)]
 
 
-def test_cross_check_shares_one_conjugation_and_one_wide_intersection(monkeypatch):
-    from qerasure import unions
+def test_cross_check_shares_one_conjugation_and_no_wide_intersection(monkeypatch):
+    from qerasure import erasure, unions
 
     code, t = fixture_gbp_code(), gbp_pair_transform()
     calls = {name: [] for name in ("conjugate_subspace", "_mixed_blocks", "intersect",
-                                   "erasure_space", "pure_erasure_space")}
+                                   "pure_erasure_space")}
     for name, seen in calls.items():
         real = getattr(unions, name)
         monkeypatch.setattr(unions, name, lambda *args, real=real, seen=seen, **kwargs:
                             seen.append(args[0]) or real(*args, **kwargs))
+    scaled = []
+    real_scaled = erasure._scaled_columns
+    monkeypatch.setattr(erasure, "_scaled_columns",
+                        lambda c: scaled.append(c) or real_scaled(c))
     report = cross_check_intersection_formulas(code, t)
     assert report["theorem4"]["matches_direct"] and report["theorem5"]["matches_direct"]
     assert len(calls["conjugate_subspace"]) == 1
     assert len(calls["_mixed_blocks"]) == 1
-    # the component's pure space serves both formulas; the union's two spaces
-    # are the direct side
+    # the component's pure space serves both formulas, and the union's pure
+    # space both direct spaces: one closed form of the union, no erasure_space
     assert [c is code for c in calls["pure_erasure_space"]].count(True) == 1
-    assert not any(c is code for c in calls["erasure_space"])
-    # S, then S with the expectation row and S with p and U p U^H
-    assert len(calls["intersect"]) == 3
+    assert [c.k for c in scaled].count(2 * code.k) == 1
+    # S is a concatenation; only S with the expectation row and S with p and
+    # U p U^H are intersected, each factoring at most two columns besides S
+    assert len(calls["intersect"]) == 2
+    for spaces in calls["intersect"]:
+        widths = sorted(s.complement.shape[1] for s in spaces)
+        assert widths[-1] == 4 * code.k**2 - 2 and sum(widths[:-1]) <= 2
+
+
+@pytest.mark.parametrize("public, dim, expectation_rows", [
+    (union_erasure_space_via_intersection, 193, 1),
+    (union_pure_space_via_intersection, 192, 0),
+])
+def test_each_public_formula_builds_only_its_own_intersection(monkeypatch, public, dim,
+                                                              expectation_rows):
+    from qerasure import unions
+
+    calls = {name: [] for name in ("intersect", "equal_expectation_space")}
+    for name, seen in calls.items():
+        real = getattr(unions, name)
+        monkeypatch.setattr(unions, name, lambda *args, real=real, seen=seen, **kwargs:
+                            seen.append(args[0]) or real(*args, **kwargs))
+    assert public(fixture_gbp_code(), gbp_pair_transform()).dim == dim
+    assert len(calls["intersect"]) == 1
+    assert len(calls["equal_expectation_space"]) == expectation_rows
+
+
+def block_sum_cases(rng):
+    """Pauli-type and H/S transforms of the fixtures, dense swaps at n = 2, 3, 4,
+    a half-frame pair, and the three unions that fill the whole space."""
+    whole = [(ingest_code({"n": n, "label": "half", "basis": [[(1, ket)] for ket in kets]}),
+              CodeTransform(n, locals=locals_)) for n, kets, locals_ in WHOLE_SPACE]
+    return [(fixture_gbp_code(), gbp_pair_transform()),
+            (fixture_gbp_code(), CodeTransform(4, locals=["I", "X", "H", "X"])),
+            (fixture_rains_subcode(), rains_component_transform(1)),
+            (fixture_rains_subcode(), CodeTransform(5, locals=["I", "I", "I", "H", "S"])),
+            swap_pair(rng, 2, 1), swap_pair(rng, 3, 2), swap_pair(rng, 4, 3),
+            half_frame_pair(rng, 4, 3)] + whole
+
+
+def test_block_sum_matches_the_wide_intersection(rng):
+    # the CC, UU and CU/UC blocks are orthogonal, so the concatenated
+    # complements of S are orthonormal and span what intersect finds
+    for code, u in block_sum_cases(rng):
+        act = _as_action(code.n, u)
+        shared, p, p_conj = _block_sum(code, act)
+        shared.validate(1e-12)
+        assert shared.complement.shape[1] == 4 * code.k**2 - 2
+        assert p.complement.shape[1] == p_conj.complement.shape[1] == 1
+        es = erasure_space(code)
+        oracle = intersect([es, conjugate_subspace(es, act), _mixed_blocks(code, act)])
+        assert shared.dim == oracle.dim
+        assert equality_residual(shared, oracle) < 1e-12
+
+
+def test_direct_erasure_complement_is_the_erasure_space_one(monkeypatch, rng):
+    # the leading columns of the union's pure complement, bit for bit
+    from qerasure import unions
+
+    compared = []
+    real = unions.equality_residual
+    monkeypatch.setattr(unions, "equality_residual",
+                        lambda a, b: compared.append(b) or real(a, b))
+    for code, u in block_sum_cases(rng):
+        act = _as_action(code.n, u)
+        union, _ = union_code([code, transform_code(code, act)])
+        compared.clear()
+        _cross_check(code, act, union)
+        direct_es, direct_ps = compared
+        assert np.array_equal(direct_es.complement, erasure_space(union).complement)
+        assert np.array_equal(direct_ps.complement, pure_erasure_space(union).complement)
