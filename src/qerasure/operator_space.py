@@ -340,20 +340,32 @@ def map_subspace(s: OperatorSubspace,
     return OperatorSubspace(s.n, complement=f(s.complement))
 
 
+def _new_directions(q: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """Orthonormal directions that the columns of rest add to the orthonormal q.
+
+    rest, projected off q, is a residual with 4^n rows and rest's columns;
+    its left singular vectors with singular values above RANK_RTOL are the
+    new directions (Barlow and Smoktunowicz, "Reorthogonalized block
+    classical Gram-Schmidt", Numer. Math. 123, 2013).  The cut is absolute,
+    since rest has unit-norm columns.  Those below REPROJECT_BELOW are
+    projected off q again, in place: one near the cut is about eps /
+    RANK_RTOL off the complement of q.  Only the kept columns are returned.
+    """
+    u, s, _ = np.linalg.svd(rest - q @ (q.conj().T @ rest), full_matrices=False)
+    new = u[:, :np.count_nonzero(s > RANK_RTOL)]
+    weak = new[:, np.count_nonzero(s >= REPROJECT_BELOW):]
+    weak -= q @ (q.conj().T @ weak)
+    return new
+
+
 def intersect(subspaces: Sequence[OperatorSubspace]) -> OperatorSubspace:
     """Common subspace of all inputs.
 
     A vector lies in every subspace exactly when it is orthogonal to every
     complement, so the complement of the intersection is the span of them
     all.  Complements are orthonormal, so the widest one, Q (the first of
-    equal width), is kept as it stands and only the others are factored:
-    stacked and projected off Q, their residual has 4^n rows and the
-    columns of all complements but Q, and its left singular vectors with
-    singular values above RANK_RTOL are the new directions (Barlow and
-    Smoktunowicz, "Reorthogonalized block classical Gram-Schmidt", Numer.
-    Math. 123, 2013).  The cut is absolute, since every input column has
-    unit norm.  Those below REPROJECT_BELOW are projected off Q again, in
-    place: one near the cut is about eps / RANK_RTOL off the complement of Q.
+    equal width), is kept as it stands, and only the others, stacked, are
+    factored against it for the directions they add (_new_directions).
     """
     if len(subspaces) == 0:
         raise ValueError("need at least one subspace")
@@ -365,29 +377,20 @@ def intersect(subspaces: Sequence[OperatorSubspace]) -> OperatorSubspace:
     rest = [s.complement for i, s in enumerate(subspaces) if i != widest]
     if sum(c.shape[1] for c in rest) == 0:
         return OperatorSubspace(n, complement=q)
-    stacked = np.hstack(rest)
-    u, s, _ = np.linalg.svd(stacked - q @ (q.conj().T @ stacked), full_matrices=False)
-    keep = np.count_nonzero(s > RANK_RTOL)
-    out = np.hstack([q, u[:, :keep]])
-    weak = out[:, q.shape[1] + np.count_nonzero(s >= REPROJECT_BELOW):]
-    weak -= q @ (q.conj().T @ weak)
-    return OperatorSubspace(n, complement=out)
+    return OperatorSubspace(n, complement=np.hstack([q, _new_directions(q, np.hstack(rest))]))
 
 
-def _largest_singular_value(m: np.ndarray) -> float:
-    """Spectral norm of m, from the largest eigenvalue of its small Gram.
+def _largest_singular_value(gram: np.ndarray) -> float:
+    """Spectral norm of m, from the largest eigenvalue of its Gram m^H m.
 
-    With m made tall, shape (r, c) with c <= r, the c x c Hermitian m^H m
-    has the squared singular values of m as eigenvalues.  Formed from an
-    explicit m, its largest eigenvalue is accurate to relative roundoff, so
-    even a residual near 1e-16 keeps its digits; it costs about half a
-    singular value decomposition of m.
+    The c x c Hermitian m^H m has the squared singular values of m as
+    eigenvalues.  Formed from an explicit m, its largest eigenvalue is
+    accurate to relative roundoff, so even a norm near 1e-16 keeps its
+    digits; it costs about half a singular value decomposition of m.
     """
-    if m.size == 0:
+    if gram.size == 0:
         return 0.0
-    if m.shape[0] < m.shape[1]:
-        m = m.T
-    return float(np.sqrt(max(np.linalg.eigvalsh(m.conj().T @ m)[-1], 0.0)))
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
 def containment_residual(inner: OperatorSubspace, outer: OperatorSubspace) -> float:
@@ -400,14 +403,17 @@ def containment_residual(inner: OperatorSubspace, outer: OperatorSubspace) -> fl
     and its spectral norm is read from its small Gram
     (_largest_singular_value).  The explicit residual keeps roundoff-level
     answers near 1e-16 on equal spaces, where 1 - sigma_min(ci^H co)^2
-    would cancel to about 1e-8.
+    would cancel to about 1e-8.  The union cross-check reads its two
+    residuals the same way, projecting the other way round, from one shared
+    projection and one Gram (unions._shared_residuals).
     """
     if inner.n != outer.n:
         raise ValueError("subspaces live on different qubit counts")
     if inner.dim == 0:
         return 0.0
     ci, co = inner.complement, outer.complement
-    return _largest_singular_value(co - ci @ (ci.conj().T @ co))
+    r = co - ci @ (ci.conj().T @ co)
+    return _largest_singular_value(r.conj().T @ r)
 
 
 def equality_residual(a: OperatorSubspace, b: OperatorSubspace) -> float:

@@ -155,10 +155,17 @@ class CodeTransform:
 
     @classmethod
     def from_json(cls, spec: dict, n: int) -> "CodeTransform":
-        """Parse {"perm": [...], "locals": [...]}; both keys optional."""
+        """Parse {"perm": [...], "locals": [...]}; both keys optional, null the default.
+
+        Each field must be an array: a string would be read one letter per
+        qubit and an object as its keys.
+        """
         unknown = set(spec) - {"perm", "locals"}
         if unknown:
             raise ValueError(f"unknown transform keys {sorted(unknown)}")
+        for key in ("perm", "locals"):
+            if not isinstance(spec.get(key), (list, type(None))):
+                raise ValueError(f"{key} must be a JSON array, got {spec[key]!r}")
         return cls(n, perm=spec.get("perm"), locals=spec.get("locals"))
 
     def adjoint(self) -> "CodeTransform":

@@ -22,7 +22,10 @@ last factors are not block-orthogonal.  The expectation row, |a><a| -
 |Ua><Ua|, overlaps the diagonal directions of the first two.  The traceless
 projectors p = P_C - K / 2^n and U p U-adjoint each spread a multiple of the
 identity over every block and overlap each other (cosine -K / (2^n - K)).  So
-each formula meets S with them in one narrow intersection.
+each formula adds to S's complement only the directions they bring, from one
+narrow factorization against it.  The cross-check compares both formulas with
+the direct spaces through one projection off the union's pure complement,
+whose leading block is the union's erasure complement, and one Gram.
 
 Every factor is closed under the adjoint, so each is stored by a real
 complement, and the intersections and the comparison run in real arithmetic;
@@ -42,6 +45,8 @@ from .codes import QuantumCode, _check_gram_size, basis_matrix, transform_code
 from .erasure import _complement_width, annihilating_space, pure_erasure_space
 from .operator_space import (
     OperatorSubspace,
+    _largest_singular_value,
+    _new_directions,
     _pauli_grams,
     coords_to_matrices,
     equality_residual,
@@ -199,8 +204,11 @@ def _block_sum(code: QuantumCode, action: UnitaryAction) -> tuple[OperatorSubspa
     """S = ES(C) meet U ES(C) U-adjoint meet the mixed blocks, p, and U p U-adjoint.
 
     PS(C) has the complement [ES(C)-perp | p], p the traceless code projector,
-    so one conjugation gives both conjugated pieces.  S's complement is the
-    block sum [ES(C)-perp | U ES(C)-perp U-adjoint | mixed] (_union_spaces).
+    so one conjugation gives both conjugated pieces.  ES(C)-perp, its
+    conjugate and the mixed complement lie in the CC, UU and CU/UC blocks,
+    which are orthogonal: <|a><b|, |c><d|> = <a|c><d|b> = 0 across blocks,
+    as C is orthogonal to UC.  So their orthonormal columns concatenate to
+    an orthonormal complement of S, and no SVD confirms it.
     """
     ps, width = pure_erasure_space(code), _complement_width(code.n, code.k, False)
     (es, p), (es_conj, p_conj) = (np.hsplit(s.complement, [width])
@@ -208,24 +216,6 @@ def _block_sum(code: QuantumCode, action: UnitaryAction) -> tuple[OperatorSubspa
     mixed = _mixed_blocks(code, action).complement
     return tuple(OperatorSubspace(code.n, c)
                  for c in (np.hstack([es, es_conj, mixed]), p, p_conj))
-
-
-def _union_spaces(code: QuantumCode,
-                  action: UnitaryAction) -> tuple[OperatorSubspace, OperatorSubspace]:
-    """The (Theorem 4, Theorem 5) spaces of C (+) UC from one _block_sum.
-
-    ES(C)-perp, its conjugate and the mixed complement lie in the CC, UU and
-    CU/UC blocks, which are orthogonal: <|a><b|, |c><d|> = <a|c><d|b> = 0
-    across blocks, as C is orthogonal to UC.  So their orthonormal columns
-    concatenate to an orthonormal complement of S, and no SVD confirms it.
-    The expectation row overlaps ES(C)-perp and its conjugate, and p and
-    U p U-adjoint, which span every block, overlap each other, so S meets
-    them in a narrow intersect, of which it is the widest input: each
-    factors a 4^n x 1 or x 2 residual.
-    """
-    shared, p, p_conj = _block_sum(code, action)
-    return (intersect([shared, equal_expectation_space(code, action)]),
-            intersect([shared, p, p_conj]))
 
 
 def union_erasure_space_via_intersection(code: QuantumCode, u) -> OperatorSubspace:
@@ -272,23 +262,58 @@ def _cross_check(code: QuantumCode, u, union: QuantumCode,
                  tol: float = SUBSPACE_TOL) -> dict:
     """cross_check_intersection_formulas against an already built union C (+) UC.
 
-    Both formulas come from one _union_spaces call and the direct spaces from
-    the union's gram tensor, so a caller that has the union builds it once.
-    PS(union) has the complement [ES(union)-perp | p], so one closed form
-    gives both direct spaces.
+    Theorem 4's complement is [S-perp | a] and Theorem 5's [S-perp | b]:
+    S-perp from one _block_sum, a and b what the expectation row, or p and
+    U p U-adjoint, add to it (intersect's new-direction step).  PS(union) has
+    the complement [ES(union)-perp | p_union], so one closed form gives both
+    direct spaces, and a caller that has the union builds it once.  Matching
+    dimensions take both residuals from one projection (_shared_residuals);
+    a mismatch already fails, and equality_residual reads its angles.
     """
-    pure = pure_erasure_space(union)
+    action = _as_action(code.n, u)
+    shared, p, p_conj = _block_sum(code, action)
+    s = shared.complement
+    a = _new_directions(s, equal_expectation_space(code, action).complement)
+    b = _new_directions(s, np.hstack([p.complement, p_conj.complement]))
+    direct = pure_erasure_space(union).complement
     width = _complement_width(union.n, union.k, False)
-    erasure = OperatorSubspace(union.n, pure.complement[:, :width])
+    sides = {"theorem4": (a, direct[:, :width]), "theorem5": (b, direct)}
+    if all(s.shape[1] + x.shape[1] == d.shape[1] for x, d in sides.values()):
+        residuals = _shared_residuals(s, a, b, direct, width)
+    else:
+        residuals = [equality_residual(OperatorSubspace(code.n, np.hstack([s, x])),
+                                       OperatorSubspace(code.n, d)) for x, d in sides.values()]
     report = {}
-    for key, pipeline, direct in zip(("theorem4", "theorem5"),
-                                     _union_spaces(code, _as_action(code.n, u)),
-                                     (erasure, pure)):
-        residual = equality_residual(pipeline, direct)
-        report[key] = {
-            "dim": pipeline.dim,
-            "direct_dim": direct.dim,
-            "residual": residual,
-            "matches_direct": pipeline.dim == direct.dim and residual < tol,
-        }
+    for (key, (x, d)), residual in zip(sides.items(), residuals):
+        dim, direct_dim = 4**code.n - s.shape[1] - x.shape[1], 4**code.n - d.shape[1]
+        report[key] = {"dim": dim, "direct_dim": direct_dim, "residual": residual,
+                       "matches_direct": dim == direct_dim and residual < tol}
     return report
+
+
+def _shared_residuals(s: np.ndarray, a: np.ndarray, b: np.ndarray,
+                      direct: np.ndarray, width: int) -> tuple[float, float]:
+    """Sines of the largest principal angles of [s | a] against direct[:, :width]
+    and of [s | b] against direct, from one projection and one Gram.
+
+    [s | a], [s | b] and direct are orthonormal (a and b need not be
+    orthogonal to each other), and each pair has equal widths, so each sine
+    is the spectral norm of the pipeline complement projected off the direct
+    one.  x = [s | a | b] is projected off direct once, in place in
+    one copy: r = x - direct (direct^H x), and g = r^H r.  The Theorem 5
+    Gram is g's block on [s | b].  Theorem 4's direct complement d =
+    direct[:, :width] leaves out direct's trailing columns e, and
+    I - d d^H = (I - direct direct^H) + e e^H, so its Gram is g's block on
+    [s | a] plus t^H t, where t = e^H [s | a] is already in direct^H x.  Both
+    terms are formed explicitly and are positive semidefinite, so no
+    1 - cos^2 cancellation enters.
+    """
+    r = np.hstack([s, a, b])
+    proj = direct.conj().T @ r
+    r -= direct @ proj
+    g = r.conj().T @ r
+    head = s.shape[1] + a.shape[1]
+    t = proj[width:, :head]
+    theorem5 = np.r_[:s.shape[1], head:r.shape[1]]
+    return (_largest_singular_value(g[:head, :head] + t.conj().T @ t),
+            _largest_singular_value(g[np.ix_(theorem5, theorem5)]))

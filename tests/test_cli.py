@@ -422,7 +422,9 @@ def test_mismatch_exit_code(monkeypatch, capsys, tmp_path):
 
 @pytest.mark.parametrize("transform", [
     '{"perm": 3}', '{"locals": 5}', '{"perm": [0, 1, 2, 3.0]}', '{"perm": [false, true, 2, 3]}',
-], ids=["int-perm", "int-locals", "float-perm-entry", "bool-perm-entries"])
+    '{"locals": "IIIY"}', '{"locals": {"I": 0, "X": 1, "Y": 2, "Z": 3}}',
+], ids=["int-perm", "int-locals", "float-perm-entry", "bool-perm-entries", "string-locals",
+        "object-locals"])
 def test_transform_of_the_wrong_type(capsys, transform):
     status, out, err = run_cli(capsys, "theorem-check", "--fixture", "gbp",
                                "--transform", transform)

@@ -126,6 +126,22 @@ def test_transform_validation():
         CodeTransform.from_json({"perms": [0, 1]}, 2)
 
 
+@pytest.mark.parametrize("spec", [
+    {"locals": "IIIY"}, {"locals": {"I": 0, "X": 1, "Y": 2, "Z": 3}},
+    {"perm": "3210"}, {"perm": {"0": 3, "1": 2, "2": 1, "3": 0}}, {"perm": 3},
+], ids=["locals-string", "locals-object", "perm-string", "perm-object", "perm-int"])
+def test_transform_from_json_fields_must_be_arrays(spec):
+    # a string was read one letter per qubit, and an object as its keys
+    with pytest.raises(ValueError, match="must be a JSON array"):
+        CodeTransform.from_json(spec, 4)
+
+
+def test_transform_from_json_null_is_the_default():
+    t = CodeTransform.from_json({"perm": None, "locals": None}, 3)
+    assert t.perm == (0, 1, 2)
+    assert all(np.array_equal(m, np.eye(2)) for m in t.locals)
+
+
 def test_transform_from_json_matrix_entries():
     spec = {"locals": [[[0, 0], [1, 0], [1, 0], [0, 0]], "I"]}
     t = CodeTransform.from_json(spec, 2)

@@ -47,7 +47,7 @@ from qerasure.unions import (
     _cross_check,
     _mixed_blocks,
     _product_map,
-    _union_spaces,
+    _shared_residuals,
 )
 
 from _oracle import SINGLE, conjugate_letters, transform_matrix
@@ -340,7 +340,10 @@ def test_shared_route_matches_the_one_shot_formulas(rng):
             intersect([es, conjugate_subspace(es, act), mixed, equal_expectation_space(code, act)]),
             intersect([ps, conjugate_subspace(ps, act), mixed]),
         )
-        for shared, direct in zip(_union_spaces(code, act), one_shot):
+        block = _block_sum(code, act)
+        shared_route = (intersect([block[0], equal_expectation_space(code, act)]),
+                        intersect(block))
+        for shared, direct in zip(shared_route, one_shot):
             assert shared.dim == direct.dim
             assert equality_residual(shared, direct) < 1e-12
 
@@ -522,29 +525,42 @@ def test_cross_check_shares_one_conjugation_and_no_wide_intersection(monkeypatch
 
     code, t = fixture_gbp_code(), gbp_pair_transform()
     calls = {name: [] for name in ("conjugate_subspace", "_mixed_blocks", "intersect",
-                                   "pure_erasure_space")}
+                                   "equality_residual", "pure_erasure_space",
+                                   "_new_directions", "_shared_residuals")}
     for name, seen in calls.items():
         real = getattr(unions, name)
         monkeypatch.setattr(unions, name, lambda *args, real=real, seen=seen, **kwargs:
-                            seen.append(args[0]) or real(*args, **kwargs))
+                            seen.append(args) or real(*args, **kwargs))
     scaled = []
     real_scaled = erasure._scaled_columns
     monkeypatch.setattr(erasure, "_scaled_columns",
                         lambda c: scaled.append(c) or real_scaled(c))
+    eigensolves = []
+    real_eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda g: eigensolves.append(g.shape) or real_eigvalsh(g))
     report = cross_check_intersection_formulas(code, t)
     assert report["theorem4"]["matches_direct"] and report["theorem5"]["matches_direct"]
     assert len(calls["conjugate_subspace"]) == 1
     assert len(calls["_mixed_blocks"]) == 1
     # the component's pure space serves both formulas, and the union's pure
     # space both direct spaces: one closed form of the union, no erasure_space
-    assert [c is code for c in calls["pure_erasure_space"]].count(True) == 1
+    assert [args[0] is code for args in calls["pure_erasure_space"]].count(True) == 1
     assert [c.k for c in scaled].count(2 * code.k) == 1
-    # S is a concatenation; only S with the expectation row and S with p and
-    # U p U^H are intersected, each factoring at most two columns besides S
-    assert len(calls["intersect"]) == 2
-    for spaces in calls["intersect"]:
-        widths = sorted(s.complement.shape[1] for s in spaces)
-        assert widths[-1] == 4 * code.k**2 - 2 and sum(widths[:-1]) <= 2
+    # S is a concatenation, never intersected: the expectation row, and p with
+    # U p U^H, are each factored against S alone, at most two columns at a time
+    assert calls["intersect"] == [] and calls["equality_residual"] == []
+    assert len(calls["_new_directions"]) == 2
+    for q, rest in calls["_new_directions"]:
+        assert q.shape[1] == 4 * code.k**2 - 2 and rest.shape[1] <= 2
+    # both residuals: one projection off the union's pure complement, one
+    # Gram, and one small eigenvalue solve per formula
+    (shared, a, b, direct, width), = calls["_shared_residuals"]
+    union, _ = union_code([code, transform_code(code, t)])
+    assert np.array_equal(direct, pure_erasure_space(union).complement)
+    assert shared.shape[1] == 4 * code.k**2 - 2
+    assert eigensolves == [(shared.shape[1] + a.shape[1],) * 2,
+                           (shared.shape[1] + b.shape[1],) * 2]
 
 
 @pytest.mark.parametrize("public, dim, expectation_rows", [
@@ -593,19 +609,103 @@ def test_block_sum_matches_the_wide_intersection(rng):
         assert equality_residual(shared, oracle) < 1e-12
 
 
-def test_direct_erasure_complement_is_the_erasure_space_one(monkeypatch, rng):
-    # the leading columns of the union's pure complement, bit for bit
+def _shared_inputs(monkeypatch, code, act, union):
+    """The arguments _cross_check hands to _shared_residuals."""
     from qerasure import unions
 
-    compared = []
-    real = unions.equality_residual
-    monkeypatch.setattr(unions, "equality_residual",
-                        lambda a, b: compared.append(b) or real(a, b))
+    seen = []
+    real = unions._shared_residuals
+    monkeypatch.setattr(unions, "_shared_residuals",
+                        lambda *args: seen.append(args) or real(*args))
+    _cross_check(code, act, union)
+    monkeypatch.setattr(unions, "_shared_residuals", real)
+    (args,) = seen
+    return args
+
+
+def test_direct_erasure_complement_is_the_erasure_space_one(monkeypatch, rng):
+    # the projection basis is the union's pure complement, and its leading
+    # columns the erasure one, bit for bit
     for code, u in block_sum_cases(rng):
         act = _as_action(code.n, u)
         union, _ = union_code([code, transform_code(code, act)])
-        compared.clear()
-        _cross_check(code, act, union)
-        direct_es, direct_ps = compared
-        assert np.array_equal(direct_es.complement, erasure_space(union).complement)
-        assert np.array_equal(direct_ps.complement, pure_erasure_space(union).complement)
+        *_, direct, width = _shared_inputs(monkeypatch, code, act, union)
+        assert np.array_equal(direct, pure_erasure_space(union).complement)
+        assert np.array_equal(direct[:, :width], erasure_space(union).complement)
+
+
+def test_shared_residuals_equal_the_equality_residuals(rng):
+    for code, u in block_sum_cases(rng):
+        act = _as_action(code.n, u)
+        union, _ = union_code([code, transform_code(code, act)])
+        report = _cross_check(code, act, union)
+        pipelines = (union_erasure_space_via_intersection(code, act),
+                     union_pure_space_via_intersection(code, act))
+        for key, pipeline, direct in zip(("theorem4", "theorem5"), pipelines,
+                                         (erasure_space(union), pure_erasure_space(union))):
+            assert report[key]["matches_direct"]
+            assert abs(report[key]["residual"] - equality_residual(pipeline, direct)) < 1e-12
+
+
+def _rotated(col, away, angle):
+    return np.cos(angle) * col + np.sin(angle) * away
+
+
+@pytest.mark.parametrize("moved", ["expectation-direction", "block-sum-column"])
+def test_shared_residuals_track_a_rotated_pipeline(monkeypatch, rng, moved):
+    # turn one pipeline column by a small angle toward a direction orthogonal
+    # to its pipeline complement: the spaces now differ, and the shared Gram
+    # must still give each sine that equality_residual finds.  a may turn
+    # toward the union's projector column d (in the span of [s | b]), which
+    # makes t = d^T [s | a] non-zero; a column of s is shared, so it turns
+    # away from both pipelines, and so from d
+    code, u = fixture_gbp_code(), CodeTransform(4, locals=["I", "X", "H", "X"])
+    act = _as_action(code.n, u)
+    union, _ = union_code([code, transform_code(code, act)])
+    s, a, b, direct, width = _shared_inputs(monkeypatch, code, act, union)
+    assert a.shape[1] == 1
+    # [s | a] and [s | b] are orthonormal, but a and b need not be orthogonal
+    kept = [s, a] if moved == "expectation-direction" else [s, a, b]
+    span = np.linalg.qr(np.hstack(kept))[0]
+    away = rng.standard_normal(4**code.n)
+    away -= span @ (span.T @ away)
+    away -= span @ (span.T @ away)
+    away /= np.linalg.norm(away)
+    for angle in np.logspace(-10, 0, 11):
+        s2, a2 = s.copy(), a.copy()
+        if moved == "expectation-direction":
+            a2[:, 0] = _rotated(a[:, 0], away, angle)
+        else:
+            s2[:, 7] = _rotated(s[:, 7], away, angle)
+        shared = _shared_residuals(s2, a2, b, direct, width)
+        oracle = [equality_residual(OperatorSubspace(code.n, np.hstack([s2, x])),
+                                    OperatorSubspace(code.n, d))
+                  for x, d in ((a2, direct[:, :width]), (b, direct))]
+        for got, want in zip(shared, oracle):
+            assert abs(got - want) <= 1e-6 * want + 1e-14
+        assert shared[0] > 0.1 * angle
+        if moved == "block-sum-column":
+            assert shared[1] > 0.1 * angle
+
+
+def test_cross_check_of_a_mismatched_union_reads_equality_residuals(monkeypatch, rng):
+    # a union that is not C (+) UC: the dimensions differ, the verdict is
+    # False, and both residuals come from equality_residual on the spaces
+    from qerasure import unions
+
+    code, t = fixture_gbp_code(), gbp_pair_transform()
+    other = random_code(rng, 4, 6)
+    compared = []
+    real = unions.equality_residual
+    monkeypatch.setattr(unions, "equality_residual",
+                        lambda a, b: compared.append((a, b)) or real(a, b))
+    monkeypatch.setattr(unions, "_shared_residuals", None)
+    report = _cross_check(code, _as_action(4, t), other)
+    assert len(compared) == 2
+    pipelines = (union_erasure_space_via_intersection(code, t),
+                 union_pure_space_via_intersection(code, t))
+    for key, pipeline, direct in zip(("theorem4", "theorem5"), pipelines,
+                                     (erasure_space(other), pure_erasure_space(other))):
+        assert (report[key]["dim"], report[key]["direct_dim"]) == (pipeline.dim, direct.dim)
+        assert pipeline.dim != direct.dim and not report[key]["matches_direct"]
+        assert abs(report[key]["residual"] - real(pipeline, direct)) < 1e-12
