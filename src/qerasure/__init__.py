@@ -39,7 +39,6 @@ from .fixtures import (
     get_fixture,
     rains_component_transform,
     rains_orbit_codes,
-    rains_product_weight_survey,
 )
 from .operator_space import (
     OperatorSubspace,
@@ -84,8 +83,6 @@ from .unions import (
     conjugate_subspace,
     cross_check_intersection_formulas,
     equal_expectation_space,
-    left_multiply_subspace,
-    right_multiply_subspace,
     union_code,
     union_erasure_space_via_intersection,
     union_pure_space_via_intersection,

@@ -146,7 +146,7 @@ def _mode_distance(args) -> dict:
 def _union_inputs(args) -> tuple[list[QuantumCode], QuantumCode | None, CodeTransform | None]:
     """Components plus, when built from a transform, the base code and transform."""
     if args.fixture is not None and args.fixture in ("rains-union", "gbp-union"):
-        if args.transform is not None or args.code2 is not None:
+        if args.code is not None or args.transform is not None or args.code2 is not None:
             raise CliError("bad-arguments",
                            "union fixtures already define their components")
         return list(fixture_union_components(args.fixture)), None, None
@@ -263,13 +263,21 @@ def _table_theorem_check(report: dict) -> list[str]:
             *(_theorem_line(key, report[key]) for key in ("theorem4", "theorem5"))]
 
 
-# mode -> (report builder, table renderer)
+# mode -> (report builder, table renderer, the options it reads beyond the shared ones)
 _MODES = {
-    "analyze": (_mode_analyze, _table_analyze),
-    "classify": (_mode_classify, _table_classify),
-    "distance": (_mode_distance, _table_distance),
-    "union": (_mode_union, _table_union),
-    "theorem-check": (_mode_theorem_check, _table_theorem_check),
+    "analyze": (_mode_analyze, _table_analyze, ("--max-weight",)),
+    "classify": (_mode_classify, _table_classify, ("--max-weight", "--pure")),
+    "distance": (_mode_distance, _table_distance, ()),
+    "union": (_mode_union, _table_union, ("--code2", "--transform")),
+    "theorem-check": (_mode_theorem_check, _table_theorem_check, ("--transform",)),
+}
+
+_OPTIONS = {
+    "--code2": {"help": "second JSON code file (union mode)"},
+    "--transform": {"help": "transform as JSON literal or file"},
+    "--max-weight": {"type": int, "dest": "max_weight",
+                     "help": "largest Pauli weight to classify (default n)"},
+    "--pure": {"action": "store_true", "help": "classify against the pure erasure space"},
 }
 
 
@@ -281,21 +289,20 @@ def emit_report(report: dict, fmt: str, mode: str) -> str:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The qerasure argument parser, built on the first call and shared after it."""
+    """The qerasure argument parser, built on the first call and shared after it.
+
+    Each mode accepts only the options it reads, so a stray one is refused.
+    """
     parser = _Parser(prog="qerasure",
                      description="Erasure-space analysis of small quantum codes")
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in _MODES:
+    for mode, (*_, options) in _MODES.items():
         p = sub.add_parser(mode, help=f"{mode} report")
         p.add_argument("--fixture", metavar="NAME",
                        help=f"bundled code name ({', '.join(FIXTURE_NAMES)})")
         p.add_argument("--code", help="JSON code description file")
-        p.add_argument("--code2", help="second JSON code file (union mode)")
-        p.add_argument("--transform", help="transform as JSON literal or file")
-        p.add_argument("--max-weight", type=int, dest="max_weight",
-                       help="largest Pauli weight to classify (default n)")
-        p.add_argument("--pure", action="store_true",
-                       help="classify against the pure erasure space")
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
         p.add_argument("--format", choices=("json", "table"), default="json")
         p.add_argument("--out", help="write the report to a file instead of stdout")
     return parser

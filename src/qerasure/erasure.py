@@ -25,6 +25,7 @@ arrays, and everything built from them runs in real arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,21 +178,22 @@ def _complement_width(n: int, k: int, pure: bool) -> int:
     return k * k - 1 + (pure and k < 1 << n)
 
 
-def _condition_complement(code: QuantumCode, pure: bool) -> np.ndarray:
+def _condition_complement(cols: np.ndarray, n: int, pure: bool) -> np.ndarray:
     """Orthonormal complement of the erasure, or else the pure, conditions.
 
-    The off-diagonal columns are kept as they are.  The differences of the K
-    diagonal ones span {sum_i w_i d_i : sum_i w_i = 0}, so the K x (K-1)
-    orthonormal complement of the all-ones vector, from one K x K QR, carries
-    them to an orthonormal basis, written over the first K-1 diagonal
-    columns.  The pure conditions add the traceless part of their sum, the
-    code projector less its identity component, in the last diagonal column,
-    which is the last column; _complement_width drops that column when the
-    projector is the identity, as it does for the erasure conditions.
+    cols are a code's K^2 _scaled_columns, or their image under E -> U E
+    U-adjoint, and are overwritten.  The off-diagonal columns are kept.  The
+    differences of the K diagonal ones span {sum_i w_i d_i : sum_i w_i = 0},
+    so the K x (K-1) orthonormal complement of the all-ones vector, from one
+    K x K QR, carries them to an orthonormal basis, written over the first
+    K-1 diagonal columns.  The pure conditions add the traceless part of
+    their sum, the code projector less its identity component, in the last
+    diagonal column, which is the last column; _complement_width drops that
+    column when the projector is the identity, as it does for the erasure
+    conditions.
     """
-    n, k = code.n, code.k
+    k = math.isqrt(cols.shape[1])
     width = _complement_width(n, k, pure)
-    cols = _scaled_columns(code)
     diag = np.arange(k) * (k + 1)
     d = cols[:, diag]
     cols[:, diag[:-1]] = d @ np.linalg.qr(np.ones((k, 1)), mode="complete")[0][:, 1:]
@@ -208,7 +210,8 @@ def erasure_space(code: QuantumCode) -> OperatorSubspace:
     Its complement has K^2 - 1 columns (see _condition_complement), so its
     dimension is 4^n - K^2 + 1.
     """
-    return OperatorSubspace(code.n, complement=_condition_complement(code, pure=False))
+    return OperatorSubspace(code.n, complement=_condition_complement(
+        _scaled_columns(code), code.n, pure=False))
 
 
 def pure_erasure_space(code: QuantumCode) -> OperatorSubspace:
@@ -218,7 +221,8 @@ def pure_erasure_space(code: QuantumCode) -> OperatorSubspace:
     erasure complement, so the identity always passes.  The dimension is
     4^n - K^2, except that K = 2^n leaves the span of the identity.
     """
-    return OperatorSubspace(code.n, complement=_condition_complement(code, pure=True))
+    return OperatorSubspace(code.n, complement=_condition_complement(
+        _scaled_columns(code), code.n, pure=True))
 
 
 def annihilating_space(code: QuantumCode) -> OperatorSubspace:

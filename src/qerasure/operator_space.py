@@ -25,8 +25,8 @@ A space closed under the adjoint has a real orthonormal complement: the
 phase-0 Paulis are Hermitian, so E -> E^H conjugates coordinates, and a
 Hermitian operator has real ones.  The erasure, pure and annihilating
 spaces, their conjugates and every factor of the union formulas are of that
-kind and store float64 complements; the one-sided products of the unions
-module are not, and stay complex.  Nothing selects a real or a complex path:
+kind and store float64 complements; a space given a complex complement
+keeps it complex.  Nothing selects a real or a complex path:
 the constructors keep the dtype of their input, real as float64 and complex
 as complex128, and numpy promotes to complex only where some input is
 complex.  So intersections, containment residuals and completions of real
@@ -60,7 +60,7 @@ methods for computing angles between linear subspaces", Math. Comp. 27,
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -328,16 +328,6 @@ class OperatorSubspace:
 
     def __repr__(self) -> str:
         return f"OperatorSubspace(n={self.n}, dim={self.dim})"
-
-
-def map_subspace(s: OperatorSubspace,
-                 f: Callable[[np.ndarray], np.ndarray]) -> OperatorSubspace:
-    """Image of s under a coordinate map that is unitary on operator space.
-
-    Such a map sends the orthogonal complement of s to that of the image, so
-    only the complement is mapped: it is the small part of every space here.
-    """
-    return OperatorSubspace(s.n, complement=f(s.complement))
 
 
 def _new_directions(q: np.ndarray, rest: np.ndarray) -> np.ndarray:

@@ -29,9 +29,13 @@ whose leading block is the union's erasure complement, and one Gram.
 
 Every factor is closed under the adjoint, so each is stored by a real
 complement, and the intersections and the comparison run in real arithmetic;
-conjugation by U keeps a real complement real.  The two one-sided multiples of
-the zero-block space are adjoints of each other, so they enter as one real
-factor built from one one-sided map (_mixed_blocks), which is complex itself.
+conjugation by U keeps a real complement real.  Every complement of S is a
+linear image of the code's K^2 real gram columns Z, the coordinates of
+|c_j><c_i| / 2^(n/2): ES(C)-perp and p are fixed combinations of Z, their
+conjugates the same combinations of U Z U-adjoint, and the two one-sided
+multiples of the zero-block space, adjoints of each other, enter as one real
+factor read off the complex Z U-adjoint.  So one map of Z to matrices
+builds them all (_block_sum).
 """
 
 from __future__ import annotations
@@ -42,7 +46,12 @@ from typing import Sequence
 import numpy as np
 
 from .codes import QuantumCode, _check_gram_size, basis_matrix, transform_code
-from .erasure import _complement_width, annihilating_space, pure_erasure_space
+from .erasure import (
+    _complement_width,
+    _condition_complement,
+    _scaled_columns,
+    pure_erasure_space,
+)
 from .operator_space import (
     OperatorSubspace,
     _largest_singular_value,
@@ -51,7 +60,6 @@ from .operator_space import (
     coords_to_matrices,
     equality_residual,
     intersect,
-    map_subspace,
     matrices_to_coords,
 )
 from .states import CodeTransform, UnitaryAction
@@ -121,20 +129,6 @@ def _as_action(n: int, u) -> UnitaryAction:
     return UnitaryAction(n, u)
 
 
-def _product_map(n: int, left: np.ndarray | None = None,
-                 right: np.ndarray | None = None):
-    """Coordinate map of E -> left E right (None stands for the identity)."""
-    def apply(cols: np.ndarray) -> np.ndarray:
-        stack = np.moveaxis(coords_to_matrices(cols, n), 2, 0)
-        if left is not None:
-            stack = left @ stack
-        if right is not None:
-            stack = stack @ right
-        return matrices_to_coords(np.moveaxis(stack, 0, 2), n)
-
-    return apply
-
-
 def conjugate_subspace(s: OperatorSubspace, u) -> OperatorSubspace:
     """Image of s under E -> U E U-adjoint; dimension is preserved.
 
@@ -142,18 +136,9 @@ def conjugate_subspace(s: OperatorSubspace, u) -> OperatorSubspace:
     maps to real coordinates and is kept real: the part dropped is roundoff.
     """
     mat = _as_action(s.n, u).matrix
-    image = _product_map(s.n, left=mat, right=mat.conj().T)(s.complement)
+    stack = mat @ np.moveaxis(coords_to_matrices(s.complement, s.n), 2, 0) @ mat.conj().T
+    image = matrices_to_coords(np.moveaxis(stack, 0, 2), s.n)
     return OperatorSubspace(s.n, complement=image.real if np.isrealobj(s.complement) else image)
-
-
-def left_multiply_subspace(s: OperatorSubspace, u) -> OperatorSubspace:
-    """Image of s under E -> U E."""
-    return map_subspace(s, _product_map(s.n, left=_as_action(s.n, u).matrix))
-
-
-def right_multiply_subspace(s: OperatorSubspace, u) -> OperatorSubspace:
-    """Image of s under E -> E U (pass the adjoint action for E -> E U-adjoint)."""
-    return map_subspace(s, _product_map(s.n, right=_as_action(s.n, u).matrix))
 
 
 def equal_expectation_space(code: QuantumCode, u,
@@ -173,49 +158,30 @@ def equal_expectation_space(code: QuantumCode, u,
     return OperatorSubspace.from_constraints(code.n, (grams[:, 0, 0] - grams[:, 1, 1]).real)
 
 
-def _require_orthogonal_image(code: QuantumCode, action: UnitaryAction) -> QuantumCode:
-    image = transform_code(code, action, label=f"U({code.label})")
-    overlaps = np.abs(basis_matrix(code).conj().T @ basis_matrix(image))
-    worst = float(np.max(overlaps))
-    if worst >= CROSS_ORTHOGONALITY_TOL:
-        raise OrthogonalityError(
-            f"code and its unitary image overlap: max |<c_i|U|c_j>| = {worst:.3e}"
-        )
-    return image
-
-
-def _mixed_blocks(code: QuantumCode, action: UnitaryAction) -> OperatorSubspace:
-    """The mixed-block factor of both formulas: Z U-adjoint meet U Z, Z annihilating.
-
-    U Z is the adjoint of Z U-adjoint, so its complement is the conjugate of
-    the complement X of Z U-adjoint.  X lies in the CU block, spanned by
-    |c_j><Uc_i|, and its conjugate in the UC block, and the two blocks are
-    orthogonal because the code is orthogonal to its image:
-    <|c_j><Uc_i|, |Uc_l><c_m|> = <c_j|Uc_l><c_m|Uc_i> = 0.  So the
-    intersection has the orthonormal complement [X, conj X], which spans the
-    same space as the real sqrt(2) [Re X, Im X], and one one-sided map builds
-    it.
-    """
-    x = right_multiply_subspace(annihilating_space(code), action.adjoint()).complement
-    return OperatorSubspace(code.n, complement=np.sqrt(2) * np.hstack([x.real, x.imag]))
-
-
 def _block_sum(code: QuantumCode, action: UnitaryAction) -> tuple[OperatorSubspace, ...]:
     """S = ES(C) meet U ES(C) U-adjoint meet the mixed blocks, p, and U p U-adjoint.
 
-    PS(C) has the complement [ES(C)-perp | p], p the traceless code projector,
-    so one conjugation gives both conjugated pieces.  ES(C)-perp, its
-    conjugate and the mixed complement lie in the CC, UU and CU/UC blocks,
-    which are orthogonal: <|a><b|, |c><d|> = <a|c><d|b> = 0 across blocks,
-    as C is orthogonal to UC.  So their orthonormal columns concatenate to
-    an orthonormal complement of S, and no SVD confirms it.
+    Each complement is an image of Z = _scaled_columns(code), with matrices
+    M.  [ES(C)-perp | p] is _condition_complement's combination of Z, and
+    conjugation is linear and keeps the identity coordinate, so the same
+    combination of W = U X, X = M U-adjoint, gives their conjugates.  The
+    mixed blocks Z U-adjoint meet U Z have the complement [X, conj X], as U Z
+    is the adjoint of Z U-adjoint, and it spans the real sqrt(2) [Re X, Im X].
+    ES(C)-perp, its conjugate and the mixed complement lie in the CC, UU and
+    CU/UC blocks, which are orthogonal: <|a><b|, |c><d|> = <a|c><d|b> = 0
+    across blocks, as C is orthogonal to UC.  So their orthonormal columns
+    concatenate to an orthonormal complement of S, and no SVD confirms it.
     """
-    ps, width = pure_erasure_space(code), _complement_width(code.n, code.k, False)
-    (es, p), (es_conj, p_conj) = (np.hsplit(s.complement, [width])
-                                  for s in (ps, conjugate_subspace(ps, action)))
-    mixed = _mixed_blocks(code, action).complement
-    return tuple(OperatorSubspace(code.n, c)
-                 for c in (np.hstack([es, es_conj, mixed]), p, p_conj))
+    n, mat = code.n, action.matrix
+    z = _scaled_columns(code)
+    x = np.moveaxis(coords_to_matrices(z, n), 2, 0) @ mat.conj().T
+    mixed = np.sqrt(2) * matrices_to_coords(np.moveaxis(x, 0, 2), n)
+    w = matrices_to_coords(np.moveaxis(mat @ x, 0, 2), n).real
+    width = _complement_width(n, code.k, False)
+    (es, p), (es_conj, p_conj) = (np.hsplit(_condition_complement(c, n, pure=True), [width])
+                                  for c in (z, w))
+    return tuple(OperatorSubspace(n, c) for c in
+                 (np.hstack([es, es_conj, mixed.real, mixed.imag]), p, p_conj))
 
 
 def union_erasure_space_via_intersection(code: QuantumCode, u) -> OperatorSubspace:
@@ -230,7 +196,7 @@ def union_erasure_space_via_intersection(code: QuantumCode, u) -> OperatorSubspa
     itself); the final factor equates the two components' diagonal values.
     """
     action = _as_action(code.n, u)
-    _require_orthogonal_image(code, action)
+    union_code([code, transform_code(code, action)])  # refuses an overlapping image
     return intersect([_block_sum(code, action)[0], equal_expectation_space(code, action)])
 
 
@@ -241,7 +207,7 @@ def union_pure_space_via_intersection(code: QuantumCode, u) -> OperatorSubspace:
     blocks again give one-sided images of the annihilating space.
     """
     action = _as_action(code.n, u)
-    _require_orthogonal_image(code, action)
+    union_code([code, transform_code(code, action)])  # refuses an overlapping image
     return intersect(_block_sum(code, action))
 
 
@@ -254,7 +220,7 @@ def cross_check_intersection_formulas(code: QuantumCode, u,
     and whether they match within tol.
     """
     action = _as_action(code.n, u)
-    union, _ = union_code([code, _require_orthogonal_image(code, action)])
+    union, _ = union_code([code, transform_code(code, action)])
     return _cross_check(code, action, union, tol)
 
 

@@ -15,14 +15,16 @@ complements stacked as rows is the second route to intersect, which factors
 only what its widest input complement does not span.  And it keeps the
 routes through a spanning basis B, where the package reads membership and
 containment off complements alone: the member residual |v - B B^H v| / |v|,
-and the containment residual sigma_max(C_outer^H B_inner).
+and the containment residual sigma_max(C_outer^H B_inner).  Last, it keeps
+the one-sided maps E -> U E and E -> E U that unions._block_sum folds into
+one map of the gram columns.
 """
 
 import numpy as np
 
 from qerasure import OperatorSubspace
 from qerasure.erasure import _deviations
-from qerasure.operator_space import RANK_RTOL
+from qerasure.operator_space import RANK_RTOL, coords_to_matrices, matrices_to_coords
 
 
 def wide_nullspace_complement(rows, rtol=RANK_RTOL):
@@ -66,3 +68,13 @@ def pure_space_svd(code):
 
 def annihilating_space_svd(code):
     return _nullspace(code, 0)
+
+
+def product_image(s, left=None, right=None):
+    """Image of s under E -> left E right (None is the identity), complex in general."""
+    stack = np.moveaxis(coords_to_matrices(s.complement, s.n), 2, 0)
+    if left is not None:
+        stack = left @ stack
+    if right is not None:
+        stack = stack @ right
+    return OperatorSubspace(s.n, matrices_to_coords(np.moveaxis(stack, 0, 2), s.n))

@@ -297,6 +297,33 @@ def test_missing_mode_arguments(capsys):
     assert status == 1
 
 
+# a valid call of each mode, and the options it reads beyond --fixture,
+# --code, --format and --out
+MODE_CALLS = {"analyze": ([], {"--max-weight"}),
+              "classify": ([], {"--max-weight", "--pure"}),
+              "distance": ([], set()),
+              "union": (["--transform", GBP_PAIR], {"--code2", "--transform"}),
+              "theorem-check": (["--transform", GBP_PAIR], {"--transform"})}
+OPTION_VALUES = {"--max-weight": ["9"], "--pure": [], "--code2": ["x.json"],
+                 "--transform": [GBP_PAIR]}
+REFUSED = {
+    **{f"{mode}{option}": [mode, "--fixture", "gbp", *call, option, *OPTION_VALUES[option]]
+       for mode, (call, own) in MODE_CALLS.items()
+       for option in OPTION_VALUES if option not in own},
+    "analyze-three-strays": ["analyze", "--fixture", "gbp", "--transform", GBP_PAIR,
+                             "--code2", "x.json", "--pure"],
+    "union-rains-union-code": ["union", "--fixture", "rains-union", "--code", "/nonexistent.json"],
+    "union-gbp-union-code": ["union", "--fixture", "gbp-union", "--code", "x.json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_each_mode_refuses_the_options_it_does_not_read(capsys, name):
+    status, out, err = run_cli(capsys, *REFUSED[name])
+    assert (status, out) == (1, "")
+    assert err.startswith("qerasure: error[bad-arguments] ") and err.count("\n") == 1
+
+
 def test_invalid_code_error(tmp_path, capsys):
     f = tmp_path / "dup.json"
     f.write_text(json.dumps({"n": 2, "basis": [[(1, "00")], [(1, "00")]]}))

@@ -1,5 +1,6 @@
 """Each demo script runs to completion in a fresh interpreter."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +26,11 @@ def test_demo_runs(demo):
     if demo.startswith("01_"):
         assert ("Hermitian basis: 241 elements, 241 with all-real coordinates"
                 in proc.stdout)
+    if demo.startswith("02_"):
+        # one-sided products of the first weight-3 violator never drop below
+        # weight three; those of the second reproduce base-vs-image violators
+        for side in ("left", "right"):
+            assert f"E1.{side}: min product weight 3, weight-2 Pauli products []," in proc.stdout
+            assert re.search(rf"E2\.{side}: min product weight 2, weight-2 Pauli products "
+                             r"\['[IXYZ]{5}'.*\], inside the base-vs-image violator orbits: "
+                             r"True", proc.stdout)

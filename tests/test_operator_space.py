@@ -18,7 +18,7 @@ from qerasure import (
     pauli_to_string,
     to_matrix,
 )
-from qerasure.operator_space import _complete_orthonormal, _pauli_table, map_subspace
+from qerasure.operator_space import _complete_orthonormal, _pauli_table
 from qerasure.pauli import PauliOperator, _index_aligned_masks, _pauli_masks
 
 from _oracle import dense_pauli, gram, sorted_paulis
@@ -374,22 +374,6 @@ def test_member_residual_routes_agree(rng):
         # span -> complement, from the left singular vectors of its columns
         assert_completes(s.complement, s.basis)
         assert_completes(np.linalg.svd(s.basis, full_matrices=False)[0], by_span.complement)
-
-
-def test_map_subspace_preserves_structure(rng):
-    n = 2
-    s = OperatorSubspace.from_constraints(
-        n, rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16)))
-    _ = s.basis  # materialize both parts
-    phase = np.exp(2j * np.pi * rng.standard_normal())
-
-    def f(cols):
-        return phase * cols
-
-    out = map_subspace(s, f)
-    out.validate()
-    assert out.dim == s.dim
-    assert equality_residual(out, s) < 1e-9
 
 
 def test_operator_weight():

@@ -27,15 +27,14 @@ from qerasure import (
     conjugate_subspace,
     dagger,
     equality_residual,
-    left_multiply_subspace,
     multiply,
     pauli_to_string,
-    right_multiply_subspace,
     to_matrix,
 )
 from qerasure.cli import main
 
 from _oracle import dense_pauli
+from _svd_route import product_image
 from conftest import random_unitary
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -121,10 +120,12 @@ def spaces_and_actions(draw):
 @PROPERTY
 @given(spaces_and_actions())
 def test_subspace_maps_are_unitary_and_invertible(case):
-    # every map is one _product_map, E -> L E R, which is unitary on operator
-    # space: it keeps the complement orthonormal, and U-adjoint undoes it
+    # conjugation and the reference one-sided maps are each E -> L E R, which
+    # is unitary on operator space: it keeps the complement orthonormal, and
+    # U-adjoint undoes it
     space, u = case
-    for image_of in (conjugate_subspace, left_multiply_subspace, right_multiply_subspace):
+    for image_of in (conjugate_subspace, lambda s, u: product_image(s, left=u.matrix),
+                     lambda s, u: product_image(s, right=u.matrix)):
         image = image_of(space, u)
         image.validate(1e-12)
         assert image.dim == space.dim

@@ -13,6 +13,7 @@ from qerasure import (
     conjugate_subspace,
     containment_residual,
     cross_check_intersection_formulas,
+    cyclic_shift,
     equal_expectation_space,
     equality_residual,
     erasure_space,
@@ -22,7 +23,6 @@ from qerasure import (
     get_fixture,
     ingest_code,
     intersect,
-    left_multiply_subspace,
     minimum_distance,
     multiply,
     pauli_coords,
@@ -30,8 +30,6 @@ from qerasure import (
     pure_erasure_space,
     rains_component_transform,
     rains_orbit_codes,
-    rains_product_weight_survey,
-    right_multiply_subspace,
     transform_code,
     union_code,
     union_erasure_space_via_intersection,
@@ -45,15 +43,20 @@ from qerasure.unions import (
     _as_action,
     _block_sum,
     _cross_check,
-    _mixed_blocks,
-    _product_map,
     _shared_residuals,
 )
 
-from _oracle import SINGLE, conjugate_letters, transform_matrix
+from _oracle import SINGLE, all_pauli_letterings, conjugate_letters, dense_pauli, transform_matrix
+from _svd_route import product_image
 from conftest import random_code, random_orthogonal_pair, random_unitary
 
 ADJOINT_CLOSED = (erasure_space, pure_erasure_space, annihilating_space)
+
+
+def one_sided_meet(space, act):
+    """space U-adjoint meet U space, from the reference one-sided maps: complex."""
+    return intersect([product_image(space, right=act.matrix.conj().T),
+                      product_image(space, left=act.matrix)])
 
 
 def swap_pair(rng, n, k):
@@ -152,8 +155,7 @@ def test_conjugate_symbolic_and_dense_agree():
     assert equality_residual(from_transform, dense) < 1e-9
 
 
-@pytest.mark.parametrize("space_map", [conjugate_subspace, left_multiply_subspace,
-                                       right_multiply_subspace])
+@pytest.mark.parametrize("space_map", [conjugate_subspace])
 @pytest.mark.parametrize("u", [CodeTransform(5), UnitaryAction.identity(5)],
                          ids=["transform", "action"])
 def test_subspace_maps_refuse_a_qubit_count_mismatch(space_map, u):
@@ -175,26 +177,13 @@ def test_conjugation_permutes_within_weight_classes():
     column = {label: i for i, label in enumerate(labels)}
     for i in (0, 1, 4):
         t = rains_component_transform(i)
-        act = _as_action(5, t)
-        conj = _product_map(5, left=act.matrix, right=act.matrix.conj().T)
-        images = conj(np.eye(4**5, dtype=complex))
+        images = conjugate_subspace(OperatorSubspace(5, np.eye(4**5, dtype=complex)), t).complement
         expected = np.zeros((4**5, 4**5))
         for j, label in enumerate(labels):
             sign, image = conjugate_letters(label, t.perm, "IIXXX")
             assert image.count("I") == label.count("I")
             expected[column[image], j] = sign
         assert np.max(np.abs(images - expected)) < 1e-12
-
-
-def test_one_sided_multiplication_round_trip():
-    s = pure_erasure_space(fixture_gbp_code())
-    act = _as_action(4, gbp_pair_transform())
-    back = left_multiply_subspace(left_multiply_subspace(s, act), act.adjoint())
-    assert equality_residual(back, s) < 1e-9
-    back = right_multiply_subspace(right_multiply_subspace(s, act), act.adjoint())
-    assert equality_residual(back, s) < 1e-9
-    ident = UnitaryAction.identity(4)
-    assert equality_residual(left_multiply_subspace(s, ident), s) < 1e-10
 
 
 def test_one_sided_products_change_weight():
@@ -208,20 +197,44 @@ def test_one_sided_products_change_weight():
         pauli_from_string("XZIII").x_mask, pauli_from_string("XZIII").z_mask)
 
 
+def product_weight_survey():
+    """Per weight-3 violator of the rains subcode and side: the minimum weight
+    of its 25 one-sided products with shift^i . tau . shift^j, and the
+    weight-two products that are single Paulis up to phase; dense oracle."""
+    labels = all_pauli_letterings(5)
+    paulis = np.array([dense_pauli(p) for p in labels])
+    cases = {}
+    for name, label in (("E1", "IIYZY"), ("E2", "IZIXX")):
+        emat = dense_pauli(label)
+        for side in ("left", "right"):
+            weights, weight2_paulis = [], set()
+            for i in range(5):
+                for j in range(5):
+                    tau = ["X" if (q - j) % 5 in (2, 3, 4) else "I" for q in range(5)]
+                    u = transform_matrix(cyclic_shift(5, i + j), [SINGLE[ch] for ch in tau])
+                    prod = u @ emat if side == "left" else emat @ u
+                    coeffs = np.einsum("qij,ij->q", paulis.conj(), prod) / 32
+                    live = np.nonzero(np.abs(coeffs) > 1e-9)[0]
+                    w = sum(any(labels[q][s] != "I" for q in live) for s in range(5))
+                    weights.append(w)
+                    if w == 2 and live.size == 1 and abs(abs(coeffs[live[0]]) - 1) < 1e-9:
+                        weight2_paulis.add(labels[live[0]])
+            cases[f"{name}.{side}"] = (min(weights), weight2_paulis)
+    return cases
+
+
 def test_product_weight_survey():
-    survey = rains_product_weight_survey()
-    cases = survey["cases"]
+    listed = {p[i:] + p[:i] for p in ("XZIII", "ZXIII", "ZIYII", "YIZII") for i in range(5)}
+    cases = product_weight_survey()
     # products built from the first violator never drop below weight three
-    assert cases["E1.left"]["min_weight"] >= 3
-    assert cases["E1.right"]["min_weight"] >= 3
-    assert cases["E1.left"]["weight2_paulis"] == ()
+    assert cases["E1.left"][0] >= 3
+    assert cases["E1.right"][0] >= 3
+    assert cases["E1.left"][1] == set()
     # products built from the second violator reproduce listed patterns
     for side in ("left", "right"):
-        entry = cases[f"E2.{side}"]
-        assert entry["min_weight"] == 2
-        assert entry["reproduces_listed"]
-        assert set(entry["weight2_paulis"]) <= set(survey["listed_patterns"])
-        assert entry["weight2_paulis"]
+        min_weight, weight2_paulis = cases[f"E2.{side}"]
+        assert min_weight == 2
+        assert weight2_paulis and weight2_paulis <= listed
 
 
 # ------------------------------------------------------ expectation space
@@ -277,7 +290,8 @@ def test_anchor_independence():
     out = union_erasure_space_via_intersection(code, t)
     assert out.dim == 193
     es = erasure_space(code)
-    others = [es, conjugate_subspace(es, t), _mixed_blocks(code, _as_action(code.n, t))]
+    act = _as_action(code.n, t)
+    others = [es, conjugate_subspace(es, t), one_sided_meet(annihilating_space(code), act)]
     for anchor in range(code.k):
         alt = intersect(others + [equal_expectation_space(code, t, anchor=anchor)])
         assert alt.dim == 193
@@ -334,7 +348,7 @@ def test_shared_route_matches_the_one_shot_formulas(rng):
              swap_pair(rng, 2, 1)]
     for code, u in fixture_and_random_pairs(rng) + dense:
         act = _as_action(code.n, u)
-        mixed = _mixed_blocks(code, act)
+        mixed = one_sided_meet(annihilating_space(code), act)
         es, ps = erasure_space(code), pure_erasure_space(code)
         one_shot = (
             intersect([es, conjugate_subspace(es, act), mixed, equal_expectation_space(code, act)]),
@@ -386,9 +400,8 @@ def test_conjugated_spaces_stay_real(rng, n):
                 out = conjugate_subspace(space, u)
                 assert out.complement.dtype == np.float64
                 out.validate(1e-12)
-                image = _product_map(n, left=mat, right=mat.conj().T)(space.complement)
-                assert np.max(np.abs(image.imag), initial=0) <= 1e-13
-                complex_route = OperatorSubspace(n, complement=image)
+                complex_route = product_image(space, left=mat, right=mat.conj().T)
+                assert np.max(np.abs(complex_route.complement.imag), initial=0) <= 1e-13
                 assert out.dim == complex_route.dim == space.dim
                 assert equality_residual(out, complex_route) < 1e-12
 
@@ -399,14 +412,18 @@ def fixture_and_random_pairs(rng):
             swap_pair(rng, 3, 2), swap_pair(rng, 4, 3), half_frame_pair(rng, 4, 3)]
 
 
+def mixed_slice(code, act):
+    """The mixed blocks' complement: what follows ES(C)-perp and its conjugate in S-perp."""
+    width = code.k**2 - 1
+    return OperatorSubspace(code.n, _block_sum(code, act)[0].complement[:, 2 * width:])
+
+
 def test_real_mixed_piece_matches_complex_one_sided_images(rng):
     for code, u in fixture_and_random_pairs(rng):
         act = _as_action(code.n, u)
-        zs = annihilating_space(code)
-        one_sided = intersect([right_multiply_subspace(zs, act.adjoint()),
-                               left_multiply_subspace(zs, act)])
+        one_sided = one_sided_meet(annihilating_space(code), act)
         assert one_sided.complement.dtype == np.complex128
-        mixed = _mixed_blocks(code, act)
+        mixed = mixed_slice(code, act)
         assert mixed.complement.dtype == np.float64
         mixed.validate(1e-12)
         assert mixed.dim == one_sided.dim == 4**code.n - 2 * code.k**2
@@ -445,11 +462,7 @@ def test_upper_bound_chains():
     zs = annihilating_space(code)
     conj_chain = intersect([es, conjugate_subspace(es, act)])
     assert containment_residual(eu, conj_chain) < 1e-8
-    sided_chain = intersect([
-        right_multiply_subspace(zs, act.adjoint()),
-        left_multiply_subspace(zs, act),
-    ])
-    assert containment_residual(eu, sided_chain) < 1e-8
+    assert containment_residual(eu, one_sided_meet(zs, act)) < 1e-8
 
 
 def test_one_sided_pure_chain_misses_pairing_scalar():
@@ -460,10 +473,7 @@ def test_one_sided_pure_chain_misses_pairing_scalar():
     union = get_fixture("gbp-union")
     eu = erasure_space(union)
     ps = pure_erasure_space(code)
-    sided_pure = intersect([
-        right_multiply_subspace(ps, act.adjoint()),
-        left_multiply_subspace(ps, act),
-    ])
+    sided_pure = one_sided_meet(ps, act)
     assert containment_residual(eu, sided_pure) > 0.1
     tau_coords = pauli_coords(pauli_from_string("IIIY"))
     assert sided_pure.member_residual(tau_coords) < 1e-9
@@ -524,7 +534,8 @@ def test_cross_check_shares_one_conjugation_and_no_wide_intersection(monkeypatch
     from qerasure import erasure, unions
 
     code, t = fixture_gbp_code(), gbp_pair_transform()
-    calls = {name: [] for name in ("conjugate_subspace", "_mixed_blocks", "intersect",
+    calls = {name: [] for name in ("conjugate_subspace", "coords_to_matrices",
+                                   "matrices_to_coords", "union_code", "intersect",
                                    "equality_residual", "pure_erasure_space",
                                    "_new_directions", "_shared_residuals")}
     for name, seen in calls.items():
@@ -533,20 +544,26 @@ def test_cross_check_shares_one_conjugation_and_no_wide_intersection(monkeypatch
                             seen.append(args) or real(*args, **kwargs))
     scaled = []
     real_scaled = erasure._scaled_columns
-    monkeypatch.setattr(erasure, "_scaled_columns",
-                        lambda c: scaled.append(c) or real_scaled(c))
+    for module in (erasure, unions):
+        monkeypatch.setattr(module, "_scaled_columns",
+                            lambda c: scaled.append(c) or real_scaled(c))
     eigensolves = []
     real_eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         lambda g: eigensolves.append(g.shape) or real_eigvalsh(g))
     report = cross_check_intersection_formulas(code, t)
     assert report["theorem4"]["matches_direct"] and report["theorem5"]["matches_direct"]
-    assert len(calls["conjugate_subspace"]) == 1
-    assert len(calls["_mixed_blocks"]) == 1
-    # the component's pure space serves both formulas, and the union's pure
-    # space both direct spaces: one closed form of the union, no erasure_space
-    assert [args[0] is code for args in calls["pure_erasure_space"]].count(True) == 1
-    assert [c.k for c in scaled].count(2 * code.k) == 1
+    # one map of the code's K^2 gram columns to matrices, and two back: Z U^H
+    # for the mixed blocks and U Z U^H for the conjugated ES(C)-perp and p
+    assert calls["conjugate_subspace"] == []
+    assert [cols.shape[1] for cols, _ in calls["coords_to_matrices"]] == [code.k**2]
+    assert len(calls["matrices_to_coords"]) == 2
+    # gram columns of the code and of the union, whose pure space gives both
+    # direct spaces: no space of the code itself (pure or annihilating) is
+    # built, and the one orthogonality check is union_code's
+    assert [c.k for c in scaled] == [code.k, 2 * code.k]
+    assert [args[0].k for args in calls["pure_erasure_space"]] == [2 * code.k]
+    assert len(calls["union_code"]) == 1
     # S is a concatenation, never intersected: the expectation row, and p with
     # U p U^H, are each factored against S alone, at most two columns at a time
     assert calls["intersect"] == [] and calls["equality_residual"] == []
@@ -604,9 +621,28 @@ def test_block_sum_matches_the_wide_intersection(rng):
         assert shared.complement.shape[1] == 4 * code.k**2 - 2
         assert p.complement.shape[1] == p_conj.complement.shape[1] == 1
         es = erasure_space(code)
-        oracle = intersect([es, conjugate_subspace(es, act), _mixed_blocks(code, act)])
+        oracle = intersect([es, conjugate_subspace(es, act),
+                            one_sided_meet(annihilating_space(code), act)])
         assert shared.dim == oracle.dim
         assert equality_residual(shared, oracle) < 1e-12
+
+
+def test_block_sum_slices_are_the_conjugate_and_the_one_sided_images(rng):
+    # one map of the gram columns gives both: [U ES(C)-perp U^H | U p U^H]
+    # is the conjugate of PS(C)'s complement, and the columns after it the
+    # mixed blocks' complement
+    for code, u in block_sum_cases(rng):
+        act = _as_action(code.n, u)
+        shared, _, p_conj = _block_sum(code, act)
+        width = code.k**2 - 1
+        conjugated = np.hstack([shared.complement[:, width:2 * width], p_conj.complement])
+        mixed = shared.complement[:, 2 * width:]
+        for got, want in ((conjugated, conjugate_subspace(pure_erasure_space(code), act)),
+                          (mixed, one_sided_meet(annihilating_space(code), act))):
+            assert got.dtype == np.float64
+            got = OperatorSubspace(code.n, got)
+            assert got.dim == want.dim
+            assert equality_residual(got, want) < 1e-12
 
 
 def _shared_inputs(monkeypatch, code, act, union):
