@@ -82,7 +82,6 @@ from .unions import (
     UnionBuildReport,
     conjugate_subspace,
     cross_check_intersection_formulas,
-    equal_expectation_space,
     union_code,
     union_erasure_space_via_intersection,
     union_pure_space_via_intersection,

@@ -92,23 +92,24 @@ def ingest_code(spec: dict) -> QuantumCode:
     """Build a code from {"n": int, "label": str, "basis": [[term, ...], ...]}.
 
     Each term is (amplitude, bitstring) or {"re": .., "im": .., "bits": ..}.
-    Vectors are normalized; non-integer n, non-numeric or non-finite amplitudes,
-    zero norms, norms that overflow or underflow, malformed bitstrings and
-    non-orthogonal pairs are rejected, and codes beyond the size limit are
-    refused before any amplitude is read.
+    Vectors are normalized; unknown keys, a non-string label, non-integer n,
+    non-numeric or non-finite amplitudes, zero norms, norms that overflow or
+    underflow, malformed bitstrings and non-orthogonal pairs are rejected, and
+    codes beyond the size limit are refused before any amplitude is read.
     The accepted basis B, orthonormal to ORTHONORMALITY_TOL, is replaced by
     its symmetric (Lowdin) orthonormalization B (B^H B)^(-1/2), the
     orthonormal basis nearest to it, which moves no vector by more than about
     the largest overlap.
     """
-    try:
-        n = spec["n"]
-        raw_basis = spec["basis"]
-    except (KeyError, TypeError) as exc:
-        raise CodeValidationError(f"code description is missing a field: {exc}") from exc
+    if not isinstance(spec, dict) or not {"n", "basis"} <= set(spec) <= {"n", "label", "basis"}:
+        got = f"keys {sorted(spec, key=str)}" if isinstance(spec, dict) else type(spec).__name__
+        raise CodeValidationError("code description must be a JSON object with keys n, basis "
+                                  f"and optionally label; got {got}")
+    n, raw_basis, label = spec["n"], spec["basis"], spec.get("label", "")
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise CodeValidationError(f"n must be a positive integer, got {n!r}")
-    label = str(spec.get("label", ""))
+    if not isinstance(label, str):
+        raise CodeValidationError(f"label must be a string, got {label!r}")
     if not isinstance(raw_basis, list) or not raw_basis:
         raise CodeValidationError("code description needs a non-empty basis list")
     if n > MAX_QUBITS:

@@ -59,13 +59,15 @@ def ket_from_terms(n: int, terms: Iterable) -> Ket:
     """Build a ket from (amplitude, bitstring) terms, e.g. [(1, "0000"), (1, "1111")].
 
     Terms are summed as given; normalize explicitly when needed.  Each term may
-    also be a mapping with keys "re", "im", "bits".  Amplitude parts must be
-    numbers within the float range (not bools, strings, NaN or infinities) and
-    bits a string of n binary digits.
+    also be a mapping with keys "re", "im", "bits" and no others.  Amplitude
+    parts must be numbers within the float range (not bools, strings, NaN or
+    infinities) and bits a string of n binary digits.
     """
     amps = np.zeros(1 << n, dtype=complex)
     for term in terms:
         if isinstance(term, dict):
+            if set(term) - {"re", "im", "bits"}:
+                raise ValueError(f"unknown term keys {sorted(set(term) - {'re', 'im', 'bits'})}")
             re, im, bits = term.get("re", 0.0), term.get("im", 0.0), term.get("bits")
         else:
             (re, bits), im = term, 0.0
@@ -160,9 +162,9 @@ class CodeTransform:
         Each field must be an array: a string would be read one letter per
         qubit and an object as its keys.
         """
-        unknown = set(spec) - {"perm", "locals"}
-        if unknown:
-            raise ValueError(f"unknown transform keys {sorted(unknown)}")
+        if not isinstance(spec, dict) or not set(spec) <= {"perm", "locals"}:
+            got = f"keys {sorted(spec, key=str)}" if isinstance(spec, dict) else type(spec).__name__
+            raise ValueError(f"a transform must be a JSON object of perm and locals; got {got}")
         for key in ("perm", "locals"):
             if not isinstance(spec.get(key), (list, type(None))):
                 raise ValueError(f"{key} must be a JSON array, got {spec[key]!r}")

@@ -23,19 +23,12 @@ last factors are not block-orthogonal.  The expectation row, |a><a| -
 projectors p = P_C - K / 2^n and U p U-adjoint each spread a multiple of the
 identity over every block and overlap each other (cosine -K / (2^n - K)).  So
 each formula adds to S's complement only the directions they bring, from one
-narrow factorization against it.  The cross-check compares both formulas with
-the direct spaces through one projection off the union's pure complement,
-whose leading block is the union's erasure complement, and one Gram.
+narrow factorization against it.
 
 Every factor is closed under the adjoint, so each is stored by a real
-complement, and the intersections and the comparison run in real arithmetic;
-conjugation by U keeps a real complement real.  Every complement of S is a
-linear image of the code's K^2 real gram columns Z, the coordinates of
-|c_j><c_i| / 2^(n/2): ES(C)-perp and p are fixed combinations of Z, their
-conjugates the same combinations of U Z U-adjoint, and the two one-sided
-multiples of the zero-block space, adjoints of each other, enter as one real
-factor read off the complex Z U-adjoint.  So one map of Z to matrices
-builds them all (_block_sum).
+complement, and the intersections and the comparison run in real arithmetic.
+Every complement, the expectation row's included, is a linear image of the
+code's K^2 real gram columns, so one map of them to matrices builds them all.
 """
 
 from __future__ import annotations
@@ -56,9 +49,7 @@ from .operator_space import (
     OperatorSubspace,
     _largest_singular_value,
     _new_directions,
-    _pauli_grams,
     coords_to_matrices,
-    equality_residual,
     intersect,
     matrices_to_coords,
 )
@@ -141,25 +132,8 @@ def conjugate_subspace(s: OperatorSubspace, u) -> OperatorSubspace:
     return OperatorSubspace(s.n, complement=image.real if np.isrealobj(s.complement) else image)
 
 
-def equal_expectation_space(code: QuantumCode, u,
-                            anchor: int = 0) -> OperatorSubspace:
-    """Operators whose expectation in basis ket `anchor` is conjugation-invariant.
-
-    The single constraint <a|E|a> = <Ua|E|Ua> cuts the space down by at most
-    one dimension.  Its row, a difference of two expectations of Hermitian
-    Paulis, is real.
-    """
-    if not 0 <= anchor < code.k:
-        raise ValueError(f"anchor must be in [0, {code.k}), got {anchor}")
-    action = _as_action(code.n, u)
-    ket = code.basis[anchor]
-    pair = np.column_stack([ket.amplitudes, action.apply(ket).amplitudes])
-    grams = _pauli_grams(pair, code.n)
-    return OperatorSubspace.from_constraints(code.n, (grams[:, 0, 0] - grams[:, 1, 1]).real)
-
-
 def _block_sum(code: QuantumCode, action: UnitaryAction) -> tuple[OperatorSubspace, ...]:
-    """S = ES(C) meet U ES(C) U-adjoint meet the mixed blocks, p, and U p U-adjoint.
+    """S = ES(C) meet U ES(C) U-adjoint meet the mixed blocks, p, U p U-adjoint, a.
 
     Each complement is an image of Z = _scaled_columns(code), with matrices
     M.  [ES(C)-perp | p] is _condition_complement's combination of Z, and
@@ -167,21 +141,23 @@ def _block_sum(code: QuantumCode, action: UnitaryAction) -> tuple[OperatorSubspa
     combination of W = U X, X = M U-adjoint, gives their conjugates.  The
     mixed blocks Z U-adjoint meet U Z have the complement [X, conj X], as U Z
     is the adjoint of Z U-adjoint, and it spans the real sqrt(2) [Re X, Im X].
-    ES(C)-perp, its conjugate and the mixed complement lie in the CC, UU and
-    CU/UC blocks, which are orthogonal: <|a><b|, |c><d|> = <a|c><d|b> = 0
-    across blocks, as C is orthogonal to UC.  So their orthonormal columns
-    concatenate to an orthonormal complement of S, and no SVD confirms it.
+    These three lie in the orthogonal CC, UU and CU/UC blocks, so their
+    orthonormal columns concatenate to an orthonormal complement of S.
+    Columns 0 of Z and W are <c_0|sigma|c_0> and <Uc_0|sigma|Uc_0> over
+    2^(n/2), orthonormal as c_0 is orthogonal to Uc_0, so the row a of
+    <c_0|E|c_0> = <Uc_0|E|Uc_0> is their difference (norm sqrt(2)), normalized.
     """
     n, mat = code.n, action.matrix
     z = _scaled_columns(code)
     x = np.moveaxis(coords_to_matrices(z, n), 2, 0) @ mat.conj().T
     mixed = np.sqrt(2) * matrices_to_coords(np.moveaxis(x, 0, 2), n)
     w = matrices_to_coords(np.moveaxis(mat @ x, 0, 2), n).real
+    row = z[:, :1] - w[:, :1]
     width = _complement_width(n, code.k, False)
     (es, p), (es_conj, p_conj) = (np.hsplit(_condition_complement(c, n, pure=True), [width])
                                   for c in (z, w))
-    return tuple(OperatorSubspace(n, c) for c in
-                 (np.hstack([es, es_conj, mixed.real, mixed.imag]), p, p_conj))
+    return tuple(OperatorSubspace(n, c) for c in (np.hstack([es, es_conj, mixed.real, mixed.imag]),
+                                                  p, p_conj, row / np.linalg.norm(row)))
 
 
 def union_erasure_space_via_intersection(code: QuantumCode, u) -> OperatorSubspace:
@@ -197,7 +173,8 @@ def union_erasure_space_via_intersection(code: QuantumCode, u) -> OperatorSubspa
     """
     action = _as_action(code.n, u)
     union_code([code, transform_code(code, action)])  # refuses an overlapping image
-    return intersect([_block_sum(code, action)[0], equal_expectation_space(code, action)])
+    shared, *_, expectation = _block_sum(code, action)
+    return intersect([shared, expectation])
 
 
 def union_pure_space_via_intersection(code: QuantumCode, u) -> OperatorSubspace:
@@ -208,52 +185,47 @@ def union_pure_space_via_intersection(code: QuantumCode, u) -> OperatorSubspace:
     """
     action = _as_action(code.n, u)
     union_code([code, transform_code(code, action)])  # refuses an overlapping image
-    return intersect(_block_sum(code, action))
+    return intersect(_block_sum(code, action)[:3])
 
 
-def cross_check_intersection_formulas(code: QuantumCode, u,
-                                      tol: float = SUBSPACE_TOL) -> dict:
+def cross_check_intersection_formulas(code: QuantumCode, u) -> dict:
     """Run both intersection pipelines and compare against direct computation.
 
     Returns a report with, per formula, the pipeline dimension, the direct
     dimension, the equality residual (sine of the largest principal angle)
-    and whether they match within tol.
+    and whether they match within SUBSPACE_TOL.
     """
     action = _as_action(code.n, u)
     union, _ = union_code([code, transform_code(code, action)])
-    return _cross_check(code, action, union, tol)
+    return _cross_check(code, action, union)
 
 
-def _cross_check(code: QuantumCode, u, union: QuantumCode,
-                 tol: float = SUBSPACE_TOL) -> dict:
+def _cross_check(code: QuantumCode, u, union: QuantumCode) -> dict:
     """cross_check_intersection_formulas against an already built union C (+) UC.
 
     Theorem 4's complement is [S-perp | a] and Theorem 5's [S-perp | b]:
-    S-perp from one _block_sum, a and b what the expectation row, or p and
+    S-perp from one _block_sum, a and b what its expectation row, or p and
     U p U-adjoint, add to it (intersect's new-direction step).  PS(union) has
     the complement [ES(union)-perp | p_union], so one closed form gives both
-    direct spaces, and a caller that has the union builds it once.  Matching
-    dimensions take both residuals from one projection (_shared_residuals);
-    a mismatch already fails, and equality_residual reads its angles.
+    direct spaces, and a caller that has the union builds it once.  Both
+    residuals come from one projection (_shared_residuals); a formula whose
+    dimension differs reports 1, as the larger space holds a unit vector
+    orthogonal to the smaller.
     """
     action = _as_action(code.n, u)
-    shared, p, p_conj = _block_sum(code, action)
+    shared, p, p_conj, expectation = _block_sum(code, action)
     s = shared.complement
-    a = _new_directions(s, equal_expectation_space(code, action).complement)
+    a = _new_directions(s, expectation.complement)
     b = _new_directions(s, np.hstack([p.complement, p_conj.complement]))
     direct = pure_erasure_space(union).complement
     width = _complement_width(union.n, union.k, False)
-    sides = {"theorem4": (a, direct[:, :width]), "theorem5": (b, direct)}
-    if all(s.shape[1] + x.shape[1] == d.shape[1] for x, d in sides.values()):
-        residuals = _shared_residuals(s, a, b, direct, width)
-    else:
-        residuals = [equality_residual(OperatorSubspace(code.n, np.hstack([s, x])),
-                                       OperatorSubspace(code.n, d)) for x, d in sides.values()]
     report = {}
-    for (key, (x, d)), residual in zip(sides.items(), residuals):
-        dim, direct_dim = 4**code.n - s.shape[1] - x.shape[1], 4**code.n - d.shape[1]
+    for key, x, d, residual in zip(("theorem4", "theorem5"), (a, b), (width, direct.shape[1]),
+                                   _shared_residuals(s, a, b, direct, width)):
+        dim, direct_dim = 4**code.n - s.shape[1] - x.shape[1], 4**code.n - d
+        residual = residual if dim == direct_dim else 1.0
         report[key] = {"dim": dim, "direct_dim": direct_dim, "residual": residual,
-                       "matches_direct": dim == direct_dim and residual < tol}
+                       "matches_direct": dim == direct_dim and residual < SUBSPACE_TOL}
     return report
 
 
@@ -263,10 +235,10 @@ def _shared_residuals(s: np.ndarray, a: np.ndarray, b: np.ndarray,
     and of [s | b] against direct, from one projection and one Gram.
 
     [s | a], [s | b] and direct are orthonormal (a and b need not be
-    orthogonal to each other), and each pair has equal widths, so each sine
-    is the spectral norm of the pipeline complement projected off the direct
-    one.  x = [s | a | b] is projected off direct once, in place in
-    one copy: r = x - direct (direct^H x), and g = r^H r.  The Theorem 5
+    orthogonal to each other), so for a pair of equal widths the sine is the
+    spectral norm of the pipeline complement projected off the direct one.
+    x = [s | a | b] is projected off direct once, in place in one copy:
+    r = x - direct (direct^H x), and g = r^H r.  The Theorem 5
     Gram is g's block on [s | b].  Theorem 4's direct complement d =
     direct[:, :width] leaves out direct's trailing columns e, and
     I - d d^H = (I - direct direct^H) + e e^H, so its Gram is g's block on

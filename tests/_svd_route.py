@@ -17,14 +17,16 @@ routes through a spanning basis B, where the package reads membership and
 containment off complements alone: the member residual |v - B B^H v| / |v|,
 and the containment residual sigma_max(C_outer^H B_inner).  Last, it keeps
 the one-sided maps E -> U E and E -> E U that unions._block_sum folds into
-one map of the gram columns.
+one map of the gram columns, and the equal-expectation space from the anchor
+pair's own gram tensor, whose row _block_sum takes from the same map.
 """
 
 import numpy as np
 
 from qerasure import OperatorSubspace
 from qerasure.erasure import _deviations
-from qerasure.operator_space import RANK_RTOL, coords_to_matrices, matrices_to_coords
+from qerasure.operator_space import RANK_RTOL, _pauli_grams, coords_to_matrices, matrices_to_coords
+from qerasure.unions import _as_action
 
 
 def wide_nullspace_complement(rows, rtol=RANK_RTOL):
@@ -78,3 +80,11 @@ def product_image(s, left=None, right=None):
     if right is not None:
         stack = stack @ right
     return OperatorSubspace(s.n, matrices_to_coords(np.moveaxis(stack, 0, 2), s.n))
+
+
+def equal_expectation_space(code, u, anchor=0):
+    """Operators E with <a|E|a> = <Ua|E|Ua> for basis ket a: one real constraint row."""
+    ket = code.basis[anchor]
+    pair = np.column_stack([ket.amplitudes, _as_action(code.n, u).apply(ket).amplitudes])
+    grams = _pauli_grams(pair, code.n)
+    return OperatorSubspace.from_constraints(code.n, (grams[:, 0, 0] - grams[:, 1, 1]).real)

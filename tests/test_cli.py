@@ -200,9 +200,8 @@ def test_union_transform_builds_the_union_once(tmp_path, capsys, gram_builds):
     path.write_text(json.dumps(code_to_json(fixture_gbp_code())))
     status, _, _ = run_cli(capsys, "union", "--code", str(path), "--transform", GBP_PAIR)
     assert status == 0
-    # the code's, the union's (shared by the distance and the direct spaces),
-    # and the anchor pair's of the expectation space
-    assert sorted(gram_builds) == [(4, 2), (4, 4), (4, 8)]
+    # the code's and the union's (shared by the distance and the direct spaces)
+    assert sorted(gram_builds) == [(4, 4), (4, 8)]
 
 
 def test_basis_slack_keeps_every_verdict(tmp_path, capsys, rng):
@@ -422,7 +421,7 @@ def test_union_refuses_oversized_union(tmp_path, capsys, gram_builds):
 def test_mismatch_exit_code(monkeypatch, capsys, tmp_path):
     import qerasure.cli as cli_module
 
-    def fake_check(code, t, tol=1e-8):
+    def fake_check(code, t):
         return {
             "theorem4": {"dim": 1, "direct_dim": 2, "residual": 1.0,
                          "matches_direct": False},
@@ -469,6 +468,47 @@ def test_transform_local_with_non_finite_entries(capsys, bad):
                                "--transform", transform)
     assert (status, out) == (1, "")
     assert err == "qerasure: error[invalid-transform] local at qubit 3 is not unitary\n"
+
+
+NOT_AN_OBJECT = {"empty-array": "[]", "array": '["perm"]', "number": "5", "null": "null",
+                 "string": '"abc"'}
+
+
+@pytest.mark.parametrize("mode", ["theorem-check", "union"])
+@pytest.mark.parametrize("name", sorted(NOT_AN_OBJECT))
+def test_transform_file_that_is_not_an_object(tmp_path, capsys, mode, name):
+    path = tmp_path / "t.json"
+    path.write_text(NOT_AN_OBJECT[name])
+    status, out, err = run_cli(capsys, mode, "--fixture", "gbp", "--transform", str(path))
+    assert (status, out) == (1, "")
+    assert err.startswith("qerasure: error[invalid-transform] a transform must be a JSON object")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", sorted(NOT_AN_OBJECT))
+def test_code_file_that_is_not_an_object(tmp_path, capsys, name):
+    path = tmp_path / "code.json"
+    path.write_text(NOT_AN_OBJECT[name])
+    status, out, err = run_cli(capsys, "analyze", "--code", str(path))
+    assert (status, out) == (1, "")
+    assert err.startswith(f"qerasure: error[invalid-code] {path}: code description must be "
+                          "a JSON object")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec, reason", [
+    ({"n": 2, "basis": [[{"re": 1, "bits": "00"}]], "bogus": 1}, "keys ['basis', 'bogus', 'n']"),
+    ({"n": 2, "basis": [[{"re": 1, "bits": "00", "extra": 1}]]}, "unknown term keys ['extra']"),
+    ({"n": 2, "label": 7, "basis": [[{"re": 1, "bits": "00"}]]}, "label must be a string, got 7"),
+    ({"basis": [[{"re": 1, "bits": "00"}]]}, "must be a JSON object with keys n, basis"),
+], ids=["top-level-key", "term-key", "int-label", "no-n"])
+def test_ingest_refuses_what_it_would_ignore_or_coerce(tmp_path, capsys, spec, reason):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(spec))
+    status, out, err = run_cli(capsys, "distance", "--code", str(path))
+    assert (status, out) == (1, "")
+    assert err.startswith("qerasure: error[invalid-code]") and reason in err
+    assert err.count("\n") == 1
 
 
 def test_internal_error_is_one_line(monkeypatch, capsys):

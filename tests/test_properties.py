@@ -1,8 +1,8 @@
 """Property tests (hypothesis, derandomized) on up to four qubits.
 
 The transform adjoint, the Pauli group laws of the mask arithmetic, the
-subspace maps of the union formulas, and the ingest boundary of the command
-line against arbitrary JSON.
+subspace maps of the union formulas, and the code and transform readers of
+the command line against arbitrary JSON.
 """
 
 import contextlib
@@ -189,16 +189,18 @@ def _no_constant(name):
     raise AssertionError(f"report contains {name}")
 
 
-@settings(PROPERTY, max_examples=200)
-@given(code_specs())
-def test_fuzzed_ingest_ends_cleanly(spec):
+def _cli_on_file(text, *argv):
+    """Run the CLI with argv and the path of a file holding text appended."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "code.json"
-        path.write_text(json.dumps(spec))
+        path = Path(tmp) / "input.json"
+        path.write_text(text)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            status = main(["analyze", "--code", str(path)])
-    out, err = out.getvalue(), err.getvalue()
+            status = main([*argv, str(path)])
+    return status, out.getvalue(), err.getvalue()
+
+
+def _assert_ends_cleanly(status, out, err):
     if status == 0:
         assert err == ""
         json.loads(out, parse_constant=_no_constant)
@@ -206,3 +208,45 @@ def test_fuzzed_ingest_ends_cleanly(spec):
         assert status == 1 and out == ""
         assert re.fullmatch(r"qerasure: error\[[a-z-]+\] [^\n]*\n", err), err
         assert "error[internal]" not in err
+
+
+@settings(PROPERTY, max_examples=200)
+@given(code_specs())
+def test_fuzzed_ingest_ends_cleanly(spec):
+    _assert_ends_cleanly(*_cli_on_file(json.dumps(spec), "analyze", "--code"))
+
+
+# A gate as four [re, im] rows, row-major: H and S
+GATE_ROWS = [[[0.5**0.5, 0], [0.5**0.5, 0], [0.5**0.5, 0], [-(0.5**0.5), 0]],
+             [[1, 0], [0, 0], [0, 0], [0, 1]]]
+gates = st.sampled_from(["I", "X", "Y", "Z", "H", "S"]) | st.sampled_from(GATE_ROWS)
+
+
+@st.composite
+def transform_docs(draw):
+    """Arbitrary JSON now and then; mostly a four-qubit transform whose perm
+    and locals are each sometimes left out or replaced by arbitrary JSON,
+    one gate now and then too, with a stray key now and then."""
+    def junk(p, clean):
+        return draw(json_trees) if draw(st.integers(0, 99)) < p else draw(clean)
+
+    if draw(st.integers(0, 7)) == 0:
+        return draw(json_trees)
+    doc = {}
+    if draw(st.booleans()):
+        doc["perm"] = junk(5, st.permutations(range(4)))
+    if draw(st.booleans()):
+        locals_ = [draw(gates) for _ in range(4)]
+        if draw(st.integers(0, 19)) == 0:
+            locals_[draw(st.integers(0, 3))] = draw(json_trees)
+        doc["locals"] = junk(5, st.just(locals_))
+    if draw(st.integers(0, 19)) == 0:
+        doc[draw(st.text(max_size=3))] = draw(json_trees)
+    return doc
+
+
+@settings(PROPERTY, max_examples=100)
+@given(transform_docs())
+def test_fuzzed_transform_ends_cleanly(doc):
+    _assert_ends_cleanly(*_cli_on_file(json.dumps(doc), "theorem-check", "--fixture", "gbp",
+                                       "--transform"))

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from qerasure import (
     containment_residual,
     cross_check_intersection_formulas,
     cyclic_shift,
-    equal_expectation_space,
     equality_residual,
     erasure_space,
     fixture_gbp_code,
@@ -47,7 +48,7 @@ from qerasure.unions import (
 )
 
 from _oracle import SINGLE, all_pauli_letterings, conjugate_letters, dense_pauli, transform_matrix
-from _svd_route import product_image
+from _svd_route import equal_expectation_space, product_image
 from conftest import random_code, random_orthogonal_pair, random_unitary
 
 ADJOINT_CLOSED = (erasure_space, pure_erasure_space, annihilating_space)
@@ -240,22 +241,15 @@ def test_product_weight_survey():
 # ------------------------------------------------------ expectation space
 
 def test_equal_expectation_identity_action():
+    # the reference row vanishes when U fixes the anchor ket: no constraint
     code = fixture_gbp_code()
     s = equal_expectation_space(code, UnitaryAction.identity(4))
     assert s.dim == 256
 
 
-@pytest.mark.parametrize("past_end", [False, True], ids=["minus-one", "k"])
-def test_equal_expectation_refuses_an_anchor_outside_the_basis(past_end):
-    # -1 would silently pick the last ket, and K would leak an IndexError
-    code = fixture_gbp_code()
-    with pytest.raises(ValueError, match=rf"anchor must be in \[0, {code.k}\)"):
-        equal_expectation_space(code, gbp_pair_transform(), anchor=code.k if past_end else -1)
-
-
 def test_equal_expectation_gbp_dim():
     code = fixture_gbp_code()
-    s = equal_expectation_space(code, gbp_pair_transform())
+    s = _block_sum(code, _as_action(4, gbp_pair_transform()))[3]
     assert s.dim == 255
     ident = np.zeros(256, dtype=complex)
     ident[0] = 1.0
@@ -355,8 +349,7 @@ def test_shared_route_matches_the_one_shot_formulas(rng):
             intersect([ps, conjugate_subspace(ps, act), mixed]),
         )
         block = _block_sum(code, act)
-        shared_route = (intersect([block[0], equal_expectation_space(code, act)]),
-                        intersect(block))
+        shared_route = (intersect([block[0], block[3]]), intersect(block[:3]))
         for shared, direct in zip(shared_route, one_shot):
             assert shared.dim == direct.dim
             assert equality_residual(shared, direct) < 1e-12
@@ -431,6 +424,7 @@ def test_real_mixed_piece_matches_complex_one_sided_images(rng):
 
 
 def test_equal_expectation_space_is_real(rng):
+    # the reference's row, a difference of expectations of Hermitian Paulis
     for code, u in fixture_and_random_pairs(rng):
         act = _as_action(code.n, u)
         s = equal_expectation_space(code, act)
@@ -518,16 +512,17 @@ def test_cross_check_builds_the_image_once(monkeypatch, constraint_solves):
     report = cross_check_intersection_formulas(fixture_gbp_code(), gbp_pair_transform())
     assert report["theorem4"]["matches_direct"] and report["theorem5"]["matches_direct"]
     assert len(images) == 1
-    # only the single-row equal-expectation space: every other space is
-    # written down from a gram tensor, and intersect solves no constraints
-    assert len(constraint_solves) == 1
+    # every space, the equal-expectation row's included, is written down
+    # from a gram tensor, and intersect solves no constraints
+    assert constraint_solves == []
 
 
-def test_cross_check_builds_three_gram_tensors(gram_builds):
+def test_cross_check_builds_two_gram_tensors(gram_builds):
     code = ingest_code(code_to_json(fixture_gbp_code()))
     cross_check_intersection_formulas(code, gbp_pair_transform())
-    # the code's, the union's, and the anchor pair's of the expectation space
-    assert sorted(gram_builds) == [(4, 2), (4, 4), (4, 8)]
+    # the code's and the union's: the expectation row is read off the code's
+    # gram columns, so no tensor of the anchor pair is built
+    assert sorted(gram_builds) == [(4, 4), (4, 8)]
 
 
 def test_cross_check_shares_one_conjugation_and_no_wide_intersection(monkeypatch):
@@ -536,8 +531,7 @@ def test_cross_check_shares_one_conjugation_and_no_wide_intersection(monkeypatch
     code, t = fixture_gbp_code(), gbp_pair_transform()
     calls = {name: [] for name in ("conjugate_subspace", "coords_to_matrices",
                                    "matrices_to_coords", "union_code", "intersect",
-                                   "equality_residual", "pure_erasure_space",
-                                   "_new_directions", "_shared_residuals")}
+                                   "pure_erasure_space", "_new_directions", "_shared_residuals")}
     for name, seen in calls.items():
         real = getattr(unions, name)
         monkeypatch.setattr(unions, name, lambda *args, real=real, seen=seen, **kwargs:
@@ -566,7 +560,7 @@ def test_cross_check_shares_one_conjugation_and_no_wide_intersection(monkeypatch
     assert len(calls["union_code"]) == 1
     # S is a concatenation, never intersected: the expectation row, and p with
     # U p U^H, are each factored against S alone, at most two columns at a time
-    assert calls["intersect"] == [] and calls["equality_residual"] == []
+    assert calls["intersect"] == []
     assert len(calls["_new_directions"]) == 2
     for q, rest in calls["_new_directions"]:
         assert q.shape[1] == 4 * code.k**2 - 2 and rest.shape[1] <= 2
@@ -580,22 +574,25 @@ def test_cross_check_shares_one_conjugation_and_no_wide_intersection(monkeypatch
                            (shared.shape[1] + b.shape[1],) * 2]
 
 
-@pytest.mark.parametrize("public, dim, expectation_rows", [
-    (union_erasure_space_via_intersection, 193, 1),
-    (union_pure_space_via_intersection, 192, 0),
+@pytest.mark.parametrize("public, dim", [
+    (union_erasure_space_via_intersection, 193),
+    (union_pure_space_via_intersection, 192),
 ])
-def test_each_public_formula_builds_only_its_own_intersection(monkeypatch, public, dim,
-                                                              expectation_rows):
+def test_each_public_formula_builds_only_its_own_intersection(monkeypatch, gram_builds,
+                                                              public, dim):
     from qerasure import unions
 
-    calls = {name: [] for name in ("intersect", "equal_expectation_space")}
-    for name, seen in calls.items():
-        real = getattr(unions, name)
-        monkeypatch.setattr(unions, name, lambda *args, real=real, seen=seen, **kwargs:
-                            seen.append(args[0]) or real(*args, **kwargs))
-    assert public(fixture_gbp_code(), gbp_pair_transform()).dim == dim
-    assert len(calls["intersect"]) == 1
-    assert len(calls["equal_expectation_space"]) == expectation_rows
+    intersections = []
+    real = unions.intersect
+    monkeypatch.setattr(unions, "intersect",
+                        lambda spaces: intersections.append(spaces) or real(spaces))
+    code = fixture_gbp_code()
+    code.grams  # the code's own tensor, built before the count starts
+    gram_builds.clear()
+    assert public(code, gbp_pair_transform()).dim == dim
+    assert len(intersections) == 1
+    # the expectation row comes from the code's own gram tensor: no other is built
+    assert gram_builds == []
 
 
 def block_sum_cases(rng):
@@ -616,7 +613,7 @@ def test_block_sum_matches_the_wide_intersection(rng):
     # complements of S are orthonormal and span what intersect finds
     for code, u in block_sum_cases(rng):
         act = _as_action(code.n, u)
-        shared, p, p_conj = _block_sum(code, act)
+        shared, p, p_conj, _ = _block_sum(code, act)
         shared.validate(1e-12)
         assert shared.complement.shape[1] == 4 * code.k**2 - 2
         assert p.complement.shape[1] == p_conj.complement.shape[1] == 1
@@ -633,7 +630,7 @@ def test_block_sum_slices_are_the_conjugate_and_the_one_sided_images(rng):
     # mixed blocks' complement
     for code, u in block_sum_cases(rng):
         act = _as_action(code.n, u)
-        shared, _, p_conj = _block_sum(code, act)
+        shared, _, p_conj, _ = _block_sum(code, act)
         width = code.k**2 - 1
         conjugated = np.hstack([shared.complement[:, width:2 * width], p_conj.complement])
         mixed = shared.complement[:, 2 * width:]
@@ -643,6 +640,19 @@ def test_block_sum_slices_are_the_conjugate_and_the_one_sided_images(rng):
             got = OperatorSubspace(code.n, got)
             assert got.dim == want.dim
             assert equality_residual(got, want) < 1e-12
+
+
+def test_block_sum_expectation_row_matches_the_reference(rng):
+    # columns 0 of Z and U Z U^H are the two expectations; their normalized
+    # difference spans the row of the anchor pair's own gram tensor
+    for code, u in block_sum_cases(rng):
+        act = _as_action(code.n, u)
+        row = _block_sum(code, act)[3]
+        assert row.complement.shape == (4**code.n, 1)
+        assert row.complement.dtype == np.float64
+        row.validate(1e-12)
+        assert abs(row.complement[0, 0]) < 1e-15  # tr E is unconstrained
+        assert equality_residual(row, equal_expectation_space(code, act)) < 1e-12
 
 
 def _shared_inputs(monkeypatch, code, act, union):
@@ -726,22 +736,20 @@ def test_shared_residuals_track_a_rotated_pipeline(monkeypatch, rng, moved):
 
 def test_cross_check_of_a_mismatched_union_reads_equality_residuals(monkeypatch, rng):
     # a union that is not C (+) UC: the dimensions differ, the verdict is
-    # False, and both residuals come from equality_residual on the spaces
-    from qerasure import unions
-
+    # False, and each residual is 1, which is what equality_residual finds on
+    # spaces of unequal dimension, without calling it
     code, t = fixture_gbp_code(), gbp_pair_transform()
     other = random_code(rng, 4, 6)
-    compared = []
-    real = unions.equality_residual
-    monkeypatch.setattr(unions, "equality_residual",
-                        lambda a, b: compared.append((a, b)) or real(a, b))
-    monkeypatch.setattr(unions, "_shared_residuals", None)
+    real = equality_residual
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qerasure") and getattr(module, "equality_residual", None) is real:
+            monkeypatch.setattr(module, "equality_residual", None)
     report = _cross_check(code, _as_action(4, t), other)
-    assert len(compared) == 2
     pipelines = (union_erasure_space_via_intersection(code, t),
                  union_pure_space_via_intersection(code, t))
     for key, pipeline, direct in zip(("theorem4", "theorem5"), pipelines,
                                      (erasure_space(other), pure_erasure_space(other))):
         assert (report[key]["dim"], report[key]["direct_dim"]) == (pipeline.dim, direct.dim)
         assert pipeline.dim != direct.dim and not report[key]["matches_direct"]
+        assert report[key]["residual"] == 1.0
         assert abs(report[key]["residual"] - real(pipeline, direct)) < 1e-12
