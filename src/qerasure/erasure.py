@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -202,6 +203,27 @@ def _condition_complement(cols: np.ndarray, n: int, pure: bool) -> np.ndarray:
         projector[0] = 0  # identity is coordinate 0
         cols[:, -1] = projector / np.linalg.norm(projector)
     return cols[:, :width]
+
+
+@lru_cache(maxsize=None)
+def _union_blocks(k: int, width: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Column indices of the Hilbert-Schmidt blocks of C (+) UC, for K = k.
+
+    One (pipeline, union) pair each for the CC, UU and mixed off-diagonal
+    blocks, then the diagonal one.  Pipeline columns index S-perp =
+    [ES(C)-perp | U ES(C)-perp U-adjoint | mixed] (unions._block_sum), whose
+    first two parts are _condition_complement's first K^2 - 1 columns; union
+    columns the first `width` of _condition_complement over the 2K kets.
+    Column i*m + j of a complement over m kets is diagonal when i = j, and
+    otherwise lies in the block of kets i and j's components.
+    """
+    own = np.arange(k * k - 1)
+    on = own % (k + 1) == 0
+    i, j = np.divmod(np.arange(width), 2 * k)
+    return ((own[~on], np.flatnonzero((i < k) & (j < k) & (i != j))),
+            (own[~on] + own.size, np.flatnonzero((i >= k) & (j >= k) & (i != j))),
+            (np.arange(2 * k * k) + 2 * own.size, np.flatnonzero((i < k) != (j < k))),
+            (np.r_[own[on], own[on] + own.size], np.flatnonzero(i == j)))
 
 
 def erasure_space(code: QuantumCode) -> OperatorSubspace:

@@ -16,10 +16,9 @@ tensor (see erasure).  The nullspace of a constraint system takes its
 complement from one thin SVD of the rows in tall column form.  An
 intersection keeps the widest input complement as it stands and adds the
 directions that one thin SVD of the other complements, projected off it,
-finds new.  A span given by its vectors has its complement completed once.
-The spanning basis is completed from the complement on first use.  Unitary
-maps of operator space carry complements to complements, so they act on the
-complement alone.
+finds new.  The spanning basis is completed from the complement on first
+use.  Unitary maps of operator space carry complements to complements, so
+they act on the complement alone.
 
 A space closed under the adjoint has a real orthonormal complement: the
 phase-0 Paulis are Hermitian, so E -> E^H conjugates coordinates, and a
@@ -296,17 +295,6 @@ class OperatorSubspace:
         u, s, _ = np.linalg.svd(rows.T, full_matrices=False)
         return cls(n, complement=u[:, :_rank(s, rtol)].conj())
 
-    @classmethod
-    def from_span(cls, n: int, vectors: np.ndarray,
-                  rtol: float = RANK_RTOL) -> "OperatorSubspace":
-        """Subspace spanned by the given (not necessarily orthonormal) columns.
-
-        The left singular vectors of the columns give an orthonormal basis of
-        the span, and its complement is completed from them once.
-        """
-        u, s, _ = np.linalg.svd(_as_columns(vectors, 4**n), full_matrices=False)
-        return cls(n, complement=_complete_orthonormal(u[:, :_rank(s, rtol)]))
-
     def member_residual(self, coords: np.ndarray) -> float:
         """Relative norm of the component of coords outside the subspace."""
         v = np.asarray(coords)
@@ -370,17 +358,19 @@ def intersect(subspaces: Sequence[OperatorSubspace]) -> OperatorSubspace:
     return OperatorSubspace(n, complement=np.hstack([q, _new_directions(q, np.hstack(rest))]))
 
 
-def _largest_singular_value(gram: np.ndarray) -> float:
-    """Spectral norm of m, from the largest eigenvalue of its Gram m^H m.
+def _residual_norm(inner: np.ndarray, outer: np.ndarray) -> float:
+    """Spectral norm of the explicit residual r = outer - inner (inner^H outer).
 
-    The c x c Hermitian m^H m has the squared singular values of m as
-    eigenvalues.  Formed from an explicit m, its largest eigenvalue is
+    inner has orthonormal columns.  The norm is read from the largest
+    eigenvalue of the small Gram r^H r, whose eigenvalues are the squared
+    singular values of r.  Formed from an explicit r, that eigenvalue is
     accurate to relative roundoff, so even a norm near 1e-16 keeps its
-    digits; it costs about half a singular value decomposition of m.
+    digits; it costs about half a singular value decomposition of r.
     """
-    if gram.size == 0:
+    r = outer - inner @ (inner.conj().T @ outer)
+    if r.shape[1] == 0:
         return 0.0
-    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+    return float(np.sqrt(max(np.linalg.eigvalsh(r.conj().T @ r)[-1], 0.0)))
 
 
 def containment_residual(inner: OperatorSubspace, outer: OperatorSubspace) -> float:
@@ -388,22 +378,19 @@ def containment_residual(inner: OperatorSubspace, outer: OperatorSubspace) -> fl
 
     Zero (up to roundoff) exactly when every inner vector lies in outer.
     Computed from the complements, since inner <= outer is equivalent to
-    complement(outer) <= complement(inner): the residual co - ci (ci^H co)
-    of the outer complement co against the inner one ci is formed explicitly,
-    and its spectral norm is read from its small Gram
-    (_largest_singular_value).  The explicit residual keeps roundoff-level
-    answers near 1e-16 on equal spaces, where 1 - sigma_min(ci^H co)^2
-    would cancel to about 1e-8.  The union cross-check reads its two
-    residuals the same way, projecting the other way round, from one shared
-    projection and one Gram (unions._shared_residuals).
+    complement(outer) <= complement(inner): the spectral norm of the
+    explicit residual of the outer complement co against the inner one ci
+    (_residual_norm).  The explicit residual keeps roundoff-level answers
+    near 1e-16 on equal spaces, where 1 - sigma_min(ci^H co)^2 would cancel
+    to about 1e-8.  The union cross-check reads its residuals the same way,
+    projecting the other way round, one Hilbert-Schmidt block at a time
+    (unions._shared_residuals).
     """
     if inner.n != outer.n:
         raise ValueError("subspaces live on different qubit counts")
     if inner.dim == 0:
         return 0.0
-    ci, co = inner.complement, outer.complement
-    r = co - ci @ (ci.conj().T @ co)
-    return _largest_singular_value(r.conj().T @ r)
+    return _residual_norm(inner.complement, outer.complement)
 
 
 def equality_residual(a: OperatorSubspace, b: OperatorSubspace) -> float:

@@ -23,7 +23,9 @@ last factors are not block-orthogonal.  The expectation row, |a><a| -
 projectors p = P_C - K / 2^n and U p U-adjoint each spread a multiple of the
 identity over every block and overlap each other (cosine -K / (2^n - K)).  So
 each formula adds to S's complement only the directions they bring, from one
-narrow factorization against it.
+narrow factorization against it.  These, like the diagonal directions, lie in
+the block spanned by the kets' own projectors and the identity, so the
+comparison with the union's own complement runs one block at a time.
 
 Every factor is closed under the adjoint, so each is stored by a real
 complement, and the intersections and the comparison run in real arithmetic.
@@ -33,6 +35,7 @@ code's K^2 real gram columns, so one map of them to matrices builds them all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,12 +46,13 @@ from .erasure import (
     _complement_width,
     _condition_complement,
     _scaled_columns,
+    _union_blocks,
     pure_erasure_space,
 )
 from .operator_space import (
     OperatorSubspace,
-    _largest_singular_value,
     _new_directions,
+    _residual_norm,
     coords_to_matrices,
     intersect,
     matrices_to_coords,
@@ -207,10 +211,10 @@ def _cross_check(code: QuantumCode, u, union: QuantumCode) -> dict:
     S-perp from one _block_sum, a and b what its expectation row, or p and
     U p U-adjoint, add to it (intersect's new-direction step).  PS(union) has
     the complement [ES(union)-perp | p_union], so one closed form gives both
-    direct spaces, and a caller that has the union builds it once.  Both
-    residuals come from one projection (_shared_residuals); a formula whose
-    dimension differs reports 1, as the larger space holds a unit vector
-    orthogonal to the smaller.
+    direct spaces, and a caller that has the union builds it once.  A formula
+    whose dimension differs reports 1, as the larger space holds a unit
+    vector orthogonal to the smaller.  The residuals are read block by block
+    (_shared_residuals), on a union of 2K kets, as C (+) UC has.
     """
     action = _as_action(code.n, u)
     shared, p, p_conj, expectation = _block_sum(code, action)
@@ -219,9 +223,12 @@ def _cross_check(code: QuantumCode, u, union: QuantumCode) -> dict:
     b = _new_directions(s, np.hstack([p.complement, p_conj.complement]))
     direct = pure_erasure_space(union).complement
     width = _complement_width(union.n, union.k, False)
+    # the blocks are laid out for a union of 2K kets, (2K)^2 - 1 = width
+    fits = width == s.shape[1] + 1
+    residuals = _shared_residuals(s, a, b, direct, width) if fits else (1.0, 1.0)
     report = {}
     for key, x, d, residual in zip(("theorem4", "theorem5"), (a, b), (width, direct.shape[1]),
-                                   _shared_residuals(s, a, b, direct, width)):
+                                   residuals):
         dim, direct_dim = 4**code.n - s.shape[1] - x.shape[1], 4**code.n - d
         residual = residual if dim == direct_dim else 1.0
         report[key] = {"dim": dim, "direct_dim": direct_dim, "residual": residual,
@@ -232,26 +239,24 @@ def _cross_check(code: QuantumCode, u, union: QuantumCode) -> dict:
 def _shared_residuals(s: np.ndarray, a: np.ndarray, b: np.ndarray,
                       direct: np.ndarray, width: int) -> tuple[float, float]:
     """Sines of the largest principal angles of [s | a] against direct[:, :width]
-    and of [s | b] against direct, from one projection and one Gram.
+    and of [s | b] against direct, one Hilbert-Schmidt block at a time.
 
-    [s | a], [s | b] and direct are orthonormal (a and b need not be
-    orthogonal to each other), so for a pair of equal widths the sine is the
-    spectral norm of the pipeline complement projected off the direct one.
-    x = [s | a | b] is projected off direct once, in place in one copy:
-    r = x - direct (direct^H x), and g = r^H r.  The Theorem 5
-    Gram is g's block on [s | b].  Theorem 4's direct complement d =
-    direct[:, :width] leaves out direct's trailing columns e, and
-    I - d d^H = (I - direct direct^H) + e e^H, so its Gram is g's block on
-    [s | a] plus t^H t, where t = e^H [s | a] is already in direct^H x.  Both
-    terms are formed explicitly and are positive semidefinite, so no
-    1 - cos^2 cancellation enters.
+    [s | a], [s | b] and direct are orthonormal, so for a pair of equal
+    widths the sine is the spectral norm of the pipeline complement less its
+    projection onto the direct one.  Each column of s and of direct lies in
+    one block of C (+) UC (erasure._union_blocks); a, b and direct's
+    projector column lie in the diagonal block, which holds the identity.
+    The blocks are orthogonal, so each block's pipeline columns need only
+    that block's direct columns d, and the residual is the largest of the
+    block residuals x - d (d^H x) (_residual_norm).  The CC, UU and mixed
+    blocks serve both formulas; Theorem 4's diagonal block takes [s | a]
+    against direct's diagonal columns before width, Theorem 5's [s | b]
+    against all of them.  Should a pipeline column leave its block, the
+    whole residual is the stacked block residuals projected off direct once
+    more, so the largest block sine is still at least half of it.
     """
-    r = np.hstack([s, a, b])
-    proj = direct.conj().T @ r
-    r -= direct @ proj
-    g = r.conj().T @ r
-    head = s.shape[1] + a.shape[1]
-    t = proj[width:, :head]
-    theorem5 = np.r_[:s.shape[1], head:r.shape[1]]
-    return (_largest_singular_value(g[:head, :head] + t.conj().T @ t),
-            _largest_singular_value(g[np.ix_(theorem5, theorem5)]))
+    *off, (x, d) = _union_blocks(math.isqrt(s.shape[1] + 2) // 2, direct.shape[1])
+    shared = max(_residual_norm(direct[:, dd], s[:, xx]) for xx, dd in off)
+    diag = s[:, x]
+    return tuple(max(shared, _residual_norm(direct[:, dd], np.hstack([diag, y])))
+                 for y, dd in ((a, d[d < width]), (b, d)))

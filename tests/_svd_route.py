@@ -17,16 +17,38 @@ routes through a spanning basis B, where the package reads membership and
 containment off complements alone: the member residual |v - B B^H v| / |v|,
 and the containment residual sigma_max(C_outer^H B_inner).  Last, it keeps
 the one-sided maps E -> U E and E -> E U that unions._block_sum folds into
-one map of the gram columns, and the equal-expectation space from the anchor
-pair's own gram tensor, whose row _block_sum takes from the same map.
+one map of the gram columns, the equal-expectation space from the anchor
+pair's own gram tensor, whose row _block_sum takes from the same map, and
+the union cross-check's residuals from one projection of all pipeline
+columns off the whole direct complement and one Gram, where the package
+projects each Hilbert-Schmidt block off its own direct columns.  Spans given
+by their vectors are built here too: only tests build them.
 """
 
 import numpy as np
 
 from qerasure import OperatorSubspace
 from qerasure.erasure import _deviations
-from qerasure.operator_space import RANK_RTOL, _pauli_grams, coords_to_matrices, matrices_to_coords
+from qerasure.operator_space import (
+    RANK_RTOL,
+    _as_columns,
+    _complete_orthonormal,
+    _pauli_grams,
+    _rank,
+    coords_to_matrices,
+    matrices_to_coords,
+)
 from qerasure.unions import _as_action
+
+
+def from_span(n, vectors, rtol=RANK_RTOL):
+    """Subspace spanned by the given (not necessarily orthonormal) columns.
+
+    The left singular vectors of the columns give an orthonormal basis of
+    the span, and its complement is completed from them once.
+    """
+    u, s, _ = np.linalg.svd(_as_columns(vectors, 4**n), full_matrices=False)
+    return OperatorSubspace(n, complement=_complete_orthonormal(u[:, :_rank(s, rtol)]))
 
 
 def wide_nullspace_complement(rows, rtol=RANK_RTOL):
@@ -88,3 +110,23 @@ def equal_expectation_space(code, u, anchor=0):
     pair = np.column_stack([ket.amplitudes, _as_action(code.n, u).apply(ket).amplitudes])
     grams = _pauli_grams(pair, code.n)
     return OperatorSubspace.from_constraints(code.n, (grams[:, 0, 0] - grams[:, 1, 1]).real)
+
+
+def shared_residuals_full_gram(s, a, b, direct, width):
+    """unions._shared_residuals from one projection of [s | a | b] off direct.
+
+    r = x - direct (direct^H x) and g = r^H r.  The Theorem 5 Gram is g's
+    block on [s | b].  Theorem 4's direct complement d = direct[:, :width]
+    leaves out direct's trailing columns e, and I - d d^H = (I - direct
+    direct^H) + e e^H, so its Gram is g's block on [s | a] plus t^H t, where
+    t = e^H [s | a].
+    """
+    r = np.hstack([s, a, b])
+    proj = direct.conj().T @ r
+    r -= direct @ proj
+    g = r.conj().T @ r
+    head = s.shape[1] + a.shape[1]
+    t = proj[width:, :head]
+    theorem5 = np.r_[:s.shape[1], head:r.shape[1]]
+    return tuple(float(np.sqrt(max(np.linalg.eigvalsh(m)[-1], 0.0)))
+                 for m in (g[:head, :head] + t.conj().T @ t, g[np.ix_(theorem5, theorem5)]))

@@ -36,7 +36,7 @@ from _oracle import (
     svd_rank,
     zero_block_constraint_matrix,
 )
-from _svd_route import annihilating_space_svd, erasure_space_svd, pure_space_svd
+from _svd_route import annihilating_space_svd, erasure_space_svd, from_span, pure_space_svd
 from conftest import random_code
 
 
@@ -379,12 +379,12 @@ def test_distance_soundness(rng):
 # -------------------------------------------------------- hermitian basis
 
 def test_hermitian_basis_trivial_cases():
-    xi = OperatorSubspace.from_span(2, pauli_coords(pauli_from_string("XI")))
+    xi = from_span(2, pauli_coords(pauli_from_string("XI")))
     out = hermitian_basis(xi)
     assert len(out) == 1
     assert np.max(np.abs(out[0].imag)) < 1e-12  # Hermitian: real coordinates
 
-    izi = OperatorSubspace.from_span(2, 1j * pauli_coords(pauli_from_string("ZI")))
+    izi = from_span(2, 1j * pauli_coords(pauli_from_string("ZI")))
     out = hermitian_basis(izi)
     assert len(out) == 1
     # the span contains the Hermitian representative ZI as well
@@ -400,13 +400,13 @@ def test_hermitian_basis_keeps_dimension():
         imag = np.max(np.abs(vec.real)) < 1e-9
         assert real or imag
         assert space.member_residual(vec) < 1e-8
-    rebuilt = OperatorSubspace.from_span(space.n, np.column_stack(out))
+    rebuilt = from_span(space.n, np.column_stack(out))
     assert rebuilt.dim == space.dim
 
 
 def test_hermitian_basis_rejects_non_adjoint_closed():
     v = pauli_coords(pauli_from_string("XI")) + 2j * pauli_coords(pauli_from_string("YI"))
-    s = OperatorSubspace.from_span(2, v)
+    s = from_span(2, v)
     with pytest.raises(ValueError):
         hermitian_basis(s)
 

@@ -25,6 +25,7 @@ from _oracle import dense_pauli, gram, sorted_paulis
 from _svd_route import (
     basis_containment_residual,
     basis_member_residual,
+    from_span,
     largest_singular_value_svd,
     wide_nullspace_complement,
 )
@@ -33,7 +34,7 @@ from conftest import random_code, random_unitary
 
 def span_of(labels, n):
     vecs = np.column_stack([pauli_coords(pauli_from_string(s)) for s in labels])
-    return OperatorSubspace.from_span(n, vecs)
+    return from_span(n, vecs)
 
 
 def test_pauli_order_matches_oracle():
@@ -238,7 +239,7 @@ def test_empty_constraints_give_full_space():
 
 def test_from_span_drops_dependent_columns(rng):
     v = pauli_coords(pauli_from_string("XI"))
-    s = OperatorSubspace.from_span(2, np.column_stack([v, 3 * v]))
+    s = from_span(2, np.column_stack([v, 3 * v]))
     assert s.dim == 1
 
 
@@ -252,7 +253,7 @@ def test_dtype_follows_the_data(rng):
     c = OperatorSubspace.from_constraints(n, real_rows + 1j * rng.standard_normal((3, dim)))
     assert (a.complement.dtype, b.complement.dtype, c.complement.dtype) == (
         np.float64, np.float64, np.complex128)
-    assert OperatorSubspace.from_span(n, real_rows.T).basis.dtype == np.float64
+    assert from_span(n, real_rows.T).basis.dtype == np.float64
     assert a.basis.dtype == np.float64
     for parts, dtype in (([a, b], np.float64), ([a, OperatorSubspace.full(n)], np.float64),
                          ([a, c], np.complex128)):
@@ -298,11 +299,11 @@ def test_intersect_membership_probes(rng):
 
 def test_containment_residual_against_scipy(rng):
     n = 2
-    big = OperatorSubspace.from_span(
+    big = from_span(
         n, rng.standard_normal((16, 9)) + 1j * rng.standard_normal((16, 9)))
-    small = OperatorSubspace.from_span(n, big.basis[:, :4])
+    small = from_span(n, big.basis[:, :4])
     assert containment_residual(small, big) < 1e-10
-    other = OperatorSubspace.from_span(
+    other = from_span(
         n, rng.standard_normal((16, 5)) + 1j * rng.standard_normal((16, 5)))
     angles = scipy.linalg.subspace_angles(other.basis, big.basis)
     assert abs(containment_residual(other, big) - np.sin(np.max(angles))) < 1e-9
@@ -365,7 +366,7 @@ def test_member_residual_routes_agree(rng):
         dim = 4**n
         rows = rng.standard_normal((6, dim)) + 1j * rng.standard_normal((6, dim))
         s = OperatorSubspace.from_constraints(n, rows)
-        by_span = OperatorSubspace.from_span(n, s.basis)
+        by_span = from_span(n, s.basis)
         for _ in range(10):
             v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             assert abs(s.member_residual(v) - basis_member_residual(s.basis, v)) < 1e-10

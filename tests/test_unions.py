@@ -38,7 +38,7 @@ from qerasure import (
     weight,
 )
 from qerasure.codes import basis_matrix
-from qerasure.erasure import annihilating_space
+from qerasure.erasure import _union_blocks, annihilating_space
 from qerasure.operator_space import _pauli_grams, _pauli_table
 from qerasure.unions import (
     _as_action,
@@ -48,7 +48,12 @@ from qerasure.unions import (
 )
 
 from _oracle import SINGLE, all_pauli_letterings, conjugate_letters, dense_pauli, transform_matrix
-from _svd_route import equal_expectation_space, product_image
+from _svd_route import (
+    equal_expectation_space,
+    from_span,
+    product_image,
+    shared_residuals_full_gram,
+)
 from conftest import random_code, random_orthogonal_pair, random_unitary
 
 ADJOINT_CLOSED = (erasure_space, pure_erasure_space, annihilating_space)
@@ -165,7 +170,7 @@ def test_subspace_maps_refuse_a_qubit_count_mismatch(space_map, u):
 
 
 def test_conjugate_preserves_dim_random(rng):
-    s = OperatorSubspace.from_span(
+    s = from_span(
         3, rng.standard_normal((64, 10)) + 1j * rng.standard_normal((64, 10)))
     u = UnitaryAction(3, random_unitary(rng, 8))
     assert conjugate_subspace(s, u).dim == s.dim
@@ -564,14 +569,16 @@ def test_cross_check_shares_one_conjugation_and_no_wide_intersection(monkeypatch
     assert len(calls["_new_directions"]) == 2
     for q, rest in calls["_new_directions"]:
         assert q.shape[1] == 4 * code.k**2 - 2 and rest.shape[1] <= 2
-    # both residuals: one projection off the union's pure complement, one
-    # Gram, and one small eigenvalue solve per formula
+    # both residuals against the union's pure complement, block by block: one
+    # small eigenvalue solve for each of the CC, UU and mixed blocks, which
+    # both formulas share, then one for each formula's diagonal block
     (shared, a, b, direct, width), = calls["_shared_residuals"]
     union, _ = union_code([code, transform_code(code, t)])
     assert np.array_equal(direct, pure_erasure_space(union).complement)
     assert shared.shape[1] == 4 * code.k**2 - 2
-    assert eigensolves == [(shared.shape[1] + a.shape[1],) * 2,
-                           (shared.shape[1] + b.shape[1],) * 2]
+    assert (a.shape[1], b.shape[1]) == (1, 2)
+    k = code.k
+    assert eigensolves == [(w, w) for w in (k * k - k, k * k - k, 2 * k * k, 2 * k - 1, 2 * k)]
 
 
 @pytest.mark.parametrize("public, dim", [
@@ -697,14 +704,21 @@ def _rotated(col, away, angle):
     return np.cos(angle) * col + np.sin(angle) * away
 
 
-@pytest.mark.parametrize("moved", ["expectation-direction", "block-sum-column"])
+# Columns of S-perp for K = 4, one per block: ES(C)-perp's first 15 columns
+# hold its diagonal columns at 0, 5 and 10, its conjugate the next 15, and the
+# mixed complement the 32 after them
+S_PERP_COLUMN = {"block-sum-column": 7, "uu-column": 22, "mixed-column": 39,
+                 "diagonal-column": 20}
+
+
+@pytest.mark.parametrize("moved", ["expectation-direction", *S_PERP_COLUMN])
 def test_shared_residuals_track_a_rotated_pipeline(monkeypatch, rng, moved):
     # turn one pipeline column by a small angle toward a direction orthogonal
-    # to its pipeline complement: the spaces now differ, and the shared Gram
-    # must still give each sine that equality_residual finds.  a may turn
-    # toward the union's projector column d (in the span of [s | b]), which
-    # makes t = d^T [s | a] non-zero; a column of s is shared, so it turns
-    # away from both pipelines, and so from d
+    # to its pipeline complement: the spaces now differ, and the block
+    # residuals must still give each sine that equality_residual finds.  a
+    # may turn toward the union's projector column (in the span of [s | b]),
+    # which Theorem 4 leaves out; a column of s is shared, so it turns away
+    # from both pipelines, and so from every direct column, in every block
     code, u = fixture_gbp_code(), CodeTransform(4, locals=["I", "X", "H", "X"])
     act = _as_action(code.n, u)
     union, _ = union_code([code, transform_code(code, act)])
@@ -722,7 +736,8 @@ def test_shared_residuals_track_a_rotated_pipeline(monkeypatch, rng, moved):
         if moved == "expectation-direction":
             a2[:, 0] = _rotated(a[:, 0], away, angle)
         else:
-            s2[:, 7] = _rotated(s[:, 7], away, angle)
+            col = S_PERP_COLUMN[moved]
+            s2[:, col] = _rotated(s[:, col], away, angle)
         shared = _shared_residuals(s2, a2, b, direct, width)
         oracle = [equality_residual(OperatorSubspace(code.n, np.hstack([s2, x])),
                                     OperatorSubspace(code.n, d))
@@ -730,8 +745,69 @@ def test_shared_residuals_track_a_rotated_pipeline(monkeypatch, rng, moved):
         for got, want in zip(shared, oracle):
             assert abs(got - want) <= 1e-6 * want + 1e-14
         assert shared[0] > 0.1 * angle
-        if moved == "block-sum-column":
+        if moved != "expectation-direction":
             assert shared[1] > 0.1 * angle
+
+
+def test_union_blocks_partition_both_complements_orthogonally(monkeypatch, rng):
+    # every column of S-perp and of the union's complement sits in exactly one
+    # block, and no block's union columns see another block's pipeline
+    # columns, nor a, b: what lets each block be compared on its own
+    for code, u in block_sum_cases(rng):
+        act = _as_action(code.n, u)
+        union, _ = union_code([code, transform_code(code, act)])
+        s, a, b, direct, _ = _shared_inputs(monkeypatch, code, act, union)
+        blocks = _union_blocks(code.k, direct.shape[1])
+        for side, cols in ((0, s), (1, direct)):
+            assert np.array_equal(np.sort(np.concatenate([p[side] for p in blocks])),
+                                  np.arange(cols.shape[1]))
+        for i, (_, d) in enumerate(blocks):
+            others = [s[:, x] for j, (x, _) in enumerate(blocks) if j != i]
+            if i < 3:
+                others += [a, b]
+            assert np.max(np.abs(direct[:, d].T @ np.hstack(others)), initial=0) < 1e-12
+
+
+def test_block_residuals_match_the_full_gram_reference(monkeypatch, rng):
+    # one projection of every pipeline column off the whole direct complement
+    # and one Gram give the same sines; n = 5, K = 8 is the widest block sum
+    # the cross-check meets, and the whole-space unions have no projector
+    # column in the direct complement
+    for code, u in block_sum_cases(rng) + [swap_pair(rng, 5, 8), swap_pair(rng, 5, 8)]:
+        act = _as_action(code.n, u)
+        union, _ = union_code([code, transform_code(code, act)])
+        args = _shared_inputs(monkeypatch, code, act, union)
+        for got, want in zip(_shared_residuals(*args), shared_residuals_full_gram(*args)):
+            assert abs(got - want) < 1e-12
+
+
+def near_image(rng, code, act, angle):
+    """W U for W = exp(i angle H), H random Hermitian on the complement of the
+    code: W fixes C, so the image W U C stays orthogonal to it."""
+    b = basis_matrix(code)
+    perp = np.eye(1 << code.n) - b @ b.conj().T
+    h = rng.standard_normal(perp.shape) + 1j * rng.standard_normal(perp.shape)
+    w, v = np.linalg.eigh(perp @ (h + h.conj().T) @ perp)
+    return UnitaryAction(code.n, v @ np.diag(np.exp(1j * angle * w)) @ v.conj().T @ act.matrix)
+
+
+def test_cross_check_of_an_equal_size_foreign_union(monkeypatch, rng):
+    # C (+) VC with V != U has the dimensions of C (+) UC, so the blocks are
+    # read, but the pipeline columns are not the union's: the verdict is
+    # False, and each block residual is within a factor two of the full one,
+    # for a V far from U and for V = W U with W close to the identity
+    code, act = fixture_gbp_code(), _as_action(4, gbp_pair_transform())
+    cases = [(code, act, CodeTransform(4, locals=["I", "X", "H", "X"]))]
+    near, near_act = swap_pair(rng, 3, 2)
+    cases += [(near, near_act, near_image(rng, near, near_act, angle)) for angle in (1e-6, 1e-3)]
+    for code, act, v in cases:
+        union, _ = union_code([code, transform_code(code, v)])
+        report = _cross_check(code, act, union)
+        reference = shared_residuals_full_gram(*_shared_inputs(monkeypatch, code, act, union))
+        for key, want in zip(("theorem4", "theorem5"), reference):
+            assert report[key]["dim"] == report[key]["direct_dim"]
+            assert not report[key]["matches_direct"]
+            assert want / 2 <= report[key]["residual"] <= 1 + 1e-12
 
 
 def test_cross_check_of_a_mismatched_union_reads_equality_residuals(monkeypatch, rng):
