@@ -12,7 +12,6 @@ from .codes import (
     CodeValidationError,
     QuantumCode,
     basis_matrix,
-    code_projector,
     code_to_json,
     fixture_gbp_code,
     fixture_rains_subcode,
@@ -43,7 +42,6 @@ from .fixtures import (
 from .operator_space import (
     OperatorSubspace,
     containment_residual,
-    coords_to_matrix,
     coords_to_matrices,
     equality_residual,
     intersect,
@@ -55,9 +53,7 @@ from .operator_space import (
 from .pauli import (
     PauliLetter,
     PauliOperator,
-    dagger,
     enumerate_paulis,
-    matrix_element,
     multiply,
     pauli_from_letters,
     pauli_from_string,
@@ -69,11 +65,8 @@ from .states import (
     CodeTransform,
     Ket,
     UnitaryAction,
-    apply_pauli,
     apply_transform,
-    basis_state,
     cyclic_shift,
-    inner_product,
     ket_from_terms,
 )
 from .tolerances import MATRIX_ELEMENT_TOL, MEMBERSHIP_TOL, RANK_RTOL, SUBSPACE_TOL

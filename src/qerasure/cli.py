@@ -28,7 +28,6 @@ from .erasure import (
 from .fixtures import FIXTURE_NAMES, fixture_union_components, get_fixture
 from .states import CodeTransform
 from .unions import (
-    OrthogonalityError,
     _cross_check,
     cross_check_intersection_formulas,
     union_code,
@@ -57,6 +56,13 @@ def _load_json_file(path: str) -> dict:
         raise CliError("bad-json", f"{path}: {exc}") from exc
 
 
+def _ingest_file(path: str) -> QuantumCode:
+    try:
+        return ingest_code(_load_json_file(path))
+    except CodeValidationError as exc:
+        raise CliError(exc.code, f"{path}: {exc}") from exc
+
+
 def _resolve_code(args) -> QuantumCode:
     if (args.fixture is None) == (args.code is None):
         raise CliError("bad-arguments", "provide exactly one of --fixture or --code")
@@ -68,11 +74,7 @@ def _resolve_code(args) -> QuantumCode:
                 "unknown-fixture",
                 f"no fixture named {args.fixture!r}; known: {', '.join(FIXTURE_NAMES)}",
             ) from None
-    spec = _load_json_file(args.code)
-    try:
-        return ingest_code(spec)
-    except CodeValidationError as exc:
-        raise CliError(exc.code, f"{args.code}: {exc}") from exc
+    return _ingest_file(args.code)
 
 
 def _resolve_transform(args, n: int) -> CodeTransform:
@@ -155,12 +157,7 @@ def _union_inputs(args) -> tuple[list[QuantumCode], QuantumCode | None, CodeTran
         raise CliError("bad-arguments",
                        "union mode needs exactly one of --code2 or --transform")
     if args.code2 is not None:
-        spec = _load_json_file(args.code2)
-        try:
-            second = ingest_code(spec)
-        except CodeValidationError as exc:
-            raise CliError(exc.code, f"{args.code2}: {exc}") from exc
-        return [base, second], None, None
+        return [base, _ingest_file(args.code2)], None, None
     t = _resolve_transform(args, base.n)
     image = transform_code(base, t, label=f"U({base.label})")
     return [base, image], base, t
@@ -313,17 +310,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         report = _MODES[args.mode][0](args)
-    except CliError as exc:
-        print(f"qerasure: error[{exc.code}] {exc}", file=sys.stderr)
-        return 1
-    except OrthogonalityError as exc:
-        print(f"qerasure: error[orthogonality] {exc}", file=sys.stderr)
-        return 1
-    except CodeValidationError as exc:
-        print(f"qerasure: error[{exc.code}] {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"qerasure: error[invalid-input] {exc}", file=sys.stderr)
+    except (CliError, ValueError) as exc:  # CodeValidationError and OrthogonalityError carry a code
+        print(f"qerasure: error[{getattr(exc, 'code', 'invalid-input')}] {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # a fault of the program, not of its input
         print(f"qerasure: error[internal] {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -1,11 +1,11 @@
 """Quantum codes as validated orthonormal bases, plus the bundled examples.
 
-Codes are compared as subspaces through their projectors, never as ordered
-bases, since any orthonormal basis of the same span carries the same
-correctability data.  All ingestion normalizes vectors first, enforces
-pairwise orthogonality to 1e-9, and then orthonormalizes the accepted basis
-to roundoff, so that every quantity built from it (the closed-form complements
-of the erasure spaces first of all) is as orthonormal as floating point allows.
+A code is its span, not its ordered basis: any orthonormal basis of the
+same span carries the same correctability data.  All ingestion normalizes
+vectors first, enforces pairwise orthogonality to 1e-9, and then
+orthonormalizes the accepted basis to roundoff, so that every quantity built
+from it (the closed-form complements of the erasure spaces first of all) is
+as orthonormal as floating point allows.
 """
 
 from __future__ import annotations
@@ -144,12 +144,12 @@ def ingest_code(spec: dict) -> QuantumCode:
     return QuantumCode(n=n, k=len(kets), basis=basis, label=label)
 
 
-def code_to_json(code: QuantumCode, amplitude_tol: float = AMPLITUDE_TOL) -> dict:
-    """Serialize to the JSON form accepted by ingest_code."""
+def code_to_json(code: QuantumCode) -> dict:
+    """Serialize to the JSON form accepted by ingest_code; amplitudes up to AMPLITUDE_TOL drop."""
     basis = []
     for ket in code.basis:
         terms = []
-        for idx in np.nonzero(np.abs(ket.amplitudes) > amplitude_tol)[0]:
+        for idx in np.nonzero(np.abs(ket.amplitudes) > AMPLITUDE_TOL)[0]:
             amp = ket.amplitudes[idx]
             terms.append({
                 "re": float(amp.real),
@@ -172,12 +172,6 @@ def transform_code(code: QuantumCode, t: CodeTransform | UnitaryAction,
     if label is None:
         label = f"U({code.label})"
     return QuantumCode(n=code.n, k=code.k, basis=kets, label=label)
-
-
-def code_projector(code: QuantumCode) -> np.ndarray:
-    """The rank-K projector onto the code subspace."""
-    mat = basis_matrix(code)
-    return mat @ mat.conj().T
 
 
 def _cyclic_orbit(bits: str) -> list[str]:

@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .codes import QuantumCode, basis_matrix
-from .operator_space import OperatorSubspace, _pauli_table, coords_to_matrix
+from .operator_space import OperatorSubspace, _pauli_table, coords_to_matrices
 from .pauli import PauliOperator, apply_to_amplitudes
 from .tolerances import ADJOINT_TOL, MATRIX_ELEMENT_TOL
 
@@ -67,7 +67,7 @@ def _gram_matrix(code: QuantumCode, op) -> np.ndarray:
     if dense.ndim == 1:
         if dense.shape[0] != 4**code.n:
             raise ValueError(f"coordinate vector has length {dense.shape[0]}, expected {4**code.n}")
-        dense = coords_to_matrix(dense, code.n)
+        dense = coords_to_matrices(dense, code.n)[:, :, 0]
     if dense.shape != (1 << code.n, 1 << code.n):
         raise ValueError(f"operator shape {dense.shape} does not fit n={code.n}")
     return mat.conj().T @ dense @ mat
@@ -100,8 +100,7 @@ def _deviations(grams: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
     return rows, rows[:, :: k + 1] - np.reshape(alpha, (-1, 1))
 
 
-def _first_violations(rows: np.ndarray, diagonal: np.ndarray, k: int,
-                      tol: float = MATRIX_ELEMENT_TOL):
+def _first_violations(rows: np.ndarray, diagonal: np.ndarray, k: int):
     """First violated condition, in row-major order, of each row of _deviations.
 
     Returns the violation mask and, for every row, the (i, j) of its first
@@ -110,32 +109,30 @@ def _first_violations(rows: np.ndarray, diagonal: np.ndarray, k: int,
     """
     size = np.abs(rows)
     size[:, :: k + 1] = np.abs(diagonal)
-    bad = size >= tol
+    bad = size >= MATRIX_ELEMENT_TOL
     first = bad.argmax(axis=1)
     i, j = np.divmod(first, k)
     index = np.arange(rows.shape[0])
     return bad.any(axis=1), i, j, np.where(i == j, diagonal[index, i], rows[index, first])
 
 
-def _check(code: QuantumCode, op, tol: float, pure: bool) -> MembershipReport:
+def _check(code: QuantumCode, op, pure: bool) -> MembershipReport:
     gram = _gram_matrix(code, op)
     alpha = _trace_over_dim(code, op) if pure else gram[0, 0]
-    bad, i, j, dev = _first_violations(*_deviations(gram[None], alpha), code.k, tol)
+    bad, i, j, dev = _first_violations(*_deviations(gram[None], alpha), code.k)
     if bad[0]:
         return MembershipReport(False, witness=(int(i[0]), int(j[0]), complex(dev[0])))
     return MembershipReport(True, alpha=complex(alpha if pure else np.mean(np.diag(gram))))
 
 
-def check_erasure(code: QuantumCode, op,
-                  tol: float = MATRIX_ELEMENT_TOL) -> MembershipReport:
+def check_erasure(code: QuantumCode, op) -> MembershipReport:
     """Test the matching-diagonal conditions for a single operator."""
-    return _check(code, op, tol, pure=False)
+    return _check(code, op, pure=False)
 
 
-def check_pure(code: QuantumCode, op,
-               tol: float = MATRIX_ELEMENT_TOL) -> MembershipReport:
+def check_pure(code: QuantumCode, op) -> MembershipReport:
     """Test the stronger scaled-identity condition for a single operator."""
-    return _check(code, op, tol, pure=True)
+    return _check(code, op, pure=True)
 
 
 def _pauli_deviations(code: QuantumCode, pure: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -322,22 +319,22 @@ def is_degenerate_distance(code: QuantumCode, distance: int) -> bool:
     return distance == code.n + 1
 
 
-def hermitian_basis(s: OperatorSubspace, tol: float = ADJOINT_TOL) -> list[np.ndarray]:
+def hermitian_basis(s: OperatorSubspace) -> list[np.ndarray]:
     """An orthonormal basis of s made of Hermitian operators: dim(s) vectors.
 
     Conjugating coordinates realizes the adjoint (the basis Paulis are
     Hermitian), so s must be closed under conjugation, and then so is its
     complement C.  A real C makes the completed basis real, i.e. Hermitian.
     A complex C with c columns spans the same space as its conjugate exactly
-    when [Re C | Im C] has rank c: a singular value beyond the c-th above tol
-    means s is not closed under the adjoint.  Otherwise the first c left
-    singular vectors are a real orthonormal complement, and s's basis is
-    completed from that.
+    when [Re C | Im C] has rank c: a singular value beyond the c-th above
+    ADJOINT_TOL means s is not closed under the adjoint.  Otherwise the
+    first c left singular vectors are a real orthonormal complement, and s's
+    basis is completed from that.
     """
     c = s.complement
     if np.iscomplexobj(c):
         u, sv, _ = np.linalg.svd(np.hstack([c.real, c.imag]), full_matrices=False)
-        if np.any(sv[c.shape[1]:] > tol):
+        if np.any(sv[c.shape[1]:] > ADJOINT_TOL):
             raise ValueError("subspace is not closed under the adjoint")
         s = OperatorSubspace(s.n, complement=u[:, :c.shape[1]])
     return list(np.ascontiguousarray(s.basis.T, dtype=complex))

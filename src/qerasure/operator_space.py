@@ -12,12 +12,10 @@ A subspace is stored by one array: an orthonormal basis of its orthogonal
 complement.  Every space the package builds is nearly the whole space, so
 the complement is the small representation.  The erasure, pure and
 annihilating spaces write theirs down in closed form from a code's gram
-tensor (see erasure).  The nullspace of a constraint system takes its
-complement from one thin SVD of the rows in tall column form.  An
-intersection keeps the widest input complement as it stands and adds the
-directions that one thin SVD of the other complements, projected off it,
-finds new.  The spanning basis is completed from the complement on first
-use.  Unitary maps of operator space carry complements to complements, so
+tensor (see erasure).  An intersection keeps the widest input complement as
+it stands and adds the directions that one thin SVD of the other
+complements, projected off it, finds new.  The spanning basis is completed
+from the complement on first use.  Unitary maps of operator space carry complements to complements, so
 they act on the complement alone.
 
 A space closed under the adjoint has a real orthonormal complement: the
@@ -25,13 +23,13 @@ phase-0 Paulis are Hermitian, so E -> E^H conjugates coordinates, and a
 Hermitian operator has real ones.  The erasure, pure and annihilating
 spaces, their conjugates and every factor of the union formulas are of that
 kind and store float64 complements; a space given a complex complement
-keeps it complex.  Nothing selects a real or a complex path:
-the constructors keep the dtype of their input, real as float64 and complex
-as complex128, and numpy promotes to complex only where some input is
+keeps it complex.  Nothing selects a real or a complex path: the
+constructor keeps the dtype of its input, real as float64 and complex as
+complex128, and numpy promotes to complex only where some input is
 complex.  So intersections, containment residuals and completions of real
 spaces run in real arithmetic, in half the memory.
 
-Completion, in either direction, takes the Householder QR of the k known
+Completion takes the Householder QR of the k known
 columns in compact-WY form Q = I - V T V^H (Schreiber and Van Loan, "A
 storage-efficient WY representation for products of Householder
 transformations", SIAM J. Sci. Stat. Comput. 10, 1989) and writes the last
@@ -39,21 +37,17 @@ transformations", SIAM J. Sci. Stat. Comput. 10, 1989) and writes the last
 a 4096 x ~4093 array, float64 (134 MB) for a real space and complex (268 MB)
 otherwise, the only O(16^n) object here.
 
-Numerical conventions: ranks are read from singular values with a relative
-threshold of RANK_RTOL times the largest one, except in intersect, where the
-inputs have unit-norm columns and the cut is RANK_RTOL itself.  Membership
-and containment residuals are compared against MEMBERSHIP_TOL and
-SUBSPACE_TOL (see tolerances).  Every rank-revealing SVD factors columns:
-constraint rows (r, 4^n) are factored as their transpose, whose left singular
-vectors carry the nullspace complement, since LAPACK reduces a wide matrix
-through an extra LQ pass, and intersect factors complement columns.
-A containment residual is the sine of the largest principal angle,
-read as the spectral norm of the explicit residual (I - P_inner) Q_outer
-from the largest eigenvalue of its c x c Gram.  It is never read as
-1 - cos^2 of the smallest principal-angle cosine, which cancels to a floor
-near sqrt(eps), about 1e-8, on equal spaces (Bjorck and Golub, "Numerical
-methods for computing angles between linear subspaces", Math. Comp. 27,
-1973).
+Numerical conventions: the one rank decision is intersect's, whose new
+directions are the left singular vectors of a residual of unit-norm columns
+with singular values above the absolute cut RANK_RTOL.  Membership and
+containment residuals are compared against MEMBERSHIP_TOL and SUBSPACE_TOL
+(see tolerances).  A containment residual is the sine of the largest
+principal angle, read as the spectral norm of the explicit residual
+(I - P_inner) Q_outer from the largest eigenvalue of its c x c Gram.  It
+is never read as 1 - cos^2 of the smallest principal-angle cosine, which
+cancels to a floor near sqrt(eps), about 1e-8, on equal spaces (Bjorck
+and Golub, "Numerical methods for computing angles between linear
+subspaces", Math. Comp. 27, 1973).
 """
 
 from __future__ import annotations
@@ -69,7 +63,7 @@ from .pauli import (
     _pauli_masks,
     _reverse_bits,
 )
-from .tolerances import COEFFICIENT_TOL, ORTHONORMALITY_TOL, RANK_RTOL, REPROJECT_BELOW
+from .tolerances import COEFFICIENT_TOL, RANK_RTOL, REPROJECT_BELOW
 
 
 class _PauliTable(NamedTuple):
@@ -148,10 +142,19 @@ def pauli_coords(p: PauliOperator) -> np.ndarray:
     return v
 
 
-def operator_weight(coords: np.ndarray, n: int, tol: float = COEFFICIENT_TOL) -> int:
+def _require_shape(a: np.ndarray, lead: tuple[int, ...], stacked: bool = True) -> None:
+    """Raise ValueError unless a has shape lead, or lead and one more axis when stacked."""
+    if a.shape[:len(lead)] != lead or a.ndim not in (len(lead), len(lead) + stacked):
+        extra = " or (" + ", ".join(map(str, lead + ("k",))) + ")" if stacked else ""
+        raise ValueError(f"got shape {a.shape}, expected {lead}{extra}")
+
+
+def operator_weight(coords: np.ndarray, n: int) -> int:
     """Size of the union of supports of the nonzero Pauli components."""
+    coords = np.asarray(coords)
+    _require_shape(coords, (4**n,), stacked=False)
     t = _pauli_table(n)
-    live = np.abs(coords) > tol
+    live = np.abs(coords) > COEFFICIENT_TOL
     joined = np.bitwise_or.reduce((t.x | t.z)[live]) if live.any() else 0
     return int(joined).bit_count()
 
@@ -162,6 +165,8 @@ def coords_to_matrices(coords: np.ndarray, n: int) -> np.ndarray:
     Entry (r, c) collects the Paulis with x = r ^ c, summed over z against
     (-1)^(c.z): a scatter into (z, x), one transform, and a gather.
     """
+    coords = np.asarray(coords)
+    _require_shape(coords, (4**n,))
     t = _pauli_table(n)
     v = np.atleast_2d(coords.T).T  # promote a single vector to one column
     spec = np.zeros((4**n, v.shape[1]), dtype=complex)
@@ -174,6 +179,7 @@ def coords_to_matrices(coords: np.ndarray, n: int) -> np.ndarray:
 def matrices_to_coords(mats: np.ndarray, n: int) -> np.ndarray:
     """Inverse of coords_to_matrices; accepts (2^n, 2^n) or (2^n, 2^n, k)."""
     mats = np.asarray(mats)
+    _require_shape(mats, (1 << n, 1 << n))
     single = mats.ndim == 2
     if single:
         mats = mats[:, :, None]
@@ -184,28 +190,12 @@ def matrices_to_coords(mats: np.ndarray, n: int) -> np.ndarray:
     return out[:, 0] if single else out
 
 
-def coords_to_matrix(coords: np.ndarray, n: int) -> np.ndarray:
-    return coords_to_matrices(coords, n)[:, :, 0]
-
-
-def _real_or_complex(arr) -> np.ndarray:
-    """arr as float64 when it is real and as complex128 when it is complex."""
+def _as_columns(arr, dim: int) -> np.ndarray:
+    """arr as (dim, c) columns: float64 when it is real and complex128 when complex."""
     a = np.asarray(arr)
-    return a.astype(np.result_type(a, np.float64), copy=False)
-
-
-def _as_columns(arr: np.ndarray, dim: int) -> np.ndarray:
-    a = _real_or_complex(arr)
-    if a.ndim == 1:
-        a = a[:, None]
-    if a.shape[0] != dim:
-        raise ValueError(f"expected vectors of length {dim}, got {a.shape[0]}")
-    return a
-
-
-def _rank(s: np.ndarray, rtol: float) -> int:
-    """Number of singular values above rtol times the largest one."""
-    return int(np.sum(s > rtol * s[0])) if s.size else 0
+    _require_shape(a, (dim,))
+    a = a.astype(np.result_type(a, np.float64), copy=False)
+    return a[:, None] if a.ndim == 1 else a
 
 
 def _wy_triangle(vv: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -271,30 +261,6 @@ class OperatorSubspace:
             self._basis = _complete_orthonormal(self.complement)
         return self._basis
 
-    @classmethod
-    def full(cls, n: int) -> "OperatorSubspace":
-        return cls(n, complement=np.zeros((4**n, 0)))
-
-    @classmethod
-    def from_constraints(cls, n: int, rows: np.ndarray,
-                         rtol: float = RANK_RTOL) -> "OperatorSubspace":
-        """Nullspace {v : rows @ v = 0} of a (m, 4^n) constraint system.
-
-        The conjugated row space is the complement of the nullspace, so a
-        thin SVD is all that is needed up front.  It factors the tall column
-        form rows^T = U S V^H, whose left singular vectors are the conjugated
-        right ones of the rows: the complement is the conjugate of U's first
-        rank columns.  LAPACK factors a tall matrix without the LQ pass a
-        wide one takes, and only the kept columns are conjugated.
-        """
-        rows = _real_or_complex(rows)
-        if rows.ndim == 1:
-            rows = rows[None, :]
-        if rows.shape[1] != 4**n:
-            raise ValueError(f"constraint rows must have 4^{n} columns")
-        u, s, _ = np.linalg.svd(rows.T, full_matrices=False)
-        return cls(n, complement=u[:, :_rank(s, rtol)].conj())
-
     def member_residual(self, coords: np.ndarray) -> float:
         """Relative norm of the component of coords outside the subspace."""
         v = np.asarray(coords)
@@ -307,12 +273,6 @@ class OperatorSubspace:
         # never conjugated or promoted to complex.
         w = np.stack([v.real, v.imag]) if np.isrealobj(c) else v.conj()
         return float(np.linalg.norm(w @ c) / nrm)
-
-    def validate(self, tol: float = ORTHONORMALITY_TOL) -> None:
-        """Check that the complement is orthonormal; for tests."""
-        c = self.complement
-        if np.max(np.abs(c.conj().T @ c - np.eye(c.shape[1])), initial=0) > tol:
-            raise ValueError("stored complement is not orthonormal")
 
     def __repr__(self) -> str:
         return f"OperatorSubspace(n={self.n}, dim={self.dim})"

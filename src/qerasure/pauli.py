@@ -23,12 +23,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .states import Ket
 
 PHASE_LABELS = ("", "i", "-", "-i")
 
@@ -139,11 +136,6 @@ def multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
     return PauliOperator(p.n, x, z, (lam - (x & z).bit_count()) % 4)
 
 
-def dagger(p: PauliOperator) -> PauliOperator:
-    """Conjugate transpose: masks unchanged, phase negated mod 4."""
-    return PauliOperator(p.n, p.x_mask, p.z_mask, (-p.phase) % 4)
-
-
 @lru_cache(maxsize=None)
 def _pauli_masks(n: int) -> np.ndarray:
     """(x_mask, z_mask) of every phase-0 operator in the fixed order, shape (4^n, 2).
@@ -200,13 +192,6 @@ def apply_to_amplitudes(p: PauliOperator, amplitudes: np.ndarray) -> np.ndarray:
     signs = 1 - 2 * (np.bitwise_count(idx & rz) & 1).astype(np.int64)
     scaled = (1j**lam) * (signs.reshape((dim,) + (1,) * (amplitudes.ndim - 1)) * amplitudes)
     return scaled[idx ^ rx]
-
-
-def matrix_element(bra: "Ket", p: PauliOperator, ket: "Ket") -> complex:
-    """<bra| p |ket>, computed without materializing the dense matrix."""
-    if bra.n != p.n or ket.n != p.n:
-        raise ValueError(f"qubit count mismatch: bra {bra.n}, operator {p.n}, ket {ket.n}")
-    return complex(np.vdot(bra.amplitudes, apply_to_amplitudes(p, ket.amplitudes)))
 
 
 def to_matrix(p: PauliOperator) -> np.ndarray:

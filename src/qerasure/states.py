@@ -17,8 +17,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .pauli import PauliLetter, PauliOperator, apply_to_amplitudes
-from .tolerances import ORTHONORMALITY_TOL, UNITARY_TOL
+from .pauli import PauliLetter
+from .tolerances import UNITARY_TOL
 
 LOCAL_GATES = {
     **{letter.name: letter.matrix for letter in PauliLetter},
@@ -44,9 +44,6 @@ class Ket:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def is_normalized(self, tol: float = ORTHONORMALITY_TOL) -> bool:
-        return abs(self.norm() ** 2 - 1.0) < tol
 
     def normalized(self) -> "Ket":
         nrm = self.norm()
@@ -78,23 +75,6 @@ def ket_from_terms(n: int, terms: Iterable) -> Ket:
             raise ValueError(f"bitstring {bits!r} is not {n} bits")
         amps[int(bits, 2)] += re + 1j * im
     return Ket(n, amps)
-
-
-def basis_state(n: int, bits: str) -> Ket:
-    return ket_from_terms(n, [(1.0, bits)])
-
-
-def inner_product(a: Ket, b: Ket) -> complex:
-    """<a|b>, conjugate-linear in the first argument."""
-    if a.n != b.n:
-        raise ValueError(f"qubit count mismatch: {a.n} != {b.n}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def apply_pauli(p: PauliOperator, k: Ket) -> Ket:
-    if p.n != k.n:
-        raise ValueError(f"qubit count mismatch: {p.n} != {k.n}")
-    return Ket(k.n, apply_to_amplitudes(p, k.amplitudes))
 
 
 def _as_local(entry) -> np.ndarray:
@@ -170,16 +150,6 @@ class CodeTransform:
                 raise ValueError(f"{key} must be a JSON array, got {spec[key]!r}")
         return cls(n, perm=spec.get("perm"), locals=spec.get("locals"))
 
-    def adjoint(self) -> "CodeTransform":
-        """Inverse transform, again in locals-then-permutation form."""
-        inv = [0] * self.n
-        for j, d in enumerate(self.perm):
-            inv[d] = j
-        new_locals = [None] * self.n
-        for j in range(self.n):
-            new_locals[self.perm[j]] = self.locals[j].conj().T
-        return CodeTransform(self.n, perm=tuple(inv), locals=tuple(new_locals))
-
 
 def apply_transform(t: CodeTransform, k: Ket) -> Ket:
     """Apply the per-qubit locals, then move qubit j to position t.perm[j]."""
@@ -220,14 +190,7 @@ class UnitaryAction:
         rows = reduce(np.kron, t.locals).reshape((2,) * t.n + (dim,))
         return cls(t.n, np.moveaxis(rows, range(t.n), t.perm).reshape(dim, dim))
 
-    @classmethod
-    def identity(cls, n: int) -> "UnitaryAction":
-        return cls(n, np.eye(1 << n, dtype=complex))
-
     def apply(self, k: Ket) -> Ket:
         if k.n != self.n:
             raise ValueError(f"qubit count mismatch: {self.n} != {k.n}")
         return Ket(k.n, self.matrix @ k.amplitudes)
-
-    def adjoint(self) -> "UnitaryAction":
-        return UnitaryAction(self.n, self.matrix.conj().T)

@@ -64,6 +64,8 @@ from .tolerances import CROSS_ORTHOGONALITY_TOL, SUBSPACE_TOL
 class OrthogonalityError(ValueError):
     """Two code components overlap beyond tolerance."""
 
+    code = "orthogonality"
+
 
 @dataclass(frozen=True)
 class UnionBuildReport:

@@ -7,12 +7,13 @@ of erasure._deviations with its diagonal deviations written in, from one thin
 SVD with a relative rank cut.  Dimensions come out of that rank cut here, not
 from the structure of the conditions.
 
-It also keeps the older factorizations behind OperatorSubspace: the SVD of
-the wide constraint rows themselves, and the full singular value spectrum of
-a containment residual, where the package factors the tall column form and
-reads the largest singular value from a small Gram.  The wide SVD of all
-complements stacked as rows is the second route to intersect, which factors
-only what its widest input complement does not span.  And it keeps the
+It also keeps the older factorizations behind OperatorSubspace: the nullspace
+complement of a constraint system from the SVD of its wide rows, which the
+package no longer solves at all, and the full singular value spectrum of a
+containment residual, where the package reads the largest singular value
+from a small Gram.  The wide SVD of all complements stacked as rows is the
+second route to intersect, which factors only what its widest input
+complement does not span.  And it keeps the
 routes through a spanning basis B, where the package reads membership and
 containment off complements alone: the member residual |v - B B^H v| / |v|,
 and the containment residual sigma_max(C_outer^H B_inner).  Last, it keeps
@@ -34,11 +35,15 @@ from qerasure.operator_space import (
     _as_columns,
     _complete_orthonormal,
     _pauli_grams,
-    _rank,
     coords_to_matrices,
     matrices_to_coords,
 )
 from qerasure.unions import _as_action
+
+
+def _rank(s, rtol):
+    """Number of singular values above rtol times the largest one."""
+    return int(np.sum(s > rtol * s[0])) if s.size else 0
 
 
 def from_span(n, vectors, rtol=RANK_RTOL):
@@ -52,10 +57,12 @@ def from_span(n, vectors, rtol=RANK_RTOL):
 
 
 def wide_nullspace_complement(rows, rtol=RANK_RTOL):
-    """Complement of {v : rows @ v = 0}: conjugated right singular vectors of the rows."""
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    rank = 0 if s.size == 0 else int(np.sum(s > rtol * s[0]))
-    return vh[:rank].conj().T
+    """Complement of {v : rows @ v = 0}: conjugated right singular vectors of the rows.
+
+    A single row may be given as a vector.  Real rows give a float64 complement.
+    """
+    _, s, vh = np.linalg.svd(np.atleast_2d(rows), full_matrices=False)
+    return vh[:_rank(s, rtol)].conj().T
 
 
 def largest_singular_value_svd(m):
@@ -77,7 +84,7 @@ def _nullspace(code, alpha):
     rows, diagonal = _deviations(code.grams, alpha)
     dev = rows.copy()
     dev[:, :: code.k + 1] = diagonal
-    return OperatorSubspace.from_constraints(code.n, dev.T)
+    return OperatorSubspace(code.n, wide_nullspace_complement(dev.T))
 
 
 def erasure_space_svd(code):
@@ -109,7 +116,8 @@ def equal_expectation_space(code, u, anchor=0):
     ket = code.basis[anchor]
     pair = np.column_stack([ket.amplitudes, _as_action(code.n, u).apply(ket).amplitudes])
     grams = _pauli_grams(pair, code.n)
-    return OperatorSubspace.from_constraints(code.n, (grams[:, 0, 0] - grams[:, 1, 1]).real)
+    row = (grams[:, 0, 0] - grams[:, 1, 1]).real
+    return OperatorSubspace(code.n, wide_nullspace_complement(row))
 
 
 def shared_residuals_full_gram(s, a, b, direct, width):

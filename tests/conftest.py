@@ -25,6 +25,12 @@ def random_code(rng, n, k, label="random"):
     return QuantumCode(n=n, k=k, basis=kets, label=label)
 
 
+def assert_orthonormal(space, tol):
+    """The complement a space stores is orthonormal: every entry of C^H C - I is at most tol."""
+    c = space.complement
+    assert np.max(np.abs(c.conj().T @ c - np.eye(c.shape[1])), initial=0) <= tol
+
+
 def random_orthogonal_pair(rng, n, k1, k2):
     """Two mutually orthogonal random codes drawn from one frame."""
     frame = random_unitary(rng, 1 << n)[:, : k1 + k2]
@@ -56,20 +62,4 @@ def gram_builds(monkeypatch):
     for name, mod in list(sys.modules.items()):
         if name.startswith("qerasure") and getattr(mod, "_pauli_grams", None) is real:
             monkeypatch.setattr(mod, "_pauli_grams", counted)
-    return calls
-
-
-@pytest.fixture
-def constraint_solves(monkeypatch):
-    """Record the shape of the rows of every OperatorSubspace.from_constraints call."""
-    from qerasure.operator_space import OperatorSubspace
-
-    calls = []
-    real = OperatorSubspace.__dict__["from_constraints"].__func__
-
-    def counted(cls, n, rows, *args, **kwargs):
-        calls.append(np.shape(rows))
-        return real(cls, n, rows, *args, **kwargs)
-
-    monkeypatch.setattr(OperatorSubspace, "from_constraints", classmethod(counted))
     return calls

@@ -102,9 +102,9 @@ def test_c01_rains_subcode_purity():
     code = fixture_rains_subcode()
     low_weight = [p for p in enumerate_paulis(5, 2) if weight(p) > 0]
     assert len(low_weight) == 105
-    assert all(check_pure(code, p, tol=1e-9).member for p in low_weight)
+    assert all(check_pure(code, p).member for p in low_weight)
     for label in LISTED_W3:
-        assert not check_pure(code, pauli_from_string(label), tol=1e-9).member
+        assert not check_pure(code, pauli_from_string(label)).member
     assert pure_distance(code) == 3
     print("ACCEPTANCE C01 PASS: all 105 weight<=2 Paulis pure-pass, "
           "both listed weight-3 orbits fail, pure distance 3")

@@ -5,13 +5,14 @@ from qerasure import (
     CodeTransform,
     CodeValidationError,
     cyclic_shift,
-    code_projector,
     code_to_json,
     fixture_gbp_code,
     fixture_rains_subcode,
     ingest_code,
     transform_code,
 )
+from qerasure.codes import basis_matrix
+from qerasure.states import UnitaryAction
 
 GBP_SPEC = {
     "n": 4,
@@ -25,6 +26,12 @@ GBP_SPEC = {
 }
 
 
+def code_projector(code):
+    """The rank-K projector onto the code subspace, from its basis kets."""
+    mat = basis_matrix(code)
+    return mat @ mat.conj().T
+
+
 def projector_distance(a, b):
     return np.max(np.abs(code_projector(a) - code_projector(b)))
 
@@ -33,7 +40,7 @@ def test_ingest_gbp_spec():
     code = ingest_code(GBP_SPEC)
     assert (code.n, code.k) == (4, 4)
     for ket in code.basis:
-        assert ket.is_normalized()
+        assert abs(ket.norm() - 1.0) < 1e-9
 
 
 def test_ingest_single_ket():
@@ -80,7 +87,8 @@ def test_serialize_round_trip():
 def test_transform_round_trip():
     code = fixture_gbp_code()
     t = CodeTransform(4, perm=(1, 3, 0, 2), locals=["H", "S", "Y", "I"])
-    back = transform_code(transform_code(code, t), t.adjoint())
+    inverse = UnitaryAction(4, UnitaryAction.from_transform(t).matrix.conj().T)
+    back = transform_code(transform_code(code, t), inverse)
     assert projector_distance(code, back) < 1e-9
 
 

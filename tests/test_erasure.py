@@ -36,8 +36,14 @@ from _oracle import (
     svd_rank,
     zero_block_constraint_matrix,
 )
-from _svd_route import annihilating_space_svd, erasure_space_svd, from_span, pure_space_svd
-from conftest import random_code
+from _svd_route import (
+    annihilating_space_svd,
+    erasure_space_svd,
+    from_span,
+    pure_space_svd,
+    wide_nullspace_complement,
+)
+from conftest import assert_orthonormal, random_code
 
 
 def cyclic_orbit(label):
@@ -181,7 +187,7 @@ def test_closed_form_spaces_match_svd_route(code):
         assert oracle.complement.dtype == np.complex128
         assert space.dim == oracle.dim
         assert equality_residual(space, oracle) < 1e-12
-        space.validate(tol=1e-12)
+        assert_orthonormal(space, 1e-12)
 
 
 def test_closed_form_dims_are_structural(rng):
@@ -203,7 +209,7 @@ def test_full_code_spaces(rng, n):
         assert space.complement.dtype == np.float64
         assert space.dim == oracle.dim
         assert equality_residual(space, oracle) < 1e-12
-        space.validate(tol=1e-12)
+        assert_orthonormal(space, 1e-12)
     assert (erasure_space(code).dim, pure_erasure_space(code).dim,
             annihilating_space(code).dim) == (1, 1, 0)
     assert pure_erasure_space(code).member_residual(ident) < 1e-12
@@ -427,7 +433,7 @@ def test_hermitian_basis_of_complex_adjoint_closed_spaces(case):
     # R stacked with conj(R) cuts out an adjoint-closed space (v -> conj(v)
     # swaps the two blocks) whose complement is complex; R alone does not
     n, rows = case
-    space = OperatorSubspace.from_constraints(n, np.vstack([rows, rows.conj()]))
+    space = OperatorSubspace(n, wide_nullspace_complement(np.vstack([rows, rows.conj()])))
     assert space.complement.dtype == np.complex128
     vecs = hermitian_basis(space)
     assert len(vecs) == space.dim
@@ -436,7 +442,7 @@ def test_hermitian_basis_of_complex_adjoint_closed_spaces(case):
     assert np.max(np.abs(out.T @ out - np.eye(space.dim)), initial=0) < 1e-10
     assert all(space.member_residual(v) < 1e-10 for v in out.T)
     with pytest.raises(ValueError):
-        hermitian_basis(OperatorSubspace.from_constraints(n, rows))
+        hermitian_basis(OperatorSubspace(n, wide_nullspace_complement(rows)))
 
 
 def test_hermitian_basis_edge_dimensions(rng):

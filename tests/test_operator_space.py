@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,7 +7,6 @@ import scipy.linalg
 from qerasure import (
     OperatorSubspace,
     containment_residual,
-    coords_to_matrix,
     coords_to_matrices,
     enumerate_paulis,
     equality_residual,
@@ -29,7 +30,7 @@ from _svd_route import (
     largest_singular_value_svd,
     wide_nullspace_complement,
 )
-from conftest import random_code, random_unitary
+from conftest import assert_orthonormal, random_code, random_unitary
 
 
 def span_of(labels, n):
@@ -83,17 +84,17 @@ def test_coords_dense_round_trip_all_paulis():
     for n in (1, 2, 3):
         for p in enumerate_paulis(n, n):
             dm = to_matrix(p)
-            assert np.allclose(coords_to_matrix(pauli_coords(p), n), dm, atol=1e-12)
+            assert np.allclose(coords_to_matrices(pauli_coords(p), n)[:, :, 0], dm, atol=1e-12)
             assert np.allclose(matrices_to_coords(dm, n), pauli_coords(p), atol=1e-12)
 
 
 def test_coords_dense_round_trip_random(rng):
     n = 3
     v = rng.standard_normal(4**n) + 1j * rng.standard_normal(4**n)
-    assert np.allclose(matrices_to_coords(coords_to_matrix(v, n), n), v, atol=1e-10)
+    assert np.allclose(matrices_to_coords(coords_to_matrices(v, n)[:, :, 0], n), v, atol=1e-10)
     # oracle route: expand the vector as an explicit Pauli sum
     dense = sum(c * dense_pauli(s) for c, s in zip(v, sorted_paulis(n)))
-    assert np.allclose(coords_to_matrix(v, n), dense, atol=1e-10)
+    assert np.allclose(coords_to_matrices(v, n)[:, :, 0], dense, atol=1e-10)
 
 
 def test_pauli_gram_kernel_matches_oracle(rng):
@@ -141,62 +142,17 @@ def test_coords_batch_shape(rng):
 
 
 def test_from_constraints_nullspace(rng):
+    # a nullspace by its complement, the conjugated row space: the completed
+    # basis is the nullspace
     n = 2
     rows = rng.standard_normal((5, 16)) + 1j * rng.standard_normal((5, 16))
-    s = OperatorSubspace.from_constraints(n, rows)
+    s = OperatorSubspace(n, wide_nullspace_complement(rows))
     assert s.dim == 16 - np.linalg.matrix_rank(rows)
     assert np.max(np.abs(rows @ s.basis)) < 1e-9
-    s.validate()
+    assert_orthonormal(s, 1e-9)
     # complement and basis together form a unitary
     q = np.hstack([s.basis, s.complement])
     assert np.allclose(q.conj().T @ q, np.eye(16), atol=1e-9)
-
-
-def test_from_constraints_handles_dependent_rows(rng):
-    n = 2
-    row = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    s = OperatorSubspace.from_constraints(n, np.vstack([row, 2 * row, 1j * row]))
-    assert s.dim == 15
-
-
-def projector(cols):
-    return cols @ cols.conj().T
-
-
-def assert_matches_wide_svd(n, rows, tol=1e-12):
-    """from_constraints (tall SVD of rows^T) against the SVD of the wide rows."""
-    tall = OperatorSubspace.from_constraints(n, rows).complement
-    wide = wide_nullspace_complement(rows)
-    assert tall.shape == wide.shape
-    assert np.max(np.abs(projector(tall) - projector(wide)), initial=0) < tol
-    return tall, wide
-
-
-def test_from_constraints_matches_wide_svd(rng):
-    for n, r in ((1, 2), (2, 5), (3, 40), (4, 100), (5, 256)):
-        rows = rng.standard_normal((r, 4**n)) + 1j * rng.standard_normal((r, 4**n))
-        assert_matches_wide_svd(n, rows)
-    row = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    tall, _ = assert_matches_wide_svd(2, np.vstack([row, 2 * row, 1j * row]))
-    assert tall.shape[1] == 1
-
-
-def test_from_constraints_matches_wide_svd_on_graded_rows(rng):
-    # singular values 1e-6 (kept) and 1e-10 (cut) times the largest, either
-    # side of RANK_RTOL.  A backward-stable SVD fixes the kept subspace only
-    # to about eps / 1e-6 (Wedin's theorem: backward error over the gap at
-    # the cut), so that is the bound for either route, against the exact
-    # complement and against each other.
-    tol = np.finfo(float).eps / 1e-6
-    for n, r in ((2, 6), (3, 12), (4, 40)):
-        s = rng.uniform(0.5, 2.0, r)
-        s[1], s[2] = 1e-6 * s.max(), 1e-10 * s.max()
-        right = random_unitary(rng, 4**n)[:, :r]
-        rows = (random_unitary(rng, r) * s) @ right.conj().T
-        exact = projector(np.delete(right, 2, axis=1))
-        for cols in assert_matches_wide_svd(n, rows, tol):
-            assert cols.shape[1] == r - 1
-            assert np.max(np.abs(projector(cols) - exact)) < tol
 
 
 def test_containment_residual_matches_full_svd(rng):
@@ -226,15 +182,10 @@ def test_containment_residual_matches_full_svd(rng):
 
 
 def test_full_space():
-    s = OperatorSubspace.full(2)
+    s = OperatorSubspace(2, np.zeros((16, 0)))
     assert s.dim == 16
     assert s.complement.shape == (16, 0) and s.complement.dtype == np.float64
     assert s.member_residual(pauli_coords(pauli_from_string("XY"))) == 0.0
-
-
-def test_empty_constraints_give_full_space():
-    s = OperatorSubspace.from_constraints(2, np.zeros((0, 16)))
-    assert s.dim == 16
 
 
 def test_from_span_drops_dependent_columns(rng):
@@ -248,18 +199,22 @@ def test_dtype_follows_the_data(rng):
     # the completed basis promote only when some input is complex
     n, dim = 2, 16
     real_rows = rng.standard_normal((3, dim))
-    a = OperatorSubspace.from_constraints(n, real_rows)
-    b = OperatorSubspace.from_constraints(n, real_rows[:2].astype(int))
-    c = OperatorSubspace.from_constraints(n, real_rows + 1j * rng.standard_normal((3, dim)))
+    a = OperatorSubspace(n, wide_nullspace_complement(real_rows))
+    b = OperatorSubspace(n, wide_nullspace_complement(real_rows[:2].astype(int)))
+    c = OperatorSubspace(n, wide_nullspace_complement(
+        real_rows + 1j * rng.standard_normal((3, dim))))
     assert (a.complement.dtype, b.complement.dtype, c.complement.dtype) == (
         np.float64, np.float64, np.complex128)
+    # an integer complement is read as float64, and a complex one kept
+    assert OperatorSubspace(n, np.eye(dim, 2, dtype=int)).complement.dtype == np.float64
+    assert OperatorSubspace(n, c.complement).complement.dtype == np.complex128
     assert from_span(n, real_rows.T).basis.dtype == np.float64
     assert a.basis.dtype == np.float64
-    for parts, dtype in (([a, b], np.float64), ([a, OperatorSubspace.full(n)], np.float64),
+    for parts, dtype in (([a, b], np.float64), ([a, OperatorSubspace(n, np.zeros((dim, 0)))], np.float64),
                          ([a, c], np.complex128)):
         meet = intersect(parts)
         assert meet.complement.dtype == dtype
-        meet.validate(1e-12)
+        assert_orthonormal(meet, 1e-12)
     meet = intersect([a, b])
     complex_meet = intersect([OperatorSubspace(n, complement=s.complement.astype(complex))
                               for s in (a, b)])
@@ -279,15 +234,15 @@ def test_intersect_hand_example():
 
 def test_intersect_with_full_and_self(rng):
     s = span_of(["XZ", "YI", "IZ"], 2)
-    assert equality_residual(intersect([s, OperatorSubspace.full(2)]), s) < 1e-12
+    assert equality_residual(intersect([s, OperatorSubspace(2, np.zeros((16, 0)))]), s) < 1e-12
     assert equality_residual(intersect([s, s]), s) < 1e-12
 
 
 def test_intersect_membership_probes(rng):
     n = 2
     spaces = [
-        OperatorSubspace.from_constraints(
-            n, rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16)))
+        OperatorSubspace(n, wide_nullspace_complement(
+            rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))))
         for _ in range(3)
     ]
     meet = intersect(spaces)
@@ -313,12 +268,12 @@ def test_containment_complement_route_agrees(rng):
     n = 2
     rows_a = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
     rows_b = rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16))
-    a = OperatorSubspace.from_constraints(n, np.vstack([rows_a, rows_b]))
-    b = OperatorSubspace.from_constraints(n, rows_b)
+    a = OperatorSubspace(n, wide_nullspace_complement(np.vstack([rows_a, rows_b])))
+    b = OperatorSubspace(n, wide_nullspace_complement(rows_b))
     assert containment_residual(a, b) < 1e-9
     assert basis_containment_residual(a, b) < 1e-9
     # the complement route against the basis route on a non-contained pair
-    c = OperatorSubspace.from_constraints(n, rows_a)
+    c = OperatorSubspace(n, wide_nullspace_complement(rows_a))
     fast = containment_residual(c, b)
     assert fast > 0.1
     assert abs(fast - basis_containment_residual(c, b)) < 1e-9
@@ -330,8 +285,8 @@ def test_equality_residual_of_equal_dims_is_either_containment(rng):
     for scale in (0.0, 1e-9, 1e-3, 1.0):
         rows = rng.standard_normal((5, 16)) + 1j * rng.standard_normal((5, 16))
         tilt = rng.standard_normal((5, 16)) + 1j * rng.standard_normal((5, 16))
-        a = OperatorSubspace.from_constraints(n, rows)
-        b = OperatorSubspace.from_constraints(n, rows + scale * tilt)
+        a = OperatorSubspace(n, wide_nullspace_complement(rows))
+        b = OperatorSubspace(n, wide_nullspace_complement(rows + scale * tilt))
         assert a.dim == b.dim == 11
         both = max(containment_residual(a, b), containment_residual(b, a))
         assert abs(equality_residual(a, b) - both) < 1e-12
@@ -365,7 +320,7 @@ def test_member_residual_routes_agree(rng):
     for n in (2, 4):
         dim = 4**n
         rows = rng.standard_normal((6, dim)) + 1j * rng.standard_normal((6, dim))
-        s = OperatorSubspace.from_constraints(n, rows)
+        s = OperatorSubspace(n, wide_nullspace_complement(rows))
         by_span = from_span(n, s.basis)
         for _ in range(10):
             v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -382,6 +337,17 @@ def test_operator_weight():
     v = pauli_coords(pauli_from_string("XIII")) + 0.5 * pauli_coords(pauli_from_string("IIIZ"))
     assert operator_weight(v, 4) == 2
     assert operator_weight(np.zeros(16), 2) == 0
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: operator_weight(np.ones(3), 2), "expected (16,)"),
+    (lambda: matrices_to_coords(np.eye(3), 2), "expected (4, 4) or (4, 4, k)"),
+    (lambda: coords_to_matrices(np.ones(5), 1), "expected (4,) or (4, k)"),
+    (lambda: OperatorSubspace(1, np.ones((4, 2, 1))), "expected (4,) or (4, k)"),
+], ids=["operator_weight", "matrices_to_coords", "coords_to_matrices", "OperatorSubspace"])
+def test_coordinate_maps_refuse_a_wrong_shape(call, expected):
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        call()
 
 
 def test_subspace_requires_some_part():

@@ -5,18 +5,15 @@ from qerasure import (
     CodeTransform,
     Ket,
     UnitaryAction,
-    apply_pauli,
     apply_transform,
-    basis_state,
     cyclic_shift,
     enumerate_paulis,
-    fixture_gbp_code,
-    inner_product,
     ket_from_terms,
     pauli_from_string,
     pauli_to_string,
 )
 
+from qerasure.pauli import apply_to_amplitudes
 from qerasure.states import LOCAL_GATES
 
 from _oracle import all_pauli_letterings, conjugate_letters, dense_pauli, transform_matrix
@@ -42,29 +39,18 @@ def test_ket_from_dict_terms():
     assert k.amplitudes[0b01] == 1.0 - 1.0j
 
 
-def test_inner_product_basics(rng):
-    c = random_ket(rng, 3)
-    assert abs(inner_product(c, c) - 1.0) < 1e-12
-    gbp = fixture_gbp_code()
-    assert abs(inner_product(gbp.basis[0], gbp.basis[1])) < 1e-12
-    a, b = random_ket(rng, 3), random_ket(rng, 3)
-    assert abs(inner_product(a, b) - np.conj(inner_product(b, a))) < 1e-12
-    with pytest.raises(ValueError):
-        inner_product(a, random_ket(rng, 2))
-
-
 def test_apply_pauli_examples():
-    k = basis_state(5, "00000")
-    assert apply_pauli(pauli_from_string("IIIII"), k).amplitudes[0] == 1.0
-    flipped = apply_pauli(pauli_from_string("XIIII"), k)
-    assert abs(flipped.amplitudes[int("10000", 2)] - 1.0) < 1e-12
+    k = ket_from_terms(5, [(1.0, "00000")]).amplitudes
+    assert apply_to_amplitudes(pauli_from_string("IIIII"), k)[0] == 1.0
+    flipped = apply_to_amplitudes(pauli_from_string("XIIII"), k)
+    assert abs(flipped[int("10000", 2)] - 1.0) < 1e-12
 
 
 def test_apply_pauli_matches_dense(rng):
     for n in (1, 2, 3):
         k = random_ket(rng, n)
         for p in enumerate_paulis(n, n):
-            fast = apply_pauli(p, k).amplitudes
+            fast = apply_to_amplitudes(p, k.amplitudes)
             dense = dense_pauli(pauli_to_string(p)) @ k.amplitudes
             assert np.max(np.abs(fast - dense)) < 1e-12
 
@@ -81,11 +67,11 @@ def test_transform_y_local_example():
     got = apply_transform(t, plus)
     want = ket_from_terms(4, [(1, "0001"), (-1, "1110")]).normalized()
     # agreement up to a global phase
-    assert abs(abs(inner_product(want, got)) - 1.0) < 1e-9
+    assert abs(abs(np.vdot(want.amplitudes, got.amplitudes)) - 1.0) < 1e-9
 
 
 def test_transform_cyclic_shift_example():
-    k = basis_state(5, "00011")
+    k = ket_from_terms(5, [(1.0, "00011")])
     t = CodeTransform(5, perm=cyclic_shift(5, 1))
     out = apply_transform(t, k)
     assert abs(out.amplitudes[int("10001", 2)] - 1.0) < 1e-12
@@ -95,8 +81,8 @@ def test_transform_preserves_inner_products(rng):
     t = CodeTransform(3, perm=(2, 0, 1), locals=["H", "S", "Y"])
     for _ in range(20):
         a, b = random_ket(rng, 3), random_ket(rng, 3)
-        before = inner_product(a, b)
-        after = inner_product(apply_transform(t, a), apply_transform(t, b))
+        before = np.vdot(a.amplitudes, b.amplitudes)
+        after = np.vdot(apply_transform(t, a).amplitudes, apply_transform(t, b).amplitudes)
         assert abs(before - after) < 1e-9
         assert abs(apply_transform(t, a).norm() - 1.0) < 1e-9
 
@@ -153,13 +139,12 @@ def test_unitary_action_round_trip(rng):
     u = UnitaryAction.from_transform(t)
     for _ in range(10):
         k = random_ket(rng, 3)
-        back = u.adjoint().apply(u.apply(k))
+        back = UnitaryAction(3, u.matrix.conj().T).apply(u.apply(k))
         assert np.max(np.abs(back.amplitudes - k.amplitudes)) < 1e-9
-    assert np.allclose(u.adjoint().matrix, u.matrix.conj().T, atol=1e-12)
 
 
 def test_identity_action():
-    u = UnitaryAction.identity(2)
+    u = UnitaryAction(2, np.eye(4))
     k = ket_from_terms(2, [(1, "01"), (1j, "10")])
     assert np.array_equal(u.apply(k).amplitudes, k.amplitudes)
 

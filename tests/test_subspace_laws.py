@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from qerasure import OperatorSubspace, containment_residual, equality_residual, intersect
 
 from _svd_route import wide_nullspace_complement
-from conftest import random_unitary
+from conftest import assert_orthonormal, random_unitary
 
 
 @st.composite
@@ -40,7 +40,7 @@ LAWS = settings(max_examples=60, deadline=None, derandomize=True)
 def test_intersection_lies_in_each_input(pair):
     a, b = pair
     meet = intersect([a, b])
-    meet.validate(1e-12)
+    assert_orthonormal(meet, 1e-12)
     assert containment_residual(meet, a) < 1e-12
     assert containment_residual(meet, b) < 1e-12
 
@@ -50,7 +50,7 @@ def test_intersection_lies_in_each_input(pair):
 def test_intersection_with_itself_is_idempotent(pair):
     a, _ = pair
     meet = intersect([a, a])
-    meet.validate(1e-12)
+    assert_orthonormal(meet, 1e-12)
     assert meet.dim == a.dim
     assert equality_residual(meet, a) < 1e-12
 
@@ -60,8 +60,8 @@ def test_intersection_with_itself_is_idempotent(pair):
 def test_intersection_is_symmetric(pair):
     a, b = pair
     ab, ba = intersect([a, b]), intersect([b, a])
-    ab.validate(1e-12)
-    ba.validate(1e-12)
+    assert_orthonormal(ab, 1e-12)
+    assert_orthonormal(ba, 1e-12)
     assert ab.dim == ba.dim
     assert equality_residual(ab, ba) < 1e-12
 
@@ -136,7 +136,7 @@ def intersection_inputs(draw):
 def test_intersection_matches_the_stacked_svd(case):
     spaces, order = case
     meet = intersect(spaces)
-    meet.validate(1e-12)
+    assert_orthonormal(meet, 1e-12)
     rows = np.vstack([s.complement.conj().T for s in spaces])
     oracle = OperatorSubspace(spaces[0].n, complement=wide_nullspace_complement(rows))
     assert meet.dim == oracle.dim
@@ -144,7 +144,7 @@ def test_intersection_matches_the_stacked_svd(case):
     if all(np.isrealobj(s.complement) for s in spaces):
         assert meet.complement.dtype == np.float64
     permuted = intersect([spaces[i] for i in order])
-    permuted.validate(1e-12)
+    assert_orthonormal(permuted, 1e-12)
     assert permuted.dim == meet.dim
     assert equality_residual(permuted, meet) < 1e-12
 
@@ -158,7 +158,7 @@ def test_rank_cut_of_the_intersection_is_absolute():
     for eps, kept in ((1e-6, True), (1e-10, False)):
         v = w[:, 0] + eps * w[:, 5]
         meet = intersect([a, OperatorSubspace(2, complement=v / np.linalg.norm(v))])
-        meet.validate(1e-12)
+        assert_orthonormal(meet, 1e-12)
         if kept:
             assert meet.dim == a.dim - 1
             assert meet.member_residual(w[:, 5]) > 1 - 1e-12
