@@ -150,11 +150,11 @@ def _scaled_columns(code: QuantumCode) -> np.ndarray:
 
     The complex direction of the condition on <c_i|E|c_j> is
     x_ij = conj(<c_i|sigma|c_j>) / 2^(n/2), the Pauli coordinates of
-    |c_j><c_i| / 2^(n/2).  Paulis are Hermitian, so x_ji = conj(x_ij): the
+    2^(n/2) |c_i><c_j|.  Paulis are Hermitian, so x_ji = conj(x_ij): the
     diagonal columns i*K + i are real, and each pair i < j spans the same
     space as sqrt(2) Re x_ij, in column i*K + j, and sqrt(2) Im x_ij, in
     column j*K + i.  These are orthonormal because x_ij^T x_ij is
-    proportional to tr((|c_j><c_i|)^2) = 0 for i != j.  Read off the gram
+    proportional to tr((|c_i><c_j|)^2) = 0 for i != j.  Read off the gram
     tensor, the upper triangle is sqrt(2) Re <c_i|sigma|c_j> and the lower
     one sqrt(2) Im <c_i|sigma|c_j>, since Im x_ij = Im <c_j|sigma|c_i>.
     """
@@ -203,24 +203,39 @@ def _condition_complement(cols: np.ndarray, n: int, pure: bool) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _union_blocks(k: int, width: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Column indices of the Hilbert-Schmidt blocks of C (+) UC, for K = k.
+def _union_blocks(k: int) -> tuple[np.ndarray, ...]:
+    """Column layout of S-perp and of C (+) UC's complement by ket pair, for K = k.
 
-    One (pipeline, union) pair each for the CC, UU and mixed off-diagonal
-    blocks, then the diagonal one.  Pipeline columns index S-perp =
-    [ES(C)-perp | U ES(C)-perp U-adjoint | mixed] (unions._block_sum), whose
-    first two parts are _condition_complement's first K^2 - 1 columns; union
-    columns the first `width` of _condition_complement over the 2K kets.
     Column i*m + j of a complement over m kets is diagonal when i = j, and
-    otherwise lies in the block of kets i and j's components.
+    otherwise one of the two orthonormal columns, at i*m + j and j*m + i,
+    that span the real plane of the pair of kets i and j.  S-perp
+    (unions._block_sum) is laid out as [first | second | diagonal]: the
+    first and the second column of every ket pair, 2K^2 - K of each, in the
+    order CC pairs i < j, UU pairs i < j, then mixed pairs (i, j) row-major,
+    then the 2K - 2 diagonal columns of ES(C)-perp and of its conjugate.
+    Mixed pair (i, j) is the plane of |c_i><Uc_j|, the union's kets i and
+    K + j.  Returns the slots in S-perp of ES(C)-perp's columns, the first
+    K^2 - 1 of _condition_complement over the K kets, and of its
+    conjugate's; the slices of the mixed pairs' first and second columns;
+    the union column, of _condition_complement over the 2K kets, that faces
+    each of S-perp's paired columns; and the union's 2K diagonal columns, of
+    which a complement keeps those below its width.
     """
-    own = np.arange(k * k - 1)
-    on = own % (k + 1) == 0
-    i, j = np.divmod(np.arange(width), 2 * k)
-    return ((own[~on], np.flatnonzero((i < k) & (j < k) & (i != j))),
-            (own[~on] + own.size, np.flatnonzero((i >= k) & (j >= k) & (i != j))),
-            (np.arange(2 * k * k) + 2 * own.size, np.flatnonzero((i < k) != (j < k))),
-            (np.r_[own[on], own[on] + own.size], np.flatnonzero(i == j)))
+    i, j = np.triu_indices(k, 1)
+    a, b = np.divmod(np.arange(k * k), k)
+    m, h, pairs = 2 * k, i.size, 2 * k * k - k
+    slot = np.empty((k, k), dtype=np.int64)
+    slot[i, j] = np.arange(h)
+    slot[j, i] = pairs + np.arange(h)
+    slot[np.arange(k), np.arange(k)] = 2 * pairs + np.arange(k)
+    own = slot.ravel()[:-1]
+    # the conjugate's pairs, the UU pairs, follow ES(C)-perp's CC pairs, and
+    # its diagonal columns follow ES(C)-perp's
+    conj = own + np.where(own < 2 * pairs, h, k - 1)
+    mixed = (slice(2 * h, pairs), slice(pairs + 2 * h, 2 * pairs))
+    facing = np.r_[i * m + j, (k + i) * m + k + j, a * m + k + b,
+                   j * m + i, (k + j) * m + k + i, (k + b) * m + a]
+    return own, conj, mixed, facing, np.arange(0, m * m, m + 1)
 
 
 def erasure_space(code: QuantumCode) -> OperatorSubspace:

@@ -74,6 +74,9 @@ class _PauliTable(NamedTuple):
     first), hadamard[a, b] = (-1)^(a.b) is the 2^n x 2^n Walsh-Hadamard
     matrix that sums over b against every z at once, and coordinate is the
     inverse of _slots: coordinate[(z << n) | x] is that Pauli's index.
+    slot_phase is phase in transform order, slot_phase[_slots] = phase, and
+    unphase is conj(phase) / 2^n in coordinate order: the factors that
+    coords_to_matrices and matrices_to_coords apply in place.
     """
 
     x: np.ndarray
@@ -82,6 +85,8 @@ class _PauliTable(NamedTuple):
     labels: np.ndarray
     hadamard: np.ndarray
     coordinate: np.ndarray
+    slot_phase: np.ndarray
+    unphase: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -95,7 +100,8 @@ def _pauli_table(n: int) -> _PauliTable:
     hadamard = 1.0 - 2 * (np.bitwise_count(b[:, None] & b[None, :]) & 1)
     coordinate = np.empty(4**n, dtype=np.int64)
     coordinate[(z << n) | x] = np.arange(4**n)
-    return _PauliTable(x, z, phase, labels, hadamard, coordinate)
+    return _PauliTable(x, z, phase, labels, hadamard, coordinate, phase[coordinate],
+                       phase.conj() / (1 << n))
 
 
 def _hadamard(t: _PauliTable, a: np.ndarray) -> np.ndarray:
@@ -170,7 +176,8 @@ def coords_to_matrices(coords: np.ndarray, n: int) -> np.ndarray:
     t = _pauli_table(n)
     v = np.atleast_2d(coords.T).T  # promote a single vector to one column
     spec = np.zeros((4**n, v.shape[1]), dtype=complex)
-    spec[_slots(t, n)] = t.phase[:, None] * v
+    spec[_slots(t, n)] = v
+    spec *= t.slot_phase[:, None]
     by_x = _hadamard(t, spec.reshape(1 << n, 1 << n, -1))  # [c, x] = E[c ^ x, c]
     b = np.arange(1 << n)
     return by_x[b[None, :], b[:, None] ^ b[None, :]]
@@ -186,7 +193,8 @@ def matrices_to_coords(mats: np.ndarray, n: int) -> np.ndarray:
     t = _pauli_table(n)
     b = np.arange(1 << n)
     spec = _hadamard(t, mats[b[:, None] ^ b[None, :], b[:, None]])
-    out = t.phase.conj()[:, None] * spec.reshape(4**n, -1)[_slots(t, n)] / (1 << n)
+    out = spec.reshape(4**n, -1)[_slots(t, n)]
+    out *= t.unphase[:, None]
     return out[:, 0] if single else out
 
 

@@ -24,8 +24,12 @@ projectors p = P_C - K / 2^n and U p U-adjoint each spread a multiple of the
 identity over every block and overlap each other (cosine -K / (2^n - K)).  So
 each formula adds to S's complement only the directions they bring, from one
 narrow factorization against it.  These, like the diagonal directions, lie in
-the block spanned by the kets' own projectors and the identity, so the
-comparison with the union's own complement runs one block at a time.
+the block spanned by the kets' own projectors and the identity.  Every other
+column of S's complement, and of the union's own, lies in the real plane of
+|a><b| and |b><a| for one pair of the union's kets a != b, and these planes
+are Hilbert-Schmidt orthogonal too, so the comparison with the union's own
+complement runs one ket pair at a time, in closed form, and one eigenvalue
+solve per formula for the diagonal block (_shared_residuals).
 
 Every factor is closed under the adjoint, so each is stored by a real
 complement, and the intersections and the comparison run in real arithmetic.
@@ -146,24 +150,39 @@ def _block_sum(code: QuantumCode, action: UnitaryAction) -> tuple[OperatorSubspa
     conjugation is linear and keeps the identity coordinate, so the same
     combination of W = U X, X = M U-adjoint, gives their conjugates.  The
     mixed blocks Z U-adjoint meet U Z have the complement [X, conj X], as U Z
-    is the adjoint of Z U-adjoint, and it spans the real sqrt(2) [Re X, Im X].
-    These three lie in the orthogonal CC, UU and CU/UC blocks, so their
-    orthonormal columns concatenate to an orthonormal complement of S.
+    is the adjoint of Z U-adjoint.  Columns i*K + j and j*K + i of Z are
+    sqrt(2) Re and sqrt(2) Im of the coordinates of 2^(n/2) |c_i><c_j| (one
+    column when i = j), so V = (X_ij + i X_ji) / sqrt(2) is, up to a phase,
+    that of 2^(n/2) |c_i><Uc_j|, and sqrt(2) Re V = Re X_ij - Im X_ji and
+    sqrt(2) Im V = Im X_ij + Re X_ji are an orthonormal basis of the real
+    plane of the union's kets i and K + j.  These three lie in the
+    orthogonal CC, UU and CU/UC blocks, so their orthonormal columns
+    concatenate to an orthonormal complement of S, written by ket pair in
+    the layout of erasure._union_blocks.
     Columns 0 of Z and W are <c_0|sigma|c_0> and <Uc_0|sigma|Uc_0> over
     2^(n/2), orthonormal as c_0 is orthogonal to Uc_0, so the row a of
     <c_0|E|c_0> = <Uc_0|E|Uc_0> is their difference (norm sqrt(2)), normalized.
     """
-    n, mat = code.n, action.matrix
+    n, k, mat = code.n, code.k, action.matrix
     z = _scaled_columns(code)
-    x = np.moveaxis(coords_to_matrices(z, n), 2, 0) @ mat.conj().T
-    mixed = np.sqrt(2) * matrices_to_coords(np.moveaxis(x, 0, 2), n)
-    w = matrices_to_coords(np.moveaxis(mat @ x, 0, 2), n).real
+    # the matrices stay stacked on the last axis, (2^n, 2^n, K^2): row r of
+    # each M U-adjoint is conj(U) M[r], and U X is one product over the rows
+    x = mat.conj() @ coords_to_matrices(z, n)
+    mixed = matrices_to_coords(x, n)
+    w = matrices_to_coords((mat @ x.reshape(1 << n, -1)).reshape(x.shape), n).real
     row = z[:, :1] - w[:, :1]
-    width = _complement_width(n, code.k, False)
+    width = _complement_width(n, k, False)
     (es, p), (es_conj, p_conj) = (np.hsplit(_condition_complement(c, n, pure=True), [width])
                                   for c in (z, w))
-    return tuple(OperatorSubspace(n, c) for c in (np.hstack([es, es_conj, mixed.real, mixed.imag]),
-                                                  p, p_conj, row / np.linalg.norm(row)))
+    own, conj, (first, second), *_ = _union_blocks(k)
+    s = np.empty((4**n, 4 * k * k - 2))
+    s[:, own] = es
+    s[:, conj] = es_conj
+    x_ij = mixed.reshape(-1, k, k)
+    x_ji = x_ij.transpose(0, 2, 1)
+    np.subtract(x_ij.real, x_ji.imag, out=s[:, first].reshape(-1, k, k))
+    np.add(x_ij.imag, x_ji.real, out=s[:, second].reshape(-1, k, k))
+    return tuple(OperatorSubspace(n, c) for c in (s, p, p_conj, row / np.linalg.norm(row)))
 
 
 def union_erasure_space_via_intersection(code: QuantumCode, u) -> OperatorSubspace:
@@ -215,8 +234,8 @@ def _cross_check(code: QuantumCode, u, union: QuantumCode) -> dict:
     the complement [ES(union)-perp | p_union], so one closed form gives both
     direct spaces, and a caller that has the union builds it once.  A formula
     whose dimension differs reports 1, as the larger space holds a unit
-    vector orthogonal to the smaller.  The residuals are read block by block
-    (_shared_residuals), on a union of 2K kets, as C (+) UC has.
+    vector orthogonal to the smaller.  The residuals are read ket pair by ket
+    pair (_shared_residuals), on a union of 2K kets, as C (+) UC has.
     """
     action = _as_action(code.n, u)
     shared, p, p_conj, expectation = _block_sum(code, action)
@@ -241,24 +260,59 @@ def _cross_check(code: QuantumCode, u, union: QuantumCode) -> dict:
 def _shared_residuals(s: np.ndarray, a: np.ndarray, b: np.ndarray,
                       direct: np.ndarray, width: int) -> tuple[float, float]:
     """Sines of the largest principal angles of [s | a] against direct[:, :width]
-    and of [s | b] against direct, one Hilbert-Schmidt block at a time.
+    and of [s | b] against direct, one ket pair at a time.
 
     [s | a], [s | b] and direct are orthonormal, so for a pair of equal
     widths the sine is the spectral norm of the pipeline complement less its
-    projection onto the direct one.  Each column of s and of direct lies in
-    one block of C (+) UC (erasure._union_blocks); a, b and direct's
-    projector column lie in the diagonal block, which holds the identity.
-    The blocks are orthogonal, so each block's pipeline columns need only
-    that block's direct columns d, and the residual is the largest of the
-    block residuals x - d (d^H x) (_residual_norm).  The CC, UU and mixed
-    blocks serve both formulas; Theorem 4's diagonal block takes [s | a]
-    against direct's diagonal columns before width, Theorem 5's [s | b]
-    against all of them.  Should a pipeline column leave its block, the
-    whole residual is the stacked block residuals projected off direct once
-    more, so the largest block sine is still at least half of it.
+    projection onto the direct one.  Every off-diagonal column of s and of
+    direct lies in the real plane of one ket pair of C (+) UC, and s holds
+    each plane's two columns where erasure._union_blocks says; a, b, s's
+    diagonal columns and direct's diagonal and projector columns lie in the
+    diagonal block, which holds the identity.  Within a pair the residual is
+    two columns against the plane's two direct columns (_pair_residuals);
+    the diagonal block's is _residual_norm's, Theorem 4's [s | a] against
+    direct's diagonal columns before width, Theorem 5's [s | b] against all
+    of them.  The value returned is the largest of these G = 2K^2 - K + 1
+    group residuals r_g.  For C (+) UC every pipeline column lies in its own
+    group's direct span, as <a|c><d|b> = 0 across groups, so each r_g is
+    roundoff.  In general the whole residual R is the stacked r_g projected
+    off direct once more, so |R| <= sqrt(G) max |r_g|, and each |r_g| <= 1:
+    the value lies in [|R| / sqrt(G), 1], and is |R| when no column meets
+    another group's direct columns and the r_g are mutually orthogonal.  A
+    mismatch with |R| at least sqrt(G) times the tolerance never reads as a
+    match, while a column that leaks into another pair's plane reads as a
+    mismatch even where the spans agree.
     """
-    *off, (x, d) = _union_blocks(math.isqrt(s.shape[1] + 2) // 2, direct.shape[1])
-    shared = max(_residual_norm(direct[:, dd], s[:, xx]) for xx, dd in off)
-    diag = s[:, x]
-    return tuple(max(shared, _residual_norm(direct[:, dd], np.hstack([diag, y])))
-                 for y, dd in ((a, d[d < width]), (b, d)))
+    *_, facing, diagonal = _union_blocks(math.isqrt(s.shape[1] + 2) // 2)
+    # np.take keeps the gathered columns row-major, as s is; an index array
+    # in the second place of [] would return them column-major
+    shared = _pair_residuals(s[:, :facing.size], np.take(direct, facing, axis=1))
+    diag = s[:, facing.size:]
+    return tuple(max(shared, _residual_norm(np.take(direct, diagonal[diagonal < w], axis=1),
+                                            np.hstack([diag, y])))
+                 for y, w in ((a, width), (b, direct.shape[1])))
+
+
+def _pair_residuals(x: np.ndarray, d: np.ndarray) -> float:
+    """Largest spectral norm of the explicit residuals of x's column pairs off d's.
+
+    x and d have 2G columns; columns g and G + g of each are group g's, and
+    d's are orthonormal.  Each group's residual, its two columns of x less
+    their projection onto its two of d, is formed explicitly, and its norm
+    is the square root of the larger eigenvalue of its 2 x 2 Gram, read in
+    closed form with no cancellation, as _residual_norm reads a wider one.
+    d is overwritten.
+    """
+    x, d = (c.reshape(c.shape[0], 2, -1) for c in (x, d))
+
+    def dot(u, v):
+        return np.einsum("iap,iap->ap", u, v)
+
+    swap = d[:, ::-1]
+    r = swap * dot(swap, x)
+    d *= dot(d, x)
+    r += d
+    r -= x  # the residual, negated
+    rr, tt = dot(r, r)
+    top = (rr + tt) / 2 + np.hypot((rr - tt) / 2, np.einsum("ip,ip->p", r[:, 0], r[:, 1]))
+    return float(np.sqrt(top.max(initial=0.0)))

@@ -22,7 +22,7 @@ one map of the gram columns, the equal-expectation space from the anchor
 pair's own gram tensor, whose row _block_sum takes from the same map, and
 the union cross-check's residuals from one projection of all pipeline
 columns off the whole direct complement and one Gram, where the package
-projects each Hilbert-Schmidt block off its own direct columns.  Spans given
+projects each ket pair's two columns off that pair's two direct columns.  Spans given
 by their vectors are built here too: only tests build them.
 """
 

@@ -411,10 +411,21 @@ def fixture_and_random_pairs(rng):
             swap_pair(rng, 3, 2), swap_pair(rng, 4, 3), half_frame_pair(rng, 4, 3)]
 
 
+def s_perp_parts(k):
+    """Columns of S-perp = [first | second | diagonal] (erasure._union_blocks)
+    holding ES(C)-perp, its conjugate and the mixed blocks' complement: each
+    ket pair's first and second columns, CC pairs, UU pairs, then mixed pairs,
+    and the diagonal columns of ES(C)-perp before those of its conjugate."""
+    h, pairs = k * (k - 1) // 2, 2 * k * k - k
+    return (np.r_[:h, pairs:pairs + h, 2 * pairs:2 * pairs + k - 1],
+            np.r_[h:2 * h, pairs + h:pairs + 2 * h, 2 * pairs + k - 1:2 * pairs + 2 * k - 2],
+            np.r_[2 * h:pairs, pairs + 2 * h:2 * pairs])
+
+
 def mixed_slice(code, act):
-    """The mixed blocks' complement: what follows ES(C)-perp and its conjugate in S-perp."""
-    width = code.k**2 - 1
-    return OperatorSubspace(code.n, _block_sum(code, act)[0].complement[:, 2 * width:])
+    """The mixed blocks' complement, read out of S-perp."""
+    mixed = s_perp_parts(code.k)[2]
+    return OperatorSubspace(code.n, _block_sum(code, act)[0].complement[:, mixed])
 
 
 def test_real_mixed_piece_matches_complex_one_sided_images(rng):
@@ -568,16 +579,16 @@ def test_cross_check_shares_one_conjugation_and_no_wide_intersection(monkeypatch
     assert len(calls["_new_directions"]) == 2
     for q, rest in calls["_new_directions"]:
         assert q.shape[1] == 4 * code.k**2 - 2 and rest.shape[1] <= 2
-    # both residuals against the union's pure complement, block by block: one
-    # small eigenvalue solve for each of the CC, UU and mixed blocks, which
-    # both formulas share, then one for each formula's diagonal block
+    # both residuals against the union's pure complement, ket pair by ket
+    # pair: the pairs' 2 x 2 Grams are read in closed form, and the only
+    # eigenvalue solves are one for each formula's diagonal block
     (shared, a, b, direct, width), = calls["_shared_residuals"]
     union, _ = union_code([code, transform_code(code, t)])
     assert np.array_equal(direct, pure_erasure_space(union).complement)
     assert shared.shape[1] == 4 * code.k**2 - 2
     assert (a.shape[1], b.shape[1]) == (1, 2)
     k = code.k
-    assert eigensolves == [(w, w) for w in (k * k - k, k * k - k, 2 * k * k, 2 * k - 1, 2 * k)]
+    assert eigensolves == [(w, w) for w in (2 * k - 1, 2 * k)]
 
 
 @pytest.mark.parametrize("public, dim", [
@@ -631,16 +642,16 @@ def test_block_sum_matches_the_wide_intersection(rng):
 
 
 def test_block_sum_slices_are_the_conjugate_and_the_one_sided_images(rng):
-    # one map of the gram columns gives both: [U ES(C)-perp U^H | U p U^H]
-    # is the conjugate of PS(C)'s complement, and the columns after it the
-    # mixed blocks' complement
+    # one map of the gram columns gives all three: ES(C)-perp's columns with
+    # p are PS(C)'s complement, [U ES(C)-perp U^H | U p U^H] its conjugate,
+    # and the mixed pairs' columns the mixed blocks' complement
     for code, u in block_sum_cases(rng):
         act = _as_action(code.n, u)
-        shared, _, p_conj, _ = _block_sum(code, act)
-        width = code.k**2 - 1
-        conjugated = np.hstack([shared.complement[:, width:2 * width], p_conj.complement])
-        mixed = shared.complement[:, 2 * width:]
-        for got, want in ((conjugated, conjugate_subspace(pure_erasure_space(code), act)),
+        shared, p, p_conj, _ = _block_sum(code, act)
+        own, conj, mixed = (shared.complement[:, cols] for cols in s_perp_parts(code.k))
+        pure = pure_erasure_space(code)
+        for got, want in ((np.hstack([own, p.complement]), pure),
+                          (np.hstack([conj, p_conj.complement]), conjugate_subspace(pure, act)),
                           (mixed, one_sided_meet(annihilating_space(code), act))):
             assert got.dtype == np.float64
             got = OperatorSubspace(code.n, got)
@@ -703,21 +714,26 @@ def _rotated(col, away, angle):
     return np.cos(angle) * col + np.sin(angle) * away
 
 
-# Columns of S-perp for K = 4, one per block: ES(C)-perp's first 15 columns
-# hold its diagonal columns at 0, 5 and 10, its conjugate the next 15, and the
-# mixed complement the 32 after them
-S_PERP_COLUMN = {"block-sum-column": 7, "uu-column": 22, "mixed-column": 39,
-                 "diagonal-column": 20}
+# Columns of S-perp = [first | second | diagonal] for K = 4 (see s_perp_parts):
+# the 28 first and the 28 second columns of the ket pairs, each run 6 CC
+# pairs, 6 UU pairs and 16 mixed pairs, then ES(C)-perp's 3 diagonal columns
+# and its conjugate's.  One per block: CC pair (1, 3)'s second column, UU
+# pair (1, 3)'s second, mixed pair (2, 1)'s first and the conjugate's (1, 1)
+S_PERP_COLUMN = {"block-sum-column": 32, "uu-column": 38, "mixed-column": 21,
+                 "diagonal-column": 60}
 
 
-@pytest.mark.parametrize("moved", ["expectation-direction", *S_PERP_COLUMN])
+@pytest.mark.parametrize("moved", ["expectation-direction", *S_PERP_COLUMN, "cross-pair-leak"])
 def test_shared_residuals_track_a_rotated_pipeline(monkeypatch, rng, moved):
     # turn one pipeline column by a small angle toward a direction orthogonal
-    # to its pipeline complement: the spaces now differ, and the block
+    # to its pipeline complement: the spaces now differ, and the pair
     # residuals must still give each sine that equality_residual finds.  a
     # may turn toward the union's projector column (in the span of [s | b]),
     # which Theorem 4 leaves out; a column of s is shared, so it turns away
-    # from both pipelines, and so from every direct column, in every block
+    # from both pipelines, and so from every direct column, in every pair.
+    # The leak turns a mixed column half toward another pair's direct column:
+    # the pair read sees the whole turn, the full one only what leaves the
+    # direct span, and the value stays in [full / sqrt(G), 1]
     code, u = fixture_gbp_code(), CodeTransform(4, locals=["I", "X", "H", "X"])
     act = _as_action(code.n, u)
     union, _ = union_code([code, transform_code(code, act)])
@@ -730,14 +746,26 @@ def test_shared_residuals_track_a_rotated_pipeline(monkeypatch, rng, moved):
     away -= span @ (span.T @ away)
     away -= span @ (span.T @ away)
     away /= np.linalg.norm(away)
+    facing = _union_blocks(code.k)[3]
+    leak = (direct[:, facing[0]] + away) / np.sqrt(2)  # CC pair (0, 1)'s plane, and off the span
+    groups = 2 * code.k**2 - code.k + 1
     for angle in np.logspace(-10, 0, 11):
         s2, a2 = s.copy(), a.copy()
         if moved == "expectation-direction":
             a2[:, 0] = _rotated(a[:, 0], away, angle)
+        elif moved == "cross-pair-leak":
+            col = S_PERP_COLUMN["mixed-column"]
+            s2[:, col] = _rotated(s[:, col], leak, angle)
         else:
             col = S_PERP_COLUMN[moved]
             s2[:, col] = _rotated(s[:, col], away, angle)
         shared = _shared_residuals(s2, a2, b, direct, width)
+        if moved == "cross-pair-leak":
+            for got, want in zip(shared, shared_residuals_full_gram(s2, a2, b, direct, width)):
+                assert want / np.sqrt(groups) <= got <= 1 + 1e-12
+                assert abs(got - np.sin(angle)) <= 1e-6 * np.sin(angle) + 1e-14
+                assert got >= SUBSPACE_TOL or angle < 1e-7  # a failed verdict
+            continue
         oracle = [equality_residual(OperatorSubspace(code.n, np.hstack([s2, x])),
                                     OperatorSubspace(code.n, d))
                   for x, d in ((a2, direct[:, :width]), (b, direct))]
@@ -750,21 +778,29 @@ def test_shared_residuals_track_a_rotated_pipeline(monkeypatch, rng, moved):
 
 def test_union_blocks_partition_both_complements_orthogonally(monkeypatch, rng):
     # every column of S-perp and of the union's complement sits in exactly one
-    # block, and no block's union columns see another block's pipeline
-    # columns, nor a, b: what lets each block be compared on its own
+    # group, a ket pair's plane or the diagonal block, and no group's union
+    # columns see another group's pipeline columns, nor a, b: what lets each
+    # ket pair be compared on its own
     for code, u in block_sum_cases(rng):
         act = _as_action(code.n, u)
         union, _ = union_code([code, transform_code(code, act)])
         s, a, b, direct, _ = _shared_inputs(monkeypatch, code, act, union)
-        blocks = _union_blocks(code.k, direct.shape[1])
-        for side, cols in ((0, s), (1, direct)):
-            assert np.array_equal(np.sort(np.concatenate([p[side] for p in blocks])),
-                                  np.arange(cols.shape[1]))
-        for i, (_, d) in enumerate(blocks):
-            others = [s[:, x] for j, (x, _) in enumerate(blocks) if j != i]
-            if i < 3:
-                others += [a, b]
-            assert np.max(np.abs(direct[:, d].T @ np.hstack(others)), initial=0) < 1e-12
+        k = code.k
+        own, conj, mixed, facing, diagonal = _union_blocks(k)
+        mixed, diagonal = np.r_[mixed], diagonal[diagonal < direct.shape[1]]
+        pairs = facing.size // 2
+        assert pairs == 2 * k * k - k and s.shape[1] == 2 * pairs + 2 * k - 2
+        for got, want in zip((own, conj, mixed), s_perp_parts(k)):
+            assert np.array_equal(np.sort(got), want)
+        assert np.array_equal(np.sort(np.r_[own, conj, mixed]), np.arange(s.shape[1]))
+        assert np.array_equal(np.sort(np.r_[facing, diagonal]), np.arange(direct.shape[1]))
+        group = np.arange(2 * pairs) % pairs
+        union_group = np.r_[group, np.full(diagonal.size, pairs)]
+        pipeline_group = np.r_[group, np.full(s.shape[1] - 2 * pairs + a.shape[1] + b.shape[1],
+                                              pairs)]
+        overlap = direct[:, np.r_[facing, diagonal]].T @ np.hstack([s, a, b])
+        apart = union_group[:, None] != pipeline_group[None, :]
+        assert np.max(np.abs(overlap[apart]), initial=0) < 1e-12
 
 
 def test_block_residuals_match_the_full_gram_reference(monkeypatch, rng):
@@ -791,10 +827,11 @@ def near_image(rng, code, act, angle):
 
 
 def test_cross_check_of_an_equal_size_foreign_union(monkeypatch, rng):
-    # C (+) VC with V != U has the dimensions of C (+) UC, so the blocks are
+    # C (+) VC with V != U has the dimensions of C (+) UC, so the pairs are
     # read, but the pipeline columns are not the union's: the verdict is
-    # False, and each block residual is within a factor two of the full one,
-    # for a V far from U and for V = W U with W close to the identity
+    # False, and the largest pair residual is within a factor two of the full
+    # one (only sqrt(2K^2 - K + 1) is guaranteed), for a V far from U and for
+    # V = W U with W close to the identity
     code, act = fixture_gbp_code(), _as_action(4, gbp_pair_transform())
     cases = [(code, act, CodeTransform(4, locals=["I", "X", "H", "X"]))]
     near, near_act = swap_pair(rng, 3, 2)
