@@ -17,15 +17,12 @@ import json
 import sys
 from pathlib import Path
 
-from .codes import CodeValidationError, QuantumCode, _cyclic_orbit, ingest_code, transform_code
-from .erasure import (
-    _complement_width,
-    _scan,
-    is_degenerate_distance,
-    minimum_distance,
-    pure_distance,
-)
+import numpy as np
+
+from .codes import CodeValidationError, QuantumCode, ingest_code, transform_code
+from .erasure import _complement_width, _scan, is_degenerate_distance, minimum_distance
 from .fixtures import FIXTURE_NAMES, fixture_union_components, get_fixture
+from .operator_space import _pauli_table
 from .states import CodeTransform
 from .unions import (
     _cross_check,
@@ -94,46 +91,45 @@ def _resolve_transform(args, n: int) -> CodeTransform:
         raise CliError("invalid-transform", str(exc)) from exc
 
 
-def _space_section(code: QuantumCode, max_weight: int, pure: bool) -> dict:
-    """A space's dimension, plus its distance and per-weight rows from one Pauli scan.
+def _space_sections(code: QuantumCode, max_weight: int, families) -> list[dict]:
+    """Each family's dimension, distance and per-weight rows, from one Pauli scan.
 
-    The dimension is structural (see erasure._complement_width), so no space is built.
+    families lists pure flags.  The dimension is structural (see
+    erasure._complement_width), so no space is built.
     """
-    dist, tally = _scan(code, pure, max_weight)
-    return {
-        "dim": 4**code.n - _complement_width(code.n, code.k, pure),
-        "distance": dist,
-        "degenerate": is_degenerate_distance(code, dist),
-        "per_weight": [{"w": entry.weight, "members": entry.members,
-                        "non_members": entry.non_members, "violators": list(entry.violators)}
-                       for entry in tally],
-    }
+    labels = _pauli_table(code.n).labels
+    sections = []
+    for pure, scan in zip(families, _scan(code, families, max_weight)):
+        violators = labels[scan.coords].tolist()
+        sections.append({
+            "dim": 4**code.n - _complement_width(code.n, code.k, pure),
+            "distance": scan.distance,
+            "degenerate": is_degenerate_distance(code, scan.distance),
+            "per_weight": [{"w": w, "members": members, "non_members": viols.stop - viols.start,
+                            "violators": violators[viols]}
+                           for w, members, viols in scan.per_weight],
+        })
+    return sections
 
 
 def _mode_analyze(args) -> dict:
     code = _resolve_code(args)
     max_weight = code.n if args.max_weight is None else args.max_weight
-    return {
-        "code": code.label,
-        "n": code.n,
-        "K": code.k,
-        "erasure": _space_section(code, max_weight, pure=False),
-        "pure": _space_section(code, max_weight, pure=True),
-    }
+    erasure, pure = _space_sections(code, max_weight, (False, True))
+    return {"code": code.label, "n": code.n, "K": code.k, "erasure": erasure, "pure": pure}
 
 
 def _mode_classify(args) -> dict:
     code = _resolve_code(args)
     max_weight = code.n if args.max_weight is None else args.max_weight
-    section = _space_section(code, max_weight, args.pure)
+    [section] = _space_sections(code, max_weight, (args.pure,))
     return {"code": code.label, "pure": bool(args.pure),
             **{key: section[key] for key in ("per_weight", "dim", "distance")}}
 
 
 def _mode_distance(args) -> dict:
     code = _resolve_code(args)
-    dist = minimum_distance(code)
-    pdist = pure_distance(code)
+    dist, pdist = (scan.distance for scan in _scan(code, (False, True), max_weight=0))
     return {
         "code": code.label,
         "n": code.n,
@@ -195,11 +191,25 @@ def _mode_theorem_check(args) -> dict:
     }
 
 
+@functools.lru_cache(maxsize=None)
+def _orbit_representatives(n: int) -> dict[str, str]:
+    """Each n-qubit Pauli label's cyclic-orbit key: its lexicographically smallest rotation."""
+    t = _pauli_table(n)
+    best, x, z = t.labels, t.x, t.z
+    for _ in range(n - 1):
+        # move qubit j to j + 1; qubit j sits at mask bit n - 1 - j
+        x, z = (x >> 1) | ((x & 1) << (n - 1)), (z >> 1) | ((z & 1) << (n - 1))
+        rotated = t.labels[t.coordinate[(z << n) | x]]
+        best = np.where(rotated < best, rotated, best)
+    return dict(zip(t.labels.tolist(), best.tolist()))
+
+
 def _cyclic_groups(labels: list[str]) -> list[list[str]]:
     """Group operator labels into cyclic-rotation orbits, deterministically."""
     groups: dict[str, list[str]] = {}
+    keys = _orbit_representatives(len(labels[0])) if labels else {}
     for label in labels:
-        groups.setdefault(min(_cyclic_orbit(label)), []).append(label)
+        groups.setdefault(keys[label], []).append(label)
     return [groups[key] for key in sorted(groups)]
 
 

@@ -16,7 +16,15 @@ from functools import cached_property
 import numpy as np
 
 from .operator_space import _pauli_grams
-from .states import CodeTransform, Ket, UnitaryAction, apply_transform, ket_from_terms
+from .states import (
+    CodeTransform,
+    Ket,
+    UnitaryAction,
+    _read_terms,
+    _sum_terms,
+    apply_transform,
+    ket_from_terms,
+)
 from .tolerances import AMPLITUDE_TOL, ORTHONORMALITY_TOL
 
 # Size limit of ingest: at most MAX_QUBITS qubits (the 4^n-coordinate Pauli
@@ -91,15 +99,22 @@ def basis_matrix(code: QuantumCode) -> np.ndarray:
 def ingest_code(spec: dict) -> QuantumCode:
     """Build a code from {"n": int, "label": str, "basis": [[term, ...], ...]}.
 
-    Each term is (amplitude, bitstring) or {"re": .., "im": .., "bits": ..}.
-    Vectors are normalized; unknown keys, a non-string label, non-integer n,
-    non-numeric or non-finite amplitudes, zero norms, norms that overflow or
-    underflow, malformed bitstrings and non-orthogonal pairs are rejected, and
-    codes beyond the size limit are refused before any amplitude is read.
-    The accepted basis B, orthonormal to ORTHONORMALITY_TOL, is replaced by
-    its symmetric (Lowdin) orthonormalization B (B^H B)^(-1/2), the
-    orthonormal basis nearest to it, which moves no vector by more than about
-    the largest overlap.
+    Each basis entry is an array of terms, and each term is [amplitude,
+    bitstring] or {"re": .., "im": .., "bits": ..}.  Vectors are normalized;
+    unknown keys, a non-string label, non-integer n, entries or terms of
+    another shape, non-numeric or non-finite amplitudes, zero norms, norms
+    that overflow or underflow, malformed bitstrings and non-orthogonal pairs
+    are rejected, and codes beyond the size limit are refused before any
+    amplitude is read.  Errors are reported as a ket-by-ket reader meets
+    them: the first bad term, unless a ket before it has a bad norm.
+
+    Every ket's terms are checked one by one and summed into one (K, 2^n)
+    array, one bincount per part, in input order.  One Gram matrix of the
+    normalized columns serves the orthogonality check, which reports the
+    first pair i < j in row-major order beyond ORTHONORMALITY_TOL, and the
+    symmetric (Lowdin) orthonormalization B (B^H B)^(-1/2) that replaces the
+    accepted basis B: the orthonormal basis nearest to it, which moves no
+    vector by more than about the largest overlap.
     """
     if not isinstance(spec, dict) or not {"n", "basis"} <= set(spec) <= {"n", "label", "basis"}:
         got = f"keys {sorted(spec, key=str)}" if isinstance(spec, dict) else type(spec).__name__
@@ -115,33 +130,45 @@ def ingest_code(spec: dict) -> QuantumCode:
     if n > MAX_QUBITS:
         raise CodeTooLargeError(f"n={n} exceeds the limit of {MAX_QUBITS} qubits")
     _check_gram_size(n, len(raw_basis))
-    kets = []
-    for idx, terms in enumerate(raw_basis):
+    # Read every ket's terms, in order, up to the first bad one; the kets
+    # before it are still checked first, as a ket-by-ket reader would.
+    slots, values, fault = [], [], None
+    for read, terms in enumerate(raw_basis):
+        whole = len(slots)
         try:
-            with np.errstate(over="ignore"):  # an overflow shows as an infinite norm
-                ket = ket_from_terms(n, terms)
-                norm = ket.norm()
-        except (ValueError, TypeError) as exc:  # TypeError: a term of the wrong shape
-            raise CodeValidationError(f"basis vector {idx}: {exc}") from exc
+            if not isinstance(terms, (list, tuple)):
+                raise ValueError(f"expected a JSON array of terms, got {type(terms).__name__}")
+            _read_terms(n, terms, read << n, slots, values)
+        except (ValueError, TypeError) as exc:  # TypeError: an amplitude that adds to no complex
+            fault = exc
+            del slots[whole:], values[whole:]  # the bad ket's terms before its bad one
+            break
+    else:
+        read = len(raw_basis)
+    amps = _sum_terms(slots, values, read << n).reshape(read, 1 << n)
+    with np.errstate(over="ignore"):  # an overflow shows as an infinite norm
+        norms = [np.linalg.norm(row) for row in amps]
+    for idx, (row, norm) in enumerate(zip(amps, norms)):
         if not np.isfinite(norm):
             raise CodeValidationError(f"basis vector {idx} has a norm beyond the float range")
-        if norm == 0 and ket.amplitudes.any():  # every square underflowed to zero
+        if norm == 0 and row.any():  # every square underflowed to zero
             raise CodeValidationError(f"basis vector {idx} has a norm below the float range")
         if norm == 0:
             raise CodeValidationError(f"basis vector {idx} is the zero vector")
-        kets.append(ket.normalized())
-    for i in range(len(kets)):
-        for j in range(i + 1, len(kets)):
-            overlap = abs(np.vdot(kets[i].amplitudes, kets[j].amplitudes))
-            if overlap > ORTHONORMALITY_TOL:
-                raise CodeValidationError(
-                    f"basis vectors {i} and {j} are not orthogonal: |<c_{i}|c_{j}>| = {overlap:.3e}"
-                )
-    mat = np.column_stack([ket.amplitudes for ket in kets])
-    w, v = np.linalg.eigh(mat.conj().T @ mat)
+    if fault is not None:
+        raise CodeValidationError(f"basis vector {read}: {fault}") from fault
+    mat = np.ascontiguousarray((amps / np.array(norms)[:, None]).T)
+    gram = mat.conj().T @ mat
+    over = np.triu(np.abs(gram) > ORTHONORMALITY_TOL, 1)
+    if over.any():
+        i, j = divmod(int(over.argmax()), read)
+        raise CodeValidationError(
+            f"basis vectors {i} and {j} are not orthogonal: |<c_{i}|c_{j}>| = {abs(gram[i, j]):.3e}"
+        )
+    w, v = np.linalg.eigh(gram)
     mat = mat @ ((v / np.sqrt(w)) @ v.conj().T)
-    basis = tuple(Ket(n, mat[:, i]) for i in range(len(kets)))
-    return QuantumCode(n=n, k=len(kets), basis=basis, label=label)
+    basis = tuple(Ket(n, mat[:, i]) for i in range(read))
+    return QuantumCode(n=n, k=read, basis=basis, label=label)
 
 
 def code_to_json(code: QuantumCode) -> dict:

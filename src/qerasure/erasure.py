@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,45 +83,62 @@ def _trace_over_dim(code: QuantumCode, op) -> complex:
     return complex(np.trace(arr)) / (1 << code.n)
 
 
-def _deviations(grams: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
-    """Each gram against its required value alpha * identity, row-major.
+def _deviations(grams: np.ndarray, alphas) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Each gram against its required value alpha * identity, row-major, for each alpha.
 
-    Returns the (m, K*K) view of grams, not a copy, and the (m, K) diagonal
-    deviations <c_i|sigma_p|c_i> - alpha_p.  Column i*K + j of row p deviates
-    from its required value by the view's entry off the diagonal (i != j)
-    and by diagonal[p, i] on it, so a Pauli meets the conditions exactly when
-    every deviation of its row vanishes.  alpha is the first diagonal element
-    for the erasure conditions, tr(sigma)/2^n for the pure ones and 0 for the
-    annihilating ones.  The scans and single checks read violations off these
-    rows; the spaces are built from the columns of the gram tensor directly
-    (see _condition_complement).
+    Returns the (m, K*K) view of grams, not a copy, and for each alpha the
+    (K, m) diagonal deviations <c_i|sigma_p|c_i> - alpha_p, laid out by ket
+    so that each row is one long run.  Column i*K + j of row p deviates from
+    its required value by the view's entry off the diagonal (i != j) and by
+    diagonal[i, p] on it, so a Pauli meets the conditions exactly when every
+    deviation of its row vanishes.  alpha is the first diagonal element for
+    the erasure conditions, tr(sigma)/2^n for the pure ones and 0 for the
+    annihilating ones: the families differ only on the diagonal.  The scans
+    and single checks read violations off these rows; the spaces are built
+    from the columns of the gram tensor directly (see _condition_complement).
     """
     m, k, _ = grams.shape
     rows = grams.reshape(m, k * k)
-    return rows, rows[:, :: k + 1] - np.reshape(alpha, (-1, 1))
+    return rows, [np.subtract(rows.T[:: k + 1], alpha, out=np.empty((k, m), dtype=complex))
+                  for alpha in alphas]
 
 
-def _first_violations(rows: np.ndarray, diagonal: np.ndarray, k: int):
-    """First violated condition, in row-major order, of each row of _deviations.
+def _first_violations(grams: np.ndarray, alphas) -> list[tuple[np.ndarray, ...]]:
+    """First violated condition, in row-major order, of each gram under each alpha.
 
-    Returns the violation mask and, for every row, the (i, j) of its first
-    violation and the deviation there.  Only the magnitudes are materialised;
-    the deviations themselves are read back for the first violations alone.
+    One pass over grams (m, K, K) serves every family of _deviations: the
+    off-diagonal magnitudes, which all families share, are compared with
+    MATRIX_ELEMENT_TOL once, and each family writes only its diagonal into a
+    copy of that mask.  The flat positions of a family's violations come out
+    in row-major order, so the first position of each row is that row's
+    first violation, found with no reduction along the rows; only
+    violations are read after the mask.  For each alpha, returns p, the
+    violating rows in ascending order, and at those rows alone the (i, j) of
+    the first violation and the deviation there.
     """
-    size = np.abs(rows)
-    size[:, :: k + 1] = np.abs(diagonal)
-    bad = size >= MATRIX_ELEMENT_TOL
-    first = bad.argmax(axis=1)
-    i, j = np.divmod(first, k)
-    index = np.arange(rows.shape[0])
-    return bad.any(axis=1), i, j, np.where(i == j, diagonal[index, i], rows[index, first])
+    k = grams.shape[1]
+    rows, diagonals = _deviations(grams, alphas)
+    off = np.abs(rows) >= MATRIX_ELEMENT_TOL
+    out = []
+    for diagonal in diagonals:
+        bad = off.copy()
+        bad[:, :: k + 1] = (np.abs(diagonal) >= MATRIX_ELEMENT_TOL).T
+        at = np.flatnonzero(bad)
+        row = at // (k * k)
+        first = np.empty(at.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(row[1:], row[:-1], out=first[1:])
+        p, col = row[first], at[first] % (k * k)
+        i, j = np.divmod(col, k)
+        out.append((p, i, j, np.where(i == j, diagonal[i, p], rows[p, col])))
+    return out
 
 
 def _check(code: QuantumCode, op, pure: bool) -> MembershipReport:
     gram = _gram_matrix(code, op)
     alpha = _trace_over_dim(code, op) if pure else gram[0, 0]
-    bad, i, j, dev = _first_violations(*_deviations(gram[None], alpha), code.k)
-    if bad[0]:
+    [(p, i, j, dev)] = _first_violations(gram[None], [alpha])
+    if p.size:
         return MembershipReport(False, witness=(int(i[0]), int(j[0]), complex(dev[0])))
     return MembershipReport(True, alpha=complex(alpha if pure else np.mean(np.diag(gram))))
 
@@ -135,14 +153,13 @@ def check_pure(code: QuantumCode, op) -> MembershipReport:
     return _check(code, op, pure=True)
 
 
-def _pauli_deviations(code: QuantumCode, pure: bool) -> tuple[np.ndarray, np.ndarray]:
-    """_deviations of every Pauli under the erasure, or else the pure, conditions."""
-    grams = code.grams
+def _pauli_alpha(grams: np.ndarray, pure: bool) -> np.ndarray:
+    """alpha of every Pauli under the erasure, or else the pure, conditions."""
     if not pure:
-        return _deviations(grams, grams[:, 0, 0])
-    trace = np.zeros(4**code.n)
+        return grams[:, 0, 0]
+    trace = np.zeros(len(grams))
     trace[0] = 1.0  # tr(sigma)/2^n: 1 at the identity, 0 elsewhere
-    return _deviations(grams, trace)
+    return trace
 
 
 def _scaled_columns(code: QuantumCode) -> np.ndarray:
@@ -283,35 +300,62 @@ class WeightClassification:
     witnesses: tuple[tuple[int, int, complex], ...]
 
 
-def _scan(code: QuantumCode, pure: bool,
-          max_weight: int | None = None) -> tuple[int, list[WeightClassification]]:
-    """Distance, and the membership tally up to max_weight, from one scan of every Pauli."""
+class _Scan(NamedTuple):
+    """One condition family's scan of every Pauli up to a weight.
+
+    coords are the violating coordinates in ascending order, hence by
+    weight, and i, j, dev their first violations.  per_weight holds
+    (weight, members, the slice of coords of that weight) for each weight.
+    """
+
+    distance: int
+    per_weight: list[tuple[int, int, slice]]
+    coords: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    dev: np.ndarray
+
+
+def _scan(code: QuantumCode, families, max_weight: int | None = None) -> list[_Scan]:
+    """Distance and violators up to max_weight of each family, from one pass over code.grams.
+
+    families lists pure flags: False for the erasure conditions, True for the
+    pure ones.  All families share one _first_violations pass, and only the
+    violating rows are read after it.
+    """
     if max_weight is None:
         max_weight = code.n
     if not 0 <= max_weight <= code.n:
         raise ValueError(f"max_weight must be in [0, {code.n}], got {max_weight}")
     t = _pauli_table(code.n)
     weights = np.bitwise_count(t.x | t.z)
-    bad, i, j, dev = _first_violations(*_pauli_deviations(code, pure), code.k)
-    failing = weights[bad]  # coordinate order is ascending weight
-    distance = int(failing[0]) if failing.size else code.n + 1
-    tally = []
-    for w in range(max_weight + 1):
-        viols = np.flatnonzero(bad & (weights == w))
-        tally.append(WeightClassification(
-            weight=w,
-            members=int(np.sum(weights == w)) - len(viols),
-            non_members=len(viols),
-            violators=tuple(t.labels[viols].tolist()),
-            witnesses=tuple((int(i[p]), int(j[p]), complex(dev[p])) for p in viols),
-        ))
-    return distance, tally
+    # coordinate order is ascending weight: weight w fills starts[w]:starts[w + 1]
+    starts = np.searchsorted(weights, np.arange(max_weight + 2))
+    sizes = np.diff(starts).tolist()
+    grams = code.grams
+    scans = []
+    for p, i, j, dev in _first_violations(grams, [_pauli_alpha(grams, pure) for pure in families]):
+        distance = int(weights[p[0]]) if p.size else code.n + 1
+        b = np.searchsorted(p, starts).tolist()  # weight w's violators are p[b[w]:b[w + 1]]
+        per_weight = [(w, sizes[w] - (b[w + 1] - b[w]), slice(b[w], b[w + 1]))
+                      for w in range(max_weight + 1)]
+        scans.append(_Scan(distance, per_weight, p, i, j, dev))
+    return scans
 
 
 def classify_paulis(code: QuantumCode, max_weight: int | None = None,
                     pure: bool = False) -> list[WeightClassification]:
     """Tally membership of every phase-0 Pauli up to max_weight, by weight."""
-    return _scan(code, pure, max_weight)[1]
+    [scan] = _scan(code, (pure,), max_weight)
+    labels = _pauli_table(code.n).labels
+    return [WeightClassification(
+        weight=w,
+        members=members,
+        non_members=viols.stop - viols.start,
+        violators=tuple(labels[scan.coords[viols]].tolist()),
+        witnesses=tuple(zip(scan.i[viols].tolist(), scan.j[viols].tolist(),
+                            scan.dev[viols].tolist())),
+    ) for w, members, viols in scan.per_weight]
 
 
 def minimum_distance(code: QuantumCode) -> int:
@@ -321,12 +365,12 @@ def minimum_distance(code: QuantumCode) -> int:
     Paulis of weight at most t, and membership is linear.  A value of n+1
     means every operator passes (the degenerate case, e.g. any K=1 code).
     """
-    return _scan(code, pure=False, max_weight=0)[0]
+    return _scan(code, (False,), max_weight=0)[0].distance
 
 
 def pure_distance(code: QuantumCode) -> int:
     """Smallest weight of a Pauli failing check_pure; n+1 when none does."""
-    return _scan(code, pure=True, max_weight=0)[0]
+    return _scan(code, (True,), max_weight=0)[0].distance
 
 
 def is_degenerate_distance(code: QuantumCode, distance: int) -> bool:

@@ -52,29 +52,63 @@ class Ket:
         return Ket(self.n, self.amplitudes / nrm)
 
 
-def ket_from_terms(n: int, terms: Iterable) -> Ket:
-    """Build a ket from (amplitude, bitstring) terms, e.g. [(1, "0000"), (1, "1111")].
+def _is_finite_number(x) -> bool:
+    """A number within the float range: not a bool, a string, NaN or an infinity."""
+    if type(x) is not float and (not isinstance(x, numbers.Number) or isinstance(x, bool)):
+        return False
+    return abs(x) <= sys.float_info.max
 
-    Terms are summed as given; normalize explicitly when needed.  Each term may
-    also be a mapping with keys "re", "im", "bits" and no others.  Amplitude
-    parts must be numbers within the float range (not bools, strings, NaN or
-    infinities) and bits a string of n binary digits.
+
+def _read_terms(n: int, terms: Iterable, offset: int, slots: list, values: list) -> None:
+    """Check each term in order, appending its amplitude slot (offset + bits) and value.
+
+    A term is [amplitude, bits] or a mapping with keys among "re", "im" and
+    "bits"; the first bad term raises ValueError.  Values are re + 1j * im, as
+    a term-by-term sum would add them.
     """
-    amps = np.zeros(1 << n, dtype=complex)
     for term in terms:
         if isinstance(term, dict):
             if set(term) - {"re", "im", "bits"}:
                 raise ValueError(f"unknown term keys {sorted(set(term) - {'re', 'im', 'bits'})}")
             re, im, bits = term.get("re", 0.0), term.get("im", 0.0), term.get("bits")
-        else:
+        elif isinstance(term, (list, tuple)) and len(term) == 2:
             (re, bits), im = term, 0.0
-        if not all(isinstance(x, numbers.Number) and not isinstance(x, bool)
-                   and abs(x) <= sys.float_info.max for x in (re, im)):
+        else:
+            raise ValueError(f"a term must be [amplitude, bits] or an object of re, im and "
+                             f"bits; got {term!r}")
+        if not (_is_finite_number(re) and _is_finite_number(im)):
             raise ValueError(f"amplitude {re!r}, {im!r} is not a finite number")
-        if not isinstance(bits, str) or len(bits) != n or any(ch not in "01" for ch in bits):
+        if not isinstance(bits, str) or len(bits) != n or bits.strip("01"):
             raise ValueError(f"bitstring {bits!r} is not {n} bits")
-        amps[int(bits, 2)] += re + 1j * im
-    return Ket(n, amps)
+        slots.append(offset + int(bits, 2))
+        values.append(re + 1j * im)
+
+
+def _sum_terms(slots: list, values: list, size: int) -> np.ndarray:
+    """Amplitudes of length size: each slot's values summed in input order.
+
+    One bincount per part adds in the order given, from +0.0, so the sums are
+    bitwise those of adding the terms one by one.
+    """
+    slots = np.array(slots, dtype=np.intp)
+    values = np.array(values, dtype=complex)
+    amps = np.empty(size, dtype=complex)
+    amps.real = np.bincount(slots, weights=values.real, minlength=size)
+    amps.imag = np.bincount(slots, weights=values.imag, minlength=size)
+    return amps
+
+
+def ket_from_terms(n: int, terms: Iterable) -> Ket:
+    """Build a ket from (amplitude, bitstring) terms, e.g. [(1, "0000"), (1, "1111")].
+
+    Terms are summed as given; normalize explicitly when needed.  Each term is
+    a pair or a mapping with keys "re", "im", "bits" and no others; anything
+    else is refused.  Amplitude parts must be numbers within the float range
+    (not bools, strings, NaN or infinities) and bits a string of n binary digits.
+    """
+    slots, values = [], []
+    _read_terms(n, terms, 0, slots, values)
+    return Ket(n, _sum_terms(slots, values, 1 << n))
 
 
 def _as_local(entry) -> np.ndarray:

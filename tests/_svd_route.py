@@ -81,9 +81,9 @@ def basis_containment_residual(inner, outer):
 
 
 def _nullspace(code, alpha):
-    rows, diagonal = _deviations(code.grams, alpha)
+    rows, [diagonal] = _deviations(code.grams, [alpha])
     dev = rows.copy()
-    dev[:, :: code.k + 1] = diagonal
+    dev[:, :: code.k + 1] = diagonal.T
     return OperatorSubspace(code.n, wide_nullspace_complement(dev.T))
 
 

@@ -185,12 +185,13 @@ def test_analyze_scans_once_per_section(capsys, monkeypatch):
     scans = []
     real = erasure._deviations
     monkeypatch.setattr(erasure, "_deviations",
-                        lambda grams, alpha: scans.append(grams.shape) or real(grams, alpha))
-    for mode, expected in (("analyze", 2), ("classify", 1), ("distance", 2)):
+                        lambda grams, alphas: scans.append(grams.shape) or real(grams, alphas))
+    # analyze and distance read both sections off one pass over the gram tensor
+    for mode in ("analyze", "classify", "distance"):
         scans.clear()
         status, _, _ = run_cli(capsys, mode, "--fixture", "gbp")
         assert status == 0
-        assert len(scans) == expected, mode
+        assert len(scans) == 1, mode
 
 
 def test_union_transform_builds_the_union_once(tmp_path, capsys, gram_builds):
@@ -390,7 +391,7 @@ def test_ingest_refuses_oversized_codes(tmp_path, capsys, monkeypatch, spec):
     def no_amplitudes(*args):
         raise AssertionError("an amplitude array was built")
 
-    monkeypatch.setattr(codes_module, "ket_from_terms", no_amplitudes)
+    monkeypatch.setattr(codes_module, "_read_terms", no_amplitudes)
     f = tmp_path / "big.json"
     f.write_text(json.dumps(spec))
     status, out, err = run_cli(capsys, "analyze", "--code", str(f))
@@ -503,6 +504,27 @@ def test_code_file_that_is_not_an_object(tmp_path, capsys, name):
 def test_ingest_refuses_what_it_would_ignore_or_coerce(tmp_path, capsys, spec, reason):
     path = tmp_path / "code.json"
     path.write_text(json.dumps(spec))
+    status, out, err = run_cli(capsys, "distance", "--code", str(path))
+    assert (status, out) == (1, "")
+    assert err.startswith("qerasure: error[invalid-code]") and reason in err
+    assert err.count("\n") == 1
+
+
+TERM_SHAPE = "a term must be [amplitude, bits] or an object of re, im and bits; got "
+
+
+@pytest.mark.parametrize("basis, reason", [
+    ([{"re": 1, "bits": "00"}], "basis vector 0: expected a JSON array of terms, got dict"),
+    (["00"], "basis vector 0: expected a JSON array of terms, got str"),
+    ([[1]], TERM_SHAPE + "1"),
+    ([[[1]]], TERM_SHAPE + "[1]"),
+    ([["00"]], TERM_SHAPE + "'00'"),
+    ([[[1, "00", 3]]], TERM_SHAPE + "[1, '00', 3]"),
+], ids=["entry-object", "entry-string", "term-number", "term-one-element", "term-string",
+        "term-three-elements"])
+def test_ingest_names_the_shape_it_expects(tmp_path, capsys, basis, reason):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"n": 2, "basis": basis}))
     status, out, err = run_cli(capsys, "distance", "--code", str(path))
     assert (status, out) == (1, "")
     assert err.startswith("qerasure: error[invalid-code]") and reason in err

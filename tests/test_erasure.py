@@ -24,8 +24,10 @@ from qerasure import (
     pure_distance,
     pure_erasure_space,
 )
-from qerasure.erasure import annihilating_space
+from qerasure.cli import _space_sections
+from qerasure.erasure import _scan, annihilating_space
 
+import _loop_route
 from _oracle import (
     all_pauli_letterings,
     code_matrix,
@@ -314,6 +316,32 @@ def test_classify_witnesses_match_single_checks():
                     i, j, value = found[pauli_to_string(p)]
                     assert (i, j) == report.witness[:2]
                     assert abs(value - report.witness[2]) < 1e-12
+
+
+@pytest.mark.parametrize("source", ["gbp", "gbp-union", "rains-subcode", "rains-union", "random"])
+def test_one_pass_sections_match_per_family_scans(source, rng):
+    # analyze and distance read both families off one pass; each family alone
+    # must come out as the per-family full-table scan and the public tallies have it
+    if source == "random":
+        codes = [random_code(rng, n, k) for n in range(1, 6) for k in range(1, 5) if k <= 1 << n]
+    else:
+        codes = [get_fixture(source)]
+    for code in codes:
+        sections = _space_sections(code, code.n, (False, True))
+        for pure, scan, section in zip((False, True), _scan(code, (False, True)), sections):
+            reference = _loop_route.scan(code, pure)
+            table = classify_paulis(code, pure=pure)
+            assert [(row.weight, label, witness) for row in table
+                    for label, witness in zip(row.violators, row.witnesses)] == reference
+            assert [(int(p), int(i), int(j), complex(d))
+                    for p, i, j, d in zip(scan.coords, scan.i, scan.j, scan.dev)] == [
+                (p, *witness) for p, (_, _, witness) in zip(scan.coords.tolist(), reference)]
+            assert section["per_weight"] == [
+                {"w": row.weight, "members": row.members, "non_members": row.non_members,
+                 "violators": list(row.violators)} for row in table]
+            distance = (pure_distance if pure else minimum_distance)(code)
+            assert scan.distance == section["distance"] == distance
+            assert distance == (reference[0][0] if reference else code.n + 1)
 
 
 @pytest.mark.parametrize("name", ["gbp", "rains-union"])

@@ -1,8 +1,9 @@
 """Property tests (hypothesis, derandomized) on up to four qubits.
 
 The transform round trip, the Pauli group laws of the mask arithmetic, the
-subspace maps of the union formulas, and the code and transform readers of
-the command line against arbitrary JSON.
+subspace maps of the union formulas, the code and transform readers of the
+command line against arbitrary JSON, and ingest against its per-term
+reference.
 """
 
 import contextlib
@@ -10,6 +11,7 @@ import io
 import json
 import math
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -31,7 +33,9 @@ from qerasure import (
     to_matrix,
 )
 from qerasure.cli import main
+from qerasure.codes import CodeValidationError, basis_matrix, ingest_code
 
+import _loop_route
 from _oracle import dense_pauli
 from _svd_route import product_image
 from conftest import assert_orthonormal, random_unitary
@@ -251,3 +255,63 @@ def transform_docs(draw):
 def test_fuzzed_transform_ends_cleanly(doc):
     _assert_ends_cleanly(*_cli_on_file(json.dumps(doc), "theorem-check", "--fixture", "gbp",
                                        "--transform"))
+
+
+# Amplitude parts: small numbers, signed zeros, values at the edges of the
+# float range (sums and squares overflow or underflow), and, now and then,
+# what ingest refuses.
+AMPLITUDE_EDGES = [0.0, -0.0, 1.0, -1.0, 0.5, 3, -2, 1e308, -1e308, sys.float_info.max,
+                   -sys.float_info.max, 1e160, 1e-170, -1e-170, 1e-162, 5e-324, 2**1023]
+BAD_AMPLITUDES = [float("nan"), float("inf"), -float("inf"), True, "1", None, 10**400, [1.0]]
+
+
+@st.composite
+def ingest_specs(draw):
+    """A code description whose kets are drawn mostly on disjoint bitstrings, so
+    that many are accepted; its terms are pairs or objects, with repeated
+    bitstrings.  In half the specs, terms now and then carry a bad amplitude,
+    a bad bitstring or a stray key, and kets may be empty, in any number of
+    places."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    faulty = draw(st.booleans())
+    shared = draw(st.integers(0, 3)) == 0  # kets on shared bitstrings: overlaps
+    good = st.one_of(st.floats(0.1, 4), st.floats(-4, -0.1), st.floats(-4, 4),
+                     st.integers(-3, 3), *[st.sampled_from(AMPLITUDE_EDGES)] * faulty)
+    bad = st.sampled_from(BAD_AMPLITUDES) if faulty else good
+    part = st.one_of(*[good] * 15, bad)
+    basis = []
+    for ket in range(k):
+        pool = [format(b, f"0{n}b") for b in range(1 << n) if shared or b % k == ket]
+        bits = st.sampled_from(pool) if pool else st.just("0" * n)
+        if faulty and draw(st.integers(0, 9)) == 0:
+            bits = bits | st.sampled_from(["0" * (n + 1), "2" * n, 5, None, " " + "0" * (n - 1)])
+        terms = []
+        for _ in range(draw(st.integers(0 if faulty else 1, 5))):
+            if draw(st.booleans()):
+                terms.append((draw(part), draw(bits)))
+                continue
+            term = {"bits": draw(bits)}
+            for key in ("re", "im"):
+                if draw(st.integers(0, 3)):
+                    term[key] = draw(part)
+            if faulty and draw(st.integers(0, 29)) == 0:
+                term["phase"] = 0
+            terms.append(term)
+        basis.append(terms)
+    return {"n": n, "label": "drawn", "basis": basis}
+
+
+def _ingest_outcome(ingest, spec):
+    """The amplitudes' bytes, or the message, of one ingest of spec."""
+    try:
+        code = ingest(spec)
+    except CodeValidationError as exc:
+        return "refused", str(exc)
+    return "accepted", code.label, basis_matrix(code).tobytes()
+
+
+@settings(PROPERTY, max_examples=600)
+@given(ingest_specs())
+def test_ingest_matches_its_per_term_reference(spec):
+    assert _ingest_outcome(ingest_code, spec) == _ingest_outcome(_loop_route.ingest_code, spec)
