@@ -44,7 +44,6 @@ from .operator_space import (
     containment_residual,
     coords_to_matrices,
     equality_residual,
-    intersect,
     matrices_to_coords,
     operator_weight,
     pauli_coords,
@@ -69,7 +68,7 @@ from .states import (
     cyclic_shift,
     ket_from_terms,
 )
-from .tolerances import MATRIX_ELEMENT_TOL, MEMBERSHIP_TOL, RANK_RTOL, SUBSPACE_TOL
+from .tolerances import MATRIX_ELEMENT_TOL, MEMBERSHIP_TOL, SUBSPACE_TOL
 from .unions import (
     OrthogonalityError,
     UnionBuildReport,

@@ -64,7 +64,10 @@ class QuantumCode:
         for idx, ket in enumerate(self.basis):
             if ket.n != self.n:
                 raise CodeValidationError(f"basis ket {idx} has {ket.n} qubits, expected {self.n}")
-        mat = basis_matrix(self)
+        # the stacked basis is kept, read-only, for basis_matrix and grams
+        mat = np.column_stack([ket.amplitudes for ket in self.basis])
+        mat.flags.writeable = False
+        object.__setattr__(self, "_matrix", mat)
         gram = mat.conj().T @ mat
         err = np.abs(gram - np.eye(self.k))
         if np.max(err) > ORTHONORMALITY_TOL:
@@ -92,8 +95,8 @@ def _check_gram_size(n: int, k: int) -> None:
 
 
 def basis_matrix(code: QuantumCode) -> np.ndarray:
-    """Basis kets stacked as columns, shape (2^n, K)."""
-    return np.column_stack([ket.amplitudes for ket in code.basis])
+    """Basis kets stacked as columns, shape (2^n, K), read-only: the matrix the code checked."""
+    return code._matrix
 
 
 def ingest_code(spec: dict) -> QuantumCode:

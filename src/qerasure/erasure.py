@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codes import QuantumCode, basis_matrix
-from .operator_space import OperatorSubspace, _pauli_table, coords_to_matrices
+from .operator_space import OperatorSubspace, _pauli_table, _residual_norm, coords_to_matrices
 from .pauli import PauliOperator, apply_to_amplitudes
 from .tolerances import ADJOINT_TOL, MATRIX_ELEMENT_TOL
 
@@ -199,24 +199,32 @@ def _condition_complement(cols: np.ndarray, n: int, pure: bool) -> np.ndarray:
     cols are a code's K^2 _scaled_columns, or their image under E -> U E
     U-adjoint, and are overwritten.  The off-diagonal columns are kept.  The
     differences of the K diagonal ones span {sum_i w_i d_i : sum_i w_i = 0},
-    so the K x (K-1) orthonormal complement of the all-ones vector, from one
-    K x K QR, carries them to an orthonormal basis, written over the first
-    K-1 diagonal columns.  The pure conditions add the traceless part of
-    their sum, the code projector less its identity component, in the last
-    diagonal column, which is the last column; _complement_width drops that
-    column when the projector is the identity, as it does for the erasure
-    conditions.
+    so the K x (K-1) orthonormal complement of the all-ones vector
+    (_ones_complement) carries them to an orthonormal basis, written over
+    the first K-1 diagonal columns.  The pure conditions add the traceless
+    part of their sum, the code projector less its identity component, in
+    the last diagonal column, which is the last column; _complement_width
+    drops that column when the projector is the identity, as it does for
+    the erasure conditions.
     """
     k = math.isqrt(cols.shape[1])
     width = _complement_width(n, k, pure)
     diag = np.arange(k) * (k + 1)
     d = cols[:, diag]
-    cols[:, diag[:-1]] = d @ np.linalg.qr(np.ones((k, 1)), mode="complete")[0][:, 1:]
+    cols[:, diag[:-1]] = d @ _ones_complement(k)
     if width == k * k:
         projector = d.sum(axis=1)
         projector[0] = 0  # identity is coordinate 0
         cols[:, -1] = projector / np.linalg.norm(projector)
     return cols[:, :width]
+
+
+@lru_cache(maxsize=None)
+def _ones_complement(k: int) -> np.ndarray:
+    """Orthonormal complement of the all-ones K-vector, (K, K-1), from one QR; read-only."""
+    q = np.linalg.qr(np.ones((k, 1)), mode="complete")[0][:, 1:]
+    q.flags.writeable = False
+    return q
 
 
 @lru_cache(maxsize=None)
@@ -384,16 +392,18 @@ def hermitian_basis(s: OperatorSubspace) -> list[np.ndarray]:
     Conjugating coordinates realizes the adjoint (the basis Paulis are
     Hermitian), so s must be closed under conjugation, and then so is its
     complement C.  A real C makes the completed basis real, i.e. Hermitian.
-    A complex C with c columns spans the same space as its conjugate exactly
-    when [Re C | Im C] has rank c: a singular value beyond the c-th above
-    ADJOINT_TOL means s is not closed under the adjoint.  Otherwise the
-    first c left singular vectors are a real orthonormal complement, and s's
-    basis is completed from that.
+    A complex C spans the same space as its conjugate exactly when the
+    explicit residual of conj(C) off C vanishes; a spectral norm above
+    ADJOINT_TOL means s is not closed under the adjoint.  Otherwise M = [Re C
+    | Im C] has M M^T = Re(C C^H), the real projector onto C's span, so its
+    c nonzero singular values are 1 and M V, for the eigenvectors V of M^T M
+    with its c largest eigenvalues, is a real orthonormal complement, from
+    which s's basis is completed.
     """
     c = s.complement
     if np.iscomplexobj(c):
-        u, sv, _ = np.linalg.svd(np.hstack([c.real, c.imag]), full_matrices=False)
-        if np.any(sv[c.shape[1]:] > ADJOINT_TOL):
+        if _residual_norm(c, c.conj()) > ADJOINT_TOL:
             raise ValueError("subspace is not closed under the adjoint")
-        s = OperatorSubspace(s.n, complement=u[:, :c.shape[1]])
+        m = np.hstack([c.real, c.imag])
+        s = OperatorSubspace(s.n, complement=m @ np.linalg.eigh(m.T @ m)[1][:, c.shape[1]:])
     return list(np.ascontiguousarray(s.basis.T, dtype=complex))

@@ -12,11 +12,10 @@ A subspace is stored by one array: an orthonormal basis of its orthogonal
 complement.  Every space the package builds is nearly the whole space, so
 the complement is the small representation.  The erasure, pure and
 annihilating spaces write theirs down in closed form from a code's gram
-tensor (see erasure).  An intersection keeps the widest input complement as
-it stands and adds the directions that one thin SVD of the other
-complements, projected off it, finds new.  The spanning basis is completed
-from the complement on first use.  Unitary maps of operator space carry complements to complements, so
-they act on the complement alone.
+tensor (see erasure), and so are the factors of the union formulas (see
+unions): no dimension here comes out of a rank cut.  The spanning basis is
+completed from the complement on first use.  Unitary maps of operator space
+carry complements to complements, so they act on the complement alone.
 
 A space closed under the adjoint has a real orthonormal complement: the
 phase-0 Paulis are Hermitian, so E -> E^H conjugates coordinates, and a
@@ -26,34 +25,31 @@ kind and store float64 complements; a space given a complex complement
 keeps it complex.  Nothing selects a real or a complex path: the
 constructor keeps the dtype of its input, real as float64 and complex as
 complex128, and numpy promotes to complex only where some input is
-complex.  So intersections, containment residuals and completions of real
-spaces run in real arithmetic, in half the memory.
+complex.  So containment residuals and completions of real spaces run in
+real arithmetic, in half the memory.
 
-Completion takes the Householder QR of the k known
-columns in compact-WY form Q = I - V T V^H (Schreiber and Van Loan, "A
-storage-efficient WY representation for products of Householder
-transformations", SIAM J. Sci. Stat. Comput. 10, 1989) and writes the last
-4^n - k columns of Q as one rank-k product.  At n = 6 that spanning basis is
+Completion takes the Householder QR of the k known columns in compact-WY
+form Q = I - V T V^H (Schreiber and Van Loan, "A storage-efficient WY
+representation for products of Householder transformations", SIAM J. Sci.
+Stat. Comput. 10, 1989) and writes the last 4^n - k columns of Q as one
+rank-k product.  At n = 6 that spanning basis is
 a 4096 x ~4093 array, float64 (134 MB) for a real space and complex (268 MB)
 otherwise, the only O(16^n) object here.
 
-Numerical conventions: the one rank decision is intersect's, whose new
-directions are the left singular vectors of a residual of unit-norm columns
-with singular values above the absolute cut RANK_RTOL.  Membership and
-containment residuals are compared against MEMBERSHIP_TOL and SUBSPACE_TOL
-(see tolerances).  A containment residual is the sine of the largest
-principal angle, read as the spectral norm of the explicit residual
-(I - P_inner) Q_outer from the largest eigenvalue of its c x c Gram.  It
-is never read as 1 - cos^2 of the smallest principal-angle cosine, which
-cancels to a floor near sqrt(eps), about 1e-8, on equal spaces (Bjorck
-and Golub, "Numerical methods for computing angles between linear
-subspaces", Math. Comp. 27, 1973).
+Numerical conventions: membership and containment residuals are compared
+against MEMBERSHIP_TOL and SUBSPACE_TOL (see tolerances).  A containment
+residual is the sine of the largest principal angle, read as the spectral
+norm of the explicit residual (I - P_inner) Q_outer from the largest
+eigenvalue of its c x c Gram.  It is never read as 1 - cos^2 of the
+smallest principal-angle cosine, which cancels to a floor near sqrt(eps),
+about 1e-8, on equal spaces (Bjorck and Golub, "Numerical methods for
+computing angles between linear subspaces", Math. Comp. 27, 1973).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,7 +59,7 @@ from .pauli import (
     _pauli_masks,
     _reverse_bits,
 )
-from .tolerances import COEFFICIENT_TOL, RANK_RTOL, REPROJECT_BELOW
+from .tolerances import COEFFICIENT_TOL
 
 
 class _PauliTable(NamedTuple):
@@ -284,46 +280,6 @@ class OperatorSubspace:
 
     def __repr__(self) -> str:
         return f"OperatorSubspace(n={self.n}, dim={self.dim})"
-
-
-def _new_directions(q: np.ndarray, rest: np.ndarray) -> np.ndarray:
-    """Orthonormal directions that the columns of rest add to the orthonormal q.
-
-    rest, projected off q, is a residual with 4^n rows and rest's columns;
-    its left singular vectors with singular values above RANK_RTOL are the
-    new directions (Barlow and Smoktunowicz, "Reorthogonalized block
-    classical Gram-Schmidt", Numer. Math. 123, 2013).  The cut is absolute,
-    since rest has unit-norm columns.  Those below REPROJECT_BELOW are
-    projected off q again, in place: one near the cut is about eps /
-    RANK_RTOL off the complement of q.  Only the kept columns are returned.
-    """
-    u, s, _ = np.linalg.svd(rest - q @ (q.conj().T @ rest), full_matrices=False)
-    new = u[:, :np.count_nonzero(s > RANK_RTOL)]
-    weak = new[:, np.count_nonzero(s >= REPROJECT_BELOW):]
-    weak -= q @ (q.conj().T @ weak)
-    return new
-
-
-def intersect(subspaces: Sequence[OperatorSubspace]) -> OperatorSubspace:
-    """Common subspace of all inputs.
-
-    A vector lies in every subspace exactly when it is orthogonal to every
-    complement, so the complement of the intersection is the span of them
-    all.  Complements are orthonormal, so the widest one, Q (the first of
-    equal width), is kept as it stands, and only the others, stacked, are
-    factored against it for the directions they add (_new_directions).
-    """
-    if len(subspaces) == 0:
-        raise ValueError("need at least one subspace")
-    n = subspaces[0].n
-    if any(s.n != n for s in subspaces):
-        raise ValueError("subspaces live on different qubit counts")
-    widest = max(range(len(subspaces)), key=lambda i: subspaces[i].complement.shape[1])
-    q = subspaces[widest].complement
-    rest = [s.complement for i, s in enumerate(subspaces) if i != widest]
-    if sum(c.shape[1] for c in rest) == 0:
-        return OperatorSubspace(n, complement=q)
-    return OperatorSubspace(n, complement=np.hstack([q, _new_directions(q, np.hstack(rest))]))
 
 
 def _residual_norm(inner: np.ndarray, outer: np.ndarray) -> float:

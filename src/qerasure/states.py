@@ -12,7 +12,6 @@ from __future__ import annotations
 import numbers
 import sys
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable
 
 import numpy as np
@@ -220,8 +219,13 @@ class UnitaryAction:
     @classmethod
     def from_transform(cls, t: CodeTransform) -> "UnitaryAction":
         dim = 1 << t.n
+        # the Kronecker product of the locals, one broadcast product per qubit:
+        # entry (2r + a, 2c + b) of m (x) l is m[r, c] l[a, b], as np.kron has it
+        m = t.locals[0]
+        for local in t.locals[1:]:
+            m = (m[:, None, :, None] * local[None, :, None, :]).reshape(2 * len(m), -1)
         # the rows carry the output qubits: permute them as apply_transform does
-        rows = reduce(np.kron, t.locals).reshape((2,) * t.n + (dim,))
+        rows = m.reshape((2,) * t.n + (dim,))
         return cls(t.n, np.moveaxis(rows, range(t.n), t.perm).reshape(dim, dim))
 
     def apply(self, k: Ket) -> Ket:

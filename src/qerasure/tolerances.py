@@ -3,11 +3,9 @@
 All bundled constructions involve exact dyadic amplitudes, so each threshold
 sits several orders of magnitude from the values it separates.  Each module
 imports the tolerances it applies from here, and the package namespace
-re-exports RANK_RTOL, MEMBERSHIP_TOL, SUBSPACE_TOL and MATRIX_ELEMENT_TOL.
+re-exports MEMBERSHIP_TOL, SUBSPACE_TOL and MATRIX_ELEMENT_TOL.
 """
 
-RANK_RTOL = 1e-8  # intersect's absolute rank cut: a residual of unit-norm columns keeps singular values above this
-REPROJECT_BELOW = 0.5  # intersect reprojects kept directions weaker than this: twice is enough (Giraud, Langou, Rozloznik 2005)
 MEMBERSHIP_TOL = 1e-8  # a member_residual below this is membership
 SUBSPACE_TOL = 1e-8  # an equality residual below this means the spaces agree
 MATRIX_ELEMENT_TOL = 1e-9  # a code matrix element this far from its required value fails

@@ -18,23 +18,27 @@ operator space, spanned by |a><b| with a, b in C, in UC, or one in each, and
 these blocks are Hilbert-Schmidt orthogonal: <|a><b|, |c><d|> = <a|c><d|b>
 vanishes across blocks because C is orthogonal to UC.  So the orthonormal
 complements concatenate to an orthonormal complement of S (_block_sum).  The
-last factors are not block-orthogonal.  The expectation row, |a><a| -
-|Ua><Ua|, overlaps the diagonal directions of the first two.  The traceless
-projectors p = P_C - K / 2^n and U p U-adjoint each spread a multiple of the
-identity over every block and overlap each other (cosine -K / (2^n - K)).  So
-each formula adds to S's complement only the directions they bring, from one
-narrow factorization against it.  These, like the diagonal directions, lie in
-the block spanned by the kets' own projectors and the identity.  Every other
-column of S's complement, and of the union's own, lies in the real plane of
-|a><b| and |b><a| for one pair of the union's kets a != b, and these planes
-are Hilbert-Schmidt orthogonal too, so the comparison with the union's own
-complement runs one ket pair at a time, in closed form, and one eigenvalue
-solve per formula for the diagonal block (_shared_residuals).
+last factors need none either.  The traceless projectors p = P_C - K / 2^n
+and p' = U p U-adjoint, normalized, are orthogonal to S's complement, whose
+diagonal columns are traceless differences |c_i><c_i| - |c_0><c_0| within
+one component, and their cosine is the constant c = -K / (2^n - K).  The
+expectation row, |c_0><c_0| - |Uc_0><Uc_0|, adds (P_C - P_UC) / K, along
+p - p'.  So Theorem 4 adds a = (p - p') / sqrt(2 - 2c) to S's complement and
+Theorem 5 the Gram-Schmidt pair B = [p | (p' - c p) / sqrt(1 - c^2)], or
+B = [p] when the union fills the whole space and c = -1 (_formula_complements):
+every dimension on the route is structural.  These, like the diagonal
+directions, lie in the block spanned by the kets' own projectors and the
+identity.  Every other column of S's complement, and of the union's own,
+lies in the real plane of |a><b| and |b><a| for one pair of the union's
+kets a != b, and these planes are Hilbert-Schmidt orthogonal too, so the
+comparison with the union's own complement runs one ket pair at a time, in
+closed form, and one eigenvalue solve per formula for the diagonal block
+(_shared_residuals).
 
 Every factor is closed under the adjoint, so each is stored by a real
 complement, and the intersections and the comparison run in real arithmetic.
-Every complement, the expectation row's included, is a linear image of the
-code's K^2 real gram columns, so one map of them to matrices builds them all.
+Every complement is a linear image of the code's K^2 real gram columns, so
+one map of them to matrices builds them all.
 """
 
 from __future__ import annotations
@@ -53,14 +57,7 @@ from .erasure import (
     _union_blocks,
     pure_erasure_space,
 )
-from .operator_space import (
-    OperatorSubspace,
-    _new_directions,
-    _residual_norm,
-    coords_to_matrices,
-    intersect,
-    matrices_to_coords,
-)
+from .operator_space import OperatorSubspace, _residual_norm, coords_to_matrices, matrices_to_coords
 from .states import CodeTransform, UnitaryAction
 from .tolerances import CROSS_ORTHOGONALITY_TOL, SUBSPACE_TOL
 
@@ -97,7 +94,7 @@ def union_code(codes: Sequence[QuantumCode],
     kets = list(codes[0].basis)
     max_cross = 0.0
     for comp_idx, comp in enumerate(codes[1:], start=1):
-        acc = np.column_stack([k.amplitudes for k in kets])
+        acc = np.hstack([basis_matrix(c) for c in codes[:comp_idx]])
         overlaps = np.abs(acc.conj().T @ basis_matrix(comp))
         worst = float(np.max(overlaps))
         if worst >= CROSS_ORTHOGONALITY_TOL:
@@ -142,8 +139,8 @@ def conjugate_subspace(s: OperatorSubspace, u) -> OperatorSubspace:
     return OperatorSubspace(s.n, complement=image.real if np.isrealobj(s.complement) else image)
 
 
-def _block_sum(code: QuantumCode, action: UnitaryAction) -> tuple[OperatorSubspace, ...]:
-    """S = ES(C) meet U ES(C) U-adjoint meet the mixed blocks, p, U p U-adjoint, a.
+def _block_sum(code: QuantumCode, action: UnitaryAction) -> tuple[np.ndarray, ...]:
+    """S-perp for S = ES(C) meet U ES(C) U-adjoint meet the mixed blocks, p and U p U-adjoint.
 
     Each complement is an image of Z = _scaled_columns(code), with matrices
     M.  [ES(C)-perp | p] is _condition_complement's combination of Z, and
@@ -158,10 +155,8 @@ def _block_sum(code: QuantumCode, action: UnitaryAction) -> tuple[OperatorSubspa
     plane of the union's kets i and K + j.  These three lie in the
     orthogonal CC, UU and CU/UC blocks, so their orthonormal columns
     concatenate to an orthonormal complement of S, written by ket pair in
-    the layout of erasure._union_blocks.
-    Columns 0 of Z and W are <c_0|sigma|c_0> and <Uc_0|sigma|Uc_0> over
-    2^(n/2), orthonormal as c_0 is orthogonal to Uc_0, so the row a of
-    <c_0|E|c_0> = <Uc_0|E|Uc_0> is their difference (norm sqrt(2)), normalized.
+    the layout of erasure._union_blocks.  p and U p U-adjoint are returned
+    as (4^n, 1) columns beside it.
     """
     n, k, mat = code.n, code.k, action.matrix
     z = _scaled_columns(code)
@@ -170,7 +165,6 @@ def _block_sum(code: QuantumCode, action: UnitaryAction) -> tuple[OperatorSubspa
     x = mat.conj() @ coords_to_matrices(z, n)
     mixed = matrices_to_coords(x, n)
     w = matrices_to_coords((mat @ x.reshape(1 << n, -1)).reshape(x.shape), n).real
-    row = z[:, :1] - w[:, :1]
     width = _complement_width(n, k, False)
     (es, p), (es_conj, p_conj) = (np.hsplit(_condition_complement(c, n, pure=True), [width])
                                   for c in (z, w))
@@ -182,7 +176,28 @@ def _block_sum(code: QuantumCode, action: UnitaryAction) -> tuple[OperatorSubspa
     x_ji = x_ij.transpose(0, 2, 1)
     np.subtract(x_ij.real, x_ji.imag, out=s[:, first].reshape(-1, k, k))
     np.add(x_ij.imag, x_ji.real, out=s[:, second].reshape(-1, k, k))
-    return tuple(OperatorSubspace(n, c) for c in (s, p, p_conj, row / np.linalg.norm(row)))
+    return s, p, p_conj
+
+
+def _formula_complements(code: QuantumCode, action: UnitaryAction) -> tuple[np.ndarray, ...]:
+    """S-perp, and a and B: what Theorem 4's expectation row, and Theorem 5's p and p', add to it.
+
+    p and p' = U p U-adjoint are the unit traceless projectors of C and UC
+    (_block_sum).  Both are orthogonal to S-perp, whose diagonal columns are
+    traceless differences within one component, and <p, p'> = (tr P_C P_UC
+    - K^2 / 2^n) / (K - K^2 / 2^n) = -K / (2^n - K) = c, as C is orthogonal
+    to UC.  The row |c_0><c_0| - |Uc_0><Uc_0| less its part in S-perp is
+    (P_C - P_UC) / K, along p - p', so a = (p - p') / sqrt(2 - 2c).  The
+    pair is orthonormalized in closed form, B = [p | (p' - c p) / sqrt(1 -
+    c^2)], except when 2K = 2^n: then p' = -p, c = -1 and B = [p].
+    """
+    s, p, p_conj = _block_sum(code, action)
+    n, k = code.n, code.k
+    c = -k / ((1 << n) - k)
+    a = (p - p_conj) / math.sqrt(2 - 2 * c)
+    if 2 * k == 1 << n:
+        return s, a, p
+    return s, a, np.hstack([p, (p_conj - c * p) / math.sqrt(1 - c * c)])
 
 
 def union_erasure_space_via_intersection(code: QuantumCode, u) -> OperatorSubspace:
@@ -195,22 +210,25 @@ def union_erasure_space_via_intersection(code: QuantumCode, u) -> OperatorSubspa
     annihilating space multiplied from the appropriate side (the pure space
     would wrongly re-admit scalar multiples of U, e.g. the pairing transform
     itself); the final factor equates the two components' diagonal values.
+    Its complement is [S-perp | a].
     """
     action = _as_action(code.n, u)
     union_code([code, transform_code(code, action)])  # refuses an overlapping image
-    shared, *_, expectation = _block_sum(code, action)
-    return intersect([shared, expectation])
+    s, a, _ = _formula_complements(code, action)
+    return OperatorSubspace(code.n, np.hstack([s, a]))
 
 
 def union_pure_space_via_intersection(code: QuantumCode, u) -> OperatorSubspace:
     """Pure erasure space of the union, intersected from one component's data.
 
     Within-component blocks give the pure space and its conjugate; the mixed
-    blocks again give one-sided images of the annihilating space.
+    blocks again give one-sided images of the annihilating space.  Its
+    complement is [S-perp | B].
     """
     action = _as_action(code.n, u)
     union_code([code, transform_code(code, action)])  # refuses an overlapping image
-    return intersect(_block_sum(code, action)[:3])
+    s, _, b = _formula_complements(code, action)
+    return OperatorSubspace(code.n, np.hstack([s, b]))
 
 
 def cross_check_intersection_formulas(code: QuantumCode, u) -> dict:
@@ -229,19 +247,18 @@ def _cross_check(code: QuantumCode, u, union: QuantumCode) -> dict:
     """cross_check_intersection_formulas against an already built union C (+) UC.
 
     Theorem 4's complement is [S-perp | a] and Theorem 5's [S-perp | b]:
-    S-perp from one _block_sum, a and b what its expectation row, or p and
-    U p U-adjoint, add to it (intersect's new-direction step).  PS(union) has
-    the complement [ES(union)-perp | p_union], so one closed form gives both
-    direct spaces, and a caller that has the union builds it once.  A formula
+    S-perp from one _block_sum, a and b the closed forms of what its
+    expectation row, or p and U p U-adjoint, add to it
+    (_formula_complements), so no step of the route factors a matrix.
+    PS(union) has the complement [ES(union)-perp | p_union], so one closed
+    form gives both direct spaces, and a caller that has the union builds it
+    once.  A formula
     whose dimension differs reports 1, as the larger space holds a unit
     vector orthogonal to the smaller.  The residuals are read ket pair by ket
     pair (_shared_residuals), on a union of 2K kets, as C (+) UC has.
     """
     action = _as_action(code.n, u)
-    shared, p, p_conj, expectation = _block_sum(code, action)
-    s = shared.complement
-    a = _new_directions(s, expectation.complement)
-    b = _new_directions(s, np.hstack([p.complement, p_conj.complement]))
+    s, a, b = _formula_complements(code, action)
     direct = pure_erasure_space(union).complement
     width = _complement_width(union.n, union.k, False)
     # the blocks are laid out for a union of 2K kets, (2K)^2 - 1 = width

@@ -11,19 +11,22 @@ It also keeps the older factorizations behind OperatorSubspace: the nullspace
 complement of a constraint system from the SVD of its wide rows, which the
 package no longer solves at all, and the full singular value spectrum of a
 containment residual, where the package reads the largest singular value
-from a small Gram.  The wide SVD of all complements stacked as rows is the
-second route to intersect, which factors only what its widest input
-complement does not span.  And it keeps the
-routes through a spanning basis B, where the package reads membership and
-containment off complements alone: the member residual |v - B B^H v| / |v|,
-and the containment residual sigma_max(C_outer^H B_inner).  Last, it keeps
-the one-sided maps E -> U E and E -> E U that unions._block_sum folds into
-one map of the gram columns, the equal-expectation space from the anchor
-pair's own gram tensor, whose row _block_sum takes from the same map, and
+from a small Gram.  It keeps intersect, the general intersection that the
+package's union formulas no longer need: it factors only what its widest
+input complement does not span, with an absolute rank cut, and the wide SVD
+of all complements stacked as rows is its second route.  The union
+formulas' closed-form directions (unions._formula_complements) are tested
+against its new-direction step.  And it keeps the routes through a spanning
+basis B, where the package reads membership and containment off
+complements alone: the member residual |v - B B^H v| / |v|, and the
+containment residual sigma_max(C_outer^H B_inner).  Last, it keeps the
+one-sided maps E -> U E and E -> E U that unions._block_sum folds into one
+map of the gram columns, the equal-expectation space from the anchor
+pair's own gram tensor, whose row the closed-form direction a replaces, and
 the union cross-check's residuals from one projection of all pipeline
 columns off the whole direct complement and one Gram, where the package
-projects each ket pair's two columns off that pair's two direct columns.  Spans given
-by their vectors are built here too: only tests build them.
+projects each ket pair's two columns off that pair's two direct columns.
+Spans given by their vectors are built here too: only tests build them.
 """
 
 import numpy as np
@@ -31,7 +34,6 @@ import numpy as np
 from qerasure import OperatorSubspace
 from qerasure.erasure import _deviations
 from qerasure.operator_space import (
-    RANK_RTOL,
     _as_columns,
     _complete_orthonormal,
     _pauli_grams,
@@ -39,6 +41,12 @@ from qerasure.operator_space import (
     matrices_to_coords,
 )
 from qerasure.unions import _as_action
+
+# intersect's absolute rank cut: a residual of unit-norm columns keeps
+# singular values above it; kept directions weaker than REPROJECT_BELOW are
+# projected once more ("twice is enough": Giraud, Langou, Rozloznik 2005)
+RANK_RTOL = 1e-8
+REPROJECT_BELOW = 0.5
 
 
 def _rank(s, rtol):
@@ -138,3 +146,45 @@ def shared_residuals_full_gram(s, a, b, direct, width):
     theorem5 = np.r_[:s.shape[1], head:r.shape[1]]
     return tuple(float(np.sqrt(max(np.linalg.eigvalsh(m)[-1], 0.0)))
                  for m in (g[:head, :head] + t.conj().T @ t, g[np.ix_(theorem5, theorem5)]))
+
+
+def _new_directions(q, rest):
+    """Orthonormal directions that the columns of rest add to the orthonormal q.
+
+    rest, projected off q, is a residual with 4^n rows and rest's columns;
+    its left singular vectors with singular values above RANK_RTOL are the
+    new directions (Barlow and Smoktunowicz, "Reorthogonalized block
+    classical Gram-Schmidt", Numer. Math. 123, 2013).  The cut is absolute,
+    since rest has unit-norm columns.  Those below REPROJECT_BELOW are
+    projected off q again, in place: one near the cut is about eps /
+    RANK_RTOL off the complement of q.  Only the kept columns are returned.
+    """
+    u, s, _ = np.linalg.svd(rest - q @ (q.conj().T @ rest), full_matrices=False)
+    new = u[:, :np.count_nonzero(s > RANK_RTOL)]
+    weak = new[:, np.count_nonzero(s >= REPROJECT_BELOW):]
+    weak -= q @ (q.conj().T @ weak)
+    return new
+
+
+def intersect(subspaces):
+    """Common subspace of all inputs.
+
+    A vector lies in every subspace exactly when it is orthogonal to every
+    complement, so the complement of the intersection is the span of them
+    all.  Complements are orthonormal, so the widest one, Q (the first of
+    equal width), is kept as it stands, and only the others, stacked, are
+    factored against it for the directions they add (_new_directions).
+    """
+    if len(subspaces) == 0:
+        raise ValueError("need at least one subspace")
+    n = subspaces[0].n
+    if any(s.n != n for s in subspaces):
+        raise ValueError("subspaces live on different qubit counts")
+    widest = max(range(len(subspaces)), key=lambda i: subspaces[i].complement.shape[1])
+    q = subspaces[widest].complement
+    rest = [s.complement for i, s in enumerate(subspaces) if i != widest]
+    if sum(c.shape[1] for c in rest) == 0:
+        return OperatorSubspace(n, complement=q)
+    return OperatorSubspace(n, complement=np.hstack([q, _new_directions(q, np.hstack(rest))]))
+
+

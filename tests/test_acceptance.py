@@ -32,7 +32,6 @@ from qerasure import (
     fixture_rains_subcode,
     gbp_pair_transform,
     get_fixture,
-    intersect,
     minimum_distance,
     pauli_from_string,
     pauli_to_string,
@@ -57,6 +56,7 @@ from _oracle import (
     svd_rank,
     violators_dense,
 )
+from _svd_route import intersect
 from conftest import random_code, random_orthogonal_pair, src_env
 
 

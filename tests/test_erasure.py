@@ -239,7 +239,7 @@ def test_pure_is_identity_plus_traceless_zero_block():
     ps, zs = pure_erasure_space(code), annihilating_space(code)
     assert ps.dim == zs.dim
     # common part has codimension one in each
-    from qerasure import intersect
+    from _svd_route import intersect
 
     common = intersect([ps, zs])
     assert common.dim == ps.dim - 1

@@ -10,7 +10,6 @@ from qerasure import (
     coords_to_matrices,
     enumerate_paulis,
     equality_residual,
-    intersect,
     matrices_to_coords,
     operator_weight,
     pauli_coords,
@@ -24,6 +23,7 @@ from qerasure.pauli import PauliOperator, _index_aligned_masks, _pauli_masks
 
 from _oracle import dense_pauli, gram, sorted_paulis
 from _svd_route import (
+    intersect,
     basis_containment_residual,
     basis_member_residual,
     from_span,

@@ -24,8 +24,10 @@ KEPT = {
 
 DELETED = {
     qerasure: ("code_projector", "coords_to_matrix", "dagger", "matrix_element",
-               "apply_pauli", "basis_state", "inner_product"),
-    qerasure.operator_space: ("coords_to_matrix", "_rank", "_real_or_complex"),
+               "apply_pauli", "basis_state", "inner_product", "intersect", "RANK_RTOL"),
+    qerasure.operator_space: ("coords_to_matrix", "_rank", "_real_or_complex", "intersect",
+                              "_new_directions"),
+    qerasure.tolerances: ("RANK_RTOL", "REPROJECT_BELOW"),
     qerasure.OperatorSubspace: ("from_constraints", "full", "validate"),
     qerasure.Ket: ("is_normalized",),
     qerasure.CodeTransform: ("adjoint",),

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from qerasure.pauli import apply_to_amplitudes
 from qerasure.states import LOCAL_GATES
 
 from _oracle import all_pauli_letterings, conjugate_letters, dense_pauli, transform_matrix
+from conftest import random_unitary
 
 
 def random_ket(rng, n):
@@ -154,6 +157,18 @@ def test_action_matrix_matches_oracle():
     u = UnitaryAction.from_transform(CodeTransform(4, perm=perm, locals=gates))
     local_mats = [LOCAL_GATES[g] for g in gates]
     assert np.max(np.abs(u.matrix - transform_matrix(perm, local_mats))) < 1e-15
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_action_matrix_is_the_kronecker_chain_bit_for_bit(rng, n):
+    # one broadcast product per qubit against reduce(np.kron) with its rows
+    # permuted, under a random permutation and random dense unitary locals
+    t = CodeTransform(n, perm=[int(j) for j in rng.permutation(n)],
+                      locals=[random_unitary(rng, 2) for _ in range(n)])
+    dim = 1 << n
+    rows = reduce(np.kron, t.locals).reshape((2,) * n + (dim,))
+    chain = np.moveaxis(rows, range(n), t.perm).reshape(dim, dim)
+    assert np.array_equal(UnitaryAction.from_transform(t).matrix, chain)
 
 
 def test_conjugate_pauli_sign_example():

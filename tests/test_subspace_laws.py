@@ -10,9 +10,9 @@ _svd_route.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from qerasure import OperatorSubspace, containment_residual, equality_residual, intersect
+from qerasure import OperatorSubspace, containment_residual, equality_residual
 
-from _svd_route import wide_nullspace_complement
+from _svd_route import intersect, wide_nullspace_complement
 from conftest import assert_orthonormal, random_unitary
 
 

@@ -23,7 +23,6 @@ from qerasure import (
     gbp_pair_transform,
     get_fixture,
     ingest_code,
-    intersect,
     minimum_distance,
     multiply,
     pauli_coords,
@@ -44,13 +43,16 @@ from qerasure.unions import (
     _as_action,
     _block_sum,
     _cross_check,
+    _formula_complements,
     _shared_residuals,
 )
 
 from _oracle import SINGLE, all_pauli_letterings, conjugate_letters, dense_pauli, transform_matrix
 from _svd_route import (
+    _new_directions,
     equal_expectation_space,
     from_span,
+    intersect,
     product_image,
     shared_residuals_full_gram,
     wide_nullspace_complement,
@@ -254,8 +256,9 @@ def test_equal_expectation_identity_action():
 
 
 def test_equal_expectation_gbp_dim():
+    # the one direction a that the expectation row adds to S-perp is traceless
     code = fixture_gbp_code()
-    s = _block_sum(code, _as_action(4, gbp_pair_transform()))[3]
+    s = OperatorSubspace(4, _formula_complements(code, _as_action(4, gbp_pair_transform()))[1])
     assert s.dim == 255
     ident = np.zeros(256, dtype=complex)
     ident[0] = 1.0
@@ -354,8 +357,9 @@ def test_shared_route_matches_the_one_shot_formulas(rng):
             intersect([es, conjugate_subspace(es, act), mixed, equal_expectation_space(code, act)]),
             intersect([ps, conjugate_subspace(ps, act), mixed]),
         )
-        block = _block_sum(code, act)
-        shared_route = (intersect([block[0], block[3]]), intersect(block[:3]))
+        s, a, b = _formula_complements(code, act)
+        shared_route = (OperatorSubspace(code.n, np.hstack([s, a])),
+                        OperatorSubspace(code.n, np.hstack([s, b])))
         for shared, direct in zip(shared_route, one_shot):
             assert shared.dim == direct.dim
             assert equality_residual(shared, direct) < 1e-12
@@ -425,7 +429,7 @@ def s_perp_parts(k):
 def mixed_slice(code, act):
     """The mixed blocks' complement, read out of S-perp."""
     mixed = s_perp_parts(code.k)[2]
-    return OperatorSubspace(code.n, _block_sum(code, act)[0].complement[:, mixed])
+    return OperatorSubspace(code.n, _block_sum(code, act)[0][:, mixed])
 
 
 def test_real_mixed_piece_matches_complex_one_sided_images(rng):
@@ -535,8 +539,8 @@ def test_cross_check_builds_the_image_once(monkeypatch):
 def test_cross_check_builds_two_gram_tensors(gram_builds):
     code = ingest_code(code_to_json(fixture_gbp_code()))
     cross_check_intersection_formulas(code, gbp_pair_transform())
-    # the code's and the union's: the expectation row is read off the code's
-    # gram columns, so no tensor of the anchor pair is built
+    # the code's and the union's: a and B are closed forms of the code's gram
+    # columns, so no tensor of the anchor pair is built
     assert sorted(gram_builds) == [(4, 4), (4, 8)]
 
 
@@ -544,9 +548,10 @@ def test_cross_check_shares_one_conjugation_and_no_wide_intersection(monkeypatch
     from qerasure import erasure, unions
 
     code, t = fixture_gbp_code(), gbp_pair_transform()
+    cross_check_intersection_formulas(code, t)  # warm-up: the cached ones complements
     calls = {name: [] for name in ("conjugate_subspace", "coords_to_matrices",
-                                   "matrices_to_coords", "union_code", "intersect",
-                                   "pure_erasure_space", "_new_directions", "_shared_residuals")}
+                                   "matrices_to_coords", "union_code",
+                                   "pure_erasure_space", "_shared_residuals")}
     for name, seen in calls.items():
         real = getattr(unions, name)
         monkeypatch.setattr(unions, name, lambda *args, real=real, seen=seen, **kwargs:
@@ -560,6 +565,11 @@ def test_cross_check_shares_one_conjugation_and_no_wide_intersection(monkeypatch
     real_eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         lambda g: eigensolves.append(g.shape) or real_eigvalsh(g))
+    factorizations = {"svd": [], "qr": []}
+    for name, seen in factorizations.items():
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *args, real=real, seen=seen, **kwargs:
+                            seen.append(args) or real(*args, **kwargs))
     report = cross_check_intersection_formulas(code, t)
     assert report["theorem4"]["matches_direct"] and report["theorem5"]["matches_direct"]
     # one map of the code's K^2 gram columns to matrices, and two back: Z U^H
@@ -573,12 +583,9 @@ def test_cross_check_shares_one_conjugation_and_no_wide_intersection(monkeypatch
     assert [c.k for c in scaled] == [code.k, 2 * code.k]
     assert [args[0].k for args in calls["pure_erasure_space"]] == [2 * code.k]
     assert len(calls["union_code"]) == 1
-    # S is a concatenation, never intersected: the expectation row, and p with
-    # U p U^H, are each factored against S alone, at most two columns at a time
-    assert calls["intersect"] == []
-    assert len(calls["_new_directions"]) == 2
-    for q, rest in calls["_new_directions"]:
-        assert q.shape[1] == 4 * code.k**2 - 2 and rest.shape[1] <= 2
+    # S is a concatenation, never intersected, and what the expectation row
+    # and p with U p U^H add to it are closed forms: nothing is factored
+    assert factorizations == {"svd": [], "qr": []}
     # both residuals against the union's pure complement, ket pair by ket
     # pair: the pairs' 2 x 2 Grams are read in closed form, and the only
     # eigenvalue solves are one for each formula's diagonal block
@@ -599,15 +606,16 @@ def test_each_public_formula_builds_only_its_own_intersection(monkeypatch, gram_
                                                               public, dim):
     from qerasure import unions
 
-    intersections = []
-    real = unions.intersect
-    monkeypatch.setattr(unions, "intersect",
-                        lambda spaces: intersections.append(spaces) or real(spaces))
+    blocks = []
+    real = unions._block_sum
+    monkeypatch.setattr(unions, "_block_sum",
+                        lambda *args: blocks.append(args) or real(*args))
     code = fixture_gbp_code()
     code.grams  # the code's own tensor, built before the count starts
     gram_builds.clear()
     assert public(code, gbp_pair_transform()).dim == dim
-    assert len(intersections) == 1
+    # one S-perp, with the formula's own closed-form directions beside it
+    assert len(blocks) == 1
     # the expectation row comes from the code's own gram tensor: no other is built
     assert gram_builds == []
 
@@ -630,10 +638,11 @@ def test_block_sum_matches_the_wide_intersection(rng):
     # complements of S are orthonormal and span what intersect finds
     for code, u in block_sum_cases(rng):
         act = _as_action(code.n, u)
-        shared, p, p_conj, _ = _block_sum(code, act)
+        s, p, p_conj = _block_sum(code, act)
+        shared = OperatorSubspace(code.n, s)
         assert_orthonormal(shared, 1e-12)
-        assert shared.complement.shape[1] == 4 * code.k**2 - 2
-        assert p.complement.shape[1] == p_conj.complement.shape[1] == 1
+        assert s.shape[1] == 4 * code.k**2 - 2
+        assert p.shape[1] == p_conj.shape[1] == 1
         es = erasure_space(code)
         oracle = intersect([es, conjugate_subspace(es, act),
                             one_sided_meet(annihilating_space(code), act)])
@@ -647,11 +656,11 @@ def test_block_sum_slices_are_the_conjugate_and_the_one_sided_images(rng):
     # and the mixed pairs' columns the mixed blocks' complement
     for code, u in block_sum_cases(rng):
         act = _as_action(code.n, u)
-        shared, p, p_conj, _ = _block_sum(code, act)
-        own, conj, mixed = (shared.complement[:, cols] for cols in s_perp_parts(code.k))
+        s, p, p_conj = _block_sum(code, act)
+        own, conj, mixed = (s[:, cols] for cols in s_perp_parts(code.k))
         pure = pure_erasure_space(code)
-        for got, want in ((np.hstack([own, p.complement]), pure),
-                          (np.hstack([conj, p_conj.complement]), conjugate_subspace(pure, act)),
+        for got, want in ((np.hstack([own, p]), pure),
+                          (np.hstack([conj, p_conj]), conjugate_subspace(pure, act)),
                           (mixed, one_sided_meet(annihilating_space(code), act))):
             assert got.dtype == np.float64
             got = OperatorSubspace(code.n, got)
@@ -660,16 +669,20 @@ def test_block_sum_slices_are_the_conjugate_and_the_one_sided_images(rng):
 
 
 def test_block_sum_expectation_row_matches_the_reference(rng):
-    # columns 0 of Z and U Z U^H are the two expectations; their normalized
-    # difference spans the row of the anchor pair's own gram tensor
+    # a, the closed form along p - U p U^H, is what the row of the anchor
+    # pair's own gram tensor adds to S-perp: [S-perp | a] is S met with the
+    # reference's equal-expectation space
     for code, u in block_sum_cases(rng):
         act = _as_action(code.n, u)
-        row = _block_sum(code, act)[3]
-        assert row.complement.shape == (4**code.n, 1)
-        assert row.complement.dtype == np.float64
-        assert_orthonormal(row, 1e-12)
-        assert abs(row.complement[0, 0]) < 1e-15  # tr E is unconstrained
-        assert equality_residual(row, equal_expectation_space(code, act)) < 1e-12
+        s, a, _ = _formula_complements(code, act)
+        assert a.shape == (4**code.n, 1)
+        assert a.dtype == np.float64
+        assert abs(a[0, 0]) < 1e-15  # tr E is unconstrained
+        meet = intersect([OperatorSubspace(code.n, s), equal_expectation_space(code, act)])
+        theorem4 = OperatorSubspace(code.n, np.hstack([s, a]))
+        assert_orthonormal(theorem4, 1e-12)
+        assert theorem4.dim == meet.dim
+        assert equality_residual(theorem4, meet) < 1e-12
 
 
 def _shared_inputs(monkeypatch, code, act, union):
@@ -865,3 +878,49 @@ def test_cross_check_of_a_mismatched_union_reads_equality_residuals(monkeypatch,
         assert pipeline.dim != direct.dim and not report[key]["matches_direct"]
         assert report[key]["residual"] == 1.0
         assert abs(report[key]["residual"] - real(pipeline, direct)) < 1e-12
+
+
+def closed_form_cases(rng):
+    """block_sum_cases, the whole-space gbp-union under IIIX, and |00> under X (x) H."""
+    pair = ingest_code({"n": 2, "label": "pair", "basis": [[(1, "00")]]})
+    return block_sum_cases(rng) + [
+        (get_fixture("gbp-union"), CodeTransform(4, locals=["I", "I", "I", "X"])),
+        (pair, CodeTransform(2, locals=["X", "H"]))]
+
+
+def projector_distance(x, y):
+    """|P_x - P_y|_2 for orthonormal x and y of equal width: the sine of their
+    largest principal angle, the norm of the residual of y off x."""
+    assert x.shape == y.shape
+    return float(np.linalg.norm(y - x @ (x.T @ y), 2))
+
+
+def test_closed_form_directions_match_the_new_direction_step(rng):
+    # a and B span what the reference's rank-cut step finds that the
+    # expectation row, and p with U p U^H, add to S-perp
+    for code, u in closed_form_cases(rng):
+        act = _as_action(code.n, u)
+        s, p, p_conj = _block_sum(code, act)
+        shared, a, b = _formula_complements(code, act)
+        assert np.array_equal(shared, s)
+        row = equal_expectation_space(code, act).complement
+        assert projector_distance(a, _new_directions(s, row)) <= 1e-14
+        assert projector_distance(b, _new_directions(s, np.hstack([p, p_conj]))) <= 1e-14
+        assert b.shape[1] == (1 if 2 * code.k == 1 << code.n else 2)
+        assert np.max(np.abs(b.T @ b - np.eye(b.shape[1]))) <= 1e-14
+        assert np.max(np.abs(s.T @ np.hstack([a, b]))) <= 1e-14
+        # the cosine of p and U p U^H is the constant the closed forms use
+        assert abs((p.T @ p_conj).item() + code.k / ((1 << code.n) - code.k)) <= 1e-14
+
+
+def test_pure_formula_with_the_erasure_direction_has_the_wrong_dimension(rng):
+    # negative control: where B has two columns, [S-perp | a] in its place
+    # leaves the pure formula one dimension too large
+    for code, u in closed_form_cases(rng):
+        if 2 * code.k == 1 << code.n:
+            continue  # there c = -1 and a = p = B: the control cannot differ
+        act = _as_action(code.n, u)
+        s, a, _ = _formula_complements(code, act)
+        union, _ = union_code([code, transform_code(code, act)])
+        wrong = OperatorSubspace(code.n, np.hstack([s, a]))
+        assert wrong.dim != pure_erasure_space(union).dim
