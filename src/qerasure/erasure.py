@@ -227,42 +227,6 @@ def _ones_complement(k: int) -> np.ndarray:
     return q
 
 
-@lru_cache(maxsize=None)
-def _union_blocks(k: int) -> tuple[np.ndarray, ...]:
-    """Column layout of S-perp and of C (+) UC's complement by ket pair, for K = k.
-
-    Column i*m + j of a complement over m kets is diagonal when i = j, and
-    otherwise one of the two orthonormal columns, at i*m + j and j*m + i,
-    that span the real plane of the pair of kets i and j.  S-perp
-    (unions._block_sum) is laid out as [first | second | diagonal]: the
-    first and the second column of every ket pair, 2K^2 - K of each, in the
-    order CC pairs i < j, UU pairs i < j, then mixed pairs (i, j) row-major,
-    then the 2K - 2 diagonal columns of ES(C)-perp and of its conjugate.
-    Mixed pair (i, j) is the plane of |c_i><Uc_j|, the union's kets i and
-    K + j.  Returns the slots in S-perp of ES(C)-perp's columns, the first
-    K^2 - 1 of _condition_complement over the K kets, and of its
-    conjugate's; the slices of the mixed pairs' first and second columns;
-    the union column, of _condition_complement over the 2K kets, that faces
-    each of S-perp's paired columns; and the union's 2K diagonal columns, of
-    which a complement keeps those below its width.
-    """
-    i, j = np.triu_indices(k, 1)
-    a, b = np.divmod(np.arange(k * k), k)
-    m, h, pairs = 2 * k, i.size, 2 * k * k - k
-    slot = np.empty((k, k), dtype=np.int64)
-    slot[i, j] = np.arange(h)
-    slot[j, i] = pairs + np.arange(h)
-    slot[np.arange(k), np.arange(k)] = 2 * pairs + np.arange(k)
-    own = slot.ravel()[:-1]
-    # the conjugate's pairs, the UU pairs, follow ES(C)-perp's CC pairs, and
-    # its diagonal columns follow ES(C)-perp's
-    conj = own + np.where(own < 2 * pairs, h, k - 1)
-    mixed = (slice(2 * h, pairs), slice(pairs + 2 * h, 2 * pairs))
-    facing = np.r_[i * m + j, (k + i) * m + k + j, a * m + k + b,
-                   j * m + i, (k + j) * m + k + i, (k + b) * m + a]
-    return own, conj, mixed, facing, np.arange(0, m * m, m + 1)
-
-
 def erasure_space(code: QuantumCode) -> OperatorSubspace:
     """The space of all operators passing check_erasure, as a subspace.
 

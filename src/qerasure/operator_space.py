@@ -308,7 +308,7 @@ def containment_residual(inner: OperatorSubspace, outer: OperatorSubspace) -> fl
     near 1e-16 on equal spaces, where 1 - sigma_min(ci^H co)^2 would cancel
     to about 1e-8.  The union cross-check reads its residuals the same way,
     projecting the other way round, one Hilbert-Schmidt block at a time
-    (unions._shared_residuals).
+    (unions._cross_check).
     """
     if inner.n != outer.n:
         raise ValueError("subspaces live on different qubit counts")

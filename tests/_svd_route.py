@@ -23,9 +23,9 @@ containment residual sigma_max(C_outer^H B_inner).  Last, it keeps the
 one-sided maps E -> U E and E -> E U that unions._block_sum folds into one
 map of the gram columns, the equal-expectation space from the anchor
 pair's own gram tensor, whose row the closed-form direction a replaces, and
-the union cross-check's residuals from one projection of all pipeline
-columns off the whole direct complement and one Gram, where the package
-projects each ket pair's two columns off that pair's two direct columns.
+the union cross-check's residuals from one projection of each theorem's
+whole complement off the whole direct one, where the package projects each
+ket pair's two columns off that pair's two direct columns.
 Spans given by their vectors are built here too: only tests build them.
 """
 
@@ -128,24 +128,29 @@ def equal_expectation_space(code, u, anchor=0):
     return OperatorSubspace(code.n, wide_nullspace_complement(row))
 
 
-def shared_residuals_full_gram(s, a, b, direct, width):
-    """unions._shared_residuals from one projection of [s | a | b] off direct.
+def theorem_columns(s, diagonal):
+    """A theorem's complement from unions._formula_complements' grid s and its
+    diagonal columns: the grid's entries off its diagonal, then diagonal."""
+    m = s.shape[1]
+    return np.hstack([s.reshape(len(s), m * m)[:, ~np.eye(m, dtype=bool).ravel()], diagonal])
 
-    r = x - direct (direct^H x) and g = r^H r.  The Theorem 5 Gram is g's
-    block on [s | b].  Theorem 4's direct complement d = direct[:, :width]
-    leaves out direct's trailing columns e, and I - d d^H = (I - direct
-    direct^H) + e e^H, so its Gram is g's block on [s | a] plus t^H t, where
-    t = e^H [s | a].
+
+def grid_residuals_full_gram(s, four, five, direct):
+    """unions._cross_check's residuals from one projection of each theorem's
+    whole complement off the whole direct one.
+
+    direct is the union's complement grid flattened to (4^n, m^2) columns,
+    and a theorem's direct complement its leading columns, as many as that
+    theorem's complement has.  r = x - d (d^H x) and the residual is the
+    square root of the largest eigenvalue of r^H r.
     """
-    r = np.hstack([s, a, b])
-    proj = direct.conj().T @ r
-    r -= direct @ proj
-    g = r.conj().T @ r
-    head = s.shape[1] + a.shape[1]
-    t = proj[width:, :head]
-    theorem5 = np.r_[:s.shape[1], head:r.shape[1]]
-    return tuple(float(np.sqrt(max(np.linalg.eigvalsh(m)[-1], 0.0)))
-                 for m in (g[:head, :head] + t.conj().T @ t, g[np.ix_(theorem5, theorem5)]))
+    out = []
+    for diagonal in (four, five):
+        x = theorem_columns(s, diagonal)
+        d = direct[:, :x.shape[1]]
+        r = x - d @ (d.conj().T @ x)
+        out.append(float(np.sqrt(max(np.linalg.eigvalsh(r.conj().T @ r)[-1], 0.0))))
+    return tuple(out)
 
 
 def _new_directions(q, rest):

@@ -125,6 +125,21 @@ def test_theorem_check_mode(capsys):
         assert report[key]["residual"] < 1e-8
 
 
+def test_theorem_check_with_complex_mixed_blocks(capsys):
+    # H and S locals make X = Z U-adjoint complex, so both the Re and the Im
+    # parts fill the grid's CU and UC entries
+    status, out, _ = run_cli(
+        capsys, "theorem-check", "--fixture", "rains-subcode",
+        "--transform", '{"locals": ["I", "I", "I", "H", "S"]}')
+    assert status == 0
+    report = json.loads(out)
+    assert (report["theorem4"]["dim"], report["theorem5"]["dim"]) == (1021, 1020)
+    for key in ("theorem4", "theorem5"):
+        assert report[key]["dim"] == report[key]["direct_dim"]
+        assert report[key]["matches_direct"] is True
+        assert report[key]["residual"] < 1e-12
+
+
 def test_theorem_check_transform_file(tmp_path, capsys):
     spec = tmp_path / "t.json"
     spec.write_text('{"locals": ["I", "I", "I", "Y"]}')

@@ -1,5 +1,3 @@
-import sys
-
 import numpy as np
 import pytest
 
@@ -37,15 +35,9 @@ from qerasure import (
     weight,
 )
 from qerasure.codes import basis_matrix
-from qerasure.erasure import _union_blocks, annihilating_space
+from qerasure.erasure import _scaled_columns, annihilating_space
 from qerasure.operator_space import _pauli_grams, _pauli_table
-from qerasure.unions import (
-    _as_action,
-    _block_sum,
-    _cross_check,
-    _formula_complements,
-    _shared_residuals,
-)
+from qerasure.unions import _as_action, _block_sum, _cross_check, _formula_complements
 
 from _oracle import SINGLE, all_pauli_letterings, conjugate_letters, dense_pauli, transform_matrix
 from _svd_route import (
@@ -53,8 +45,9 @@ from _svd_route import (
     equal_expectation_space,
     from_span,
     intersect,
+    grid_residuals_full_gram,
     product_image,
-    shared_residuals_full_gram,
+    theorem_columns,
     wide_nullspace_complement,
 )
 from conftest import assert_orthonormal, random_code, random_orthogonal_pair, random_unitary
@@ -258,7 +251,8 @@ def test_equal_expectation_identity_action():
 def test_equal_expectation_gbp_dim():
     # the one direction a that the expectation row adds to S-perp is traceless
     code = fixture_gbp_code()
-    s = OperatorSubspace(4, _formula_complements(code, _as_action(4, gbp_pair_transform()))[1])
+    four = _formula_complements(code, _as_action(4, gbp_pair_transform()))[1]
+    s = OperatorSubspace(4, four[:, code.k - 1])
     assert s.dim == 255
     ident = np.zeros(256, dtype=complex)
     ident[0] = 1.0
@@ -357,9 +351,8 @@ def test_shared_route_matches_the_one_shot_formulas(rng):
             intersect([es, conjugate_subspace(es, act), mixed, equal_expectation_space(code, act)]),
             intersect([ps, conjugate_subspace(ps, act), mixed]),
         )
-        s, a, b = _formula_complements(code, act)
-        shared_route = (OperatorSubspace(code.n, np.hstack([s, a])),
-                        OperatorSubspace(code.n, np.hstack([s, b])))
+        shared_route = (union_erasure_space_via_intersection(code, act),
+                        union_pure_space_via_intersection(code, act))
         for shared, direct in zip(shared_route, one_shot):
             assert shared.dim == direct.dim
             assert equality_residual(shared, direct) < 1e-12
@@ -415,21 +408,26 @@ def fixture_and_random_pairs(rng):
             swap_pair(rng, 3, 2), swap_pair(rng, 4, 3), half_frame_pair(rng, 4, 3)]
 
 
-def s_perp_parts(k):
-    """Columns of S-perp = [first | second | diagonal] (erasure._union_blocks)
-    holding ES(C)-perp, its conjugate and the mixed blocks' complement: each
-    ket pair's first and second columns, CC pairs, UU pairs, then mixed pairs,
-    and the diagonal columns of ES(C)-perp before those of its conjugate."""
-    h, pairs = k * (k - 1) // 2, 2 * k * k - k
-    return (np.r_[:h, pairs:pairs + h, 2 * pairs:2 * pairs + k - 1],
-            np.r_[h:2 * h, pairs + h:pairs + 2 * h, 2 * pairs + k - 1:2 * pairs + 2 * k - 2],
-            np.r_[2 * h:pairs, pairs + 2 * h:2 * pairs])
+def grid_blocks(s):
+    """The CC, UU and mixed (CU then UC) blocks of a _block_sum grid, as columns."""
+    k = s.shape[1] // 2
+    c, u = slice(None, k), slice(k, None)
+    cc, uu, cu, uc = (s[:, a, b].reshape(len(s), -1) for a, b in ((c, c), (u, u), (c, u), (u, c)))
+    return cc, uu, np.hstack([cu, uc])
+
+
+def grid_parts(s):
+    """S-perp's columns of a _block_sum grid, and p and p' = U p U^H, read off
+    their diagonal slots (K-1, K-1) and (2K-1, 2K-1)."""
+    m = s.shape[1]
+    flat = s.reshape(len(s), m * m)
+    p, p_conj = (m // 2 - 1) * (m + 1), m * m - 1
+    return np.delete(flat, [p, p_conj], axis=1), flat[:, [p]], flat[:, [p_conj]]
 
 
 def mixed_slice(code, act):
-    """The mixed blocks' complement, read out of S-perp."""
-    mixed = s_perp_parts(code.k)[2]
-    return OperatorSubspace(code.n, _block_sum(code, act)[0][:, mixed])
+    """The mixed blocks' complement, read out of S-perp's grid."""
+    return OperatorSubspace(code.n, grid_blocks(_block_sum(code, act))[2])
 
 
 def test_real_mixed_piece_matches_complex_one_sided_images(rng):
@@ -551,7 +549,7 @@ def test_cross_check_shares_one_conjugation_and_no_wide_intersection(monkeypatch
     cross_check_intersection_formulas(code, t)  # warm-up: the cached ones complements
     calls = {name: [] for name in ("conjugate_subspace", "coords_to_matrices",
                                    "matrices_to_coords", "union_code",
-                                   "pure_erasure_space", "_shared_residuals")}
+                                   "_condition_complement", "_pair_residuals")}
     for name, seen in calls.items():
         real = getattr(unions, name)
         monkeypatch.setattr(unions, name, lambda *args, real=real, seen=seen, **kwargs:
@@ -577,24 +575,23 @@ def test_cross_check_shares_one_conjugation_and_no_wide_intersection(monkeypatch
     assert calls["conjugate_subspace"] == []
     assert [cols.shape[1] for cols, _ in calls["coords_to_matrices"]] == [code.k**2]
     assert len(calls["matrices_to_coords"]) == 2
-    # gram columns of the code and of the union, whose pure space gives both
-    # direct spaces: no space of the code itself (pure or annihilating) is
-    # built, and the one orthogonality check is union_code's
+    # gram columns of the code and of the union, whose pure complement gives
+    # both direct spaces: the one closed form of the code's complement serves
+    # ES(C)-perp and its conjugate, no space of the code itself (pure or
+    # annihilating) is built, and the one orthogonality check is union_code's
     assert [c.k for c in scaled] == [code.k, 2 * code.k]
-    assert [args[0].k for args in calls["pure_erasure_space"]] == [2 * code.k]
+    assert [cols.shape[1] for cols, _ in calls["_condition_complement"]] == [
+        code.k**2, code.k**2, 4 * code.k**2]
     assert len(calls["union_code"]) == 1
     # S is a concatenation, never intersected, and what the expectation row
     # and p with U p U^H add to it are closed forms: nothing is factored
     assert factorizations == {"svd": [], "qr": []}
     # both residuals against the union's pure complement, ket pair by ket
-    # pair: the pairs' 2 x 2 Grams are read in closed form, and the only
-    # eigenvalue solves are one for each formula's diagonal block
-    (shared, a, b, direct, width), = calls["_shared_residuals"]
-    union, _ = union_code([code, transform_code(code, t)])
-    assert np.array_equal(direct, pure_erasure_space(union).complement)
-    assert shared.shape[1] == 4 * code.k**2 - 2
-    assert (a.shape[1], b.shape[1]) == (1, 2)
+    # pair on one grid: the pairs' 2 x 2 Grams are read in closed form, and
+    # the only eigenvalue solves are one for each formula's diagonal block
+    (pipeline, direct), = calls["_pair_residuals"]
     k = code.k
+    assert pipeline.shape == direct.shape == (4**code.n, 2 * k, 2 * k)
     assert eigensolves == [(w, w) for w in (2 * k - 1, 2 * k)]
 
 
@@ -634,11 +631,13 @@ def block_sum_cases(rng):
 
 
 def test_block_sum_matches_the_wide_intersection(rng):
-    # the CC, UU and CU/UC blocks are orthogonal, so the concatenated
-    # complements of S are orthonormal and span what intersect finds
+    # the CC, UU and CU/UC blocks are orthogonal, so the grid less p's and
+    # p''s slots is an orthonormal complement of S and spans what intersect finds
     for code, u in block_sum_cases(rng):
         act = _as_action(code.n, u)
-        s, p, p_conj = _block_sum(code, act)
+        grid = _block_sum(code, act)
+        assert grid.shape == (4**code.n, 2 * code.k, 2 * code.k)
+        s, p, p_conj = grid_parts(grid)
         shared = OperatorSubspace(code.n, s)
         assert_orthonormal(shared, 1e-12)
         assert s.shape[1] == 4 * code.k**2 - 2
@@ -651,16 +650,14 @@ def test_block_sum_matches_the_wide_intersection(rng):
 
 
 def test_block_sum_slices_are_the_conjugate_and_the_one_sided_images(rng):
-    # one map of the gram columns gives all three: ES(C)-perp's columns with
-    # p are PS(C)'s complement, [U ES(C)-perp U^H | U p U^H] its conjugate,
-    # and the mixed pairs' columns the mixed blocks' complement
+    # one map of the gram columns gives all three: the CC block, with p in
+    # its last slot, is PS(C)'s complement, the UU block its conjugate, and
+    # the CU and UC blocks the mixed blocks' complement
     for code, u in block_sum_cases(rng):
         act = _as_action(code.n, u)
-        s, p, p_conj = _block_sum(code, act)
-        own, conj, mixed = (s[:, cols] for cols in s_perp_parts(code.k))
+        cc, uu, mixed = grid_blocks(_block_sum(code, act))
         pure = pure_erasure_space(code)
-        for got, want in ((np.hstack([own, p]), pure),
-                          (np.hstack([conj, p_conj]), conjugate_subspace(pure, act)),
+        for got, want in ((cc, pure), (uu, conjugate_subspace(pure, act)),
                           (mixed, one_sided_meet(annihilating_space(code), act))):
             assert got.dtype == np.float64
             got = OperatorSubspace(code.n, got)
@@ -669,13 +666,15 @@ def test_block_sum_slices_are_the_conjugate_and_the_one_sided_images(rng):
 
 
 def test_block_sum_expectation_row_matches_the_reference(rng):
-    # a, the closed form along p - U p U^H, is what the row of the anchor
-    # pair's own gram tensor adds to S-perp: [S-perp | a] is S met with the
-    # reference's equal-expectation space
+    # a, the closed form along p - U p U^H in p's slot, is what the row of
+    # the anchor pair's own gram tensor adds to S-perp: [S-perp | a] is S met
+    # with the reference's equal-expectation space
     for code, u in block_sum_cases(rng):
         act = _as_action(code.n, u)
-        s, a, _ = _formula_complements(code, act)
-        assert a.shape == (4**code.n, 1)
+        grid, four, _ = _formula_complements(code, act)
+        s = grid_parts(grid)[0]
+        a = four[:, code.k - 1:code.k]
+        assert four.shape == (4**code.n, 2 * code.k - 1)
         assert a.dtype == np.float64
         assert abs(a[0, 0]) < 1e-15  # tr E is unconstrained
         meet = intersect([OperatorSubspace(code.n, s), equal_expectation_space(code, act)])
@@ -685,29 +684,41 @@ def test_block_sum_expectation_row_matches_the_reference(rng):
         assert equality_residual(theorem4, meet) < 1e-12
 
 
-def _shared_inputs(monkeypatch, code, act, union):
-    """The arguments _cross_check hands to _shared_residuals."""
+def cross_check_inputs(monkeypatch, code, act, union):
+    """What _cross_check compares, and its report: _formula_complements' grid
+    and the two theorems' diagonal columns, and the union's complement grid
+    that it hands to _pair_residuals, flattened to (4^n, (2K)^2) columns."""
     from qerasure import unions
 
-    seen = []
-    real = unions._shared_residuals
-    monkeypatch.setattr(unions, "_shared_residuals",
-                        lambda *args: seen.append(args) or real(*args))
-    _cross_check(code, act, union)
-    monkeypatch.setattr(unions, "_shared_residuals", real)
-    (args,) = seen
-    return args
+    seen = {}
+    formulas, pairs = unions._formula_complements, unions._pair_residuals
+
+    def spy_formulas(*args):
+        out = formulas(*args)
+        seen["pipeline"] = tuple(x.copy() for x in out)
+        return out
+
+    def spy_pairs(x, d):
+        seen["direct"] = d.reshape(len(d), -1).copy()
+        return pairs(x, d)
+
+    with monkeypatch.context() as m:
+        m.setattr(unions, "_formula_complements", spy_formulas)
+        m.setattr(unions, "_pair_residuals", spy_pairs)
+        report = _cross_check(code, act, union)
+    return (*seen["pipeline"], seen["direct"]), report
 
 
 def test_direct_erasure_complement_is_the_erasure_space_one(monkeypatch, rng):
-    # the projection basis is the union's pure complement, and its leading
-    # columns the erasure one, bit for bit
+    # the union's complement grid holds its pure complement in its leading
+    # columns, and the erasure one in fewer, bit for bit
     for code, u in block_sum_cases(rng):
         act = _as_action(code.n, u)
         union, _ = union_code([code, transform_code(code, act)])
-        *_, direct, width = _shared_inputs(monkeypatch, code, act, union)
-        assert np.array_equal(direct, pure_erasure_space(union).complement)
-        assert np.array_equal(direct[:, :width], erasure_space(union).complement)
+        (*_, direct), _ = cross_check_inputs(monkeypatch, code, act, union)
+        for space in (pure_erasure_space(union), erasure_space(union)):
+            width = space.complement.shape[1]
+            assert np.array_equal(direct[:, :width], space.complement)
 
 
 def test_shared_residuals_equal_the_equality_residuals(rng):
@@ -727,106 +738,139 @@ def _rotated(col, away, angle):
     return np.cos(angle) * col + np.sin(angle) * away
 
 
-# Columns of S-perp = [first | second | diagonal] for K = 4 (see s_perp_parts):
-# the 28 first and the 28 second columns of the ket pairs, each run 6 CC
-# pairs, 6 UU pairs and 16 mixed pairs, then ES(C)-perp's 3 diagonal columns
-# and its conjugate's.  One per block: CC pair (1, 3)'s second column, UU
-# pair (1, 3)'s second, mixed pair (2, 1)'s first and the conjugate's (1, 1)
-S_PERP_COLUMN = {"block-sum-column": 32, "uu-column": 38, "mixed-column": 21,
-                 "diagonal-column": 60}
+# Grid entries of S-perp for K = 4, in the union's layout of 8 kets: C's
+# kets 0-3 and UC's 4-7.  One per block: CC pair (1, 3)'s second column,
+# UU pair (1, 3)'s second, mixed pair (2, 1)'s first (the plane of the
+# union's kets 2 and 5) and the conjugate's second diagonal column
+S_PERP_ENTRY = {"block-sum-column": (3, 1), "uu-column": (7, 5), "mixed-column": (2, 5),
+                "diagonal-column": (5, 5)}
 
 
-@pytest.mark.parametrize("moved", ["expectation-direction", *S_PERP_COLUMN, "cross-pair-leak"])
+@pytest.mark.parametrize("moved", ["expectation-direction", *S_PERP_ENTRY, "cross-pair-leak"])
 def test_shared_residuals_track_a_rotated_pipeline(monkeypatch, rng, moved):
     # turn one pipeline column by a small angle toward a direction orthogonal
-    # to its pipeline complement: the spaces now differ, and the pair
-    # residuals must still give each sine that equality_residual finds.  a
-    # may turn toward the union's projector column (in the span of [s | b]),
-    # which Theorem 4 leaves out; a column of s is shared, so it turns away
+    # to its pipeline complement: the spaces now differ, and the cross-check
+    # must still give each sine that equality_residual finds.  a may turn
+    # toward the union's projector column (in Theorem 5's complement), which
+    # Theorem 4 leaves out; a column of S-perp is shared, so it turns away
     # from both pipelines, and so from every direct column, in every pair.
     # The leak turns a mixed column half toward another pair's direct column:
     # the pair read sees the whole turn, the full one only what leaves the
     # direct span, and the value stays in [full / sqrt(G), 1]
+    from qerasure import unions
+
     code, u = fixture_gbp_code(), CodeTransform(4, locals=["I", "X", "H", "X"])
     act = _as_action(code.n, u)
+    k = code.k
     union, _ = union_code([code, transform_code(code, act)])
-    s, a, b, direct, width = _shared_inputs(monkeypatch, code, act, union)
-    assert a.shape[1] == 1
-    # [s | a] and [s | b] are orthonormal, but a and b need not be orthogonal
-    kept = [s, a] if moved == "expectation-direction" else [s, a, b]
+    (grid, four, five, direct), _ = cross_check_inputs(monkeypatch, code, act, union)
+    # each theorem's complement is orthonormal, but four and five share
+    # only S-perp's diagonal columns
+    kept = [theorem_columns(grid, four)]
+    if moved != "expectation-direction":
+        kept.append(five[:, k - 1::k])  # B
     span = np.linalg.qr(np.hstack(kept))[0]
     away = rng.standard_normal(4**code.n)
     away -= span @ (span.T @ away)
     away -= span @ (span.T @ away)
     away /= np.linalg.norm(away)
-    facing = _union_blocks(code.k)[3]
-    leak = (direct[:, facing[0]] + away) / np.sqrt(2)  # CC pair (0, 1)'s plane, and off the span
-    groups = 2 * code.k**2 - code.k + 1
+    # entry (0, 1): in CC pair (0, 1)'s plane, and off the span
+    leak = (direct[:, 1] + away) / np.sqrt(2)
+    groups = 2 * k * k - k + 1
     for angle in np.logspace(-10, 0, 11):
-        s2, a2 = s.copy(), a.copy()
+        grid2, four2, five2 = grid.copy(), four.copy(), five.copy()
         if moved == "expectation-direction":
-            a2[:, 0] = _rotated(a[:, 0], away, angle)
+            four2[:, k - 1] = _rotated(four[:, k - 1], away, angle)
         elif moved == "cross-pair-leak":
-            col = S_PERP_COLUMN["mixed-column"]
-            s2[:, col] = _rotated(s[:, col], leak, angle)
+            a, b = S_PERP_ENTRY["mixed-column"]
+            grid2[:, a, b] = _rotated(grid[:, a, b], leak, angle)
+        elif moved == "diagonal-column":
+            slot = S_PERP_ENTRY[moved][0]
+            for before, after in ((four, four2), (five, five2)):
+                after[:, slot] = _rotated(before[:, slot], away, angle)
         else:
-            col = S_PERP_COLUMN[moved]
-            s2[:, col] = _rotated(s[:, col], away, angle)
-        shared = _shared_residuals(s2, a2, b, direct, width)
+            a, b = S_PERP_ENTRY[moved]
+            grid2[:, a, b] = _rotated(grid[:, a, b], away, angle)
+        with monkeypatch.context() as m:
+            m.setattr(unions, "_formula_complements",
+                      lambda *args: (grid2.copy(), four2, five2))
+            report = _cross_check(code, act, union)
+        got = (report["theorem4"]["residual"], report["theorem5"]["residual"])
         if moved == "cross-pair-leak":
-            for got, want in zip(shared, shared_residuals_full_gram(s2, a2, b, direct, width)):
-                assert want / np.sqrt(groups) <= got <= 1 + 1e-12
-                assert abs(got - np.sin(angle)) <= 1e-6 * np.sin(angle) + 1e-14
-                assert got >= SUBSPACE_TOL or angle < 1e-7  # a failed verdict
+            for res, want in zip(got, grid_residuals_full_gram(grid2, four2, five2, direct)):
+                assert want / np.sqrt(groups) <= res <= 1 + 1e-12
+                assert abs(res - np.sin(angle)) <= 1e-6 * np.sin(angle) + 1e-14
+                assert res >= SUBSPACE_TOL or angle < 1e-7  # a failed verdict
             continue
-        oracle = [equality_residual(OperatorSubspace(code.n, np.hstack([s2, x])),
+        oracle = [equality_residual(OperatorSubspace(code.n, theorem_columns(grid2, diagonal)),
                                     OperatorSubspace(code.n, d))
-                  for x, d in ((a2, direct[:, :width]), (b, direct))]
-        for got, want in zip(shared, oracle):
-            assert abs(got - want) <= 1e-6 * want + 1e-14
-        assert shared[0] > 0.1 * angle
+                  for diagonal, d in ((four2, direct[:, :-1]), (five2, direct))]
+        for res, want in zip(got, oracle):
+            assert abs(res - want) <= 1e-6 * want + 1e-14
+        assert got[0] > 0.1 * angle
         if moved != "expectation-direction":
-            assert shared[1] > 0.1 * angle
+            assert got[1] > 0.1 * angle
 
 
-def test_union_blocks_partition_both_complements_orthogonally(monkeypatch, rng):
-    # every column of S-perp and of the union's complement sits in exactly one
-    # group, a ket pair's plane or the diagonal block, and no group's union
-    # columns see another group's pipeline columns, nor a, b: what lets each
-    # ket pair be compared on its own
+def test_grid_entries_span_the_unions_ket_pair_planes(monkeypatch, rng):
+    # for each a != b the pipeline's entries (a, b) and (b, a) span the
+    # union's own _scaled_columns plane (a, b) and meet no other plane and
+    # no diagonal column, and every pipeline diagonal column, a and B
+    # included, meets no plane: what lets each ket pair be compared on its own
     for code, u in block_sum_cases(rng):
         act = _as_action(code.n, u)
         union, _ = union_code([code, transform_code(code, act)])
-        s, a, b, direct, _ = _shared_inputs(monkeypatch, code, act, union)
-        k = code.k
-        own, conj, mixed, facing, diagonal = _union_blocks(k)
-        mixed, diagonal = np.r_[mixed], diagonal[diagonal < direct.shape[1]]
-        pairs = facing.size // 2
-        assert pairs == 2 * k * k - k and s.shape[1] == 2 * pairs + 2 * k - 2
-        for got, want in zip((own, conj, mixed), s_perp_parts(k)):
-            assert np.array_equal(np.sort(got), want)
-        assert np.array_equal(np.sort(np.r_[own, conj, mixed]), np.arange(s.shape[1]))
-        assert np.array_equal(np.sort(np.r_[facing, diagonal]), np.arange(direct.shape[1]))
-        group = np.arange(2 * pairs) % pairs
-        union_group = np.r_[group, np.full(diagonal.size, pairs)]
-        pipeline_group = np.r_[group, np.full(s.shape[1] - 2 * pairs + a.shape[1] + b.shape[1],
-                                              pairs)]
-        overlap = direct[:, np.r_[facing, diagonal]].T @ np.hstack([s, a, b])
-        apart = union_group[:, None] != pipeline_group[None, :]
-        assert np.max(np.abs(overlap[apart]), initial=0) < 1e-12
+        (grid, four, five, _), _ = cross_check_inputs(monkeypatch, code, act, union)
+        m = 2 * code.k
+        planes = _scaled_columns(union)
+        pipeline = np.hstack([grid.reshape(len(grid), -1), four, five])
+        a, b = np.divmod(np.arange(m * m), m)
+        # an off-diagonal entry's group is its ket pair, a diagonal one's -1
+        group = np.where(a == b, -1, np.minimum(a, b) * m + np.maximum(a, b))
+        pipeline_group = np.r_[group, np.full(four.shape[1] + five.shape[1], -1)]
+        overlap = planes.T @ pipeline
+        apart = group[:, None] != pipeline_group[None, :]
+        assert np.max(np.abs(overlap[apart])) < 1e-12
+        for pair in np.unique(group[group >= 0]):
+            block = overlap[np.ix_(group == pair, pipeline_group == pair)]
+            assert block.shape == (2, 2)
+            assert np.max(np.abs(block.T @ block - np.eye(2))) < 1e-12
+
+
+def test_pair_residuals_match_a_per_pair_loop(monkeypatch, rng):
+    # the grid read, entries (a, b) and (b, a) through the transposed grid,
+    # is the largest _residual_norm of each ket pair's two pipeline columns
+    # off its two direct ones, and never reads the diagonal entries
+    from qerasure.operator_space import _residual_norm
+    from qerasure.unions import _pair_residuals
+
+    for code, u in [swap_pair(rng, 3, 2), (fixture_gbp_code(), gbp_pair_transform())]:
+        act = _as_action(code.n, u)
+        union, _ = union_code([code, transform_code(code, act)])
+        (grid, *_, direct), _ = cross_check_inputs(monkeypatch, code, act, union)
+        m = grid.shape[1]
+        x = grid + 1e-3 * rng.standard_normal(grid.shape)
+        flat = x.reshape(len(x), -1)
+        pairs = [[a * m + b, b * m + a] for a in range(m) for b in range(a + 1, m)]
+        loop = max(_residual_norm(direct[:, pair], flat[:, pair]) for pair in pairs)
+        got = _pair_residuals(x.copy(), direct.reshape(x.shape))
+        assert abs(got - loop) <= 1e-12 * loop
+        diagonal = np.arange(m)
+        x[:, diagonal, diagonal] = rng.standard_normal((len(x), m))
+        assert _pair_residuals(x, direct.reshape(x.shape)) == got
 
 
 def test_block_residuals_match_the_full_gram_reference(monkeypatch, rng):
-    # one projection of every pipeline column off the whole direct complement
-    # and one Gram give the same sines; n = 5, K = 8 is the widest block sum
-    # the cross-check meets, and the whole-space unions have no projector
-    # column in the direct complement
+    # one projection of each theorem's whole complement off the whole direct
+    # one gives the same sines; n = 5, K = 8 is the widest grid the
+    # cross-check meets, and the whole-space unions have no projector column
+    # in the direct complement
     for code, u in block_sum_cases(rng) + [swap_pair(rng, 5, 8), swap_pair(rng, 5, 8)]:
         act = _as_action(code.n, u)
         union, _ = union_code([code, transform_code(code, act)])
-        args = _shared_inputs(monkeypatch, code, act, union)
-        for got, want in zip(_shared_residuals(*args), shared_residuals_full_gram(*args)):
-            assert abs(got - want) < 1e-12
+        args, report = cross_check_inputs(monkeypatch, code, act, union)
+        for key, want in zip(("theorem4", "theorem5"), grid_residuals_full_gram(*args)):
+            assert abs(report[key]["residual"] - want) < 1e-12
 
 
 def near_image(rng, code, act, angle):
@@ -842,42 +886,20 @@ def near_image(rng, code, act, angle):
 def test_cross_check_of_an_equal_size_foreign_union(monkeypatch, rng):
     # C (+) VC with V != U has the dimensions of C (+) UC, so the pairs are
     # read, but the pipeline columns are not the union's: the verdict is
-    # False, and the largest pair residual is within a factor two of the full
-    # one (only sqrt(2K^2 - K + 1) is guaranteed), for a V far from U and for
-    # V = W U with W close to the identity
+    # False, and the largest group residual is within a factor two of the
+    # full one (only sqrt(2K^2 - K + 1) is guaranteed), for a V far from U
+    # and for V = W U with W close to the identity
     code, act = fixture_gbp_code(), _as_action(4, gbp_pair_transform())
     cases = [(code, act, CodeTransform(4, locals=["I", "X", "H", "X"]))]
     near, near_act = swap_pair(rng, 3, 2)
     cases += [(near, near_act, near_image(rng, near, near_act, angle)) for angle in (1e-6, 1e-3)]
     for code, act, v in cases:
         union, _ = union_code([code, transform_code(code, v)])
-        report = _cross_check(code, act, union)
-        reference = shared_residuals_full_gram(*_shared_inputs(monkeypatch, code, act, union))
-        for key, want in zip(("theorem4", "theorem5"), reference):
+        args, report = cross_check_inputs(monkeypatch, code, act, union)
+        for key, want in zip(("theorem4", "theorem5"), grid_residuals_full_gram(*args)):
             assert report[key]["dim"] == report[key]["direct_dim"]
             assert not report[key]["matches_direct"]
             assert want / 2 <= report[key]["residual"] <= 1 + 1e-12
-
-
-def test_cross_check_of_a_mismatched_union_reads_equality_residuals(monkeypatch, rng):
-    # a union that is not C (+) UC: the dimensions differ, the verdict is
-    # False, and each residual is 1, which is what equality_residual finds on
-    # spaces of unequal dimension, without calling it
-    code, t = fixture_gbp_code(), gbp_pair_transform()
-    other = random_code(rng, 4, 6)
-    real = equality_residual
-    for name, module in list(sys.modules.items()):
-        if name.startswith("qerasure") and getattr(module, "equality_residual", None) is real:
-            monkeypatch.setattr(module, "equality_residual", None)
-    report = _cross_check(code, _as_action(4, t), other)
-    pipelines = (union_erasure_space_via_intersection(code, t),
-                 union_pure_space_via_intersection(code, t))
-    for key, pipeline, direct in zip(("theorem4", "theorem5"), pipelines,
-                                     (erasure_space(other), pure_erasure_space(other))):
-        assert (report[key]["dim"], report[key]["direct_dim"]) == (pipeline.dim, direct.dim)
-        assert pipeline.dim != direct.dim and not report[key]["matches_direct"]
-        assert report[key]["residual"] == 1.0
-        assert abs(report[key]["residual"] - real(pipeline, direct)) < 1e-12
 
 
 def closed_form_cases(rng):
@@ -897,30 +919,38 @@ def projector_distance(x, y):
 
 def test_closed_form_directions_match_the_new_direction_step(rng):
     # a and B span what the reference's rank-cut step finds that the
-    # expectation row, and p with U p U^H, add to S-perp
+    # expectation row, and p with U p U^H, add to S-perp; a sits in p's
+    # slot of Theorem 4's diagonal, and B in p's and p''s of Theorem 5's
     for code, u in closed_form_cases(rng):
         act = _as_action(code.n, u)
-        s, p, p_conj = _block_sum(code, act)
-        shared, a, b = _formula_complements(code, act)
-        assert np.array_equal(shared, s)
+        k = code.k
+        grid = _block_sum(code, act)
+        shared, four, five = _formula_complements(code, act)
+        assert np.array_equal(shared, grid)
+        s, p, p_conj = grid_parts(grid)
+        a, b = four[:, k - 1:k], five[:, k - 1::k]
+        # S-perp's own diagonal columns are the same in both
+        assert np.array_equal(np.delete(four, k - 1, axis=1),
+                              np.delete(five, k - 1, axis=1)[:, :2 * k - 2])
         row = equal_expectation_space(code, act).complement
         assert projector_distance(a, _new_directions(s, row)) <= 1e-14
         assert projector_distance(b, _new_directions(s, np.hstack([p, p_conj]))) <= 1e-14
-        assert b.shape[1] == (1 if 2 * code.k == 1 << code.n else 2)
+        assert b.shape[1] == (1 if 2 * k == 1 << code.n else 2)
         assert np.max(np.abs(b.T @ b - np.eye(b.shape[1]))) <= 1e-14
         assert np.max(np.abs(s.T @ np.hstack([a, b]))) <= 1e-14
         # the cosine of p and U p U^H is the constant the closed forms use
-        assert abs((p.T @ p_conj).item() + code.k / ((1 << code.n) - code.k)) <= 1e-14
+        assert abs((p.T @ p_conj).item() + k / ((1 << code.n) - k)) <= 1e-14
 
 
 def test_pure_formula_with_the_erasure_direction_has_the_wrong_dimension(rng):
-    # negative control: where B has two columns, [S-perp | a] in its place
-    # leaves the pure formula one dimension too large
+    # negative control: where B has two columns, Theorem 4's diagonal, with a
+    # in p's slot, in place of Theorem 5's leaves the pure formula one
+    # dimension too large
     for code, u in closed_form_cases(rng):
         if 2 * code.k == 1 << code.n:
             continue  # there c = -1 and a = p = B: the control cannot differ
         act = _as_action(code.n, u)
-        s, a, _ = _formula_complements(code, act)
+        grid, four, _ = _formula_complements(code, act)
         union, _ = union_code([code, transform_code(code, act)])
-        wrong = OperatorSubspace(code.n, np.hstack([s, a]))
+        wrong = OperatorSubspace(code.n, theorem_columns(grid, four))
         assert wrong.dim != pure_erasure_space(union).dim
