@@ -31,10 +31,12 @@ real arithmetic, in half the memory.
 Completion takes the Householder QR of the k known columns in compact-WY
 form Q = I - V T V^H (Schreiber and Van Loan, "A storage-efficient WY
 representation for products of Householder transformations", SIAM J. Sci.
-Stat. Comput. 10, 1989) and writes the last 4^n - k columns of Q as one
-rank-k product.  At n = 6 that spanning basis is
+Stat. Comput. 10, 1989) and writes the last 4^n - k columns of Q as a
+rank-k product, one row block at a time, so each block is written once
+while it sits in cache; a single product would zero the whole output and
+then add into it, two passes over memory.  At n = 6 that spanning basis is
 a 4096 x ~4093 array, float64 (134 MB) for a real space and complex (268 MB)
-otherwise, the only O(16^n) object here.
+otherwise, the only O(16^n) object here.  It is cached read-only.
 
 Numerical conventions: membership and containment residuals are compared
 against MEMBERSHIP_TOL and SUBSPACE_TOL (see tolerances).  A containment
@@ -219,6 +221,13 @@ def _wy_triangle(vv: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return t
 
 
+# Row blocks of the completion, sized by measurement on a 2 MiB L2
+# (BENCH_24.json): blocks of 128 to 512 KiB wrote a real n = 6 basis in
+# about half the time of one product, 2 MiB blocks were no faster than it,
+# and at n = 5, 512 KiB blocks were at times slower than 256 KiB ones.
+_BLOCK_BYTES = 1 << 18
+
+
 def _complete_orthonormal(part: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of the given columns.
 
@@ -228,16 +237,31 @@ def _complete_orthonormal(part: np.ndarray) -> np.ndarray:
     1989): V is the unit lower-trapezoidal (dim, k) array of reflectors from
     the raw QR, and T the k x k upper triangle of _wy_triangle.  The last
     dim - k columns of Q, the ones a complete QR returns, are
-    I[:, k:] + V @ (-T V[k:]^H): one rank-k product into the output, with the
-    sign folded into the k x k factor T and the ones added along the shifted
-    diagonal, so Q itself is never formed.
+    I[:, k:] + V @ M with M = -T V[k:]^H: a rank-k product, with the sign
+    folded into the k x k factor T, so Q itself is never formed.
+
+    One GEMM into a fresh array makes two passes over it: BLAS zeroes C for
+    beta = 0, then accumulates into it.  Written one row block at a time, each
+    block of about _BLOCK_BYTES stays in cache from the product to the ones
+    of the shifted diagonal, so the output is written once (Goto and van de
+    Geijn, "Anatomy of high-performance matrix multiplication", ACM TOMS 34,
+    2008).  Every block repacks all of M, k rows against the block's rows, so
+    a complement of more columns than half a block's rows takes the single
+    product.
     """
     dim, k = part.shape
     h, tau = np.linalg.qr(part, mode="raw")  # h is the (k, dim) transpose
     v = np.tril(h.T, -1)
     np.fill_diagonal(v, 1)
-    out = v @ (-_wy_triangle(v.conj().T @ v, tau) @ v[k:].conj().T)
-    out.reshape(-1)[k * (dim - k)::dim - k + 1] += 1
+    m = -_wy_triangle(v.conj().T @ v, tau) @ v[k:].conj().T
+    out = np.empty((dim, dim - k), dtype=m.dtype)
+    rows = max(_BLOCK_BYTES // (out.itemsize * max(dim - k, 1)), 1)
+    if 2 * k > rows:
+        rows = dim
+    ones = out.reshape(-1)[k * (dim - k)::dim - k + 1]  # entry (k + j, j)
+    for r in range(0, dim, rows):
+        np.matmul(v[r:r + rows], m, out=out[r:r + rows])
+        ones[max(r - k, 0):r + rows - k] += 1
     return out
 
 
@@ -263,6 +287,7 @@ class OperatorSubspace:
     def basis(self) -> np.ndarray:
         if self._basis is None:
             self._basis = _complete_orthonormal(self.complement)
+            self._basis.flags.writeable = False
         return self._basis
 
     def member_residual(self, coords: np.ndarray) -> float:

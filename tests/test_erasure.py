@@ -150,6 +150,7 @@ def test_six_qubit_erasure_space_basis(rng):
     es = erasure_space(random_code(rng, 6, 2))
     basis = es.basis
     assert basis.shape == (4096, 4093) and basis.dtype == np.float64  # 134 MB, not 268
+    assert basis.flags.c_contiguous and not basis.flags.writeable
     cols = basis[:, rng.choice(4093, size=64, replace=False)]
     assert np.max(np.abs(np.linalg.norm(cols, axis=0) - 1)) < 1e-12
     assert np.max(np.abs(es.complement.conj().T @ cols)) < 1e-12
@@ -423,6 +424,19 @@ def test_hermitian_basis_trivial_cases():
     assert len(out) == 1
     # the span contains the Hermitian representative ZI as well
     assert np.max(np.abs(out[0].imag)) < 1e-12 or np.max(np.abs(out[0].real)) < 1e-12
+
+
+def test_cached_basis_is_read_only():
+    space = erasure_space(get_fixture("gbp"))
+    with pytest.raises(ValueError):
+        space.basis[:, 0] = 7
+    rows = hermitian_basis(space)
+    assert len(rows) == space.dim
+    for row in rows[:4]:
+        assert row.dtype == complex and row.flags.writeable
+        assert not np.shares_memory(row, space.basis)
+        row[:] = 7
+    assert np.max(np.abs(space.complement.T @ space.basis[:, :4])) < 1e-12
 
 
 def test_hermitian_basis_keeps_dimension():

@@ -18,6 +18,7 @@ from qerasure import (
     pauli_to_string,
     to_matrix,
 )
+from qerasure import operator_space
 from qerasure.operator_space import _complete_orthonormal, _pauli_table
 from qerasure.pauli import PauliOperator, _index_aligned_masks, _pauli_masks
 
@@ -304,16 +305,48 @@ def assert_completes(part, rest, tol=1e-13):
     assert np.max(np.abs(part.conj().T @ rest), initial=0) < tol
 
 
-@pytest.mark.parametrize("n", [1, 2, 4])
+def random_part(rng, dim, k, dtype):
+    """k random orthonormal columns of the given dtype."""
+    raw = rng.standard_normal((dim, k)).astype(dtype)
+    if dtype is complex:
+        raw += 1j * rng.standard_normal((dim, k))
+    return np.linalg.qr(raw)[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 5])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_complete_orthonormal_matches_complete_qr(rng, n, dtype):
+    # at n = 5, k = 3 completes in row blocks, k = 15 too when real, and
+    # k = 35 in one product; k = dim leaves no column to size a block by
     dim = 4**n
-    for k in (0, 1, dim - 1, dim):
-        raw = rng.standard_normal((dim, k)).astype(dtype)
-        if dtype is complex:
-            raw += 1j * rng.standard_normal((dim, k))
-        part = np.linalg.qr(raw)[0]
-        assert_completes(part, _complete_orthonormal(part))
+    for k in (3, 15, 35) if n == 5 else (0, 1, dim - 1, dim):
+        part = random_part(rng, dim, k, dtype)
+        rest = _complete_orthonormal(part)
+        assert rest.dtype == part.dtype and rest.flags.c_contiguous
+        assert_completes(part, rest)
+
+
+@pytest.mark.parametrize("rows", [1, 5, 7])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_complete_orthonormal_in_blocks_of_any_height(rng, monkeypatch, rows, dtype):
+    # 64 rows in blocks of 5 or 7 end in a short block; every k up to half a
+    # block keeps the blocks, and the ones of the shifted diagonal start in
+    # the first
+    dim = 64
+    calls, matmul = [], np.matmul
+
+    def counted(a, b, out):
+        calls.append(a.shape[0])
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    for k in range(rows // 2 + 1):
+        monkeypatch.setattr(operator_space, "_BLOCK_BYTES", rows * np.dtype(dtype).itemsize * (dim - k))
+        part = random_part(rng, dim, k, dtype)
+        calls.clear()
+        rest = _complete_orthonormal(part)
+        assert sum(calls) == dim and len(calls) == -(-dim // rows)
+        assert_completes(part, rest)
 
 
 def test_member_residual_routes_agree(rng):
