@@ -64,7 +64,6 @@ from .states import (
     CodeTransform,
     Ket,
     UnitaryAction,
-    apply_transform,
     cyclic_shift,
     ket_from_terms,
 )

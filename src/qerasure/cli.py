@@ -23,7 +23,7 @@ from .codes import CodeValidationError, QuantumCode, ingest_code, transform_code
 from .erasure import _complement_width, _scan, is_degenerate_distance, minimum_distance
 from .fixtures import FIXTURE_NAMES, fixture_union_components, get_fixture
 from .operator_space import _pauli_table
-from .states import CodeTransform
+from .states import CodeTransform, UnitaryAction
 from .unions import (
     _cross_check,
     cross_check_intersection_formulas,
@@ -141,8 +141,8 @@ def _mode_distance(args) -> dict:
     }
 
 
-def _union_inputs(args) -> tuple[list[QuantumCode], QuantumCode | None, CodeTransform | None]:
-    """Components plus, when built from a transform, the base code and transform."""
+def _union_inputs(args) -> tuple[list[QuantumCode], QuantumCode | None, UnitaryAction | None]:
+    """Components plus, when built from a transform, the base code and the transform's action."""
     if args.fixture is not None and args.fixture in ("rains-union", "gbp-union"):
         if args.code is not None or args.transform is not None or args.code2 is not None:
             raise CliError("bad-arguments",
@@ -154,13 +154,13 @@ def _union_inputs(args) -> tuple[list[QuantumCode], QuantumCode | None, CodeTran
                        "union mode needs exactly one of --code2 or --transform")
     if args.code2 is not None:
         return [base, _ingest_file(args.code2)], None, None
-    t = _resolve_transform(args, base.n)
-    image = transform_code(base, t, label=f"U({base.label})")
-    return [base, image], base, t
+    action = UnitaryAction.from_transform(_resolve_transform(args, base.n))
+    image = transform_code(base, action, label=f"U({base.label})")
+    return [base, image], base, action
 
 
 def _mode_union(args) -> dict:
-    components, base, t = _union_inputs(args)
+    components, base, action = _union_inputs(args)
     union, report = union_code(components)
     result = {
         "components": list(report.component_labels),
@@ -171,8 +171,8 @@ def _mode_union(args) -> dict:
         "theorem4": None,
         "theorem5": None,
     }
-    if base is not None and t is not None:
-        checks = _cross_check(base, t, union)
+    if base is not None and action is not None:
+        checks = _cross_check(base, action, union)
         result["theorem4"] = checks["theorem4"]
         result["theorem5"] = checks["theorem5"]
     return result

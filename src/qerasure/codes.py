@@ -20,9 +20,9 @@ from .states import (
     CodeTransform,
     Ket,
     UnitaryAction,
+    _as_action,
     _read_terms,
     _sum_terms,
-    apply_transform,
     ket_from_terms,
 )
 from .tolerances import AMPLITUDE_TOL, ORTHONORMALITY_TOL
@@ -78,7 +78,12 @@ class QuantumCode:
 
     @cached_property
     def grams(self) -> np.ndarray:
-        """<c_i|sigma|c_j> for all Paulis in coordinate order, (4^n, K, K); kept once built."""
+        """<c_i|sigma|c_j> for all Paulis in coordinate order, (4^n, K, K); kept once built.
+
+        A code whose tensor would exceed MAX_GRAM_BYTES raises CodeTooLargeError
+        before anything is built, however the code was made.
+        """
+        _check_gram_size(self.n, self.k)
         grams = _pauli_grams(basis_matrix(self), self.n)
         grams.flags.writeable = False
         return grams
@@ -190,15 +195,16 @@ def code_to_json(code: QuantumCode) -> dict:
     return {"n": code.n, "label": code.label, "basis": basis}
 
 
-def transform_code(code: QuantumCode, t: CodeTransform | UnitaryAction,
+def transform_code(code: QuantumCode, t: CodeTransform | UnitaryAction | np.ndarray,
                    label: str | None = None) -> QuantumCode:
-    """Apply a unitary to every basis ket; orthonormality is preserved."""
-    if t.n != code.n:
-        raise ValueError(f"qubit count mismatch: {t.n} != {code.n}")
-    if isinstance(t, UnitaryAction):
-        kets = tuple(t.apply(ket) for ket in code.basis)
-    else:
-        kets = tuple(apply_transform(t, ket) for ket in code.basis)
+    """Apply a unitary to every basis ket; orthonormality is preserved.
+
+    t is a CodeTransform, a UnitaryAction or a 2^n x 2^n unitary matrix.  Each
+    is taken to its one matrix (states._as_action), and the image basis is
+    one product of that matrix with the basis matrix.
+    """
+    image = _as_action(code.n, t).matrix @ basis_matrix(code)
+    kets = tuple(Ket(code.n, col) for col in image.T)
     if label is None:
         label = f"U({code.label})"
     return QuantumCode(n=code.n, k=code.k, basis=kets, label=label)

@@ -9,13 +9,13 @@ Laflamme, PRA 55, 900, 1997) read as P E P proportional to P.
 
 Both condition families are linear in E, and their complements are already
 in the gram tensor: <c_i|E|c_j> is the dot product of E's Pauli coordinates
-with column (i, j) of code.grams, and by Pauli completeness (sum over sigma of
-sigma_ab sigma_cd = 2^n delta_ad delta_bc) the K^2 columns
-conj(<c_i|sigma|c_j>) / 2^(n/2) are orthonormal, exactly as far as the code
-basis is.  So each space is stored by a complement written down in closed
-form, with no factorisation of a 4^n-long system, and its dimension is
-structural: 4^n - K^2 + 1 (erasure), 4^n - K^2 (pure; 1 when K = 2^n) and
-4^n - K^2 (annihilating).
+with column (i, j) of code.grams, which is how a single check reads it, and
+by Pauli completeness (sum over sigma of sigma_ab sigma_cd = 2^n delta_ad
+delta_bc) the K^2 columns conj(<c_i|sigma|c_j>) / 2^(n/2) are orthonormal,
+exactly as far as the code basis is.  So each space is stored by a complement
+written down in closed form, with no factorisation of a 4^n-long system, and
+its dimension is structural: 4^n - K^2 + 1 (erasure), 4^n - K^2 (pure; 1
+when K = 2^n) and 4^n - K^2 (annihilating).
 
 Each of these spaces is closed under the adjoint, which swaps the conditions
 on <c_i|E|c_j> and <c_j|E|c_i> and conjugates Pauli coordinates, so each has
@@ -32,9 +32,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codes import QuantumCode, basis_matrix
-from .operator_space import OperatorSubspace, _pauli_table, _residual_norm, coords_to_matrices
-from .pauli import PauliOperator, apply_to_amplitudes
+from .codes import QuantumCode
+from .operator_space import (
+    OperatorSubspace,
+    _pauli_table,
+    _residual_norm,
+    matrices_to_coords,
+    pauli_index,
+)
+from .pauli import PauliOperator
 from .tolerances import ADJOINT_TOL, MATRIX_ELEMENT_TOL
 
 
@@ -53,34 +59,30 @@ class MembershipReport:
     witness: tuple[int, int, complex] | None = None
 
 
-def _gram_matrix(code: QuantumCode, op) -> np.ndarray:
-    """All K x K code matrix elements of op.
+def _gram_matrix(code: QuantumCode, op) -> tuple[np.ndarray, complex]:
+    """All K x K code matrix elements of op, and tr(op) / 2^n, read off code.grams.
 
-    op may be a PauliOperator, a dense (2^n, 2^n) array, or a coordinate
-    vector of length 4^n.
+    op may be a PauliOperator, whose elements are one slice of the tensor; a
+    dense (2^n, 2^n) array, taken to its Pauli coordinates first; or a
+    coordinate vector of length 4^n, whose elements are its contraction with
+    the tensor.  The identity is coordinate 0, so tr(op) / 2^n is a vector's
+    first entry, and a Pauli's phase at the identity and 0 elsewhere.  The
+    tensor comes first, so a code beyond the size limit is refused at once.
     """
-    mat = basis_matrix(code)
+    grams = code.grams
     if isinstance(op, PauliOperator):
         if op.n != code.n:
             raise ValueError(f"qubit count mismatch: {op.n} != {code.n}")
-        return mat.conj().T @ apply_to_amplitudes(op, mat)
-    dense = np.asarray(op, dtype=complex)
-    if dense.ndim == 1:
-        if dense.shape[0] != 4**code.n:
-            raise ValueError(f"coordinate vector has length {dense.shape[0]}, expected {4**code.n}")
-        dense = coords_to_matrices(dense, code.n)[:, :, 0]
-    if dense.shape != (1 << code.n, 1 << code.n):
-        raise ValueError(f"operator shape {dense.shape} does not fit n={code.n}")
-    return mat.conj().T @ dense @ mat
-
-
-def _trace_over_dim(code: QuantumCode, op) -> complex:
-    if isinstance(op, PauliOperator):
-        return 1j**op.phase if op.x_mask == 0 and op.z_mask == 0 else 0.0
-    arr = np.asarray(op, dtype=complex)
-    if arr.ndim == 1:
-        return complex(arr[0])  # identity is coordinate 0
-    return complex(np.trace(arr)) / (1 << code.n)
+        index, phase = pauli_index(op), 1j**op.phase
+        return phase * grams[index], phase if index == 0 else 0.0
+    coords = np.asarray(op, dtype=complex)
+    dim = 1 << code.n
+    if coords.shape == (dim, dim):
+        coords = matrices_to_coords(coords, code.n)
+    elif coords.shape != (4**code.n,):
+        raise ValueError(f"operator shape {coords.shape} is neither ({dim}, {dim}) "
+                         f"nor ({4**code.n},) for n={code.n}")
+    return np.tensordot(coords, grams, 1), coords[0]
 
 
 def _deviations(grams: np.ndarray, alphas) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -135,8 +137,8 @@ def _first_violations(grams: np.ndarray, alphas) -> list[tuple[np.ndarray, ...]]
 
 
 def _check(code: QuantumCode, op, pure: bool) -> MembershipReport:
-    gram = _gram_matrix(code, op)
-    alpha = _trace_over_dim(code, op) if pure else gram[0, 0]
+    gram, trace = _gram_matrix(code, op)
+    alpha = trace if pure else gram[0, 0]
     [(p, i, j, dev)] = _first_violations(gram[None], [alpha])
     if p.size:
         return MembershipReport(False, witness=(int(i[0]), int(j[0]), complex(dev[0])))
@@ -144,12 +146,12 @@ def _check(code: QuantumCode, op, pure: bool) -> MembershipReport:
 
 
 def check_erasure(code: QuantumCode, op) -> MembershipReport:
-    """Test the matching-diagonal conditions for a single operator."""
+    """Test the matching-diagonal conditions for one operator, read off code.grams."""
     return _check(code, op, pure=False)
 
 
 def check_pure(code: QuantumCode, op) -> MembershipReport:
-    """Test the stronger scaled-identity condition for a single operator."""
+    """Test the stronger scaled-identity condition for one operator, read off code.grams."""
     return _check(code, op, pure=True)
 
 
@@ -299,12 +301,12 @@ def _scan(code: QuantumCode, families, max_weight: int | None = None) -> list[_S
         max_weight = code.n
     if not 0 <= max_weight <= code.n:
         raise ValueError(f"max_weight must be in [0, {code.n}], got {max_weight}")
+    grams = code.grams
     t = _pauli_table(code.n)
     weights = np.bitwise_count(t.x | t.z)
     # coordinate order is ascending weight: weight w fills starts[w]:starts[w + 1]
     starts = np.searchsorted(weights, np.arange(max_weight + 2))
     sizes = np.diff(starts).tolist()
-    grams = code.grams
     scans = []
     for p, i, j, dev in _first_violations(grams, [_pauli_alpha(grams, pure) for pure in families]):
         distance = int(weights[p[0]]) if p.size else code.n + 1

@@ -57,7 +57,6 @@ import numpy as np
 
 from .pauli import (
     PauliOperator,
-    _index_aligned_masks,
     _pauli_masks,
     _reverse_bits,
 )
@@ -67,13 +66,14 @@ from .tolerances import COEFFICIENT_TOL
 class _PauliTable(NamedTuple):
     """How each coordinate's Pauli acts: sigma |b> = phase (-1)^(b.z) |b ^ x>.
 
-    x and z are index-aligned masks (see pauli.apply_to_amplitudes), phase is
-    i to the number of Y factors, labels are the letter strings (qubit 0
-    first), hadamard[a, b] = (-1)^(a.b) is the 2^n x 2^n Walsh-Hadamard
-    matrix that sums over b against every z at once, and coordinate is the
-    inverse of _slots: coordinate[(z << n) | x] is that Pauli's index.
-    slot_phase is phase in transform order, slot_phase[_slots] = phase, and
-    unphase is conj(phase) / 2^n in coordinate order: the factors that
+    x and z are index-aligned masks, bit n - 1 - j for qubit j, since qubit 0
+    is the most significant bit of an amplitude index; phase is i to the
+    number of Y factors, labels are the letter strings (qubit 0 first),
+    hadamard[a, b] = (-1)^(a.b) is the 2^n x 2^n Walsh-Hadamard matrix that
+    sums over b against every z at once, and coordinate is the inverse of
+    _slots: coordinate[(z << n) | x] is that Pauli's index.  slot_phase is
+    phase in transform order, slot_phase[_slots] = phase, and unphase is
+    conj(phase) / 2^n in coordinate order: the factors that
     coords_to_matrices and matrices_to_coords apply in place.
     """
 
@@ -135,7 +135,7 @@ def _pauli_grams(vecs: np.ndarray, n: int) -> np.ndarray:
 
 def pauli_index(p: PauliOperator) -> int:
     """Position of p's mask pair in the coordinate ordering."""
-    rx, rz = _index_aligned_masks(p)
+    rx, rz = _reverse_bits(p.x_mask, p.n), _reverse_bits(p.z_mask, p.n)  # index-aligned
     return int(_pauli_table(p.n).coordinate[(rz << p.n) | rx])
 
 

@@ -171,29 +171,6 @@ def _reverse_bits(mask, n: int):
     return out
 
 
-def _index_aligned_masks(p: PauliOperator) -> tuple[int, int]:
-    """Masks with bit positions matching amplitude-index bits."""
-    return _reverse_bits(p.x_mask, p.n), _reverse_bits(p.z_mask, p.n)
-
-
-def apply_to_amplitudes(p: PauliOperator, amplitudes: np.ndarray) -> np.ndarray:
-    """Apply p to an amplitude vector (or a stack of columns) in O(2^n).
-
-    The operator maps |b> to a unit phase times |b XOR x>, so this is a
-    permutation of the entries with sign and i bookkeeping; no matrix is
-    built.
-    """
-    dim = 1 << p.n
-    if amplitudes.shape[0] != dim:
-        raise ValueError(f"amplitude vector has length {amplitudes.shape[0]}, expected {dim}")
-    rx, rz = _index_aligned_masks(p)
-    lam = (p.phase + (p.x_mask & p.z_mask).bit_count()) % 4
-    idx = np.arange(dim)
-    signs = 1 - 2 * (np.bitwise_count(idx & rz) & 1).astype(np.int64)
-    scaled = (1j**lam) * (signs.reshape((dim,) + (1,) * (amplitudes.ndim - 1)) * amplitudes)
-    return scaled[idx ^ rx]
-
-
 def to_matrix(p: PauliOperator) -> np.ndarray:
     """Dense 2^n x 2^n realization.  Intended for small n only."""
     mats = [letter.matrix for letter in p.letters()]

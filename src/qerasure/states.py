@@ -2,9 +2,9 @@
 
 A transform is a qubit permutation composed with per-qubit 2x2 unitaries; the
 locals act first, then the permutation moves qubit j to position perm[j].
-A transform is applied to kets without building a matrix; it promotes to a
-UnitaryAction, which holds the one 2^n x 2^n matrix every operator-space map
-uses.
+A transform acts only through its UnitaryAction, the one 2^n x 2^n matrix
+that transform_code applies to a code's basis and every operator-space map
+uses (_as_action).
 """
 
 from __future__ import annotations
@@ -184,20 +184,6 @@ class CodeTransform:
         return cls(n, perm=spec.get("perm"), locals=spec.get("locals"))
 
 
-def apply_transform(t: CodeTransform, k: Ket) -> Ket:
-    """Apply the per-qubit locals, then move qubit j to position t.perm[j]."""
-    if t.n != k.n:
-        raise ValueError(f"qubit count mismatch: {t.n} != {k.n}")
-    state = k.amplitudes.reshape((2,) * t.n)
-    for j, m in enumerate(t.locals):
-        if np.array_equal(m, LOCAL_GATES["I"]):
-            continue
-        state = np.moveaxis(np.tensordot(m, state, axes=([1], [j])), 0, j)
-    if t.perm != tuple(range(t.n)):
-        state = np.moveaxis(state, list(range(t.n)), list(t.perm))
-    return Ket(k.n, state.reshape(-1))
-
-
 class UnitaryAction:
     """A unitary on n qubits, held as one validated 2^n x 2^n matrix.
 
@@ -224,11 +210,17 @@ class UnitaryAction:
         m = t.locals[0]
         for local in t.locals[1:]:
             m = (m[:, None, :, None] * local[None, :, None, :]).reshape(2 * len(m), -1)
-        # the rows carry the output qubits: permute them as apply_transform does
+        # the rows carry the output qubits: move row axis j to position perm[j]
         rows = m.reshape((2,) * t.n + (dim,))
         return cls(t.n, np.moveaxis(rows, range(t.n), t.perm).reshape(dim, dim))
 
-    def apply(self, k: Ket) -> Ket:
-        if k.n != self.n:
-            raise ValueError(f"qubit count mismatch: {self.n} != {k.n}")
-        return Ket(k.n, self.matrix @ k.amplitudes)
+
+def _as_action(n: int, u) -> UnitaryAction:
+    """u as a UnitaryAction on n qubits: an action, a CodeTransform or a 2^n x 2^n matrix."""
+    if isinstance(u, (UnitaryAction, CodeTransform)) and u.n != n:
+        raise ValueError(f"qubit count mismatch: {u.n} != {n}")
+    if isinstance(u, UnitaryAction):
+        return u
+    if isinstance(u, CodeTransform):
+        return UnitaryAction.from_transform(u)
+    return UnitaryAction(n, u)

@@ -40,6 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import states
 from .codes import QuantumCode, _check_gram_size, basis_matrix, transform_code
 from .erasure import (
     _complement_width,
@@ -47,7 +48,6 @@ from .erasure import (
     _scaled_columns,
 )
 from .operator_space import OperatorSubspace, _residual_norm, coords_to_matrices, matrices_to_coords
-from .states import CodeTransform, UnitaryAction
 from .tolerances import CROSS_ORTHOGONALITY_TOL, SUBSPACE_TOL
 
 
@@ -106,29 +106,19 @@ def union_code(codes: Sequence[QuantumCode],
     return code, report
 
 
-def _as_action(n: int, u) -> UnitaryAction:
-    if isinstance(u, (UnitaryAction, CodeTransform)) and u.n != n:
-        raise ValueError(f"qubit count mismatch: {u.n} != {n}")
-    if isinstance(u, UnitaryAction):
-        return u
-    if isinstance(u, CodeTransform):
-        return UnitaryAction.from_transform(u)
-    return UnitaryAction(n, u)
-
-
 def conjugate_subspace(s: OperatorSubspace, u) -> OperatorSubspace:
     """Image of s under E -> U E U-adjoint; dimension is preserved.
 
     Conjugation keeps Hermitian operators Hermitian, so a real complement
     maps to real coordinates and is kept real: the part dropped is roundoff.
     """
-    mat = _as_action(s.n, u).matrix
+    mat = states._as_action(s.n, u).matrix
     stack = mat @ np.moveaxis(coords_to_matrices(s.complement, s.n), 2, 0) @ mat.conj().T
     image = matrices_to_coords(np.moveaxis(stack, 0, 2), s.n)
     return OperatorSubspace(s.n, complement=image.real if np.isrealobj(s.complement) else image)
 
 
-def _block_sum(code: QuantumCode, action: UnitaryAction) -> np.ndarray:
+def _block_sum(code: QuantumCode, action: states.UnitaryAction) -> np.ndarray:
     """S-perp for S = ES(C) meet U ES(C) U-adjoint meet the mixed blocks, with p
     and U p U-adjoint, as a (4^n, 2K, 2K) grid in the layout of C (+) UC's own
     _scaled_columns.
@@ -167,7 +157,7 @@ def _block_sum(code: QuantumCode, action: UnitaryAction) -> np.ndarray:
     return s
 
 
-def _formula_complements(code: QuantumCode, action: UnitaryAction) -> tuple[np.ndarray, ...]:
+def _formula_complements(code: QuantumCode, action: states.UnitaryAction) -> tuple[np.ndarray, ...]:
     """S-perp's grid, and the diagonal columns of Theorem 4's and Theorem 5's complements.
 
     p and p' = U p U-adjoint are the unit traceless projectors of C and UC
@@ -214,7 +204,7 @@ def union_erasure_space_via_intersection(code: QuantumCode, u) -> OperatorSubspa
     itself); the final factor equates the two components' diagonal values.
     Its complement is S-perp with a in p's slot, on the union's grid.
     """
-    action = _as_action(code.n, u)
+    action = states._as_action(code.n, u)
     union_code([code, transform_code(code, action)])  # refuses an overlapping image
     s, four, _ = _formula_complements(code, action)
     return OperatorSubspace(code.n, _theorem_complement(s, four))
@@ -227,7 +217,7 @@ def union_pure_space_via_intersection(code: QuantumCode, u) -> OperatorSubspace:
     blocks again give one-sided images of the annihilating space.  Its
     complement is S-perp with p and the part of p' off p, on the union's grid.
     """
-    action = _as_action(code.n, u)
+    action = states._as_action(code.n, u)
     union_code([code, transform_code(code, action)])  # refuses an overlapping image
     s, _, five = _formula_complements(code, action)
     return OperatorSubspace(code.n, _theorem_complement(s, five))
@@ -243,13 +233,13 @@ def cross_check_intersection_formulas(code: QuantumCode, u) -> dict:
     in [|R| / sqrt(G), 1], where |R| is the sine of the largest principal
     angle between the pipeline and the direct space.
     """
-    action = _as_action(code.n, u)
+    action = states._as_action(code.n, u)
     union, _ = union_code([code, transform_code(code, action)])
     return _cross_check(code, action, union)
 
 
-def _cross_check(code: QuantumCode, u, union: QuantumCode) -> dict:
-    """cross_check_intersection_formulas against the union C (+) UC, built from code and u.
+def _cross_check(code: QuantumCode, action: states.UnitaryAction, union: QuantumCode) -> dict:
+    """cross_check_intersection_formulas against the union C (+) UC, built from code and action.
 
     The pipeline is _formula_complements' grid; the direct side is the
     union's own _scaled_columns on the same grid, with _condition_complement
@@ -266,7 +256,6 @@ def _cross_check(code: QuantumCode, u, union: QuantumCode) -> dict:
     a match, and a column that leaks into another pair's plane reads as a
     mismatch even where the spans agree.
     """
-    action = _as_action(code.n, u)
     s, four, five = _formula_complements(code, action)
     n, m = code.n, union.k
     direct = _scaled_columns(union)

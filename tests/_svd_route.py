@@ -40,7 +40,7 @@ from qerasure.operator_space import (
     coords_to_matrices,
     matrices_to_coords,
 )
-from qerasure.unions import _as_action
+from qerasure.states import _as_action
 
 # intersect's absolute rank cut: a residual of unit-norm columns keeps
 # singular values above it; kept directions weaker than REPROJECT_BELOW are
@@ -122,7 +122,7 @@ def product_image(s, left=None, right=None):
 def equal_expectation_space(code, u, anchor=0):
     """Operators E with <a|E|a> = <Ua|E|Ua> for basis ket a: one real constraint row."""
     ket = code.basis[anchor]
-    pair = np.column_stack([ket.amplitudes, _as_action(code.n, u).apply(ket).amplitudes])
+    pair = np.column_stack([ket.amplitudes, _as_action(code.n, u).matrix @ ket.amplitudes])
     grams = _pauli_grams(pair, code.n)
     row = (grams[:, 0, 0] - grams[:, 1, 1]).real
     return OperatorSubspace(code.n, wide_nullspace_complement(row))

@@ -209,13 +209,21 @@ def test_analyze_scans_once_per_section(capsys, monkeypatch):
         assert len(scans) == 1, mode
 
 
-def test_union_transform_builds_the_union_once(tmp_path, capsys, gram_builds):
+def test_union_transform_builds_the_union_once(tmp_path, capsys, gram_builds, monkeypatch):
+    from qerasure.states import UnitaryAction
+
+    actions = []
+    real = UnitaryAction.from_transform.__func__
+    monkeypatch.setattr(UnitaryAction, "from_transform",
+                        classmethod(lambda cls, t: actions.append(t) or real(cls, t)))
     path = tmp_path / "code.json"
     path.write_text(json.dumps(code_to_json(fixture_gbp_code())))
     status, _, _ = run_cli(capsys, "union", "--code", str(path), "--transform", GBP_PAIR)
     assert status == 0
     # the code's and the union's (shared by the distance and the direct spaces)
     assert sorted(gram_builds) == [(4, 4), (4, 8)]
+    # one matrix serves both the image and the cross-check
+    assert len(actions) == 1
 
 
 def test_basis_slack_keeps_every_verdict(tmp_path, capsys, rng):

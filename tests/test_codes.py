@@ -4,15 +4,26 @@ import pytest
 from qerasure import (
     CodeTransform,
     CodeValidationError,
+    Ket,
+    QuantumCode,
+    check_erasure,
+    check_pure,
+    classify_paulis,
     cyclic_shift,
     code_to_json,
+    erasure_space,
     fixture_gbp_code,
     fixture_rains_subcode,
     ingest_code,
+    minimum_distance,
+    pauli_from_string,
+    pure_erasure_space,
     transform_code,
 )
-from qerasure.codes import basis_matrix
+from qerasure.codes import CodeTooLargeError, basis_matrix
 from qerasure.states import UnitaryAction
+
+from conftest import random_code
 
 GBP_SPEC = {
     "n": 4,
@@ -96,6 +107,46 @@ def test_transform_identity_keeps_subspace():
     code = fixture_gbp_code()
     out = transform_code(code, CodeTransform(4))
     assert projector_distance(code, out) < 1e-9
+
+
+def test_transform_kinds_give_one_basis(rng):
+    # a CodeTransform, its UnitaryAction and its raw matrix are one product
+    for code in (fixture_gbp_code(), random_code(rng, 5, 3)):
+        t = CodeTransform(code.n, perm=cyclic_shift(code.n, 2),
+                          locals=["H", "S", "Y", "X", "I"][:code.n])
+        action = UnitaryAction.from_transform(t)
+        images = [basis_matrix(transform_code(code, u)) for u in (t, action, action.matrix)]
+        assert all(np.array_equal(images[0], image) for image in images[1:])
+    with pytest.raises(ValueError, match="qubit count mismatch: 3 != 4"):
+        transform_code(fixture_gbp_code(), CodeTransform(3))
+    with pytest.raises(ValueError, match="expected a 16x16 matrix"):
+        transform_code(fixture_gbp_code(), np.eye(8))
+
+
+def test_oversized_code_is_refused_where_its_gram_tensor_is_built(gram_builds):
+    # n=7, K=17 needs a 72 MiB gram tensor, beyond the 64 MiB limit; a code
+    # made directly, or as a transform's image, is refused on its first
+    # check, space or scan, before anything the size of the tensor exists
+    import tracemalloc
+
+    eye = np.eye(1 << 7)
+    code = QuantumCode(n=7, k=17, basis=tuple(Ket(7, eye[:, i]) for i in range(17)))
+    image = transform_code(code, CodeTransform(7, perm=cyclic_shift(7, 1)))
+    p = pauli_from_string("XIIIIIZ")
+    queries = (lambda c: check_erasure(c, p), lambda c: check_pure(c, p),
+               lambda c: check_erasure(c, np.eye(1 << 7)), erasure_space,
+               pure_erasure_space, classify_paulis, minimum_distance)
+    tracemalloc.start()
+    try:
+        for c in (code, image):
+            for query in queries:
+                with pytest.raises(CodeTooLargeError, match="n=7, K=17 needs a 72 MiB"):
+                    query(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gram_builds == []
+    assert peak < 1 << 20
 
 
 def test_transform_gbp_pair_spans_listed_vectors():

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from qerasure import (
     OperatorSubspace,
+    PauliOperator,
     check_erasure,
     check_pure,
     classify_paulis,
@@ -23,6 +24,7 @@ from qerasure import (
     pauli_to_string,
     pure_distance,
     pure_erasure_space,
+    to_matrix,
 )
 from qerasure.cli import _space_sections
 from qerasure.erasure import _scan, annihilating_space
@@ -35,6 +37,7 @@ from _oracle import (
     erasure_constraint_matrix,
     gram,
     pure_constraint_matrix,
+    sorted_paulis,
     svd_rank,
     zero_block_constraint_matrix,
 )
@@ -104,7 +107,7 @@ def test_witness_points_at_first_violation():
     # the flagged element really is the violating matrix element
     from qerasure.erasure import _gram_matrix
 
-    gram = _gram_matrix(union, pauli_from_string("IIIY"))
+    gram, _ = _gram_matrix(union, pauli_from_string("IIIY"))
     assert abs(gram[i, j] - value) < 1e-12 or abs((gram[i, i] - gram[0, 0]) - value) < 1e-12
 
 
@@ -122,6 +125,73 @@ def test_operator_value_forms_agree(rng):
 def test_membership_dimension_mismatch():
     with pytest.raises(ValueError):
         check_erasure(fixture_gbp_code(), pauli_from_string("XX"))
+
+
+@pytest.mark.parametrize("shape", [(16, 16, 1), (257,), (8, 8)],
+                         ids=["stack", "long-vector", "other-n"])
+def test_single_check_names_both_accepted_shapes(shape):
+    # a (2^n, 2^n, 1) stack would pass matrices_to_coords alone
+    for check in (check_erasure, check_pure):
+        with pytest.raises(ValueError, match=r"neither \(16, 16\) nor \(256,\)"):
+            check(fixture_gbp_code(), np.ones(shape))
+
+
+def test_single_checks_share_the_one_gram_tensor(rng, gram_builds):
+    code = random_code(rng, 4, 3)
+    p = PauliOperator(4, 0b0101, 0b0011, phase=3)
+    for op in (p, to_matrix(p), pauli_coords(p)):
+        check_erasure(code, op)
+        check_pure(code, op)
+    assert gram_builds == [(4, 3)]  # the checks built it, and the rest reuse it
+    erasure_space(code)
+    pure_erasure_space(code)
+    classify_paulis(code)
+    assert gram_builds == [(4, 3)]
+
+
+def oracle_report(c, e, pure):
+    """(member, (i, j) of the first violation, alpha) from dense matrix elements."""
+    g = gram(c, e)
+    alpha = np.trace(e) / len(e) if pure else np.mean(np.diag(g))
+    required = np.eye(len(g)) * (alpha if pure else g[0, 0])
+    bad = np.argwhere(np.abs(g - required) >= 1e-9)
+    if len(bad):
+        return False, tuple(int(x) for x in bad[0]), None
+    return True, None, alpha
+
+
+def test_every_input_kind_agrees_with_the_dense_conditions(rng):
+    """A Pauli in each of its four phases, its dense matrix and its
+    coordinates; and dense operators, some inside the erasure or the pure
+    space and one with a complex trace, with their coordinates from the
+    oracle's traces."""
+    for code in (get_fixture("gbp-union"), random_code(rng, 5, 4)):
+        n, c = code.n, code_matrix([ket.amplitudes for ket in code.basis])
+        dim = 1 << n
+        off = np.eye(dim) - c @ c.conj().T  # the projector off the code
+        a = off @ (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) @ off
+        traceless = a - np.trace(a) / (dim - code.k) * off
+        labels = sorted_paulis(n)
+        paulis = np.array([dense_pauli(s) for s in labels])
+        dense = [0.3 * np.eye(dim), a + 0.3 * np.eye(dim), traceless + (0.3 + 0.2j) * np.eye(dim),
+                 rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))]
+        ops = [(e, e) for e in dense]
+        for label in ("I" * n, "X" + "I" * (n - 1), "IZ" + "Y" * (n - 2), labels[7], labels[-1]):
+            p = pauli_from_string(label)
+            ops += [(PauliOperator(n, p.x_mask, p.z_mask, phase), 1j**phase * dense_pauli(label))
+                    for phase in range(4)]
+        for op, e in ops:
+            coords = np.einsum("sab,ba->s", paulis, e) / dim
+            kinds = [e, coords] + ([op] if op is not e else [])
+            for pure, check in ((False, check_erasure), (True, check_pure)):
+                member, where, alpha = oracle_report(c, e, pure)
+                for kind in kinds:
+                    report = check(code, kind)
+                    assert report.member == member
+                    if member:
+                        assert abs(report.alpha - alpha) < 1e-12
+                    else:
+                        assert report.witness[:2] == where
 
 
 # ------------------------------------------------------------------- spaces

@@ -20,7 +20,7 @@ from qerasure import (
 )
 from qerasure import operator_space
 from qerasure.operator_space import _complete_orthonormal, _pauli_table
-from qerasure.pauli import PauliOperator, _index_aligned_masks, _pauli_masks
+from qerasure.pauli import PauliOperator, _pauli_masks, _reverse_bits
 
 from _oracle import dense_pauli, gram, sorted_paulis
 from _svd_route import (
@@ -56,7 +56,7 @@ def test_pauli_table_masks_match_the_operators():
         t = _pauli_table(n)
         ops = enumerate_paulis(n, n)
         assert np.column_stack([t.x, t.z]).tolist() == [
-            list(_index_aligned_masks(p)) for p in ops]
+            [_reverse_bits(p.x_mask, n), _reverse_bits(p.z_mask, n)] for p in ops]
         keys = sorted(((x | z).bit_count(), x, z) for x in range(1 << n) for z in range(1 << n))
         assert [(p.x_mask, p.z_mask) for p in ops] == [(x, z) for _, x, z in keys]
         flip = [int(format(m, f"0{n}b")[::-1], 2) for m in range(1 << n)]

@@ -13,7 +13,7 @@ from qerasure import (
     weight,
 )
 
-from qerasure.pauli import apply_to_amplitudes
+from qerasure import QuantumCode, check_erasure
 
 from _oracle import dense_pauli, ket_from_terms, sorted_paulis
 
@@ -130,8 +130,9 @@ def test_enumeration_rejects_bad_weight():
 
 
 def matrix_element(bra, p, ket):
-    """<bra| p |ket> through apply_to_amplitudes, with no dense matrix."""
-    return complex(np.vdot(bra.amplitudes, apply_to_amplitudes(p, ket.amplitudes)))
+    """<bra| p |ket> through the dense oracle, from p's letters and its power of i."""
+    letters = pauli_to_string(PauliOperator(p.n, p.x_mask, p.z_mask))
+    return complex(np.vdot(bra.amplitudes, 1j**p.phase * dense_pauli(letters) @ ket.amplitudes))
 
 
 def test_matrix_element_trivial():
@@ -154,19 +155,23 @@ def test_matrix_element_matches_dense(rng):
 
 
 def test_matrix_element_all_paulis_small_n(rng):
+    # every Pauli in every phase: to_matrix against the oracle's letters times i^phase
     for n in (1, 2, 3):
         bra = Ket(n, rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n))
         ket = Ket(n, rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n))
-        for p in enumerate_paulis(n, n):
-            dense = dense_pauli(pauli_to_string(p))
-            expect = bra.amplitudes.conj() @ dense @ ket.amplitudes
-            assert abs(matrix_element(bra, p, ket) - expect) < 1e-12
+        for base in enumerate_paulis(n, n):
+            for phase in range(4):
+                p = PauliOperator(n, base.x_mask, base.z_mask, phase)
+                expect = bra.amplitudes.conj() @ to_matrix(p) @ ket.amplitudes
+                assert abs(matrix_element(bra, p, ket) - expect) < 1e-12
 
 
 def test_matrix_element_dimension_mismatch():
+    # the package's matrix elements come from a code's gram tensor, which
+    # refuses a Pauli on another number of qubits
     c2 = Ket(2, ket_from_terms(2, [(1, "00")]))
-    with pytest.raises(ValueError, match="length 4, expected 8"):
-        matrix_element(c2, pauli_from_string("XXX"), c2)
+    with pytest.raises(ValueError, match="qubit count mismatch: 3 != 2"):
+        check_erasure(QuantumCode(n=2, k=1, basis=(c2,)), pauli_from_string("XXX"))
 
 
 def test_mask_validation():

@@ -16,7 +16,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qerasure import (
@@ -24,19 +24,20 @@ from qerasure import (
     Ket,
     OperatorSubspace,
     PauliOperator,
+    QuantumCode,
     UnitaryAction,
-    apply_transform,
     conjugate_subspace,
     equality_residual,
     multiply,
     pauli_to_string,
     to_matrix,
+    transform_code,
 )
 from qerasure.cli import main
 from qerasure.codes import CodeValidationError, basis_matrix, ingest_code
 
 import _loop_route
-from _oracle import dense_pauli
+from _oracle import dense_pauli, transform_matrix
 from _svd_route import product_image
 from conftest import assert_orthonormal, random_unitary
 
@@ -70,10 +71,15 @@ def transforms_and_kets(draw):
 @given(transforms_and_kets())
 def test_transform_adjoint_round_trip(case):
     t, k = case
-    # the adjoint of the transform's matrix undoes the transform of a ket
+    assume(k.norm() > 1e-3)
+    code = QuantumCode(n=t.n, k=1, basis=(k.normalized(),))
+    # the transform's matrix is the oracle's, and its adjoint undoes transform_code
     u = UnitaryAction.from_transform(t).matrix
-    back = UnitaryAction(t.n, u.conj().T).apply(apply_transform(t, k))
-    assert np.allclose(back.amplitudes, k.amplitudes, atol=1e-12)
+    assert np.allclose(u, transform_matrix(t.perm, t.locals), atol=1e-12)
+    image = transform_code(code, t)
+    assert np.allclose(basis_matrix(image), u @ basis_matrix(code), atol=1e-12)
+    back = transform_code(image, UnitaryAction(t.n, u.conj().T))
+    assert np.allclose(basis_matrix(back), basis_matrix(code), atol=1e-12)
 
 
 @st.composite

@@ -6,20 +6,18 @@ import pytest
 from qerasure import (
     CodeTransform,
     Ket,
+    QuantumCode,
     UnitaryAction,
-    apply_transform,
     cyclic_shift,
-    enumerate_paulis,
     ket_from_terms,
-    pauli_from_string,
-    pauli_to_string,
+    transform_code,
 )
 
-from qerasure.pauli import apply_to_amplitudes
+from qerasure.codes import basis_matrix
 from qerasure.states import LOCAL_GATES
 
 from _oracle import all_pauli_letterings, conjugate_letters, dense_pauli, transform_matrix
-from conftest import random_unitary
+from conftest import random_code, random_unitary
 
 
 def random_ket(rng, n):
@@ -42,32 +40,25 @@ def test_ket_from_dict_terms():
     assert k.amplitudes[0b01] == 1.0 - 1.0j
 
 
-def test_apply_pauli_examples():
-    k = ket_from_terms(5, [(1.0, "00000")]).amplitudes
-    assert apply_to_amplitudes(pauli_from_string("IIIII"), k)[0] == 1.0
-    flipped = apply_to_amplitudes(pauli_from_string("XIIII"), k)
-    assert abs(flipped[int("10000", 2)] - 1.0) < 1e-12
+def one_ket_code(k):
+    return QuantumCode(n=k.n, k=1, basis=(k,))
 
 
-def test_apply_pauli_matches_dense(rng):
-    for n in (1, 2, 3):
-        k = random_ket(rng, n)
-        for p in enumerate_paulis(n, n):
-            fast = apply_to_amplitudes(p, k.amplitudes)
-            dense = dense_pauli(pauli_to_string(p)) @ k.amplitudes
-            assert np.max(np.abs(fast - dense)) < 1e-12
+def image_ket(t, k):
+    """The one ket of transform_code on the one-ket code of k."""
+    return transform_code(one_ket_code(k), t).basis[0]
 
 
 def test_transform_identity():
-    k = ket_from_terms(3, [(1, "010"), (1j, "111")])
-    out = apply_transform(CodeTransform(3), k)
+    k = ket_from_terms(3, [(1, "010"), (1j, "111")]).normalized()
+    out = image_ket(CodeTransform(3), k)
     assert np.array_equal(out.amplitudes, k.amplitudes)
 
 
 def test_transform_y_local_example():
     plus = ket_from_terms(4, [(1, "0000"), (1, "1111")]).normalized()
     t = CodeTransform(4, locals=["I", "I", "I", "Y"])
-    got = apply_transform(t, plus)
+    got = image_ket(t, plus)
     want = ket_from_terms(4, [(1, "0001"), (-1, "1110")]).normalized()
     # agreement up to a global phase
     assert abs(abs(np.vdot(want.amplitudes, got.amplitudes)) - 1.0) < 1e-9
@@ -76,18 +67,22 @@ def test_transform_y_local_example():
 def test_transform_cyclic_shift_example():
     k = ket_from_terms(5, [(1.0, "00011")])
     t = CodeTransform(5, perm=cyclic_shift(5, 1))
-    out = apply_transform(t, k)
+    out = image_ket(t, k)
     assert abs(out.amplitudes[int("10001", 2)] - 1.0) < 1e-12
 
 
 def test_transform_preserves_inner_products(rng):
     t = CodeTransform(3, perm=(2, 0, 1), locals=["H", "S", "Y"])
+    u = UnitaryAction.from_transform(t).matrix
+    assert np.max(np.abs(u - transform_matrix(t.perm, t.locals))) < 1e-15
     for _ in range(20):
         a, b = random_ket(rng, 3), random_ket(rng, 3)
         before = np.vdot(a.amplitudes, b.amplitudes)
-        after = np.vdot(apply_transform(t, a).amplitudes, apply_transform(t, b).amplitudes)
+        after = np.vdot(u @ a.amplitudes, u @ b.amplitudes)
         assert abs(before - after) < 1e-9
-        assert abs(apply_transform(t, a).norm() - 1.0) < 1e-9
+        assert abs(image_ket(t, a).norm() - 1.0) < 1e-9
+    image = basis_matrix(transform_code(random_code(rng, 3, 4), t))
+    assert np.max(np.abs(image.conj().T @ image - np.eye(4))) < 1e-12
 
 
 def test_transform_matches_dense_matrix(rng):
@@ -97,11 +92,11 @@ def test_transform_matches_dense_matrix(rng):
             gates = rng.choice(["I", "X", "Y", "Z", "H", "S"], size=n).tolist()
             transforms.append(CodeTransform(n, perm=rng.permutation(n).tolist(), locals=gates))
     for t in transforms:
-        u = UnitaryAction.from_transform(t)
-        for _ in range(10):
-            k = random_ket(rng, t.n)
-            dense = u.matrix @ k.amplitudes
-            assert np.max(np.abs(apply_transform(t, k).amplitudes - dense)) < 1e-12
+        dense = transform_matrix(t.perm, t.locals)
+        for k in range(1, min(4, 1 << t.n) + 1):
+            code = random_code(rng, t.n, k)
+            image = basis_matrix(transform_code(code, t))
+            assert np.max(np.abs(image - dense @ basis_matrix(code))) < 1e-12
 
 
 def test_transform_validation():
@@ -140,16 +135,17 @@ def test_transform_from_json_matrix_entries():
 def test_unitary_action_round_trip(rng):
     t = CodeTransform(3, perm=(2, 0, 1), locals=["H", "S", "X"])
     u = UnitaryAction.from_transform(t)
-    for _ in range(10):
-        k = random_ket(rng, 3)
-        back = UnitaryAction(3, u.matrix.conj().T).apply(u.apply(k))
-        assert np.max(np.abs(back.amplitudes - k.amplitudes)) < 1e-9
+    assert np.max(np.abs(u.matrix - transform_matrix(t.perm, t.locals))) < 1e-15
+    for k in range(1, 9):
+        code = random_code(rng, 3, k)
+        back = transform_code(transform_code(code, u), UnitaryAction(3, u.matrix.conj().T))
+        assert np.max(np.abs(basis_matrix(back) - basis_matrix(code))) < 1e-9
 
 
 def test_identity_action():
     u = UnitaryAction(2, np.eye(4))
-    k = ket_from_terms(2, [(1, "01"), (1j, "10")])
-    assert np.array_equal(u.apply(k).amplitudes, k.amplitudes)
+    k = ket_from_terms(2, [(1, "01"), (1j, "10")]).normalized()
+    assert np.array_equal(transform_code(one_ket_code(k), u).basis[0].amplitudes, k.amplitudes)
 
 
 def test_action_matrix_matches_oracle():

@@ -37,7 +37,8 @@ from qerasure import (
 from qerasure.codes import basis_matrix
 from qerasure.erasure import _scaled_columns, annihilating_space
 from qerasure.operator_space import _pauli_grams, _pauli_table
-from qerasure.unions import _as_action, _block_sum, _cross_check, _formula_complements
+from qerasure.states import _as_action
+from qerasure.unions import _block_sum, _cross_check, _formula_complements
 
 from _oracle import SINGLE, all_pauli_letterings, conjugate_letters, dense_pauli, transform_matrix
 from _svd_route import (
@@ -450,7 +451,7 @@ def test_equal_expectation_space_is_real(rng):
         assert s.complement.dtype == np.float64
         assert_orthonormal(s, 1e-12)
         ket = code.basis[0]
-        grams = _pauli_grams(np.column_stack([ket.amplitudes, act.apply(ket).amplitudes]),
+        grams = _pauli_grams(np.column_stack([ket.amplitudes, act.matrix @ ket.amplitudes]),
                              code.n)
         complex_route = OperatorSubspace(
             code.n, wide_nullspace_complement(grams[:, 0, 0] - grams[:, 1, 1]))
