@@ -23,8 +23,8 @@ from qerasure import (
 
 code = fixture_gbp_code()
 print(f"code {code.label!r}: n={code.n}, K={code.k}")
-for ket in code.basis:
-    live = np.nonzero(np.abs(ket.amplitudes) > 1e-12)[0]
+for ket in code.basis.T:
+    live = np.nonzero(np.abs(ket) > 1e-12)[0]
     terms = " + ".join(format(int(i), "04b") for i in live)
     print(f"  basis ket ~ {terms}")
 

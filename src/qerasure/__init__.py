@@ -11,7 +11,6 @@ cross-checked against direct computation.
 from .codes import (
     CodeValidationError,
     QuantumCode,
-    basis_matrix,
     code_to_json,
     fixture_gbp_code,
     fixture_rains_subcode,
@@ -62,7 +61,6 @@ from .pauli import (
 )
 from .states import (
     CodeTransform,
-    Ket,
     UnitaryAction,
     cyclic_shift,
     ket_from_terms,

@@ -1,16 +1,17 @@
-"""Quantum codes as validated orthonormal bases, plus the bundled examples.
+"""Quantum codes as validated orthonormal basis matrices, plus the bundled examples.
 
-A code is its span, not its ordered basis: any orthonormal basis of the
-same span carries the same correctability data.  All ingestion normalizes
-vectors first, enforces pairwise orthogonality to 1e-9, and then
-orthonormalizes the accepted basis to roundoff, so that every quantity built
-from it (the closed-form complements of the erasure spaces first of all) is
-as orthonormal as floating point allows.
+A code on n qubits is a (2^n, K) matrix of orthonormal columns, its kets.  A
+code is its span, not its ordered basis: any orthonormal basis of the same
+span carries the same correctability data.  All ingestion normalizes vectors
+first, enforces pairwise orthogonality to 1e-9, and then orthonormalizes the
+accepted basis to roundoff, so that every quantity built from it (the
+closed-form complements of the erasure spaces first of all) is as
+orthonormal as floating point allows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -18,7 +19,6 @@ import numpy as np
 from .operator_space import _pauli_grams
 from .states import (
     CodeTransform,
-    Ket,
     UnitaryAction,
     _as_action,
     _read_terms,
@@ -47,34 +47,33 @@ class CodeTooLargeError(CodeValidationError):
     code = "too-large"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumCode:
-    """A K-dimensional code on n qubits with an explicit orthonormal basis."""
+    """A K-dimensional code on n qubits: its orthonormal kets as the columns of basis.
+
+    basis is any (2^n, K) array, 1 <= K <= 2^n; the code keeps a read-only complex copy.
+    """
 
     n: int
-    k: int
-    basis: tuple[Ket, ...]
+    k: int = field(init=False)  # read off basis.shape
+    basis: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        if self.k != len(self.basis) or self.k < 1:
-            raise CodeValidationError(f"k={self.k} does not match {len(self.basis)} basis kets")
-        if self.k > 1 << self.n:
-            raise CodeValidationError(f"k={self.k} exceeds the space dimension {1 << self.n}")
-        for idx, ket in enumerate(self.basis):
-            if ket.n != self.n:
-                raise CodeValidationError(f"basis ket {idx} has {ket.n} qubits, expected {self.n}")
-        # the stacked basis is kept, read-only, for basis_matrix and grams
-        mat = np.column_stack([ket.amplitudes for ket in self.basis])
-        mat.flags.writeable = False
-        object.__setattr__(self, "_matrix", mat)
-        gram = mat.conj().T @ mat
-        err = np.abs(gram - np.eye(self.k))
-        if np.max(err) > ORTHONORMALITY_TOL:
+        mat = np.array(self.basis, dtype=complex, order="C")
+        dim = 1 << self.n
+        if mat.ndim != 2 or mat.shape[0] != dim or not 1 <= mat.shape[1] <= dim:
+            raise CodeValidationError(f"basis shape {mat.shape} is not ({dim}, K), 1 <= K <= {dim}")
+        with np.errstate(all="ignore"):  # a non-finite entry shows as a NaN or an infinity
+            err = np.abs(mat.conj().T @ mat - np.eye(mat.shape[1]))
+        if not np.all(err <= ORTHONORMALITY_TOL):
             i, j = np.unravel_index(int(np.argmax(err)), err.shape)
             raise CodeValidationError(
                 f"basis is not orthonormal: |<c_{i}|c_{j}> - delta| = {err[i, j]:.3e}"
             )
+        mat.flags.writeable = False
+        object.__setattr__(self, "basis", mat)
+        object.__setattr__(self, "k", mat.shape[1])
 
     @cached_property
     def grams(self) -> np.ndarray:
@@ -84,7 +83,7 @@ class QuantumCode:
         before anything is built, however the code was made.
         """
         _check_gram_size(self.n, self.k)
-        grams = _pauli_grams(basis_matrix(self), self.n)
+        grams = _pauli_grams(self.basis, self.n)
         grams.flags.writeable = False
         return grams
 
@@ -97,11 +96,6 @@ def _check_gram_size(n: int, k: int) -> None:
             f"n={n}, K={k} needs a {gram_bytes >> 20} MiB gram tensor; "
             f"the limit is {MAX_GRAM_BYTES >> 20} MiB"
         )
-
-
-def basis_matrix(code: QuantumCode) -> np.ndarray:
-    """Basis kets stacked as columns, shape (2^n, K), read-only: the matrix the code checked."""
-    return code._matrix
 
 
 def ingest_code(spec: dict) -> QuantumCode:
@@ -174,18 +168,16 @@ def ingest_code(spec: dict) -> QuantumCode:
             f"basis vectors {i} and {j} are not orthogonal: |<c_{i}|c_{j}>| = {abs(gram[i, j]):.3e}"
         )
     w, v = np.linalg.eigh(gram)
-    mat = mat @ ((v / np.sqrt(w)) @ v.conj().T)
-    basis = tuple(Ket(n, mat[:, i]) for i in range(read))
-    return QuantumCode(n=n, k=read, basis=basis, label=label)
+    return QuantumCode(n=n, basis=mat @ ((v / np.sqrt(w)) @ v.conj().T), label=label)
 
 
 def code_to_json(code: QuantumCode) -> dict:
     """Serialize to the JSON form accepted by ingest_code; amplitudes up to AMPLITUDE_TOL drop."""
     basis = []
-    for ket in code.basis:
+    for ket in code.basis.T:
         terms = []
-        for idx in np.nonzero(np.abs(ket.amplitudes) > AMPLITUDE_TOL)[0]:
-            amp = ket.amplitudes[idx]
+        for idx in np.nonzero(np.abs(ket) > AMPLITUDE_TOL)[0]:
+            amp = ket[idx]
             terms.append({
                 "re": float(amp.real),
                 "im": float(amp.imag),
@@ -197,17 +189,15 @@ def code_to_json(code: QuantumCode) -> dict:
 
 def transform_code(code: QuantumCode, t: CodeTransform | UnitaryAction | np.ndarray,
                    label: str | None = None) -> QuantumCode:
-    """Apply a unitary to every basis ket; orthonormality is preserved.
+    """Apply a unitary to the code's basis matrix; orthonormality is preserved.
 
     t is a CodeTransform, a UnitaryAction or a 2^n x 2^n unitary matrix.  Each
     is taken to its one matrix (states._as_action), and the image basis is
     one product of that matrix with the basis matrix.
     """
-    image = _as_action(code.n, t).matrix @ basis_matrix(code)
-    kets = tuple(Ket(code.n, col) for col in image.T)
     if label is None:
         label = f"U({code.label})"
-    return QuantumCode(n=code.n, k=code.k, basis=kets, label=label)
+    return QuantumCode(n=code.n, basis=_as_action(code.n, t).matrix @ code.basis, label=label)
 
 
 def _cyclic_orbit(bits: str) -> list[str]:
@@ -231,14 +221,13 @@ def fixture_rains_subcode() -> QuantumCode:
     terms += [(-1.0, b) for b in _cyclic_orbit("00011")]
     terms += [(1.0, b) for b in _cyclic_orbit("00101")]
     terms += [(-1.0, b) for b in _cyclic_orbit("01111")]
-    ket = ket_from_terms(5, terms).normalized()
-    return QuantumCode(n=5, k=1, basis=(ket,), label="rains-subcode")
+    ket = ket_from_terms(5, terms)
+    return QuantumCode(n=5, basis=(ket / np.linalg.norm(ket))[:, None], label="rains-subcode")
 
 
 def fixture_gbp_code() -> QuantumCode:
     """The four-qubit, four-dimensional code spanned by paired bitstrings."""
     pairs = [("0000", "1111"), ("0110", "1001"), ("0101", "1010"), ("1100", "0011")]
-    kets = tuple(
-        ket_from_terms(4, [(1.0, a), (1.0, b)]).normalized() for a, b in pairs
-    )
-    return QuantumCode(n=4, k=4, basis=kets, label="gbp")
+    kets = [ket_from_terms(4, [(1.0, a), (1.0, b)]) for a, b in pairs]
+    return QuantumCode(n=4, basis=np.column_stack([v / np.linalg.norm(v) for v in kets]),
+                       label="gbp")

@@ -1,4 +1,4 @@
-"""State vectors on n qubits and the unitary actions used for code transforms.
+"""Reading amplitude terms, code transforms and the unitaries they act as.
 
 A transform is a qubit permutation composed with per-qubit 2x2 unitaries; the
 locals act first, then the permutation moves qubit j to position perm[j].
@@ -24,31 +24,6 @@ LOCAL_GATES = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
     "S": np.array([[1, 0], [0, 1j]], dtype=complex),
 }
-
-
-@dataclass(frozen=True)
-class Ket:
-    """A complex amplitude vector of length 2^n, qubit 0 as most significant bit."""
-
-    n: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (1 << self.n,):
-            raise ValueError(f"expected {1 << self.n} amplitudes, got shape {amps.shape}")
-        amps = amps.copy()
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> "Ket":
-        nrm = self.norm()
-        if nrm == 0:
-            raise ValueError("cannot normalize the zero vector")
-        return Ket(self.n, self.amplitudes / nrm)
 
 
 def _is_finite_number(x) -> bool:
@@ -97,8 +72,8 @@ def _sum_terms(slots: list, values: list, size: int) -> np.ndarray:
     return amps
 
 
-def ket_from_terms(n: int, terms: Iterable) -> Ket:
-    """Build a ket from (amplitude, bitstring) terms, e.g. [(1, "0000"), (1, "1111")].
+def ket_from_terms(n: int, terms: Iterable) -> np.ndarray:
+    """The 2^n amplitudes of (amplitude, bitstring) terms, e.g. [(1, "0000"), (1, "1111")].
 
     Terms are summed as given; normalize explicitly when needed.  Each term is
     a pair or a mapping with keys "re", "im", "bits" and no others; anything
@@ -107,7 +82,7 @@ def ket_from_terms(n: int, terms: Iterable) -> Ket:
     """
     slots, values = [], []
     _read_terms(n, terms, 0, slots, values)
-    return Ket(n, _sum_terms(slots, values, 1 << n))
+    return _sum_terms(slots, values, 1 << n)
 
 
 def _as_local(entry) -> np.ndarray:

@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from . import states
-from .codes import QuantumCode, _check_gram_size, basis_matrix, transform_code
+from .codes import QuantumCode, _check_gram_size, transform_code
 from .erasure import (
     _complement_width,
     _condition_complement,
@@ -69,10 +69,10 @@ def union_code(codes: Sequence[QuantumCode],
                label: str | None = None) -> tuple[QuantumCode, UnionBuildReport]:
     """Concatenate mutually orthogonal codes into one code.
 
-    Implemented as an iterated binary union: each component is checked
-    against everything accumulated so far, so every cross-component pair is
-    covered.  K adds up exactly.  A union whose gram tensor would exceed the
-    size limit of ingest raises CodeTooLargeError before anything is built.
+    The union's basis stacks the components' bases side by side, each checked
+    against the columns before it, so every cross-component pair is covered.
+    K adds up exactly.  A union whose gram tensor would exceed the size limit
+    of ingest raises CodeTooLargeError before anything is built.
     """
     if len(codes) < 2:
         raise ValueError("a union needs at least two codes")
@@ -80,11 +80,10 @@ def union_code(codes: Sequence[QuantumCode],
     if any(c.n != n for c in codes):
         raise ValueError("codes have different lengths")
     _check_gram_size(n, sum(c.k for c in codes))
-    kets = list(codes[0].basis)
-    max_cross = 0.0
+    stacked = np.hstack([c.basis for c in codes])
+    max_cross, start = 0.0, codes[0].k
     for comp_idx, comp in enumerate(codes[1:], start=1):
-        acc = np.hstack([basis_matrix(c) for c in codes[:comp_idx]])
-        overlaps = np.abs(acc.conj().T @ basis_matrix(comp))
+        overlaps = np.abs(stacked[:, :start].conj().T @ comp.basis)
         worst = float(np.max(overlaps))
         if worst >= CROSS_ORTHOGONALITY_TOL:
             i, j = np.unravel_index(int(np.argmax(overlaps)), overlaps.shape)
@@ -93,10 +92,10 @@ def union_code(codes: Sequence[QuantumCode],
                 f"|<b_{i}|c_{j}>| = {worst:.3e}"
             )
         max_cross = max(max_cross, worst)
-        kets.extend(comp.basis)
+        start += comp.k
     if label is None:
         label = "+".join(c.label or f"code{i}" for i, c in enumerate(codes))
-    code = QuantumCode(n=n, k=len(kets), basis=tuple(kets), label=label)
+    code = QuantumCode(n=n, basis=stacked, label=label)
     report = UnionBuildReport(
         component_labels=tuple(c.label for c in codes),
         max_cross_inner=max_cross,

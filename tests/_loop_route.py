@@ -21,14 +21,14 @@ import sys
 
 import numpy as np
 
-from qerasure import Ket, QuantumCode
+from qerasure import QuantumCode
 from qerasure.codes import MAX_QUBITS, CodeTooLargeError, CodeValidationError, _check_gram_size
 from qerasure.operator_space import _pauli_table
 from qerasure.tolerances import MATRIX_ELEMENT_TOL, ORTHONORMALITY_TOL
 
 
 def ket_from_terms(n, terms):
-    """A ket summed term by term; raises ValueError (or TypeError) at the first bad term."""
+    """Amplitudes summed term by term; raises ValueError (or TypeError) at the first bad term."""
     amps = np.zeros(1 << n, dtype=complex)
     for term in terms:
         if isinstance(term, dict):
@@ -43,7 +43,7 @@ def ket_from_terms(n, terms):
         if not isinstance(bits, str) or len(bits) != n or any(ch not in "01" for ch in bits):
             raise ValueError(f"bitstring {bits!r} is not {n} bits")
         amps[int(bits, 2)] += re + 1j * im
-    return Ket(n, amps)
+    return amps
 
 
 def ingest_code(spec):
@@ -67,28 +67,26 @@ def ingest_code(spec):
         try:
             with np.errstate(over="ignore"):  # an overflow shows as an infinite norm
                 ket = ket_from_terms(n, terms)
-                norm = ket.norm()
+                norm = np.linalg.norm(ket)
         except (ValueError, TypeError) as exc:
             raise CodeValidationError(f"basis vector {idx}: {exc}") from exc
         if not np.isfinite(norm):
             raise CodeValidationError(f"basis vector {idx} has a norm beyond the float range")
-        if norm == 0 and ket.amplitudes.any():  # every square underflowed to zero
+        if norm == 0 and ket.any():  # every square underflowed to zero
             raise CodeValidationError(f"basis vector {idx} has a norm below the float range")
         if norm == 0:
             raise CodeValidationError(f"basis vector {idx} is the zero vector")
-        kets.append(ket.normalized())
+        kets.append(ket / norm)
     for i in range(len(kets)):
         for j in range(i + 1, len(kets)):
-            overlap = abs(np.vdot(kets[i].amplitudes, kets[j].amplitudes))
+            overlap = abs(np.vdot(kets[i], kets[j]))
             if overlap > ORTHONORMALITY_TOL:
                 raise CodeValidationError(
                     f"basis vectors {i} and {j} are not orthogonal: |<c_{i}|c_{j}>| = {overlap:.3e}"
                 )
-    mat = np.column_stack([ket.amplitudes for ket in kets])
+    mat = np.column_stack(kets)
     w, v = np.linalg.eigh(mat.conj().T @ mat)
-    mat = mat @ ((v / np.sqrt(w)) @ v.conj().T)
-    basis = tuple(Ket(n, mat[:, i]) for i in range(len(kets)))
-    return QuantumCode(n=n, k=len(kets), basis=basis, label=label)
+    return QuantumCode(n=n, basis=mat @ ((v / np.sqrt(w)) @ v.conj().T), label=label)
 
 
 def scan(code, pure):

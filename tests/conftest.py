@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qerasure import Ket, QuantumCode
+from qerasure import QuantumCode
 
 
 def src_env() -> dict:
@@ -20,9 +20,7 @@ def random_unitary(rng, dim):
 
 def random_code(rng, n, k, label="random"):
     """Random orthonormal K-frame on n qubits."""
-    frame = random_unitary(rng, 1 << n)[:, :k]
-    kets = tuple(Ket(n, frame[:, i]) for i in range(k))
-    return QuantumCode(n=n, k=k, basis=kets, label=label)
+    return QuantumCode(n=n, basis=random_unitary(rng, 1 << n)[:, :k], label=label)
 
 
 def assert_orthonormal(space, tol):
@@ -34,11 +32,8 @@ def assert_orthonormal(space, tol):
 def random_orthogonal_pair(rng, n, k1, k2):
     """Two mutually orthogonal random codes drawn from one frame."""
     frame = random_unitary(rng, 1 << n)[:, : k1 + k2]
-    first = QuantumCode(n=n, k=k1, basis=tuple(Ket(n, frame[:, i]) for i in range(k1)),
-                        label="rand-a")
-    second = QuantumCode(n=n, k=k2,
-                         basis=tuple(Ket(n, frame[:, k1 + i]) for i in range(k2)),
-                         label="rand-b")
+    first = QuantumCode(n=n, basis=frame[:, :k1], label="rand-a")
+    second = QuantumCode(n=n, basis=frame[:, k1:], label="rand-b")
     return first, second
 
 

@@ -19,7 +19,6 @@ import sys
 import numpy as np
 
 from qerasure import (
-    Ket,
     QuantumCode,
     check_erasure,
     check_pure,
@@ -42,7 +41,6 @@ from qerasure import (
     union_code,
     weight,
 )
-from qerasure.codes import basis_matrix
 
 from _oracle import (
     code_matrix,
@@ -118,7 +116,7 @@ def test_c02_weight3_violator_count():
     print(f"ACCEPTANCE C02: weight-3 pure violators computed = {count}, "
           f"listed orbits hold {len(LISTED_W3)}")
     # second route: the dense oracle on the subcode's ket
-    mat = code_matrix([code.basis[0].amplitudes])
+    mat = code.basis
     assert found == set(violators_dense(mat, 5, 3, member=pure_member_dense))
     assert found == LISTED_W3
     assert count == len(LISTED_W3) == 10
@@ -128,7 +126,7 @@ def test_c02_weight3_violator_count():
 
 def test_c03_rains_union_construction():
     components = rains_orbit_codes()
-    mats = [basis_matrix(c) for c in components]
+    mats = [c.basis for c in components]
     worst = 0.0
     for i in range(6):
         for j in range(i + 1, 6):
@@ -151,7 +149,7 @@ def test_c04_rains_union_distance_and_violators():
           f"{len(LISTED_W2)}; listed subset of computed: {LISTED_W2 <= found}")
 
     # second route: the dense oracle on kets rebuilt from bitstrings
-    mat = basis_matrix(union)
+    mat = union.basis
     assert np.max(np.abs(mat - rains_union_kets_dense())) < 1e-12
     assert found == set(violators_dense(mat, 5, 2))
     assert found == UNION_W2
@@ -283,7 +281,7 @@ def test_c10_dense_vs_fast_consistency():
         n = int(rng.integers(1, 4))
         k = int(rng.integers(1, (1 << n) + 1))
         code = random_code(rng, n, k)
-        dense_code = code_matrix([ket.amplitudes for ket in code.basis])
+        dense_code = code.basis
         for p in enumerate_paulis(n, n):
             dense_op = dense_pauli(pauli_to_string(p))
             total += 1
@@ -300,13 +298,13 @@ def test_c11_k1_degeneracy():
     rng = np.random.default_rng(7)
     for n in (2, 3, 5):
         amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-        code = QuantumCode(n=n, k=1, basis=(Ket(n, amps).normalized(),), label="k1")
+        code = QuantumCode(n=n, basis=(amps / np.linalg.norm(amps))[:, None], label="k1")
         assert erasure_space(code).dim == 4**n
         dense = rng.standard_normal((1 << n, 1 << n)) + 1j * rng.standard_normal((1 << n, 1 << n))
         assert check_erasure(code, dense).member
     code = fixture_rains_subcode()
     space = pure_erasure_space(code)
-    mat = code_matrix([code.basis[0].amplitudes])
+    mat = code.basis
     oracle_dim = 4**5 - svd_rank(pure_constraint_matrix(mat, 5))
     assert space.dim == oracle_dim == 4**5 - 1
     print("ACCEPTANCE C11 PASS: K=1 erasure space is everything; "

@@ -4,7 +4,6 @@ import pytest
 from qerasure import (
     CodeTransform,
     CodeValidationError,
-    Ket,
     QuantumCode,
     check_erasure,
     check_pure,
@@ -20,7 +19,7 @@ from qerasure import (
     pure_erasure_space,
     transform_code,
 )
-from qerasure.codes import CodeTooLargeError, basis_matrix
+from qerasure.codes import CodeTooLargeError
 from qerasure.states import UnitaryAction
 
 from conftest import random_code
@@ -39,7 +38,7 @@ GBP_SPEC = {
 
 def code_projector(code):
     """The rank-K projector onto the code subspace, from its basis kets."""
-    mat = basis_matrix(code)
+    mat = code.basis
     return mat @ mat.conj().T
 
 
@@ -50,8 +49,7 @@ def projector_distance(a, b):
 def test_ingest_gbp_spec():
     code = ingest_code(GBP_SPEC)
     assert (code.n, code.k) == (4, 4)
-    for ket in code.basis:
-        assert abs(ket.norm() - 1.0) < 1e-9
+    assert np.max(np.abs(np.linalg.norm(code.basis, axis=0) - 1.0)) < 1e-9
 
 
 def test_ingest_single_ket():
@@ -81,12 +79,12 @@ def test_ingest_orthonormalizes_the_basis(rng):
     spec = {"n": 3, "basis": [[{"re": a.real, "im": a.imag, "bits": format(b, "03b")}
                                for b, a in enumerate(col)] for col in frame.T]}
     code = ingest_code(spec)
-    mat = np.column_stack([ket.amplitudes for ket in code.basis])
+    mat = code.basis
     assert np.max(np.abs(mat.conj().T @ mat - np.eye(3))) < 1e-14
     # the nearest orthonormal basis: no vector moves by more than the overlap
     assert np.max(np.linalg.norm(mat - frame, axis=0)) < 4e-10
     exact = ingest_code(GBP_SPEC)
-    assert np.max(np.abs(exact.basis[0].amplitudes - fixture_gbp_code().basis[0].amplitudes)) < 1e-15
+    assert np.max(np.abs(exact.basis[:, 0] - fixture_gbp_code().basis[:, 0])) < 1e-15
 
 
 def test_serialize_round_trip():
@@ -115,7 +113,7 @@ def test_transform_kinds_give_one_basis(rng):
         t = CodeTransform(code.n, perm=cyclic_shift(code.n, 2),
                           locals=["H", "S", "Y", "X", "I"][:code.n])
         action = UnitaryAction.from_transform(t)
-        images = [basis_matrix(transform_code(code, u)) for u in (t, action, action.matrix)]
+        images = [transform_code(code, u).basis for u in (t, action, action.matrix)]
         assert all(np.array_equal(images[0], image) for image in images[1:])
     with pytest.raises(ValueError, match="qubit count mismatch: 3 != 4"):
         transform_code(fixture_gbp_code(), CodeTransform(3))
@@ -129,8 +127,7 @@ def test_oversized_code_is_refused_where_its_gram_tensor_is_built(gram_builds):
     # check, space or scan, before anything the size of the tensor exists
     import tracemalloc
 
-    eye = np.eye(1 << 7)
-    code = QuantumCode(n=7, k=17, basis=tuple(Ket(7, eye[:, i]) for i in range(17)))
+    code = QuantumCode(n=7, basis=np.eye(1 << 7)[:, :17])
     image = transform_code(code, CodeTransform(7, perm=cyclic_shift(7, 1)))
     p = pauli_from_string("XIIIIIZ")
     queries = (lambda c: check_erasure(c, p), lambda c: check_pure(c, p),
@@ -149,6 +146,38 @@ def test_oversized_code_is_refused_where_its_gram_tensor_is_built(gram_builds):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("n, basis, refused", [
+    (2, np.eye(8)[:, :2], r"basis shape \(8, 2\) is not \(4, K\), 1 <= K <= 4"),
+    (2, np.zeros((4, 0)), r"basis shape \(4, 0\)"),
+    (1, np.eye(2)[:, [0, 1, 0]], r"basis shape \(2, 3\) is not \(2, K\)"),
+    (2, np.eye(4)[:, 0], r"basis shape \(4,\)"),
+    # NaN compares False with any tolerance, so no deviation may pass as small
+    (2, np.diag([np.nan, 1, 1, 1])[:, :2], r"not orthonormal: \|<c_0\|c_0> - delta\| = nan"),
+    (2, np.diag([1, np.inf, 1, 1])[:, :2], r"basis is not orthonormal"),
+    (2, np.eye(4)[:, 1:3], None),
+    (4, np.eye(16, dtype=int), None),
+    (7, np.eye(1 << 7)[:, :17], None),
+], ids=["rows-not-2^n", "no-columns", "columns-beyond-2^n", "one-dimensional", "nan", "inf",
+        "k2", "whole-space", "n7-k17-too-large"])
+def test_constructor_takes_a_validated_basis_matrix(n, basis, refused):
+    if refused is not None:
+        with pytest.raises(CodeValidationError, match=refused):
+            QuantumCode(n=n, basis=basis)
+        return
+    mine = basis.copy()
+    code = QuantumCode(n=n, basis=mine, label="columns")
+    mine[0, 0] = 5  # the code keeps its own copy
+    assert code.basis.dtype == complex and np.array_equal(code.basis, basis)
+    assert code.k == code.basis.shape[1] == basis.shape[1]
+    with pytest.raises(ValueError, match="read-only"):
+        code.basis[0, 0] = 5
+    if n == 7:  # a 72 MiB gram tensor, beyond the 64 MiB limit
+        with pytest.raises(CodeTooLargeError, match="n=7, K=17 needs a 72 MiB"):
+            code.grams
+    else:
+        assert code.grams.shape == (4**n, code.k, code.k)
+
+
 def test_transform_gbp_pair_spans_listed_vectors():
     code = fixture_gbp_code()
     image = transform_code(code, CodeTransform(4, locals=["I", "I", "I", "Y"]))
@@ -163,7 +192,7 @@ def test_transform_gbp_pair_spans_listed_vectors():
 
 def test_rains_subcode_amplitudes():
     code = fixture_rains_subcode()
-    amps = code.basis[0].amplitudes
+    amps = code.basis[:, 0]
     assert np.count_nonzero(np.abs(amps) > 1e-12) == 16
     assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
     assert amps[int("00000", 2)] > 0
@@ -185,8 +214,8 @@ def test_rains_subcode_is_cyclic_invariant():
 def test_gbp_fixture_amplitudes():
     code = fixture_gbp_code()
     assert (code.n, code.k) == (4, 4)
-    for ket in code.basis:
-        nonzero = ket.amplitudes[np.abs(ket.amplitudes) > 1e-12]
+    for ket in code.basis.T:
+        nonzero = ket[np.abs(ket) > 1e-12]
         assert len(nonzero) == 2
         assert np.allclose(np.abs(nonzero), 1 / np.sqrt(2))
 

@@ -32,7 +32,6 @@ from qerasure.erasure import _scan, annihilating_space
 import _loop_route
 from _oracle import (
     all_pauli_letterings,
-    code_matrix,
     dense_pauli,
     erasure_constraint_matrix,
     gram,
@@ -166,7 +165,7 @@ def test_every_input_kind_agrees_with_the_dense_conditions(rng):
     space and one with a complex trace, with their coordinates from the
     oracle's traces."""
     for code in (get_fixture("gbp-union"), random_code(rng, 5, 4)):
-        n, c = code.n, code_matrix([ket.amplitudes for ket in code.basis])
+        n, c = code.n, code.basis
         dim = 1 << n
         off = np.eye(dim) - c @ c.conj().T  # the projector off the code
         a = off @ (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) @ off
@@ -203,7 +202,7 @@ def test_k1_erasure_space_is_full():
 
 def test_gbp_space_dims_match_rank_oracle():
     code = fixture_gbp_code()
-    mat = code_matrix([k.amplitudes for k in code.basis])
+    mat = code.basis
     assert erasure_space(code).dim == 4**4 - svd_rank(erasure_constraint_matrix(mat, 4))
     assert pure_erasure_space(code).dim == 4**4 - svd_rank(pure_constraint_matrix(mat, 4))
     assert annihilating_space(code).dim == 4**4 - svd_rank(zero_block_constraint_matrix(mat, 4))
@@ -229,7 +228,7 @@ def test_six_qubit_erasure_space_basis(rng):
 def test_rains_subcode_pure_dim():
     code = fixture_rains_subcode()
     space = pure_erasure_space(code)
-    mat = code_matrix([code.basis[0].amplitudes])
+    mat = code.basis
     assert space.dim == 4**5 - svd_rank(pure_constraint_matrix(mat, 5)) == 1023
 
 
@@ -418,7 +417,7 @@ def test_one_pass_sections_match_per_family_scans(source, rng):
 @pytest.mark.parametrize("name", ["gbp", "rains-union"])
 def test_witnesses_match_dense_first_violation(name):
     code = get_fixture(name)
-    kets = code_matrix([ket.amplitudes for ket in code.basis])
+    kets = code.basis
     on_diagonal = 0
     for pure, check in ((False, check_erasure), (True, check_pure)):
         found = {label: wit for row in classify_paulis(code, pure=pure)

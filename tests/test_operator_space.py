@@ -99,11 +99,10 @@ def test_coords_dense_round_trip_random(rng):
 
 
 def test_pauli_gram_kernel_matches_oracle(rng):
-    from qerasure.codes import basis_matrix
     from qerasure.operator_space import _pauli_grams
 
     for n, k in ((1, 1), (2, 3), (3, 2), (4, 4)):
-        mat = basis_matrix(random_code(rng, n, k))
+        mat = random_code(rng, n, k).basis
         dense = np.array([gram(mat, dense_pauli(s)) for s in sorted_paulis(n)])
         assert np.max(np.abs(_pauli_grams(mat, n) - dense)) < 1e-12
 
@@ -113,11 +112,10 @@ def test_pauli_gram_kernel_phase_in_place(rng):
     # bit for bit, as the out-of-place form, with half the peak memory
     import tracemalloc
 
-    from qerasure.codes import basis_matrix
     from qerasure.operator_space import _hadamard, _pauli_grams, _slots
 
     for n, k in ((1, 1), (3, 2), (4, 4), (5, 8)):
-        vecs = basis_matrix(random_code(rng, n, k))
+        vecs = random_code(rng, n, k).basis
         t = _pauli_table(n)
         b = np.arange(1 << n)
         prod = vecs.conj()[b[:, None] ^ b[None, :], :, None] * vecs[:, None, None, :]

@@ -25,16 +25,16 @@ KEPT = {
 DELETED = {
     qerasure: ("code_projector", "coords_to_matrix", "dagger", "matrix_element",
                "apply_pauli", "basis_state", "inner_product", "intersect", "RANK_RTOL",
-               "apply_transform", "apply_to_amplitudes"),
+               "apply_transform", "apply_to_amplitudes", "Ket", "basis_matrix"),
     qerasure.pauli: ("apply_to_amplitudes",),
-    qerasure.states: ("apply_transform",),
+    qerasure.states: ("apply_transform", "Ket", "basis_matrix"),
+    qerasure.codes: ("Ket", "basis_matrix"),
     qerasure.erasure: ("_trace_over_dim",),
     qerasure.unions: ("_as_action",),
     qerasure.operator_space: ("coords_to_matrix", "_rank", "_real_or_complex", "intersect",
                               "_new_directions"),
     qerasure.tolerances: ("RANK_RTOL", "REPROJECT_BELOW"),
     qerasure.OperatorSubspace: ("from_constraints", "full", "validate"),
-    qerasure.Ket: ("is_normalized",),
     qerasure.CodeTransform: ("adjoint",),
     qerasure.UnitaryAction: ("identity", "adjoint", "apply"),
 }

@@ -3,7 +3,6 @@ import pytest
 
 from qerasure import (
     CodeTransform,
-    Ket,
     OperatorSubspace,
     OrthogonalityError,
     QuantumCode,
@@ -34,7 +33,6 @@ from qerasure import (
     union_pure_space_via_intersection,
     weight,
 )
-from qerasure.codes import basis_matrix
 from qerasure.erasure import _scaled_columns, annihilating_space
 from qerasure.operator_space import _pauli_grams, _pauli_table
 from qerasure.states import _as_action
@@ -65,7 +63,7 @@ def one_sided_meet(space, act):
 def swap_pair(rng, n, k):
     """A random K-frame and a dense unitary that swaps it with an orthogonal one."""
     code, other = random_orthogonal_pair(rng, n, k, k)
-    b1, b2 = basis_matrix(code), basis_matrix(other)
+    b1, b2 = code.basis, other.basis
     # unitary sending code -> other, completed arbitrarily on the complement
     rest = np.linalg.qr(np.hstack([b1, b2]), mode="complete")[0][:, 2 * k:]
     rest2 = np.linalg.qr(np.hstack([b2, b1]), mode="complete")[0][:, 2 * k:]
@@ -77,8 +75,7 @@ def half_frame_pair(rng, n, k):
     """A random K-frame on the qubit-0 = |0> half and a Pauli-type transform
     with X on qubit 0, whose image lies in the other half."""
     frame = random_unitary(rng, 1 << (n - 1))[:, :k]
-    kets = tuple(Ket(n, np.concatenate([col, np.zeros(1 << (n - 1))])) for col in frame.T)
-    return (QuantumCode(n=n, k=k, basis=kets, label="half"),
+    return (QuantumCode(n=n, basis=np.vstack([frame, np.zeros_like(frame)]), label="half"),
             CodeTransform(n, locals=["X"] + ["Y"] * (n - 1)))
 
 
@@ -105,6 +102,21 @@ def test_union_with_itself_fails():
     code = fixture_gbp_code()
     with pytest.raises(OrthogonalityError):
         union_code([code, code])
+
+
+def test_union_overlap_names_the_earlier_column():
+    # component 2 meets component 0's column and, more, component 1's second
+    # column: b indexes the columns of every earlier component, c its own
+    e = np.eye(4)
+    first = QuantumCode(n=2, basis=e[:, :1], label="first")
+    second = QuantumCode(n=2, basis=e[:, 1:3], label="second")
+    third = QuantumCode(n=2, basis=np.column_stack([e[:, 3], 0.6 * e[:, 0] + 0.8 * e[:, 2]]),
+                        label="third")
+    union_code([first, second])
+    message = "component 2 ('third') overlaps earlier basis: |<b_2|c_1>| = 8.000e-01"
+    with pytest.raises(OrthogonalityError) as info:
+        union_code([first, second, third])
+    assert str(info.value) == message
 
 
 def test_union_length_mismatch():
@@ -450,9 +462,8 @@ def test_equal_expectation_space_is_real(rng):
         s = equal_expectation_space(code, act)
         assert s.complement.dtype == np.float64
         assert_orthonormal(s, 1e-12)
-        ket = code.basis[0]
-        grams = _pauli_grams(np.column_stack([ket.amplitudes, act.matrix @ ket.amplitudes]),
-                             code.n)
+        ket = code.basis[:, 0]
+        grams = _pauli_grams(np.column_stack([ket, act.matrix @ ket]), code.n)
         complex_route = OperatorSubspace(
             code.n, wide_nullspace_complement(grams[:, 0, 0] - grams[:, 1, 1]))
         assert complex_route.complement.dtype == np.complex128
@@ -877,7 +888,7 @@ def test_block_residuals_match_the_full_gram_reference(monkeypatch, rng):
 def near_image(rng, code, act, angle):
     """W U for W = exp(i angle H), H random Hermitian on the complement of the
     code: W fixes C, so the image W U C stays orthogonal to it."""
-    b = basis_matrix(code)
+    b = code.basis
     perp = np.eye(1 << code.n) - b @ b.conj().T
     h = rng.standard_normal(perp.shape) + 1j * rng.standard_normal(perp.shape)
     w, v = np.linalg.eigh(perp @ (h + h.conj().T) @ perp)
