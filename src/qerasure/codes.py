@@ -60,8 +60,15 @@ class QuantumCode:
     label: str = ""
 
     def __post_init__(self):
-        mat = np.array(self.basis, dtype=complex, order="C")
-        dim = 1 << self.n
+        n, mat = self.n, np.asarray(self.basis)
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise CodeValidationError(f"n must be a positive integer, got {n!r}")
+        if n > MAX_QUBITS:
+            raise CodeTooLargeError(f"n={n} exceeds the limit of {MAX_QUBITS} qubits")
+        if mat.dtype.kind not in "iufc":
+            raise CodeValidationError(f"basis entries must be numbers, got dtype {mat.dtype}")
+        mat = np.array(mat, dtype=complex, order="C")
+        dim = 1 << n
         if mat.ndim != 2 or mat.shape[0] != dim or not 1 <= mat.shape[1] <= dim:
             raise CodeValidationError(f"basis shape {mat.shape} is not ({dim}, K), 1 <= K <= {dim}")
         with np.errstate(all="ignore"):  # a non-finite entry shows as a NaN or an infinity

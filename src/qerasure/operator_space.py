@@ -28,15 +28,13 @@ complex128, and numpy promotes to complex only where some input is
 complex.  So containment residuals and completions of real spaces run in
 real arithmetic, in half the memory.
 
-Completion takes the Householder QR of the k known columns in compact-WY
-form Q = I - V T V^H (Schreiber and Van Loan, "A storage-efficient WY
-representation for products of Householder transformations", SIAM J. Sci.
-Stat. Comput. 10, 1989) and writes the last 4^n - k columns of Q as a
-rank-k product, one row block at a time, so each block is written once
-while it sits in cache; a single product would zero the whole output and
-then add into it, two passes over memory.  At n = 6 that spanning basis is
-a 4096 x ~4093 array, float64 (134 MB) for a real space and complex (268 MB)
-otherwise, the only O(16^n) object here.  It is cached read-only.
+Completion writes the last 4^n - k columns of the compact-WY Householder QR
+of the k known columns as a rank-k product, one cache-sized row block at a
+time (see _complete_orthonormal).  At n = 6 that spanning basis is a 4096 x
+~4093 array, float64 (134 MB) for a real space and complex (268 MB)
+otherwise, the only O(16^n) object here.  The kernel zeroes each fresh page
+it faults in, so the blocks are filled in one contiguous range per CPU.  It
+is cached read-only.
 
 Numerical conventions: membership and containment residuals are compared
 against MEMBERSHIP_TOL and SUBSPACE_TOL (see tolerances).  A containment
@@ -50,6 +48,7 @@ computing angles between linear subspaces", Math. Comp. 27, 1973).
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -226,6 +225,10 @@ def _wy_triangle(vv: np.ndarray, tau: np.ndarray) -> np.ndarray:
 # about half the time of one product, 2 MiB blocks were no faster than it,
 # and at n = 5, 512 KiB blocks were at times slower than 256 KiB ones.
 _BLOCK_BYTES = 1 << 18
+# Output bytes per worker thread of the completion (BENCH_27.json): every
+# basis up to n = 5 (at most 17 MB) stays in the calling thread, where two
+# threads were slower; a real n = 6 one (134 MB) may take four.
+_THREAD_BYTES = 32 << 20
 
 
 def _complete_orthonormal(part: np.ndarray) -> np.ndarray:
@@ -247,7 +250,9 @@ def _complete_orthonormal(part: np.ndarray) -> np.ndarray:
     Geijn, "Anatomy of high-performance matrix multiplication", ACM TOMS 34,
     2008).  Every block repacks all of M, k rows against the block's rows, so
     a complement of more columns than half a block's rows takes the single
-    product.
+    product.  Contiguous ranges of blocks go to min(CPUs, output bytes //
+    _THREAD_BYTES, blocks) threads, each zeroing the fresh pages it faults
+    in; each block is the same product, so the array is bitwise the same.
     """
     dim, k = part.shape
     h, tau = np.linalg.qr(part, mode="raw")  # h is the (k, dim) transpose
@@ -259,9 +264,22 @@ def _complete_orthonormal(part: np.ndarray) -> np.ndarray:
     if 2 * k > rows:
         rows = dim
     ones = out.reshape(-1)[k * (dim - k)::dim - k + 1]  # entry (k + j, j)
-    for r in range(0, dim, rows):
-        np.matmul(v[r:r + rows], m, out=out[r:r + rows])
-        ones[max(r - k, 0):r + rows - k] += 1
+    blocks = -(-dim // rows)
+
+    def fill(start: int, stop: int) -> None:
+        for r in range(start, stop, rows):
+            np.matmul(v[r:r + rows], m, out=out[r:r + rows])
+            ones[max(r - k, 0):r + rows - k] += 1
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = max(min(cpus or 1, out.nbytes // _THREAD_BYTES, blocks), 1)
+    if workers == 1:
+        fill(0, dim)
+    else:  # ranges of whole blocks; the with block joins every thread, even on an error
+        from concurrent.futures import ThreadPoolExecutor  # 0.7 MB of modules: load on use
+        edges = [min(rows * (blocks * i // workers), dim) for i in range(workers + 1)]
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(fill, edges, edges[1:]))
     return out
 
 

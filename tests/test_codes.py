@@ -178,6 +178,24 @@ def test_constructor_takes_a_validated_basis_matrix(n, basis, refused):
         assert code.grams.shape == (4**n, code.k, code.k)
 
 
+@pytest.mark.parametrize("n, basis, error, refused", [
+    (2.0, np.eye(4)[:, :1], CodeValidationError, r"n must be a positive integer, got 2\.0"),
+    (-1, np.eye(4)[:, :1], CodeValidationError, r"n must be a positive integer, got -1"),
+    (0, np.ones((1, 1)), CodeValidationError, r"n must be a positive integer, got 0"),
+    (True, np.eye(2)[:, :1], CodeValidationError, r"n must be a positive integer, got True"),
+    (9, np.eye(512)[:, :1], CodeTooLargeError, r"n=9 exceeds the limit of 8 qubits"),
+    (1, np.array([["a"], ["b"]]), CodeValidationError, r"basis entries must be numbers, got dtype <U1"),
+    # numpy would read "1" as the number 1: a string is refused, not coerced
+    (1, [["1"], ["0"]], CodeValidationError, r"basis entries must be numbers"),
+    (1, np.eye(2, dtype=bool)[:, :1], CodeValidationError, r"got dtype bool"),
+], ids=["float-n", "negative-n", "zero-n", "bool-n", "n-beyond-max", "string-entries",
+        "numeric-strings", "bool-entries"])
+def test_constructor_refuses_n_and_entries_as_ingest_does(n, basis, error, refused):
+    with pytest.raises(CodeValidationError, match=refused) as caught:
+        QuantumCode(n=n, basis=basis)
+    assert caught.type is error
+
+
 def test_transform_gbp_pair_spans_listed_vectors():
     code = fixture_gbp_code()
     image = transform_code(code, CodeTransform(4, locals=["I", "I", "I", "Y"]))

@@ -1,4 +1,7 @@
+import os
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -345,6 +348,88 @@ def test_complete_orthonormal_in_blocks_of_any_height(rng, monkeypatch, rows, dt
         rest = _complete_orthonormal(part)
         assert sum(calls) == dim and len(calls) == -(-dim // rows)
         assert_completes(part, rest)
+
+
+def set_cpus(monkeypatch, cpus):
+    """Make the completion see cpus CPUs available to the process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def block_row(out):
+    """First row of a block that np.matmul writes into a row slice of the output."""
+    return (out.ctypes.data - out.base.ctypes.data) // out.strides[0]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+@pytest.mark.parametrize("n, rows", [(4, 7), (5, None)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_complete_orthonormal_in_ranges_is_bitwise_one_range(rng, monkeypatch, cpus, n, rows, dtype):
+    # with _THREAD_BYTES lowered to one byte every complement of several
+    # blocks splits into min(cpus, blocks) ranges: 256 rows in blocks of 7
+    # (37 blocks, the last short) and 1024 rows in the default blocks (32 or
+    # 64 of them), neither a multiple of 3; k = 35 at n = 5 keeps its single
+    # product in the calling thread
+    dim = 4**n
+    calls, matmul, caller = [], np.matmul, threading.get_ident()
+
+    def counted(a, b, out):
+        calls.append((block_row(out), a.shape[0], threading.get_ident()))
+        return matmul(a, b, out=out)
+
+    for k in (0, 3) if n == 4 else (0, 3, 35):
+        part = random_part(rng, dim, k, dtype)
+        if rows is not None:
+            monkeypatch.setattr(operator_space, "_BLOCK_BYTES", rows * np.dtype(dtype).itemsize * (dim - k))
+        set_cpus(monkeypatch, 1)
+        one = _complete_orthonormal(part)
+        set_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(operator_space, "_THREAD_BYTES", 1)
+        monkeypatch.setattr(np, "matmul", counted)
+        calls.clear()
+        threads, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often: a lost write would show
+        try:
+            split = _complete_orthonormal(part)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+        monkeypatch.undo()
+        assert split.dtype == one.dtype and split.tobytes() == one.tobytes()
+        starts = sorted(r for r, _, _ in calls)  # every block once, at its one-range rows
+        height = calls[0][1] if len(calls) == 1 else starts[1]
+        assert starts == list(range(0, dim, height)) and sum(h for _, h, _ in calls) == dim
+        off_caller = {t for _, _, t in calls} - {caller}
+        assert bool(off_caller) == (min(cpus, len(calls)) > 1)
+        assert (len(calls) == 1) == (k == 35)
+
+
+def test_a_failed_range_leaves_no_basis_and_no_thread(rng, monkeypatch):
+    # 256 rows in blocks of 16 over two CPUs: the second range starts at
+    # row 128, and its first block raises; the error reaches .basis, which
+    # caches nothing, every worker is joined, and a retry completes
+    dim, k, rows = 256, 3, 16
+    part = random_part(rng, dim, k, float)
+    set_cpus(monkeypatch, 1)
+    monkeypatch.setattr(operator_space, "_BLOCK_BYTES", rows * 8 * (dim - k))
+    one = _complete_orthonormal(part)
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(operator_space, "_THREAD_BYTES", 1)
+    matmul = np.matmul
+
+    def failing(a, b, out):
+        if block_row(out) == dim // 2:
+            raise MemoryError("second range")
+        return matmul(a, b, out=out)
+
+    s = OperatorSubspace(4, part)
+    threads = threading.active_count()
+    monkeypatch.setattr(np, "matmul", failing)
+    with pytest.raises(MemoryError, match="second range"):
+        s.basis
+    assert s._basis is None and threading.active_count() == threads
+    monkeypatch.setattr(np, "matmul", matmul)
+    assert s.basis.tobytes() == one.tobytes() and not s.basis.flags.writeable
+    assert threading.active_count() == threads
 
 
 def test_member_residual_routes_agree(rng):
