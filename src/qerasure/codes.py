@@ -60,11 +60,15 @@ class QuantumCode:
     label: str = ""
 
     def __post_init__(self):
-        n, mat = self.n, np.asarray(self.basis)
+        n = self.n
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise CodeValidationError(f"n must be a positive integer, got {n!r}")
         if n > MAX_QUBITS:
             raise CodeTooLargeError(f"n={n} exceeds the limit of {MAX_QUBITS} qubits")
+        try:
+            mat = np.asarray(self.basis)
+        except ValueError as exc:  # rows of different lengths
+            raise CodeValidationError(f"basis is not a rectangular array: {exc}") from exc
         if mat.dtype.kind not in "iufc":
             raise CodeValidationError(f"basis entries must be numbers, got dtype {mat.dtype}")
         mat = np.array(mat, dtype=complex, order="C")
@@ -90,7 +94,7 @@ class QuantumCode:
         before anything is built, however the code was made.
         """
         _check_gram_size(self.n, self.k)
-        grams = _pauli_grams(self.basis, self.n)
+        grams = _pauli_grams(self.basis, self.basis, self.n)
         grams.flags.writeable = False
         return grams
 

@@ -177,12 +177,19 @@ def _scaled_columns(code: QuantumCode) -> np.ndarray:
     tensor, the upper triangle is sqrt(2) Re <c_i|sigma|c_j> and the lower
     one sqrt(2) Im <c_i|sigma|c_j>, since Im x_ij = Im <c_j|sigma|c_i>.
     """
-    k = code.k
-    g = code.grams
-    scale = 2.0 ** (-code.n / 2) * np.where(np.eye(k, dtype=bool), 1.0, np.sqrt(2))
-    cols = np.where(np.tri(k, k, -1, dtype=bool), g.imag, g.real)
-    cols *= scale
-    return cols.reshape(-1, k * k)
+    return _scale_parts(_gram_parts(code.grams), code.n).reshape(-1, code.k**2)
+
+
+def _gram_parts(g: np.ndarray, shift: int = 0) -> np.ndarray:
+    """Entry (i, j) of a (4^n, r, c) gram block, Im where j < i + shift and Re elsewhere."""
+    return np.where(np.tri(*g.shape[1:], shift - 1, dtype=bool), g.imag, g.real)
+
+
+def _scale_parts(cols: np.ndarray, n: int) -> np.ndarray:
+    """A (4^n, m, m) grid of _gram_parts, scaled in place to _scaled_columns' entries."""
+    m = cols.shape[1]
+    cols *= 2.0 ** (-n / 2) * np.where(np.eye(m, dtype=bool), 1.0, np.sqrt(2))
+    return cols
 
 
 def _complement_width(n: int, k: int, pure: bool) -> int:

@@ -113,21 +113,25 @@ def _slots(t: _PauliTable, n: int) -> np.ndarray:
     return (t.z << n) | t.x
 
 
-def _pauli_grams(vecs: np.ndarray, n: int) -> np.ndarray:
-    """<v_i|sigma|v_j> for every Pauli sigma in coordinate order, shape (4^n, K, K).
+def _pauli_grams(left: np.ndarray, right: np.ndarray, n: int) -> np.ndarray:
+    """<l_i|sigma|r_j> for every Pauli sigma in coordinate order, shape (4^n, K_l, K_r).
 
-    For a fixed x, the elements over all z are one Walsh-Hadamard transform
-    over b of conj(v_i[b ^ x]) v_j[b] (Georges, Berntson, Sunderhauf and
-    Ivanov, "Pauli decomposition via the fast Walsh-Hadamard transform").
+    left and right are (2^n, K_l) and (2^n, K_r) columns; a code's own tensor
+    passes its basis as both.  For a fixed x, the elements over all z are one
+    Walsh-Hadamard transform over b of conj(l_i[b ^ x]) r_j[b] (Georges,
+    Berntson, Sunderhauf and Ivanov, "Pauli decomposition via the fast
+    Walsh-Hadamard transform").  Each pair (i, j) is its own column of that
+    transform's real product, so a rectangular tensor is, bit for bit, its
+    block of the square one, as long as BLAS sums each column the same way
+    at any width (the tests check it).
     """
     t = _pauli_table(n)
     b = np.arange(1 << n)
-    k = vecs.shape[1]
     # The product tensor is freed as soon as its transform exists, and the
-    # phase multiplies the gathered copy in place: at most two (4^n, K, K)
+    # phase multiplies the gathered copy in place: at most two (4^n, K_l, K_r)
     # arrays are alive at once.
-    grams = _hadamard(t, vecs.conj()[b[:, None] ^ b[None, :], :, None] * vecs[:, None, None, :])
-    out = grams.reshape(4**n, k, k)[_slots(t, n)]
+    grams = _hadamard(t, left.conj()[b[:, None] ^ b[None, :], :, None] * right[:, None, None, :])
+    out = grams.reshape(4**n, left.shape[1], right.shape[1])[_slots(t, n)]
     out *= t.phase[:, None, None]
     return out
 
@@ -229,6 +233,18 @@ _BLOCK_BYTES = 1 << 18
 # basis up to n = 5 (at most 17 MB) stays in the calling thread, where two
 # threads were slower; a real n = 6 one (134 MB) may take four.
 _THREAD_BYTES = 32 << 20
+# Bytes of a union's direct grid, 8 * 4^n * (2K)^2, beyond which
+# unions._cross_check builds it in a worker thread beside the pipeline
+# (BENCH_28.json, in-process): a thread costs about 1 ms, so smaller grids
+# ran up to 2.4x slower in one; 0.5 MiB grids (n = 4, K = 8; n = 5, K = 4;
+# n = 6, K = 2) ran from 5% slower to 11% faster across runs and stay in
+# the caller; from n = 5, K = 5 and n = 6, K = 3 on, most ran 13-31% faster.
+_BESIDE_BYTES = 1 << 19
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _complete_orthonormal(part: np.ndarray) -> np.ndarray:
@@ -271,8 +287,7 @@ def _complete_orthonormal(part: np.ndarray) -> np.ndarray:
             np.matmul(v[r:r + rows], m, out=out[r:r + rows])
             ones[max(r - k, 0):r + rows - k] += 1
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = max(min(cpus or 1, out.nbytes // _THREAD_BYTES, blocks), 1)
+    workers = max(min(_cpus(), out.nbytes // _THREAD_BYTES, blocks), 1)
     if workers == 1:
         fill(0, dim)
     else:  # ranges of whole blocks; the with block joins every thread, even on an error

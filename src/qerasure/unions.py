@@ -10,7 +10,8 @@ projector on both sides), and the space of operators whose expectation in the
 first basis ket is unchanged by conjugation.  The union's pure space takes the
 pure space and its conjugate for the first two and drops the last.  Both are
 cross-checked against the direct computation over the concatenated basis,
-which never special-cases mixed component pairs.
+which never special-cases mixed component pairs: its grid is, bit for bit,
+what the union's own gram tensor gives (_direct_complement).
 
 The first three factors meet in a space S whose complement needs no
 factorization.  Their complements lie in the CC, UU and CU/UC blocks of
@@ -40,14 +41,17 @@ from typing import Sequence
 
 import numpy as np
 
-from . import states
+from . import operator_space, states
 from .codes import QuantumCode, _check_gram_size, transform_code
 from .erasure import (
     _complement_width,
     _condition_complement,
+    _gram_parts,
+    _scale_parts,
     _scaled_columns,
 )
-from .operator_space import OperatorSubspace, _residual_norm, coords_to_matrices, matrices_to_coords
+from .operator_space import OperatorSubspace, _pauli_grams, _residual_norm
+from .operator_space import coords_to_matrices, matrices_to_coords
 from .tolerances import CROSS_ORTHOGONALITY_TOL, SUBSPACE_TOL
 
 
@@ -241,24 +245,34 @@ def _cross_check(code: QuantumCode, action: states.UnitaryAction, union: Quantum
     """cross_check_intersection_formulas against the union C (+) UC, built from code and action.
 
     The pipeline is _formula_complements' grid; the direct side is the
-    union's own _scaled_columns on the same grid, with _condition_complement
-    applied in place: PS(union)'s complement, whose leading columns are
-    ES(union)'s, so a caller that has the union builds it once.  Entries (a,
-    b) and (b, a) of either grid, a != b, lie in the real plane of |a><b|
-    and |b><a|; these planes and the diagonal block are Hilbert-Schmidt
-    orthogonal, so each pair is compared on its own (_pair_residuals) and
-    the diagonal block by one _residual_norm per formula.  For C (+) UC each
-    group residual r_g is roundoff, as <a|c><d|b> = 0 across groups.  In
-    general the whole residual R is the stacked r_g projected off the direct
-    complement once more, so |R| <= sqrt(G) max |r_g|, and each |r_g| <= 1:
-    a mismatch with |R| at least sqrt(G) times the tolerance never reads as
-    a match, and a column that leaks into another pair's plane reads as a
-    mismatch even where the spans agree.
+    union's PS complement on the same grid (_direct_complement), whose
+    leading columns are ES(union)'s.  The two are independent until
+    compared, so a direct grid beyond operator_space._BESIDE_BYTES is built
+    in a worker thread beside the pipeline when there are two CPUs or more;
+    both read code.grams, built here first, and the report is bitwise the
+    same either way.  Entries (a, b) and (b, a) of either grid, a != b, lie
+    in the real plane of |a><b| and |b><a|; these planes and the diagonal
+    block are Hilbert-Schmidt orthogonal, so each pair is compared on its
+    own (_pair_residuals) and the diagonal block by one _residual_norm per
+    formula.  For C (+) UC each group residual r_g is roundoff, as
+    <a|c><d|b> = 0 across groups.  In general the whole residual R is the
+    stacked r_g projected off the direct complement once more, so |R| <=
+    sqrt(G) max |r_g|, and each |r_g| <= 1: a mismatch with |R| at least
+    sqrt(G) times the tolerance never reads as a match, and a column that
+    leaks into another pair's plane reads as a mismatch even where the spans
+    agree.
     """
-    s, four, five = _formula_complements(code, action)
     n, m = code.n, union.k
-    direct = _scaled_columns(union)
-    _condition_complement(direct, n, pure=True)
+    code.grams  # built here, before a worker thread reads it
+    if operator_space._cpus() > 1 and 8 * 4**n * m * m > operator_space._BESIDE_BYTES:
+        from concurrent.futures import ThreadPoolExecutor  # 0.7 MB of modules: load on use
+        with ThreadPoolExecutor(1) as pool:  # joins the worker, even on an error here
+            beside = pool.submit(_direct_complement, code, union)
+            s, four, five = _formula_complements(code, action)
+            direct = beside.result()  # re-raises the worker's error
+    else:
+        s, four, five = _formula_complements(code, action)
+        direct = _direct_complement(code, union)
     shared = _pair_residuals(s, direct.reshape(s.shape))
     report = {}
     for key, diagonal, pure in (("theorem4", four, False), ("theorem5", five, True)):
@@ -268,6 +282,25 @@ def _cross_check(code: QuantumCode, action: states.UnitaryAction, union: Quantum
         report[key] = {"dim": dim, "direct_dim": direct_dim, "residual": residual,
                        "matches_direct": dim == direct_dim and residual < SUBSPACE_TOL}
     return report
+
+
+def _direct_complement(code: QuantumCode, union: QuantumCode) -> np.ndarray:
+    """PS(C (+) UC)'s complement, (4^n, 4K^2): the union's _scaled_columns with
+    _condition_complement applied in place, bit for bit, without its gram tensor.
+
+    The tensor's CC block is code.grams, and _scaled_columns reads Re of its
+    CU block, Im of its UC block and all of its UU block: two rectangular
+    tensors, <c_i|sigma|Uc_j> and <Uc_i|sigma|[C | UC]_j>, 3K^2 columns to 4K^2.
+    """
+    n, k = code.n, code.k
+    image = union.basis[:, k:]
+    cols = np.empty((4**n, 2 * k, 2 * k))
+    cols[:, :k, :k] = _gram_parts(code.grams)
+    cols[:, :k, k:] = _pauli_grams(code.basis, image, n).real
+    cols[:, k:] = _gram_parts(_pauli_grams(image, union.basis, n), shift=k)
+    direct = _scale_parts(cols, n).reshape(-1, 4 * k * k)
+    _condition_complement(direct, n, pure=True)
+    return direct
 
 
 def _pair_residuals(x: np.ndarray, d: np.ndarray) -> float:

@@ -123,7 +123,7 @@ def equal_expectation_space(code, u, anchor=0):
     """Operators E with <a|E|a> = <Ua|E|Ua> for basis ket a: one real constraint row."""
     ket = code.basis[:, anchor]
     pair = np.column_stack([ket, _as_action(code.n, u).matrix @ ket])
-    grams = _pauli_grams(pair, code.n)
+    grams = _pauli_grams(pair, pair, code.n)
     row = (grams[:, 0, 0] - grams[:, 1, 1]).real
     return OperatorSubspace(code.n, wide_nullspace_complement(row))
 

@@ -37,6 +37,11 @@ def random_orthogonal_pair(rng, n, k1, k2):
     return first, second
 
 
+def set_cpus(monkeypatch, cpus):
+    """Make operator_space._cpus, and so the thread rules, see cpus CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
@@ -44,15 +49,16 @@ def rng():
 
 @pytest.fixture
 def gram_builds(monkeypatch):
-    """Record every _pauli_grams call made through any qerasure module."""
+    """Record every _pauli_grams call made through any qerasure module, as
+    (n, left columns, right columns): a code's own tensor is (n, K, K)."""
     from qerasure import operator_space
 
     calls = []
     real = operator_space._pauli_grams
 
-    def counted(vecs, n):
-        calls.append((n, vecs.shape[1]))
-        return real(vecs, n)
+    def counted(left, right, n):
+        calls.append((n, left.shape[1], right.shape[1]))
+        return real(left, right, n)
 
     for name, mod in list(sys.modules.items()):
         if name.startswith("qerasure") and getattr(mod, "_pauli_grams", None) is real:

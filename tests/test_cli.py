@@ -191,7 +191,7 @@ def test_code_file_builds_one_gram_tensor(tmp_path, capsys, gram_builds, mode):
     path.write_text(json.dumps(code_to_json(fixture_gbp_code())))
     status, _, _ = run_cli(capsys, mode, "--code", str(path))
     assert status == 0
-    assert gram_builds == [(4, 4)]
+    assert gram_builds == [(4, 4, 4)]
 
 
 def test_analyze_scans_once_per_section(capsys, monkeypatch):
@@ -220,8 +220,10 @@ def test_union_transform_builds_the_union_once(tmp_path, capsys, gram_builds, mo
     path.write_text(json.dumps(code_to_json(fixture_gbp_code())))
     status, _, _ = run_cli(capsys, "union", "--code", str(path), "--transform", GBP_PAIR)
     assert status == 0
-    # the code's and the union's (shared by the distance and the direct spaces)
-    assert sorted(gram_builds) == [(4, 4), (4, 8)]
+    # the union's for its distance, then the cross-check's: the code's own,
+    # and the direct side's two rectangular tensors, C against UC and UC
+    # against the union's kets; the union's tensor is not read again
+    assert gram_builds == [(4, 8, 8), (4, 4, 4), (4, 4, 4), (4, 4, 8)]
     # one matrix serves both the image and the cross-check
     assert len(actions) == 1
 

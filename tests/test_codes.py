@@ -188,8 +188,9 @@ def test_constructor_takes_a_validated_basis_matrix(n, basis, refused):
     # numpy would read "1" as the number 1: a string is refused, not coerced
     (1, [["1"], ["0"]], CodeValidationError, r"basis entries must be numbers"),
     (1, np.eye(2, dtype=bool)[:, :1], CodeValidationError, r"got dtype bool"),
+    (2, [[1], [0, 1]], CodeValidationError, r"basis is not a rectangular array: .*inhomogeneous"),
 ], ids=["float-n", "negative-n", "zero-n", "bool-n", "n-beyond-max", "string-entries",
-        "numeric-strings", "bool-entries"])
+        "numeric-strings", "bool-entries", "ragged-basis"])
 def test_constructor_refuses_n_and_entries_as_ingest_does(n, basis, error, refused):
     with pytest.raises(CodeValidationError, match=refused) as caught:
         QuantumCode(n=n, basis=basis)

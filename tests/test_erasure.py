@@ -141,11 +141,11 @@ def test_single_checks_share_the_one_gram_tensor(rng, gram_builds):
     for op in (p, to_matrix(p), pauli_coords(p)):
         check_erasure(code, op)
         check_pure(code, op)
-    assert gram_builds == [(4, 3)]  # the checks built it, and the rest reuse it
+    assert gram_builds == [(4, 3, 3)]  # the checks built it, and the rest reuse it
     erasure_space(code)
     pure_erasure_space(code)
     classify_paulis(code)
-    assert gram_builds == [(4, 3)]
+    assert gram_builds == [(4, 3, 3)]
 
 
 def oracle_report(c, e, pure):

@@ -1,4 +1,3 @@
-import os
 import re
 import sys
 import threading
@@ -34,7 +33,7 @@ from _svd_route import (
     largest_singular_value_svd,
     wide_nullspace_complement,
 )
-from conftest import assert_orthonormal, random_code, random_unitary
+from conftest import assert_orthonormal, random_code, random_unitary, set_cpus
 
 
 def span_of(labels, n):
@@ -107,7 +106,26 @@ def test_pauli_gram_kernel_matches_oracle(rng):
     for n, k in ((1, 1), (2, 3), (3, 2), (4, 4)):
         mat = random_code(rng, n, k).basis
         dense = np.array([gram(mat, dense_pauli(s)) for s in sorted_paulis(n)])
-        assert np.max(np.abs(_pauli_grams(mat, n) - dense)) < 1e-12
+        assert np.max(np.abs(_pauli_grams(mat, mat, n) - dense)) < 1e-12
+
+
+@pytest.mark.parametrize("n, left, right", [(1, 1, 1), (2, 1, 3), (3, 3, 2), (4, 2, 6), (5, 8, 8)])
+def test_rectangular_pauli_grams_are_blocks_of_the_square_tensor(rng, n, left, right):
+    # <l_i|sigma|r_j> against the dense oracle, and bit for bit the (l, r)
+    # block of the square tensor of [l | r]: the Hadamard product computes
+    # each (i, j) column alone, which the union cross-check relies on
+    from qerasure.operator_space import _pauli_grams
+
+    frame = random_unitary(rng, 1 << n)[:, :left + right]
+    l, r = frame[:, :left], frame[:, left:]
+    out = _pauli_grams(l, r, n)
+    assert out.shape == (4**n, left, right)
+    if n <= 4:
+        dense = np.array([l.conj().T @ dense_pauli(s) @ r for s in sorted_paulis(n)])
+        assert np.max(np.abs(out - dense)) < 1e-12
+    square = _pauli_grams(frame, frame, n)
+    assert out.tobytes() == np.ascontiguousarray(square[:, :left, left:]).tobytes()
+    assert _pauli_grams(r, frame, n).tobytes() == np.ascontiguousarray(square[:, left:]).tobytes()
 
 
 def test_pauli_gram_kernel_phase_in_place(rng):
@@ -127,7 +145,7 @@ def test_pauli_gram_kernel_phase_in_place(rng):
         del prod, grams
         tracemalloc.start()
         try:
-            out = _pauli_grams(vecs, n)
+            out = _pauli_grams(vecs, vecs, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -348,11 +366,6 @@ def test_complete_orthonormal_in_blocks_of_any_height(rng, monkeypatch, rows, dt
         rest = _complete_orthonormal(part)
         assert sum(calls) == dim and len(calls) == -(-dim // rows)
         assert_completes(part, rest)
-
-
-def set_cpus(monkeypatch, cpus):
-    """Make the completion see cpus CPUs available to the process."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
 def block_row(out):

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -33,10 +36,10 @@ from qerasure import (
     union_pure_space_via_intersection,
     weight,
 )
-from qerasure.erasure import _scaled_columns, annihilating_space
+from qerasure.erasure import _condition_complement, _scaled_columns, annihilating_space
 from qerasure.operator_space import _pauli_grams, _pauli_table
 from qerasure.states import _as_action
-from qerasure.unions import _block_sum, _cross_check, _formula_complements
+from qerasure.unions import _block_sum, _cross_check, _direct_complement, _formula_complements
 
 from _oracle import SINGLE, all_pauli_letterings, conjugate_letters, dense_pauli, transform_matrix
 from _svd_route import (
@@ -49,7 +52,13 @@ from _svd_route import (
     theorem_columns,
     wide_nullspace_complement,
 )
-from conftest import assert_orthonormal, random_code, random_orthogonal_pair, random_unitary
+from conftest import (
+    assert_orthonormal,
+    random_code,
+    random_orthogonal_pair,
+    random_unitary,
+    set_cpus,
+)
 
 ADJOINT_CLOSED = (erasure_space, pure_erasure_space, annihilating_space)
 
@@ -463,7 +472,8 @@ def test_equal_expectation_space_is_real(rng):
         assert s.complement.dtype == np.float64
         assert_orthonormal(s, 1e-12)
         ket = code.basis[:, 0]
-        grams = _pauli_grams(np.column_stack([ket, act.matrix @ ket]), code.n)
+        pair = np.column_stack([ket, act.matrix @ ket])
+        grams = _pauli_grams(pair, pair, code.n)
         complex_route = OperatorSubspace(
             code.n, wide_nullspace_complement(grams[:, 0, 0] - grams[:, 1, 1]))
         assert complex_route.complement.dtype == np.complex128
@@ -546,12 +556,14 @@ def test_cross_check_builds_the_image_once(monkeypatch):
     assert len(images) == 1
 
 
-def test_cross_check_builds_two_gram_tensors(gram_builds):
+def test_cross_check_builds_the_code_tensor_and_two_rectangular_ones(gram_builds):
     code = ingest_code(code_to_json(fixture_gbp_code()))
     cross_check_intersection_formulas(code, gbp_pair_transform())
-    # the code's and the union's: a and B are closed forms of the code's gram
-    # columns, so no tensor of the anchor pair is built
-    assert sorted(gram_builds) == [(4, 4), (4, 8)]
+    # the code's own, then the direct side's C against UC and UC against
+    # [C | UC]: the union's CC block is the code's tensor, so the union's
+    # square tensor is never built, and a and B are closed forms of the
+    # code's gram columns, so no tensor of the anchor pair is built either
+    assert gram_builds == [(4, 4, 4), (4, 4, 4), (4, 4, 8)]
 
 
 def test_cross_check_shares_one_conjugation_and_no_wide_intersection(monkeypatch):
@@ -587,11 +599,12 @@ def test_cross_check_shares_one_conjugation_and_no_wide_intersection(monkeypatch
     assert calls["conjugate_subspace"] == []
     assert [cols.shape[1] for cols, _ in calls["coords_to_matrices"]] == [code.k**2]
     assert len(calls["matrices_to_coords"]) == 2
-    # gram columns of the code and of the union, whose pure complement gives
-    # both direct spaces: the one closed form of the code's complement serves
+    # gram columns of the code alone: the union's grid, whose pure complement
+    # gives both direct spaces, is written from the code's tensor and two
+    # rectangular ones; the one closed form of the code's complement serves
     # ES(C)-perp and its conjugate, no space of the code itself (pure or
     # annihilating) is built, and the one orthogonality check is union_code's
-    assert [c.k for c in scaled] == [code.k, 2 * code.k]
+    assert [c.k for c in scaled] == [code.k]
     assert [cols.shape[1] for cols, _ in calls["_condition_complement"]] == [
         code.k**2, code.k**2, 4 * code.k**2]
     assert len(calls["union_code"]) == 1
@@ -630,8 +643,9 @@ def test_each_public_formula_builds_only_its_own_intersection(monkeypatch, gram_
 
 
 def block_sum_cases(rng):
-    """Pauli-type and H/S transforms of the fixtures, dense swaps at n = 2, 3, 4,
-    a half-frame pair, and the three unions that fill the whole space."""
+    """Pauli-type and H/S transforms of the fixtures, dense swaps at n = 2, 3, 4
+    and the two widest grids (n = 5, K = 8 and n = 6, K = 4), a half-frame
+    pair, and the three unions that fill the whole space."""
     whole = [(ingest_code({"n": n, "label": "half", "basis": [[(1, ket)] for ket in kets]}),
               CodeTransform(n, locals=locals_)) for n, kets, locals_ in WHOLE_SPACE]
     return [(fixture_gbp_code(), gbp_pair_transform()),
@@ -639,7 +653,7 @@ def block_sum_cases(rng):
             (fixture_rains_subcode(), rains_component_transform(1)),
             (fixture_rains_subcode(), CodeTransform(5, locals=["I", "I", "I", "H", "S"])),
             swap_pair(rng, 2, 1), swap_pair(rng, 3, 2), swap_pair(rng, 4, 3),
-            half_frame_pair(rng, 4, 3)] + whole
+            swap_pair(rng, 5, 8), swap_pair(rng, 6, 4), half_frame_pair(rng, 4, 3)] + whole
 
 
 def test_block_sum_matches_the_wide_intersection(rng):
@@ -731,6 +745,116 @@ def test_direct_erasure_complement_is_the_erasure_space_one(monkeypatch, rng):
         for space in (pure_erasure_space(union), erasure_space(union)):
             width = space.complement.shape[1]
             assert np.array_equal(direct[:, :width], space.complement)
+
+
+def test_direct_grid_is_the_unions_own_scaled_columns(rng):
+    # the grid written from the code's tensor and the two rectangular ones,
+    # C against UC and UC against [C | UC], is bitwise the union's own
+    # _scaled_columns, and so is its pure complement: every residual of the
+    # cross-check is the one the union's square tensor would give
+    for code, u in block_sum_cases(rng):
+        act = _as_action(code.n, u)
+        union, _ = union_code([code, transform_code(code, act)])
+        want = _scaled_columns(union)
+        _condition_complement(want, code.n, pure=True)
+        got = _direct_complement(code, union)
+        assert got.dtype == want.dtype and got.shape == want.shape == (4**code.n, 4 * code.k**2)
+        assert got.tobytes() == want.tobytes()
+
+
+def direct_threads(monkeypatch):
+    """The thread of every _direct_complement call that _cross_check makes."""
+    from qerasure import unions
+
+    seen, real = [], unions._direct_complement
+    monkeypatch.setattr(unions, "_direct_complement",
+                        lambda *args: seen.append(threading.current_thread()) or real(*args))
+    return seen
+
+
+def test_cross_check_report_is_bitwise_the_same_in_either_thread(monkeypatch, rng):
+    # _BESIDE_BYTES at 0 puts every direct side in the worker thread, and
+    # beyond the largest grid keeps every one in the caller: the reports,
+    # residuals included, agree bit for bit
+    from qerasure import operator_space
+
+    caller = threading.current_thread()
+    cases = [(fixture_gbp_code(), gbp_pair_transform()),
+             (fixture_rains_subcode(), CodeTransform(5, locals=["I", "I", "I", "H", "S"])),
+             swap_pair(rng, 3, 2), swap_pair(rng, 5, 8), half_frame_pair(rng, 4, 3)]
+    interval = sys.getswitchinterval()
+    for code, u in cases:
+        act = _as_action(code.n, u)
+        union, _ = union_code([code, transform_code(code, act)])
+        reports = {}
+        for beside in (0, 1 << 62):
+            with monkeypatch.context() as m:
+                set_cpus(m, 2)
+                m.setattr(operator_space, "_BESIDE_BYTES", beside)
+                seen = direct_threads(m)
+                threads = threading.active_count()
+                sys.setswitchinterval(1e-6)  # switch threads often: a shared write would show
+                try:
+                    reports[beside] = _cross_check(code, act, union)
+                finally:
+                    sys.setswitchinterval(interval)
+                assert threading.active_count() == threads
+            assert len(seen) == 1
+            if beside:
+                assert seen[0] is caller
+            else:  # a worker, joined before the report returned
+                assert seen[0] is not caller and not seen[0].is_alive()
+        threaded, in_caller = reports.values()
+        assert threaded == in_caller
+        for key in ("theorem4", "theorem5"):
+            assert np.float64(threaded[key]["residual"]).tobytes() == \
+                np.float64(in_caller[key]["residual"]).tobytes()
+
+
+@pytest.mark.parametrize("n, k, cpus, beside", [
+    (5, 8, 2, True), (5, 5, 2, True), (6, 3, 2, True), (5, 8, 1, False),
+    (5, 4, 2, False), (5, 2, 2, False), (6, 2, 2, False), (4, 8, 2, False),
+])
+def test_direct_side_runs_beside_the_pipeline_for_large_unions(monkeypatch, rng, n, k, cpus, beside):
+    # the default rule: grids beyond 0.5 MiB, n = 5, K = 8 among them, take
+    # a worker thread when there are two CPUs; K <= 4 at n = 5 and n = 6,
+    # K = 2 stay in the caller, as does everything on one CPU
+    code, act = swap_pair(rng, n, k)
+    union, _ = union_code([code, transform_code(code, act)])
+    set_cpus(monkeypatch, cpus)
+    seen = direct_threads(monkeypatch)
+    report = _cross_check(code, act, union)
+    assert report["theorem4"]["matches_direct"] and report["theorem5"]["matches_direct"]
+    assert len(seen) == 1 and (seen[0] is not threading.current_thread()) == beside
+
+
+@pytest.mark.parametrize("failing", ["_direct_complement", "_formula_complements"])
+def test_an_error_on_either_side_reaches_the_caller_and_leaves_no_thread(monkeypatch, rng, failing):
+    # the direct side fails in the worker, or the pipeline in the caller while
+    # the worker runs: the error reaches the caller, the worker is joined, and
+    # a retry gives the report of a clean run
+    from qerasure import operator_space, unions
+
+    threads = threading.active_count()
+    code, act = swap_pair(rng, 3, 2)
+    union, _ = union_code([code, transform_code(code, act)])
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(operator_space, "_BESIDE_BYTES", 0)
+    clean = _cross_check(code, act, union)
+    seen = direct_threads(monkeypatch)
+
+    def fail(*args):
+        seen.append(threading.current_thread())
+        raise MemoryError(failing)
+
+    with monkeypatch.context() as m:
+        m.setattr(unions, failing, fail)
+        with pytest.raises(MemoryError, match=failing):
+            _cross_check(code, act, union)
+    # the worker has ended by the time the error arrives
+    worker, = (t for t in seen if t is not threading.current_thread())
+    assert not worker.is_alive() and threading.active_count() == threads
+    assert _cross_check(code, act, union) == clean
 
 
 def test_shared_residuals_equal_the_equality_residuals(rng):
