@@ -36,6 +36,13 @@ otherwise, the only O(16^n) object here.  The kernel zeroes each fresh page
 it faults in, so the blocks are filled in one contiguous range per CPU.  It
 is cached read-only.
 
+The package keeps one pool of _cpus() - 1 worker threads (_submit,
+_beside), started on first use and kept for the life of the process, so
+no call pays for starting a thread.  It fills those ranges beside the
+caller's own, and builds a large cross-check's direct side beside its
+pipeline (unions._cross_check).  No pool task submits to the pool, and a
+forked child, which has none of the pool's threads, starts its own.
+
 Numerical conventions: membership and containment residuals are compared
 against MEMBERSHIP_TOL and SUBSPACE_TOL (see tolerances).  A containment
 residual is the sine of the largest principal angle, read as the spectral
@@ -49,8 +56,10 @@ computing angles between linear subspaces", Math. Comp. 27, 1973).
 from __future__ import annotations
 
 import os
-from functools import lru_cache
-from typing import NamedTuple
+import queue
+import threading
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -229,22 +238,108 @@ def _wy_triangle(vv: np.ndarray, tau: np.ndarray) -> np.ndarray:
 # about half the time of one product, 2 MiB blocks were no faster than it,
 # and at n = 5, 512 KiB blocks were at times slower than 256 KiB ones.
 _BLOCK_BYTES = 1 << 18
-# Output bytes per worker thread of the completion (BENCH_27.json): every
-# basis up to n = 5 (at most 17 MB) stays in the calling thread, where two
-# threads were slower; a real n = 6 one (134 MB) may take four.
+# Output bytes per thread of the completion (BENCH_27.json): every basis up
+# to n = 5 (at most 17 MB) stays in the calling thread, where two threads
+# were slower; a real n = 6 one (134 MB) may take four.  An output of two
+# such shares or more takes blocks of 2k rows where the cache rule would
+# give one product: at n = 6 on two CPUs, a real k = 8 completion took 18
+# against 37 ms and a complex k = 4 one 47 against 76 ms, but at n = 5,
+# k = 35, blocks were slower than the one product (2.9-3.5 against 2.7-2.9
+# ms; BENCH_29.json, in-process).
 _THREAD_BYTES = 32 << 20
-# Bytes of a union's direct grid, 8 * 4^n * (2K)^2, beyond which
-# unions._cross_check builds it in a worker thread beside the pipeline
-# (BENCH_28.json, in-process): a thread costs about 1 ms, so smaller grids
-# ran up to 2.4x slower in one; 0.5 MiB grids (n = 4, K = 8; n = 5, K = 4;
-# n = 6, K = 2) ran from 5% slower to 11% faster across runs and stay in
-# the caller; from n = 5, K = 5 and n = 6, K = 3 on, most ran 13-31% faster.
+# Bytes of a union's direct grid, 8 * 4^n * (2K)^2, from which
+# unions._cross_check builds it in the pool's worker beside the pipeline
+# (BENCH_29.json, in-process, medians over 40 fresh codes; time with the
+# direct side in a thread over time in the caller, for a thread started
+# per call and for the kept worker):
+#   n = 5, K = 1 (32 KiB)    1.73  1.69
+#   n = 6, K = 1 (128 KiB)   1.27  1.05
+#   n = 5, K = 2 (128 KiB)   1.31  1.15
+#   n = 5, K = 3 (288 KiB)   1.09  1.06
+#   n = 4, K = 8 (512 KiB)   1.04  0.90
+#   n = 5, K = 4 (512 KiB)   0.98  0.93
+#   n = 6, K = 2 (512 KiB)   0.90  0.78
+#   n = 5, K = 8 (2 MiB)     0.78  0.77
+# The kept worker costs no thread start, so the 0.5 MiB grids gain; smaller
+# ones lose or tie (n = 5, K = 3 read 0.99 to 1.06 over three runs).
 _BESIDE_BYTES = 1 << 19
 
 
 def _cpus() -> int:
     """CPUs this process may run on."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+class _Pool(NamedTuple):
+    """The package's worker threads and the queue of (task, reply) pairs they serve."""
+
+    tasks: queue.SimpleQueue
+    workers: tuple[threading.Thread, ...]
+
+
+# Started by the first _submit, with _cpus() - 1 workers, and kept for the
+# life of the process: a thread costs about 1 ms to start and join, as much
+# as the work it would take off a small cross-check (BENCH_28.json).
+_pool: _Pool | None = None
+_pool_lock = threading.Lock()
+
+
+def _drop_pool() -> None:
+    """Forget the pool in a forked child, which has none of its threads; the
+    child's first _submit starts its own."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _serve(tasks: queue.SimpleQueue) -> None:
+    """A worker: run each task and put its (result, error) on its reply queue, until a None."""
+    for task, reply in iter(tasks.get, None):
+        try:
+            reply.put((task(), None))
+        except BaseException as error:  # the caller waits for a reply, and re-raises this one
+            reply.put((None, error))
+        del task, reply  # an idle worker holds no task's arrays
+
+
+def _submit(task: Callable) -> queue.SimpleQueue:
+    """Queue task() on the pool, started here on first use; its reply comes on the returned queue."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            tasks = queue.SimpleQueue()
+            workers = tuple(threading.Thread(target=_serve, args=(tasks,), name="qerasure-worker",
+                                             daemon=True) for _ in range(max(_cpus() - 1, 1)))
+            for worker in workers:
+                worker.start()
+            _pool = _Pool(tasks, workers)
+        tasks = _pool.tasks
+    reply = queue.SimpleQueue()
+    tasks.put((task, reply))
+    return reply
+
+
+def _beside(own: Callable, tasks: Sequence[Callable]) -> tuple:
+    """own() in the calling thread while the pool runs tasks: (own's result, [the tasks' results]).
+
+    Every task ends before this returns or raises.  The caller's own error
+    wins; otherwise the first failed task's error is re-raised.  No task
+    submits to the pool, so each queued task gets a worker once the tasks
+    before it end, and no caller waits on a task that waits on the pool.
+    """
+    replies = []
+    try:
+        replies.extend(_submit(task) for task in tasks)
+        mine = own()
+    finally:
+        done = [reply.get() for reply in replies]
+    for _, error in done:
+        if error is not None:
+            raise error
+    return mine, [result for result, _ in done]
 
 
 def _complete_orthonormal(part: np.ndarray) -> np.ndarray:
@@ -265,10 +360,13 @@ def _complete_orthonormal(part: np.ndarray) -> np.ndarray:
     of the shifted diagonal, so the output is written once (Goto and van de
     Geijn, "Anatomy of high-performance matrix multiplication", ACM TOMS 34,
     2008).  Every block repacks all of M, k rows against the block's rows, so
-    a complement of more columns than half a block's rows takes the single
-    product.  Contiguous ranges of blocks go to min(CPUs, output bytes //
-    _THREAD_BYTES, blocks) threads, each zeroing the fresh pages it faults
-    in; each block is the same product, so the array is bitwise the same.
+    a complement of more columns than half a block's rows takes blocks of 2k
+    rows when the output is large enough for the thread rule to split it
+    (2 _THREAD_BYTES, so only n = 6), and otherwise the single product.
+    Contiguous ranges of blocks go to min(CPUs, output bytes //
+    _THREAD_BYTES, blocks) threads, the caller and pool workers, each zeroing
+    the fresh pages it faults in; each block is the same product, so the
+    array is bitwise the same.
     """
     dim, k = part.shape
     h, tau = np.linalg.qr(part, mode="raw")  # h is the (k, dim) transpose
@@ -278,7 +376,7 @@ def _complete_orthonormal(part: np.ndarray) -> np.ndarray:
     out = np.empty((dim, dim - k), dtype=m.dtype)
     rows = max(_BLOCK_BYTES // (out.itemsize * max(dim - k, 1)), 1)
     if 2 * k > rows:
-        rows = dim
+        rows = 2 * k if out.nbytes >= 2 * _THREAD_BYTES else dim
     ones = out.reshape(-1)[k * (dim - k)::dim - k + 1]  # entry (k + j, j)
     blocks = -(-dim // rows)
 
@@ -288,13 +386,8 @@ def _complete_orthonormal(part: np.ndarray) -> np.ndarray:
             ones[max(r - k, 0):r + rows - k] += 1
 
     workers = max(min(_cpus(), out.nbytes // _THREAD_BYTES, blocks), 1)
-    if workers == 1:
-        fill(0, dim)
-    else:  # ranges of whole blocks; the with block joins every thread, even on an error
-        from concurrent.futures import ThreadPoolExecutor  # 0.7 MB of modules: load on use
-        edges = [min(rows * (blocks * i // workers), dim) for i in range(workers + 1)]
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(fill, edges, edges[1:]))
+    edges = [min(rows * (blocks * i // workers), dim) for i in range(workers + 1)]
+    _beside(partial(fill, 0, edges[1]), [partial(fill, a, b) for a, b in zip(edges[1:], edges[2:])])
     return out
 
 

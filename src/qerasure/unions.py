@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -247,10 +248,12 @@ def _cross_check(code: QuantumCode, action: states.UnitaryAction, union: Quantum
     The pipeline is _formula_complements' grid; the direct side is the
     union's PS complement on the same grid (_direct_complement), whose
     leading columns are ES(union)'s.  The two are independent until
-    compared, so a direct grid beyond operator_space._BESIDE_BYTES is built
-    in a worker thread beside the pipeline when there are two CPUs or more;
-    both read code.grams, built here first, and the report is bitwise the
-    same either way.  Entries (a, b) and (b, a) of either grid, a != b, lie
+    compared, so a direct grid of operator_space._BESIDE_BYTES or more is
+    built by the package's kept worker beside the pipeline when there are two
+    CPUs or more (operator_space._beside: the direct side ends before any
+    error reaches the caller, and the pipeline's own error wins); both read
+    code.grams, built here first, and the report is bitwise the same either
+    way.  Entries (a, b) and (b, a) of either grid, a != b, lie
     in the real plane of |a><b| and |b><a|; these planes and the diagonal
     block are Hilbert-Schmidt orthogonal, so each pair is compared on its
     own (_pair_residuals) and the diagonal block by one _residual_norm per
@@ -263,13 +266,10 @@ def _cross_check(code: QuantumCode, action: states.UnitaryAction, union: Quantum
     agree.
     """
     n, m = code.n, union.k
-    code.grams  # built here, before a worker thread reads it
-    if operator_space._cpus() > 1 and 8 * 4**n * m * m > operator_space._BESIDE_BYTES:
-        from concurrent.futures import ThreadPoolExecutor  # 0.7 MB of modules: load on use
-        with ThreadPoolExecutor(1) as pool:  # joins the worker, even on an error here
-            beside = pool.submit(_direct_complement, code, union)
-            s, four, five = _formula_complements(code, action)
-            direct = beside.result()  # re-raises the worker's error
+    code.grams  # built here, before a worker reads it
+    if operator_space._cpus() > 1 and 8 * 4**n * m * m >= operator_space._BESIDE_BYTES:
+        (s, four, five), (direct,) = operator_space._beside(
+            partial(_formula_complements, code, action), [partial(_direct_complement, code, union)])
     else:
         s, four, five = _formula_complements(code, action)
         direct = _direct_complement(code, union)

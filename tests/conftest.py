@@ -43,6 +43,24 @@ def set_cpus(monkeypatch, cpus):
 
 
 @pytest.fixture
+def fresh_pool(monkeypatch):
+    """operator_space's worker pool, started anew on first use in the test
+    (after set_cpus, with that many CPUs less one workers); its workers are
+    stopped and joined after the test, and the process's pool put back."""
+    from qerasure import operator_space
+
+    monkeypatch.setattr(operator_space, "_pool", None)
+    yield
+    pool = operator_space._pool
+    if pool is not None:
+        for _ in pool.workers:
+            pool.tasks.put(None)
+        for worker in pool.workers:
+            worker.join(10)
+            assert not worker.is_alive()
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
 

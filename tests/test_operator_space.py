@@ -1,6 +1,8 @@
+import hashlib
 import re
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -376,14 +378,17 @@ def block_row(out):
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
 @pytest.mark.parametrize("n, rows", [(4, 7), (5, None)])
 @pytest.mark.parametrize("dtype", [float, complex])
-def test_complete_orthonormal_in_ranges_is_bitwise_one_range(rng, monkeypatch, cpus, n, rows, dtype):
+def test_complete_orthonormal_in_ranges_is_bitwise_one_range(rng, monkeypatch, fresh_pool, cpus, n, rows, dtype):
     # with _THREAD_BYTES lowered to one byte every complement of several
     # blocks splits into min(cpus, blocks) ranges: 256 rows in blocks of 7
     # (37 blocks, the last short) and 1024 rows in the default blocks (32 or
-    # 64 of them), neither a multiple of 3; k = 35 at n = 5 keeps its single
-    # product in the calling thread
+    # 64 of them), neither a multiple of 3; k = 35 at n = 5, wider than half
+    # a block, takes blocks of 70 rows.  The caller fills the first range and
+    # the pool's cpus - 1 workers the others; the first split starts them,
+    # and no later one starts a thread
     dim = 4**n
     calls, matmul, caller = [], np.matmul, threading.get_ident()
+    threads = threading.active_count()
 
     def counted(a, b, out):
         calls.append((block_row(out), a.shape[0], threading.get_ident()))
@@ -393,33 +398,37 @@ def test_complete_orthonormal_in_ranges_is_bitwise_one_range(rng, monkeypatch, c
         part = random_part(rng, dim, k, dtype)
         if rows is not None:
             monkeypatch.setattr(operator_space, "_BLOCK_BYTES", rows * np.dtype(dtype).itemsize * (dim - k))
+        monkeypatch.setattr(operator_space, "_THREAD_BYTES", 1)
         set_cpus(monkeypatch, 1)
         one = _complete_orthonormal(part)
         set_cpus(monkeypatch, cpus)
-        monkeypatch.setattr(operator_space, "_THREAD_BYTES", 1)
         monkeypatch.setattr(np, "matmul", counted)
         calls.clear()
-        threads, interval = threading.active_count(), sys.getswitchinterval()
+        interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often: a lost write would show
         try:
             split = _complete_orthonormal(part)
         finally:
             sys.setswitchinterval(interval)
-        assert threading.active_count() == threads
-        monkeypatch.undo()
+        monkeypatch.setattr(np, "matmul", matmul)
         assert split.dtype == one.dtype and split.tobytes() == one.tobytes()
         starts = sorted(r for r, _, _ in calls)  # every block once, at its one-range rows
-        height = calls[0][1] if len(calls) == 1 else starts[1]
+        height = starts[1]
         assert starts == list(range(0, dim, height)) and sum(h for _, h, _ in calls) == dim
+        assert (height == 2 * k) == (k == 35)
+        assert all(t == caller for r, _, t in calls if r == 0)
         off_caller = {t for _, _, t in calls} - {caller}
-        assert bool(off_caller) == (min(cpus, len(calls)) > 1)
-        assert (len(calls) == 1) == (k == 35)
+        workers = {w.ident for w in operator_space._pool.workers} if cpus > 1 else set()
+        assert off_caller <= workers and bool(off_caller) == (cpus > 1)
+        assert threading.active_count() == threads + cpus - 1
 
 
-def test_a_failed_range_leaves_no_basis_and_no_thread(rng, monkeypatch):
-    # 256 rows in blocks of 16 over two CPUs: the second range starts at
-    # row 128, and its first block raises; the error reaches .basis, which
-    # caches nothing, every worker is joined, and a retry completes
+def test_a_failed_range_leaves_no_basis_and_no_thread(rng, monkeypatch, fresh_pool):
+    # 256 rows in blocks of 16 over two CPUs: the caller fills rows 0-127 and
+    # the pool's one worker rows 128-255.  A block of either range raises
+    # while the other range takes 50 ms: the error reaches .basis only once
+    # the other range is done, .basis caches nothing, no thread starts, and
+    # a retry completes
     dim, k, rows = 256, 3, 16
     part = random_part(rng, dim, k, float)
     set_cpus(monkeypatch, 1)
@@ -427,22 +436,62 @@ def test_a_failed_range_leaves_no_basis_and_no_thread(rng, monkeypatch):
     one = _complete_orthonormal(part)
     set_cpus(monkeypatch, 2)
     monkeypatch.setattr(operator_space, "_THREAD_BYTES", 1)
-    matmul = np.matmul
-
-    def failing(a, b, out):
-        if block_row(out) == dim // 2:
-            raise MemoryError("second range")
-        return matmul(a, b, out=out)
-
-    s = OperatorSubspace(4, part)
+    matmul, s = np.matmul, OperatorSubspace(4, part)
+    s.basis  # starts the pool's one worker
+    s._basis = None
     threads = threading.active_count()
-    monkeypatch.setattr(np, "matmul", failing)
-    with pytest.raises(MemoryError, match="second range"):
-        s.basis
-    assert s._basis is None and threading.active_count() == threads
+    for failing in (0, dim // 2):
+        written = []
+
+        def flaky(a, b, out):
+            row = block_row(out)
+            if row == failing:
+                raise MemoryError(f"block {row}")
+            if row == dim // 2 - failing:
+                time.sleep(0.05)
+            written.append(row)
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", flaky)
+        with pytest.raises(MemoryError, match=f"block {failing}"):
+            s.basis
+        assert s._basis is None and threading.active_count() == threads
+        other = range(dim // 2 - failing, dim - failing, rows)  # the range that did not fail
+        assert set(other) <= set(written)
     monkeypatch.setattr(np, "matmul", matmul)
     assert s.basis.tobytes() == one.tobytes() and not s.basis.flags.writeable
     assert threading.active_count() == threads
+
+
+def test_wide_complements_at_n6_fill_blocks_of_2k_rows_in_ranges(rng, monkeypatch, fresh_pool):
+    # a real n = 6 complement of k = 8 columns is wider than half the cache
+    # block (8 rows) but its 134 MB output splits: blocks of 16 rows, in one
+    # range per CPU, bitwise the one-range fill and orthonormal off the
+    # complement.  At n = 5 an output below the thread rule keeps the single
+    # product for k = 35
+    calls, matmul = [], np.matmul
+
+    def counted(a, b, out):
+        calls.append(a.shape[0])
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    part = random_part(rng, 1024, 35, float)
+    assert_completes(part, _complete_orthonormal(part))
+    assert calls == [1024]
+    part = random_part(rng, 4096, 8, float)
+    digests = []
+    for cpus in (1, 2):
+        set_cpus(monkeypatch, cpus)
+        calls.clear()
+        rest = None  # one 134 MB basis alive at a time
+        rest = _complete_orthonormal(part)
+        assert calls == [16] * 256
+        digests.append(hashlib.sha256(rest.data).hexdigest())
+    assert digests[0] == digests[1]
+    cols = rest[:, ::97]
+    assert np.max(np.abs(cols.T @ cols - np.eye(cols.shape[1]))) < 1e-12
+    assert np.max(np.abs(part.T @ rest)) < 1e-12
 
 
 def test_member_residual_routes_agree(rng):

@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -762,48 +763,56 @@ def test_direct_grid_is_the_unions_own_scaled_columns(rng):
         assert got.tobytes() == want.tobytes()
 
 
-def direct_threads(monkeypatch):
-    """The thread of every _direct_complement call that _cross_check makes."""
+def direct_threads(monkeypatch, delay=0.0):
+    """The thread of every _direct_complement call that _cross_check makes,
+    recorded as the call returns, after delay seconds."""
     from qerasure import unions
 
     seen, real = [], unions._direct_complement
-    monkeypatch.setattr(unions, "_direct_complement",
-                        lambda *args: seen.append(threading.current_thread()) or real(*args))
+
+    def recorded(*args):
+        direct = real(*args)
+        time.sleep(delay)
+        seen.append(threading.current_thread())
+        return direct
+
+    monkeypatch.setattr(unions, "_direct_complement", recorded)
     return seen
 
 
-def test_cross_check_report_is_bitwise_the_same_in_either_thread(monkeypatch, rng):
-    # _BESIDE_BYTES at 0 puts every direct side in the worker thread, and
-    # beyond the largest grid keeps every one in the caller: the reports,
-    # residuals included, agree bit for bit
+def test_cross_check_report_is_bitwise_the_same_in_either_thread(monkeypatch, rng, fresh_pool):
+    # _BESIDE_BYTES at 0 puts every direct side in the pool's one worker (two
+    # CPUs), and beyond the largest grid keeps every one in the caller: the
+    # reports, residuals included, agree bit for bit; the first threaded call
+    # starts the worker, no later call starts a thread, and each direct side
+    # has returned before its report does
     from qerasure import operator_space
 
     caller = threading.current_thread()
     cases = [(fixture_gbp_code(), gbp_pair_transform()),
              (fixture_rains_subcode(), CodeTransform(5, locals=["I", "I", "I", "H", "S"])),
              swap_pair(rng, 3, 2), swap_pair(rng, 5, 8), half_frame_pair(rng, 4, 3)]
-    interval = sys.getswitchinterval()
+    interval, threads = sys.getswitchinterval(), threading.active_count()
+    set_cpus(monkeypatch, 2)
     for code, u in cases:
         act = _as_action(code.n, u)
         union, _ = union_code([code, transform_code(code, act)])
         reports = {}
         for beside in (0, 1 << 62):
             with monkeypatch.context() as m:
-                set_cpus(m, 2)
                 m.setattr(operator_space, "_BESIDE_BYTES", beside)
                 seen = direct_threads(m)
-                threads = threading.active_count()
                 sys.setswitchinterval(1e-6)  # switch threads often: a shared write would show
                 try:
                     reports[beside] = _cross_check(code, act, union)
                 finally:
                     sys.setswitchinterval(interval)
-                assert threading.active_count() == threads
+            assert threading.active_count() == threads + 1
             assert len(seen) == 1
             if beside:
                 assert seen[0] is caller
-            else:  # a worker, joined before the report returned
-                assert seen[0] is not caller and not seen[0].is_alive()
+            else:
+                assert operator_space._pool.workers == (seen[0],)
         threaded, in_caller = reports.values()
         assert threaded == in_caller
         for key in ("theorem4", "theorem5"):
@@ -813,12 +822,16 @@ def test_cross_check_report_is_bitwise_the_same_in_either_thread(monkeypatch, rn
 
 @pytest.mark.parametrize("n, k, cpus, beside", [
     (5, 8, 2, True), (5, 5, 2, True), (6, 3, 2, True), (5, 8, 1, False),
-    (5, 4, 2, False), (5, 2, 2, False), (6, 2, 2, False), (4, 8, 2, False),
+    (5, 4, 2, True), (5, 3, 2, False), (5, 2, 2, False), (6, 2, 2, True), (4, 8, 2, True),
 ])
-def test_direct_side_runs_beside_the_pipeline_for_large_unions(monkeypatch, rng, n, k, cpus, beside):
-    # the default rule: grids beyond 0.5 MiB, n = 5, K = 8 among them, take
-    # a worker thread when there are two CPUs; K <= 4 at n = 5 and n = 6,
-    # K = 2 stay in the caller, as does everything on one CPU
+def test_direct_side_runs_beside_the_pipeline_for_large_unions(monkeypatch, rng, fresh_pool,
+                                                               n, k, cpus, beside):
+    # the default rule: grids of 0.5 MiB and more (n = 5, K = 4; n = 6,
+    # K = 2; n = 4, K = 8) take the pool's worker when there are two CPUs;
+    # n = 5, K <= 3 (288 KiB and less) stays in the caller, as does
+    # everything on one CPU, where no pool starts
+    from qerasure import operator_space
+
     code, act = swap_pair(rng, n, k)
     union, _ = union_code([code, transform_code(code, act)])
     set_cpus(monkeypatch, cpus)
@@ -826,22 +839,25 @@ def test_direct_side_runs_beside_the_pipeline_for_large_unions(monkeypatch, rng,
     report = _cross_check(code, act, union)
     assert report["theorem4"]["matches_direct"] and report["theorem5"]["matches_direct"]
     assert len(seen) == 1 and (seen[0] is not threading.current_thread()) == beside
+    assert (operator_space._pool is not None) == beside
 
 
 @pytest.mark.parametrize("failing", ["_direct_complement", "_formula_complements"])
-def test_an_error_on_either_side_reaches_the_caller_and_leaves_no_thread(monkeypatch, rng, failing):
+def test_an_error_on_either_side_reaches_the_caller_and_leaves_no_thread(monkeypatch, rng, fresh_pool,
+                                                                         failing):
     # the direct side fails in the worker, or the pipeline in the caller while
-    # the worker runs: the error reaches the caller, the worker is joined, and
-    # a retry gives the report of a clean run
+    # the worker runs: the error reaches the caller only once the worker's
+    # task has ended, no thread starts, and a retry gives the report of a
+    # clean run
     from qerasure import operator_space, unions
 
-    threads = threading.active_count()
     code, act = swap_pair(rng, 3, 2)
     union, _ = union_code([code, transform_code(code, act)])
     set_cpus(monkeypatch, 2)
     monkeypatch.setattr(operator_space, "_BESIDE_BYTES", 0)
-    clean = _cross_check(code, act, union)
-    seen = direct_threads(monkeypatch)
+    clean = _cross_check(code, act, union)  # starts the pool's one worker
+    threads = threading.active_count()
+    seen = direct_threads(monkeypatch, delay=0.05)  # a slow worker: an early error would show
 
     def fail(*args):
         seen.append(threading.current_thread())
@@ -851,10 +867,14 @@ def test_an_error_on_either_side_reaches_the_caller_and_leaves_no_thread(monkeyp
         m.setattr(unions, failing, fail)
         with pytest.raises(MemoryError, match=failing):
             _cross_check(code, act, union)
-    # the worker has ended by the time the error arrives
-    worker, = (t for t in seen if t is not threading.current_thread())
-    assert not worker.is_alive() and threading.active_count() == threads
+        worker, = operator_space._pool.workers
+        # the worker's failure, or the caller's and then the worker's
+        # completed direct side, are in by the time the error arrives
+        caller = threading.current_thread()
+        assert seen == ([worker] if failing == "_direct_complement" else [caller, worker])
+    assert worker.is_alive() and threading.active_count() == threads
     assert _cross_check(code, act, union) == clean
+    assert threading.active_count() == threads
 
 
 def test_shared_residuals_equal_the_equality_residuals(rng):
