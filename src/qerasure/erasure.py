@@ -306,8 +306,8 @@ def _scan(code: QuantumCode, families, max_weight: int | None = None) -> list[_S
     """
     if max_weight is None:
         max_weight = code.n
-    if not 0 <= max_weight <= code.n:
-        raise ValueError(f"max_weight must be in [0, {code.n}], got {max_weight}")
+    if isinstance(max_weight, bool) or not isinstance(max_weight, int) or not 0 <= max_weight <= code.n:
+        raise ValueError(f"max_weight must be an integer in [0, {code.n}], got {max_weight!r}")
     grams = code.grams
     t = _pauli_table(code.n)
     weights = np.bitwise_count(t.x | t.z)

@@ -36,12 +36,14 @@ otherwise, the only O(16^n) object here.  The kernel zeroes each fresh page
 it faults in, so the blocks are filled in one contiguous range per CPU.  It
 is cached read-only.
 
-The package keeps one pool of _cpus() - 1 worker threads (_submit,
-_beside), started on first use and kept for the life of the process, so
-no call pays for starting a thread.  It fills those ranges beside the
-caller's own, and builds a large cross-check's direct side beside its
-pipeline (unions._cross_check).  No pool task submits to the pool, and a
-forked child, which has none of the pool's threads, starts its own.
+The package keeps one pool of worker threads for the life of the process,
+the standard library's ThreadPoolExecutor (_beside).  Its threads start as
+needed, up to _cpus() - 1, so no later call pays for starting one.  It
+fills those ranges beside the caller's own, and builds a large
+cross-check's direct side beside its pipeline (unions._cross_check).  No
+pool task submits to the pool.  A forked child, which has none of the
+pool's threads, makes its own, and at exit the interpreter joins the idle
+workers.
 
 Numerical conventions: membership and containment residuals are compared
 against MEMBERSHIP_TOL and SUBSPACE_TOL (see tolerances).  A containment
@@ -56,8 +58,8 @@ computing angles between linear subspaces", Math. Comp. 27, 1973).
 from __future__ import annotations
 
 import os
-import queue
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Sequence
 
@@ -270,56 +272,21 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-class _Pool(NamedTuple):
-    """The package's worker threads and the queue of (task, reply) pairs they serve."""
-
-    tasks: queue.SimpleQueue
-    workers: tuple[threading.Thread, ...]
-
-
-# Started by the first _submit, with _cpus() - 1 workers, and kept for the
-# life of the process: a thread costs about 1 ms to start and join, as much
-# as the work it would take off a small cross-check (BENCH_28.json).
-_pool: _Pool | None = None
+# Made by the first _beside that has tasks and kept: a thread costs about 1 ms
+# to start and join, as much as a small cross-check's direct side (BENCH_28.json).
+_pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
 
 
 def _drop_pool() -> None:
     """Forget the pool in a forked child, which has none of its threads; the
-    child's first _submit starts its own."""
+    child's first _beside makes its own."""
     global _pool, _pool_lock
     _pool, _pool_lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
-
-
-def _serve(tasks: queue.SimpleQueue) -> None:
-    """A worker: run each task and put its (result, error) on its reply queue, until a None."""
-    for task, reply in iter(tasks.get, None):
-        try:
-            reply.put((task(), None))
-        except BaseException as error:  # the caller waits for a reply, and re-raises this one
-            reply.put((None, error))
-        del task, reply  # an idle worker holds no task's arrays
-
-
-def _submit(task: Callable) -> queue.SimpleQueue:
-    """Queue task() on the pool, started here on first use; its reply comes on the returned queue."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            tasks = queue.SimpleQueue()
-            workers = tuple(threading.Thread(target=_serve, args=(tasks,), name="qerasure-worker",
-                                             daemon=True) for _ in range(max(_cpus() - 1, 1)))
-            for worker in workers:
-                worker.start()
-            _pool = _Pool(tasks, workers)
-        tasks = _pool.tasks
-    reply = queue.SimpleQueue()
-    tasks.put((task, reply))
-    return reply
 
 
 def _beside(own: Callable, tasks: Sequence[Callable]) -> tuple:
@@ -330,16 +297,20 @@ def _beside(own: Callable, tasks: Sequence[Callable]) -> tuple:
     submits to the pool, so each queued task gets a worker once the tasks
     before it end, and no caller waits on a task that waits on the pool.
     """
-    replies = []
+    global _pool
+    futures = []
     try:
-        replies.extend(_submit(task) for task in tasks)
+        if tasks:
+            with _pool_lock:
+                if _pool is None:
+                    _pool = ThreadPoolExecutor(max(_cpus() - 1, 1), "qerasure-worker")
+                pool = _pool
+            futures.extend(pool.submit(task) for task in tasks)
         mine = own()
     finally:
-        done = [reply.get() for reply in replies]
-    for _, error in done:
-        if error is not None:
-            raise error
-    return mine, [result for result, _ in done]
+        for future in futures:
+            future.exception()  # waits for the task, and raises nothing
+    return mine, [future.result() for future in futures]
 
 
 def _complete_orthonormal(part: np.ndarray) -> np.ndarray:

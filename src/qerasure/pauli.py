@@ -156,8 +156,8 @@ def enumerate_paulis(n: int, max_weight: int) -> list[PauliOperator]:
 
     They are the leading rows of _pauli_masks(n), in its order.
     """
-    if not 0 <= max_weight <= n:
-        raise ValueError(f"max_weight must be in [0, {n}], got {max_weight}")
+    if isinstance(max_weight, bool) or not isinstance(max_weight, int) or not 0 <= max_weight <= n:
+        raise ValueError(f"max_weight must be an integer in [0, {n}], got {max_weight!r}")
     masks = _pauli_masks(n)
     count = np.count_nonzero(np.bitwise_count(masks[:, 0] | masks[:, 1]) <= max_weight)
     return [PauliOperator(n, x, z) for x, z in masks[:count].tolist()]

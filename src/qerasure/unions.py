@@ -249,9 +249,10 @@ def _cross_check(code: QuantumCode, action: states.UnitaryAction, union: Quantum
     union's PS complement on the same grid (_direct_complement), whose
     leading columns are ES(union)'s.  The two are independent until
     compared, so a direct grid of operator_space._BESIDE_BYTES or more is
-    built by the package's kept worker beside the pipeline when there are two
-    CPUs or more (operator_space._beside: the direct side ends before any
-    error reaches the caller, and the pipeline's own error wins); both read
+    built beside the pipeline when there are two CPUs or more, by the
+    package's pool, the standard library's thread pool executor kept for the
+    process (operator_space._beside: the direct side ends before any error
+    reaches the caller, and the pipeline's own error wins); both read
     code.grams, built here first, and the report is bitwise the same either
     way.  Entries (a, b) and (b, a) of either grid, a != b, lie
     in the real plane of |a><b| and |b><a|; these planes and the diagonal

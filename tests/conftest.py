@@ -1,5 +1,6 @@
 import os
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -44,20 +45,21 @@ def set_cpus(monkeypatch, cpus):
 
 @pytest.fixture
 def fresh_pool(monkeypatch):
-    """operator_space's worker pool, started anew on first use in the test
-    (after set_cpus, with that many CPUs less one workers); its workers are
-    stopped and joined after the test, and the process's pool put back."""
+    """operator_space's worker pool, made anew by the test's first _beside
+    with tasks (after set_cpus, with at most that many CPUs less one
+    workers).  Yields a function that lists the live threads named
+    qerasure-worker that started during the test: the test pool's workers,
+    or a forked child's own.  The test's pool is shut down, its workers
+    joined, and the process's pool put back afterwards."""
     from qerasure import operator_space
 
+    before = set(threading.enumerate())
     monkeypatch.setattr(operator_space, "_pool", None)
-    yield
+    yield lambda: [t for t in threading.enumerate()
+                   if t.name.startswith("qerasure-worker") and t not in before]
     pool = operator_space._pool
     if pool is not None:
-        for _ in pool.workers:
-            pool.tasks.put(None)
-        for worker in pool.workers:
-            worker.join(10)
-            assert not worker.is_alive()
+        pool.shutdown(wait=True)
 
 
 @pytest.fixture

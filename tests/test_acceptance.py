@@ -322,3 +322,30 @@ def test_c12_cli_determinism():
     json.loads(first.stdout)
     print("ACCEPTANCE C12 PASS: repeated CLI runs byte-identical "
           f"({len(first.stdout)} bytes)")
+
+
+# Violators per weight 0..n of each fixture, (erasure, pure).
+VIOLATOR_COUNTS = {
+    "rains-subcode": ((0, 0, 0, 0, 0, 0), (0, 0, 0, 10, 15, 6)),
+    "rains-union": ((0, 0, 60, 130, 195, 126), (0, 0, 60, 130, 195, 126)),
+    "gbp": ((0, 0, 18, 24, 18), (0, 0, 18, 24, 21)),
+    "gbp-union": ((0, 4, 30, 52, 40), (0, 4, 30, 52, 41)),
+}
+
+
+def test_c13_every_violator_set_has_a_second_route():
+    # every fixture, both condition families, every weight: the scan's
+    # violators are the dense oracle's, in the same order
+    for name, counts in VIOLATOR_COUNTS.items():
+        code = get_fixture(name)
+        for pure, expected, member in zip((False, True), counts,
+                                          (erasure_member_dense, pure_member_dense)):
+            table = classify_paulis(code, pure=pure)
+            assert [row.weight for row in table] == list(range(code.n + 1))
+            for row in table:
+                dense = violators_dense(code.basis, code.n, row.weight, member=member)
+                assert list(row.violators) == dense, (name, pure, row.weight)
+                assert row.non_members == len(dense)
+            assert tuple(row.non_members for row in table) == expected, (name, pure)
+    print("ACCEPTANCE C13 PASS: the violators of all four fixtures, erasure and "
+          "pure, at every weight, are the dense oracle's")

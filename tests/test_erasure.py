@@ -445,6 +445,17 @@ def test_classify_rejects_excess_weight():
         classify_paulis(fixture_gbp_code(), 5)
 
 
+@pytest.mark.parametrize("max_weight", [True, False, 1.5, 2.0, "2"])
+def test_scans_refuse_a_bool_or_non_integer_weight(max_weight):
+    # neither a silent scan to weight 1 nor numpy's own TypeError
+    code = fixture_gbp_code()
+    for scan in (lambda: classify_paulis(code, max_weight),
+                 lambda: classify_paulis(code, max_weight, pure=True),
+                 lambda: _scan(code, (False, True), max_weight)):
+        with pytest.raises(ValueError, match="max_weight must be an integer"):
+            scan()
+
+
 # -------------------------------------------------------------- distances
 
 def test_distances_frozen():

@@ -384,8 +384,8 @@ def test_complete_orthonormal_in_ranges_is_bitwise_one_range(rng, monkeypatch, f
     # (37 blocks, the last short) and 1024 rows in the default blocks (32 or
     # 64 of them), neither a multiple of 3; k = 35 at n = 5, wider than half
     # a block, takes blocks of 70 rows.  The caller fills the first range and
-    # the pool's cpus - 1 workers the others; the first split starts them,
-    # and no later one starts a thread
+    # the pool's workers the others; no thread starts but the pool's, never
+    # more than cpus - 1 of them, and none on one CPU
     dim = 4**n
     calls, matmul, caller = [], np.matmul, threading.get_ident()
     threads = threading.active_count()
@@ -418,9 +418,9 @@ def test_complete_orthonormal_in_ranges_is_bitwise_one_range(rng, monkeypatch, f
         assert (height == 2 * k) == (k == 35)
         assert all(t == caller for r, _, t in calls if r == 0)
         off_caller = {t for _, _, t in calls} - {caller}
-        workers = {w.ident for w in operator_space._pool.workers} if cpus > 1 else set()
-        assert off_caller <= workers and bool(off_caller) == (cpus > 1)
-        assert threading.active_count() == threads + cpus - 1
+        workers = fresh_pool()
+        assert off_caller <= {w.ident for w in workers} and bool(off_caller) == (cpus > 1)
+        assert len(workers) <= cpus - 1 and threading.active_count() == threads + len(workers)
 
 
 def test_a_failed_range_leaves_no_basis_and_no_thread(rng, monkeypatch, fresh_pool):

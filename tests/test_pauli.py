@@ -128,6 +128,13 @@ def test_enumeration_rejects_bad_weight():
         enumerate_paulis(3, -1)
 
 
+@pytest.mark.parametrize("max_weight", [True, False, 1.5, 1.0, "1", None])
+def test_enumeration_refuses_a_bool_or_non_integer_weight(max_weight):
+    # a bool is not read as 0 or 1, and a float is not cut down to an int
+    with pytest.raises(ValueError, match="max_weight must be an integer"):
+        enumerate_paulis(4, max_weight)
+
+
 def matrix_element(bra, p, ket):
     """<bra| p |ket> through the dense oracle, from p's letters and its power of i."""
     letters = pauli_to_string(PauliOperator(p.n, p.x_mask, p.z_mask))

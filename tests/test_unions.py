@@ -812,7 +812,7 @@ def test_cross_check_report_is_bitwise_the_same_in_either_thread(monkeypatch, rn
             if beside:
                 assert seen[0] is caller
             else:
-                assert operator_space._pool.workers == (seen[0],)
+                assert fresh_pool() == [seen[0]]
         threaded, in_caller = reports.values()
         assert threaded == in_caller
         for key in ("theorem4", "theorem5"):
@@ -839,7 +839,7 @@ def test_direct_side_runs_beside_the_pipeline_for_large_unions(monkeypatch, rng,
     report = _cross_check(code, act, union)
     assert report["theorem4"]["matches_direct"] and report["theorem5"]["matches_direct"]
     assert len(seen) == 1 and (seen[0] is not threading.current_thread()) == beside
-    assert (operator_space._pool is not None) == beside
+    assert (operator_space._pool is not None) == beside and len(fresh_pool()) == beside
 
 
 @pytest.mark.parametrize("failing", ["_direct_complement", "_formula_complements"])
@@ -867,7 +867,7 @@ def test_an_error_on_either_side_reaches_the_caller_and_leaves_no_thread(monkeyp
         m.setattr(unions, failing, fail)
         with pytest.raises(MemoryError, match=failing):
             _cross_check(code, act, union)
-        worker, = operator_space._pool.workers
+        worker, = fresh_pool()
         # the worker's failure, or the caller's and then the worker's
         # completed direct side, are in by the time the error arrives
         caller = threading.current_thread()

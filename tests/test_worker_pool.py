@@ -1,4 +1,5 @@
-"""The package's one worker pool: started once, kept, shared, and reset in a forked child.
+"""The package's one worker pool, the standard library's thread pool executor:
+made once, kept, shared, and made anew in a forked child.
 
 Every wait here has a timeout, so a deadlock fails the test instead of
 hanging the suite, and no test starts more than one child process.
@@ -11,6 +12,8 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -54,7 +57,9 @@ def half_frame(rng, n, k):
 def test_the_callers_error_wins_and_every_task_ends_first(monkeypatch, fresh_pool):
     # two tasks of 50 ms beside the caller: an error reaches the caller only
     # once both have ended; the caller's own error wins, then the first
-    # failed task's; without errors the results come in task order
+    # failed task's; without errors the results come in task order.  Both
+    # tasks are queued before either ends, so the first call starts both of
+    # the pool's two workers, and no later call starts a thread
     set_cpus(monkeypatch, 3)
     ended = []
 
@@ -81,7 +86,7 @@ def test_the_callers_error_wins_and_every_task_ends_first(monkeypatch, fresh_poo
         return _beside(partial(own, False), [partial(task, 1, False), partial(task, 2, False)])
 
     assert within(30, run) == ("own", [1, 2])
-    assert len(operator_space._pool.workers) == 2
+    assert len(fresh_pool()) == 2
 
 
 def test_no_pool_task_submits_to_the_pool(rng, monkeypatch, fresh_pool):
@@ -91,9 +96,9 @@ def test_no_pool_task_submits_to_the_pool(rng, monkeypatch, fresh_pool):
     set_cpus(monkeypatch, 4)
     monkeypatch.setattr(operator_space, "_BESIDE_BYTES", 0)
     monkeypatch.setattr(operator_space, "_THREAD_BYTES", 1 << 20)
-    submitters, submit = [], operator_space._submit
-    monkeypatch.setattr(operator_space, "_submit",
-                        lambda task: submitters.append(threading.current_thread()) or submit(task))
+    submitters, submit = [], ThreadPoolExecutor.submit
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", lambda pool, task: (
+        submitters.append(threading.current_thread()) or submit(pool, task)))
     code, t = half_frame(rng, 4, 3)
     part = np.linalg.qr(rng.standard_normal((1024, 3)))[0]
 
@@ -104,16 +109,45 @@ def test_no_pool_task_submits_to_the_pool(rng, monkeypatch, fresh_pool):
 
     caller = within(30, run)
     assert submitters == [caller] * 4  # one direct side, then three ranges
-    assert not set(operator_space._pool.workers) & set(submitters)
+    assert 1 <= len(fresh_pool()) <= 3 and not set(fresh_pool()) & set(submitters)
+
+
+def test_an_idle_worker_holds_no_task_and_no_result(monkeypatch, fresh_pool):
+    # once _beside has returned and the caller drops what it got, the pool's
+    # worker, idle again, keeps neither the task nor its result alive: a
+    # task's arrays are freed with the call, not when the next task comes
+    set_cpus(monkeypatch, 2)
+
+    class Result:
+        pass
+
+    class Task:
+        def __call__(self):
+            return Result()
+
+    def run():
+        task = Task()
+        mine, (result,) = _beside(lambda: "own", [task])
+        assert mine == "own" and isinstance(result, Result)
+        return weakref.ref(task), weakref.ref(result)
+
+    refs = within(30, run)
+    deadline = time.monotonic() + 10
+    while any(ref() is not None for ref in refs) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert all(ref() is None for ref in refs)
+    worker, = fresh_pool()
+    assert worker.is_alive()
 
 
 def test_two_callers_at_once_get_the_serial_results(rng, monkeypatch, fresh_pool):
     # two caller threads run the same threaded cross-checks and split fills,
-    # in opposite orders, on one pool of three workers (more workers than
-    # this machine may have CPUs): each gets, bit for bit, what one caller
-    # got alone, no thread starts beyond the three workers, and neither
-    # waits forever.  n = 5 fills with _THREAD_BYTES lowered to 1 MiB (8 MB
-    # each, four ranges) stand for the n = 6 ones, which hold 134 MB each
+    # in opposite orders, on one pool of up to three workers (more workers
+    # than this machine may have CPUs): each gets, bit for bit, what one
+    # caller got alone, no thread starts but the pool's, never more than
+    # three of them, and neither waits forever.  n = 5 fills with
+    # _THREAD_BYTES lowered to 1 MiB (8 MB each, four ranges) stand for the
+    # n = 6 ones, which hold 134 MB each
     set_cpus(monkeypatch, 4)
     monkeypatch.setattr(operator_space, "_BESIDE_BYTES", 0)
     monkeypatch.setattr(operator_space, "_THREAD_BYTES", 1 << 20)
@@ -125,8 +159,8 @@ def test_two_callers_at_once_get_the_serial_results(rng, monkeypatch, fresh_pool
         part = np.linalg.qr(rng.standard_normal((1024, 3)) + imag * rng.standard_normal((1024, 3)))[0]
         jobs.append(lambda part=part: _complete_orthonormal(part).tobytes())
     serial = within(60, lambda: [job() for job in jobs])
-    threads = threading.active_count()
-    assert len(operator_space._pool.workers) == 3
+    others = threading.active_count() - len(fresh_pool())
+    assert 1 <= len(fresh_pool()) <= 3
     results = [None, None]
 
     def caller(i):
@@ -146,14 +180,14 @@ def test_two_callers_at_once_get_the_serial_results(rng, monkeypatch, fresh_pool
     assert not any(thread.is_alive() for thread in callers)
     for got in results:
         assert got is not None and [got[j] for j in range(len(jobs))] == serial
-    assert threading.active_count() == threads
+    assert threading.active_count() - len(fresh_pool()) == others and len(fresh_pool()) <= 3
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.filterwarnings("ignore:.*fork\\(\\) may lead to deadlocks")
 def test_a_forked_child_starts_its_own_pool_and_gets_the_parents_report(rng, monkeypatch, fresh_pool):
     # the parent's pool is running when it forks; the child has none of its
-    # threads, forgets the pool, starts its own for its threaded cross-check
+    # threads, forgets the pool, makes its own for its threaded cross-check
     # and gets the parent's report
     set_cpus(monkeypatch, 2)
     monkeypatch.setattr(operator_space, "_BESIDE_BYTES", 0)
@@ -167,7 +201,7 @@ def test_a_forked_child_starts_its_own_pool_and_gets_the_parents_report(rng, mon
         try:
             os.close(read)
             got = cross_check_intersection_formulas(code, t)
-            own = operator_space._pool is not parent_pool and operator_space._pool.workers[0].is_alive()
+            own = operator_space._pool is not parent_pool and len(fresh_pool()) == 1
             os.write(write, json.dumps([got, own]).encode())
         finally:
             os._exit(0)
@@ -192,8 +226,8 @@ def test_a_forked_child_starts_its_own_pool_and_gets_the_parents_report(rng, mon
 
 
 def test_a_process_exits_promptly_after_a_threaded_cross_check():
-    # the kept worker is a daemon thread blocked on its queue: it neither
-    # holds the interpreter at exit nor changes the exit status
+    # the kept worker is idle on the executor's queue: the interpreter wakes
+    # and joins it at exit, which neither hangs nor changes the exit status
     script = (
         "import os\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
@@ -202,7 +236,8 @@ def test_a_process_exits_promptly_after_a_threaded_cross_check():
         "operator_space._BESIDE_BYTES = 0\n"
         "report = cross_check_intersection_formulas(get_fixture('gbp'), "
         "CodeTransform(4, locals=['I', 'I', 'I', 'Y']))\n"
-        "assert operator_space._pool.workers[0].is_alive()\n"
+        "import threading\n"
+        "assert sorted(t.name for t in threading.enumerate()) == ['MainThread', 'qerasure-worker_0']\n"
         "print(report['theorem4']['matches_direct'], report['theorem5']['matches_direct'])\n"
     )
     start = time.monotonic()
