@@ -37,13 +37,13 @@ it faults in, so the blocks are filled in one contiguous range per CPU.  It
 is cached read-only.
 
 The package keeps one pool of worker threads for the life of the process,
-the standard library's ThreadPoolExecutor (_beside).  Its threads start as
-needed, up to _cpus() - 1, so no later call pays for starting one.  It
-fills those ranges beside the caller's own, and builds a large
-cross-check's direct side beside its pipeline (unions._cross_check).  No
-pool task submits to the pool.  A forked child, which has none of the
-pool's threads, makes its own, and at exit the interpreter joins the idle
-workers.
+the standard library's ThreadPoolExecutor made at import (_beside).  Its
+threads start as needed, up to _cpus() - 1, so no later call pays for
+starting one.  It fills those ranges beside the caller's own, and builds a
+large cross-check's direct side beside its pipeline (unions._cross_check).
+No pool task submits to the pool.  A forked child, which has none of the
+pool's threads, makes its own; at exit the interpreter joins the idle
+workers, and the caller runs what the executor then refuses.
 
 Numerical conventions: membership and containment residuals are compared
 against MEMBERSHIP_TOL and SUBSPACE_TOL (see tolerances).  A containment
@@ -58,7 +58,6 @@ computing angles between linear subspaces", Math. Comp. 27, 1973).
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Sequence
@@ -272,21 +271,18 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-# Made by the first _beside that has tasks and kept: a thread costs about 1 ms
-# to start and join, as much as a small cross-check's direct side (BENCH_28.json).
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
+# Made at import and kept: a thread costs about 1 ms to start and join, as
+# much as a small cross-check's direct side (BENCH_28.json).  The executor
+# starts its threads as tasks come, so making it starts none.
+def _new_pool() -> None:
+    """Make the pool: at import, and in a forked child, which has none of its threads."""
+    global _pool
+    _pool = ThreadPoolExecutor(max(_cpus() - 1, 1), "qerasure-worker")
 
 
-def _drop_pool() -> None:
-    """Forget the pool in a forked child, which has none of its threads; the
-    child's first _beside makes its own."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
+_new_pool()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 def _beside(own: Callable, tasks: Sequence[Callable]) -> tuple:
@@ -296,21 +292,22 @@ def _beside(own: Callable, tasks: Sequence[Callable]) -> tuple:
     wins; otherwise the first failed task's error is re-raised.  No task
     submits to the pool, so each queued task gets a worker once the tasks
     before it end, and no caller waits on a task that waits on the pool.
+    Once the interpreter has begun to exit (in a thread that outlives the
+    main one, or an atexit handler) the executor refuses work, and the
+    tasks it refused run here after own(), in order.
     """
-    global _pool
     futures = []
     try:
-        if tasks:
-            with _pool_lock:
-                if _pool is None:
-                    _pool = ThreadPoolExecutor(max(_cpus() - 1, 1), "qerasure-worker")
-                pool = _pool
-            futures.extend(pool.submit(task) for task in tasks)
+        try:
+            for task in tasks:
+                futures.append(_pool.submit(task))
+        except RuntimeError:  # cannot schedule new futures after interpreter shutdown
+            pass
         mine = own()
     finally:
         for future in futures:
             future.exception()  # waits for the task, and raises nothing
-    return mine, [future.result() for future in futures]
+    return mine, [future.result() for future in futures] + [task() for task in tasks[len(futures):]]
 
 
 def _complete_orthonormal(part: np.ndarray) -> np.ndarray:

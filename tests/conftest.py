@@ -38,28 +38,51 @@ def random_orthogonal_pair(rng, n, k1, k2):
     return first, second
 
 
-def set_cpus(monkeypatch, cpus):
-    """Make operator_space._cpus, and so the thread rules, see cpus CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+class FreshPool:
+    """operator_space's worker pool as a process on a given number of CPUs
+    makes it at import.  Calling it lists the live threads named
+    qerasure-worker that started during the test: the test pools' workers,
+    or a forked child's own."""
+
+    def __init__(self, monkeypatch):
+        self.monkeypatch, self.before, self.made = monkeypatch, set(threading.enumerate()), False
+
+    def __call__(self):
+        return [t for t in threading.enumerate()
+                if t.name.startswith("qerasure-worker") and t not in self.before]
+
+    def set_cpus(self, cpus):
+        """Make operator_space._cpus, and so the thread rules, see cpus CPUs,
+        shut the test's last pool down, and make the pool anew for them."""
+        from qerasure import operator_space
+
+        self.monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        self.close()
+        operator_space._new_pool()
+        self.made = True
+
+    def close(self):
+        """Shut the test's pool down, if it made one: each of its workers ends within 10 s."""
+        from qerasure import operator_space
+
+        if self.made:
+            workers = self()
+            operator_space._pool.shutdown(wait=False)
+            for worker in workers:
+                worker.join(10)
+                assert not worker.is_alive()
 
 
 @pytest.fixture
 def fresh_pool(monkeypatch):
-    """operator_space's worker pool, made anew by the test's first _beside
-    with tasks (after set_cpus, with at most that many CPUs less one
-    workers).  Yields a function that lists the live threads named
-    qerasure-worker that started during the test: the test pool's workers,
-    or a forked child's own.  The test's pool is shut down, its workers
-    joined, and the process's pool put back afterwards."""
+    """A FreshPool: the test's pools are shut down, their workers joined, and
+    the process's pool put back afterwards."""
     from qerasure import operator_space
 
-    before = set(threading.enumerate())
-    monkeypatch.setattr(operator_space, "_pool", None)
-    yield lambda: [t for t in threading.enumerate()
-                   if t.name.startswith("qerasure-worker") and t not in before]
-    pool = operator_space._pool
-    if pool is not None:
-        pool.shutdown(wait=True)
+    monkeypatch.setattr(operator_space, "_pool", operator_space._pool)
+    pool = FreshPool(monkeypatch)
+    yield pool
+    pool.close()
 
 
 @pytest.fixture

@@ -35,7 +35,7 @@ from _svd_route import (
     largest_singular_value_svd,
     wide_nullspace_complement,
 )
-from conftest import assert_orthonormal, random_code, random_unitary, set_cpus
+from conftest import assert_orthonormal, random_code, random_unitary
 
 
 def span_of(labels, n):
@@ -399,9 +399,9 @@ def test_complete_orthonormal_in_ranges_is_bitwise_one_range(rng, monkeypatch, f
         if rows is not None:
             monkeypatch.setattr(operator_space, "_BLOCK_BYTES", rows * np.dtype(dtype).itemsize * (dim - k))
         monkeypatch.setattr(operator_space, "_THREAD_BYTES", 1)
-        set_cpus(monkeypatch, 1)
+        fresh_pool.set_cpus(1)
         one = _complete_orthonormal(part)
-        set_cpus(monkeypatch, cpus)
+        fresh_pool.set_cpus(cpus)
         monkeypatch.setattr(np, "matmul", counted)
         calls.clear()
         interval = sys.getswitchinterval()
@@ -431,10 +431,10 @@ def test_a_failed_range_leaves_no_basis_and_no_thread(rng, monkeypatch, fresh_po
     # a retry completes
     dim, k, rows = 256, 3, 16
     part = random_part(rng, dim, k, float)
-    set_cpus(monkeypatch, 1)
+    fresh_pool.set_cpus(1)
     monkeypatch.setattr(operator_space, "_BLOCK_BYTES", rows * 8 * (dim - k))
     one = _complete_orthonormal(part)
-    set_cpus(monkeypatch, 2)
+    fresh_pool.set_cpus(2)
     monkeypatch.setattr(operator_space, "_THREAD_BYTES", 1)
     matmul, s = np.matmul, OperatorSubspace(4, part)
     s.basis  # starts the pool's one worker
@@ -482,7 +482,7 @@ def test_wide_complements_at_n6_fill_blocks_of_2k_rows_in_ranges(rng, monkeypatc
     part = random_part(rng, 4096, 8, float)
     digests = []
     for cpus in (1, 2):
-        set_cpus(monkeypatch, cpus)
+        fresh_pool.set_cpus(cpus)
         calls.clear()
         rest = None  # one 134 MB basis alive at a time
         rest = _complete_orthonormal(part)

@@ -58,7 +58,6 @@ from conftest import (
     random_code,
     random_orthogonal_pair,
     random_unitary,
-    set_cpus,
 )
 
 ADJOINT_CLOSED = (erasure_space, pure_erasure_space, annihilating_space)
@@ -793,7 +792,7 @@ def test_cross_check_report_is_bitwise_the_same_in_either_thread(monkeypatch, rn
              (fixture_rains_subcode(), CodeTransform(5, locals=["I", "I", "I", "H", "S"])),
              swap_pair(rng, 3, 2), swap_pair(rng, 5, 8), half_frame_pair(rng, 4, 3)]
     interval, threads = sys.getswitchinterval(), threading.active_count()
-    set_cpus(monkeypatch, 2)
+    fresh_pool.set_cpus(2)
     for code, u in cases:
         act = _as_action(code.n, u)
         union, _ = union_code([code, transform_code(code, act)])
@@ -829,17 +828,15 @@ def test_direct_side_runs_beside_the_pipeline_for_large_unions(monkeypatch, rng,
     # the default rule: grids of 0.5 MiB and more (n = 5, K = 4; n = 6,
     # K = 2; n = 4, K = 8) take the pool's worker when there are two CPUs;
     # n = 5, K <= 3 (288 KiB and less) stays in the caller, as does
-    # everything on one CPU, where no pool starts
-    from qerasure import operator_space
-
+    # everything on one CPU, where no worker starts
     code, act = swap_pair(rng, n, k)
     union, _ = union_code([code, transform_code(code, act)])
-    set_cpus(monkeypatch, cpus)
+    fresh_pool.set_cpus(cpus)
     seen = direct_threads(monkeypatch)
     report = _cross_check(code, act, union)
     assert report["theorem4"]["matches_direct"] and report["theorem5"]["matches_direct"]
     assert len(seen) == 1 and (seen[0] is not threading.current_thread()) == beside
-    assert (operator_space._pool is not None) == beside and len(fresh_pool()) == beside
+    assert len(fresh_pool()) == beside
 
 
 @pytest.mark.parametrize("failing", ["_direct_complement", "_formula_complements"])
@@ -853,7 +850,7 @@ def test_an_error_on_either_side_reaches_the_caller_and_leaves_no_thread(monkeyp
 
     code, act = swap_pair(rng, 3, 2)
     union, _ = union_code([code, transform_code(code, act)])
-    set_cpus(monkeypatch, 2)
+    fresh_pool.set_cpus(2)
     monkeypatch.setattr(operator_space, "_BESIDE_BYTES", 0)
     clean = _cross_check(code, act, union)  # starts the pool's one worker
     threads = threading.active_count()

@@ -23,7 +23,7 @@ from qerasure import CodeTransform, QuantumCode, cross_check_intersection_formul
 from qerasure import operator_space
 from qerasure.operator_space import _beside, _complete_orthonormal
 
-from conftest import random_unitary, set_cpus, src_env
+from conftest import random_unitary, src_env
 
 
 def within(seconds, fn):
@@ -60,7 +60,7 @@ def test_the_callers_error_wins_and_every_task_ends_first(monkeypatch, fresh_poo
     # failed task's; without errors the results come in task order.  Both
     # tasks are queued before either ends, so the first call starts both of
     # the pool's two workers, and no later call starts a thread
-    set_cpus(monkeypatch, 3)
+    fresh_pool.set_cpus(3)
     ended = []
 
     def task(i, fail):
@@ -93,7 +93,7 @@ def test_no_pool_task_submits_to_the_pool(rng, monkeypatch, fresh_pool):
     # a threaded cross-check and a spanning basis split over four ranges:
     # every submit comes from the caller, none from a worker, so a queued
     # task never waits on a task behind it
-    set_cpus(monkeypatch, 4)
+    fresh_pool.set_cpus(4)
     monkeypatch.setattr(operator_space, "_BESIDE_BYTES", 0)
     monkeypatch.setattr(operator_space, "_THREAD_BYTES", 1 << 20)
     submitters, submit = [], ThreadPoolExecutor.submit
@@ -116,7 +116,7 @@ def test_an_idle_worker_holds_no_task_and_no_result(monkeypatch, fresh_pool):
     # once _beside has returned and the caller drops what it got, the pool's
     # worker, idle again, keeps neither the task nor its result alive: a
     # task's arrays are freed with the call, not when the next task comes
-    set_cpus(monkeypatch, 2)
+    fresh_pool.set_cpus(2)
 
     class Result:
         pass
@@ -148,7 +148,7 @@ def test_two_callers_at_once_get_the_serial_results(rng, monkeypatch, fresh_pool
     # three of them, and neither waits forever.  n = 5 fills with
     # _THREAD_BYTES lowered to 1 MiB (8 MB each, four ranges) stand for the
     # n = 6 ones, which hold 134 MB each
-    set_cpus(monkeypatch, 4)
+    fresh_pool.set_cpus(4)
     monkeypatch.setattr(operator_space, "_BESIDE_BYTES", 0)
     monkeypatch.setattr(operator_space, "_THREAD_BYTES", 1 << 20)
     jobs = []
@@ -189,12 +189,12 @@ def test_a_forked_child_starts_its_own_pool_and_gets_the_parents_report(rng, mon
     # the parent's pool is running when it forks; the child has none of its
     # threads, forgets the pool, makes its own for its threaded cross-check
     # and gets the parent's report
-    set_cpus(monkeypatch, 2)
+    fresh_pool.set_cpus(2)
     monkeypatch.setattr(operator_space, "_BESIDE_BYTES", 0)
     code, t = half_frame(rng, 5, 4)
     report = cross_check_intersection_formulas(code, t)
     parent_pool = operator_space._pool
-    assert parent_pool is not None
+    assert len(fresh_pool()) == 1
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:  # the child: write the report and whether its pool is its own
@@ -246,3 +246,45 @@ def test_a_process_exits_promptly_after_a_threaded_cross_check():
     assert done.returncode == 0, done.stderr
     assert done.stdout == "True True\n"
     assert time.monotonic() - start < 30
+
+
+def test_calls_after_the_interpreter_begins_to_exit_run_in_the_caller():
+    # once the interpreter has begun to exit the executor refuses every
+    # submit: a thread that outlives the main one and an atexit handler
+    # still get their results, with every task run in the calling thread
+    # after own(), and a threaded cross-check its report.  The late thread
+    # waits until a probe executor refuses work, so the exit hook has run
+    script = (
+        "import atexit, os, threading, time\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "from qerasure import CodeTransform, cross_check_intersection_formulas, get_fixture\n"
+        "from qerasure import operator_space\n"
+        "from qerasure.operator_space import _beside\n"
+        "operator_space._BESIDE_BYTES = 0\n"
+        "def where(tag, order):\n"
+        "    order.append(tag)\n"
+        "    return threading.current_thread().name\n"
+        "def call(name):\n"
+        "    order = []\n"
+        "    got = _beside(lambda: where('own', order), [lambda: where('a', order), lambda: where('b', order)])\n"
+        "    report = cross_check_intersection_formulas(get_fixture('gbp'), CodeTransform(4, locals=['I', 'I', 'I', 'Y']))\n"
+        "    print(name, got == (name, [name, name]), order, report['theorem4']['matches_direct'], flush=True)\n"
+        "def late():\n"
+        "    probe = ThreadPoolExecutor(1)\n"
+        "    deadline = time.monotonic() + 20\n"
+        "    while time.monotonic() < deadline:\n"
+        "        try:\n"
+        "            probe.submit(int).result()\n"
+        "        except RuntimeError:\n"
+        "            break\n"
+        "        time.sleep(0.01)\n"
+        "    call('late')\n"
+        "atexit.register(call, 'MainThread')\n"
+        "threading.Thread(target=late, name='late').start()\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=src_env(), capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == ("late True ['own', 'a', 'b'] True\n"
+                           "MainThread True ['own', 'a', 'b'] True\n")
