@@ -17,6 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .operator_space import _pauli_grams
+from .pauli import _check_qubits
 from .states import (
     CodeTransform,
     UnitaryAction,
@@ -61,8 +62,7 @@ class QuantumCode:
 
     def __post_init__(self):
         n = self.n
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise CodeValidationError(f"n must be a positive integer, got {n!r}")
+        _check_qubits(n, CodeValidationError)
         if n > MAX_QUBITS:
             raise CodeTooLargeError(f"n={n} exceeds the limit of {MAX_QUBITS} qubits")
         try:
@@ -134,8 +134,7 @@ def ingest_code(spec: dict) -> QuantumCode:
         raise CodeValidationError("code description must be a JSON object with keys n, basis "
                                   f"and optionally label; got {got}")
     n, raw_basis, label = spec["n"], spec["basis"], spec.get("label", "")
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise CodeValidationError(f"n must be a positive integer, got {n!r}")
+    _check_qubits(n, CodeValidationError)
     if not isinstance(label, str):
         raise CodeValidationError(f"label must be a string, got {label!r}")
     if not isinstance(raw_basis, list) or not raw_basis:

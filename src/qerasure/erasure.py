@@ -177,12 +177,14 @@ def _scaled_columns(code: QuantumCode) -> np.ndarray:
     tensor, the upper triangle is sqrt(2) Re <c_i|sigma|c_j> and the lower
     one sqrt(2) Im <c_i|sigma|c_j>, since Im x_ij = Im <c_j|sigma|c_i>.
     """
-    return _scale_parts(_gram_parts(code.grams), code.n).reshape(-1, code.k**2)
+    return _scale_parts(_gram_parts(code.grams, np.empty(code.grams.shape)), code.n).reshape(-1, code.k**2)
 
 
-def _gram_parts(g: np.ndarray, shift: int = 0) -> np.ndarray:
-    """Entry (i, j) of a (4^n, r, c) gram block, Im where j < i + shift and Re elsewhere."""
-    return np.where(np.tri(*g.shape[1:], shift - 1, dtype=bool), g.imag, g.real)
+def _gram_parts(g: np.ndarray, out: np.ndarray, shift: int = 0) -> np.ndarray:
+    """Write entry (i, j) of a (4^n, r, c) gram block into out: Im where j < i + shift, Re elsewhere."""
+    np.copyto(out, g.real)
+    np.copyto(out, g.imag, where=np.tri(*g.shape[1:], shift - 1, dtype=bool))
+    return out
 
 
 def _scale_parts(cols: np.ndarray, n: int) -> np.ndarray:

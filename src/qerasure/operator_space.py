@@ -36,6 +36,9 @@ otherwise, the only O(16^n) object here.  The kernel zeroes each fresh page
 it faults in, so the blocks are filled in one contiguous range per CPU.  It
 is cached read-only.
 
+Outputs over two _BLOCK_BYTES (the gram tensor; a cross-check's maps and pair
+residuals in unions) are built in such blocks and written once, bit for bit (_blocks).
+
 The package keeps one pool of worker threads for the life of the process,
 the standard library's ThreadPoolExecutor made at import (_beside).  Its
 threads start as needed, up to _cpus() - 1, so no later call pays for
@@ -133,16 +136,21 @@ def _pauli_grams(left: np.ndarray, right: np.ndarray, n: int) -> np.ndarray:
     Walsh-Hadamard transform").  Each pair (i, j) is its own column of that
     transform's real product, so a rectangular tensor is, bit for bit, its
     block of the square one, as long as BLAS sums each column the same way
-    at any width (the tests check it).
+    at any width (the tests check it).  So a large output is built a block
+    of x values at a time (_blocks), at its rows coordinate[(z << n) | x].
     """
-    t = _pauli_table(n)
-    b = np.arange(1 << n)
-    # The product tensor is freed as soon as its transform exists, and the
-    # phase multiplies the gathered copy in place: at most two (4^n, K_l, K_r)
-    # arrays are alive at once.
-    grams = _hadamard(t, left.conj()[b[:, None] ^ b[None, :], :, None] * right[:, None, None, :])
-    out = grams.reshape(4**n, left.shape[1], right.shape[1])[_slots(t, n)]
-    out *= t.phase[:, None, None]
+    t, b, shape = _pauli_table(n), np.arange(1 << n), (4**n, left.shape[1], right.shape[1])
+    blocks = _blocks(1 << n, 16 * shape[1] * shape[2] << n)
+    if len(blocks) == 1:  # the product is freed once transformed; the phase multiplies the gather in place
+        out = _hadamard(t, left.conj()[b[:, None] ^ b, :, None] * right[:, None, None, :])
+        out = out.reshape(shape)[_slots(t, n)]
+        out *= t.phase[:, None, None]
+        return out
+    out, rows = np.empty(shape, dtype=complex), t.coordinate.reshape(1 << n, 1 << n)
+    for xs in blocks:
+        block = _hadamard(t, left.conj()[b[:, None] ^ b[xs], :, None] * right[:, None, None, :])
+        block *= t.slot_phase.reshape(1 << n, 1 << n, 1, 1)[:, xs]
+        out[rows[:, xs]] = block
     return out
 
 
@@ -239,6 +247,17 @@ def _wy_triangle(vv: np.ndarray, tau: np.ndarray) -> np.ndarray:
 # about half the time of one product, 2 MiB blocks were no faster than it,
 # and at n = 5, 512 KiB blocks were at times slower than 256 KiB ones.
 _BLOCK_BYTES = 1 << 18
+
+
+def _blocks(items: int, item_bytes: int) -> list[slice]:
+    """Slices of about _BLOCK_BYTES of items, one when all fit in two blocks: multiples of four
+    items, a lone last item joining the one before, as BLAS sums four or eight columns at a time
+    and the last few by other code, and numpy gives one column to a matrix-vector product."""
+    step = items if items * item_bytes <= 2 * _BLOCK_BYTES else max(_BLOCK_BYTES // item_bytes // 4, 1) * 4
+    edges = list(range(0, max(items - 1, 1), step)) + [items]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
 # Output bytes per thread of the completion (BENCH_27.json): every basis up
 # to n = 5 (at most 17 MB) stays in the calling thread, where two threads
 # were slower; a real n = 6 one (134 MB) may take four.  An output of two

@@ -54,6 +54,12 @@ class PauliLetter(enum.Enum):
         return x_then_z * 1j ** (x * z)
 
 
+def _check_qubits(n, error: type[ValueError] = ValueError) -> None:
+    """Raise error unless n is a positive int; a bool is refused."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise error(f"n must be a positive integer, got {n!r}")
+
+
 @dataclass(frozen=True)
 class PauliOperator:
     """A tensor product of I/X/Y/Z factors times a global power of i."""
@@ -64,8 +70,9 @@ class PauliOperator:
     phase: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("qubit count must be positive")
+        _check_qubits(self.n)
+        if not all(type(v) is int for v in (self.x_mask, self.z_mask, self.phase)):  # a bool is refused
+            raise ValueError(f"masks and phase must be integers, got {self.x_mask, self.z_mask, self.phase}")
         limit = 1 << self.n
         if not (0 <= self.x_mask < limit and 0 <= self.z_mask < limit):
             raise ValueError(f"mask has bits outside {self.n} qubits")

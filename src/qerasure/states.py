@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .pauli import PauliLetter
+from .pauli import PauliLetter, _check_qubits
 from .tolerances import UNITARY_TOL
 
 LOCAL_GATES = {
@@ -121,6 +121,7 @@ class CodeTransform:
     locals: tuple[np.ndarray, ...] = None
 
     def __post_init__(self):
+        _check_qubits(self.n)
         perm = tuple(range(self.n)) if self.perm is None else tuple(self.perm)
         if any(isinstance(j, bool) or not isinstance(j, numbers.Integral) for j in perm):
             raise ValueError(f"perm {perm} has an entry that is not an integer")
@@ -168,6 +169,7 @@ class UnitaryAction:
     """
 
     def __init__(self, n: int, matrix: np.ndarray):
+        _check_qubits(n)
         m = np.asarray(matrix, dtype=complex)
         dim = 1 << n
         if m.shape != (dim, dim):

@@ -143,15 +143,19 @@ def _block_sum(code: QuantumCode, action: states.UnitaryAction) -> np.ndarray:
     the CU block the Re and the UC block the Im columns, p sits at (K-1,
     K-1) and U p U-adjoint at (2K-1, 2K-1).  The CC, UU and CU/UC blocks are
     orthogonal, so the grid less those two slots is an orthonormal
-    complement of S.
+    complement of S.  The maps run over blocks of Z's columns (16 * 4^n
+    bytes each as matrices, operator_space._blocks), each written once.
     """
     n, k, mat = code.n, code.k, action.matrix
     z = _scaled_columns(code)
-    # the matrices stay stacked on the last axis, (2^n, 2^n, K^2): row r of
-    # each M U-adjoint is conj(U) M[r], and U X is one product over the rows
-    x = mat.conj() @ coords_to_matrices(z, n)
-    mixed = matrices_to_coords(x, n).reshape(-1, k, k)
-    w = matrices_to_coords((mat @ x.reshape(1 << n, -1)).reshape(x.shape), n).real
+    blocks = operator_space._blocks(k * k, 16 * 4**n)
+    if len(blocks) == 1:
+        mixed, w = _conjugates(z, mat, n)
+    else:
+        mixed, w = np.empty((4**n, k * k), dtype=complex), np.empty((4**n, k * k))
+        for cols in blocks:
+            mixed[:, cols], w[:, cols] = _conjugates(z[:, cols], mat, n)
+    mixed = mixed.reshape(-1, k, k)
     s = np.empty((4**n, 2 * k, 2 * k))
     s[:, :k, :k] = _condition_complement(z, n, pure=True).reshape(-1, k, k)
     s[:, k:, k:] = _condition_complement(w, n, pure=True).reshape(-1, k, k)
@@ -159,6 +163,12 @@ def _block_sum(code: QuantumCode, action: states.UnitaryAction) -> np.ndarray:
     np.subtract(mixed.real, mixed_t.imag, out=s[:, :k, k:])
     np.add(mixed.imag, mixed_t.real, out=s[:, k:, :k].transpose(0, 2, 1))
     return s
+
+
+def _conjugates(z: np.ndarray, mat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """X = M U-adjoint's coordinates and Re of U X's, for the matrices M of columns z."""
+    x = mat.conj() @ coords_to_matrices(z, n)  # row r of each M U-adjoint is conj(U) M[r]
+    return matrices_to_coords(x, n), matrices_to_coords((mat @ x.reshape(1 << n, -1)).reshape(x.shape), n).real
 
 
 def _formula_complements(code: QuantumCode, action: states.UnitaryAction) -> tuple[np.ndarray, ...]:
@@ -296,9 +306,9 @@ def _direct_complement(code: QuantumCode, union: QuantumCode) -> np.ndarray:
     n, k = code.n, code.k
     image = union.basis[:, k:]
     cols = np.empty((4**n, 2 * k, 2 * k))
-    cols[:, :k, :k] = _gram_parts(code.grams)
+    _gram_parts(code.grams, cols[:, :k, :k])
     cols[:, :k, k:] = _pauli_grams(code.basis, image, n).real
-    cols[:, k:] = _gram_parts(_pauli_grams(image, union.basis, n), shift=k)
+    _gram_parts(_pauli_grams(image, union.basis, n), cols[:, k:], shift=k)
     direct = _scale_parts(cols, n).reshape(-1, 4 * k * k)
     _condition_complement(direct, n, pure=True)
     return direct
@@ -315,13 +325,14 @@ def _pair_residuals(x: np.ndarray, d: np.ndarray) -> float:
     grid, along d's (b, a).  Its norm is the square root of the larger
     eigenvalue of its 2 x 2 Gram, read in closed form with no cancellation,
     as _residual_norm reads a wider one.  The diagonal entries are the
-    caller's.  x is overwritten.
+    caller's.  x is overwritten in row blocks (operator_space._blocks).
     """
     along = np.einsum("iab,iab->ab", d, x)
     across = np.einsum("iab,iba->ab", d, x)  # d's (a, b) against x's (b, a)
-    part = d * across
-    x -= part.transpose(0, 2, 1)
-    x -= np.multiply(d, along, out=part)
+    for xr, dr in ((x[rows], d[rows]) for rows in operator_space._blocks(len(x), x[0].nbytes)):
+        part = dr * across
+        xr -= part.transpose(0, 2, 1)
+        xr -= np.multiply(dr, along, out=part)
     g = np.einsum("iab,iab->ab", x, x)
     top = (g + g.T) / 2 + np.hypot((g - g.T) / 2, np.einsum("iab,iba->ab", x, x))
     np.fill_diagonal(top, 0.0)

@@ -38,6 +38,16 @@ def random_orthogonal_pair(rng, n, k1, k2):
     return first, second
 
 
+def one_block(monkeypatch, fn, *args):
+    """fn(*args) with operator_space._BLOCK_BYTES raised past every output, so
+    each kernel that works in blocks makes one."""
+    from qerasure import operator_space
+
+    with monkeypatch.context() as m:
+        m.setattr(operator_space, "_BLOCK_BYTES", 1 << 62)
+        return fn(*args)
+
+
 class FreshPool:
     """operator_space's worker pool as a process on a given number of CPUs
     makes it at import.  Calling it lists the live threads named

@@ -131,8 +131,9 @@ def test_rectangular_pauli_grams_are_blocks_of_the_square_tensor(rng, n, left, r
 
 
 def test_pauli_gram_kernel_phase_in_place(rng):
-    # the phase multiplies the gathered transform in place: the same products,
-    # bit for bit, as the out-of-place form, with half the peak memory
+    # the phase multiplies the gathered transform in place, or a block's
+    # transform before it is written: the same products, bit for bit, as the
+    # out-of-place form, with half the peak memory or less
     import tracemalloc
 
     from qerasure.operator_space import _hadamard, _pauli_grams, _slots
@@ -152,8 +153,73 @@ def test_pauli_gram_kernel_phase_in_place(rng):
         finally:
             tracemalloc.stop()
         assert out.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
-        if n == 5:  # two (4^n, K, K) arrays at most, not four
-            assert peak < 2.5 * out.nbytes
+        if n == 5:  # the output and one block's product and transform, not four full-size arrays
+            assert peak < 2 * out.nbytes
+
+
+@pytest.mark.parametrize("n, left, right, blocks", [
+    (5, 8, 8, [8, 8, 8, 8]),
+    (5, 8, 16, [4] * 8),
+    (5, 7, 7, [8, 8, 8, 8]),  # 98 real columns per x: blocks of 10 x values changed bits
+    (6, 8, 8, [4] * 16),
+    (6, 4, 5, [12, 12, 12, 12, 12, 4]),  # a short last block
+])
+def test_pauli_grams_in_x_blocks_are_bitwise_one_block(monkeypatch, rng, n, left, right, blocks):
+    # an output beyond two _BLOCK_BYTES is written a block of x values at a
+    # time, and is bit for bit the one-block tensor
+    from conftest import one_block
+    from qerasure.operator_space import _pauli_grams
+
+    frame = random_unitary(rng, 1 << n)[:, :left + right]
+    l, r = frame[:, :left], frame[:, left:]
+    got = _pauli_grams(l, r, n)
+    assert [b.stop - b.start for b in operator_space._blocks(1 << n, got.nbytes >> n)] == blocks
+    assert got.tobytes() == one_block(monkeypatch, _pauli_grams, l, r, n).tobytes()
+
+
+def test_rains_union_tensor_in_x_blocks_is_bitwise_one_block(monkeypatch):
+    # the report's largest tensor: K = 6 at n = 5, 576 KiB, in blocks of
+    # 12, 12 and 8 x values
+    from conftest import one_block
+    from qerasure import get_fixture
+    from qerasure.operator_space import _pauli_grams
+
+    basis = get_fixture("rains-union").basis
+    got = _pauli_grams(basis, basis, 5)
+    assert got.nbytes == 576 << 10
+    assert [b.stop - b.start for b in operator_space._blocks(32, got.nbytes >> 5)] == [12, 12, 8]
+    assert got.tobytes() == one_block(monkeypatch, _pauli_grams, basis, basis, 5).tobytes()
+
+
+def test_gram_outputs_of_two_blocks_or_less_take_one_transform(monkeypatch, rng):
+    from qerasure.operator_space import _pauli_grams
+
+    calls, real = [], operator_space._hadamard
+    monkeypatch.setattr(operator_space, "_hadamard", lambda t, a: calls.append(a.shape) or real(t, a))
+    for n, left, right, count in ((5, 4, 4, 1), (5, 4, 8, 1), (6, 2, 2, 1), (4, 8, 8, 1), (5, 5, 5, 1),
+                                  (5, 6, 6, 3), (5, 8, 8, 4)):
+        calls.clear()
+        frame = random_unitary(rng, 1 << n)[:, :left + right]
+        out = _pauli_grams(frame[:, :left], frame[:, left:], n)
+        assert len(calls) == count
+        assert (out.nbytes <= 2 * operator_space._BLOCK_BYTES) == (count == 1)
+
+
+@pytest.mark.parametrize("items, item_bytes", [
+    (32, 32 << 10), (32, 18 << 10), (49, 16 << 10), (9, 64 << 10), (25, 64 << 10),
+    (1024, 1152), (1024, 2048), (64, 1 << 20), (5, 1 << 20),  # the last: one block of five
+])
+def test_blocks_cover_the_items_in_multiples_of_four(items, item_bytes):
+    # a lone last item joins the block before it; every other block but the
+    # last is a multiple of four items and at most _BLOCK_BYTES, or four items
+    blocks = operator_space._blocks(items, item_bytes)
+    sizes = [b.stop - b.start for b in blocks]
+    assert blocks[0].start == 0 and blocks[-1].stop == items
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    assert sizes[-1] > 1
+    assert all(size % 4 == 0 and (size * item_bytes <= operator_space._BLOCK_BYTES or size == 4)
+               for size in sizes[:-1])
+    assert operator_space._blocks(items, operator_space._BLOCK_BYTES // (2 * items)) == [slice(0, items)]
 
 
 def test_coords_batch_shape(rng):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -184,3 +186,18 @@ def test_mask_validation():
     with pytest.raises(ValueError):
         PauliOperator(2, 0b100, 0)
     assert PauliOperator(2, 0, 0, 7).phase == 3
+
+
+@pytest.mark.parametrize("args, message", [
+    ((2, 1, 0, 1.5), "masks and phase must be integers, got (1, 0, 1.5)"),
+    ((2, 1.0, 0), "masks and phase must be integers, got (1.0, 0, 0)"),
+    ((2, 0, False), "masks and phase must be integers, got (0, False, 0)"),
+    ((True, 1, 0), "n must be a positive integer, got True"),
+    ((2.0, 1, 0), "n must be a positive integer, got 2.0"),
+    ((0, 0, 0), "n must be a positive integer, got 0"),
+])
+def test_pauli_operator_refuses_what_is_not_an_int(args, message):
+    # a float phase or mask was kept as given, and a float mask failed later
+    # as a bare TypeError in pauli_index
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PauliOperator(*args)

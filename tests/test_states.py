@@ -1,3 +1,4 @@
+import re
 from functools import reduce
 
 import numpy as np
@@ -229,6 +230,18 @@ def test_transform_perm_entries_must_be_ints():
         with pytest.raises(ValueError, match="not an integer"):
             CodeTransform(4, perm=perm)
     assert CodeTransform(3, perm=np.array([2, 0, 1])).perm == (2, 0, 1)
+
+
+@pytest.mark.parametrize("n", [True, 0, -1, 2.0, "2", None])
+def test_transform_refuses_an_n_that_is_not_a_positive_int(n):
+    with pytest.raises(ValueError, match=rf"n must be a positive integer, got {re.escape(repr(n))}$"):
+        CodeTransform(n)
+
+
+@pytest.mark.parametrize("n", [True, 0, 1.0, "1", None])
+def test_action_refuses_an_n_that_is_not_a_positive_int(n):
+    with pytest.raises(ValueError, match=rf"n must be a positive integer, got {re.escape(repr(n))}$"):
+        UnitaryAction(n, np.eye(2))
 
 
 def test_ket_rejects_non_finite_amplitudes():

@@ -1013,6 +1013,67 @@ def test_pair_residuals_match_a_per_pair_loop(monkeypatch, rng):
         assert _pair_residuals(x, direct.reshape(x.shape)) == got
 
 
+@pytest.mark.parametrize("n, k, blocks", [
+    (5, 6, [16, 16, 4]), (5, 7, [16, 16, 17]), (5, 8, [16] * 4), (6, 3, [4, 5]), (6, 8, [4] * 16),
+])
+def test_block_sum_in_column_blocks_is_bitwise_one_block(monkeypatch, rng, n, k, blocks):
+    # Z's K^2 columns go through the map chain a block at a time, and a lone
+    # last column joins the block before it (n = 5, K = 7; n = 6, K = 3)
+    from conftest import one_block
+    from qerasure import operator_space
+
+    code, act = swap_pair(rng, n, k)
+    assert [b.stop - b.start for b in operator_space._blocks(k * k, 16 * 4**n)] == blocks
+    got = _block_sum(code, act)
+    assert got.tobytes() == one_block(monkeypatch, _block_sum, code, act).tobytes()
+
+
+def test_pair_residuals_in_row_blocks_are_bitwise_one_block(monkeypatch, rng):
+    # n = 5, K = 6: 1,024 rows in blocks of 224, the last of 128
+    from conftest import one_block
+    from qerasure import operator_space
+    from qerasure.unions import _pair_residuals
+
+    code, act = swap_pair(rng, 5, 6)
+    union, _ = union_code([code, transform_code(code, act)])
+    (grid, *_, direct), _ = cross_check_inputs(monkeypatch, code, act, union)
+    x = grid + 1e-3 * rng.standard_normal(grid.shape)
+    d = direct.reshape(x.shape)
+    sizes = [b.stop - b.start for b in operator_space._blocks(len(x), x[0].nbytes)]
+    assert sizes == [224] * 4 + [128]
+    got, want = x.copy(), x.copy()
+    residual = _pair_residuals(got, d)
+    assert residual > 1e-4
+    assert np.float64(residual).tobytes() == np.float64(one_block(monkeypatch, _pair_residuals, want, d)).tobytes()
+    assert got.tobytes() == want.tobytes()
+
+
+def test_cross_check_stages_keep_no_full_size_temporary(rng):
+    # n = 5, K = 8, the theorem workload's widest grid (2 MiB): tracemalloc
+    # peaks of each stage, with the code's tensor built beforehand
+    import tracemalloc
+
+    from qerasure.unions import _pair_residuals
+
+    code, act = swap_pair(rng, 5, 8)
+    union, _ = union_code([code, transform_code(code, act)])
+    code.grams
+    s = _formula_complements(code, act)[0]
+    d = _direct_complement(code, union).reshape(s.shape)
+
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    assert peak(_formula_complements, code, act) <= 4.5
+    assert peak(_direct_complement, code, union) <= 5.0
+    assert peak(_pair_residuals, s, d) <= 0.75
+
+
 def test_block_residuals_match_the_full_gram_reference(monkeypatch, rng):
     # one projection of each theorem's whole complement off the whole direct
     # one gives the same sines; n = 5, K = 8 is the widest grid the
