@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .operator_space import _pauli_grams
-from .pauli import _check_qubits
+from .pauli import MAX_QUBITS, _check_qubits
 from .states import (
     CodeTransform,
     UnitaryAction,
@@ -29,10 +29,10 @@ from .states import (
 from .tolerances import AMPLITUDE_TOL, ORTHONORMALITY_TOL
 
 # Size limit of ingest: at most MAX_QUBITS qubits (the 4^n-coordinate Pauli
-# table) and a gram tensor <c_i|sigma|c_j> of 16 * 4^n * K^2 bytes at most
-# MAX_GRAM_BYTES, about an eighth of the peak memory of an analysis.  Unions
-# are held to the same gram limit with K summed over their components.
-MAX_QUBITS = 8
+# table; defined in pauli) and a gram tensor <c_i|sigma|c_j> of 16 * 4^n * K^2
+# bytes at most MAX_GRAM_BYTES, about an eighth of the peak memory of an
+# analysis.  Unions are held to the same gram limit with K summed over their
+# components.
 MAX_GRAM_BYTES = 64 << 20
 
 

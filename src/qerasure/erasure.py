@@ -181,9 +181,9 @@ def _scaled_columns(code: QuantumCode) -> np.ndarray:
 
 
 def _gram_parts(g: np.ndarray, out: np.ndarray, shift: int = 0) -> np.ndarray:
-    """Write entry (i, j) of a (4^n, r, c) gram block into out: Im where j < i + shift, Re elsewhere."""
+    """Write entry (i, j) of a (..., r, c) gram block into out: Im where j < i + shift, Re elsewhere."""
     np.copyto(out, g.real)
-    np.copyto(out, g.imag, where=np.tri(*g.shape[1:], shift - 1, dtype=bool))
+    np.copyto(out, g.imag, where=np.tri(*g.shape[-2:], shift - 1, dtype=bool))
     return out
 
 
@@ -208,26 +208,29 @@ def _condition_complement(cols: np.ndarray, n: int, pure: bool) -> np.ndarray:
     """Orthonormal complement of the erasure, or else the pure, conditions.
 
     cols are a code's K^2 _scaled_columns, or their image under E -> U E
-    U-adjoint, and are overwritten.  The off-diagonal columns are kept.  The
-    differences of the K diagonal ones span {sum_i w_i d_i : sum_i w_i = 0},
-    so the K x (K-1) orthonormal complement of the all-ones vector
-    (_ones_complement) carries them to an orthonormal basis, written over
-    the first K-1 diagonal columns.  The pure conditions add the traceless
-    part of their sum, the code projector less its identity component, in
-    the last diagonal column, which is the last column; _complement_width
-    drops that column when the projector is the identity, as it does for
-    the erasure conditions.
+    U-adjoint, as (4^n, K^2) columns or as a (4^n, K, K) grid, which may be
+    a block of a wider one; they are overwritten.  The off-diagonal columns
+    are kept.  The differences of the K diagonal ones span {sum_i w_i d_i :
+    sum_i w_i = 0}, so the K x (K-1) orthonormal complement of the all-ones
+    vector (_ones_complement) carries them to an orthonormal basis, written
+    over the first K-1 diagonal columns.  The pure conditions add the
+    traceless part of their sum, the code projector less its identity
+    component, in the last diagonal column, which is the last column;
+    _complement_width drops that column when the projector is the identity,
+    as it does for the erasure conditions.  Returns the complement's columns
+    of a (4^n, K^2) input, and a grid as it is.
     """
-    k = math.isqrt(cols.shape[1])
+    k = cols.shape[1] if cols.ndim == 3 else math.isqrt(cols.shape[1])
+    grid = cols.reshape(len(cols), k, k)  # a view: columns i*K + j are entries (i, j)
     width = _complement_width(n, k, pure)
-    diag = np.arange(k) * (k + 1)
-    d = cols[:, diag]
-    cols[:, diag[:-1]] = d @ _ones_complement(k)
+    diag = np.arange(k)
+    d = grid[:, diag, diag]
+    grid[:, diag[:-1], diag[:-1]] = d @ _ones_complement(k)
     if width == k * k:
         projector = d.sum(axis=1)
         projector[0] = 0  # identity is coordinate 0
-        cols[:, -1] = projector / np.linalg.norm(projector)
-    return cols[:, :width]
+        grid[:, -1, -1] = projector / np.linalg.norm(projector)
+    return cols if cols.ndim == 3 else cols[:, :width]
 
 
 @lru_cache(maxsize=None)

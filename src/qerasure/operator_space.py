@@ -36,8 +36,9 @@ otherwise, the only O(16^n) object here.  The kernel zeroes each fresh page
 it faults in, so the blocks are filled in one contiguous range per CPU.  It
 is cached read-only.
 
-Outputs over two _BLOCK_BYTES (the gram tensor; a cross-check's maps and pair
-residuals in unions) are built in such blocks and written once, bit for bit (_blocks).
+Outputs over two _BLOCK_BYTES (the gram tensor; a cross-check's grids and pair
+residuals in unions) are built in such blocks and written once, bit for bit
+(_blocks, _gram_blocks).
 
 The package keeps one pool of worker threads for the life of the process,
 the standard library's ThreadPoolExecutor made at import (_beside).  Its
@@ -126,31 +127,45 @@ def _slots(t: _PauliTable, n: int) -> np.ndarray:
     return (t.z << n) | t.x
 
 
+def _gram_blocks(left: np.ndarray, right: np.ndarray, n: int):
+    """Yield <l_i|sigma|r_j> a block of x values at a time: (xs, block), block (2^n, len(xs), K_l, K_r).
+
+    left and right are (2^n, K_l) and (2^n, K_r) columns.  For a fixed x,
+    the elements over all z are one Walsh-Hadamard transform over b of
+    conj(l_i[b ^ x]) r_j[b] (Georges, Berntson, Sunderhauf and Ivanov,
+    "Pauli decomposition via the fast Walsh-Hadamard transform").  Each pair
+    (i, j) is its own column of that transform's real product, so a
+    rectangular tensor is, bit for bit, its block of the square one, as long
+    as BLAS sums each column the same way at any width (the tests check it).
+    An output of more than two _BLOCK_BYTES comes in blocks of x values
+    (_blocks), and smaller ones in one block.  Entry [z, x] of a block,
+    phase included, is the tensor's row coordinate[(z << n) | x], so a
+    block's rows are coordinate.reshape(2^n, 2^n)[:, xs].
+    """
+    t, b = _pauli_table(n), np.arange(1 << n)
+    for xs in _blocks(1 << n, 16 * left.shape[1] * right.shape[1] << n):
+        block = _hadamard(t, left.conj()[b[:, None] ^ b[xs], :, None] * right[:, None, None, :])
+        block *= t.slot_phase.reshape(1 << n, 1 << n, 1, 1)[:, xs]
+        yield xs, block
+        del block  # not alive beside the next one
+
+
 def _pauli_grams(left: np.ndarray, right: np.ndarray, n: int) -> np.ndarray:
     """<l_i|sigma|r_j> for every Pauli sigma in coordinate order, shape (4^n, K_l, K_r).
 
-    left and right are (2^n, K_l) and (2^n, K_r) columns; a code's own tensor
-    passes its basis as both.  For a fixed x, the elements over all z are one
-    Walsh-Hadamard transform over b of conj(l_i[b ^ x]) r_j[b] (Georges,
-    Berntson, Sunderhauf and Ivanov, "Pauli decomposition via the fast
-    Walsh-Hadamard transform").  Each pair (i, j) is its own column of that
-    transform's real product, so a rectangular tensor is, bit for bit, its
-    block of the square one, as long as BLAS sums each column the same way
-    at any width (the tests check it).  So a large output is built a block
-    of x values at a time (_blocks), at its rows coordinate[(z << n) | x].
+    A code's own tensor passes its basis as both.  The blocks of
+    _gram_blocks are scattered to their rows of one output, written once;
+    a single block is gathered instead, which was faster for small outputs.
     """
-    t, b, shape = _pauli_table(n), np.arange(1 << n), (4**n, left.shape[1], right.shape[1])
-    blocks = _blocks(1 << n, 16 * shape[1] * shape[2] << n)
-    if len(blocks) == 1:  # the product is freed once transformed; the phase multiplies the gather in place
-        out = _hadamard(t, left.conj()[b[:, None] ^ b, :, None] * right[:, None, None, :])
-        out = out.reshape(shape)[_slots(t, n)]
-        out *= t.phase[:, None, None]
-        return out
-    out, rows = np.empty(shape, dtype=complex), t.coordinate.reshape(1 << n, 1 << n)
-    for xs in blocks:
-        block = _hadamard(t, left.conj()[b[:, None] ^ b[xs], :, None] * right[:, None, None, :])
-        block *= t.slot_phase.reshape(1 << n, 1 << n, 1, 1)[:, xs]
+    t, shape = _pauli_table(n), (4**n, left.shape[1], right.shape[1])
+    out, rows = None, t.coordinate.reshape(1 << n, 1 << n)
+    for xs, block in _gram_blocks(left, right, n):
+        if xs == slice(0, 1 << n):
+            return block.reshape(shape)[_slots(t, n)]
+        if out is None:
+            out = np.empty(shape, dtype=complex)
         out[rows[:, xs]] = block
+        del block
     return out
 
 
@@ -162,8 +177,9 @@ def pauli_index(p: PauliOperator) -> int:
 
 def pauli_coords(p: PauliOperator) -> np.ndarray:
     """Coordinate vector of p: the single entry i**phase at its index."""
+    index = pauli_index(p)  # refuses n beyond MAX_QUBITS before the vector is made
     v = np.zeros(4**p.n, dtype=complex)
-    v[pauli_index(p)] = 1j**p.phase
+    v[index] = 1j**p.phase
     return v
 
 
@@ -281,7 +297,10 @@ _THREAD_BYTES = 32 << 20
 #   n = 6, K = 2 (512 KiB)   0.90  0.78
 #   n = 5, K = 8 (2 MiB)     0.78  0.77
 # The kept worker costs no thread start, so the 0.5 MiB grids gain; smaller
-# ones lose or tie (n = 5, K = 3 read 0.99 to 1.06 over three runs).
+# ones lose or tie (n = 5, K = 3 read 0.99 to 1.06 over three runs).  With
+# both grids written in place the rule still holds: in the theorem benchmark
+# the direct side in the caller made the n = 5, K = 4 and 8 and n = 6, K = 2
+# cross-checks 7 to 27% slower (BENCH_33.json).
 _BESIDE_BYTES = 1 << 19
 
 

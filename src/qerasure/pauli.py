@@ -29,6 +29,11 @@ import numpy as np
 
 PHASE_LABELS = ("", "i", "-", "-i")
 
+# The package's limit on n: the Pauli tables hold 4^n rows (about 65,000 at
+# n = 8), and are refused beyond it before any is built.  Codes are held to
+# the same limit (codes.MAX_QUBITS).
+MAX_QUBITS = 8
+
 
 class PauliLetter(enum.Enum):
     """Single-qubit factor names, with their conventional matrix realization."""
@@ -98,8 +103,10 @@ def pauli_from_letters(letters: Sequence[PauliLetter | str]) -> PauliOperator:
         raise ValueError("need at least one letter")
     x = z = 0
     for j, letter in enumerate(letters):
-        if isinstance(letter, str):
+        if isinstance(letter, str) and letter in PauliLetter.__members__:
             letter = PauliLetter[letter]
+        if not isinstance(letter, PauliLetter):
+            raise ValueError(f"not a Pauli letter: {letter!r}")
         x |= letter.x_bit << j
         z |= letter.z_bit << j
     return PauliOperator(len(letters), x, z)
@@ -149,8 +156,11 @@ def _pauli_masks(n: int) -> np.ndarray:
 
     The order is ascending weight, then lexicographic by (x_mask, z_mask).
     It defines the coordinate system used for operator subspaces, so it must
-    never change.  The array is read-only.
+    never change.  The array is read-only.  n beyond MAX_QUBITS is refused
+    with ValueError before anything is built.
     """
+    if n > MAX_QUBITS:
+        raise ValueError(f"n={n} exceeds the limit of {MAX_QUBITS} qubits")
     x, z = np.divmod(np.arange(4**n), 1 << n)
     order = np.lexsort((z, x, np.bitwise_count(x | z)))
     masks = np.column_stack([x[order], z[order]])

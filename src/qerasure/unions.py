@@ -51,7 +51,7 @@ from .erasure import (
     _scale_parts,
     _scaled_columns,
 )
-from .operator_space import OperatorSubspace, _pauli_grams, _residual_norm
+from .operator_space import OperatorSubspace, _gram_blocks, _pauli_table, _residual_norm
 from .operator_space import coords_to_matrices, matrices_to_coords
 from .tolerances import CROSS_ORTHOGONALITY_TOL, SUBSPACE_TOL
 
@@ -143,32 +143,70 @@ def _block_sum(code: QuantumCode, action: states.UnitaryAction) -> np.ndarray:
     the CU block the Re and the UC block the Im columns, p sits at (K-1,
     K-1) and U p U-adjoint at (2K-1, 2K-1).  The CC, UU and CU/UC blocks are
     orthogonal, so the grid less those two slots is an orthonormal
-    complement of S.  The maps run over blocks of Z's columns (16 * 4^n
-    bytes each as matrices, operator_space._blocks), each written once.
+    complement of S.
+
+    The grid is written in place, with no full-size temporary.  Z goes into
+    the CC block a row block at a time, and the maps run over blocks of its
+    columns (16 * 4^n bytes each as matrices, operator_space._blocks): each
+    block writes A = Re X into the CU block, B = Im X into the UC block and,
+    once X's coordinates and matrices are dropped, Re W into the UU block.
+    Row blocks then turn CU into A - B^T and UC into A + B^T, and CC and UU
+    are conditioned in place.  When Z's matrices fit in two blocks, one
+    chain of whole arrays is faster and holds no more.
     """
     n, k, mat = code.n, code.k, action.matrix
-    z = _scaled_columns(code)
     blocks = operator_space._blocks(k * k, 16 * 4**n)
     if len(blocks) == 1:
-        mixed, w = _conjugates(z, mat, n)
-    else:
-        mixed, w = np.empty((4**n, k * k), dtype=complex), np.empty((4**n, k * k))
-        for cols in blocks:
-            mixed[:, cols], w[:, cols] = _conjugates(z[:, cols], mat, n)
-    mixed = mixed.reshape(-1, k, k)
+        z = _scaled_columns(code)
+        x = mat.conj() @ coords_to_matrices(z, n)  # row r of each M U-adjoint is conj(U) M[r]
+        mixed, w = matrices_to_coords(x, n).reshape(-1, k, k), matrices_to_coords(_left(mat, x, n), n).real
+        del x
+        s = np.empty((4**n, 2 * k, 2 * k))
+        s[:, :k, :k] = _condition_complement(z, n, pure=True).reshape(-1, k, k)
+        s[:, k:, k:] = _condition_complement(w, n, pure=True).reshape(-1, k, k)
+        mixed_t = mixed.transpose(0, 2, 1)
+        np.subtract(mixed.real, mixed_t.imag, out=s[:, :k, k:])
+        np.add(mixed.imag, mixed_t.real, out=s[:, k:, :k].transpose(0, 2, 1))
+        return s
     s = np.empty((4**n, 2 * k, 2 * k))
-    s[:, :k, :k] = _condition_complement(z, n, pure=True).reshape(-1, k, k)
-    s[:, k:, k:] = _condition_complement(w, n, pure=True).reshape(-1, k, k)
-    mixed_t = mixed.transpose(0, 2, 1)
-    np.subtract(mixed.real, mixed_t.imag, out=s[:, :k, k:])
-    np.add(mixed.imag, mixed_t.real, out=s[:, k:, :k].transpose(0, 2, 1))
+    cc, cu, uc, uu = s[:, :k, :k], s[:, :k, k:], s[:, k:, :k], s[:, k:, k:]
+    row_blocks = operator_space._blocks(len(s), 2 * cc[0].nbytes)  # two temporaries a row
+    for rows in row_blocks:  # Z
+        cc[rows] = _scale_parts(_gram_parts(code.grams[rows], np.empty(cc[rows].shape)), n)
+    for cols in blocks:
+        runs = _runs(cols, k)
+        x = mat.conj() @ coords_to_matrices(np.hstack([cc[:, i, js] for i, js, _ in runs]), n)
+        coords = matrices_to_coords(x, n)
+        for i, js, at in runs:
+            cu[:, i, js], uc[:, i, js] = coords.real[:, at], coords.imag[:, at]
+        del coords
+        x = _left(mat, x, n)  # W's matrices; X's are freed
+        coords = matrices_to_coords(x, n)
+        for i, js, at in runs:
+            uu[:, i, js] = coords.real[:, at]
+        del x, coords  # before the next block's
+    for rows in row_blocks:
+        a, b = cu[rows], uc[rows].transpose(0, 2, 1)  # entry (i, j): Re X_ij and Im X_ji
+        cu[rows], uc[rows] = a - b, a + b
+    _condition_complement(cc, n, pure=True)
+    _condition_complement(uu, n, pure=True)
     return s
 
 
-def _conjugates(z: np.ndarray, mat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """X = M U-adjoint's coordinates and Re of U X's, for the matrices M of columns z."""
-    x = mat.conj() @ coords_to_matrices(z, n)  # row r of each M U-adjoint is conj(U) M[r]
-    return matrices_to_coords(x, n), matrices_to_coords((mat @ x.reshape(1 << n, -1)).reshape(x.shape), n).real
+def _runs(cols: slice, k: int) -> list[tuple[int, slice, slice]]:
+    """Flat columns i*K + j of a K x K grid as runs of one i: (i, its slice of j, its slice of cols)."""
+    runs, start = [], cols.start
+    while start < cols.stop:
+        i, j = divmod(start, k)
+        stop = min(cols.stop, (i + 1) * k)
+        runs.append((i, slice(j, j + stop - start), slice(start - cols.start, stop - cols.start)))
+        start = stop
+    return runs
+
+
+def _left(mat: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """U X for the (2^n, 2^n, c) matrices x, as one product."""
+    return (mat @ x.reshape(1 << n, -1)).reshape(x.shape)
 
 
 def _formula_complements(code: QuantumCode, action: states.UnitaryAction) -> tuple[np.ndarray, ...]:
@@ -257,7 +295,9 @@ def _cross_check(code: QuantumCode, action: states.UnitaryAction, union: Quantum
 
     The pipeline is _formula_complements' grid; the direct side is the
     union's PS complement on the same grid (_direct_complement), whose
-    leading columns are ES(union)'s.  The two are independent until
+    leading columns are ES(union)'s.  Each side writes its grid in place,
+    a cache-sized block at a time where it is large, so neither holds a
+    full-size temporary beside its grid.  The two are independent until
     compared, so a direct grid of operator_space._BESIDE_BYTES or more is
     built beside the pipeline when there are two CPUs or more, by the
     package's pool, the standard library's thread pool executor kept for the
@@ -301,14 +341,21 @@ def _direct_complement(code: QuantumCode, union: QuantumCode) -> np.ndarray:
 
     The tensor's CC block is code.grams, and _scaled_columns reads Re of its
     CU block, Im of its UC block and all of its UU block: two rectangular
-    tensors, <c_i|sigma|Uc_j> and <Uc_i|sigma|[C | UC]_j>, 3K^2 columns to 4K^2.
+    tensors, <c_i|sigma|Uc_j> and <Uc_i|sigma|[C | UC]_j>, 3K^2 columns to
+    4K^2.  Neither is formed whole: each block of x values that
+    operator_space._gram_blocks yields is written straight to its rows of
+    the grid.
     """
     n, k = code.n, code.k
-    image = union.basis[:, k:]
+    image, rows = union.basis[:, k:], _pauli_table(n).coordinate.reshape(1 << n, 1 << n)
     cols = np.empty((4**n, 2 * k, 2 * k))
     _gram_parts(code.grams, cols[:, :k, :k])
-    cols[:, :k, k:] = _pauli_grams(code.basis, image, n).real
-    _gram_parts(_pauli_grams(image, union.basis, n), cols[:, k:], shift=k)
+    for xs, block in _gram_blocks(code.basis, image, n):
+        cols[rows[:, xs], :k, k:] = block.real
+        del block  # not alive beside the next one
+    for xs, block in _gram_blocks(image, union.basis, n):
+        cols[rows[:, xs], k:] = _gram_parts(block, np.empty(block.shape), shift=k)
+        del block
     direct = _scale_parts(cols, n).reshape(-1, 4 * k * k)
     _condition_complement(direct, n, pure=True)
     return direct

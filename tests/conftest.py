@@ -102,18 +102,20 @@ def rng():
 
 @pytest.fixture
 def gram_builds(monkeypatch):
-    """Record every _pauli_grams call made through any qerasure module, as
-    (n, left columns, right columns): a code's own tensor is (n, K, K)."""
+    """Record every gram tensor build made through any qerasure module, as
+    (n, left columns, right columns): a code's own tensor is (n, K, K).
+    Each build, whole (_pauli_grams) or written block by block where it is
+    read, is one _gram_blocks call."""
     from qerasure import operator_space
 
     calls = []
-    real = operator_space._pauli_grams
+    real = operator_space._gram_blocks
 
     def counted(left, right, n):
         calls.append((n, left.shape[1], right.shape[1]))
         return real(left, right, n)
 
     for name, mod in list(sys.modules.items()):
-        if name.startswith("qerasure") and getattr(mod, "_pauli_grams", None) is real:
-            monkeypatch.setattr(mod, "_pauli_grams", counted)
+        if name.startswith("qerasure") and getattr(mod, "_gram_blocks", None) is real:
+            monkeypatch.setattr(mod, "_gram_blocks", counted)
     return calls

@@ -349,3 +349,37 @@ def test_c13_every_violator_set_has_a_second_route():
             assert tuple(row.non_members for row in table) == expected, (name, pure)
     print("ACCEPTANCE C13 PASS: the violators of all four fixtures, erasure and "
           "pure, at every weight, are the dense oracle's")
+
+
+def test_c14_the_union_is_not_additive():
+    # the paper's remark that a union "might be non-additive": a stabilizer
+    # code with projector P has exactly 2^n / K Paulis with |tr(sigma P)| = K,
+    # its stabilizer group up to sign.  Counted with the dense oracle's Paulis alone: the rains subcode and
+    # each of its six components are additive (32), as are gbp (4) and
+    # gbp-union (2); the rains union (K = 6) has only the identity, and 2^5 / 6
+    # is not an integer, so no stabilizer code has its projector
+    import itertools
+
+    def full_traces(basis, n):
+        projector = basis @ basis.conj().T
+        k = basis.shape[1]
+        hits = [letters for letters in map("".join, itertools.product("IXYZ", repeat=n))
+                if abs(abs(np.sum(dense_pauli(letters) * projector.T)) - k) < 1e-9]
+        return k, hits
+
+    codes = {"rains-subcode": get_fixture("rains-subcode"), "gbp": get_fixture("gbp"),
+             "gbp-union": get_fixture("gbp-union"), "rains-union": get_fixture("rains-union")}
+    codes.update({f"rains component {i}": c for i, c in enumerate(rains_orbit_codes())})
+    counts = {}
+    for name, code in codes.items():
+        k, hits = full_traces(code.basis, code.n)
+        assert hits[0] == "I" * code.n, name
+        counts[name] = len(hits)
+        if name != "rains-union":
+            assert len(hits) * k == 2**code.n, (name, k, len(hits))
+    assert counts == {"rains-subcode": 32, "gbp": 4, "gbp-union": 2, "rains-union": 1,
+                      **{f"rains component {i}": 32 for i in range(6)}}
+    assert 2**5 % codes["rains-union"].k != 0
+    print("ACCEPTANCE C14 PASS: the rains subcode and its six components have 32 "
+          "Paulis with |tr(sigma P)| = K, gbp 4 and gbp-union 2, as stabilizer codes "
+          "must; the rains union has only the identity, so it is not additive")

@@ -30,7 +30,7 @@ DELETED = {
     qerasure.states: ("apply_transform", "Ket", "basis_matrix"),
     qerasure.codes: ("Ket", "basis_matrix"),
     qerasure.erasure: ("_trace_over_dim",),
-    qerasure.unions: ("_as_action",),
+    qerasure.unions: ("_as_action", "_conjugates"),
     qerasure.operator_space: ("coords_to_matrix", "_rank", "_real_or_complex", "intersect",
                               "_new_directions"),
     qerasure.tolerances: ("RANK_RTOL", "REPROJECT_BELOW"),

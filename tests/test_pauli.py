@@ -7,7 +7,9 @@ from qerasure import (
     PauliOperator,
     enumerate_paulis,
     multiply,
+    pauli_coords,
     pauli_from_letters,
+    pauli_index,
     pauli_from_string,
     pauli_to_string,
     to_matrix,
@@ -49,6 +51,41 @@ def test_parser_rejects_garbage():
         pauli_from_string("")
     with pytest.raises(ValueError):
         pauli_from_letters([])
+
+
+@pytest.mark.parametrize("letters", [["x"], "XQ", [1]], ids=["lower-case", "unknown", "not-a-letter"])
+def test_letters_refuse_what_is_not_a_pauli_letter(letters):
+    # a lower-case or unknown letter, and a non-letter, are refused as a bad
+    # label is, not with the KeyError or AttributeError of the lookup
+    with pytest.raises(ValueError, match="not a Pauli letter"):
+        pauli_from_letters(letters)
+
+
+@pytest.mark.parametrize("build", [
+    lambda p: pauli_index(p), lambda p: pauli_coords(p), lambda p: enumerate_paulis(p.n, 1),
+], ids=["pauli_index", "pauli_coords", "enumerate_paulis"])
+def test_pauli_tables_beyond_the_qubit_limit_are_refused_up_front(build):
+    # n = MAX_QUBITS + 1 would need 4^9 = 262,144 table rows (and a 4 MiB
+    # coordinate vector): refused with ValueError before any table or
+    # vector is made, as QuantumCode refuses such an n
+    import tracemalloc
+
+    from qerasure import codes
+    from qerasure.operator_space import _pauli_table
+    from qerasure.pauli import MAX_QUBITS, _pauli_masks
+
+    assert codes.MAX_QUBITS is MAX_QUBITS == 8
+    p = PauliOperator(MAX_QUBITS + 1, 1, 0)
+    tables = _pauli_table.cache_info().currsize, _pauli_masks.cache_info().currsize
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"n={MAX_QUBITS + 1} exceeds the limit of {MAX_QUBITS} qubits"):
+            build(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    assert (_pauli_table.cache_info().currsize, _pauli_masks.cache_info().currsize) == tables
 
 
 def test_weight_examples():

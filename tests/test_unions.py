@@ -1048,30 +1048,51 @@ def test_pair_residuals_in_row_blocks_are_bitwise_one_block(monkeypatch, rng):
     assert got.tobytes() == want.tobytes()
 
 
-def test_cross_check_stages_keep_no_full_size_temporary(rng):
-    # n = 5, K = 8, the theorem workload's widest grid (2 MiB): tracemalloc
-    # peaks of each stage, with the code's tensor built beforehand
+def tracemalloc_peak(fn, *args):
+    """fn(*args)'s tracemalloc peak in MiB."""
     import tracemalloc
 
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_cross_check_stages_keep_no_full_size_temporary(monkeypatch, rng):
+    # n = 5, K = 8, the theorem workload's widest grid (2 MiB): tracemalloc
+    # peaks of each stage and of the whole check in one thread, with the
+    # code's tensor built beforehand.  Each grid is written in place, so a
+    # stage holds its grid and a few blocks, and the check both grids and a
+    # few blocks
+    from qerasure import operator_space
     from qerasure.unions import _pair_residuals
 
+    monkeypatch.setattr(operator_space, "_BESIDE_BYTES", 1 << 62)  # one thread
     code, act = swap_pair(rng, 5, 8)
     union, _ = union_code([code, transform_code(code, act)])
     code.grams
     s = _formula_complements(code, act)[0]
     d = _direct_complement(code, union).reshape(s.shape)
+    assert tracemalloc_peak(_formula_complements, code, act) <= 3.5
+    assert tracemalloc_peak(_direct_complement, code, union) <= 3.0
+    assert tracemalloc_peak(_pair_residuals, s, d) <= 0.75
+    assert tracemalloc_peak(_cross_check, code, act, union) <= 5.25
 
-    def peak(fn, *args):
-        tracemalloc.start()
-        try:
-            fn(*args)
-            return tracemalloc.get_traced_memory()[1] / 2**20
-        finally:
-            tracemalloc.stop()
 
-    assert peak(_formula_complements, code, act) <= 4.5
-    assert peak(_direct_complement, code, union) <= 5.0
-    assert peak(_pair_residuals, s, d) <= 0.75
+@pytest.mark.parametrize("n, k, bound", [(5, 4, 2.13), (6, 2, 2.26)])
+def test_small_cross_checks_keep_their_one_chain_peak(monkeypatch, rng, n, k, bound):
+    # grids of 512 KiB take one chain of whole arrays: the whole check's
+    # tracemalloc peak in one thread stays at most what it was before the
+    # grids were written in place (2.13 and 2.26 MiB)
+    from qerasure import operator_space
+
+    monkeypatch.setattr(operator_space, "_BESIDE_BYTES", 1 << 62)  # one thread
+    code, act = swap_pair(rng, n, k)
+    union, _ = union_code([code, transform_code(code, act)])
+    code.grams
+    assert tracemalloc_peak(_cross_check, code, act, union) <= bound
 
 
 def test_block_residuals_match_the_full_gram_reference(monkeypatch, rng):
