@@ -62,9 +62,9 @@ class QuantumCode:
 
     def __post_init__(self):
         n = self.n
-        _check_qubits(n, CodeValidationError)
-        if n > MAX_QUBITS:
-            raise CodeTooLargeError(f"n={n} exceeds the limit of {MAX_QUBITS} qubits")
+        _check_qubits(n, CodeValidationError, CodeTooLargeError)
+        if not isinstance(self.label, str):  # union_code joins the labels
+            raise CodeValidationError(f"label must be a string, got {self.label!r}")
         try:
             mat = np.asarray(self.basis)
         except ValueError as exc:  # rows of different lengths

@@ -265,12 +265,14 @@ def _wy_triangle(vv: np.ndarray, tau: np.ndarray) -> np.ndarray:
 _BLOCK_BYTES = 1 << 18
 
 
-def _blocks(items: int, item_bytes: int) -> list[slice]:
-    """Slices of about _BLOCK_BYTES of items, one when all fit in two blocks: multiples of four
-    items, a lone last item joining the one before, as BLAS sums four or eight columns at a time
-    and the last few by other code, and numpy gives one column to a matrix-vector product."""
-    step = items if items * item_bytes <= 2 * _BLOCK_BYTES else max(_BLOCK_BYTES // item_bytes // 4, 1) * 4
-    edges = list(range(0, max(items - 1, 1), step)) + [items]
+def _blocks(items: int, item_bytes: int, width: int = 1) -> list[slice]:
+    """Slices of about _BLOCK_BYTES of items of width columns, one when all fit in two blocks:
+    multiples of four columns, a lone last item of one column joining the one before, as BLAS
+    sums four or eight columns at a time and the last few by other code, and numpy gives one
+    column to a matrix-vector product."""
+    group = (1, 4, 2, 4)[width % 4]  # items to a multiple of four columns
+    step = items if items * item_bytes <= 2 * _BLOCK_BYTES else max(_BLOCK_BYTES // item_bytes // group, 1) * group
+    edges = list(range(0, max(items - (width == 1), 1), step)) + [items]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 

@@ -59,10 +59,12 @@ class PauliLetter(enum.Enum):
         return x_then_z * 1j ** (x * z)
 
 
-def _check_qubits(n, error: type[ValueError] = ValueError) -> None:
-    """Raise error unless n is a positive int; a bool is refused."""
+def _check_qubits(n, error: type[ValueError] = ValueError, too_large: type | None = None) -> None:
+    """Raise error unless n is a positive int (a bool is not), and too_large beyond MAX_QUBITS."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise error(f"n must be a positive integer, got {n!r}")
+    if too_large is not None and n > MAX_QUBITS:
+        raise too_large(f"n={n} exceeds the limit of {MAX_QUBITS} qubits")
 
 
 @dataclass(frozen=True)

@@ -121,7 +121,7 @@ class CodeTransform:
     locals: tuple[np.ndarray, ...] = None
 
     def __post_init__(self):
-        _check_qubits(self.n)
+        _check_qubits(self.n, too_large=ValueError)  # before any 2^n x 2^n matrix
         perm = tuple(range(self.n)) if self.perm is None else tuple(self.perm)
         if any(isinstance(j, bool) or not isinstance(j, numbers.Integral) for j in perm):
             raise ValueError(f"perm {perm} has an entry that is not an integer")
@@ -169,7 +169,7 @@ class UnitaryAction:
     """
 
     def __init__(self, n: int, matrix: np.ndarray):
-        _check_qubits(n)
+        _check_qubits(n, too_large=ValueError)
         m = np.asarray(matrix, dtype=complex)
         dim = 1 << n
         if m.shape != (dim, dim):

@@ -30,7 +30,7 @@ eigenvalue solve per formula for the diagonal block (_cross_check).
 Every factor is closed under the adjoint, so each is stored by a real
 complement, and the intersections and the comparison run in real arithmetic.
 Every complement is a linear image of the code's K^2 real gram columns, so
-one map of them to matrices builds them all.
+one map of their K^2 complex pairs Z_ij + i Z_ji to matrices builds them all.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .erasure import (
     _condition_complement,
     _gram_parts,
     _scale_parts,
-    _scaled_columns,
 )
 from .operator_space import OperatorSubspace, _gram_blocks, _pauli_table, _residual_norm
 from .operator_space import coords_to_matrices, matrices_to_coords
@@ -130,83 +129,49 @@ def _block_sum(code: QuantumCode, action: states.UnitaryAction) -> np.ndarray:
     Each complement is an image of Z = _scaled_columns(code), with matrices
     M.  [ES(C)-perp | p] is _condition_complement's combination of Z, and
     conjugation is linear and keeps the identity coordinate, so the same
-    combination of W = U X, X = M U-adjoint, gives their conjugates.  The
-    mixed blocks Z U-adjoint meet U Z have the complement [X, conj X], as U Z
-    is the adjoint of Z U-adjoint.  Columns i*K + j and j*K + i of Z are
-    sqrt(2) Re and sqrt(2) Im of the coordinates of 2^(n/2) |c_i><c_j| (one
-    column when i = j), so V = (X_ij + i X_ji) / sqrt(2) is, up to a phase,
-    that of 2^(n/2) |c_i><Uc_j|, and sqrt(2) Re V = Re X_ij - Im X_ji and
-    sqrt(2) Im V = Im X_ij + Re X_ji are an orthonormal basis of the real
-    plane of the union's kets i and K + j.  So entry (a, b) of the grid lies
-    in the plane of the union's kets a and b, as _scaled_columns(union)'s
-    does: the CC block holds [ES(C)-perp | p], the UU block its conjugate,
-    the CU block the Re and the UC block the Im columns, p sits at (K-1,
+    combination of U M U-adjoint gives their conjugates.  The mixed blocks Z
+    U-adjoint meet U Z have the complement [X, conj X], X the coordinates of
+    M U-adjoint, as U Z is the adjoint of Z U-adjoint.  Columns i*K + j and
+    j*K + i of Z are sqrt(2) Re and sqrt(2) Im of x_ij, the coordinates of
+    2^(n/2) |c_i><c_j| (one column when i = j), so Z_ij + i Z_ji is a fixed
+    phase times x_ij: sqrt(2) above the diagonal, i sqrt(2) below it and 1 +
+    i on it.  Its image V = X_ij + i X_ji is, up to a phase, sqrt(2) times
+    the coordinates of 2^(n/2) |c_i><Uc_j|, whose square vanishes, so Re V
+    and Im V are an orthonormal basis of the real plane of the union's kets
+    i and K + j.  So entry (a, b) of the grid lies in the plane of the
+    union's kets a and b, as _scaled_columns(union)'s does: the CC block
+    holds [ES(C)-perp | p], the UU block its conjugate, entry (i, j) of the
+    CU block Re V and entry (j, i) of the UC block Im V, p sits at (K-1,
     K-1) and U p U-adjoint at (2K-1, 2K-1).  The CC, UU and CU/UC blocks are
     orthogonal, so the grid less those two slots is an orthonormal
     complement of S.
 
-    The grid is written in place, with no full-size temporary.  Z goes into
-    the CC block a row block at a time, and the maps run over blocks of its
-    columns (16 * 4^n bytes each as matrices, operator_space._blocks): each
-    block writes A = Re X into the CU block, B = Im X into the UC block and,
-    once X's coordinates and matrices are dropped, Re W into the UU block.
-    Row blocks then turn CU into A - B^T and UC into A + B^T, and CC and UU
-    are conditioned in place.  When Z's matrices fit in two blocks, one
-    chain of whole arrays is faster and holds no more.
+    The grid is written in place, with no full-size temporary: Z into the CC
+    block a row block at a time, then, for each block of whole ket rows i
+    (16 * 4^n * K bytes a row as matrices, operator_space._blocks), Re V
+    into its rows of CU, Im V into its columns of UC and, once V's
+    coordinates and matrices are dropped, Re of the conjugate's coordinates
+    into its rows of UU.  CC and UU are then conditioned in place.
     """
     n, k, mat = code.n, code.k, action.matrix
-    blocks = operator_space._blocks(k * k, 16 * 4**n)
-    if len(blocks) == 1:
-        z = _scaled_columns(code)
-        x = mat.conj() @ coords_to_matrices(z, n)  # row r of each M U-adjoint is conj(U) M[r]
-        mixed, w = matrices_to_coords(x, n).reshape(-1, k, k), matrices_to_coords(_left(mat, x, n), n).real
-        del x
-        s = np.empty((4**n, 2 * k, 2 * k))
-        s[:, :k, :k] = _condition_complement(z, n, pure=True).reshape(-1, k, k)
-        s[:, k:, k:] = _condition_complement(w, n, pure=True).reshape(-1, k, k)
-        mixed_t = mixed.transpose(0, 2, 1)
-        np.subtract(mixed.real, mixed_t.imag, out=s[:, :k, k:])
-        np.add(mixed.imag, mixed_t.real, out=s[:, k:, :k].transpose(0, 2, 1))
-        return s
     s = np.empty((4**n, 2 * k, 2 * k))
     cc, cu, uc, uu = s[:, :k, :k], s[:, :k, k:], s[:, k:, :k], s[:, k:, k:]
-    row_blocks = operator_space._blocks(len(s), 2 * cc[0].nbytes)  # two temporaries a row
-    for rows in row_blocks:  # Z
+    for rows in operator_space._blocks(len(s), 2 * cc[0].nbytes):  # Z, two temporaries a row
         cc[rows] = _scale_parts(_gram_parts(code.grams[rows], np.empty(cc[rows].shape)), n)
-    for cols in blocks:
-        runs = _runs(cols, k)
-        x = mat.conj() @ coords_to_matrices(np.hstack([cc[:, i, js] for i, js, _ in runs]), n)
-        coords = matrices_to_coords(x, n)
-        for i, js, at in runs:
-            cu[:, i, js], uc[:, i, js] = coords.real[:, at], coords.imag[:, at]
+    phase = np.where(np.tri(k, k, -1, dtype=bool), 1j, 1) * np.sqrt(2) * 2.0 ** (-n / 2)
+    np.fill_diagonal(phase, (1 + 1j) * 2.0 ** (-n / 2))
+    for kets in operator_space._blocks(k, 16 * 4**n * k, width=k):
+        x = coords_to_matrices((code.grams[:, kets].conj() * phase[kets]).reshape(len(s), -1), n)
+        x = mat.conj() @ x  # row r of each M U-adjoint is conj(U) M[r]
+        coords = matrices_to_coords(x, n).reshape(len(s), -1, k)
+        cu[:, kets], uc[:, :, kets] = coords.real, coords.imag.transpose(0, 2, 1)
         del coords
-        x = _left(mat, x, n)  # W's matrices; X's are freed
-        coords = matrices_to_coords(x, n)
-        for i, js, at in runs:
-            uu[:, i, js] = coords.real[:, at]
-        del x, coords  # before the next block's
-    for rows in row_blocks:
-        a, b = cu[rows], uc[rows].transpose(0, 2, 1)  # entry (i, j): Re X_ij and Im X_ji
-        cu[rows], uc[rows] = a - b, a + b
+        x = (mat @ x.reshape(1 << n, -1)).reshape(x.shape)  # U M U-adjoint; M U-adjoint is freed
+        uu[:, kets] = matrices_to_coords(x, n).real.reshape(len(s), -1, k)
+        del x  # before the next block's
     _condition_complement(cc, n, pure=True)
     _condition_complement(uu, n, pure=True)
     return s
-
-
-def _runs(cols: slice, k: int) -> list[tuple[int, slice, slice]]:
-    """Flat columns i*K + j of a K x K grid as runs of one i: (i, its slice of j, its slice of cols)."""
-    runs, start = [], cols.start
-    while start < cols.stop:
-        i, j = divmod(start, k)
-        stop = min(cols.stop, (i + 1) * k)
-        runs.append((i, slice(j, j + stop - start), slice(start - cols.start, stop - cols.start)))
-        start = stop
-    return runs
-
-
-def _left(mat: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
-    """U X for the (2^n, 2^n, c) matrices x, as one product."""
-    return (mat @ x.reshape(1 << n, -1)).reshape(x.shape)
 
 
 def _formula_complements(code: QuantumCode, action: states.UnitaryAction) -> tuple[np.ndarray, ...]:

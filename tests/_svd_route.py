@@ -21,8 +21,10 @@ basis B, where the package reads membership and containment off
 complements alone: the member residual |v - B B^H v| / |v|, and the
 containment residual sigma_max(C_outer^H B_inner).  Last, it keeps the
 one-sided maps E -> U E and E -> E U that unions._block_sum folds into one
-map of the gram columns, the equal-expectation space from the anchor
-pair's own gram tensor, whose row the closed-form direction a replaces, and
+map of the gram columns; the pairing of each real mapped column with its
+transposed partner, which that map's complex columns replace; the
+equal-expectation space from the anchor pair's own gram tensor, whose row
+the closed-form direction a replaces; and
 the union cross-check's residuals from one projection of each theorem's
 whole complement off the whole direct one, where the package projects each
 ket pair's two columns off that pair's two direct columns.
@@ -32,7 +34,7 @@ Spans given by their vectors are built here too: only tests build them.
 import numpy as np
 
 from qerasure import OperatorSubspace
-from qerasure.erasure import _deviations
+from qerasure.erasure import _condition_complement, _deviations, _scaled_columns
 from qerasure.operator_space import (
     _as_columns,
     _complete_orthonormal,
@@ -117,6 +119,27 @@ def product_image(s, left=None, right=None):
     if right is not None:
         stack = stack @ right
     return OperatorSubspace(s.n, matrices_to_coords(np.moveaxis(stack, 0, 2), s.n))
+
+
+def real_column_block_sum(code, action):
+    """unions._block_sum's grid from the code's real gram columns Z, each mapped as it stands.
+
+    With X the coordinates of Z's matrices times U-adjoint and W those of U
+    Z U-adjoint, the CC block is Z and the UU block Re W, both conditioned,
+    entry (i, j) of the CU block is Re X_ij - Im X_ji and entry (j, i) of
+    the UC block Im X_ij + Re X_ji: Re and Im of X_ij + i X_ji, each column
+    paired with its transposed partner after the map.
+    """
+    n, k, mat = code.n, code.k, action.matrix
+    z = _scaled_columns(code).reshape(-1, k, k)
+    stack = np.moveaxis(coords_to_matrices(z.reshape(-1, k * k), n), 2, 0) @ mat.conj().T
+    x = matrices_to_coords(np.moveaxis(stack, 0, 2), n).reshape(-1, k, k)
+    w = matrices_to_coords(np.moveaxis(mat @ stack, 0, 2), n).real.reshape(-1, k, k)
+    s = np.empty((4**n, 2 * k, 2 * k))
+    s[:, :k, :k], s[:, k:, k:] = _condition_complement(z, n, True), _condition_complement(w, n, True)
+    s[:, :k, k:] = x.real - x.imag.transpose(0, 2, 1)
+    s[:, k:, :k] = (x.imag + x.real.transpose(0, 2, 1)).transpose(0, 2, 1)
+    return s
 
 
 def equal_expectation_space(code, u, anchor=0):

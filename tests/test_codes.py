@@ -197,6 +197,12 @@ def test_constructor_refuses_n_and_entries_as_ingest_does(n, basis, error, refus
     assert caught.type is error
 
 
+def test_constructor_refuses_a_label_that_is_not_a_string():
+    # as ingest refuses it, and before union_code would join it with "+"
+    with pytest.raises(CodeValidationError, match=r"^label must be a string, got 5$"):
+        QuantumCode(n=1, basis=np.eye(2)[:, :1], label=5)
+
+
 def test_transform_gbp_pair_spans_listed_vectors():
     code = fixture_gbp_code()
     image = transform_code(code, CodeTransform(4, locals=["I", "I", "I", "Y"]))

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 import sys
 import threading
@@ -220,6 +221,25 @@ def test_blocks_cover_the_items_in_multiples_of_four(items, item_bytes):
     assert all(size % 4 == 0 and (size * item_bytes <= operator_space._BLOCK_BYTES or size == 4)
                for size in sizes[:-1])
     assert operator_space._blocks(items, operator_space._BLOCK_BYTES // (2 * items)) == [slice(0, items)]
+
+
+@pytest.mark.parametrize("items, item_bytes, width", [
+    (6, 6 * (16 << 10), 6), (7, 7 * (16 << 10), 7), (8, 8 * (16 << 10), 8), (5, 5 * (64 << 10), 5),
+    (3, 3 * (64 << 10), 3), (8, 8 * (64 << 10), 8), (9, 9 * (16 << 10), 9), (10, 10 * (16 << 10), 2),
+])
+def test_blocks_of_wide_items_hold_multiples_of_four_columns(items, item_bytes, width):
+    # items of width columns (a K x K grid's ket rows): every block but the
+    # last holds a multiple of four columns, at most _BLOCK_BYTES or the
+    # fewest items that make one, and a lone last item keeps its own block
+    blocks = operator_space._blocks(items, item_bytes, width=width)
+    sizes = [b.stop - b.start for b in blocks]
+    assert blocks[0].start == 0 and blocks[-1].stop == items
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    fewest = 4 // math.gcd(4, width)
+    assert all(size * width % 4 == 0 and (size * item_bytes <= operator_space._BLOCK_BYTES or size == fewest)
+               for size in sizes[:-1])
+    assert sizes[-1] == (items % sizes[0] or sizes[0])  # what is left over, one item included
+    assert operator_space._blocks(items, operator_space._BLOCK_BYTES // (2 * items), width=width) == [slice(0, items)]
 
 
 def test_coords_batch_shape(rng):

@@ -244,6 +244,27 @@ def test_action_refuses_an_n_that_is_not_a_positive_int(n):
         UnitaryAction(n, np.eye(2))
 
 
+@pytest.mark.parametrize("build", [
+    lambda n: CodeTransform(n), lambda n: UnitaryAction(n, np.eye(2)),
+    lambda n: UnitaryAction.from_transform(CodeTransform(n)),
+], ids=["transform", "action", "from_transform"])
+def test_n_beyond_the_qubit_limit_is_refused_before_any_matrix(build):
+    # n = MAX_QUBITS + 1 would need a 512 x 512 unitary (4 MiB): refused with
+    # ValueError before any matrix is made, as QuantumCode refuses such an n
+    import tracemalloc
+
+    from qerasure.pauli import MAX_QUBITS
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^n={MAX_QUBITS + 1} exceeds the limit of {MAX_QUBITS} qubits$"):
+            build(MAX_QUBITS + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
 def test_ket_rejects_non_finite_amplitudes():
     for re, im in ((np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.0), (10**400, 0)):
         with pytest.raises(ValueError, match="not a finite number"):

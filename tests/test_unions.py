@@ -50,6 +50,7 @@ from _svd_route import (
     intersect,
     grid_residuals_full_gram,
     product_image,
+    real_column_block_sum,
     theorem_columns,
     wide_nullspace_complement,
 )
@@ -580,9 +581,7 @@ def test_cross_check_shares_one_conjugation_and_no_wide_intersection(monkeypatch
                             seen.append(args) or real(*args, **kwargs))
     scaled = []
     real_scaled = erasure._scaled_columns
-    for module in (erasure, unions):
-        monkeypatch.setattr(module, "_scaled_columns",
-                            lambda c: scaled.append(c) or real_scaled(c))
+    monkeypatch.setattr(erasure, "_scaled_columns", lambda c: scaled.append(c) or real_scaled(c))
     eigensolves = []
     real_eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh",
@@ -594,19 +593,23 @@ def test_cross_check_shares_one_conjugation_and_no_wide_intersection(monkeypatch
                             seen.append(args) or real(*args, **kwargs))
     report = cross_check_intersection_formulas(code, t)
     assert report["theorem4"]["matches_direct"] and report["theorem5"]["matches_direct"]
-    # one map of the code's K^2 gram columns to matrices, and two back: Z U^H
-    # for the mixed blocks and U Z U^H for the conjugated ES(C)-perp and p
+    # one map of the code's K^2 complex gram columns to matrices, and two
+    # back: Z U^H for the mixed blocks and U Z U^H for the conjugated
+    # ES(C)-perp and p
     assert calls["conjugate_subspace"] == []
     assert [cols.shape[1] for cols, _ in calls["coords_to_matrices"]] == [code.k**2]
     assert len(calls["matrices_to_coords"]) == 2
     # gram columns of the code alone: the union's grid, whose pure complement
     # gives both direct spaces, is written from the code's tensor and two
-    # rectangular ones; the one closed form of the code's complement serves
-    # ES(C)-perp and its conjugate, no space of the code itself (pure or
-    # annihilating) is built, and the one orthogonality check is union_code's
-    assert [c.k for c in scaled] == [code.k]
-    assert [cols.shape[1] for cols, _ in calls["_condition_complement"]] == [
-        code.k**2, code.k**2, 4 * code.k**2]
+    # rectangular ones; the pipeline writes Z from the code's tensor into its
+    # grid, where the one closed form of the code's complement serves
+    # ES(C)-perp and its conjugate, conditioned in place on the grid's CC
+    # and UU views; no space of the code itself (pure or annihilating) is
+    # built, and the one orthogonality check is union_code's
+    assert scaled == []
+    k, rows = code.k, 4**code.n
+    assert [cols.shape for cols, _ in calls["_condition_complement"]] == [
+        (rows, k, k), (rows, k, k), (rows, 4 * k * k)]
     assert len(calls["union_code"]) == 1
     # S is a concatenation, never intersected, and what the expectation row
     # and p with U p U^H add to it are closed forms: nothing is factored
@@ -615,8 +618,8 @@ def test_cross_check_shares_one_conjugation_and_no_wide_intersection(monkeypatch
     # pair on one grid: the pairs' 2 x 2 Grams are read in closed form, and
     # the only eigenvalue solves are one for each formula's diagonal block
     (pipeline, direct), = calls["_pair_residuals"]
-    k = code.k
     assert pipeline.shape == direct.shape == (4**code.n, 2 * k, 2 * k)
+    assert all(np.shares_memory(cols, pipeline) for cols, _ in calls["_condition_complement"][:2])
     assert eigensolves == [(w, w) for w in (2 * k - 1, 2 * k)]
 
 
@@ -708,6 +711,16 @@ def test_block_sum_expectation_row_matches_the_reference(rng):
         assert_orthonormal(theorem4, 1e-12)
         assert theorem4.dim == meet.dim
         assert equality_residual(theorem4, meet) < 1e-12
+
+
+def test_block_sum_matches_the_real_column_pairing(rng):
+    # mapping each complex column Z_ij + i Z_ji once gives, entry for entry,
+    # what mapping Z's real columns and pairing each with its transposed
+    # partner gives, also where the map runs in blocks of ket rows (n = 5,
+    # K = 7 and 8; n = 6, K = 5)
+    for code, u in block_sum_cases(rng) + [swap_pair(rng, 5, 7), swap_pair(rng, 6, 5)]:
+        act = _as_action(code.n, u)
+        assert np.max(np.abs(_block_sum(code, act) - real_column_block_sum(code, act))) <= 1e-15
 
 
 def cross_check_inputs(monkeypatch, code, act, union):
@@ -1014,16 +1027,18 @@ def test_pair_residuals_match_a_per_pair_loop(monkeypatch, rng):
 
 
 @pytest.mark.parametrize("n, k, blocks", [
-    (5, 6, [16, 16, 4]), (5, 7, [16, 16, 17]), (5, 8, [16] * 4), (6, 3, [4, 5]), (6, 8, [4] * 16),
+    (5, 6, [2, 2, 2]), (5, 7, [4, 3]), (5, 8, [2] * 4), (6, 3, [3]), (6, 8, [1] * 8), (6, 5, [4, 1]),
 ])
 def test_block_sum_in_column_blocks_is_bitwise_one_block(monkeypatch, rng, n, k, blocks):
-    # Z's K^2 columns go through the map chain a block at a time, and a lone
-    # last column joins the block before it (n = 5, K = 7; n = 6, K = 3)
+    # the complex gram columns go through the maps a block of whole ket rows
+    # at a time, each block but the last a multiple of four columns: K = 7
+    # takes rows in fours, and a lone last row of K > 1 columns stays on its
+    # own (n = 6, K = 5); n = 6, K = 3 fits in one block of four rows
     from conftest import one_block
     from qerasure import operator_space
 
     code, act = swap_pair(rng, n, k)
-    assert [b.stop - b.start for b in operator_space._blocks(k * k, 16 * 4**n)] == blocks
+    assert [b.stop - b.start for b in operator_space._blocks(k, 16 * 4**n * k, width=k)] == blocks
     got = _block_sum(code, act)
     assert got.tobytes() == one_block(monkeypatch, _block_sum, code, act).tobytes()
 
@@ -1082,8 +1097,8 @@ def test_cross_check_stages_keep_no_full_size_temporary(monkeypatch, rng):
 
 
 @pytest.mark.parametrize("n, k, bound", [(5, 4, 2.13), (6, 2, 2.26)])
-def test_small_cross_checks_keep_their_one_chain_peak(monkeypatch, rng, n, k, bound):
-    # grids of 512 KiB take one chain of whole arrays: the whole check's
+def test_small_cross_checks_keep_their_peak(monkeypatch, rng, n, k, bound):
+    # grids of 512 KiB, whose maps take one block: the whole check's
     # tracemalloc peak in one thread stays at most what it was before the
     # grids were written in place (2.13 and 2.26 MiB)
     from qerasure import operator_space
