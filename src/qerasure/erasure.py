@@ -62,19 +62,21 @@ class MembershipReport:
 def _gram_matrix(code: QuantumCode, op) -> tuple[np.ndarray, complex]:
     """All K x K code matrix elements of op, and tr(op) / 2^n, read off code.grams.
 
-    op may be a PauliOperator, whose elements are one slice of the tensor; a
-    dense (2^n, 2^n) array, taken to its Pauli coordinates first; or a
-    coordinate vector of length 4^n, whose elements are its contraction with
-    the tensor.  The identity is coordinate 0, so tr(op) / 2^n is a vector's
-    first entry, and a Pauli's phase at the identity and 0 elsewhere.  The
-    tensor comes first, so a code beyond the size limit is refused at once.
+    op may be a PauliOperator, whose elements are one slice of the tensor
+    (times i^phase unless the phase is 0, so a phase-0 Pauli's are the scans'
+    own, signed zeros included); a dense (2^n, 2^n) array, taken to its Pauli
+    coordinates first; or a coordinate vector of length 4^n, whose elements
+    are its contraction with the tensor.  The identity is coordinate 0, so
+    tr(op) / 2^n is a vector's first entry, and a Pauli's phase at the
+    identity and 0 elsewhere.  The tensor comes first, so a code beyond the
+    size limit is refused at once.
     """
     grams = code.grams
     if isinstance(op, PauliOperator):
         if op.n != code.n:
             raise ValueError(f"qubit count mismatch: {op.n} != {code.n}")
         index, phase = pauli_index(op), 1j**op.phase
-        return phase * grams[index], phase if index == 0 else 0.0
+        return phase * grams[index] if op.phase else grams[index], phase if index == 0 else 0.0
     coords = np.asarray(op, dtype=complex)
     dim = 1 << code.n
     if coords.shape == (dim, dim):
@@ -137,11 +139,15 @@ def _first_violations(grams: np.ndarray, alphas) -> list[tuple[np.ndarray, ...]]
 
 
 def _check(code: QuantumCode, op, pure: bool) -> MembershipReport:
+    """The first violation of op's one K x K block, by _first_violations' rule, or alpha."""
     gram, trace = _gram_matrix(code, op)
     alpha = trace if pure else gram[0, 0]
-    [(p, i, j, dev)] = _first_violations(gram[None], [alpha])
-    if p.size:
-        return MembershipReport(False, witness=(int(i[0]), int(j[0]), complex(dev[0])))
+    dev = gram.copy()
+    dev.reshape(-1)[:: code.k + 1] -= alpha  # the diagonal
+    at = np.flatnonzero(np.abs(dev) >= MATRIX_ELEMENT_TOL)
+    if at.size:
+        i, j = divmod(int(at[0]), code.k)
+        return MembershipReport(False, witness=(i, j, complex(dev[i, j])))
     return MembershipReport(True, alpha=complex(alpha if pure else np.mean(np.diag(gram))))
 
 
@@ -183,7 +189,7 @@ def _scaled_columns(code: QuantumCode) -> np.ndarray:
 def _gram_parts(g: np.ndarray, out: np.ndarray, shift: int = 0) -> np.ndarray:
     """Write entry (i, j) of a (..., r, c) gram block into out: Im where j < i + shift, Re elsewhere."""
     np.copyto(out, g.real)
-    np.copyto(out, g.imag, where=np.tri(*g.shape[-2:], shift - 1, dtype=bool))
+    np.copyto(out, g.imag, where=_below(*g.shape[-2:], shift))
     return out
 
 
@@ -239,6 +245,24 @@ def _ones_complement(k: int) -> np.ndarray:
     q = np.linalg.qr(np.ones((k, 1)), mode="complete")[0][:, 1:]
     q.flags.writeable = False
     return q
+
+
+@lru_cache(maxsize=None)
+def _below(rows: int, cols: int, shift: int) -> np.ndarray:
+    """Mask of the entries (i, j) with j < i + shift, _gram_parts' Im entries; read-only."""
+    mask = np.tri(rows, cols, shift - 1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+@lru_cache(maxsize=None)
+def _pair_phase(n: int, k: int) -> np.ndarray:
+    """x_ij's (K, K) phase to Z_ij + i Z_ji (unions._block_sum): 2^(-n/2) times sqrt(2) above the
+    diagonal, i sqrt(2) below it and 1 + i on it; read-only."""
+    phase = np.where(np.tri(k, k, -1, dtype=bool), 1j, 1) * np.sqrt(2) * 2.0 ** (-n / 2)
+    np.fill_diagonal(phase, (1 + 1j) * 2.0 ** (-n / 2))
+    phase.flags.writeable = False
+    return phase
 
 
 def erasure_space(code: QuantumCode) -> OperatorSubspace:
@@ -315,13 +339,11 @@ def _scan(code: QuantumCode, families, max_weight: int | None = None) -> list[_S
         raise ValueError(f"max_weight must be an integer in [0, {code.n}], got {max_weight!r}")
     grams = code.grams
     t = _pauli_table(code.n)
-    weights = np.bitwise_count(t.x | t.z)
-    # coordinate order is ascending weight: weight w fills starts[w]:starts[w + 1]
-    starts = np.searchsorted(weights, np.arange(max_weight + 2))
+    starts = t.starts[:max_weight + 2]  # weight w fills starts[w]:starts[w + 1]
     sizes = np.diff(starts).tolist()
     scans = []
     for p, i, j, dev in _first_violations(grams, [_pauli_alpha(grams, pure) for pure in families]):
-        distance = int(weights[p[0]]) if p.size else code.n + 1
+        distance = int(t.weights[p[0]]) if p.size else code.n + 1
         b = np.searchsorted(p, starts).tolist()  # weight w's violators are p[b[w]:b[w + 1]]
         per_weight = [(w, sizes[w] - (b[w + 1] - b[w]), slice(b[w], b[w + 1]))
                       for w in range(max_weight + 1)]

@@ -6,7 +6,10 @@ order of enumerate_paulis(n, n).  The coefficient vector e is the coordinate
 representation used throughout; since tr(sigma tau) = 2^n * delta, the plain
 complex dot product on coordinates agrees with the Hilbert-Schmidt inner
 product up to the constant 2^n, so orthonormal coordinate bases describe
-operator subspaces faithfully.
+operator subspaces faithfully.  The index arrays between coordinates, masks
+and amplitudes (_PauliTable: b ^ b', transform slots, mask reversals,
+weights) are built once per n, read-only, so a single lookup or map does
+only its own work.
 
 A subspace is stored by one array: an orthonormal basis of its orthogonal
 complement.  Every space the package builds is nearly the whole space, so
@@ -77,17 +80,19 @@ from .tolerances import COEFFICIENT_TOL
 
 
 class _PauliTable(NamedTuple):
-    """How each coordinate's Pauli acts: sigma |b> = phase (-1)^(b.z) |b ^ x>.
+    """How each coordinate's Pauli acts, sigma |b> = phase (-1)^(b.z) |b ^ x>, and the per-n indices.
 
     x and z are index-aligned masks, bit n - 1 - j for qubit j, since qubit 0
     is the most significant bit of an amplitude index; phase is i to the
-    number of Y factors, labels are the letter strings (qubit 0 first),
-    hadamard[a, b] = (-1)^(a.b) is the 2^n x 2^n Walsh-Hadamard matrix that
-    sums over b against every z at once, and coordinate is the inverse of
-    _slots: coordinate[(z << n) | x] is that Pauli's index.  slot_phase is
-    phase in transform order, slot_phase[_slots] = phase, and unphase is
-    conj(phase) / 2^n in coordinate order: the factors that
-    coords_to_matrices and matrices_to_coords apply in place.
+    number of Y factors, labels are the letter strings (qubit 0 first), and
+    weights the weights, which fill rows starts[w]:starts[w + 1].
+    hadamard[a, b] = (-1)^(a.b) is the Walsh-Hadamard matrix that sums over b
+    against every z at once, and xor[a, b] = a ^ b gathers the maps' inputs
+    and outputs.  slots = (z << n) | x is each coordinate's row in a
+    transform output flattened over (z, x), and coordinate its inverse;
+    slot_phase[slots] = phase and unphase = conj(phase) / 2^n are the factors
+    that coords_to_matrices and matrices_to_coords apply in place.  reverse,
+    a tuple, is the n-bit reversal of every mask, to index-aligned ones.
     """
 
     x: np.ndarray
@@ -98,6 +103,11 @@ class _PauliTable(NamedTuple):
     coordinate: np.ndarray
     slot_phase: np.ndarray
     unphase: np.ndarray
+    xor: np.ndarray
+    slots: np.ndarray
+    reverse: tuple[int, ...]
+    weights: np.ndarray
+    starts: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -109,10 +119,16 @@ def _pauli_table(n: int) -> _PauliTable:
     labels = np.array(list("IXZY"))[letter].view(f"<U{n}")[:, 0]  # join each row
     b = np.arange(1 << n)
     hadamard = 1.0 - 2 * (np.bitwise_count(b[:, None] & b[None, :]) & 1)
-    coordinate = np.empty(4**n, dtype=np.int64)
-    coordinate[(z << n) | x] = np.arange(4**n)
-    return _PauliTable(x, z, phase, labels, hadamard, coordinate, phase[coordinate],
-                       phase.conj() / (1 << n))
+    slots = (z << n) | x
+    coordinate = np.argsort(slots)  # slots is a permutation
+    weights = np.bitwise_count(x | z)
+    t = _PauliTable(x, z, phase, labels, hadamard, coordinate, phase[coordinate], phase.conj() / (1 << n),
+                    b[:, None] ^ b[None, :], slots, tuple(_reverse_bits(b, n).tolist()), weights,
+                    np.searchsorted(weights, np.arange(n + 2)))
+    for a in t:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return t
 
 
 def _hadamard(t: _PauliTable, a: np.ndarray) -> np.ndarray:
@@ -120,11 +136,6 @@ def _hadamard(t: _PauliTable, a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=complex)
     flat = a.reshape(a.shape[0], -1).view(np.float64)
     return (t.hadamard @ flat).view(complex).reshape(a.shape)
-
-
-def _slots(t: _PauliTable, n: int) -> np.ndarray:
-    """Each coordinate's row in a transform output flattened over (z, x)."""
-    return (t.z << n) | t.x
 
 
 def _gram_blocks(left: np.ndarray, right: np.ndarray, n: int):
@@ -142,9 +153,9 @@ def _gram_blocks(left: np.ndarray, right: np.ndarray, n: int):
     phase included, is the tensor's row coordinate[(z << n) | x], so a
     block's rows are coordinate.reshape(2^n, 2^n)[:, xs].
     """
-    t, b = _pauli_table(n), np.arange(1 << n)
+    t = _pauli_table(n)
     for xs in _blocks(1 << n, 16 * left.shape[1] * right.shape[1] << n):
-        block = _hadamard(t, left.conj()[b[:, None] ^ b[xs], :, None] * right[:, None, None, :])
+        block = _hadamard(t, left.conj()[t.xor[:, xs], :, None] * right[:, None, None, :])
         block *= t.slot_phase.reshape(1 << n, 1 << n, 1, 1)[:, xs]
         yield xs, block
         del block  # not alive beside the next one
@@ -161,7 +172,7 @@ def _pauli_grams(left: np.ndarray, right: np.ndarray, n: int) -> np.ndarray:
     out, rows = None, t.coordinate.reshape(1 << n, 1 << n)
     for xs, block in _gram_blocks(left, right, n):
         if xs == slice(0, 1 << n):
-            return block.reshape(shape)[_slots(t, n)]
+            return block.reshape(shape)[t.slots]
         if out is None:
             out = np.empty(shape, dtype=complex)
         out[rows[:, xs]] = block
@@ -171,8 +182,8 @@ def _pauli_grams(left: np.ndarray, right: np.ndarray, n: int) -> np.ndarray:
 
 def pauli_index(p: PauliOperator) -> int:
     """Position of p's mask pair in the coordinate ordering."""
-    rx, rz = _reverse_bits(p.x_mask, p.n), _reverse_bits(p.z_mask, p.n)  # index-aligned
-    return int(_pauli_table(p.n).coordinate[(rz << p.n) | rx])
+    t = _pauli_table(p.n)
+    return int(t.coordinate[(t.reverse[p.z_mask] << p.n) | t.reverse[p.x_mask]])
 
 
 def pauli_coords(p: PauliOperator) -> np.ndarray:
@@ -211,11 +222,10 @@ def coords_to_matrices(coords: np.ndarray, n: int) -> np.ndarray:
     t = _pauli_table(n)
     v = np.atleast_2d(coords.T).T  # promote a single vector to one column
     spec = np.zeros((4**n, v.shape[1]), dtype=complex)
-    spec[_slots(t, n)] = v
+    spec[t.slots] = v
     spec *= t.slot_phase[:, None]
     by_x = _hadamard(t, spec.reshape(1 << n, 1 << n, -1))  # [c, x] = E[c ^ x, c]
-    b = np.arange(1 << n)
-    return by_x[b[None, :], b[:, None] ^ b[None, :]]
+    return by_x[np.arange(1 << n), t.xor]
 
 
 def matrices_to_coords(mats: np.ndarray, n: int) -> np.ndarray:
@@ -226,9 +236,8 @@ def matrices_to_coords(mats: np.ndarray, n: int) -> np.ndarray:
     if single:
         mats = mats[:, :, None]
     t = _pauli_table(n)
-    b = np.arange(1 << n)
-    spec = _hadamard(t, mats[b[:, None] ^ b[None, :], b[:, None]])
-    out = spec.reshape(4**n, -1)[_slots(t, n)]
+    spec = _hadamard(t, mats[t.xor, np.arange(1 << n)[:, None]])
+    out = spec.reshape(4**n, -1)[t.slots]
     out *= t.unphase[:, None]
     return out[:, 0] if single else out
 

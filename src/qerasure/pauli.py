@@ -44,14 +44,6 @@ class PauliLetter(enum.Enum):
     Z = (0, 1)
 
     @property
-    def x_bit(self) -> int:
-        return self.value[0]
-
-    @property
-    def z_bit(self) -> int:
-        return self.value[1]
-
-    @property
     def matrix(self) -> np.ndarray:
         """W(x, z) = i**(x z) X**x Z**z, which gives Y for (1, 1)."""
         x, z = self.value
@@ -99,19 +91,21 @@ class PauliOperator:
         return tuple(out)
 
 
+_X_BITS, _Z_BITS = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
+
+
 def pauli_from_letters(letters: Sequence[PauliLetter | str]) -> PauliOperator:
-    """Build a phase-0 operator from a sequence of letters (qubit 0 first)."""
+    """Build a phase-0 operator from a sequence of letters, or a string of their names (qubit 0 first)."""
     if len(letters) == 0:
         raise ValueError("need at least one letter")
-    x = z = 0
-    for j, letter in enumerate(letters):
-        if isinstance(letter, str) and letter in PauliLetter.__members__:
-            letter = PauliLetter[letter]
-        if not isinstance(letter, PauliLetter):
-            raise ValueError(f"not a Pauli letter: {letter!r}")
-        x |= letter.x_bit << j
-        z |= letter.z_bit << j
-    return PauliOperator(len(letters), x, z)
+    if not isinstance(letters, str) or letters.strip("IXYZ"):  # not a string of names alone
+        names = [letter.name if isinstance(letter, PauliLetter) else letter for letter in letters]
+        for name in names:
+            if not (isinstance(name, str) and name in PauliLetter.__members__):
+                raise ValueError(f"not a Pauli letter: {name!r}")
+        letters = "".join(names)
+    bits = letters[::-1]  # qubit 0 is mask bit 0, the last digit
+    return PauliOperator(len(letters), int(bits.translate(_X_BITS), 2), int(bits.translate(_Z_BITS), 2))
 
 
 def pauli_from_string(text: str) -> PauliOperator:
@@ -121,10 +115,10 @@ def pauli_from_string(text: str) -> PauliOperator:
         if text.startswith(prefix):
             phase, text = k, text[len(prefix):]
             break
-    if not text or any(ch not in "IXYZ" for ch in text):
+    if not text or text.strip("IXYZ"):
         raise ValueError(f"not a Pauli label: {text!r}")
-    base = pauli_from_letters(list(text))
-    return PauliOperator(base.n, base.x_mask, base.z_mask, phase)
+    base = pauli_from_letters(text)
+    return PauliOperator(base.n, base.x_mask, base.z_mask, phase) if phase else base
 
 
 def pauli_to_string(p: PauliOperator) -> str:

@@ -44,12 +44,7 @@ import numpy as np
 
 from . import operator_space, states
 from .codes import QuantumCode, _check_gram_size, transform_code
-from .erasure import (
-    _complement_width,
-    _condition_complement,
-    _gram_parts,
-    _scale_parts,
-)
+from .erasure import _complement_width, _condition_complement, _gram_parts, _pair_phase, _scale_parts
 from .operator_space import OperatorSubspace, _gram_blocks, _pauli_table, _residual_norm
 from .operator_space import coords_to_matrices, matrices_to_coords
 from .tolerances import CROSS_ORTHOGONALITY_TOL, SUBSPACE_TOL
@@ -158,10 +153,8 @@ def _block_sum(code: QuantumCode, action: states.UnitaryAction) -> np.ndarray:
     cc, cu, uc, uu = s[:, :k, :k], s[:, :k, k:], s[:, k:, :k], s[:, k:, k:]
     for rows in operator_space._blocks(len(s), 2 * cc[0].nbytes):  # Z, two temporaries a row
         cc[rows] = _scale_parts(_gram_parts(code.grams[rows], np.empty(cc[rows].shape)), n)
-    phase = np.where(np.tri(k, k, -1, dtype=bool), 1j, 1) * np.sqrt(2) * 2.0 ** (-n / 2)
-    np.fill_diagonal(phase, (1 + 1j) * 2.0 ** (-n / 2))
     for kets in operator_space._blocks(k, 16 * 4**n * k, width=k):
-        x = coords_to_matrices((code.grams[:, kets].conj() * phase[kets]).reshape(len(s), -1), n)
+        x = coords_to_matrices((code.grams[:, kets].conj() * _pair_phase(n, k)[kets]).reshape(len(s), -1), n)
         x = mat.conj() @ x  # row r of each M U-adjoint is conj(U) M[r]
         coords = matrices_to_coords(x, n).reshape(len(s), -1, k)
         cu[:, kets], uc[:, :, kets] = coords.real, coords.imag.transpose(0, 2, 1)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +30,7 @@ from qerasure import (
 )
 from qerasure.cli import _space_sections
 from qerasure.erasure import _scan, annihilating_space
+from qerasure.tolerances import MATRIX_ELEMENT_TOL
 
 import _loop_route
 from _oracle import (
@@ -119,6 +122,57 @@ def test_operator_value_forms_agree(rng):
     as_dense = check_erasure(code, to_matrix(p))
     as_coords = check_erasure(code, pauli_coords(p))
     assert as_pauli.member == as_dense.member == as_coords.member
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_single_check_reads_its_block_by_the_scan_rule(k, rng, monkeypatch):
+    # a check searches its one K x K block alone; on planted grams it returns
+    # what the scans' _first_violations finds for that block as one row, bit
+    # for bit, with violations off the diagonal, on it, in both or in neither
+    from qerasure import erasure
+
+    tol, code = MATRIX_ELEMENT_TOL, random_code(rng, 3, k)
+    for pure, where in itertools.product((False, True), ("neither", "off", "diagonal", "both")):
+        if k == 1 and where != "neither" and not (pure and where == "diagonal"):
+            continue  # K = 1 has no off-diagonal entry, and one erasure diagonal always matches
+        for _ in range(12):
+            a = complex(*rng.normal(size=2))
+            gram = a * np.eye(k) + (rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))) * tol / 8
+            trace = a + complex(*rng.normal(size=2)) * tol / 8
+            if where in ("off", "both"):
+                i, j = rng.choice(k, 2, replace=False)
+                gram[i, j] = rng.choice([tol, -tol, 1j * tol, 3 * tol, 0.5])
+            if where in ("diagonal", "both"):
+                i = rng.integers(0 if pure else 1, k)
+                gram[i, i] += rng.choice([3, -3j, 1e6]) * tol
+            alpha = trace if pure else gram[0, 0]
+            monkeypatch.setattr(erasure, "_gram_matrix", lambda code, op: (gram.copy(), trace))
+            report = erasure._check(code, None, pure)
+            [(p, i, j, dev)] = erasure._first_violations(gram[None], [alpha])
+            assert bool(p.size) == (where != "neither") == (not report.member)
+            if p.size:
+                assert report.witness[:2] == (i[0], j[0])
+                assert np.complex128(report.witness[2]).tobytes() == dev[:1].tobytes()
+            else:
+                expected = trace if pure else np.mean(np.diag(gram))
+                assert np.complex128(report.alpha).tobytes() == np.complex128(expected).tobytes()
+
+
+def test_cached_cross_check_constants_are_read_only_and_exact():
+    # _gram_parts' Im mask and _block_sum's (K, K) phase are built once per
+    # shape; a write through either would change every later grid
+    from qerasure.erasure import _below, _pair_phase
+
+    for rows, cols, shift in ((1, 1, 0), (3, 3, 0), (2, 4, 2), (4, 8, 4)):
+        assert np.array_equal(_below(rows, cols, shift), np.tri(rows, cols, shift - 1, dtype=bool))
+    for n, k in ((1, 1), (4, 3), (5, 8)):
+        phase = _pair_phase(n, k)
+        expected = np.where(np.tri(k, k, -1, dtype=bool), 1j, 1) * np.sqrt(2) * 2.0 ** (-n / 2)
+        np.fill_diagonal(expected, (1 + 1j) * 2.0 ** (-n / 2))
+        assert phase.tobytes() == expected.tobytes()
+    for a in (_below(3, 3, 0), _pair_phase(4, 3)):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = a[0, 0]
 
 
 def test_membership_dimension_mismatch():

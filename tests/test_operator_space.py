@@ -69,6 +69,47 @@ def test_pauli_table_masks_match_the_operators():
         assert t.z.tolist() == [flip[z] for _, _, z in keys]
 
 
+def test_pauli_table_index_arrays_match_their_definitions():
+    # the per-n index arrays, built once, against the formulas their callers
+    # used to evaluate on every call; none can be written through
+    for n in range(1, 7):
+        t = _pauli_table(n)
+        b = np.arange(1 << n)
+        assert t.xor.dtype == np.intp and np.array_equal(t.xor, b[:, None] ^ b[None, :])
+        assert np.array_equal(t.slots, (t.z << n) | t.x)
+        assert np.array_equal(t.coordinate[t.slots], np.arange(4**n))
+        assert t.reverse == tuple(int(format(m, f"0{n}b")[::-1], 2) for m in range(1 << n))
+        assert all(type(r) is int for r in t.reverse)
+        assert t.weights.tolist() == [(int(x) | int(z)).bit_count() for x, z in zip(t.x, t.z)]
+        assert t.starts.tolist() == [sum(math.comb(n, v) * 3**v for v in range(w)) for w in range(n + 2)]
+        arrays = [a for a in t if isinstance(a, np.ndarray)]
+        assert len(arrays) == len(t) - 1  # every field but the tuple reverse
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a.reshape(-1)[0] = a.reshape(-1)[0]
+        with pytest.raises(TypeError):
+            t.reverse[0] = 1
+
+
+def test_pauli_index_agrees_with_the_bit_reversal_beyond_six_qubits(rng):
+    # two lookups in the table's reversal, against the mask formula and the
+    # enumeration's own row, on random masks at the two largest sizes
+    for n in (7, 8):
+        t, masks = _pauli_table(n), _pauli_masks(n)
+        for x, z in rng.integers(0, 1 << n, size=(200, 2)).tolist():
+            index = pauli_index(PauliOperator(n, x, z))
+            assert index == t.coordinate[(_reverse_bits(z, n) << n) | _reverse_bits(x, n)]
+            assert masks[index].tolist() == [x, z]
+
+
+def test_pauli_index_beyond_the_limit_caches_no_table():
+    cached = _pauli_table.cache_info().currsize
+    with pytest.raises(ValueError, match="n=9 exceeds the limit of 8 qubits"):
+        pauli_index(PauliOperator(9, 0, 0))
+    assert _pauli_table.cache_info().currsize == cached
+
+
 def test_pauli_table_builds_no_operator_objects(monkeypatch):
     made = []
     init = PauliOperator.__init__
@@ -137,7 +178,7 @@ def test_pauli_gram_kernel_phase_in_place(rng):
     # out-of-place form, with half the peak memory or less
     import tracemalloc
 
-    from qerasure.operator_space import _hadamard, _pauli_grams, _slots
+    from qerasure.operator_space import _hadamard, _pauli_grams
 
     for n, k in ((1, 1), (3, 2), (4, 4), (5, 8)):
         vecs = random_code(rng, n, k).basis
@@ -145,7 +186,7 @@ def test_pauli_gram_kernel_phase_in_place(rng):
         b = np.arange(1 << n)
         prod = vecs.conj()[b[:, None] ^ b[None, :], :, None] * vecs[:, None, None, :]
         grams = _hadamard(t, prod).reshape(4**n, k, k)
-        expected = t.phase[:, None, None] * grams[_slots(t, n)]
+        expected = t.phase[:, None, None] * grams[(t.z << n) | t.x]
         del prod, grams
         tracemalloc.start()
         try:

@@ -27,12 +27,13 @@ DELETED = {
                "apply_pauli", "basis_state", "inner_product", "intersect", "RANK_RTOL",
                "apply_transform", "apply_to_amplitudes", "Ket", "basis_matrix"),
     qerasure.pauli: ("apply_to_amplitudes",),
+    qerasure.pauli.PauliLetter: ("x_bit", "z_bit"),
     qerasure.states: ("apply_transform", "Ket", "basis_matrix"),
     qerasure.codes: ("Ket", "basis_matrix"),
     qerasure.erasure: ("_trace_over_dim",),
     qerasure.unions: ("_as_action", "_conjugates", "_runs", "_left", "_scaled_columns"),
     qerasure.operator_space: ("coords_to_matrix", "_rank", "_real_or_complex", "intersect",
-                              "_new_directions"),
+                              "_new_directions", "_slots"),
     qerasure.tolerances: ("RANK_RTOL", "REPROJECT_BELOW"),
     qerasure.OperatorSubspace: ("from_constraints", "full", "validate"),
     qerasure.CodeTransform: ("adjoint",),

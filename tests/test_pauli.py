@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -17,6 +18,7 @@ from qerasure import (
 )
 
 from qerasure import QuantumCode, check_erasure
+from qerasure.pauli import PHASE_LABELS, PauliLetter
 
 from _oracle import dense_pauli, ket_from_terms, sorted_paulis
 
@@ -51,6 +53,27 @@ def test_parser_rejects_garbage():
         pauli_from_string("")
     with pytest.raises(ValueError):
         pauli_from_letters([])
+
+
+@pytest.mark.parametrize("label, rest", [("", ""), ("IXQ", "IXQ"), ("i", ""), ("-iXI Z", "XI Z")])
+def test_malformed_labels_name_what_follows_the_phase(label, rest):
+    # the label with its phase prefix taken off, quoted, whichever letter is bad
+    with pytest.raises(ValueError) as caught:
+        pauli_from_string(label)
+    assert str(caught.value) == f"not a Pauli label: {rest!r}"
+
+
+def test_every_short_label_parses_as_its_letters_with_the_phase():
+    # labels are read to masks in one pass; the letter-by-letter path of
+    # pauli_from_letters, plus the prefix's phase, is the reference
+    for n in (1, 2, 3):
+        for letters in itertools.product("IXYZ", repeat=n):
+            base = pauli_from_letters([PauliLetter[c] for c in letters])
+            assert pauli_from_letters(list(letters)) == base
+            for phase, prefix in enumerate(PHASE_LABELS):
+                p = pauli_from_string(prefix + "".join(letters))
+                assert p == PauliOperator(n, base.x_mask, base.z_mask, phase)
+                assert pauli_to_string(p) == prefix + "".join(letters)
 
 
 @pytest.mark.parametrize("letters", [["x"], "XQ", [1]], ids=["lower-case", "unknown", "not-a-letter"])
