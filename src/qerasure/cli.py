@@ -6,7 +6,8 @@ is byte-identical across runs.  Exit status is 0 on success, 1 on any
 validation problem, and 2 when an internal cross-check (the intersection
 formulas against direct computation) fails beyond tolerance or the program
 itself fails (error[internal]).  main may be called repeatedly in one
-process; the parser is built on the first call.
+process; the parsers are built on the first call, and each call parses its
+arguments once, with its mode's own parser.
 """
 
 from __future__ import annotations
@@ -38,19 +39,28 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    modes: dict[str, _Parser]  # the top-level parser's mode parsers (build_parser)
+
     def error(self, message):  # argparse defaults to exit code 2
         raise CliError("bad-arguments", message)
 
 
-def _load_json_file(path: str) -> dict:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliError("unreadable-file", f"cannot read {path}: {exc}") from exc
+def _parse_json(text: str, source: str):
+    """JSON text named by source; nesting too deep to decode is malformed JSON too."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise CliError("bad-json", f"{source}: {exc}") from exc
+
+
+def _load_json_file(path: str) -> dict:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CliError("unreadable-file", f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # JSON text is UTF-8
         raise CliError("bad-json", f"{path}: {exc}") from exc
+    return _parse_json(text, path)
 
 
 def _ingest_file(path: str) -> QuantumCode:
@@ -79,10 +89,7 @@ def _resolve_transform(args, n: int) -> CodeTransform:
     if raw is None:
         raise CliError("bad-arguments", "this mode requires --transform")
     if raw.lstrip().startswith("{"):
-        try:
-            spec = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise CliError("bad-json", f"--transform: {exc}") from exc
+        spec = _parse_json(raw, "--transform")
     else:
         spec = _load_json_file(raw)
     try:
@@ -295,16 +302,18 @@ def emit_report(report: dict, fmt: str, mode: str) -> str:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     """The qerasure argument parser, built on the first call and shared after it.
 
     Each mode accepts only the options it reads, so a stray one is refused.
+    Its modes map holds each mode's own parser, which _parse_args calls directly.
     """
     parser = _Parser(prog="qerasure",
                      description="Erasure-space analysis of small quantum codes")
     sub = parser.add_subparsers(dest="mode", required=True)
+    parser.modes = {}
     for mode, (*_, options) in _MODES.items():
-        p = sub.add_parser(mode, help=f"{mode} report")
+        p = parser.modes[mode] = sub.add_parser(mode, help=f"{mode} report")
         p.add_argument("--fixture", metavar="NAME",
                        help=f"bundled code name ({', '.join(FIXTURE_NAMES)})")
         p.add_argument("--code", help="JSON code description file")
@@ -315,10 +324,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed once: a known mode's arguments by the mode parser that the
+    top-level parser would hand them to after classifying them all itself.
+    Anything else (no mode, an unknown one, an option first) goes to the
+    top-level parser, for its messages and help.
+    """
     parser = build_parser()
+    mode_parser = parser.modes.get(argv[0]) if argv else None
+    if mode_parser is None:
+        return parser.parse_args(argv)
+    args = mode_parser.parse_args(argv[1:])
+    args.mode = argv[0]
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
         report = _MODES[args.mode][0](args)
     except (CliError, ValueError) as exc:  # CodeValidationError and OrthogonalityError carry a code
         print(f"qerasure: error[{getattr(exc, 'code', 'invalid-input')}] {exc}", file=sys.stderr)

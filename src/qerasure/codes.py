@@ -158,15 +158,17 @@ def ingest_code(spec: dict) -> QuantumCode:
     else:
         read = len(raw_basis)
     amps = _sum_terms(slots, values, read << n).reshape(read, 1 << n)
+    # one norm per ket: np.linalg.norm(amps, axis=1) differs from it in the last bit
     with np.errstate(over="ignore"):  # an overflow shows as an infinite norm
-        norms = [np.linalg.norm(row) for row in amps]
+        norms = [float(np.linalg.norm(row)) for row in amps]
     for idx, (row, norm) in enumerate(zip(amps, norms)):
+        if 0 < norm < np.inf:
+            continue
         if not np.isfinite(norm):
             raise CodeValidationError(f"basis vector {idx} has a norm beyond the float range")
-        if norm == 0 and row.any():  # every square underflowed to zero
+        if row.any():  # every square underflowed to zero
             raise CodeValidationError(f"basis vector {idx} has a norm below the float range")
-        if norm == 0:
-            raise CodeValidationError(f"basis vector {idx} is the zero vector")
+        raise CodeValidationError(f"basis vector {idx} is the zero vector")
     if fault is not None:
         raise CodeValidationError(f"basis vector {read}: {fault}") from fault
     mat = np.ascontiguousarray((amps / np.array(norms)[:, None]).T)

@@ -153,9 +153,11 @@ def _gram_blocks(left: np.ndarray, right: np.ndarray, n: int):
     phase included, is the tensor's row coordinate[(z << n) | x], so a
     block's rows are coordinate.reshape(2^n, 2^n)[:, xs].
     """
-    t = _pauli_table(n)
+    t, conj = _pauli_table(n), left.conj()
     for xs in _blocks(1 << n, 16 * left.shape[1] * right.shape[1] << n):
-        block = _hadamard(t, left.conj()[t.xor[:, xs], :, None] * right[:, None, None, :])
+        # conj(l)[b ^ x] by np.take, which gathers rows faster than fancy indexing
+        block = _hadamard(t, np.take(conj, t.xor[:, xs], axis=0)[..., None]
+                          * right[:, None, None, :])
         block *= t.slot_phase.reshape(1 << n, 1 << n, 1, 1)[:, xs]
         yield xs, block
         del block  # not alive beside the next one

@@ -26,11 +26,15 @@ LOCAL_GATES = {
 }
 
 
+_TERM_KEYS = frozenset(("re", "im", "bits"))
+_FLOAT_MAX = sys.float_info.max
+
+
 def _is_finite_number(x) -> bool:
     """A number within the float range: not a bool, a string, NaN or an infinity."""
     if type(x) is not float and (not isinstance(x, numbers.Number) or isinstance(x, bool)):
         return False
-    return abs(x) <= sys.float_info.max
+    return abs(x) <= _FLOAT_MAX
 
 
 def _read_terms(n: int, terms: Iterable, offset: int, slots: list, values: list) -> None:
@@ -42,15 +46,18 @@ def _read_terms(n: int, terms: Iterable, offset: int, slots: list, values: list)
     """
     for term in terms:
         if isinstance(term, dict):
-            if set(term) - {"re", "im", "bits"}:
-                raise ValueError(f"unknown term keys {sorted(set(term) - {'re', 'im', 'bits'})}")
+            if not term.keys() <= _TERM_KEYS:
+                raise ValueError(f"unknown term keys {sorted(term.keys() - _TERM_KEYS)}")
             re, im, bits = term.get("re", 0.0), term.get("im", 0.0), term.get("bits")
         elif isinstance(term, (list, tuple)) and len(term) == 2:
             (re, bits), im = term, 0.0
         else:
             raise ValueError(f"a term must be [amplitude, bits] or an object of re, im and "
                              f"bits; got {term!r}")
-        if not (_is_finite_number(re) and _is_finite_number(im)):
+        # two finite floats pass by comparison alone; anything else takes the general check
+        if not (type(re) is float and type(im) is float
+                and -_FLOAT_MAX <= re <= _FLOAT_MAX and -_FLOAT_MAX <= im <= _FLOAT_MAX) \
+                and not (_is_finite_number(re) and _is_finite_number(im)):
             raise ValueError(f"amplitude {re!r}, {im!r} is not a finite number")
         if not isinstance(bits, str) or len(bits) != n or bits.strip("01"):
             raise ValueError(f"bitstring {bits!r} is not {n} bits")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qerasure import code_to_json, fixture_gbp_code
-from qerasure.cli import main
+from qerasure.cli import CliError, main
 
 from _oracle import (
     SINGLE,
@@ -302,6 +302,32 @@ def test_bad_json_error(tmp_path, capsys):
     assert err.startswith("qerasure: error[bad-json]")
 
 
+# Nested beyond the JSON decoder's recursion limit on every supported Python
+# (3.13 counts 10,000 C levels), as in CI, where it must fit one argument.
+DEEP = "[" * 60_000 + "]" * 60_000
+
+
+@pytest.mark.parametrize("name", ["deep-code", "utf16-code", "deep-transform-file",
+                                  "deep-inline-transform"])
+def test_json_too_deep_or_not_utf8_is_bad_json(tmp_path, capsys, name):
+    path = tmp_path / "input.json"
+    if name == "utf16-code":  # a UTF-16 file, byte order mark first
+        text = json.dumps(code_to_json(fixture_gbp_code()))
+        path.write_bytes(b"\xff\xfe" + text.encode("utf-16-le"))
+    else:
+        path.write_text(DEEP)
+    transform = ["theorem-check", "--fixture", "gbp", "--transform"]
+    argv, source = {
+        "deep-code": (["distance", "--code", str(path)], path),
+        "utf16-code": (["distance", "--code", str(path)], path),
+        "deep-transform-file": ([*transform, str(path)], path),
+        "deep-inline-transform": ([*transform, '{"perm": ' + DEEP + "}"], "--transform"),
+    }[name]
+    status, out, err = run_cli(capsys, *argv)
+    assert (status, out) == (1, "")
+    assert err.startswith(f"qerasure: error[bad-json] {source}: ") and err.count("\n") == 1
+
+
 def test_orthogonality_error(tmp_path, capsys):
     f1 = tmp_path / "a.json"
     f1.write_text(json.dumps(code_to_json(fixture_gbp_code())))
@@ -345,6 +371,51 @@ def test_each_mode_refuses_the_options_it_does_not_read(capsys, name):
     status, out, err = run_cli(capsys, *REFUSED[name])
     assert (status, out) == (1, "")
     assert err.startswith("qerasure: error[bad-arguments] ") and err.count("\n") == 1
+
+
+def _parse_outcome(parse, argv, capsys):
+    """What one parse of argv gives: its namespace, its refusal or its exit and output."""
+    try:
+        return "args", parse(list(argv))
+    except CliError as exc:
+        return "refused", exc.code, str(exc)
+    except SystemExit as stop:
+        return "exit", stop.code, capsys.readouterr().out
+
+
+def _route_shapes() -> dict[str, list[str]]:
+    """argv shapes for each mode, and those that name no mode."""
+    shapes = {"unknown-mode": ["analyse", "--fixture", "gbp"], "no-mode": [],
+              "option-first": ["--fixture", "gbp", "analyze"], "help": ["--help"]}
+    for mode, (call, own) in MODE_CALLS.items():
+        stray = next(option for option in OPTION_VALUES if option not in own)
+        shapes |= {
+            f"{mode}-valid": [mode, "--fixture", "gbp", *call, "--format", "table"],
+            f"{mode}-stray": [mode, "--fixture", "gbp", *call, stray, *OPTION_VALUES[stray]],
+            f"{mode}-missing-value": [mode, *call, "--fixture"],
+            f"{mode}-format-xml": [mode, "--fixture", "gbp", "--format", "xml"],
+            f"{mode}-help": [mode, "--fixture", "gbp", "--help"],
+        }
+    return shapes
+
+
+ROUTE_SHAPES = _route_shapes()
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_SHAPES))
+def test_one_parse_matches_the_top_level_parse(capsys, name):
+    import qerasure.cli as cli_module
+
+    argv = ROUTE_SHAPES[name]
+    direct = _parse_outcome(cli_module._parse_args, argv, capsys)
+    assert direct == _parse_outcome(cli_module.build_parser().parse_args, argv, capsys)
+    if direct[0] == "args":
+        assert direct[1].mode == argv[0]
+    elif direct[0] == "refused":
+        status, out, err = run_cli(capsys, *argv)
+        assert (status, out, err) == (1, "", f"qerasure: error[bad-arguments] {direct[2]}\n")
+    else:
+        assert direct[1] == 0 and direct[2].startswith("usage: qerasure")
 
 
 def test_invalid_code_error(tmp_path, capsys):
@@ -601,15 +672,20 @@ def test_repeated_calls_in_one_process(tmp_path, capsys, monkeypatch):
             results[index] = (status, out, err, written)
         return results
 
+    # every parse, by whichever parser: the top-level one would hand its
+    # mode parser the rest of argv, a second parse of the same arguments
     parser = cli_module.build_parser()
+    parsers = {None: parser, **parser.modes}
     parsed = []
-    real_parse = parser.parse_args
-    monkeypatch.setattr(parser, "parse_args",
-                        lambda argv=None: parsed.append(argv) or real_parse(argv))
+    for name, p in parsers.items():
+        monkeypatch.setattr(p, "parse_known_args",
+                            lambda args=None, namespace=None, name=name, real=p.parse_known_args:
+                            parsed.append((name, args)) or real(args, namespace))
     forward = outputs(range(len(calls)))
     backward = outputs(reversed(range(len(calls))))
-    # one parser object served every call
-    assert len(parsed) == 2 * len(calls)
+    # each call parsed once, by its mode's parser, and the parsers were built once
+    order = [*range(len(calls)), *reversed(range(len(calls)))]
+    assert parsed == [(calls[i][0], calls[i][1:]) for i in order]
     assert cli_module.build_parser() is parser
 
     monkeypatch.setattr(cli_module, "build_parser", cli_module.build_parser.__wrapped__)

@@ -3,7 +3,7 @@
 The transform round trip, the Pauli group laws of the mask arithmetic, the
 subspace maps of the union formulas, the code and transform readers of the
 command line against arbitrary JSON, and ingest against its per-term
-reference.
+reference, by hypothesis and on listed first faults.
 """
 
 import contextlib
@@ -16,6 +16,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -320,3 +321,56 @@ def _ingest_outcome(ingest, spec):
 @given(ingest_specs())
 def test_ingest_matches_its_per_term_reference(spec):
     assert _ingest_outcome(ingest_code, spec) == _ingest_outcome(_loop_route.ingest_code, spec)
+
+
+# A first fault at ket 1, term 1, after a good ket and a good term: (term, the
+# message, or None when the term is accepted).  Every message of
+# states._read_terms appears, each as the per-term reference words it.
+FIRST_FAULTS = {
+    "int-pair": ([2, "010"], None),
+    "int-parts": ({"re": 1, "im": -3, "bits": "010"}, None),
+    "float-pair": ([0.25, "010"], None),
+    "no-re": ({"im": 1.0, "bits": "010"}, None),
+    "no-im": ({"re": 1.0, "bits": "010"}, None),
+    "true-re": ({"re": True, "bits": "010"}, "amplitude True, 0.0 is not a finite number"),
+    "true-pair": ([True, "010"], "amplitude True, 0.0 is not a finite number"),
+    "nan-re": ({"re": math.nan, "bits": "010"}, "amplitude nan, 0.0 is not a finite number"),
+    "inf-im": ({"re": 1.0, "im": math.inf, "bits": "010"},
+               "amplitude 1.0, inf is not a finite number"),
+    "minus-inf-pair": ([-math.inf, "010"], "amplitude -inf, 0.0 is not a finite number"),
+    "int-beyond-float": ([10**400, "010"], f"amplitude {10**400!r}, 0.0 is not a finite number"),
+    "unknown-key": ({"re": 1.0, "bits": "010", "phase": 0}, "unknown term keys ['phase']"),
+    "no-bits": ({"re": 1.0}, "bitstring None is not 3 bits"),
+    "bits-too-long": ([1.0, "0100"], "bitstring '0100' is not 3 bits"),
+    "bits-not-binary": ({"re": 1.0, "bits": "012"}, "bitstring '012' is not 3 bits"),
+    "bits-not-a-string": ([1.0, 2], "bitstring 2 is not 3 bits"),
+    "one-element": ([1.0], "a term must be [amplitude, bits] or an object of re, im and "
+                           "bits; got [1.0]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_FAULTS))
+def test_ingest_refuses_the_first_bad_term_as_its_reference_does(name):
+    term, message = FIRST_FAULTS[name]
+    spec = {"n": 3, "label": "first-fault",
+            "basis": [[[1.0, "000"], {"re": 1.0, "bits": "111"}],
+                      [{"re": 0.5, "im": 0.0, "bits": "001"}, term, [1.0, "110"]]]}
+    outcome = _ingest_outcome(ingest_code, spec)
+    if message is None:
+        assert outcome[:2] == ("accepted", "first-fault")
+    else:
+        assert outcome == ("refused", f"basis vector 1: {message}")
+    if name != "one-element":  # the reference unpacks a pair without naming the shape
+        assert outcome == _ingest_outcome(_loop_route.ingest_code, spec)
+
+
+@pytest.mark.parametrize("ket, reason", [
+    ([[1.0, "000"], [-1.0, "000"]], "is the zero vector"),
+    ([[1e-170, "000"]], "has a norm below the float range"),
+    ([[1e308, "000"], [1e308, "000"]], "has a norm beyond the float range"),
+], ids=["zero", "underflow", "overflow"])
+def test_a_bad_norm_before_a_bad_term_is_reported_first(ket, reason):
+    spec = {"n": 3, "basis": [[[1.0, "111"]], ket, [[1.0, "011"], [math.nan, "001"]]]}
+    outcome = _ingest_outcome(ingest_code, spec)
+    assert outcome == ("refused", f"basis vector 1 {reason}")
+    assert outcome == _ingest_outcome(_loop_route.ingest_code, spec)
