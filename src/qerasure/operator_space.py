@@ -43,14 +43,11 @@ Outputs over two _BLOCK_BYTES (the gram tensor; a cross-check's grids and pair
 residuals in unions) are built in such blocks and written once, bit for bit
 (_blocks, _gram_blocks).
 
-The package keeps one pool of worker threads for the life of the process,
-the standard library's ThreadPoolExecutor made at import (_beside).  Its
-threads start as needed, up to _cpus() - 1, so no later call pays for
-starting one.  It fills those ranges beside the caller's own, and builds a
-large cross-check's direct side beside its pipeline (unions._cross_check).
-No pool task submits to the pool.  A forked child, which has none of the
-pool's threads, makes its own; at exit the interpreter joins the idle
-workers, and the caller runs what the executor then refuses.
+Threads that a call starts and joins itself, through a ThreadPoolExecutor
+scoped to the call (_beside), fill those ranges beside the caller's own,
+and build a large cross-check's direct side beside its pipeline
+(unions._cross_check).  No thread outlives a call, so a forked child needs
+nothing of its parent's.
 
 Numerical conventions: membership and containment residuals are compared
 against MEMBERSHIP_TOL and SUBSPACE_TOL (see tolerances).  A containment
@@ -297,23 +294,12 @@ def _blocks(items: int, item_bytes: int, width: int = 1) -> list[slice]:
 # ms; BENCH_29.json, in-process).
 _THREAD_BYTES = 32 << 20
 # Bytes of a union's direct grid, 8 * 4^n * (2K)^2, from which
-# unions._cross_check builds it in the pool's worker beside the pipeline
-# (BENCH_29.json, in-process, medians over 40 fresh codes; time with the
-# direct side in a thread over time in the caller, for a thread started
-# per call and for the kept worker):
-#   n = 5, K = 1 (32 KiB)    1.73  1.69
-#   n = 6, K = 1 (128 KiB)   1.27  1.05
-#   n = 5, K = 2 (128 KiB)   1.31  1.15
-#   n = 5, K = 3 (288 KiB)   1.09  1.06
-#   n = 4, K = 8 (512 KiB)   1.04  0.90
-#   n = 5, K = 4 (512 KiB)   0.98  0.93
-#   n = 6, K = 2 (512 KiB)   0.90  0.78
-#   n = 5, K = 8 (2 MiB)     0.78  0.77
-# The kept worker costs no thread start, so the 0.5 MiB grids gain; smaller
-# ones lose or tie (n = 5, K = 3 read 0.99 to 1.06 over three runs).  With
-# both grids written in place the rule still holds: in the theorem benchmark
-# the direct side in the caller made the n = 5, K = 4 and 8 and n = 6, K = 2
-# cross-checks 7 to 27% slower (BENCH_33.json).
+# unions._cross_check builds it in a thread of its own beside the pipeline
+# (BENCH_29.json has the per-(n, K) table behind the cut).  Whether that
+# pays depends on the load of the other CPU: in-process the caller-only
+# check was at most 4% slower than the threaded one, but in theorem runs
+# where the worker overlapped the direct side it made op_p90_ms 40% worse
+# (BENCH_33.json, BENCH_39.json).
 _BESIDE_BYTES = 1 << 19
 
 
@@ -322,42 +308,25 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-# Made at import and kept: a thread costs about 1 ms to start and join, as
-# much as a small cross-check's direct side (BENCH_28.json).  The executor
-# starts its threads as tasks come, so making it starts none.
-def _new_pool() -> None:
-    """Make the pool: at import, and in a forked child, which has none of its threads."""
-    global _pool
-    _pool = ThreadPoolExecutor(max(_cpus() - 1, 1), "qerasure-worker")
-
-
-_new_pool()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_pool)
-
-
 def _beside(own: Callable, tasks: Sequence[Callable]) -> tuple:
-    """own() in the calling thread while the pool runs tasks: (own's result, [the tasks' results]).
+    """own() here while each task runs in a thread of this call: (own's result, [the tasks' results]).
 
-    Every task ends before this returns or raises.  The caller's own error
-    wins; otherwise the first failed task's error is re-raised.  No task
-    submits to the pool, so each queued task gets a worker once the tasks
-    before it end, and no caller waits on a task that waits on the pool.
-    Once the interpreter has begun to exit (in a thread that outlives the
-    main one, or an atexit handler) the executor refuses work, and the
-    tasks it refused run here after own(), in order.
+    The threads are the standard library's ThreadPoolExecutor, scoped to the
+    call: every task ends and its thread is joined before this returns or
+    raises, so no thread outlives the call.  The caller's own error wins;
+    otherwise the first failed task's error is re-raised.  Once the
+    interpreter has begun to exit (in a thread that outlives the main one,
+    or an atexit handler) the executor refuses work, and the tasks it
+    refused run here after own(), in order.
     """
     futures = []
-    try:
+    with ThreadPoolExecutor(max(len(tasks), 1), "qerasure-worker") as pool:
         try:
             for task in tasks:
-                futures.append(_pool.submit(task))
+                futures.append(pool.submit(task))
         except RuntimeError:  # cannot schedule new futures after interpreter shutdown
             pass
         mine = own()
-    finally:
-        for future in futures:
-            future.exception()  # waits for the task, and raises nothing
     return mine, [future.result() for future in futures] + [task() for task in tasks[len(futures):]]
 
 
@@ -383,9 +352,9 @@ def _complete_orthonormal(part: np.ndarray) -> np.ndarray:
     rows when the output is large enough for the thread rule to split it
     (2 _THREAD_BYTES, so only n = 6), and otherwise the single product.
     Contiguous ranges of blocks go to min(CPUs, output bytes //
-    _THREAD_BYTES, blocks) threads, the caller and pool workers, each zeroing
-    the fresh pages it faults in; each block is the same product, so the
-    array is bitwise the same.
+    _THREAD_BYTES, blocks) threads, the caller and threads started and
+    joined by this call (_beside), each zeroing the fresh pages it faults
+    in; each block is the same product, so the array is bitwise the same.
     """
     dim, k = part.shape
     h, tau = np.linalg.qr(part, mode="raw")  # h is the (k, dim) transpose

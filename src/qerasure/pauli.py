@@ -185,6 +185,7 @@ def _reverse_bits(mask, n: int):
 
 
 def to_matrix(p: PauliOperator) -> np.ndarray:
-    """Dense 2^n x 2^n realization.  Intended for small n only."""
+    """Dense 2^n x 2^n realization; n beyond MAX_QUBITS is refused before any matrix is made."""
+    _check_qubits(p.n, too_large=ValueError)
     mats = [letter.matrix for letter in p.letters()]
     return (1j**p.phase) * reduce(np.kron, mats)

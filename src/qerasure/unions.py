@@ -257,12 +257,12 @@ def _cross_check(code: QuantumCode, action: states.UnitaryAction, union: Quantum
     a cache-sized block at a time where it is large, so neither holds a
     full-size temporary beside its grid.  The two are independent until
     compared, so a direct grid of operator_space._BESIDE_BYTES or more is
-    built beside the pipeline when there are two CPUs or more, by the
-    package's pool, the standard library's thread pool executor kept for the
-    process (operator_space._beside: the direct side ends before any error
-    reaches the caller, and the pipeline's own error wins); both read
-    code.grams, built here first, and the report is bitwise the same either
-    way.  Entries (a, b) and (b, a) of either grid, a != b, lie
+    built beside the pipeline when there are two CPUs or more, in a worker
+    thread that this call starts and joins (operator_space._beside: the
+    direct side ends before any error reaches the caller, and the
+    pipeline's own error wins); both read code.grams, built here first,
+    and the report is bitwise the same either way.  Entries (a, b) and
+    (b, a) of either grid, a != b, lie
     in the real plane of |a><b| and |b><a|; these planes and the diagonal
     block are Hilbert-Schmidt orthogonal, so each pair is compared on its
     own (_pair_residuals) and the diagonal block by one _residual_norm per

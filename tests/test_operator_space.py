@@ -511,14 +511,14 @@ def test_complete_orthonormal_in_ranges_is_bitwise_one_range(rng, monkeypatch, f
     # (37 blocks, the last short) and 1024 rows in the default blocks (32 or
     # 64 of them), neither a multiple of 3; k = 35 at n = 5, wider than half
     # a block, takes blocks of 70 rows.  The caller fills the first range and
-    # the pool's workers the others; no thread starts but the pool's, never
-    # more than cpus - 1 of them, and none on one CPU
+    # threads named qerasure-worker the others, never more than cpus - 1 of
+    # them and none on one CPU, each joined before the fill returns
     dim = 4**n
-    calls, matmul, caller = [], np.matmul, threading.get_ident()
+    calls, matmul, caller = [], np.matmul, threading.current_thread().name
     threads = threading.active_count()
 
     def counted(a, b, out):
-        calls.append((block_row(out), a.shape[0], threading.get_ident()))
+        calls.append((block_row(out), a.shape[0], threading.current_thread().name))
         return matmul(a, b, out=out)
 
     for k in (0, 3) if n == 4 else (0, 3, 35):
@@ -545,16 +545,15 @@ def test_complete_orthonormal_in_ranges_is_bitwise_one_range(rng, monkeypatch, f
         assert (height == 2 * k) == (k == 35)
         assert all(t == caller for r, _, t in calls if r == 0)
         off_caller = {t for _, _, t in calls} - {caller}
-        workers = fresh_pool()
-        assert off_caller <= {w.ident for w in workers} and bool(off_caller) == (cpus > 1)
-        assert len(workers) <= cpus - 1 and threading.active_count() == threads + len(workers)
+        assert all(t.startswith("qerasure-worker") for t in off_caller) and bool(off_caller) == (cpus > 1)
+        assert len(off_caller) <= cpus - 1 and threading.active_count() == threads and fresh_pool() == []
 
 
 def test_a_failed_range_leaves_no_basis_and_no_thread(rng, monkeypatch, fresh_pool):
     # 256 rows in blocks of 16 over two CPUs: the caller fills rows 0-127 and
-    # the pool's one worker rows 128-255.  A block of either range raises
+    # a thread of the call rows 128-255.  A block of either range raises
     # while the other range takes 50 ms: the error reaches .basis only once
-    # the other range is done, .basis caches nothing, no thread starts, and
+    # the other range is done, .basis caches nothing, no thread is left, and
     # a retry completes
     dim, k, rows = 256, 3, 16
     part = random_part(rng, dim, k, float)
@@ -564,8 +563,6 @@ def test_a_failed_range_leaves_no_basis_and_no_thread(rng, monkeypatch, fresh_po
     fresh_pool.set_cpus(2)
     monkeypatch.setattr(operator_space, "_THREAD_BYTES", 1)
     matmul, s = np.matmul, OperatorSubspace(4, part)
-    s.basis  # starts the pool's one worker
-    s._basis = None
     threads = threading.active_count()
     for failing in (0, dim // 2):
         written = []

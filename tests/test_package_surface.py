@@ -33,7 +33,7 @@ DELETED = {
     qerasure.erasure: ("_trace_over_dim",),
     qerasure.unions: ("_as_action", "_conjugates", "_runs", "_left", "_scaled_columns"),
     qerasure.operator_space: ("coords_to_matrix", "_rank", "_real_or_complex", "intersect",
-                              "_new_directions", "_slots"),
+                              "_new_directions", "_slots", "_new_pool", "_pool"),
     qerasure.tolerances: ("RANK_RTOL", "REPROJECT_BELOW"),
     qerasure.OperatorSubspace: ("from_constraints", "full", "validate"),
     qerasure.CodeTransform: ("adjoint",),

@@ -86,11 +86,13 @@ def test_letters_refuse_what_is_not_a_pauli_letter(letters):
 
 @pytest.mark.parametrize("build", [
     lambda p: pauli_index(p), lambda p: pauli_coords(p), lambda p: enumerate_paulis(p.n, 1),
-], ids=["pauli_index", "pauli_coords", "enumerate_paulis"])
+    lambda p: to_matrix(p),
+], ids=["pauli_index", "pauli_coords", "enumerate_paulis", "to_matrix"])
 def test_pauli_tables_beyond_the_qubit_limit_are_refused_up_front(build):
     # n = MAX_QUBITS + 1 would need 4^9 = 262,144 table rows (and a 4 MiB
-    # coordinate vector): refused with ValueError before any table or
-    # vector is made, as QuantumCode refuses such an n
+    # coordinate vector, or a 4 MiB 512 x 512 matrix): refused with
+    # ValueError before any table, vector or matrix is made, as QuantumCode
+    # refuses such an n
     import tracemalloc
 
     from qerasure import codes

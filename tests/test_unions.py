@@ -793,11 +793,11 @@ def direct_threads(monkeypatch, delay=0.0):
 
 
 def test_cross_check_report_is_bitwise_the_same_in_either_thread(monkeypatch, rng, fresh_pool):
-    # _BESIDE_BYTES at 0 puts every direct side in the pool's one worker (two
-    # CPUs), and beyond the largest grid keeps every one in the caller: the
-    # reports, residuals included, agree bit for bit; the first threaded call
-    # starts the worker, no later call starts a thread, and each direct side
-    # has returned before its report does
+    # _BESIDE_BYTES at 0 puts every direct side in a worker thread of its
+    # call (two CPUs), and beyond the largest grid keeps every one in the
+    # caller: the reports, residuals included, agree bit for bit; each direct
+    # side has returned, and its thread has been joined, before its report
+    # does
     from qerasure import operator_space
 
     caller = threading.current_thread()
@@ -819,12 +819,12 @@ def test_cross_check_report_is_bitwise_the_same_in_either_thread(monkeypatch, rn
                     reports[beside] = _cross_check(code, act, union)
                 finally:
                     sys.setswitchinterval(interval)
-            assert threading.active_count() == threads + 1
+            assert threading.active_count() == threads and fresh_pool() == []
             assert len(seen) == 1
             if beside:
                 assert seen[0] is caller
             else:
-                assert fresh_pool() == [seen[0]]
+                assert seen[0].name.startswith("qerasure-worker") and not seen[0].is_alive()
         threaded, in_caller = reports.values()
         assert threaded == in_caller
         for key in ("theorem4", "theorem5"):
@@ -839,9 +839,10 @@ def test_cross_check_report_is_bitwise_the_same_in_either_thread(monkeypatch, rn
 def test_direct_side_runs_beside_the_pipeline_for_large_unions(monkeypatch, rng, fresh_pool,
                                                                n, k, cpus, beside):
     # the default rule: grids of 0.5 MiB and more (n = 5, K = 4; n = 6,
-    # K = 2; n = 4, K = 8) take the pool's worker when there are two CPUs;
-    # n = 5, K <= 3 (288 KiB and less) stays in the caller, as does
-    # everything on one CPU, where no worker starts
+    # K = 2; n = 4, K = 8) take a worker thread of the call when there are
+    # two CPUs; n = 5, K <= 3 (288 KiB and less) stays in the caller, as
+    # does everything on one CPU, where no worker starts; no worker is left
+    # once the call returns
     code, act = swap_pair(rng, n, k)
     union, _ = union_code([code, transform_code(code, act)])
     fresh_pool.set_cpus(cpus)
@@ -849,7 +850,7 @@ def test_direct_side_runs_beside_the_pipeline_for_large_unions(monkeypatch, rng,
     report = _cross_check(code, act, union)
     assert report["theorem4"]["matches_direct"] and report["theorem5"]["matches_direct"]
     assert len(seen) == 1 and (seen[0] is not threading.current_thread()) == beside
-    assert len(fresh_pool()) == beside
+    assert seen[0].name.startswith("qerasure-worker") == beside and fresh_pool() == []
 
 
 @pytest.mark.parametrize("failing", ["_direct_complement", "_formula_complements"])
@@ -857,16 +858,16 @@ def test_an_error_on_either_side_reaches_the_caller_and_leaves_no_thread(monkeyp
                                                                          failing):
     # the direct side fails in the worker, or the pipeline in the caller while
     # the worker runs: the error reaches the caller only once the worker's
-    # task has ended, no thread starts, and a retry gives the report of a
-    # clean run
+    # task has ended and its thread is joined, no thread is left, and a retry
+    # gives the report of a clean run
     from qerasure import operator_space, unions
 
     code, act = swap_pair(rng, 3, 2)
     union, _ = union_code([code, transform_code(code, act)])
     fresh_pool.set_cpus(2)
     monkeypatch.setattr(operator_space, "_BESIDE_BYTES", 0)
-    clean = _cross_check(code, act, union)  # starts the pool's one worker
     threads = threading.active_count()
+    clean = _cross_check(code, act, union)
     seen = direct_threads(monkeypatch, delay=0.05)  # a slow worker: an early error would show
 
     def fail(*args):
@@ -877,12 +878,12 @@ def test_an_error_on_either_side_reaches_the_caller_and_leaves_no_thread(monkeyp
         m.setattr(unions, failing, fail)
         with pytest.raises(MemoryError, match=failing):
             _cross_check(code, act, union)
-        worker, = fresh_pool()
         # the worker's failure, or the caller's and then the worker's
         # completed direct side, are in by the time the error arrives
-        caller = threading.current_thread()
+        caller, worker = threading.current_thread(), seen[-1]
+        assert worker.name.startswith("qerasure-worker") and not worker.is_alive()
         assert seen == ([worker] if failing == "_direct_complement" else [caller, worker])
-    assert worker.is_alive() and threading.active_count() == threads
+    assert threading.active_count() == threads and fresh_pool() == []
     assert _cross_check(code, act, union) == clean
     assert threading.active_count() == threads
 

@@ -1,10 +1,13 @@
-"""The package's one worker pool, the standard library's thread pool executor:
-made once, kept, shared, and made anew in a forked child.
+"""The package's worker threads: the standard library's thread pool
+executor, scoped to each call that fills a spanning basis in row ranges or
+builds a large cross-check's direct side beside its pipeline.  Its threads
+are started and joined within the call, so none outlives it.
 
 Every wait here has a timeout, so a deadlock fails the test instead of
 hanging the suite, and no test starts more than one child process.
 """
 
+import hashlib
 import json
 import os
 import select
@@ -12,15 +15,13 @@ import subprocess
 import sys
 import threading
 import time
-import weakref
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
 import pytest
 
 from qerasure import CodeTransform, QuantumCode, cross_check_intersection_formulas
-from qerasure import operator_space
+from qerasure import operator_space, unions
 from qerasure.operator_space import _beside, _complete_orthonormal
 
 from conftest import random_unitary, src_env
@@ -54,18 +55,28 @@ def half_frame(rng, n, k):
     return code, CodeTransform(n, locals=["X"] + (["H", "S"] * n)[:n - 1])
 
 
-def test_the_callers_error_wins_and_every_task_ends_first(monkeypatch, fresh_pool):
-    # two tasks of 50 ms beside the caller: an error reaches the caller only
-    # once both have ended; the caller's own error wins, then the first
-    # failed task's; without errors the results come in task order.  Both
-    # tasks are queued before either ends, so the first call starts both of
-    # the pool's two workers, and no later call starts a thread
-    fresh_pool.set_cpus(3)
+def matmul_threads(monkeypatch):
+    """Record the name of the thread of every np.matmul call."""
+    names, matmul = [], np.matmul
+
+    def recorded(*args, **kwargs):
+        names.append(threading.current_thread().name)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recorded)
+    return names
+
+
+def test_the_callers_error_wins_and_every_task_ends_first(fresh_pool):
+    # two tasks of 50 ms beside the caller, each in a thread of the call: an
+    # error reaches the caller only once both have ended; the caller's own
+    # error wins, then the first failed task's; without errors the results
+    # come in task order, and no thread is left once a call returns
     ended = []
 
     def task(i, fail):
         time.sleep(0.05)
-        ended.append(i)
+        ended.append((i, threading.current_thread().name))
         if fail:
             raise RuntimeError(f"task {i}")
         return i
@@ -78,76 +89,51 @@ def test_the_callers_error_wins_and_every_task_ends_first(monkeypatch, fresh_poo
     def run():
         with pytest.raises(ValueError, match="caller"):
             _beside(partial(own, True), [partial(task, 1, True), partial(task, 2, True)])
-        assert sorted(ended) == [1, 2]
+        assert sorted(i for i, _ in ended) == [1, 2] and fresh_pool() == []
         ended.clear()
         with pytest.raises(RuntimeError, match="task 1"):
             _beside(partial(own, False), [partial(task, 1, True), partial(task, 2, False)])
-        assert sorted(ended) == [1, 2]
+        assert sorted(i for i, _ in ended) == [1, 2] and fresh_pool() == []
+        ended.clear()
         return _beside(partial(own, False), [partial(task, 1, False), partial(task, 2, False)])
 
     assert within(30, run) == ("own", [1, 2])
-    assert len(fresh_pool()) == 2
+    assert all(name.startswith("qerasure-worker") for _, name in ended)
+    assert fresh_pool() == []
 
 
-def test_no_pool_task_submits_to_the_pool(rng, monkeypatch, fresh_pool):
-    # a threaded cross-check and a spanning basis split over four ranges:
-    # every submit comes from the caller, none from a worker, so a queued
-    # task never waits on a task behind it
-    fresh_pool.set_cpus(4)
-    monkeypatch.setattr(operator_space, "_BESIDE_BYTES", 0)
-    monkeypatch.setattr(operator_space, "_THREAD_BYTES", 1 << 20)
-    submitters, submit = [], ThreadPoolExecutor.submit
-    monkeypatch.setattr(ThreadPoolExecutor, "submit", lambda pool, task: (
-        submitters.append(threading.current_thread()) or submit(pool, task)))
-    code, t = half_frame(rng, 4, 3)
-    part = np.linalg.qr(rng.standard_normal((1024, 3)))[0]
-
-    def run():
-        cross_check_intersection_formulas(code, t)
-        _complete_orthonormal(part)
-        return threading.current_thread()
-
-    caller = within(30, run)
-    assert submitters == [caller] * 4  # one direct side, then three ranges
-    assert 1 <= len(fresh_pool()) <= 3 and not set(fresh_pool()) & set(submitters)
-
-
-def test_an_idle_worker_holds_no_task_and_no_result(monkeypatch, fresh_pool):
-    # once _beside has returned and the caller drops what it got, the pool's
-    # worker, idle again, keeps neither the task nor its result alive: a
-    # task's arrays are freed with the call, not when the next task comes
+def test_no_thread_outlives_a_call(rng, monkeypatch, fresh_pool):
+    # on two CPUs an n = 5, K = 8 cross-check (a 2 MiB direct grid) builds
+    # its direct side in a worker thread that it joins before it returns; a
+    # completion split into ranges as an n = 6 one is (_THREAD_BYTES lowered
+    # so 1024 rows take two) fills its second range in a thread it starts,
+    # and joins that thread before it returns
     fresh_pool.set_cpus(2)
-
-    class Result:
-        pass
-
-    class Task:
-        def __call__(self):
-            return Result()
-
-    def run():
-        task = Task()
-        mine, (result,) = _beside(lambda: "own", [task])
-        assert mine == "own" and isinstance(result, Result)
-        return weakref.ref(task), weakref.ref(result)
-
-    refs = within(30, run)
-    deadline = time.monotonic() + 10
-    while any(ref() is not None for ref in refs) and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert all(ref() is None for ref in refs)
-    worker, = fresh_pool()
-    assert worker.is_alive()
+    code, t = half_frame(rng, 5, 8)
+    caller, seen, direct = threading.current_thread(), [], unions._direct_complement
+    monkeypatch.setattr(unions, "_direct_complement",
+                        lambda *a: seen.append(threading.current_thread()) or direct(*a))
+    threads = threading.active_count()
+    report = cross_check_intersection_formulas(code, t)
+    assert report["theorem4"]["matches_direct"] and report["theorem5"]["matches_direct"]
+    worker, = seen
+    assert worker.name.startswith("qerasure-worker") and not worker.is_alive()
+    assert threading.active_count() == threads and fresh_pool() == []
+    monkeypatch.setattr(operator_space, "_THREAD_BYTES", 1 << 20)
+    part = np.linalg.qr(rng.standard_normal((1024, 3)))[0]
+    names = matmul_threads(monkeypatch)
+    _complete_orthonormal(part)
+    assert caller.name in names and any(name.startswith("qerasure-worker") for name in names)
+    assert threading.active_count() == threads and fresh_pool() == []
 
 
 def test_two_callers_at_once_get_the_serial_results(rng, monkeypatch, fresh_pool):
-    # two caller threads run the same threaded cross-checks and split fills,
-    # in opposite orders, on one pool of up to three workers (more workers
-    # than this machine may have CPUs): each gets, bit for bit, what one
-    # caller got alone, no thread starts but the pool's, never more than
-    # three of them, and neither waits forever.  n = 5 fills with
-    # _THREAD_BYTES lowered to 1 MiB (8 MB each, four ranges) stand for the
-    # n = 6 ones, which hold 134 MB each
+    # two caller threads run the same threaded cross-checks and split
+    # fills, in opposite orders, on four CPUs (more than this machine may
+    # have): each gets, bit for bit, what one caller got alone, and neither
+    # waits forever; every thread a call starts is joined by the time it
+    # returns.  n = 5 fills with _THREAD_BYTES lowered to 1 MiB (8 MB each,
+    # four ranges) stand for the n = 6 ones, which hold 134 MB each
     fresh_pool.set_cpus(4)
     monkeypatch.setattr(operator_space, "_BESIDE_BYTES", 0)
     monkeypatch.setattr(operator_space, "_THREAD_BYTES", 1 << 20)
@@ -158,9 +144,9 @@ def test_two_callers_at_once_get_the_serial_results(rng, monkeypatch, fresh_pool
     for imag in (0, 1j):
         part = np.linalg.qr(rng.standard_normal((1024, 3)) + imag * rng.standard_normal((1024, 3)))[0]
         jobs.append(lambda part=part: _complete_orthonormal(part).tobytes())
+    threads = threading.active_count()
     serial = within(60, lambda: [job() for job in jobs])
-    others = threading.active_count() - len(fresh_pool())
-    assert 1 <= len(fresh_pool()) <= 3
+    assert threading.active_count() == threads and fresh_pool() == []
     results = [None, None]
 
     def caller(i):
@@ -180,29 +166,33 @@ def test_two_callers_at_once_get_the_serial_results(rng, monkeypatch, fresh_pool
     assert not any(thread.is_alive() for thread in callers)
     for got in results:
         assert got is not None and [got[j] for j in range(len(jobs))] == serial
-    assert threading.active_count() - len(fresh_pool()) == others and len(fresh_pool()) <= 3
+    assert threading.active_count() == threads and fresh_pool() == []
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.filterwarnings("ignore:.*fork\\(\\) may lead to deadlocks")
 def test_a_forked_child_starts_its_own_pool_and_gets_the_parents_report(rng, monkeypatch, fresh_pool):
-    # the parent's pool is running when it forks; the child has none of its
-    # threads, forgets the pool, makes its own for its threaded cross-check
-    # and gets the parent's report
+    # the parent fills a basis in two ranges and runs a threaded
+    # cross-check, then forks; the child's fill starts a thread of its own
+    # and joins it, and gives the parent's basis bit for bit, and the
+    # child's threaded cross-check gives the parent's report
     fresh_pool.set_cpus(2)
     monkeypatch.setattr(operator_space, "_BESIDE_BYTES", 0)
+    monkeypatch.setattr(operator_space, "_THREAD_BYTES", 1 << 20)
     code, t = half_frame(rng, 5, 4)
+    part = np.linalg.qr(rng.standard_normal((1024, 3)))[0]
+    digest = hashlib.sha256(_complete_orthonormal(part).data).hexdigest()
     report = cross_check_intersection_formulas(code, t)
-    parent_pool = operator_space._pool
-    assert len(fresh_pool()) == 1
     read, write = os.pipe()
     pid = os.fork()
-    if pid == 0:  # the child: write the report and whether its pool is its own
+    if pid == 0:  # the child: write its digest, its report and the threads its fill used
         try:
             os.close(read)
-            got = cross_check_intersection_formulas(code, t)
-            own = operator_space._pool is not parent_pool and len(fresh_pool()) == 1
-            os.write(write, json.dumps([got, own]).encode())
+            names = matmul_threads(monkeypatch)
+            got = hashlib.sha256(_complete_orthonormal(part).data).hexdigest()
+            got_report = cross_check_intersection_formulas(code, t)
+            own = any(name.startswith("qerasure-worker") for name in names) and fresh_pool() == []
+            os.write(write, json.dumps([got, got_report, own]).encode())
         finally:
             os._exit(0)
     os.close(write)
@@ -219,15 +209,16 @@ def test_a_forked_child_starts_its_own_pool_and_gets_the_parents_report(rng, mon
         if time.monotonic() >= deadline:
             os.kill(pid, 9)
         _, status = os.waitpid(pid, 0)
-    assert time.monotonic() < deadline, "the child's cross-check did not return within 60 s"
+    assert time.monotonic() < deadline, "the child did not return within 60 s"
     assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
-    got, own = json.loads(data)
-    assert own and got == json.loads(json.dumps(report))
+    got, child_report, own = json.loads(data)
+    assert own and got == digest and child_report == json.loads(json.dumps(report))
 
 
 def test_a_process_exits_promptly_after_a_threaded_cross_check():
-    # the kept worker is idle on the executor's queue: the interpreter wakes
-    # and joins it at exit, which neither hangs nor changes the exit status
+    # the cross-check joins its worker before it returns: only the main
+    # thread is left, and the interpreter neither hangs at exit nor changes
+    # the exit status
     script = (
         "import os\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
@@ -237,7 +228,7 @@ def test_a_process_exits_promptly_after_a_threaded_cross_check():
         "report = cross_check_intersection_formulas(get_fixture('gbp'), "
         "CodeTransform(4, locals=['I', 'I', 'I', 'Y']))\n"
         "import threading\n"
-        "assert sorted(t.name for t in threading.enumerate()) == ['MainThread', 'qerasure-worker_0']\n"
+        "assert [t.name for t in threading.enumerate()] == ['MainThread']\n"
         "print(report['theorem4']['matches_direct'], report['theorem5']['matches_direct'])\n"
     )
     start = time.monotonic()
