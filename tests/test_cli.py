@@ -185,6 +185,23 @@ def test_table_output_exact(capsys, name):
     assert re.sub(r"residual [^,]+,", "residual <masked>,", out) == expected
 
 
+# Expected JSON bytes live in tests/cli_json/<name>.json, with the roundoff-level
+# fields masked as the tables mask residuals.
+JSON_CASES = {
+    **{f"{mode}-{f}": [mode, "--fixture", f] for mode in ("analyze", "classify", "distance")
+       for f in FIXTURES},
+    **{f"union-{f}": ["union", "--fixture", f] for f in ("rains-union", "gbp-union")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_CASES))
+def test_json_output_exact(capsys, name):
+    status, out, _ = run_cli(capsys, *JSON_CASES[name])
+    assert status == 0
+    expected = (Path(__file__).parent / "cli_json" / f"{name}.json").read_text()
+    assert re.sub(r'"(residual|max_cross_inner)": [^,\n]+', r'"\1": "<masked>"', out) == expected
+
+
 @pytest.mark.parametrize("mode", ["analyze", "classify", "distance"])
 def test_code_file_builds_one_gram_tensor(tmp_path, capsys, gram_builds, mode):
     path = tmp_path / "code.json"
@@ -494,6 +511,23 @@ def test_ingest_refuses_oversized_codes(tmp_path, capsys, monkeypatch, spec):
     assert status == 1 and out == ""
     assert err.startswith("qerasure: error[too-large]")
     assert err.count("\n") == 1
+
+
+def test_ingest_takes_codes_of_exactly_max_qubits(tmp_path, capsys):
+    # n = MAX_QUBITS with K = 1 is the largest code ingest accepts; one qubit
+    # more is refused before any amplitude is read
+    from qerasure.pauli import MAX_QUBITS
+
+    paths = []
+    for n in (MAX_QUBITS, MAX_QUBITS + 1):
+        paths.append(tmp_path / f"n{n}.json")
+        paths[-1].write_text(json.dumps({"n": n, "basis": [[[1.0, "0" * n]]]}))
+    status, out, err = run_cli(capsys, "distance", "--code", str(paths[0]))
+    assert status == 0 and err == ""
+    assert json.loads(out)["n"] == MAX_QUBITS
+    status, out, err = run_cli(capsys, "distance", "--code", str(paths[1]))
+    assert status == 1 and out == ""
+    assert err == f"qerasure: error[too-large] {paths[1]}: n={MAX_QUBITS + 1} exceeds the limit of {MAX_QUBITS} qubits\n"
 
 
 def test_union_refuses_oversized_union(tmp_path, capsys, gram_builds):

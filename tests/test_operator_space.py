@@ -15,6 +15,7 @@ from qerasure import (
     coords_to_matrices,
     enumerate_paulis,
     equality_residual,
+    erasure_space,
     matrices_to_coords,
     operator_weight,
     pauli_coords,
@@ -27,7 +28,7 @@ from qerasure import operator_space
 from qerasure.operator_space import _complete_orthonormal, _pauli_table
 from qerasure.pauli import PauliOperator, _pauli_masks, _reverse_bits
 
-from _oracle import dense_pauli, gram, sorted_paulis
+from _oracle import dense_pauli, erasure_constraint_matrix, gram, sorted_paulis, svd_rank
 from _svd_route import (
     intersect,
     basis_containment_residual,
@@ -330,6 +331,25 @@ def test_containment_residual_matches_full_svd(rng):
         assert got < 1e-14
 
 
+def test_containment_residual_of_a_one_dimensional_inner_space(rng):
+    # inner is the span of one operator E, outer a code's erasure space: the
+    # residual is the sine of the angle between E and outer, read off the
+    # dense oracle's constraint rows, whose conjugates span outer's complement
+    n = 2
+    code = random_code(rng, n, 2)
+    outer = erasure_space(code)
+    rows = erasure_constraint_matrix(code.basis, n).conj().T
+    span = np.linalg.svd(rows, full_matrices=False)[0][:, :svd_rank(rows)]
+    member = outer.basis @ rng.standard_normal(outer.dim)
+    other = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    for e in (other, member, member + 1e-6 * other):
+        inner = from_span(n, e[:, None])
+        assert inner.dim == 1
+        ref = np.linalg.norm(span.conj().T @ e) / np.linalg.norm(e)
+        assert abs(containment_residual(inner, outer) - ref) < 1e-12
+    assert containment_residual(from_span(n, other[:, None]), outer) > 0.1
+
+
 def test_full_space():
     s = OperatorSubspace(2, np.zeros((16, 0)))
     assert s.dim == 16
@@ -616,6 +636,133 @@ def test_wide_complements_at_n6_fill_blocks_of_2k_rows_in_ranges(rng, monkeypatc
     cols = rest[:, ::97]
     assert np.max(np.abs(cols.T @ cols - np.eye(cols.shape[1]))) < 1e-12
     assert np.max(np.abs(part.T @ rest)) < 1e-12
+
+
+@pytest.fixture
+def kept():
+    """operator_space._kept, emptied before and after the test, so no buffer outlives it."""
+    operator_space._kept.clear()
+    yield operator_space._kept
+    operator_space._kept.clear()
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_an_n6_basis_is_written_into_the_buffer_of_the_last_one(rng, kept):
+    # once the last n = 6 basis is gone, the next one is written into its
+    # buffer (the same data pointer); while a view of it is held, a fresh
+    # buffer takes its place, and the basis is bitwise the reused one
+    part = random_part(rng, 4096, 3, float)
+    s = OperatorSubspace(6, part)
+    first = s.basis.ctypes.data
+    assert not s.basis.flags.writeable and s.basis.base is kept["basis"]
+    del s
+    reused = _complete_orthonormal(part)
+    assert reused.ctypes.data == first and reused.base is kept["basis"]
+    fresh = _complete_orthonormal(part)
+    assert fresh.ctypes.data != first and fresh.base is kept["basis"]
+    assert same_bits(fresh, reused)
+
+
+@pytest.mark.parametrize("k", [0, 3, 8])
+def test_a_kept_buffer_of_nan_gives_the_fresh_basis_bitwise(rng, kept, k):
+    # the blocked product and the shifted ones write every entry, so nothing
+    # the buffer held shows: the whole space (an empty product), k = 3 in
+    # cache-sized blocks and k = 8 in blocks of 2k rows
+    part = random_part(rng, 4096, k, float)
+    fresh = _complete_orthonormal(part)
+    digest, pointer = hashlib.sha256(fresh.data).hexdigest(), fresh.ctypes.data
+    del fresh
+    kept["basis"].view(np.float64).fill(np.nan)
+    reused = _complete_orthonormal(part)
+    assert reused.ctypes.data == pointer
+    assert hashlib.sha256(reused.data).hexdigest() == digest
+
+
+def test_a_sub_view_blocks_reuse_and_keeps_its_bits(rng, kept):
+    # a strided view outlives its subspace: its buffer is not reused, and
+    # the next n = 6 basis goes to a fresh one, kept in its place
+    s = OperatorSubspace(6, random_part(rng, 4096, 3, float))
+    sub = s.basis[:, ::7]
+    before = sub.copy()
+    del s
+    other = _complete_orthonormal(random_part(rng, 4096, 3, float))
+    assert other.base is not sub.base and other.base is kept["basis"]
+    assert same_bits(sub, before)
+
+
+def test_the_holder_count_sees_every_view_of_a_buffer():
+    # views, strided views, reshapes, as_strided and memoryviews each hold
+    # the buffer that owns the memory, so each raises its count
+    buffer = np.empty(64 * 8, dtype=np.uint8)
+    count = operator_space._holders(buffer)
+    assert count == operator_space._ALONE
+    for make in (lambda b: b[64:].view(np.float64).reshape(7, 8)[:, ::3],
+                 lambda b: b.view(complex).T,
+                 lambda b: np.lib.stride_tricks.as_strided(b.view(np.float64)),
+                 lambda b: memoryview(b.view(np.float64).reshape(8, 8))):
+        holder = make(buffer)
+        count = operator_space._holders(buffer)
+        assert count > operator_space._ALONE
+        del holder
+        count = operator_space._holders(buffer)
+        assert count == operator_space._ALONE
+
+
+def test_outputs_below_the_range_size_keep_no_buffer(rng, kept):
+    # an n = 5 basis (below 2 _THREAD_BYTES) neither takes nor replaces the
+    # kept buffer
+    sentinel = kept["basis"] = np.empty(16, dtype=np.uint8)
+    for k in (3, 35):
+        _complete_orthonormal(random_part(rng, 1024, k, float))
+    assert kept["basis"] is sentinel
+
+
+def test_a_kept_buffer_is_reused_when_large_enough(rng, monkeypatch, kept):
+    # with _THREAD_BYTES at one byte every output is kept: a real basis goes
+    # into a complex one's buffer, a complex one does not fit a real one's
+    # and its fresh buffer is kept instead
+    monkeypatch.setattr(operator_space, "_THREAD_BYTES", 1)
+    real, wide = random_part(rng, 256, 3, float), random_part(rng, 256, 3, complex)
+    pointer = _complete_orthonormal(wide).ctypes.data
+    assert _complete_orthonormal(real).ctypes.data == pointer
+    kept["basis"] = np.empty(real.shape[0] * (real.shape[0] - 3) * 8, dtype=np.uint8)
+    small = kept["basis"].ctypes.data
+    rest = _complete_orthonormal(wide)
+    assert rest.ctypes.data != small and rest.base is kept["basis"]
+    assert_completes(wide, rest)
+
+
+def test_two_completions_at_once_never_share_a_buffer(rng, monkeypatch, kept, fresh_pool):
+    # two calls meet at a barrier in their first block, so both fill at
+    # once: the one that took the kept buffer holds it, the other writes a
+    # fresh one, and both are bitwise the serial basis
+    fresh_pool.set_cpus(1)  # each call fills in its own thread
+    monkeypatch.setattr(operator_space, "_THREAD_BYTES", 1)
+    part = random_part(rng, 256, 3, float)
+    serial = _complete_orthonormal(part).copy()
+    barrier, matmul, results = threading.Barrier(2, timeout=10), np.matmul, [None, None]
+
+    def meeting(a, b, out):
+        if block_row(out) == 0:
+            barrier.wait()
+        return matmul(a, b, out=out)
+
+    def complete(i):
+        results[i] = _complete_orthonormal(part)
+
+    monkeypatch.setattr(np, "matmul", meeting)
+    threads = [threading.Thread(target=complete, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    monkeypatch.setattr(np, "matmul", matmul)
+    a, b = results
+    assert a.base is not b.base and any(r.base is kept["basis"] for r in results)
+    assert same_bits(a, serial) and same_bits(b, serial)
 
 
 def test_member_residual_routes_agree(rng):
