@@ -292,12 +292,7 @@ def _blocks(items: int, item_bytes: int, width: int = 1) -> list[slice]:
 
 # Output bytes per thread of the completion (BENCH_27.json): every basis up
 # to n = 5 (at most 17 MB) stays in the calling thread, where two threads
-# were slower; a real n = 6 one (134 MB) may take four.  An output of two
-# such shares or more takes blocks of 2k rows where the cache rule would
-# give one product: at n = 6 on two CPUs, a real k = 8 completion took 18
-# against 37 ms and a complex k = 4 one 47 against 76 ms, but at n = 5,
-# k = 35, blocks were slower than the one product (2.9-3.5 against 2.7-2.9
-# ms; BENCH_29.json, in-process).
+# were slower; a real n = 6 one (134 MB) may take four.
 _THREAD_BYTES = 32 << 20
 # Bytes of a union's direct grid, 8 * 4^n * (2K)^2, from which
 # unions._cross_check builds it in a thread of its own beside the pipeline
@@ -375,8 +370,9 @@ def _complete_orthonormal(part: np.ndarray) -> np.ndarray:
     Geijn, "Anatomy of high-performance matrix multiplication", ACM TOMS 34,
     2008).  Every block repacks all of M, k rows against the block's rows, so
     a complement of more columns than half a block's rows takes blocks of 2k
-    rows when the output is large enough for the thread rule to split it
-    (2 _THREAD_BYTES, so only n = 6), and otherwise the single product.
+    rows: at n = 6 on two CPUs a real k = 8 completion took 18 against 37 ms
+    for one product (BENCH_29.json), and at n = 5 a real k = 35 one 1.78
+    against 1.73 ms (BENCH_43.json), so one rule serves every size.
     Contiguous ranges of blocks go to min(CPUs, output bytes //
     _THREAD_BYTES, blocks) threads, the caller and threads started and
     joined by this call (_beside), each zeroing the fresh pages it faults
@@ -410,9 +406,7 @@ def _complete_orthonormal(part: np.ndarray) -> np.ndarray:
     if buffer is None or buffer.nbytes < size or _holders(buffer) != _ALONE:
         buffer = np.empty(size, dtype=np.uint8)
     out = buffer[:size].view(m.dtype).reshape(dim, dim - k)
-    rows = max(_BLOCK_BYTES // (out.itemsize * max(dim - k, 1)), 1)
-    if 2 * k > rows:
-        rows = 2 * k if keep else dim
+    rows = max(_BLOCK_BYTES // (out.itemsize * max(dim - k, 1)), 2 * k, 1)
     ones = out.reshape(-1)[k * (dim - k)::dim - k + 1]  # entry (k + j, j)
     blocks = -(-dim // rows)
 

@@ -33,8 +33,8 @@ Spans given by their vectors are built here too: only tests build them.
 
 import numpy as np
 
-from qerasure import OperatorSubspace
-from qerasure.erasure import _condition_complement, _deviations, _scaled_columns
+from qerasure import OperatorSubspace, erasure_space, pure_erasure_space
+from qerasure.erasure import _condition_complement, _deviations, _scaled_columns, annihilating_space
 from qerasure.operator_space import (
     _as_columns,
     _complete_orthonormal,
@@ -109,6 +109,11 @@ def pure_space_svd(code):
 
 def annihilating_space_svd(code):
     return _nullspace(code, 0)
+
+
+# Each closed-form space of the package beside its route here.
+CLOSED_FORMS = ((erasure_space, erasure_space_svd), (pure_erasure_space, pure_space_svd),
+                (annihilating_space, annihilating_space_svd))
 
 
 def product_image(s, left=None, right=None):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qerasure import code_to_json, fixture_gbp_code
+from qerasure import code_to_json, fixture_gbp_code, get_fixture
 from qerasure.cli import CliError, main
 
 from _oracle import (
@@ -174,14 +174,30 @@ TABLE_CASES = {
     "theorem-check-gbp": ["theorem-check", "--fixture", "gbp", "--transform", GBP_PAIR],
     "theorem-check-rains-subcode": ["theorem-check", "--fixture", "rains-subcode",
                                     "--transform", RAINS_PAIR],
+    # a dense (H) local, with ES(C)-perp and the union's projector column both non-empty
+    "theorem-check-gbp-dense": ["theorem-check", "--fixture", "gbp", "--transform",
+                                json.dumps({"locals": ["I", "X", "H", "X"]})],
+    # K = 8 at n = 4: the union fills the whole space, so its pure complement
+    # has no projector column, and its grid (16 x 16) is the widest here
+    "theorem-check-gbp-union": ["theorem-check", "--fixture", "gbp-union", "--transform",
+                                json.dumps({"locals": ["I", "I", "I", "X"]})],
 }
+# Each fixture written by code_to_json and read back through --code meets the
+# fixture's own table.
+CODE_FILE_TABLES = [f"{mode}-{f}" for mode in ("analyze", "distance") for f in FIXTURES]
 
 
-@pytest.mark.parametrize("name", sorted(TABLE_CASES))
-def test_table_output_exact(capsys, name):
-    status, out, _ = run_cli(capsys, *TABLE_CASES[name], "--format", "table")
+@pytest.mark.parametrize("name", sorted(TABLE_CASES) + sorted(f"{t}-code-file" for t in CODE_FILE_TABLES))
+def test_table_output_exact(capsys, tmp_path, name):
+    table = name.removesuffix("-code-file")
+    argv = TABLE_CASES[table]
+    if table != name:
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(code_to_json(get_fixture(argv[2]))))
+        argv = [argv[0], "--code", str(path)]
+    status, out, _ = run_cli(capsys, *argv, "--format", "table")
     assert status == 0
-    expected = (Path(__file__).parent / "cli_tables" / f"{name}.txt").read_text()
+    expected = (Path(__file__).parent / "cli_tables" / f"{table}.txt").read_text()
     assert re.sub(r"residual [^,]+,", "residual <masked>,", out) == expected
 
 

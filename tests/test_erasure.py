@@ -2,7 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from qerasure import (
     OperatorSubspace,
@@ -43,13 +42,7 @@ from _oracle import (
     svd_rank,
     zero_block_constraint_matrix,
 )
-from _svd_route import (
-    annihilating_space_svd,
-    erasure_space_svd,
-    from_span,
-    pure_space_svd,
-    wide_nullspace_complement,
-)
+from _svd_route import CLOSED_FORMS, from_span
 from conftest import assert_orthonormal, random_code
 
 
@@ -290,30 +283,6 @@ def test_union_space_dims_frozen():
     union = get_fixture("rains-union")
     assert erasure_space(union).dim == 989   # 4^5 - (36 - 1)
     assert pure_erasure_space(union).dim == 988
-
-
-CLOSED_FORMS = ((erasure_space, erasure_space_svd), (pure_erasure_space, pure_space_svd),
-                (annihilating_space, annihilating_space_svd))
-
-
-@st.composite
-def random_frames(draw):
-    n = draw(st.integers(1, 4))
-    k = draw(st.integers(1, 1 << n))
-    return random_code(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, k)
-
-
-@settings(max_examples=40, deadline=None, database=None)
-@given(random_frames())
-def test_closed_form_spaces_match_svd_route(code):
-    # the closed forms are real; the SVD route factors the complex condition rows
-    for closed, svd in CLOSED_FORMS:
-        space, oracle = closed(code), svd(code)
-        assert space.complement.dtype == np.float64
-        assert oracle.complement.dtype == np.complex128
-        assert space.dim == oracle.dim
-        assert equality_residual(space, oracle) < 1e-12
-        assert_orthonormal(space, 1e-12)
 
 
 def test_closed_form_dims_are_structural(rng):
@@ -591,34 +560,6 @@ def test_hermitian_basis_rejects_non_adjoint_closed():
     s = from_span(2, v)
     with pytest.raises(ValueError):
         hermitian_basis(s)
-
-
-@st.composite
-def complex_constraints(draw):
-    """Complex rows R on n <= 3 qubits, at most half as many as coordinates."""
-    n = draw(st.integers(1, 3))
-    dim = 4**n
-    r = draw(st.integers(1, dim // 2))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return n, rng.standard_normal((r, dim)) + 1j * rng.standard_normal((r, dim))
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(complex_constraints())
-def test_hermitian_basis_of_complex_adjoint_closed_spaces(case):
-    # R stacked with conj(R) cuts out an adjoint-closed space (v -> conj(v)
-    # swaps the two blocks) whose complement is complex; R alone does not
-    n, rows = case
-    space = OperatorSubspace(n, wide_nullspace_complement(np.vstack([rows, rows.conj()])))
-    assert space.complement.dtype == np.complex128
-    vecs = hermitian_basis(space)
-    assert len(vecs) == space.dim
-    out = np.reshape(vecs, (space.dim, 4**n)).T
-    assert np.max(np.abs(out.imag), initial=0) < 1e-12  # Hermitian: real coordinates
-    assert np.max(np.abs(out.T @ out - np.eye(space.dim)), initial=0) < 1e-10
-    assert all(space.member_residual(v) < 1e-10 for v in out.T)
-    with pytest.raises(ValueError):
-        hermitian_basis(OperatorSubspace(n, wide_nullspace_complement(rows)))
 
 
 def test_hermitian_basis_edge_dimensions(rng):

@@ -7,7 +7,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from qerasure import (
     OperatorSubspace,
@@ -422,6 +421,7 @@ def test_intersect_membership_probes(rng):
 
 
 def test_containment_residual_against_scipy(rng):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
     n = 2
     big = from_span(
         n, rng.standard_normal((16, 9)) + 1j * rng.standard_normal((16, 9)))
@@ -429,7 +429,7 @@ def test_containment_residual_against_scipy(rng):
     assert containment_residual(small, big) < 1e-10
     other = from_span(
         n, rng.standard_normal((16, 5)) + 1j * rng.standard_normal((16, 5)))
-    angles = scipy.linalg.subspace_angles(other.basis, big.basis)
+    angles = scipy_linalg.subspace_angles(other.basis, big.basis)
     assert abs(containment_residual(other, big) - np.sin(np.max(angles))) < 1e-9
 
 
@@ -485,7 +485,7 @@ def random_part(rng, dim, k, dtype):
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_complete_orthonormal_matches_complete_qr(rng, n, dtype):
     # at n = 5, k = 3 completes in row blocks, k = 15 too when real, and
-    # k = 35 in one product; k = dim leaves no column to size a block by
+    # k = 35 in blocks of 70 rows; k = dim leaves no column to size a block by
     dim = 4**n
     for k in (3, 15, 35) if n == 5 else (0, 1, dim - 1, dim):
         part = random_part(rng, dim, k, dtype)
@@ -609,10 +609,10 @@ def test_a_failed_range_leaves_no_basis_and_no_thread(rng, monkeypatch, fresh_po
 
 def test_wide_complements_at_n6_fill_blocks_of_2k_rows_in_ranges(rng, monkeypatch, fresh_pool):
     # a real n = 6 complement of k = 8 columns is wider than half the cache
-    # block (8 rows) but its 134 MB output splits: blocks of 16 rows, in one
+    # block (8 rows), and its 134 MB output splits: blocks of 16 rows, in one
     # range per CPU, bitwise the one-range fill and orthonormal off the
-    # complement.  At n = 5 an output below the thread rule keeps the single
-    # product for k = 35
+    # complement.  At n = 5 an output below the thread rule takes blocks of
+    # 2k rows too, in the caller: 70 rows for k = 35, the last block short
     calls, matmul = [], np.matmul
 
     def counted(a, b, out):
@@ -622,7 +622,7 @@ def test_wide_complements_at_n6_fill_blocks_of_2k_rows_in_ranges(rng, monkeypatc
     monkeypatch.setattr(np, "matmul", counted)
     part = random_part(rng, 1024, 35, float)
     assert_completes(part, _complete_orthonormal(part))
-    assert calls == [1024]
+    assert calls == [70] * 14 + [44]
     part = random_part(rng, 4096, 8, float)
     digests = []
     for cpus in (1, 2):

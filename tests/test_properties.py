@@ -1,9 +1,13 @@
-"""Property tests (hypothesis, derandomized) on up to four qubits.
+"""Property tests (hypothesis) on up to four qubits.
 
 The transform round trip, the Pauli group laws of the mask arithmetic, the
 subspace maps of the union formulas, the code and transform readers of the
-command line against arbitrary JSON, and ingest against its per-term
-reference, by hypothesis and on listed first faults.
+command line against arbitrary JSON, ingest against its per-term
+reference, by hypothesis and on listed first faults, the closed-form spaces
+of random frames against their SVD route, and the Hermitian basis of
+complex adjoint-closed spaces.  Every search is derandomized but the one
+over random frames.  The module is skipped where hypothesis is not
+installed.
 """
 
 import contextlib
@@ -17,6 +21,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+pytest.importorskip("hypothesis")
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +35,7 @@ from qerasure import (
     UnitaryAction,
     conjugate_subspace,
     equality_residual,
+    hermitian_basis,
     multiply,
     pauli_to_string,
     to_matrix,
@@ -38,8 +46,8 @@ from qerasure.codes import CodeValidationError, ingest_code
 
 import _loop_route
 from _oracle import dense_pauli, transform_matrix
-from _svd_route import product_image
-from conftest import assert_orthonormal, random_unitary
+from _svd_route import CLOSED_FORMS, product_image, wide_nullspace_complement
+from conftest import assert_orthonormal, random_code, random_unitary
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -374,3 +382,51 @@ def test_a_bad_norm_before_a_bad_term_is_reported_first(ket, reason):
     outcome = _ingest_outcome(ingest_code, spec)
     assert outcome == ("refused", f"basis vector 1 {reason}")
     assert outcome == _ingest_outcome(_loop_route.ingest_code, spec)
+
+
+@st.composite
+def random_frames(draw):
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 1 << n))
+    return random_code(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, k)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(random_frames())
+def test_closed_form_spaces_match_svd_route(code):
+    # the closed forms are real; the SVD route factors the complex condition rows
+    for closed, svd in CLOSED_FORMS:
+        space, oracle = closed(code), svd(code)
+        assert space.complement.dtype == np.float64
+        assert oracle.complement.dtype == np.complex128
+        assert space.dim == oracle.dim
+        assert equality_residual(space, oracle) < 1e-12
+        assert_orthonormal(space, 1e-12)
+
+
+@st.composite
+def complex_constraints(draw):
+    """Complex rows R on n <= 3 qubits, at most half as many as coordinates."""
+    n = draw(st.integers(1, 3))
+    dim = 4**n
+    r = draw(st.integers(1, dim // 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return n, rng.standard_normal((r, dim)) + 1j * rng.standard_normal((r, dim))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(complex_constraints())
+def test_hermitian_basis_of_complex_adjoint_closed_spaces(case):
+    # R stacked with conj(R) cuts out an adjoint-closed space (v -> conj(v)
+    # swaps the two blocks) whose complement is complex; R alone does not
+    n, rows = case
+    space = OperatorSubspace(n, wide_nullspace_complement(np.vstack([rows, rows.conj()])))
+    assert space.complement.dtype == np.complex128
+    vecs = hermitian_basis(space)
+    assert len(vecs) == space.dim
+    out = np.reshape(vecs, (space.dim, 4**n)).T
+    assert np.max(np.abs(out.imag), initial=0) < 1e-12  # Hermitian: real coordinates
+    assert np.max(np.abs(out.T @ out - np.eye(space.dim)), initial=0) < 1e-10
+    assert all(space.member_residual(v) < 1e-10 for v in out.T)
+    with pytest.raises(ValueError):
+        hermitian_basis(OperatorSubspace(n, wide_nullspace_complement(rows)))

@@ -8,6 +8,10 @@ _svd_route.
 """
 
 import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+
 from hypothesis import given, settings, strategies as st
 
 from qerasure import OperatorSubspace, containment_residual, equality_residual

@@ -1034,7 +1034,9 @@ def test_block_sum_in_column_blocks_is_bitwise_one_block(monkeypatch, rng, n, k,
     # the complex gram columns go through the maps a block of whole ket rows
     # at a time, each block but the last a multiple of four columns: K = 7
     # takes rows in fours, and a lone last row of K > 1 columns stays on its
-    # own (n = 6, K = 5); n = 6, K = 3 fits in one block of four rows
+    # own (n = 6, K = 5); n = 6, K = 3 fits in one block of four rows.  The
+    # whole cross-check report, its gram tensors, direct grid and pair
+    # residuals in blocks too, is the one-block report bit for bit
     from conftest import one_block
     from qerasure import operator_space
 
@@ -1042,6 +1044,10 @@ def test_block_sum_in_column_blocks_is_bitwise_one_block(monkeypatch, rng, n, k,
     assert [b.stop - b.start for b in operator_space._blocks(k, 16 * 4**n * k, width=k)] == blocks
     got = _block_sum(code, act)
     assert got.tobytes() == one_block(monkeypatch, _block_sum, code, act).tobytes()
+    union, _ = union_code([code, transform_code(code, act)])
+    report = _cross_check(code, act, union)
+    assert report == one_block(monkeypatch, _cross_check, code, act, union)
+    assert report["theorem4"]["matches_direct"] and report["theorem5"]["matches_direct"]
 
 
 def test_pair_residuals_in_row_blocks_are_bitwise_one_block(monkeypatch, rng):
