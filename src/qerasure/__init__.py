@@ -12,9 +12,8 @@ from .codes import (
     CodeValidationError,
     QuantumCode,
     code_to_json,
-    fixture_gbp_code,
-    fixture_rains_subcode,
     ingest_code,
+    ket_from_terms,
     transform_code,
 )
 from .erasure import (
@@ -32,6 +31,8 @@ from .erasure import (
 )
 from .fixtures import (
     FIXTURE_NAMES,
+    fixture_gbp_code,
+    fixture_rains_subcode,
     fixture_union_components,
     gbp_pair_transform,
     get_fixture,
@@ -59,12 +60,7 @@ from .pauli import (
     to_matrix,
     weight,
 )
-from .states import (
-    CodeTransform,
-    UnitaryAction,
-    cyclic_shift,
-    ket_from_terms,
-)
+from .states import CodeTransform, UnitaryAction, cyclic_shift
 from .tolerances import MATRIX_ELEMENT_TOL, MEMBERSHIP_TOL, SUBSPACE_TOL
 from .unions import (
     OrthogonalityError,

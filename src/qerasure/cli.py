@@ -25,11 +25,7 @@ from .erasure import _complement_width, _scan, is_degenerate_distance, minimum_d
 from .fixtures import FIXTURE_NAMES, fixture_union_components, get_fixture
 from .operator_space import _pauli_table
 from .states import CodeTransform, UnitaryAction
-from .unions import (
-    _cross_check,
-    cross_check_intersection_formulas,
-    union_code,
-)
+from .unions import _cross_check, cross_check_intersection_formulas, union_code
 
 
 class CliError(Exception):
@@ -150,11 +146,12 @@ def _mode_distance(args) -> dict:
 
 def _union_inputs(args) -> tuple[list[QuantumCode], QuantumCode | None, UnitaryAction | None]:
     """Components plus, when built from a transform, the base code and the transform's action."""
-    if args.fixture is not None and args.fixture in ("rains-union", "gbp-union"):
+    components = fixture_union_components(args.fixture) if args.fixture in FIXTURE_NAMES else None
+    if components is not None:
         if args.code is not None or args.transform is not None or args.code2 is not None:
             raise CliError("bad-arguments",
                            "union fixtures already define their components")
-        return list(fixture_union_components(args.fixture)), None, None
+        return list(components), None, None
     base = _resolve_code(args)
     if (args.code2 is None) == (args.transform is None):
         raise CliError("bad-arguments",

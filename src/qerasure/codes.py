@@ -1,4 +1,4 @@
-"""Quantum codes as validated orthonormal basis matrices, plus the bundled examples.
+"""Quantum codes as validated orthonormal basis matrices, and the code-file format.
 
 A code on n qubits is a (2^n, K) matrix of orthonormal columns, its kets.  A
 code is its span, not its ordered basis: any orthonormal basis of the same
@@ -7,25 +7,24 @@ first, enforces pairwise orthogonality to 1e-9, and then orthonormalizes the
 accepted basis to roundoff, so that every quantity built from it (the
 closed-form complements of the erasure spaces first of all) is as
 orthonormal as floating point allows.
+
+The code-file format is read and written here alone (ingest_code,
+code_to_json, ket_from_terms); the bundled codes are built in fixtures.
 """
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
 from .operator_space import _pauli_grams
 from .pauli import MAX_QUBITS, _check_qubits
-from .states import (
-    CodeTransform,
-    UnitaryAction,
-    _as_action,
-    _read_terms,
-    _sum_terms,
-    ket_from_terms,
-)
+from .states import CodeTransform, UnitaryAction, _as_action
 from .tolerances import AMPLITUDE_TOL, ORTHONORMALITY_TOL
 
 # Size limit of ingest: at most MAX_QUBITS qubits (the 4^n-coordinate Pauli
@@ -107,6 +106,72 @@ def _check_gram_size(n: int, k: int) -> None:
             f"n={n}, K={k} needs a {gram_bytes >> 20} MiB gram tensor; "
             f"the limit is {MAX_GRAM_BYTES >> 20} MiB"
         )
+
+
+_TERM_KEYS = frozenset(("re", "im", "bits"))
+_FLOAT_MAX = sys.float_info.max
+
+
+def _is_finite_number(x) -> bool:
+    """A number within the float range: not a bool, a string, NaN or an infinity."""
+    if type(x) is not float and (not isinstance(x, numbers.Number) or isinstance(x, bool)):
+        return False
+    return abs(x) <= _FLOAT_MAX
+
+
+def _read_terms(n: int, terms: Iterable, offset: int, slots: list, values: list) -> None:
+    """Check each term in order, appending its amplitude slot (offset + bits) and value.
+
+    A term is [amplitude, bits] or a mapping with keys among "re", "im" and
+    "bits"; the first bad term raises ValueError.  Values are re + 1j * im, as
+    a term-by-term sum would add them.
+    """
+    for term in terms:
+        if isinstance(term, dict):
+            if not term.keys() <= _TERM_KEYS:
+                raise ValueError(f"unknown term keys {sorted(term.keys() - _TERM_KEYS)}")
+            re, im, bits = term.get("re", 0.0), term.get("im", 0.0), term.get("bits")
+        elif isinstance(term, (list, tuple)) and len(term) == 2:
+            (re, bits), im = term, 0.0
+        else:
+            raise ValueError(f"a term must be [amplitude, bits] or an object of re, im and "
+                             f"bits; got {term!r}")
+        # two finite floats pass by comparison alone; anything else takes the general check
+        if not (type(re) is float and type(im) is float
+                and -_FLOAT_MAX <= re <= _FLOAT_MAX and -_FLOAT_MAX <= im <= _FLOAT_MAX) \
+                and not (_is_finite_number(re) and _is_finite_number(im)):
+            raise ValueError(f"amplitude {re!r}, {im!r} is not a finite number")
+        if not isinstance(bits, str) or len(bits) != n or bits.strip("01"):
+            raise ValueError(f"bitstring {bits!r} is not {n} bits")
+        slots.append(offset + int(bits, 2))
+        values.append(re + 1j * im)
+
+
+def _sum_terms(slots: list, values: list, size: int) -> np.ndarray:
+    """Amplitudes of length size: each slot's values summed in input order.
+
+    One bincount per part adds in the order given, from +0.0, so the sums are
+    bitwise those of adding the terms one by one.
+    """
+    slots = np.array(slots, dtype=np.intp)
+    values = np.array(values, dtype=complex)
+    amps = np.empty(size, dtype=complex)
+    amps.real = np.bincount(slots, weights=values.real, minlength=size)
+    amps.imag = np.bincount(slots, weights=values.imag, minlength=size)
+    return amps
+
+
+def ket_from_terms(n: int, terms: Iterable) -> np.ndarray:
+    """The 2^n amplitudes of (amplitude, bitstring) terms, e.g. [(1, "0000"), (1, "1111")].
+
+    Terms are summed as given; normalize explicitly when needed.  Each term is
+    a pair or a mapping with keys "re", "im", "bits" and no others; anything
+    else is refused.  Amplitude parts must be numbers within the float range
+    (not bools, strings, NaN or infinities) and bits a string of n binary digits.
+    """
+    slots, values = [], []
+    _read_terms(n, terms, 0, slots, values)
+    return _sum_terms(slots, values, 1 << n)
 
 
 def ingest_code(spec: dict) -> QuantumCode:
@@ -210,36 +275,3 @@ def transform_code(code: QuantumCode, t: CodeTransform | UnitaryAction | np.ndar
     if label is None:
         label = f"U({code.label})"
     return QuantumCode(n=code.n, basis=_as_action(code.n, t).matrix @ code.basis, label=label)
-
-
-def _cyclic_orbit(bits: str) -> list[str]:
-    """Distinct cyclic rotations, rotating position j to j+1."""
-    out, s = [], bits
-    for _ in range(len(bits)):
-        if s not in out:
-            out.append(s)
-        s = s[-1] + s[:-1]
-    return out
-
-
-def fixture_rains_subcode() -> QuantumCode:
-    """The five-qubit single-ket code built from signed cyclic orbit sums.
-
-    The generator is |00000> minus the orbit sum of |00011>, plus the orbit
-    sum of |00101>, minus the orbit sum of |01111>, normalized.  Every
-    weight-one and weight-two Pauli has zero expectation in it.
-    """
-    terms = [(1.0, "00000")]
-    terms += [(-1.0, b) for b in _cyclic_orbit("00011")]
-    terms += [(1.0, b) for b in _cyclic_orbit("00101")]
-    terms += [(-1.0, b) for b in _cyclic_orbit("01111")]
-    ket = ket_from_terms(5, terms)
-    return QuantumCode(n=5, basis=(ket / np.linalg.norm(ket))[:, None], label="rains-subcode")
-
-
-def fixture_gbp_code() -> QuantumCode:
-    """The four-qubit, four-dimensional code spanned by paired bitstrings."""
-    pairs = [("0000", "1111"), ("0110", "1001"), ("0101", "1010"), ("1100", "0011")]
-    kets = [ket_from_terms(4, [(1.0, a), (1.0, b)]) for a, b in pairs]
-    return QuantumCode(n=4, basis=np.column_stack([v / np.linalg.norm(v) for v in kets]),
-                       label="gbp")

@@ -255,16 +255,6 @@ def _below(rows: int, cols: int, shift: int) -> np.ndarray:
     return mask
 
 
-@lru_cache(maxsize=None)
-def _pair_phase(n: int, k: int) -> np.ndarray:
-    """x_ij's (K, K) phase to Z_ij + i Z_ji (unions._block_sum): 2^(-n/2) times sqrt(2) above the
-    diagonal, i sqrt(2) below it and 1 + i on it; read-only."""
-    phase = np.where(np.tri(k, k, -1, dtype=bool), 1j, 1) * np.sqrt(2) * 2.0 ** (-n / 2)
-    np.fill_diagonal(phase, (1 + 1j) * 2.0 ** (-n / 2))
-    phase.flags.writeable = False
-    return phase
-
-
 def erasure_space(code: QuantumCode) -> OperatorSubspace:
     """The space of all operators passing check_erasure, as a subspace.
 

@@ -35,9 +35,10 @@ Completion writes the last 4^n - k columns of the compact-WY Householder QR
 of the k known columns as a rank-k product, one cache-sized row block at a
 time (see _complete_orthonormal).  At n = 6 that spanning basis is a 4096 x
 ~4093 array, float64 (134 MB) for a real space and complex (268 MB)
-otherwise, the only O(16^n) object here.  The kernel zeroes each fresh page
-it faults in, so the blocks are filled in one contiguous range per CPU.  It
-is cached read-only.  glibc unmaps every freed block above its 32 MiB mmap
+otherwise, the only O(16^n) object here; a larger one is refused before it
+is allocated (MAX_BASIS_BYTES).  The kernel zeroes each fresh page it faults
+in, so the blocks are filled in one contiguous range per CPU.  It is cached
+read-only.  glibc unmaps every freed block above its 32 MiB mmap
 ceiling, so each fresh n = 6 basis would have the kernel fault in and zero
 all its pages again.  The completion keeps the buffer behind its last n = 6
 basis and writes the next one into it once no array refers to it, so one
@@ -74,11 +75,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .pauli import (
-    PauliOperator,
-    _pauli_masks,
-    _reverse_bits,
-)
+from .pauli import PauliOperator, _pauli_masks, _reverse_bits
 from .tolerances import COEFFICIENT_TOL
 
 
@@ -171,12 +168,12 @@ def _pauli_grams(left: np.ndarray, right: np.ndarray, n: int) -> np.ndarray:
 
     A code's own tensor passes its basis as both.  The blocks of
     _gram_blocks are scattered to their rows of one output, written once;
-    a single block is gathered instead, which was faster for small outputs.
+    a single block is gathered instead, which is faster for small outputs.
     """
     t, shape = _pauli_table(n), (4**n, left.shape[1], right.shape[1])
     out, rows = None, t.coordinate.reshape(1 << n, 1 << n)
     for xs, block in _gram_blocks(left, right, n):
-        if xs == slice(0, 1 << n):
+        if xs == slice(0, 1 << n):  # at 256 KiB up to twice the scatter's speed (BENCH_44.json)
             return block.reshape(shape)[t.slots]
         if out is None:
             out = np.empty(shape, dtype=complex)
@@ -290,6 +287,9 @@ def _blocks(items: int, item_bytes: int, width: int = 1) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
+# The largest spanning basis completed: a complex one at n = 6, 4^6 x 4^6
+# entries of 16 bytes.  Any basis at n = 7 takes 2 GiB or more.
+MAX_BASIS_BYTES = 1 << 28
 # Output bytes per thread of the completion (BENCH_27.json): every basis up
 # to n = 5 (at most 17 MB) stays in the calling thread, where two threads
 # were slower; a real n = 6 one (134 MB) may take four.
@@ -443,7 +443,12 @@ class OperatorSubspace:
 
     @property
     def basis(self) -> np.ndarray:
+        """The spanning basis, (4^n, dim); a basis beyond MAX_BASIS_BYTES raises ValueError."""
         if self._basis is None:
+            size = self.total_dim * self.dim * self.complement.itemsize
+            if size > MAX_BASIS_BYTES:
+                raise ValueError(f"n={self.n}, dim={self.dim} needs a {size >> 20} MiB spanning "
+                                 f"basis; the limit is {MAX_BASIS_BYTES >> 20} MiB")
             self._basis = _complete_orthonormal(self.complement)
             self._basis.flags.writeable = False
         return self._basis

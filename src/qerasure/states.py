@@ -1,4 +1,4 @@
-"""Reading amplitude terms, code transforms and the unitaries they act as.
+"""Code transforms and the unitaries they act as.
 
 A transform is a qubit permutation composed with per-qubit 2x2 unitaries; the
 locals act first, then the permutation moves qubit j to position perm[j].
@@ -10,9 +10,7 @@ uses (_as_action).
 from __future__ import annotations
 
 import numbers
-import sys
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -24,72 +22,6 @@ LOCAL_GATES = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
     "S": np.array([[1, 0], [0, 1j]], dtype=complex),
 }
-
-
-_TERM_KEYS = frozenset(("re", "im", "bits"))
-_FLOAT_MAX = sys.float_info.max
-
-
-def _is_finite_number(x) -> bool:
-    """A number within the float range: not a bool, a string, NaN or an infinity."""
-    if type(x) is not float and (not isinstance(x, numbers.Number) or isinstance(x, bool)):
-        return False
-    return abs(x) <= _FLOAT_MAX
-
-
-def _read_terms(n: int, terms: Iterable, offset: int, slots: list, values: list) -> None:
-    """Check each term in order, appending its amplitude slot (offset + bits) and value.
-
-    A term is [amplitude, bits] or a mapping with keys among "re", "im" and
-    "bits"; the first bad term raises ValueError.  Values are re + 1j * im, as
-    a term-by-term sum would add them.
-    """
-    for term in terms:
-        if isinstance(term, dict):
-            if not term.keys() <= _TERM_KEYS:
-                raise ValueError(f"unknown term keys {sorted(term.keys() - _TERM_KEYS)}")
-            re, im, bits = term.get("re", 0.0), term.get("im", 0.0), term.get("bits")
-        elif isinstance(term, (list, tuple)) and len(term) == 2:
-            (re, bits), im = term, 0.0
-        else:
-            raise ValueError(f"a term must be [amplitude, bits] or an object of re, im and "
-                             f"bits; got {term!r}")
-        # two finite floats pass by comparison alone; anything else takes the general check
-        if not (type(re) is float and type(im) is float
-                and -_FLOAT_MAX <= re <= _FLOAT_MAX and -_FLOAT_MAX <= im <= _FLOAT_MAX) \
-                and not (_is_finite_number(re) and _is_finite_number(im)):
-            raise ValueError(f"amplitude {re!r}, {im!r} is not a finite number")
-        if not isinstance(bits, str) or len(bits) != n or bits.strip("01"):
-            raise ValueError(f"bitstring {bits!r} is not {n} bits")
-        slots.append(offset + int(bits, 2))
-        values.append(re + 1j * im)
-
-
-def _sum_terms(slots: list, values: list, size: int) -> np.ndarray:
-    """Amplitudes of length size: each slot's values summed in input order.
-
-    One bincount per part adds in the order given, from +0.0, so the sums are
-    bitwise those of adding the terms one by one.
-    """
-    slots = np.array(slots, dtype=np.intp)
-    values = np.array(values, dtype=complex)
-    amps = np.empty(size, dtype=complex)
-    amps.real = np.bincount(slots, weights=values.real, minlength=size)
-    amps.imag = np.bincount(slots, weights=values.imag, minlength=size)
-    return amps
-
-
-def ket_from_terms(n: int, terms: Iterable) -> np.ndarray:
-    """The 2^n amplitudes of (amplitude, bitstring) terms, e.g. [(1, "0000"), (1, "1111")].
-
-    Terms are summed as given; normalize explicitly when needed.  Each term is
-    a pair or a mapping with keys "re", "im", "bits" and no others; anything
-    else is refused.  Amplitude parts must be numbers within the float range
-    (not bools, strings, NaN or infinities) and bits a string of n binary digits.
-    """
-    slots, values = [], []
-    _read_terms(n, terms, 0, slots, values)
-    return _sum_terms(slots, values, 1 << n)
 
 
 def _as_local(entry) -> np.ndarray:

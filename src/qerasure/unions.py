@@ -37,14 +37,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
 
 from . import operator_space, states
 from .codes import QuantumCode, _check_gram_size, transform_code
-from .erasure import _complement_width, _condition_complement, _gram_parts, _pair_phase, _scale_parts
+from .erasure import _complement_width, _condition_complement, _gram_parts, _scale_parts
 from .operator_space import OperatorSubspace, _gram_blocks, _pauli_table, _residual_norm
 from .operator_space import coords_to_matrices, matrices_to_coords
 from .tolerances import CROSS_ORTHOGONALITY_TOL, SUBSPACE_TOL
@@ -114,6 +114,16 @@ def conjugate_subspace(s: OperatorSubspace, u) -> OperatorSubspace:
     stack = mat @ np.moveaxis(coords_to_matrices(s.complement, s.n), 2, 0) @ mat.conj().T
     image = matrices_to_coords(np.moveaxis(stack, 0, 2), s.n)
     return OperatorSubspace(s.n, complement=image.real if np.isrealobj(s.complement) else image)
+
+
+@lru_cache(maxsize=None)
+def _pair_phase(n: int, k: int) -> np.ndarray:
+    """x_ij's (K, K) phase to Z_ij + i Z_ji (_block_sum): 2^(-n/2) times sqrt(2) above the
+    diagonal, i sqrt(2) below it and 1 + i on it; read-only."""
+    phase = np.where(np.tri(k, k, -1, dtype=bool), 1j, 1) * np.sqrt(2) * 2.0 ** (-n / 2)
+    np.fill_diagonal(phase, (1 + 1j) * 2.0 ** (-n / 2))
+    phase.flags.writeable = False
+    return phase
 
 
 def _block_sum(code: QuantumCode, action: states.UnitaryAction) -> np.ndarray:

@@ -321,10 +321,26 @@ def test_out_path_that_cannot_be_written(tmp_path, capsys, where):
 
 
 def test_unknown_fixture_error(capsys):
-    status, out, err = run_cli(capsys, "analyze", "--fixture", "nope")
-    assert status == 1 and out == ""
-    assert err.startswith("qerasure: error[unknown-fixture]")
-    assert err.count("\n") == 1
+    for mode in ("analyze", "union"):  # union asks the registry which names are unions first
+        status, out, err = run_cli(capsys, mode, "--fixture", "nope")
+        assert status == 1 and out == ""
+        assert err == ("qerasure: error[unknown-fixture] no fixture named 'nope'; known: "
+                       "rains-subcode, rains-union, gbp, gbp-union\n")
+
+
+def test_code_file_that_does_not_exist(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    status, out, err = run_cli(capsys, "analyze", "--code", str(path))
+    assert (status, out) == (1, "")
+    assert err == (f"qerasure: error[unreadable-file] cannot read {path}: "
+                   f"[Errno 2] No such file or directory: '{path}'\n")
+
+
+def test_unknown_local_gate_name(capsys):
+    status, out, err = run_cli(capsys, "theorem-check", "--fixture", "gbp",
+                               "--transform", '{"locals": ["Q", "I", "I", "I"]}')
+    assert (status, out) == (1, "")
+    assert err == "qerasure: error[invalid-transform] unknown local gate name 'Q'\n"
 
 
 def test_bad_json_error(tmp_path, capsys):

@@ -13,6 +13,8 @@ from qerasure import (
     erasure_space,
     fixture_gbp_code,
     fixture_rains_subcode,
+    fixture_union_components,
+    get_fixture,
     ingest_code,
     minimum_distance,
     pauli_from_string,
@@ -243,6 +245,17 @@ def test_gbp_fixture_amplitudes():
         nonzero = ket[np.abs(ket) > 1e-12]
         assert len(nonzero) == 2
         assert np.allclose(np.abs(nonzero), 1 / np.sqrt(2))
+
+
+def test_union_components_of_a_plain_or_an_unknown_fixture():
+    # a plain fixture has none; an unknown name is refused, by get_fixture too
+    for name in ("rains-subcode", "gbp"):
+        assert fixture_union_components(name) is None
+    for lookup in (fixture_union_components, get_fixture):
+        with pytest.raises(KeyError) as refused:
+            lookup("nope")
+        assert refused.value.args == ("unknown fixture 'nope'; known: rains-subcode, "
+                                      "rains-union, gbp, gbp-union",)
 
 
 def test_fixtures_survive_reingest():

@@ -154,7 +154,8 @@ def test_single_check_reads_its_block_by_the_scan_rule(k, rng, monkeypatch):
 def test_cached_cross_check_constants_are_read_only_and_exact():
     # _gram_parts' Im mask and _block_sum's (K, K) phase are built once per
     # shape; a write through either would change every later grid
-    from qerasure.erasure import _below, _pair_phase
+    from qerasure.erasure import _below
+    from qerasure.unions import _pair_phase
 
     for rows, cols, shift in ((1, 1, 0), (3, 3, 0), (2, 4, 2), (4, 8, 4)):
         assert np.array_equal(_below(rows, cols, shift), np.tri(rows, cols, shift - 1, dtype=bool))

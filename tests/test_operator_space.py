@@ -349,6 +349,60 @@ def test_containment_residual_of_a_one_dimensional_inner_space(rng):
     assert containment_residual(from_span(n, other[:, None]), outer) > 0.1
 
 
+def test_residuals_refuse_spaces_on_different_qubit_counts():
+    a, b = OperatorSubspace(2, np.eye(16)[:, :1]), OperatorSubspace(3, np.eye(64)[:, :1])
+    for residual in (containment_residual, equality_residual):
+        with pytest.raises(ValueError, match="^subspaces live on different qubit counts$"):
+            residual(a, b)
+
+
+def test_equality_residual_of_a_space_and_a_proper_subspace(rng):
+    # the subspace lies in the space, but a direction of the space is
+    # orthogonal to the subspace: the equality residual is the larger of the
+    # two containments, 1, in either order
+    q = random_unitary(rng, 16)
+    space, sub = OperatorSubspace(2, q[:, :3]), OperatorSubspace(2, q[:, :5])
+    assert containment_residual(sub, space) < 1e-14
+    assert abs(containment_residual(space, sub) - 1) < 1e-14
+    for a, b in ((space, sub), (sub, space)):
+        assert equality_residual(a, b) == containment_residual(space, sub)
+
+
+def test_a_basis_beyond_six_qubits_is_refused_before_it_is_allocated():
+    # a one-column complement at n = 7 leaves a 4^7 x (4^7 - 1) basis, 2 GiB
+    # real and 4 GiB complex; both are refused with nothing larger than a few
+    # 4^7-long columns allocated
+    import tracemalloc
+
+    from qerasure import hermitian_basis
+
+    column = np.eye(4**7, 1)
+    tracemalloc.start()
+    try:
+        for complement, mib in ((column, 2047), (1j * column, 4095)):
+            space = OperatorSubspace(7, complement)
+            with pytest.raises(ValueError, match=f"^n=7, dim=16383 needs a {mib} MiB spanning "
+                                                 "basis; the limit is 256 MiB$"):
+                space.basis
+            with pytest.raises(ValueError, match="^n=7, dim=16383 needs a 2047 MiB"):
+                hermitian_basis(space)  # a real basis, from either complement
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+def test_the_largest_basis_at_six_qubits_is_completed(monkeypatch):
+    # a complex basis of the whole n = 6 space, 4^6 x 4^6 entries of 16
+    # bytes, is exactly MAX_BASIS_BYTES and passes the check to completion
+    completed = []
+    monkeypatch.setattr(operator_space, "_complete_orthonormal",
+                        lambda c: completed.append(c.shape) or np.zeros((1, 1)))
+    OperatorSubspace(6, np.zeros((4**6, 0), dtype=complex)).basis
+    assert completed == [(4**6, 0)]
+    assert operator_space.MAX_BASIS_BYTES == 16 * 4**6 * 4**6
+
+
 def test_full_space():
     s = OperatorSubspace(2, np.zeros((16, 0)))
     assert s.dim == 16

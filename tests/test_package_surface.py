@@ -28,9 +28,11 @@ DELETED = {
                "apply_transform", "apply_to_amplitudes", "Ket", "basis_matrix"),
     qerasure.pauli: ("apply_to_amplitudes",),
     qerasure.pauli.PauliLetter: ("x_bit", "z_bit"),
-    qerasure.states: ("apply_transform", "Ket", "basis_matrix"),
-    qerasure.codes: ("Ket", "basis_matrix"),
-    qerasure.erasure: ("_trace_over_dim",),
+    qerasure.states: ("apply_transform", "Ket", "basis_matrix", "ket_from_terms", "_read_terms",
+                      "_sum_terms"),
+    qerasure.codes: ("Ket", "basis_matrix", "fixture_gbp_code", "fixture_rains_subcode",
+                     "_cyclic_orbit"),
+    qerasure.erasure: ("_trace_over_dim", "_pair_phase"),
     qerasure.unions: ("_as_action", "_conjugates", "_runs", "_left", "_scaled_columns"),
     qerasure.operator_space: ("coords_to_matrix", "_rank", "_real_or_complex", "intersect",
                               "_new_directions", "_slots", "_new_pool", "_pool"),

@@ -333,7 +333,7 @@ def test_ingest_matches_its_per_term_reference(spec):
 
 # A first fault at ket 1, term 1, after a good ket and a good term: (term, the
 # message, or None when the term is accepted).  Every message of
-# states._read_terms appears, each as the per-term reference words it.
+# codes._read_terms appears, each as the per-term reference words it.
 FIRST_FAULTS = {
     "int-pair": ([2, "010"], None),
     "int-parts": ({"re": 1, "im": -3, "bits": "010"}, None),
