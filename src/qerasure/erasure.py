@@ -187,14 +187,14 @@ def _scaled_columns(code: QuantumCode) -> np.ndarray:
 
 
 def _gram_parts(g: np.ndarray, out: np.ndarray, shift: int = 0) -> np.ndarray:
-    """Write entry (i, j) of a (..., r, c) gram block into out: Im where j < i + shift, Re elsewhere."""
+    """Write entry (i, j) of a (..., r, c) gram block into out, any view: Im where j < i + shift, Re elsewhere."""
     np.copyto(out, g.real)
     np.copyto(out, g.imag, where=_below(*g.shape[-2:], shift))
     return out
 
 
 def _scale_parts(cols: np.ndarray, n: int) -> np.ndarray:
-    """A (4^n, m, m) grid of _gram_parts, scaled in place to _scaled_columns' entries."""
+    """A (4^n, m, m) grid of _gram_parts, or a view of one, scaled in place to _scaled_columns' entries."""
     m = cols.shape[1]
     cols *= 2.0 ** (-n / 2) * np.where(np.eye(m, dtype=bool), 1.0, np.sqrt(2))
     return cols
@@ -214,28 +214,28 @@ def _condition_complement(cols: np.ndarray, n: int, pure: bool) -> np.ndarray:
     """Orthonormal complement of the erasure, or else the pure, conditions.
 
     cols are a code's K^2 _scaled_columns, or their image under E -> U E
-    U-adjoint, as (4^n, K^2) columns or as a (4^n, K, K) grid, which may be
-    a block of a wider one; they are overwritten.  The off-diagonal columns
-    are kept.  The differences of the K diagonal ones span {sum_i w_i d_i :
-    sum_i w_i = 0}, so the K x (K-1) orthonormal complement of the all-ones
-    vector (_ones_complement) carries them to an orthonormal basis, written
-    over the first K-1 diagonal columns.  The pure conditions add the
-    traceless part of their sum, the code projector less its identity
-    component, in the last diagonal column, which is the last column;
-    _complement_width drops that column when the projector is the identity,
-    as it does for the erasure conditions.  Returns the complement's columns
-    of a (4^n, K^2) input, and a grid as it is.
+    U-adjoint, as (4^n, K^2) columns or as a (K, K, 4^n) grid of entry rows,
+    which may be a block of a wider one; either is overwritten, to the same
+    bits.  The off-diagonal columns are kept.  The differences of the K
+    diagonal ones span {sum_i w_i d_i : sum_i w_i = 0}, so the K x (K-1)
+    orthonormal complement of the all-ones vector (_ones_complement) carries
+    them to an orthonormal basis, written over the first K-1 diagonal
+    columns.  The pure conditions add the traceless part of their sum, the
+    code projector less its identity component, in the last diagonal column,
+    which is the last column; _complement_width drops that column when the
+    projector is the identity, as it does for the erasure conditions.
+    Returns the complement's columns of a (4^n, K^2) input, and a grid as it is.
     """
-    k = cols.shape[1] if cols.ndim == 3 else math.isqrt(cols.shape[1])
-    grid = cols.reshape(len(cols), k, k)  # a view: columns i*K + j are entries (i, j)
+    grid = cols if cols.ndim == 3 else cols.reshape(len(cols), -1, math.isqrt(cols.shape[1])).transpose(1, 2, 0)
+    k = len(grid)  # grid[i, j] is entry (i, j), a view either way
     width = _complement_width(n, k, pure)
     diag = np.arange(k)
-    d = grid[:, diag, diag]
-    grid[:, diag[:-1], diag[:-1]] = d @ _ones_complement(k)
+    d = np.ascontiguousarray(grid[diag, diag]).T  # (4^n, K)
+    grid[diag[:-1], diag[:-1]] = (d @ _ones_complement(k)).T
     if width == k * k:
         projector = d.sum(axis=1)
         projector[0] = 0  # identity is coordinate 0
-        grid[:, -1, -1] = projector / np.linalg.norm(projector)
+        grid[-1, -1] = projector / np.linalg.norm(projector)
     return cols if cols.ndim == 3 else cols[:, :width]
 
 

@@ -45,9 +45,9 @@ basis and writes the next one into it once no array refers to it, so one
 such buffer stays mapped after the last basis dies.  The CLI and the
 theorem route complete no basis, so they keep none.
 
-Outputs over two _BLOCK_BYTES (the gram tensor; a cross-check's grids and pair
-residuals in unions) are built in such blocks and written once, bit for bit
-(_blocks, _gram_blocks).
+Outputs over two _BLOCK_BYTES (the gram tensor; a cross-check's entry-major
+grids and pair residuals in unions) are built in such blocks and written
+once, bit for bit (_blocks, _gram_blocks).
 
 Threads that a call starts and joins itself, through a ThreadPoolExecutor
 scoped to the call (_beside), fill those ranges beside the caller's own,

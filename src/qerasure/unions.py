@@ -18,10 +18,11 @@ factorization.  Their complements lie in the CC, UU and CU/UC blocks of
 operator space, spanned by |a><b| with a, b in C, in UC, or one in each, and
 these blocks are Hilbert-Schmidt orthogonal: <|a><b|, |c><d|> = <a|c><d|b>
 vanishes across blocks because C is orthogonal to UC.  So S's complement is
-one grid laid out as the union's own _scaled_columns (_block_sum), the unit
-traceless projectors of C and UC sit on its diagonal, and each formula
-replaces one of them by a closed form (_formula_complements): every
-dimension on the route is structural.  Off the diagonal, entries (a, b) and
+one grid of the union's own _scaled_columns, each entry a contiguous row
+(_block_sum), the unit traceless projectors of C and UC sit on its
+diagonal, and each formula replaces one of them by a closed form
+(_formula_complements): every dimension on the route is structural.  Off
+the diagonal, entries (a, b) and
 (b, a) of the grid, as of the union's own complement, span the real plane of
 |a><b| and |b><a|, and these planes are Hilbert-Schmidt orthogonal too, so
 the comparison runs one ket pair at a time, in closed form, and one
@@ -128,8 +129,8 @@ def _pair_phase(n: int, k: int) -> np.ndarray:
 
 def _block_sum(code: QuantumCode, action: states.UnitaryAction) -> np.ndarray:
     """S-perp for S = ES(C) meet U ES(C) U-adjoint meet the mixed blocks, with p
-    and U p U-adjoint, as a (4^n, 2K, 2K) grid in the layout of C (+) UC's own
-    _scaled_columns.
+    and U p U-adjoint, as an entry-major (2K, 2K, 4^n) grid of C (+) UC's own
+    _scaled_columns: entry (a, b) is one contiguous row, column a*2K + b.
 
     Each complement is an image of Z = _scaled_columns(code), with matrices
     M.  [ES(C)-perp | p] is _condition_complement's combination of Z, and
@@ -152,25 +153,24 @@ def _block_sum(code: QuantumCode, action: states.UnitaryAction) -> np.ndarray:
     complement of S.
 
     The grid is written in place, with no full-size temporary: Z into the CC
-    block a row block at a time, then, for each block of whole ket rows i
-    (16 * 4^n * K bytes a row as matrices, operator_space._blocks), Re V
-    into its rows of CU, Im V into its columns of UC and, once V's
-    coordinates and matrices are dropped, Re of the conjugate's coordinates
-    into its rows of UU.  CC and UU are then conditioned in place.
+    block, then, for each block of whole ket rows i (16 * 4^n * K bytes a
+    row as matrices, operator_space._blocks), Re V into its rows of CU, Im V
+    into its rows of UC and, once V's coordinates and matrices are dropped,
+    Re of the conjugate's coordinates into its rows of UU, each entry as a
+    whole row.  CC and UU are then conditioned in place.
     """
     n, k, mat = code.n, code.k, action.matrix
-    s = np.empty((4**n, 2 * k, 2 * k))
-    cc, cu, uc, uu = s[:, :k, :k], s[:, :k, k:], s[:, k:, :k], s[:, k:, k:]
-    for rows in operator_space._blocks(len(s), 2 * cc[0].nbytes):  # Z, two temporaries a row
-        cc[rows] = _scale_parts(_gram_parts(code.grams[rows], np.empty(cc[rows].shape)), n)
+    s = np.empty((2 * k, 2 * k, 4**n))
+    cc, cu, uc, uu = s[:k, :k], s[:k, k:], s[k:, :k], s[k:, k:]
+    _scale_parts(_gram_parts(code.grams, cc.transpose(2, 0, 1)), n)
     for kets in operator_space._blocks(k, 16 * 4**n * k, width=k):
-        x = coords_to_matrices((code.grams[:, kets].conj() * _pair_phase(n, k)[kets]).reshape(len(s), -1), n)
+        x = coords_to_matrices((code.grams[:, kets].conj() * _pair_phase(n, k)[kets]).reshape(4**n, -1), n)
         x = mat.conj() @ x  # row r of each M U-adjoint is conj(U) M[r]
-        coords = matrices_to_coords(x, n).reshape(len(s), -1, k)
-        cu[:, kets], uc[:, :, kets] = coords.real, coords.imag.transpose(0, 2, 1)
+        coords = matrices_to_coords(x, n).reshape(4**n, -1, k).transpose(1, 2, 0)  # V_ij is coords[i, j]
+        cu[kets], uc[:, kets] = coords.real, coords.imag.transpose(1, 0, 2)
         del coords
         x = (mat @ x.reshape(1 << n, -1)).reshape(x.shape)  # U M U-adjoint; M U-adjoint is freed
-        uu[:, kets] = matrices_to_coords(x, n).real.reshape(len(s), -1, k)
+        uu[kets] = matrices_to_coords(x, n).real.reshape(4**n, -1, k).transpose(1, 2, 0)
         del x  # before the next block's
     _condition_complement(cc, n, pure=True)
     _condition_complement(uu, n, pure=True)
@@ -189,27 +189,27 @@ def _formula_complements(code: QuantumCode, action: states.UnitaryAction) -> tup
     - 2c) in p's slot and drops p''s.  Theorem 5 keeps p and puts the part
     of p' off it, (p' - c p) / sqrt(1 - c^2), in p''s slot, except when 2K =
     2^n: then p' = -p, c = -1 and p''s slot is dropped.  Each theorem's
-    diagonal is returned in slot order, without the dropped slot.
+    diagonal is returned in slot order, without the dropped slot, as Fortran-order columns.
     """
     s = _block_sum(code, action)
     n, k = code.n, code.k
-    diagonal = s.reshape(len(s), -1)[:, :: 2 * k + 1]
-    four, five = diagonal[:, :-1].copy(), diagonal.copy()
-    p, p_conj = five[:, k - 1], five[:, -1]
+    diagonal = s.reshape(4 * k * k, -1)[:: 2 * k + 1]
+    four, five = diagonal[:-1].copy(), diagonal.copy()
+    p, p_conj = five[k - 1], five[-1]
     c = -k / ((1 << n) - k)
-    four[:, k - 1] = (p - p_conj) / math.sqrt(2 - 2 * c)
+    four[k - 1] = (p - p_conj) / math.sqrt(2 - 2 * c)
     if 2 * k == 1 << n:
-        return s, four, five[:, :-1]
-    five[:, -1] = (p_conj - c * p) / math.sqrt(1 - c * c)
-    return s, four, five
+        return s, four.T, five[:-1].T
+    five[-1] = (p_conj - c * p) / math.sqrt(1 - c * c)
+    return s, four.T, five.T
 
 
 def _theorem_complement(s: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
-    """s as (4^n, m^2) columns, with diagonal on its diagonal slots; a short one drops the last."""
-    m = s.shape[1]
-    flat = s.reshape(len(s), m * m)[:, :m * m - m + diagonal.shape[1]]
-    flat[:, :: m + 1] = diagonal
-    return flat
+    """s as Fortran-order (4^n, m^2) columns, with diagonal on its diagonal slots; a short one drops the last."""
+    m = len(s)
+    rows = s.reshape(m * m, -1)[:m * m - m + diagonal.shape[1]]
+    rows[:: m + 1] = diagonal.T
+    return rows.T
 
 
 def union_erasure_space_via_intersection(code: QuantumCode, u) -> OperatorSubspace:
@@ -272,8 +272,8 @@ def _cross_check(code: QuantumCode, action: states.UnitaryAction, union: Quantum
     direct side ends before any error reaches the caller, and the
     pipeline's own error wins); both read code.grams, built here first,
     and the report is bitwise the same either way.  Entries (a, b) and
-    (b, a) of either grid, a != b, lie
-    in the real plane of |a><b| and |b><a|; these planes and the diagonal
+    (b, a) of either grid, a != b, are whole rows in
+    the real plane of |a><b| and |b><a|; these planes and the diagonal
     block are Hilbert-Schmidt orthogonal, so each pair is compared on its
     own (_pair_residuals) and the diagonal block by one _residual_norm per
     formula.  For C (+) UC each group residual r_g is roundoff, as
@@ -292,11 +292,11 @@ def _cross_check(code: QuantumCode, action: states.UnitaryAction, union: Quantum
     else:
         s, four, five = _formula_complements(code, action)
         direct = _direct_complement(code, union)
-    shared = _pair_residuals(s, direct.reshape(s.shape))
+    shared = _pair_residuals(s, direct)
     report = {}
     for key, diagonal, pure in (("theorem4", four, False), ("theorem5", five, True)):
-        width = _complement_width(n, m, pure)
-        residual = max(shared, _residual_norm(direct[:, :width][:, :: m + 1], diagonal))
+        width = _complement_width(n, m, pure)  # its diagonal slots are the first 2K - 1 or 2K
+        residual = max(shared, _residual_norm(direct.reshape(m * m, -1)[:width:m + 1].T, diagonal))
         dim, direct_dim = 4**n - m * m + m - diagonal.shape[1], 4**n - width
         report[key] = {"dim": dim, "direct_dim": direct_dim, "residual": residual,
                        "matches_direct": dim == direct_dim and residual < SUBSPACE_TOL}
@@ -304,51 +304,57 @@ def _cross_check(code: QuantumCode, action: states.UnitaryAction, union: Quantum
 
 
 def _direct_complement(code: QuantumCode, union: QuantumCode) -> np.ndarray:
-    """PS(C (+) UC)'s complement, (4^n, 4K^2): the union's _scaled_columns with
-    _condition_complement applied in place, bit for bit, without its gram tensor.
+    """PS(C (+) UC)'s complement, a (2K, 2K, 4^n) grid of entry rows: the union's _scaled_columns
+    with _condition_complement applied in place, bit for bit, without its gram tensor.
 
     The tensor's CC block is code.grams, and _scaled_columns reads Re of its
     CU block, Im of its UC block and all of its UU block: two rectangular
     tensors, <c_i|sigma|Uc_j> and <Uc_i|sigma|[C | UC]_j>, 3K^2 columns to
     4K^2.  Neither is formed whole: each block of x values that
-    operator_space._gram_blocks yields is written straight to its rows of
-    the grid.
+    operator_space._gram_blocks yields fills one run of each entry row,
+    taken over (x, z), and those rows are put in coordinate order in place,
+    a grid row at a time.
     """
-    n, k = code.n, code.k
-    image, rows = union.basis[:, k:], _pauli_table(n).coordinate.reshape(1 << n, 1 << n)
-    cols = np.empty((4**n, 2 * k, 2 * k))
-    _gram_parts(code.grams, cols[:, :k, :k])
+    n, k, t = code.n, code.k, _pauli_table(code.n)
+    image, cols = union.basis[:, k:], np.empty((2 * k, 2 * k, 4**n))
+    by_xz = cols.reshape(2 * k, 2 * k, 1 << n, 1 << n)  # entry rows over (x, z)
+    _gram_parts(code.grams, cols[:k, :k].transpose(2, 0, 1))
     for xs, block in _gram_blocks(code.basis, image, n):
-        cols[rows[:, xs], :k, k:] = block.real
+        by_xz[:k, k:, xs] = block.real.transpose(2, 3, 1, 0)
         del block  # not alive beside the next one
     for xs, block in _gram_blocks(image, union.basis, n):
-        cols[rows[:, xs], k:] = _gram_parts(block, np.empty(block.shape), shift=k)
+        _gram_parts(block, by_xz[k:, :, xs].transpose(3, 2, 0, 1), shift=k)
         del block
-    direct = _scale_parts(cols, n).reshape(-1, 4 * k * k)
-    _condition_complement(direct, n, pure=True)
-    return direct
+    xz = (t.x << n) | t.z  # coordinate c's place in an (x, z) row
+    for written in (*cols[:k, k:], *cols[k:]):  # all but CC, code.grams' own, in coordinate order
+        written[...] = np.take(written, xz, axis=1)
+    _scale_parts(cols.transpose(2, 0, 1), n)
+    _condition_complement(cols, n, pure=True)
+    return cols
 
 
 def _pair_residuals(x: np.ndarray, d: np.ndarray) -> float:
     """Largest spectral norm of the explicit residuals of x's ket pairs off d's.
 
-    x and d are (4^n, m, m) grids in the layout of erasure._scaled_columns:
+    x and d are entry-major (m, m, 4^n) grids of erasure._scaled_columns:
     entries (a, b) and (b, a), a != b, are ket pair {a, b}'s two columns,
-    and d's are orthonormal.  Each pair's residual, its two columns of x
-    less their projection onto its two of d, is formed explicitly: entry
-    (a, b) of x less its parts along d's (a, b) and, through the transposed
-    grid, along d's (b, a).  Its norm is the square root of the larger
-    eigenvalue of its 2 x 2 Gram, read in closed form with no cancellation,
-    as _residual_norm reads a wider one.  The diagonal entries are the
-    caller's.  x is overwritten in row blocks (operator_space._blocks).
+    each one contiguous row, and d's are orthonormal.  Each pair's residual,
+    its two rows of x less their projection onto its two of d, is formed
+    explicitly: entry (a, b) of x less its parts along d's (b, a) and (a,
+    b), every product one of whole rows.  Its norm is the square root of the
+    larger eigenvalue of its 2 x 2 Gram, read in closed form with no
+    cancellation, as _residual_norm reads a wider one.  The diagonal entries
+    are the caller's.  x is overwritten in blocks of grid rows
+    (operator_space._blocks).
     """
-    along = np.einsum("iab,iab->ab", d, x)
-    across = np.einsum("iab,iba->ab", d, x)  # d's (a, b) against x's (b, a)
-    for xr, dr in ((x[rows], d[rows]) for rows in operator_space._blocks(len(x), x[0].nbytes)):
-        part = dr * across
-        xr -= part.transpose(0, 2, 1)
-        xr -= np.multiply(dr, along, out=part)
-    g = np.einsum("iab,iab->ab", x, x)
-    top = (g + g.T) / 2 + np.hypot((g - g.T) / 2, np.einsum("iab,iba->ab", x, x))
+    dt = d.transpose(1, 0, 2)  # entry (a, b) is d's (b, a)
+    along, back = np.vecdot(d, x), np.vecdot(dt, x)
+    for rows in operator_space._blocks(len(x), x[0].nbytes, width=len(x)):  # grid rows of m entries
+        part = np.multiply(dt[rows], back[rows, :, None])
+        x[rows] -= part
+        x[rows] -= np.multiply(d[rows], along[rows, :, None], out=part)
+        del part  # not alive beside the next one
+    g = np.vecdot(x, x)
+    top = (g + g.T) / 2 + np.hypot((g - g.T) / 2, np.vecdot(x, x.transpose(1, 0, 2)))
     np.fill_diagonal(top, 0.0)
     return float(np.sqrt(top.max()))

@@ -133,17 +133,19 @@ def real_column_block_sum(code, action):
     Z U-adjoint, the CC block is Z and the UU block Re W, both conditioned,
     entry (i, j) of the CU block is Re X_ij - Im X_ji and entry (j, i) of
     the UC block Im X_ij + Re X_ji: Re and Im of X_ij + i X_ji, each column
-    paired with its transposed partner after the map.
+    paired with its transposed partner after the map.  The grid is
+    entry-major, (2K, 2K, 4^n), as unions._block_sum's is.
     """
     n, k, mat = code.n, code.k, action.matrix
-    z = _scaled_columns(code).reshape(-1, k, k)
-    stack = np.moveaxis(coords_to_matrices(z.reshape(-1, k * k), n), 2, 0) @ mat.conj().T
-    x = matrices_to_coords(np.moveaxis(stack, 0, 2), n).reshape(-1, k, k)
-    w = matrices_to_coords(np.moveaxis(mat @ stack, 0, 2), n).real.reshape(-1, k, k)
-    s = np.empty((4**n, 2 * k, 2 * k))
-    s[:, :k, :k], s[:, k:, k:] = _condition_complement(z, n, True), _condition_complement(w, n, True)
-    s[:, :k, k:] = x.real - x.imag.transpose(0, 2, 1)
-    s[:, k:, :k] = (x.imag + x.real.transpose(0, 2, 1)).transpose(0, 2, 1)
+    z = _scaled_columns(code)
+    stack = np.moveaxis(coords_to_matrices(z, n), 2, 0) @ mat.conj().T
+    x = matrices_to_coords(np.moveaxis(stack, 0, 2), n).T.reshape(k, k, -1)
+    w = matrices_to_coords(np.moveaxis(mat @ stack, 0, 2), n).real
+    s = np.empty((2 * k, 2 * k, 4**n))
+    s[:k, :k] = _condition_complement(z, n, True).T.reshape(k, k, -1)
+    s[k:, k:] = _condition_complement(w, n, True).T.reshape(k, k, -1)
+    s[:k, k:] = x.real - x.imag.transpose(1, 0, 2)
+    s[k:, :k] = (x.imag + x.real.transpose(1, 0, 2)).transpose(1, 0, 2)
     return s
 
 
@@ -156,26 +158,32 @@ def equal_expectation_space(code, u, anchor=0):
     return OperatorSubspace(code.n, wide_nullspace_complement(row))
 
 
+def grid_columns(s):
+    """An entry-major (m, m, 4^n) grid as (4^n, m^2) columns: entry (a, b) is column a*m + b."""
+    return s.reshape(s.shape[0] * s.shape[1], -1).T
+
+
 def theorem_columns(s, diagonal):
     """A theorem's complement from unions._formula_complements' grid s and its
     diagonal columns: the grid's entries off its diagonal, then diagonal."""
-    m = s.shape[1]
-    return np.hstack([s.reshape(len(s), m * m)[:, ~np.eye(m, dtype=bool).ravel()], diagonal])
+    m = len(s)
+    return np.hstack([grid_columns(s)[:, ~np.eye(m, dtype=bool).ravel()], diagonal])
 
 
 def grid_residuals_full_gram(s, four, five, direct):
     """unions._cross_check's residuals from one projection of each theorem's
     whole complement off the whole direct one.
 
-    direct is the union's complement grid flattened to (4^n, m^2) columns,
-    and a theorem's direct complement its leading columns, as many as that
-    theorem's complement has.  r = x - d (d^H x) and the residual is the
-    square root of the largest eigenvalue of r^H r.
+    s and direct are the pipeline's and the union's complement grids, and a
+    theorem's direct complement is the direct grid's leading columns
+    (grid_columns), as many as that theorem's complement has.  r = x - d
+    (d^H x) and the residual is the square root of the largest eigenvalue
+    of r^H r.
     """
     out = []
     for diagonal in (four, five):
         x = theorem_columns(s, diagonal)
-        d = direct[:, :x.shape[1]]
+        d = grid_columns(direct)[:, :x.shape[1]]
         r = x - d @ (d.conj().T @ x)
         out.append(float(np.sqrt(max(np.linalg.eigvalsh(r.conj().T @ r)[-1], 0.0))))
     return tuple(out)

@@ -293,6 +293,24 @@ def test_closed_form_dims_are_structural(rng):
         assert dims == (4**n - k * k + 1, 4**n - k * k, 4**n - k * k)
 
 
+def test_condition_complement_gives_the_same_bits_in_either_layout(rng):
+    # a code's own (4^n, K^2) columns and the entry-major (K, K, 4^n) grid
+    # of the same values, whose entry (i, j) is column i*K + j, condition to
+    # the same bits, the projector column included; K = 2^n has none
+    from qerasure.erasure import _complement_width, _condition_complement, _scaled_columns
+
+    for n, k in ((1, 2), (2, 1), (2, 3), (3, 8), (4, 5), (5, 8), (5, 16)):
+        code = random_code(rng, n, k)
+        for pure in (False, True):
+            cols = _scaled_columns(code)
+            grid = np.ascontiguousarray(cols.T).reshape(k, k, -1)
+            assert _condition_complement(grid, n, pure) is grid
+            want = _condition_complement(cols, n, pure)
+            assert want.shape == (4**n, _complement_width(n, k, pure))
+            got = grid.reshape(k * k, -1).T[:, :want.shape[1]]
+            assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_full_code_spaces(rng, n):
     # K = 2^n: the projector is the identity, so only scalars survive the

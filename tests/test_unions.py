@@ -48,6 +48,7 @@ from _svd_route import (
     equal_expectation_space,
     from_span,
     intersect,
+    grid_columns,
     grid_residuals_full_gram,
     product_image,
     real_column_block_sum,
@@ -432,18 +433,18 @@ def fixture_and_random_pairs(rng):
 
 
 def grid_blocks(s):
-    """The CC, UU and mixed (CU then UC) blocks of a _block_sum grid, as columns."""
-    k = s.shape[1] // 2
+    """The CC, UU and mixed (CU then UC) blocks of an entry-major _block_sum grid, as columns."""
+    k = len(s) // 2
     c, u = slice(None, k), slice(k, None)
-    cc, uu, cu, uc = (s[:, a, b].reshape(len(s), -1) for a, b in ((c, c), (u, u), (c, u), (u, c)))
+    cc, uu, cu, uc = (grid_columns(s[a, b]) for a, b in ((c, c), (u, u), (c, u), (u, c)))
     return cc, uu, np.hstack([cu, uc])
 
 
 def grid_parts(s):
-    """S-perp's columns of a _block_sum grid, and p and p' = U p U^H, read off
-    their diagonal slots (K-1, K-1) and (2K-1, 2K-1)."""
-    m = s.shape[1]
-    flat = s.reshape(len(s), m * m)
+    """S-perp's columns of an entry-major _block_sum grid, and p and p' = U p
+    U^H, read off their diagonal slots (K-1, K-1) and (2K-1, 2K-1)."""
+    m = len(s)
+    flat = grid_columns(s)
     p, p_conj = (m // 2 - 1) * (m + 1), m * m - 1
     return np.delete(flat, [p, p_conj], axis=1), flat[:, [p]], flat[:, [p_conj]]
 
@@ -609,7 +610,7 @@ def test_cross_check_shares_one_conjugation_and_no_wide_intersection(monkeypatch
     assert scaled == []
     k, rows = code.k, 4**code.n
     assert [cols.shape for cols, _ in calls["_condition_complement"]] == [
-        (rows, k, k), (rows, k, k), (rows, 4 * k * k)]
+        (k, k, rows), (k, k, rows), (2 * k, 2 * k, rows)]
     assert len(calls["union_code"]) == 1
     # S is a concatenation, never intersected, and what the expectation row
     # and p with U p U^H add to it are closed forms: nothing is factored
@@ -618,7 +619,7 @@ def test_cross_check_shares_one_conjugation_and_no_wide_intersection(monkeypatch
     # pair on one grid: the pairs' 2 x 2 Grams are read in closed form, and
     # the only eigenvalue solves are one for each formula's diagonal block
     (pipeline, direct), = calls["_pair_residuals"]
-    assert pipeline.shape == direct.shape == (4**code.n, 2 * k, 2 * k)
+    assert pipeline.shape == direct.shape == (2 * k, 2 * k, 4**code.n)
     assert all(np.shares_memory(cols, pipeline) for cols, _ in calls["_condition_complement"][:2])
     assert eigensolves == [(w, w) for w in (2 * k - 1, 2 * k)]
 
@@ -665,7 +666,7 @@ def test_block_sum_matches_the_wide_intersection(rng):
     for code, u in block_sum_cases(rng):
         act = _as_action(code.n, u)
         grid = _block_sum(code, act)
-        assert grid.shape == (4**code.n, 2 * code.k, 2 * code.k)
+        assert grid.shape == (2 * code.k, 2 * code.k, 4**code.n)
         s, p, p_conj = grid_parts(grid)
         shared = OperatorSubspace(code.n, s)
         assert_orthonormal(shared, 1e-12)
@@ -726,7 +727,7 @@ def test_block_sum_matches_the_real_column_pairing(rng):
 def cross_check_inputs(monkeypatch, code, act, union):
     """What _cross_check compares, and its report: _formula_complements' grid
     and the two theorems' diagonal columns, and the union's complement grid
-    that it hands to _pair_residuals, flattened to (4^n, (2K)^2) columns."""
+    that it hands to _pair_residuals, both grids entry-major (2K, 2K, 4^n)."""
     from qerasure import unions
 
     seen = {}
@@ -738,7 +739,7 @@ def cross_check_inputs(monkeypatch, code, act, union):
         return out
 
     def spy_pairs(x, d):
-        seen["direct"] = d.reshape(len(d), -1).copy()
+        seen["direct"] = d.copy()
         return pairs(x, d)
 
     with monkeypatch.context() as m:
@@ -757,7 +758,7 @@ def test_direct_erasure_complement_is_the_erasure_space_one(monkeypatch, rng):
         (*_, direct), _ = cross_check_inputs(monkeypatch, code, act, union)
         for space in (pure_erasure_space(union), erasure_space(union)):
             width = space.complement.shape[1]
-            assert np.array_equal(direct[:, :width], space.complement)
+            assert np.array_equal(grid_columns(direct)[:, :width], space.complement)
 
 
 def test_direct_grid_is_the_unions_own_scaled_columns(rng):
@@ -771,6 +772,8 @@ def test_direct_grid_is_the_unions_own_scaled_columns(rng):
         want = _scaled_columns(union)
         _condition_complement(want, code.n, pure=True)
         got = _direct_complement(code, union)
+        assert got.shape == (2 * code.k, 2 * code.k, 4**code.n)
+        got = grid_columns(got)
         assert got.dtype == want.dtype and got.shape == want.shape == (4**code.n, 4 * code.k**2)
         assert got.tobytes() == want.tobytes()
 
@@ -942,7 +945,7 @@ def test_shared_residuals_track_a_rotated_pipeline(monkeypatch, rng, moved):
     away -= span @ (span.T @ away)
     away /= np.linalg.norm(away)
     # entry (0, 1): in CC pair (0, 1)'s plane, and off the span
-    leak = (direct[:, 1] + away) / np.sqrt(2)
+    leak = (direct[0, 1] + away) / np.sqrt(2)
     groups = 2 * k * k - k + 1
     for angle in np.logspace(-10, 0, 11):
         grid2, four2, five2 = grid.copy(), four.copy(), five.copy()
@@ -950,14 +953,14 @@ def test_shared_residuals_track_a_rotated_pipeline(monkeypatch, rng, moved):
             four2[:, k - 1] = _rotated(four[:, k - 1], away, angle)
         elif moved == "cross-pair-leak":
             a, b = S_PERP_ENTRY["mixed-column"]
-            grid2[:, a, b] = _rotated(grid[:, a, b], leak, angle)
+            grid2[a, b] = _rotated(grid[a, b], leak, angle)
         elif moved == "diagonal-column":
             slot = S_PERP_ENTRY[moved][0]
             for before, after in ((four, four2), (five, five2)):
                 after[:, slot] = _rotated(before[:, slot], away, angle)
         else:
             a, b = S_PERP_ENTRY[moved]
-            grid2[:, a, b] = _rotated(grid[:, a, b], away, angle)
+            grid2[a, b] = _rotated(grid[a, b], away, angle)
         with monkeypatch.context() as m:
             m.setattr(unions, "_formula_complements",
                       lambda *args: (grid2.copy(), four2, five2))
@@ -971,12 +974,98 @@ def test_shared_residuals_track_a_rotated_pipeline(monkeypatch, rng, moved):
             continue
         oracle = [equality_residual(OperatorSubspace(code.n, theorem_columns(grid2, diagonal)),
                                     OperatorSubspace(code.n, d))
-                  for diagonal, d in ((four2, direct[:, :-1]), (five2, direct))]
+                  for diagonal, d in ((four2, grid_columns(direct)[:, :-1]), (five2, grid_columns(direct)))]
         for res, want in zip(got, oracle):
             assert abs(res - want) <= 1e-6 * want + 1e-14
         assert got[0] > 0.1 * angle
         if moved != "expectation-direction":
             assert got[1] > 0.1 * angle
+
+
+def test_theorem_diagonals_read_the_direct_grids_leading_diagonal_slots(monkeypatch, rng):
+    # Theorem 4's diagonal is compared with the first 2K - 1 diagonal entries
+    # of the direct grid (ES(union)'s), and Theorem 5's with 2K (PS(union)'s),
+    # or 2K - 1 when 2K = 2^n, where the union's projector is the identity
+    # (_complement_width).  One inner column too many can still read as a
+    # match, and on these shapes only the whole-space unions would show it,
+    # so the columns are pinned on every shape
+    from qerasure import unions
+
+    inners, real = [], unions._residual_norm
+    monkeypatch.setattr(unions, "_residual_norm",
+                        lambda inner, outer: inners.append(inner.copy()) or real(inner, outer))
+    for code, u in block_sum_cases(rng):
+        act = _as_action(code.n, u)
+        union, _ = union_code([code, transform_code(code, act)])
+        inners.clear()
+        (*_, direct), report = cross_check_inputs(monkeypatch, code, act, union)
+        assert report["theorem4"]["matches_direct"] and report["theorem5"]["matches_direct"]
+        m = 2 * code.k
+        assert [inner.shape[1] for inner in inners] == [m - 1, m - 1 if m == 1 << code.n else m]
+        diagonal = grid_columns(direct)[:, :: m + 1]
+        for inner in inners:
+            assert np.array_equal(inner, diagonal[:, :inner.shape[1]])
+
+
+def test_cross_check_grids_are_entry_major(monkeypatch, rng, fresh_pool):
+    # both grids that _pair_residuals contracts hold each entry (a, b) as one
+    # C-contiguous 4^n row, whether the direct side ran in the caller or in
+    # the worker thread of the call
+    from qerasure import operator_space, unions
+
+    seen, real = [], unions._pair_residuals
+    monkeypatch.setattr(unions, "_pair_residuals", lambda x, d: seen.append((x, d)) or real(x, d))
+    fresh_pool.set_cpus(2)
+    for (code, u), beside in [((fixture_gbp_code(), gbp_pair_transform()), 1 << 62),
+                              (swap_pair(rng, 3, 2), 0), (swap_pair(rng, 5, 8), 1 << 62),
+                              (swap_pair(rng, 5, 8), 0)]:
+        act = _as_action(code.n, u)
+        union, _ = union_code([code, transform_code(code, act)])
+        monkeypatch.setattr(operator_space, "_BESIDE_BYTES", beside)
+        _cross_check(code, act, union)
+        (x, d), = seen
+        seen.clear()
+        m = 2 * code.k
+        for grid in (x, d):
+            assert grid.shape == (m, m, 4**code.n) and grid.flags.c_contiguous
+            assert all(grid[a, b].flags.c_contiguous for a in range(m) for b in range(m))
+
+
+@pytest.mark.parametrize("public", [union_erasure_space_via_intersection, union_pure_space_via_intersection])
+def test_formula_complements_are_fortran_views_of_the_grid(monkeypatch, rng, public):
+    # the complement a public formula returns is the pipeline grid itself,
+    # read as (4^n, columns) with no copy: Fortran-contiguous, one column a
+    # grid entry.  Membership, containment and the spanning basis read it as
+    # they read a C-contiguous copy, to 1e-15, and the dimensions agree
+    from qerasure import unions
+
+    grids, real = [], unions._formula_complements
+
+    def spy(*args):
+        out = real(*args)
+        grids.append(out[0])
+        return out
+
+    monkeypatch.setattr(unions, "_formula_complements", spy)
+    half = ingest_code({"n": 3, "label": "half", "basis": [[(1, ket)] for ket in WHOLE_SPACE[2][1]]})
+    for code, u in [(fixture_gbp_code(), gbp_pair_transform()), swap_pair(rng, 3, 2),
+                    (half, CodeTransform(3, locals=WHOLE_SPACE[2][2]))]:
+        space = public(code, u)
+        (grid,), c = grids, space.complement
+        grids.clear()
+        assert np.shares_memory(c, grid) and c.flags.f_contiguous and not c.flags.c_contiguous
+        copy = OperatorSubspace(code.n, np.ascontiguousarray(c))
+        assert copy.complement.flags.c_contiguous and copy.dim == space.dim
+        probes = np.hstack([rng.standard_normal((4**code.n, 3)) + 1j * rng.standard_normal((4**code.n, 3)),
+                            c[:, :2] + 1e-3 * rng.standard_normal((4**code.n, 2))])
+        for v in probes.T:
+            assert abs(space.member_residual(v) - copy.member_residual(v)) <= 1e-15
+        union, _ = union_code([code, transform_code(code, u)])
+        for other in (erasure_space(union), pure_erasure_space(union), erasure_space(code)):
+            assert abs(containment_residual(space, other) - containment_residual(copy, other)) <= 1e-15
+            assert abs(containment_residual(other, space) - containment_residual(other, copy)) <= 1e-15
+        assert space.basis.shape == copy.basis.shape == (4**code.n, space.dim)
+        assert np.max(np.abs(space.basis - copy.basis)) <= 1e-15
 
 
 def test_grid_entries_span_the_unions_ket_pair_planes(monkeypatch, rng):
@@ -990,7 +1079,7 @@ def test_grid_entries_span_the_unions_ket_pair_planes(monkeypatch, rng):
         (grid, four, five, _), _ = cross_check_inputs(monkeypatch, code, act, union)
         m = 2 * code.k
         planes = _scaled_columns(union)
-        pipeline = np.hstack([grid.reshape(len(grid), -1), four, five])
+        pipeline = np.hstack([grid_columns(grid), four, five])
         a, b = np.divmod(np.arange(m * m), m)
         # an off-diagonal entry's group is its ket pair, a diagonal one's -1
         group = np.where(a == b, -1, np.minimum(a, b) * m + np.maximum(a, b))
@@ -1005,9 +1094,9 @@ def test_grid_entries_span_the_unions_ket_pair_planes(monkeypatch, rng):
 
 
 def test_pair_residuals_match_a_per_pair_loop(monkeypatch, rng):
-    # the grid read, entries (a, b) and (b, a) through the transposed grid,
-    # is the largest _residual_norm of each ket pair's two pipeline columns
-    # off its two direct ones, and never reads the diagonal entries
+    # the grid read, entries (a, b) and (b, a) as whole rows, is the largest
+    # _residual_norm of each ket pair's two pipeline columns off its two
+    # direct ones, and never reads the diagonal entries
     from qerasure.operator_space import _residual_norm
     from qerasure.unions import _pair_residuals
 
@@ -1015,16 +1104,16 @@ def test_pair_residuals_match_a_per_pair_loop(monkeypatch, rng):
         act = _as_action(code.n, u)
         union, _ = union_code([code, transform_code(code, act)])
         (grid, *_, direct), _ = cross_check_inputs(monkeypatch, code, act, union)
-        m = grid.shape[1]
+        m = len(grid)
         x = grid + 1e-3 * rng.standard_normal(grid.shape)
-        flat = x.reshape(len(x), -1)
+        flat, d = grid_columns(x), grid_columns(direct)
         pairs = [[a * m + b, b * m + a] for a in range(m) for b in range(a + 1, m)]
-        loop = max(_residual_norm(direct[:, pair], flat[:, pair]) for pair in pairs)
-        got = _pair_residuals(x.copy(), direct.reshape(x.shape))
+        loop = max(_residual_norm(d[:, pair], flat[:, pair]) for pair in pairs)
+        got = _pair_residuals(x.copy(), direct)
         assert abs(got - loop) <= 1e-12 * loop
         diagonal = np.arange(m)
-        x[:, diagonal, diagonal] = rng.standard_normal((len(x), m))
-        assert _pair_residuals(x, direct.reshape(x.shape)) == got
+        x[diagonal, diagonal] = rng.standard_normal((m, x.shape[2]))
+        assert _pair_residuals(x, direct) == got
 
 
 @pytest.mark.parametrize("n, k, blocks", [
@@ -1051,7 +1140,8 @@ def test_block_sum_in_column_blocks_is_bitwise_one_block(monkeypatch, rng, n, k,
 
 
 def test_pair_residuals_in_row_blocks_are_bitwise_one_block(monkeypatch, rng):
-    # n = 5, K = 6: 1,024 rows in blocks of 224, the last of 128
+    # n = 5, K = 6: a 12 x 12 grid of 1,024-long entry rows, taken two grid
+    # rows (192 KiB) at a time
     from conftest import one_block
     from qerasure import operator_space
     from qerasure.unions import _pair_residuals
@@ -1060,9 +1150,9 @@ def test_pair_residuals_in_row_blocks_are_bitwise_one_block(monkeypatch, rng):
     union, _ = union_code([code, transform_code(code, act)])
     (grid, *_, direct), _ = cross_check_inputs(monkeypatch, code, act, union)
     x = grid + 1e-3 * rng.standard_normal(grid.shape)
-    d = direct.reshape(x.shape)
-    sizes = [b.stop - b.start for b in operator_space._blocks(len(x), x[0].nbytes)]
-    assert sizes == [224] * 4 + [128]
+    d = direct
+    sizes = [b.stop - b.start for b in operator_space._blocks(len(x), x[0].nbytes, width=len(x))]
+    assert sizes == [2] * 6
     got, want = x.copy(), x.copy()
     residual = _pair_residuals(got, d)
     assert residual > 1e-4
@@ -1096,7 +1186,7 @@ def test_cross_check_stages_keep_no_full_size_temporary(monkeypatch, rng):
     union, _ = union_code([code, transform_code(code, act)])
     code.grams
     s = _formula_complements(code, act)[0]
-    d = _direct_complement(code, union).reshape(s.shape)
+    d = _direct_complement(code, union)
     assert tracemalloc_peak(_formula_complements, code, act) <= 3.5
     assert tracemalloc_peak(_direct_complement, code, union) <= 3.0
     assert tracemalloc_peak(_pair_residuals, s, d) <= 0.75
